@@ -18,7 +18,7 @@ Two runtimes share these algorithms:
 from .pages import Fragment, PageFragments, PageId, fresh_page_id, overlay
 from .provider import Provider
 from .provider_manager import ProviderManager
-from .persistence import InMemoryPageStore, LogStructuredPageStore, PageStore
+from .backends import InMemoryPageStore, LogStructuredPageStore, PageStore
 from .version_manager import (
     BlobState,
     ThreadedVersionManager,

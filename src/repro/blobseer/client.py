@@ -41,7 +41,7 @@ class BlobSeerService:
         topology: Optional[Dict[str, str]] = None,
     ) -> None:
         """*store_factory*, when given, is called with each provider's name
-        and must return a :class:`~repro.blobseer.persistence.PageStore`
+        and must return a :class:`~repro.blobseer.backends.PageStore`
         (used to give providers durable log-structured backends); when
         ``None`` it is derived from the config's ``page_store_backend``
         knobs (see :mod:`repro.blobseer.backends`). *topology* maps
@@ -144,8 +144,8 @@ class BlobSeerService:
         return self._replicator.copies - before
 
     def close(self) -> None:
-        """Release provider persistence backends and drain the version
-        manager's outstanding lease timers (idempotent)."""
+        """Release provider persistence backends and stop the version
+        manager's lease expiry (idempotent)."""
         self.version_manager.close()
         for provider in self.providers.values():
             provider.store.close()

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from ..common.errors import PageNotFoundError, ProviderUnavailableError
 from .pages import PageId
-from .persistence import InMemoryPageStore, PageStore
+from .backends import InMemoryPageStore, PageStore
 
 
 class Provider:

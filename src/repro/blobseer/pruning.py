@@ -82,7 +82,7 @@ def prune_blob(
     what was reclaimed.
     """
     vm = service.version_manager
-    with vm._lock:  # the VM coordinates pruning (single critical section)
+    with vm._turn:  # the VM coordinates pruning (single critical section)
         state = vm.core.blob(blob_id)
         if keep_from_version < 1 or keep_from_version > state.published:
             raise VersionNotFoundError(

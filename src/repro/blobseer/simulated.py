@@ -3,9 +3,8 @@
 The client logic lives in :mod:`repro.blobseer.protocol`; this module
 assembles a deployment around the DES engine: it binds the
 version-manager service (:class:`~repro.blobseer.sim_vm.SimVMService`,
-which also keeps append-ticket leases on the simulation clock) and
-exposes the generator entry points experiment drivers wrap in kernel
-processes.
+the version-manager core on the simulation clock) and exposes the
+generator entry points experiment drivers wrap in kernel processes.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .placement import make_placement_policy
 from .protocol import BlobSeerProtocol, compute_layout
 from .provider_manager import ProviderManager
 from .sim_vm import SimVMService
-from .version_manager import VersionManagerCore
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +61,6 @@ class SimBlobSeer:
         self.config = config or BlobSeerConfig()
         self.config.validate()
         self.obs = obs or NULL_OBS
-        self.core = VersionManagerCore(self.obs)
         self.dht = MetadataDHT(len(roles.metadata_providers))
         topology = {
             name: rack
@@ -80,10 +77,11 @@ class SimBlobSeer:
         self.metrics = Metrics()
 
         self.engine = DesEngine(cluster, obs=self.obs)
-        self._vm = SimVMService(self.core, self.engine, self.config, self.obs)
+        vm = SimVMService(self.env, self.config.append_lease_s, self.obs)
+        self.core = vm.core
         self.engine.bind(
             "vm",
-            self._vm,
+            vm,
             cluster.config.version_assign_time,
             # a ready push only files the change map and answers
             # lead/queued — cheaper than the assignment critical section
@@ -91,8 +89,6 @@ class SimBlobSeer:
         )
         self.engine.bind_md(len(roles.metadata_providers))
         self.retry = self.engine.retry
-        #: legacy raw-VM-RPC helper for drivers shaping VM traffic directly
-        self._vm_call = self._vm.call
         self.protocol = BlobSeerProtocol(
             self.engine,
             self.config,
@@ -188,9 +184,4 @@ class SimBlobSeer:
     ) -> List[Tuple[int, int, Tuple[str, ...]]]:
         """(offset, length, providers) of each stored fragment of a
         version — the locality primitive, control-plane only."""
-        rec = (
-            self.core.latest_published(blob_id)
-            if version is None
-            else self.core.get_version(blob_id, version)
-        )
-        return compute_layout(self.dht, rec, self.core.blob(blob_id).page_size)
+        return compute_layout(self.dht, *self.core.resolve(blob_id, version))

@@ -24,16 +24,20 @@ The write/append protocol, faithful to BlobSeer:
 Readers only ever see published versions, so they are never blocked by
 (or block) writers — old snapshots stay intact.
 
-:class:`VersionManagerCore` is the pure state machine; the threaded and
-simulated runtimes wrap it with their own concurrency-control adapters
-(:class:`ThreadedVersionManager` here; the simulated wrapper lives in
-:mod:`repro.blobseer.simulated`).
+:class:`VersionManagerCore` is the whole state machine, append-ticket
+leases and commit-queue waits included; it takes the time as an argument
+and holds no lock, clock or thread. The runtimes wrap it with thin
+adapters that only decide *when* its transitions run:
+:class:`ThreadedVersionManager` here (a mutex, a condition variable and
+``time.monotonic``) and :class:`~repro.blobseer.sim_vm.SimVMService`
+(kernel events on the simulation clock).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -103,29 +107,62 @@ def _pages_capacity(size: int, page_size: int) -> int:
 
 
 class VersionManagerCore:
-    """Pure, lock-free VM state machine (callers provide mutual exclusion)."""
+    """The VM state machine: no lock, no clock, no thread.
 
-    def __init__(self, obs: Optional[Observability] = None) -> None:
+    Callers provide mutual exclusion and pass the time in: every
+    transition that can move a version to the head of its commit queue
+    takes *now*, read from one monotonic clock of the caller's choosing.
+    ``now=None`` means the caller keeps no clock for this step (a
+    control-plane shortcut that assigns and commits in one breath, a
+    unit test) and starts no lease.
+
+    **Append-ticket leases.** A version's lease clock starts when it
+    reaches the head of the commit queue (its predecessor resolved) —
+    not at assignment: time spent queued behind slow or dead
+    predecessors is not the appender's fault, and counting it would let
+    one expiry cascade through every version stalled behind it. The
+    clock stops on ``commit``/``submit_ready``/``abort``; a version that
+    ``is_ready`` never gets one. :meth:`expire` aborts what is overdue.
+    *on_lease_start(deadline)* is called for every clock started, for
+    runtimes that must schedule the expiry (the DES); runtimes that can
+    simply call :meth:`expire` before each transition need not listen.
+    """
+
+    def __init__(
+        self,
+        obs: Optional[Observability] = None,
+        lease_s: float = 0.0,
+        on_lease_start: Optional[Callable[[float], None]] = None,
+    ) -> None:
         self._blobs: Dict[int, BlobState] = {}
         self._ids = itertools.count(1)
-        #: callbacks waiting for a version's metadata turn / publication
-        self._turn_waiters: Dict[tuple[int, int], List[Callable[[], None]]] = {}
+        #: append-ticket lease length; 0 disables expiry
+        self.lease_s = lease_s
+        self._on_lease_start = on_lease_start
+        #: lease deadline of every version whose clock is running (at
+        #: most one per blob); bindings may read it, only the core writes
+        self.deadlines: Dict[tuple[int, int], float] = {}
+        #: versions given up on while still queued: aborted in turn
+        self._abandoned: set[tuple[int, int]] = set()
+        #: the writer waiting for its version's metadata turn — one
+        #: client owns each version
+        self._turn_waiters: Dict[tuple[int, int], Callable[[tuple], None]] = {}
         #: group commit: change maps handed in by ready appenders, keyed
         #: by (blob_id, version), awaiting a publish leader to drain them
         self._pending: Dict[tuple[int, int], object] = {}
         #: versions drained into an in-flight publish batch — protected
         #: from lease expiry until the leader's publish_batch lands
         self._in_flight: set[tuple[int, int]] = set()
-        #: one callback per queued appender waiting for publication (or
-        #: a leader promotion), keyed by (blob_id, version)
-        self._publish_waiters: Dict[
-            tuple[int, int], List[Callable[[tuple], None]]
-        ] = {}
+        #: the queued appender waiting for publication (or a leader
+        #: promotion)
+        self._publish_waiters: Dict[tuple[int, int], Callable[[tuple], None]] = {}
         obs = obs or NULL_OBS
+        self._tracer = obs.tracer
         self._c_tickets = obs.registry.counter("vm.tickets_assigned")
         self._c_append_tickets = obs.registry.counter("vm.append_tickets")
         self._c_commits = obs.registry.counter("vm.commits")
         self._c_aborts = obs.registry.counter("vm.aborts")
+        self._c_lease_expiries = obs.registry.counter("vm.lease_expiries")
         self._c_turn_waits = obs.registry.counter("vm.turn_waits")
         self._g_turn_queue = obs.registry.gauge("vm.turn_queue_depth")
         self._h_ticket_bytes = obs.registry.histogram("vm.append_ticket_bytes")
@@ -152,20 +189,36 @@ class VersionManagerCore:
         except KeyError:
             raise BlobNotFoundError(f"no blob {blob_id}") from None
 
-    def blob_ids(self) -> List[int]:
-        """Ids of all registered blobs."""
-        return list(self._blobs)
+    def _record(self, state: BlobState, version: int) -> VersionRecord:
+        try:
+            return state.versions[version]
+        except KeyError:
+            raise VersionNotFoundError(
+                f"blob {state.blob_id} has no version {version}"
+            ) from None
+
+    def _unaborted(self, state: BlobState, version: int) -> VersionRecord:
+        record = self._record(state, version)
+        if record.aborted:
+            raise AppendAbortedError(
+                f"blob {state.blob_id} version {version} was aborted "
+                f"(append-ticket lease expired before commit)"
+            )
+        return record
 
     @property
     def commit_queue_length(self) -> int:
-        """How many versions are currently queued for their metadata
-        turn / publication — the serialization depth the telemetry
-        samplers record over time."""
-        return sum(len(w) for w in self._turn_waiters.values())
+        """How many versions are currently waiting for their metadata
+        turn or publication (one per version) — the serialization depth
+        the ``vm.turn_queue_depth`` gauge and the telemetry samplers
+        record over time."""
+        return len(self._turn_waiters) + len(self._publish_waiters)
 
     # -- assignment (the critical section) ------------------------------------
 
-    def assign_append(self, blob_id: int, nbytes: int) -> Ticket:
+    def assign_append(
+        self, blob_id: int, nbytes: int, now: Optional[float] = None
+    ) -> Ticket:
         """Assign a version for an append of *nbytes* bytes.
 
         The offset is implicitly the size of the latest assigned version —
@@ -179,9 +232,11 @@ class VersionManagerCore:
         offset = state.assigned_size
         self._c_append_tickets.inc()
         self._h_ticket_bytes.observe(float(nbytes))
-        return self._assign(state, offset, nbytes, kind="append")
+        return self._assign(state, offset, nbytes, "append", now)
 
-    def assign_write(self, blob_id: int, offset: int, nbytes: int) -> Ticket:
+    def assign_write(
+        self, blob_id: int, offset: int, nbytes: int, now: Optional[float] = None
+    ) -> Ticket:
         """Assign a version for a write at an explicit *offset*."""
         if nbytes <= 0:
             raise ValueError("write of zero bytes")
@@ -197,9 +252,16 @@ class VersionManagerCore:
                 f"write at {offset} would leave a hole "
                 f"(blob size is {state.assigned_size})"
             )
-        return self._assign(state, offset, nbytes, kind="write")
+        return self._assign(state, offset, nbytes, "write", now)
 
-    def _assign(self, state: BlobState, offset: int, nbytes: int, kind: str) -> Ticket:
+    def _assign(
+        self,
+        state: BlobState,
+        offset: int,
+        nbytes: int,
+        kind: str,
+        now: Optional[float],
+    ) -> Ticket:
         self._c_tickets.inc()
         version = state.next_version
         state.next_version += 1
@@ -208,6 +270,8 @@ class VersionManagerCore:
         state.versions[version] = VersionRecord(
             version=version, size=new_size, kind=kind, tree_size=new_size
         )
+        if state.versions[version - 1].committed:
+            self._start_lease(state, version, now)
         return Ticket(
             blob_id=state.blob_id,
             version=version,
@@ -229,8 +293,7 @@ class VersionManagerCore:
         :meth:`when_turn`).
         """
         state = self.blob(blob_id)
-        if version not in state.versions:
-            raise VersionNotFoundError(f"blob {blob_id} has no version {version}")
+        self._record(state, version)
         prev = state.versions.get(version - 1)
         if prev is None or not prev.committed:
             return None
@@ -239,38 +302,39 @@ class VersionManagerCore:
         return prev.root, _pages_capacity(prev.tree_size, state.page_size)
 
     def when_turn(
-        self, blob_id: int, version: int, callback: Callable[[], None]
+        self, blob_id: int, version: int, callback: Callable[[tuple], None]
     ) -> None:
-        """Invoke *callback* once ``version - 1`` has committed.
+        """Invoke *callback* with :meth:`metadata_prereq`'s answer once
+        ``version - 1`` has committed.
 
         Fires immediately (synchronously) when already committed.
         """
-        if self.metadata_prereq(blob_id, version) is not None:
-            callback()
+        prereq = self.metadata_prereq(blob_id, version)
+        if prereq is not None:
+            callback(prereq)
             return
-        self._turn_waiters.setdefault((blob_id, version), []).append(callback)
+        self._turn_waiters[(blob_id, version)] = callback
         self._c_turn_waits.inc()
-        self._g_turn_queue.set(float(len(self._turn_waiters)))
+        self._queue_changed()
 
-    def commit(self, blob_id: int, version: int, root: Optional[NodeKey]) -> None:
+    def commit(
+        self,
+        blob_id: int,
+        version: int,
+        root: Optional[NodeKey],
+        now: Optional[float] = None,
+    ) -> None:
         """Record the version's metadata root and publish what's publishable."""
         state = self.blob(blob_id)
-        record = state.versions.get(version)
-        if record is None:
-            raise VersionNotFoundError(f"blob {blob_id} has no version {version}")
-        if record.aborted:
-            raise AppendAbortedError(
-                f"blob {blob_id} version {version} was aborted "
-                f"(append-ticket lease expired before commit)"
-            )
+        record = self._unaborted(state, version)
         if record.committed:
             raise ValueError(f"version {version} committed twice")
         record.root = root
         record.committed = True
         self._c_commits.inc()
-        self._finish_version(state, blob_id, version)
+        self._finish_version(state, version, now)
 
-    def abort(self, blob_id: int, version: int) -> bool:
+    def abort(self, blob_id: int, version: int, now: Optional[float] = None) -> bool:
         """Publish an uncommitted version as a hole so the frontier moves.
 
         The aborted version inherits the previous version's tree (its
@@ -281,12 +345,10 @@ class VersionManagerCore:
         Returns ``False`` when the version committed in the meantime
         (the appender was slow, not dead — a lost race, not an error).
         Like :meth:`commit`, aborting requires ``version - 1`` to be
-        resolved; sequence cascading aborts through :meth:`when_turn`.
+        resolved; :meth:`abandon` defers until it is.
         """
         state = self.blob(blob_id)
-        record = state.versions.get(version)
-        if record is None:
-            raise VersionNotFoundError(f"blob {blob_id} has no version {version}")
+        record = self._record(state, version)
         if record.committed:
             return False
         prev = state.versions.get(version - 1)
@@ -304,8 +366,71 @@ class VersionManagerCore:
             state.assigned_size = prev.size
             record.size = prev.size
         self._c_aborts.inc()
-        self._finish_version(state, blob_id, version)
+        self._finish_version(state, version, now)
         return True
+
+    # -- giving up on a version: leases and timed-out waiters -------------------
+
+    def abandon(self, blob_id: int, version: int, now: Optional[float] = None) -> None:
+        """Abort *version* now, or as soon as its predecessor resolves —
+        the one rule behind both a lease expiry and a waiter that timed
+        out, so later versions are never wedged behind a dead one.
+
+        A no-op for a version that committed or is ready in the
+        meantime: once the change map is delivered, publication is the
+        group leader's job, not the (possibly dead) client's.
+        """
+        state = self.blob(blob_id)
+        if self._record(state, version).committed or self.is_ready(blob_id, version):
+            return
+        if state.versions[version - 1].committed:
+            self.abort(blob_id, version, now)
+        else:
+            self._abandoned.add((blob_id, version))
+
+    def expire(self, now: float) -> int:
+        """Abandon every version whose lease deadline is at or before
+        *now*, earliest first; returns how many.
+
+        Each abort hands the queue head to a successor whose clock
+        starts at the *deadline* that just passed, not at *now*, so a
+        chain of dead appenders unwinds at ``d, d+L, d+2L`` whether this
+        runs on time, late, or once for the whole chain.
+        """
+        expired = 0
+        while self.deadlines:
+            key, deadline = min(self.deadlines.items(), key=lambda kv: kv[1])
+            if deadline > now:
+                break
+            del self.deadlines[key]
+            self._c_lease_expiries.inc()
+            lease_expired(self._tracer, *key)
+            self.abandon(*key, deadline)
+            expired += 1
+        return expired
+
+    def stop_leases(self) -> None:
+        """Stop every lease clock and start no more (service shutdown)."""
+        self.lease_s = 0.0
+        self.deadlines.clear()
+
+    def _start_lease(
+        self, state: BlobState, version: int, now: Optional[float]
+    ) -> None:
+        """*version* (if assigned yet) just reached the head of the queue."""
+        record = state.versions.get(version)
+        if (
+            now is None
+            or self.lease_s <= 0
+            or record is None
+            or record.committed
+            or self.is_ready(state.blob_id, version)
+        ):
+            return
+        deadline = now + self.lease_s
+        self.deadlines[(state.blob_id, version)] = deadline
+        if self._on_lease_start is not None:
+            self._on_lease_start(deadline)
 
     # -- group commit (batched metadata publication) ---------------------------
 
@@ -321,7 +446,8 @@ class VersionManagerCore:
         self, blob_id: int, version: int, changes
     ) -> Optional[tuple]:
         """Group commit step 1: the appender's pages are shipped and its
-        per-page fragments (*changes*) are ready for publication.
+        per-page fragments (*changes*) are ready for publication; its
+        lease is released.
 
         Returns a *lead grant* ``(prev_root, prev_capacity, batch)``
         when this version heads the commit queue — the caller must build
@@ -329,31 +455,20 @@ class VersionManagerCore:
         behind unresolved versions (wait via :meth:`when_published`).
         """
         state = self.blob(blob_id)
-        record = state.versions.get(version)
-        if record is None:
-            raise VersionNotFoundError(f"blob {blob_id} has no version {version}")
-        if record.aborted:
-            raise AppendAbortedError(
-                f"blob {blob_id} version {version} was aborted "
-                f"(append-ticket lease expired before commit)"
-            )
+        record = self._unaborted(state, version)
         if record.committed or self.is_ready(blob_id, version):
             raise ValueError(f"version {version} submitted twice")
+        self.deadlines.pop((blob_id, version), None)
         self._pending[(blob_id, version)] = changes
         if self.metadata_prereq(blob_id, version) is None:
             return None
-        return self._lead_grant(state, blob_id, version)
+        return self._lead_grant(state, version)
 
-    def try_lead(self, blob_id: int, version: int) -> Optional[tuple]:
-        """A lead grant for a still-pending ready version whose
-        predecessor has resolved; ``None`` otherwise. Polling
-        counterpart of the :meth:`when_published` promotion (used by the
-        threaded runtime's condition-variable loop)."""
-        if (blob_id, version) not in self._pending:
-            return None
-        if self.metadata_prereq(blob_id, version) is None:
-            return None
-        return self._lead_grant(self.blob(blob_id), blob_id, version)
+    def commit_ready(self, blob_id: int, version: int, changes) -> tuple:
+        """:meth:`submit_ready` as the ``vm`` endpoint replies it:
+        ``("lead", prev_root, prev_capacity, batch)`` or ``("queued",)``."""
+        grant = self.submit_ready(blob_id, version, changes)
+        return ("queued",) if grant is None else ("lead", *grant)
 
     def when_published(
         self, blob_id: int, version: int, callback: Callable[[tuple], None]
@@ -361,29 +476,25 @@ class VersionManagerCore:
         """Invoke *callback* with the queued appender's outcome:
         ``("published",)`` once a leader publishes the version, or
         ``("lead", prev_root, prev_capacity, batch)`` when the version
-        is promoted to publish leader instead. Fires synchronously when
-        the outcome is already decided."""
+        is promoted to publish leader instead (its predecessor resolved
+        with it still pending). Fires synchronously when the outcome is
+        already decided."""
         state = self.blob(blob_id)
-        record = state.versions.get(version)
-        if record is None:
-            raise VersionNotFoundError(f"blob {blob_id} has no version {version}")
-        if record.committed:
+        key = (blob_id, version)
+        if self._record(state, version).committed:
             callback(("published",))
-            return
-        grant = self.try_lead(blob_id, version)
-        if grant is not None:
-            callback(("lead", *grant))
-            return
-        self._publish_waiters.setdefault((blob_id, version), []).append(callback)
+        elif key in self._pending and state.versions[version - 1].committed:
+            callback(("lead", *self._lead_grant(state, version)))
+        else:
+            self._publish_waiters[key] = callback
+            self._queue_changed()
 
-    def _lead_grant(
-        self, state: BlobState, blob_id: int, version: int
-    ) -> tuple:
+    def _lead_grant(self, state: BlobState, version: int) -> tuple:
         """Drain the maximal run of consecutive ready versions starting
         at *version* into an in-flight publish batch."""
+        blob_id = state.blob_id
         prereq = self.metadata_prereq(blob_id, version)
         assert prereq is not None, "lead granted before predecessor resolved"
-        prev_root, prev_capacity = prereq
         batch: List[tuple] = []
         v = version
         while True:
@@ -393,7 +504,7 @@ class VersionManagerCore:
             self._in_flight.add((blob_id, v))
             batch.append((v, changes, state.versions[v].size))
             v += 1
-        return prev_root, prev_capacity, batch
+        return (*prereq, batch)
 
     def publish_batch(
         self,
@@ -401,6 +512,7 @@ class VersionManagerCore:
         versions: List[int],
         root: Optional[NodeKey],
         tree_size: int,
+        now: Optional[float] = None,
     ) -> None:
         """Group commit step 2: the leader built ONE tree for the whole
         batch; every member version now shares *root* (readers clip at
@@ -424,71 +536,98 @@ class VersionManagerCore:
             self._c_commits.inc()
         self._c_group_commits.inc()
         self._h_group_size.observe(float(len(versions)))
-        self._finish_version(state, blob_id, versions[-1])
+        self._finish_version(state, versions[-1], now)
         for v in versions:
-            for cb in self._publish_waiters.pop((blob_id, v), []):
-                cb(("published",))
+            callback = self._publish_waiters.pop((blob_id, v), None)
+            if callback is not None:
+                callback(("published",))
+        self._queue_changed()
 
-    def _promote_leader(self, state: BlobState, blob_id: int) -> None:
-        """Hand the publish lead to the next ready run's first waiter
-        (if it is both ready and already waiting — the threaded runtime
-        polls :meth:`try_lead` instead of registering callbacks)."""
-        candidate = state.published + 1
-        key = (blob_id, candidate)
-        if key not in self._pending or key not in self._publish_waiters:
-            return
-        waiters = self._publish_waiters.pop(key)
-        grant = self._lead_grant(state, blob_id, candidate)
-        waiters[0](("lead", *grant))
-        # one client owns each version; extra waiters would be a bug
-        assert len(waiters) == 1, f"multiple publish waiters for v{candidate}"
-
-    def _finish_version(self, state: BlobState, blob_id: int, version: int) -> None:
-        """Advance the publish frontier and wake the next metadata turn."""
-        # advance the published frontier over consecutive committed versions
+    def _finish_version(
+        self, state: BlobState, version: int, now: Optional[float]
+    ) -> None:
+        """*version* resolved: advance the publish frontier and hand the
+        head of the commit queue to its successor."""
+        blob_id = state.blob_id
+        self.deadlines.pop((blob_id, version), None)
         while (nxt := state.versions.get(state.published + 1)) and nxt.committed:
             state.published += 1
+        succ = (blob_id, version + 1)
+        if succ in self._abandoned:
+            self._abandoned.discard(succ)
+            self.abandon(*succ, now)
+        else:
+            self._start_lease(state, version + 1, now)
         # wake the next writer's metadata turn
-        waiters = self._turn_waiters.pop((blob_id, version + 1), [])
-        self._g_turn_queue.set(float(len(self._turn_waiters)))
-        for cb in waiters:
-            cb()
-        # and promote the next publish leader, if one is ready and waiting
-        self._promote_leader(state, blob_id)
+        callback = self._turn_waiters.pop(succ, None)
+        if callback is not None:
+            callback(self.metadata_prereq(*succ))
+        # and promote the next ready run's first version to publish
+        # leader, if it is already waiting
+        lead = (blob_id, state.published + 1)
+        if lead in self._pending and lead in self._publish_waiters:
+            self._publish_waiters.pop(lead)(
+                ("lead", *self._lead_grant(state, lead[1]))
+            )
+        self._queue_changed()
+
+    def _queue_changed(self) -> None:
+        self._g_turn_queue.set(float(self.commit_queue_length))
 
     # -- read side ---------------------------------------------------------------
 
-    def latest_published(self, blob_id: int) -> VersionRecord:
-        """The newest version readers may see."""
+    def resolve(
+        self, blob_id: int, version: Optional[int] = None
+    ) -> tuple[VersionRecord, int]:
+        """``(record, page_size)`` of a *published* version, default the
+        latest (old snapshots stay readable)."""
         state = self.blob(blob_id)
-        return state.versions[state.published]
-
-    def get_version(self, blob_id: int, version: int) -> VersionRecord:
-        """A specific *published* version (old snapshots stay readable)."""
-        state = self.blob(blob_id)
-        record = state.versions.get(version)
-        if record is None:
-            raise VersionNotFoundError(f"blob {blob_id} has no version {version}")
+        if version is None:
+            version = state.published
+        record = self._record(state, version)
         if version > state.published:
             raise VersionNotReadyError(
                 f"blob {blob_id} version {version} not yet published "
                 f"(frontier is {state.published})"
             )
-        return record
+        return record, state.page_size
 
-    def capacity_pages_of(self, blob_id: int, size: int) -> int:
-        """Tree capacity for this blob at a given byte size."""
-        return _pages_capacity(size, self.blob(blob_id).page_size)
+    def latest_published(self, blob_id: int) -> VersionRecord:
+        """The newest version readers may see."""
+        return self.resolve(blob_id)[0]
+
+    def get_version(self, blob_id: int, version: int) -> VersionRecord:
+        """A specific published version."""
+        return self.resolve(blob_id, version)[0]
+
+
+def _locked(name: str, timed: bool = False, wakes: bool = False):
+    """The :class:`ThreadedVersionManager` method that runs
+    ``core.<name>`` under the mutex with leases brought up to date.
+    *timed* transitions get the time appended to their arguments;
+    *wakes* ones can resolve a version, so blocked waiters are notified.
+    """
+
+    def method(self, *args):
+        with self._turn:
+            now = self._expire()
+            result = getattr(self.core, name)(*args, *((now,) if timed else ()))
+            if wakes:
+                self._turn.notify_all()
+            return result
+
+    method.__name__ = name
+    return method
 
 
 class ThreadedVersionManager:
-    """Mutex-wrapped VM for the threaded (real-bytes) runtime.
+    """One :class:`VersionManagerCore` behind a mutex, on ``time.monotonic``.
 
-    Every assignment registers a lease; its daemon timer starts once the
-    version heads the commit queue and, if it fires before the commit
-    arrives, the version is aborted — so chains of dead appenders unwind
-    in order, one lease period each, without ever aborting a live
-    appender that was merely queued behind them.
+    Leases are evaluated lazily: every method runs ``core.expire(now)``
+    on entry, and a blocked waiter sleeps no longer than the earliest
+    deadline — so a dead appender is aborted by whoever next touches (or
+    is already waiting on) the version manager, at the deadline it would
+    have had under a timer. No thread is ever started.
     """
 
     def __init__(
@@ -496,242 +635,95 @@ class ThreadedVersionManager:
         obs: Optional[Observability] = None,
         config: Optional[BlobSeerConfig] = None,
     ) -> None:
-        self.obs = obs or NULL_OBS
-        self.core = VersionManagerCore(self.obs)
-        self._lock = threading.Lock()
-        self._turn = threading.Condition(self._lock)
-        self._lease_s = config.append_lease_s if config else 30.0
+        self.core = VersionManagerCore(
+            obs, lease_s=config.append_lease_s if config else 30.0
+        )
+        #: one mutex for all state (pruning takes it too); waiters of
+        #: every blob share its condition
+        self._turn = threading.Condition(threading.Lock())
         self._turn_timeout_s = config.metadata_turn_timeout_s if config else 60.0
-        self._lease_timers: Dict[tuple[int, int], threading.Timer] = {}
-        self._closed = False
-        self._c_lease_expiries = self.obs.registry.counter("vm.lease_expiries")
+
+    def _expire(self) -> float:
+        """With the lock held: bring leases up to date; returns now."""
+        now = time.monotonic()
+        if self.core.expire(now):
+            self._turn.notify_all()
+        return now
+
+    def _await(
+        self, when, blob_id: int, version: int, what: str, timeout: Optional[float]
+    ):
+        """Block until the callback filed through *when* (``when_turn``
+        or ``when_published``) delivers *version*'s outcome.
+
+        *timeout* (default ``metadata_turn_timeout_s``) is counted once,
+        from entry — wake-ups caused by other blobs do not restart it.
+        When it runs out the version is abandoned (a no-op for a ready
+        or published one), so later versions are never wedged behind
+        it, and ``VersionNotReadyError`` is raised.
+        """
+        outcome: list = []
+        if timeout is None:
+            timeout = self._turn_timeout_s
+        with self._turn:
+            now = self._expire()
+            when(blob_id, version, outcome.append)
+            give_up = now + timeout
+            while not outcome:
+                if now >= give_up:
+                    self.core.abandon(blob_id, version, now)
+                    self._turn.notify_all()
+                    raise VersionNotReadyError(
+                        f"timed out waiting for {what} of blob {blob_id} v{version}"
+                    )
+                wake = min(self.core.deadlines.values(), default=give_up)
+                self._turn.wait(min(give_up, wake) - now)
+                now = self._expire()
+        return outcome[0]
 
     # -- lifecycle -------------------------------------------------------------
 
     @property
     def live_lease_timers(self) -> int:
-        """How many lease timers are currently armed. A long-running
-        server must see this return to zero after its in-flight appends
-        resolve — commits/aborts pop and cancel their timer — and the
-        shutdown path asserts it after :meth:`close`."""
-        with self._lock:
-            return len(self._lease_timers)
+        """How many lease clocks are running (plain table entries, not
+        threads); zero after :meth:`close`."""
+        with self._turn:
+            return len(self.core.deadlines)
 
     def close(self) -> None:
-        """Cancel every outstanding lease timer and refuse to arm new
-        ones (idempotent). A server process calls this on graceful stop:
-        without it, armed ``threading.Timer`` threads for uncommitted
-        tickets keep the interpreter busy until their leases fire, and
-        a timer firing mid-teardown races component teardown."""
-        with self._lock:
-            self._closed = True
-            timers = list(self._lease_timers.values())
-            self._lease_timers.clear()
-        # cancel outside the lock: a concurrently *firing* timer callback
-        # takes the same lock and would deadlock with us; cancel() on an
-        # already-fired timer is a harmless no-op
-        for timer in timers:
-            timer.cancel()
-
-    def create_blob(self, page_size: int) -> int:
-        with self._lock:
-            return self.core.create_blob(page_size)
-
-    def assign_append(self, blob_id: int, nbytes: int) -> Ticket:
-        with self._lock:
-            ticket = self.core.assign_append(blob_id, nbytes)
-            self._arm_lease_locked(ticket)
-            return ticket
-
-    def assign_write(self, blob_id: int, offset: int, nbytes: int) -> Ticket:
-        with self._lock:
-            ticket = self.core.assign_write(blob_id, offset, nbytes)
-            self._arm_lease_locked(ticket)
-            return ticket
-
-    # -- lease machinery -------------------------------------------------------
-
-    def _arm_lease_locked(self, ticket: Ticket) -> None:
-        """Register the version's lease at assignment time.
-
-        The lease *clock* only starts once the version reaches the head
-        of the commit queue (its predecessor resolved) — time spent
-        queued behind slow or dead predecessors is not the appender's
-        fault and must not count against it, or one expiry would cascade
-        through every version stalled behind it.
-        """
-        if self._lease_s <= 0 or self._closed:
-            return
-        self.core.when_turn(
-            ticket.blob_id,
-            ticket.version,
-            lambda: self._start_lease_timer_locked(
-                ticket.blob_id, ticket.version
-            ),
-        )
-
-    def _start_lease_timer_locked(self, blob_id: int, version: int) -> None:
-        # fires under the lock: either synchronously inside assign (the
-        # queue head was already free) or inside the predecessor's
-        # commit/abort via the when_turn queue
-        record = self.core.blob(blob_id).versions.get(version)
-        if record is None or record.committed:
-            return
-        if self.core.is_ready(blob_id, version):
-            # change map already delivered; publication is the group
-            # leader's job, not the (possibly dead) client's
-            return
-        if self._closed:
-            return
-        key = (blob_id, version)
-        timer = threading.Timer(self._lease_s, self._lease_expired, args=key)
-        timer.daemon = True
-        self._lease_timers[key] = timer
-        timer.start()
-
-    def _lease_expired(self, blob_id: int, version: int) -> None:
+        """Stop lease expiry (idempotent): a service that is shutting
+        down must not abort tickets while its components tear down."""
         with self._turn:
-            self._lease_timers.pop((blob_id, version), None)
-            record = self.core.blob(blob_id).versions.get(version)
-            if record is None or record.committed:
-                return
-            self._c_lease_expiries.inc()
-            lease_expired(self.obs.tracer, blob_id, version)
-            self._abort_when_possible_locked(blob_id, version)
-            self._turn.notify_all()
+            self.core.stop_leases()
 
-    def _abort_when_possible_locked(self, blob_id: int, version: int) -> None:
-        """Abort now, or as soon as the predecessor resolves.
+    # -- control-endpoint surface (bound as "vm" by the live engines) ---------
 
-        The deferred callback runs synchronously inside the resolving
-        ``commit``/``abort`` while the lock is already held, so it must
-        call straight into the core.
-        """
-        if self.core.metadata_prereq(blob_id, version) is None:
-            self.core.when_turn(
-                blob_id, version, lambda: self._abort_in_lock(blob_id, version)
-            )
-        else:
-            self._abort_in_lock(blob_id, version)
+    create_blob = _locked("create_blob")
+    assign_append = _locked("assign_append", timed=True)
+    assign_write = _locked("assign_write", timed=True)
+    commit = _locked("commit", timed=True, wakes=True)
+    commit_ready = _locked("commit_ready")
+    publish_batch = _locked("publish_batch", timed=True, wakes=True)
+    resolve = _locked("resolve")
+    latest_published = _locked("latest_published")
+    get_version = _locked("get_version")
 
-    def _abort_in_lock(self, blob_id: int, version: int) -> None:
-        record = self.core.blob(blob_id).versions.get(version)
-        if record is None or record.committed:
-            return
-        if self.core.is_ready(blob_id, version):
-            return
-        self.core.abort(blob_id, version)
-
-    def wait_metadata_turn(
+    def metadata_turn(
         self, blob_id: int, version: int, timeout: Optional[float] = None
     ) -> tuple[Optional[NodeKey], int]:
-        """Block until it is *version*'s turn to write metadata.
+        """Block until it is *version*'s turn to write metadata (for at
+        most *timeout*, default ``metadata_turn_timeout_s``); returns
+        the predecessor's ``(root, capacity_pages)``."""
+        return self._await(
+            self.core.when_turn, blob_id, version, "metadata turn", timeout
+        )
 
-        On timeout the caller's own version is routed through the abort
-        path (immediately or once its turn arrives) so later versions
-        are never wedged behind it, then ``VersionNotReadyError`` is
-        raised.
-        """
-        if timeout is None:
-            timeout = self._turn_timeout_s
-        with self._turn:
-            deadline_info = self.core.metadata_prereq(blob_id, version)
-            while deadline_info is None:
-                if not self._turn.wait(timeout=timeout):
-                    self._abort_when_possible_locked(blob_id, version)
-                    self._turn.notify_all()
-                    raise VersionNotReadyError(
-                        f"timed out waiting for metadata turn of "
-                        f"blob {blob_id} v{version}"
-                    )
-                deadline_info = self.core.metadata_prereq(blob_id, version)
-        return deadline_info
+    wait_metadata_turn = metadata_turn
 
-    def commit(self, blob_id: int, version: int, root: Optional[NodeKey]) -> None:
-        timer: Optional[threading.Timer] = None
-        try:
-            with self._turn:
-                timer = self._lease_timers.pop((blob_id, version), None)
-                self.core.commit(blob_id, version, root)
-                self._turn.notify_all()
-        finally:
-            if timer is not None:
-                timer.cancel()
-
-    # -- group commit (batched metadata publication) --------------------------
-
-    def commit_ready(self, blob_id: int, version: int, changes):
-        """Group commit step 1: deliver the appender's change map; the
-        lease is released (publication is now the leader's job). Returns
-        ``("lead", prev_root, prev_capacity, batch)`` or ``("queued",)``."""
-        timer: Optional[threading.Timer] = None
-        try:
-            with self._turn:
-                timer = self._lease_timers.pop((blob_id, version), None)
-                grant = self.core.submit_ready(blob_id, version, changes)
-                if grant is None:
-                    return ("queued",)
-                return ("lead", *grant)
-        finally:
-            if timer is not None:
-                timer.cancel()
-
-    def publish_wait(self, blob_id: int, version: int):
+    def publish_wait(self, blob_id: int, version: int) -> tuple:
         """Block until a leader publishes this version — or until this
         version is itself promoted to leader (predecessor resolved with
         the batch still unpublished)."""
-        with self._turn:
-            while True:
-                record = self.core.blob(blob_id).versions.get(version)
-                if record is not None and record.committed:
-                    return ("published",)
-                grant = self.core.try_lead(blob_id, version)
-                if grant is not None:
-                    return ("lead", *grant)
-                if not self._turn.wait(timeout=self._turn_timeout_s):
-                    raise VersionNotReadyError(
-                        f"timed out waiting for publication of "
-                        f"blob {blob_id} v{version}"
-                    )
-
-    def publish_batch(self, blob_id: int, versions, root, tree_size: int) -> None:
-        """Group commit step 2: land the leader's batch and wake waiters."""
-        with self._turn:
-            self.core.publish_batch(blob_id, list(versions), root, tree_size)
-            self._turn.notify_all()
-
-    # -- control-endpoint surface (bound as "vm" by the threaded runtime) ----
-
-    def resolve(
-        self, blob_id: int, version: Optional[int] = None
-    ) -> tuple[VersionRecord, int]:
-        """``(record, page_size)`` of a published version (default latest)."""
-        with self._lock:
-            rec = (
-                self.core.latest_published(blob_id)
-                if version is None
-                else self.core.get_version(blob_id, version)
-            )
-            return rec, self.core.blob(blob_id).page_size
-
-    def metadata_turn(self, blob_id: int, version: int):
-        """Engine-endpoint alias: blocks the calling thread until this
-        version heads the commit queue (or the lease machinery aborts a
-        stuck predecessor)."""
-        return self.wait_metadata_turn(blob_id, version)
-
-    def latest_published(self, blob_id: int) -> VersionRecord:
-        with self._lock:
-            return self.core.latest_published(blob_id)
-
-    def get_version(self, blob_id: int, version: int) -> VersionRecord:
-        with self._lock:
-            return self.core.get_version(blob_id, version)
-
-    def blob(self, blob_id: int) -> BlobState:
-        with self._lock:
-            return self.core.blob(blob_id)
-
-    def blob_ids(self) -> List[int]:
-        with self._lock:
-            return self.core.blob_ids()
+        return self._await(
+            self.core.when_published, blob_id, version, "publication", None
+        )

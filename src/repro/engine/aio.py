@@ -8,8 +8,8 @@ tasks on a single event loop — which is what the HTTP front-end
 (:mod:`repro.server`) needs to serve hundreds of sockets from one
 process.
 
-Op mechanics mirror :mod:`repro.engine.threaded`: an op is a lazy
-:class:`_AioOp` thunk, created (and recorded, for the parity suite) at
+Op mechanics are :mod:`repro.engine.threaded`'s: an op is a lazy
+``_Op`` thunk, created (and recorded, for the parity suite) at
 ``engine.call(...)`` time and resolved only when the async trampoline in
 :meth:`AsyncioEngine.run` awaits it — so op-*creation* order is
 identical to the other two engines for the same scenario, which is what
@@ -30,36 +30,23 @@ them.
 from __future__ import annotations
 
 import asyncio
-import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Generator, Optional, Sequence, Set
+from typing import Any, Generator, Optional
 
-from ..common.errors import ProviderUnavailableError, RpcTimeoutError
-from ..common.rng import substream
 from ..faults.plan import RetryPolicy
-from ..obs import NULL_OBS, Observability
-from .base import Engine, Payload
-from .threaded import THREADED_RETRY
+from ..obs import Observability
+from .threaded import ThreadedEngine, _Op
 
 
-class _AioOp:
-    """A deferred engine action; resolved only by the async trampoline.
+class AsyncioEngine(ThreadedEngine):
+    """Engine over in-process components and one asyncio event loop.
 
-    ``fn`` either returns a value directly (inline ops) or an awaitable
-    (sleeps, executor-shipped waits) that the trampoline awaits.
+    Wiring, fault state, the clock and every op that is a plain inline
+    thunk (``call``, ``store``, ``fetch``, ``charge_md``...) are the
+    threaded engine's; only the scheduling policy differs: an op's
+    ``fn`` may return an awaitable (sleeps, executor-shipped waits) that
+    the async trampoline awaits.
     """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], Any]) -> None:
-        self.fn = fn
-
-
-_NOOP = _AioOp(lambda: None)
-
-
-class AsyncioEngine(Engine):
-    """Engine over in-process components and one asyncio event loop."""
 
     def __init__(
         self,
@@ -73,25 +60,11 @@ class AsyncioEngine(Engine):
         queued appenders (threads parked on a condition variable are
         cheap; an undersized pool adds queueing latency, never
         deadlock)."""
-        self.retry = retry or THREADED_RETRY
-        self._seed = seed
-        self._control: dict[str, Any] = {}
-        # endpoint -> (store_fn(page_id, data), load_fn(page_id, off, n))
-        self._data: dict[str, tuple] = {}
-        self._down: Set[str] = set()
+        super().__init__(seed=seed, obs=obs, retry=retry)
         self._waitpool = ThreadPoolExecutor(
             max_workers=max_wait_threads, thread_name_prefix="aio-engine-wait"
         )
         self._closed = False
-        self.use_obs(obs or NULL_OBS)
-
-    def use_obs(self, obs: Observability) -> None:
-        """(Re)wire observability — harnesses built with NULL_OBS can
-        switch a live engine onto an enabled bundle."""
-        self.obs = obs
-        self._tracer = obs.tracer if obs.tracer.enabled else None
-        self._trace_parent = None
-        self._c_rpc_timeouts = obs.registry.counter("net.rpc_timeouts")
 
     def close(self) -> None:
         """Release the wait-op thread pool (idempotent)."""
@@ -100,7 +73,7 @@ class AsyncioEngine(Engine):
         self._closed = True
         self._waitpool.shutdown(wait=False, cancel_futures=True)
 
-    def _spanned(self, op: _AioOp, name: str, cat: str, **args: Any) -> _AioOp:
+    def _spanned(self, op: _Op, name: str, cat: str, **args: Any) -> _Op:
         """Open one op span now (creation time, matching the other
         engines' span start order) and finish it when the trampoline
         resolves the op — failed ops record their exception type."""
@@ -134,58 +107,17 @@ class AsyncioEngine(Engine):
         op.fn = traced
         return op
 
-    # -- wiring -------------------------------------------------------------
-
-    def bind(self, name: str, adapter: Any) -> None:
-        """Register a control endpoint (short calls run on the loop,
-        ``wait`` methods run on the wait pool)."""
-        self._control[name] = adapter
-
-    def bind_data(
-        self,
-        name: str,
-        store_fn: Callable[[Any, bytes], Any],
-        load_fn: Callable[[Any, int, int], bytes],
-    ) -> None:
-        """Register a data endpoint's store/load entry points."""
-        self._data[name] = (store_fn, load_fn)
-
-    # -- fault state --------------------------------------------------------
-
-    def fail_endpoint(self, name: str) -> None:
-        self._down.add(name)
-
-    def recover_endpoint(self, name: str) -> None:
-        self._down.discard(name)
-
-    def is_down(self, endpoint: str) -> bool:
-        return endpoint in self._down
-
-    @property
-    def faults_active(self) -> bool:
-        # real components fail organically; the cores must always take
-        # the failure-tolerant paths
-        return True
-
-    # -- clock / flow -------------------------------------------------------
-
-    def now(self) -> float:
-        return time.perf_counter()
-
-    def sleep(self, dt: float) -> _AioOp:
-        op = _AioOp(lambda: asyncio.sleep(dt))
+    def sleep(self, dt: float) -> _Op:
+        op = _Op(lambda: asyncio.sleep(dt))
         if self._tracer is not None:
             return self._spanned(op, "engine.sleep", "engine.retry", dt=dt)
         return op
 
-    def spawn(self, gen: Generator) -> _AioOp:
-        # matches the threaded engine's semantics: the sub-generator
-        # runs to completion when the op resolves (the trampoline awaits
-        # the nested run), not concurrently with its parent
-        return _AioOp(lambda: self.run(gen))
-
     async def run(self, gen: Generator) -> Any:
-        """The async trampoline: drive *gen* to completion in this task."""
+        """The async trampoline: drive *gen* to completion in this task.
+        (``spawn`` ops resolve to a nested ``run`` coroutine, awaited
+        here — the sub-generator runs to completion, not concurrently
+        with its parent, as under the threaded engine.)"""
         try:
             op = gen.send(None)
         except StopIteration as stop:
@@ -206,105 +138,17 @@ class AsyncioEngine(Engine):
                 except StopIteration as stop:
                     return stop.value
 
-    def rng(self, *names):
-        return substream(self._seed, *names)
-
-    # -- control plane ------------------------------------------------------
-
-    def call(self, endpoint: str, method: str, *args: Any) -> _AioOp:
-        # short lock-guarded critical sections: run inline on the loop
-        adapter = self._control[endpoint]
-        op = _AioOp(lambda: getattr(adapter, method)(*args))
-        if self._tracer is not None:
-            return self._spanned(
-                op, f"engine.call:{endpoint}.{method}", "engine.call"
-            )
-        return op
-
-    def wait(self, endpoint: str, method: str, *args: Any) -> _AioOp:
+    def wait(self, endpoint: str, method: str, *args: Any) -> _Op:
         # a wait blocks until *another* client's call signals it — it
         # must leave the loop free, so it rides the wait thread pool
-        adapter = self._control[endpoint]
-
-        def do():
-            fn = getattr(adapter, method)
-            return asyncio.get_running_loop().run_in_executor(
+        fn = getattr(self._control[endpoint], method)
+        op = _Op(
+            lambda: asyncio.get_running_loop().run_in_executor(
                 self._waitpool, lambda: fn(*args)
             )
-
-        op = _AioOp(do)
+        )
         if self._tracer is not None:
             return self._spanned(
                 op, f"engine.wait:{endpoint}.{method}", "engine.wait"
             )
         return op
-
-    # -- data plane ---------------------------------------------------------
-
-    def store(
-        self, client: str, endpoint: str, page_id: Any, payload: Payload
-    ) -> _AioOp:
-        store_fn = self._data[endpoint][0]
-
-        def do() -> None:
-            try:
-                store_fn(page_id, payload.data)
-            except ProviderUnavailableError as exc:
-                self._c_rpc_timeouts.inc()
-                raise RpcTimeoutError(str(exc)) from exc
-
-        op = _AioOp(do)
-        if self._tracer is not None:
-            return self._spanned(
-                op, "engine.store", "engine.data",
-                endpoint=endpoint, nbytes=len(payload),
-            )
-        return op
-
-    def fetch(
-        self,
-        client: str,
-        endpoint: str,
-        page_id: Any,
-        data_offset: int,
-        nbytes: int,
-    ) -> _AioOp:
-        load_fn = self._data[endpoint][1]
-
-        def do() -> bytes:
-            try:
-                return load_fn(page_id, data_offset, nbytes)
-            except ProviderUnavailableError as exc:
-                self._c_rpc_timeouts.inc()
-                raise RpcTimeoutError(str(exc)) from exc
-
-        op = _AioOp(do)
-        if self._tracer is not None:
-            return self._spanned(
-                op, "engine.fetch", "engine.data",
-                endpoint=endpoint, nbytes=nbytes,
-            )
-        return op
-
-    def charge_md(self, owners: Sequence[int]) -> _AioOp:
-        # the DHT is in-process: metadata RPCs cost nothing here, but
-        # the op still gets its span so all runtimes' trees match
-        if self._tracer is not None:
-            return self._spanned(
-                _AioOp(lambda: None),
-                "engine.charge_md",
-                "engine.md",
-                rpcs=len(owners),
-            )
-        return _NOOP
-
-    def charge_md_many(self, batches: Sequence[Sequence[int]]) -> _AioOp:
-        if self._tracer is not None:
-            return self._spanned(
-                _AioOp(lambda: None),
-                "engine.charge_md_many",
-                "engine.md",
-                rpcs=sum(len(b) for b in batches),
-                batches=len(batches),
-            )
-        return _NOOP

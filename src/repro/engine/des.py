@@ -132,10 +132,6 @@ class DesEngine(Engine):
             Resource(self.env, capacity=1) for _ in range(n_owners)
         ]
 
-    def control_slot(self, name: str) -> Resource:
-        """The endpoint's service slot (for legacy direct round trips)."""
-        return self._control[name].slot
-
     def endpoint_inflight(self) -> dict[str, int]:
         """RPCs queued per bound control endpoint right now — the
         telemetry samplers record these as time series."""

@@ -116,11 +116,7 @@ def chaos_appends(
                 # take the append ticket, then die: no pages, no commit.
                 # The lease must abort this version or everyone behind
                 # it deadlocks.
-                yield blobseer._vm_call(
-                    client,
-                    lambda: blobseer.core.assign_append(blob_id, CHUNK),
-                    op="assign_append",
-                )
+                yield blobseer.engine.call("vm", "assign_append", blob_id, CHUNK)
 
             procs = [
                 env.process(

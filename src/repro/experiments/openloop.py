@@ -168,8 +168,9 @@ def run_open_loop(
     env.run(env.process(driver(), name="openloop-driver"))
     # arrivals done; wait out the backlog of in-flight ops. The stop
     # condition is the last op's commit, NOT a full queue drain — the
-    # deployment keeps e.g. 30 s append-lease timers armed past the last
-    # completion, and idling up to them would dilute the goodput.
+    # deployment keeps e.g. 30 s append-lease expiry checks scheduled
+    # past the last completion, and idling up to them would dilute the
+    # goodput.
     if n_ops and len(latencies) < n_ops:
         env.run(all_done)
     record_sim_counters(dep.cluster, obs)

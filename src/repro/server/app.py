@@ -37,11 +37,10 @@ the same :class:`~repro.obs.MetricsRegistry` the load-test harness
 reads its p50/p99 tables from.
 
 Shutdown is graceful by contract: :meth:`BlobServer.stop` stops
-accepting, drains (then cancels) open connections, and closes the
-service so the version manager cancels every armed lease timer — a
-long-running process must exit without leaked ``threading.Timer``
-threads, and ``tests/server`` asserts ``live_lease_timers == 0`` after
-a stop.
+accepting, drains (then cancels) open connections, closes the service
+(the version manager stops expiring leases — it owns no threads) and
+releases the engine's wait pool; ``tests/server`` asserts
+``live_lease_timers == 0`` after a stop.
 """
 
 from __future__ import annotations
@@ -148,8 +147,8 @@ class BlobServer:
     async def stop(self, drain_s: float = 2.0) -> None:
         """Graceful stop: close the listener, give open connections
         *drain_s* seconds to finish their in-flight request, cancel the
-        stragglers, then release the service (which drains every armed
-        lease timer) and the engine's wait pool. Idempotent."""
+        stragglers, then release the service and the engine's wait
+        pool. Idempotent."""
         if self._stopped:
             return
         self._stopped = True
@@ -168,7 +167,7 @@ class BlobServer:
 
     @property
     def live_lease_timers(self) -> int:
-        """Armed version-manager lease timers (must be 0 after stop)."""
+        """Running version-manager lease clocks (0 after stop)."""
         return self.service.version_manager.live_lease_timers
 
     # -- connection loop -----------------------------------------------------

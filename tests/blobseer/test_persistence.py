@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.blobseer.persistence import InMemoryPageStore, LogStructuredPageStore
+from repro.blobseer.backends import InMemoryPageStore, LogStructuredPageStore
 from repro.common.errors import PageNotFoundError
 
 

@@ -17,6 +17,7 @@ from repro.common.errors import (
     VersionNotFoundError,
     VersionNotReadyError,
 )
+from repro.obs import Observability
 
 
 def root_key(v):
@@ -91,8 +92,8 @@ class TestCore:
         core.assign_append(blob, 10)
         core.assign_append(blob, 10)
         fired = []
-        core.when_turn(blob, 2, lambda: fired.append(2))
-        core.when_turn(blob, 1, lambda: fired.append(1))  # immediate
+        core.when_turn(blob, 2, lambda prereq: fired.append(2))
+        core.when_turn(blob, 1, lambda prereq: fired.append(1))  # immediate
         assert fired == [1]
         core.commit(blob, 1, root_key(1))
         assert fired == [1, 2]
@@ -241,71 +242,32 @@ class TestCoreAbort:
         blob = core.create_blob(64)
         for _ in range(3):
             core.assign_append(blob, 10)
-        # v2's abort must wait for v1 (the when_turn queue), as the
-        # runtime adapters do for chains of dead appenders
-        core.when_turn(blob, 2, lambda: core.abort(blob, 2))
+        # v2's abort must wait for v1: abandon defers it until then
+        core.abandon(blob, 2)
+        assert not core.blob(blob).versions[2].committed
         core.abort(blob, 1)
         assert core.latest_published(blob).version == 2
         assert core.metadata_prereq(blob, 3) == (None, 0)
 
 
 class TestAppendLeases:
-    def _wait_published(self, vm, blob, version, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if vm.latest_published(blob).version >= version:
-                return
-            time.sleep(0.005)
-        raise AssertionError(f"version {version} never published")
+    """Threaded-binding specifics; the lease rules themselves run as one
+    table against all three bindings in ``test_lease_semantics.py``."""
 
-    def test_lease_expiry_aborts_a_dead_appender(self):
+    def test_blocked_waiter_expires_the_dead_head_itself(self):
+        # nobody else touches the VM: the waiter's own condition wait is
+        # bounded by the earliest deadline, so it aborts the dead v1 and
+        # takes its turn without any timer thread
         vm = ThreadedVersionManager(
             config=BlobSeerConfig(append_lease_s=0.05)
         )
         blob = vm.create_blob(64)
-        vm.assign_append(blob, 10)  # never committed
-        self._wait_published(vm, blob, 1)
-        assert vm.latest_published(blob).aborted
-
-    def test_commit_wins_over_the_lease(self):
-        vm = ThreadedVersionManager(
-            config=BlobSeerConfig(append_lease_s=0.1)
-        )
-        blob = vm.create_blob(64)
+        vm.assign_append(blob, 10)  # v1 dies
         vm.assign_append(blob, 10)
-        vm.commit(blob, 1, root_key(1))
-        time.sleep(0.25)
-        rec = vm.latest_published(blob)
-        assert rec.version == 1 and not rec.aborted
-
-    def test_lease_clock_starts_at_the_queue_head(self):
-        # v2 is alive but spends longer than one whole lease queued
-        # behind a dead v1; it must NOT expire — the clock only runs
-        # while a version heads the commit queue, or one dead appender
-        # would cascade aborts through everyone stalled behind it
-        vm = ThreadedVersionManager(
-            config=BlobSeerConfig(append_lease_s=0.3)
-        )
-        blob = vm.create_blob(64)
-        vm.assign_append(blob, 10)  # v1 dies; its lease aborts it at ~0.3
-        vm.assign_append(blob, 10)  # v2 is queued for all of that
-        time.sleep(0.45)  # > lease counted from v2's *assignment*
-        vm.commit(blob, 2, root_key(2))  # well inside v2's head lease
-        rec = vm.latest_published(blob)
-        assert rec.version == 2 and not rec.aborted
+        t0 = time.monotonic()
+        assert vm.wait_metadata_turn(blob, 2, timeout=5) == (None, 0)
+        assert 0.04 <= time.monotonic() - t0 < 2.0
         assert vm.get_version(blob, 1).aborted
-
-    def test_chain_of_dead_appenders_unwinds(self):
-        vm = ThreadedVersionManager(
-            config=BlobSeerConfig(append_lease_s=0.05)
-        )
-        blob = vm.create_blob(64)
-        for _ in range(3):
-            vm.assign_append(blob, 10)  # all three die
-        self._wait_published(vm, blob, 3, timeout=10)
-        assert all(
-            vm.get_version(blob, v).aborted for v in (1, 2, 3)
-        )
 
     def test_wait_turn_timeout_routes_through_abort(self):
         # satellite (c): the timed-out waiter aborts its own version so
@@ -324,6 +286,61 @@ class TestAppendLeases:
         assert vm.get_version(blob, 2).aborted
         assert vm.wait_metadata_turn(blob, 3, timeout=1)[0] == root_key(1)
 
+    def test_turn_timeout_survives_wakeups_for_other_blobs(self):
+        # one condition variable serves every blob: commits on blob B
+        # wake A's waiter every 10 ms, which must not restart its 50 ms
+        # timeout (leases off, so only the timeout can end the wait)
+        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0))
+        a, b = vm.create_blob(64), vm.create_blob(64)
+        vm.assign_append(a, 10)  # v1: stalled
+        vm.assign_append(a, 10)
+        stop = threading.Event()
+
+        def busy_neighbour():
+            while not stop.wait(0.01):
+                t = vm.assign_append(b, 10)
+                vm.commit(b, t.version, root_key(t.version))
+
+        neighbour = threading.Thread(target=busy_neighbour)
+        neighbour.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(VersionNotReadyError):
+                vm.wait_metadata_turn(a, 2, timeout=0.05)
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            stop.set()
+            neighbour.join(timeout=5)
+        assert not neighbour.is_alive()
+
+    @pytest.mark.parametrize("lease_s", [0, 30.0])
+    def test_queue_length_counts_versions_not_callbacks(self, lease_s):
+        obs = Observability.on()
+        vm = ThreadedVersionManager(
+            obs, config=BlobSeerConfig(append_lease_s=lease_s)
+        )
+        blob = vm.create_blob(64)
+        for _ in range(4):
+            vm.assign_append(blob, 10)  # v1 stalls; v2..v4 wait behind it
+        waiters = [
+            threading.Thread(target=vm.wait_metadata_turn, args=(blob, v, 5))
+            for v in (2, 3, 4)
+        ]
+        for w in waiters:
+            w.start()
+        deadline = time.monotonic() + 5
+        while vm.core.commit_queue_length < 3 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert vm.core.commit_queue_length == 3
+        assert obs.registry.gauge("vm.turn_queue_depth").value == 3
+        for v in (1, 2, 3):
+            vm.commit(blob, v, root_key(v))
+        for w in waiters:
+            w.join(timeout=5)
+        assert not any(w.is_alive() for w in waiters)
+        assert vm.core.commit_queue_length == 0
+        assert obs.registry.gauge("vm.turn_queue_depth").value == 0
+
     def test_turn_timeout_default_comes_from_config(self):
         vm = ThreadedVersionManager(
             config=BlobSeerConfig(
@@ -338,9 +355,20 @@ class TestAppendLeases:
 
 
 class TestClose:
-    """Lifecycle: ``close()`` must drain every armed lease timer — a
-    long-running process (the HTTP server) leaks timer threads and hangs
-    interpreter shutdown otherwise."""
+    """Lifecycle: leases are table entries, never threads, and
+    ``close()`` stops every running clock."""
+
+    def test_appends_start_no_threads(self):
+        vm = ThreadedVersionManager(
+            config=BlobSeerConfig(append_lease_s=30.0)
+        )
+        blob = vm.create_blob(64)
+        before = threading.active_count()
+        for v in range(1, 1001):
+            vm.assign_append(blob, 10)
+            vm.commit(blob, v, root_key(v))
+        assert threading.active_count() == before
+        assert vm.live_lease_timers == 0
 
     def test_close_cancels_outstanding_lease_timers(self):
         vm = ThreadedVersionManager(
@@ -348,7 +376,7 @@ class TestClose:
         )
         blob = vm.create_blob(64)
         for _ in range(5):
-            vm.assign_append(blob, 10)  # head timer armed, rest queued
+            vm.assign_append(blob, 10)  # head clock running, rest queued
         assert vm.live_lease_timers >= 1
         vm.close()
         assert vm.live_lease_timers == 0
@@ -364,7 +392,7 @@ class TestClose:
         assert vm.live_lease_timers == 0
 
     def test_no_timer_armed_after_close(self):
-        # assignments racing with shutdown must not re-arm timers
+        # assignments racing with shutdown must not start new clocks
         vm = ThreadedVersionManager(
             config=BlobSeerConfig(append_lease_s=30.0)
         )

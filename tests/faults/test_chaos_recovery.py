@@ -58,10 +58,8 @@ def chaos_run():
 
     def doomed(client):
         # dies between taking the append ticket and committing it
-        doomed_ticket["t"] = yield sb._vm_call(
-            client,
-            lambda: sb.core.assign_append(blob, CHUNK),
-            op="assign_append",
+        doomed_ticket["t"] = yield sb.engine.call(
+            "vm", "assign_append", blob, CHUNK
         )
 
     clients = [

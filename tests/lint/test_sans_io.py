@@ -112,3 +112,58 @@ def test_lint_allows_engine_base(tmp_path):
         "from .base import Engine\n"
     )
     assert _violations(ok) == []
+
+
+def test_no_timer_threads_anywhere():
+    """Leases are entries in the version-manager core's deadline table;
+    nothing under ``src/repro`` may start a thread per timeout."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "Timer" in names:
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, "threading.Timer is banned:\n" + "\n".join(offenders)
+
+
+#: names the version-manager core may not mention: it takes the time as
+#: an argument and is wrapped, never bound, by a runtime — so N of them
+#: can sit behind a router
+CORE_FORBIDDEN_NAMES = {"threading", "time", "asyncio", "sim", "Event", "Environment"}
+
+
+def _core_runtime_references(source: str):
+    tree = ast.parse(source)
+    core = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "VersionManagerCore"
+    )
+    found = []
+    for node in ast.walk(core):
+        if isinstance(node, ast.Name) and node.id in CORE_FORBIDDEN_NAMES:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(f"line {node.lineno}: import inside the core")
+    return found
+
+
+def test_version_manager_core_is_runtime_free():
+    source = (SRC / "blobseer" / "version_manager.py").read_text()
+    assert _core_runtime_references(source) == []
+
+
+def test_core_lint_catches_a_clock_read():
+    poisoned = (
+        "class VersionManagerCore:\n"
+        "    def expire(self):\n"
+        "        return time.monotonic()\n"
+    )
+    assert _core_runtime_references(poisoned) == ["line 3: time"]
