@@ -650,36 +650,82 @@ class ThreadedVersionManager:
             self._turn.notify_all()
         return now
 
-    def _await(
-        self, when, blob_id: int, version: int, what: str, timeout: Optional[float]
+    def _waiting(
+        self,
+        when,
+        blob_id: int,
+        version: int,
+        what: str,
+        timeout: Optional[float] = None,
+        wake: Optional[Callable[[], None]] = None,
     ):
-        """Block until the callback filed through *when* (``when_turn``
-        or ``when_published``) delivers *version*'s outcome.
+        """With the lock held: file a wait for *version*'s outcome
+        through *when* (``core.when_turn`` or ``core.when_published``).
 
-        *timeout* (default ``metadata_turn_timeout_s``) is counted once,
-        from entry — wake-ups caused by other blobs do not restart it.
-        When it runs out the version is abandoned (a no-op for a ready
-        or published one), so later versions are never wedged behind
-        it, and ``VersionNotReadyError`` is raised.
+        Returns ``(outcome, nap)``. The core's answer lands in the
+        *outcome* list — at once when it is already decided, else under
+        the lock on whichever thread runs the resolving transition,
+        followed by a call to *wake*. ``nap()``, lock held, is the one
+        rule every waiter sleeps by: ``None`` once the outcome is in,
+        else the seconds it may sleep before asking again — never past
+        the earliest lease deadline, so a blocked waiter aborts a dead
+        head itself. *timeout* (default ``metadata_turn_timeout_s``) is
+        counted once, from here — wake-ups caused by other blobs do not
+        restart it. When it runs out the version is abandoned (a no-op
+        for a ready or published one), so later versions are never
+        wedged behind it, and ``VersionNotReadyError`` is raised.
         """
         outcome: list = []
-        if timeout is None:
-            timeout = self._turn_timeout_s
-        with self._turn:
+
+        def deliver(result) -> None:
+            outcome.append(result)
+            if wake is not None:
+                wake()
+
+        give_up = self._expire() + (
+            self._turn_timeout_s if timeout is None else timeout
+        )
+        when(blob_id, version, deliver)
+
+        def nap() -> Optional[float]:
+            if outcome:
+                return None
             now = self._expire()
-            when(blob_id, version, outcome.append)
-            give_up = now + timeout
-            while not outcome:
-                if now >= give_up:
-                    self.core.abandon(blob_id, version, now)
-                    self._turn.notify_all()
-                    raise VersionNotReadyError(
-                        f"timed out waiting for {what} of blob {blob_id} v{version}"
-                    )
-                wake = min(self.core.deadlines.values(), default=give_up)
-                self._turn.wait(min(give_up, wake) - now)
-                now = self._expire()
+            if outcome:  # expiring a dead head granted it
+                return None
+            if now >= give_up:
+                self.core.abandon(blob_id, version, now)
+                self._turn.notify_all()
+                raise VersionNotReadyError(
+                    f"timed out waiting for {what} of blob {blob_id} v{version}"
+                )
+            wake_at = min(self.core.deadlines.values(), default=give_up)
+            return min(give_up, wake_at) - now
+
+        return outcome, nap
+
+    def _await(self, *wait):
+        """Block on the condition variable until the wait is decided."""
+        with self._turn:
+            outcome, nap = self._waiting(*wait)
+            while (delay := nap()) is not None:
+                self._turn.wait(delay)
         return outcome[0]
+
+    def _nowait(self, *wait):
+        """The same wait for a caller that must not block (the asyncio
+        engine's loop): ``(outcome, nap)`` with ``nap`` taking the lock
+        itself. The caller sleeps however it sleeps, for at most the
+        delay ``nap()`` returned or until *wake* is called, and asks
+        again."""
+        with self._turn:
+            outcome, nap = self._waiting(*wait)
+
+        def locked_nap() -> Optional[float]:
+            with self._turn:
+                return nap()
+
+        return outcome, locked_nap
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -725,5 +771,20 @@ class ThreadedVersionManager:
         version is itself promoted to leader (predecessor resolved with
         the batch still unpublished)."""
         return self._await(
-            self.core.when_published, blob_id, version, "publication", None
+            self.core.when_published, blob_id, version, "publication"
+        )
+
+    # the two waits again, for the engine whose caller may not block:
+    # ``<method>_nowait(wake, *args)`` (see :meth:`_nowait`)
+
+    def metadata_turn_nowait(
+        self, wake, blob_id: int, version: int, timeout: Optional[float] = None
+    ):
+        return self._nowait(
+            self.core.when_turn, blob_id, version, "metadata turn", timeout, wake
+        )
+
+    def publish_wait_nowait(self, wake, blob_id: int, version: int):
+        return self._nowait(
+            self.core.when_published, blob_id, version, "publication", None, wake
         )

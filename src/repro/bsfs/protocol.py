@@ -96,11 +96,13 @@ class BSFSProtocol:
         blob_id: int,
         page_size: int,
         overwrite: bool = False,
+        parent=None,
     ):
         """Generator: register *path* as a view of an (already created)
-        BLOB at the namespace manager. Returns the file record."""
+        BLOB at the namespace manager. Returns the file record. (Here
+        and below, *parent* is the caller's span, if it has one.)"""
         sp = self.obs.tracer.start(
-            "bsfs.create", cat="bsfs", track=client, path=path
+            "bsfs.create", cat="bsfs", parent=parent, track=client, path=path
         )
         record = yield from self._ns(
             client, sp, "create", "create", path, blob_id, page_size, overwrite
@@ -111,7 +113,9 @@ class BSFSProtocol:
         sp.finish(blob=blob_id)
         return record
 
-    def append_file(self, client: str, path: str, payload: Payload):
+    def append_file(
+        self, client: str, path: str, payload: Payload, parent=None
+    ):
         """Generator: the paper's two-step append — look the file up,
         append to its BLOB, bump the namespace size to the append's end
         offset. Returns the BLOB version generated."""
@@ -120,6 +124,7 @@ class BSFSProtocol:
         sp = self.obs.tracer.start(
             "bsfs.append",
             cat="bsfs",
+            parent=parent,
             track=client,
             path=path,
             nbytes=len(payload),
@@ -141,13 +146,16 @@ class BSFSProtocol:
             self.metrics.record(client, "append", start, engine.now(), len(payload))
         return version
 
-    def append_block(self, client: str, path: str, blob_id: int, payload: Payload):
+    def append_block(
+        self, client: str, path: str, blob_id: int, payload: Payload, parent=None
+    ):
         """Generator: commit one write-behind block — like
         :meth:`append_file` minus the lookup (an open stream already
         holds the file record)."""
         sp = self.obs.tracer.start(
             "bsfs.append",
             cat="bsfs",
+            parent=parent,
             track=client,
             path=path,
             nbytes=len(payload),
@@ -162,7 +170,9 @@ class BSFSProtocol:
         sp.finish(version=version)
         return version
 
-    def read_file(self, client: str, path: str, offset: int, nbytes: int):
+    def read_file(
+        self, client: str, path: str, offset: int, nbytes: int, parent=None
+    ):
         """Generator: look the file up and read a range of its BLOB.
         Returns ``(version, data)`` (data is None under the DES runtime,
         which moves no real bytes)."""
@@ -171,6 +181,7 @@ class BSFSProtocol:
         sp = self.obs.tracer.start(
             "bsfs.read",
             cat="bsfs",
+            parent=parent,
             track=client,
             path=path,
             offset=offset,

@@ -11,30 +11,34 @@ process.
 Op mechanics are :mod:`repro.engine.threaded`'s: an op is a lazy
 ``_Op`` thunk, created (and recorded, for the parity suite) at
 ``engine.call(...)`` time and resolved only when the async trampoline in
-:meth:`AsyncioEngine.run` awaits it — so op-*creation* order is
+:meth:`AsyncioEngine.run` reaches it — so op-*creation* order is
 identical to the other two engines for the same scenario, which is what
 ``tests/engine/test_parity.py`` asserts.
 
 The one genuinely asyncio-specific concern is *blocking* endpoint
 methods. Control calls are short critical sections (dictionary updates
 under a mutex) and run inline on the loop; but ``engine.wait`` ops —
-the metadata-turn and publish waits — park on a ``threading.Condition``
-inside the version manager until **another** client's commit signals
-them. Running those inline would wedge the whole loop, so wait ops are
-shipped to a dedicated thread pool. Progress never *requires* more than
-one pool slot: the commits that release waiters run inline on the loop,
-so a saturated pool only queues waiters (latency), it cannot deadlock
-them.
+the metadata-turn and publish waits — can only resolve through
+**another** client's commit, so they must leave the loop free. They
+never leave it: an endpoint method that can block offers a
+``<method>_nowait`` twin (see
+:meth:`~repro.blobseer.version_manager.ThreadedVersionManager._nowait`)
+and :meth:`AsyncioEngine._wait` sleeps on a loop future instead of a
+condition variable. A wait that is already decided — every wait of an
+uncontended append — completes without suspending the task, touching
+the loop or scheduling a timer; a blocked one is woken by the commit
+that resolves it (through ``call_soon_threadsafe`` when that commit runs
+on a foreign thread) or by a loop timer set no later than the earliest
+lease deadline. The engine owns no thread and no pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Generator, Optional
+import threading
+from typing import Any, Generator
 
-from ..faults.plan import RetryPolicy
-from ..obs import Observability
+from ..obs import NULL_SPAN
 from .threaded import ThreadedEngine, _Op
 
 
@@ -43,81 +47,54 @@ class AsyncioEngine(ThreadedEngine):
 
     Wiring, fault state, the clock and every op that is a plain inline
     thunk (``call``, ``store``, ``fetch``, ``charge_md``...) are the
-    threaded engine's; only the scheduling policy differs: an op's
-    ``fn`` may return an awaitable (sleeps, executor-shipped waits) that
-    the async trampoline awaits.
+    threaded engine's; only the scheduling policy differs: ``sleep``,
+    ``spawn`` and ``wait`` ops are *awaitable* — their ``fn`` returns a
+    coroutine that the async trampoline awaits.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        obs: Optional[Observability] = None,
-        retry: Optional[RetryPolicy] = None,
-        max_wait_threads: int = 256,
-    ) -> None:
-        """*max_wait_threads* bounds the pool that carries blocking
-        ``wait`` ops — size it at the expected number of concurrently
-        queued appenders (threads parked on a condition variable are
-        cheap; an undersized pool adds queueing latency, never
-        deadlock)."""
-        super().__init__(seed=seed, obs=obs, retry=retry)
-        self._waitpool = ThreadPoolExecutor(
-            max_workers=max_wait_threads, thread_name_prefix="aio-engine-wait"
-        )
-        self._closed = False
-
     def close(self) -> None:
-        """Release the wait-op thread pool (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._waitpool.shutdown(wait=False, cancel_futures=True)
+        """Nothing to release — the engine owns no thread, pool or
+        timer. Harnesses written against the wait-pool engine still
+        call it."""
 
-    def _spanned(self, op: _Op, name: str, cat: str, **args: Any) -> _Op:
-        """Open one op span now (creation time, matching the other
-        engines' span start order) and finish it when the trampoline
-        resolves the op — failed ops record their exception type."""
-        sp = self._tracer.start(
-            name, cat=cat, parent=self._take_parent(), **args
-        )
+    def _spanned_awaitable(
+        self, op: _Op, name: str, cat: str, **args: Any
+    ) -> _Op:
+        """:meth:`_spanned` for an awaitable op: the span finishes when
+        the trampoline's ``await`` does."""
+        parent = self._take_parent()
+        if parent is NULL_SPAN:
+            return op
+        sp = self._tracer.start(name, cat=cat, parent=parent, **args)
         fn = op.fn
 
-        def traced() -> Any:
+        async def traced() -> Any:
             try:
-                result = fn()
+                return await fn()
             except BaseException as exc:
                 sp.set(error=type(exc).__name__)
-                sp.finish()
                 raise
-            if not asyncio.isfuture(result) and not asyncio.iscoroutine(result):
+            finally:
                 sp.finish()
-                return result
-
-            async def awaited() -> Any:
-                try:
-                    return await result
-                except BaseException as exc:
-                    sp.set(error=type(exc).__name__)
-                    raise
-                finally:
-                    sp.finish()
-
-            return awaited()
 
         op.fn = traced
         return op
 
     def sleep(self, dt: float) -> _Op:
-        op = _Op(lambda: asyncio.sleep(dt))
+        op = _Op(lambda: asyncio.sleep(dt), awaitable=True)
         if self._tracer is not None:
-            return self._spanned(op, "engine.sleep", "engine.retry", dt=dt)
+            return self._spanned_awaitable(
+                op, "engine.sleep", "engine.retry", dt=dt
+            )
         return op
 
+    def spawn(self, gen: Generator) -> _Op:
+        # the sub-generator runs to completion in this task, not
+        # concurrently with its parent, as under the threaded engine
+        return _Op(lambda: self.run(gen), awaitable=True)
+
     async def run(self, gen: Generator) -> Any:
-        """The async trampoline: drive *gen* to completion in this task.
-        (``spawn`` ops resolve to a nested ``run`` coroutine, awaited
-        here — the sub-generator runs to completion, not concurrently
-        with its parent, as under the threaded engine.)"""
+        """The async trampoline: drive *gen* to completion in this task."""
         try:
             op = gen.send(None)
         except StopIteration as stop:
@@ -125,7 +102,7 @@ class AsyncioEngine(ThreadedEngine):
         while True:
             try:
                 value = op.fn()
-                if asyncio.iscoroutine(value) or asyncio.isfuture(value):
+                if op.awaitable:
                     value = await value
             except BaseException as exc:  # noqa: BLE001 - re-thrown into gen
                 try:
@@ -139,16 +116,61 @@ class AsyncioEngine(ThreadedEngine):
                     return stop.value
 
     def wait(self, endpoint: str, method: str, *args: Any) -> _Op:
-        # a wait blocks until *another* client's call signals it — it
-        # must leave the loop free, so it rides the wait thread pool
-        fn = getattr(self._control[endpoint], method)
-        op = _Op(
-            lambda: asyncio.get_running_loop().run_in_executor(
-                self._waitpool, lambda: fn(*args)
-            )
-        )
+        adapter = self._control[endpoint]
+        begin = getattr(adapter, method + "_nowait", None)
+        if begin is None:
+            # no twin: the method returns at once and runs inline
+            return super().wait(endpoint, method, *args)
+        op = _Op(lambda: self._wait(begin, args), awaitable=True)
         if self._tracer is not None:
-            return self._spanned(
+            return self._spanned_awaitable(
                 op, f"engine.wait:{endpoint}.{method}", "engine.wait"
             )
         return op
+
+    @staticmethod
+    async def _wait(begin, args: tuple) -> Any:
+        """Sleep on the loop until the wait filed by *begin* is decided.
+
+        The loop's form of ``ThreadedVersionManager._await``: the same
+        ``nap()`` says how long to sleep (and abandons the version and
+        raises when the wait has timed out); where the thread parks on
+        the condition variable, this parks on a future that *wake* or a
+        timer resolves. The timer is cancelled as soon as the sleep
+        ends, however it ends.
+        """
+        loop = home = fut = None
+
+        def arrived() -> None:
+            if fut is not None and not fut.done():
+                fut.set_result(None)
+
+        def wake() -> None:
+            # called under the endpoint's lock, on the thread whose
+            # call decided the wait
+            if fut is None:  # nobody sleeps (yet, or any more)
+                return
+            if threading.get_ident() == home:
+                arrived()
+            else:
+                loop.call_soon_threadsafe(arrived)
+
+        outcome, nap = begin(wake, *args)
+        if not outcome:
+            loop, home = asyncio.get_running_loop(), threading.get_ident()
+            try:
+                while True:
+                    # before asking: a wake between the answer and the
+                    # sleep must find the future it is to resolve
+                    fut = loop.create_future()
+                    delay = nap()
+                    if delay is None:
+                        break
+                    timer = loop.call_later(delay, arrived)
+                    try:
+                        await fut
+                    finally:
+                        timer.cancel()
+            finally:
+                fut = None
+        return outcome[0]

@@ -79,7 +79,9 @@ class Engine(abc.ABC):
     A protocol core parents those op spans by calling
     :meth:`trace_parent` immediately before creating an op; the engine
     consumes the parent on the next op creation (consume-on-create, so
-    a stale parent can never misattach to a later unrelated op). With
+    a stale parent can never misattach to a later unrelated op). An op
+    created under an unrecorded parent (``NULL_SPAN`` — an unsampled
+    request of the live server) gets no span. With
     tracing disabled the whole mechanism is one attribute store per
     call site and ``_tracer`` stays ``None`` — the NULL_OBS fast path.
     """

@@ -104,8 +104,7 @@ def sweep_fetch(
         for attempt in range(policy.max_attempts):
             name = order[attempt % n]
             try:
-                if traced:
-                    engine.trace_parent(sp)
+                engine.trace_parent(sp)
                 data = yield engine.fetch(
                     client, name, page_id, data_offset, nbytes
                 )
@@ -122,8 +121,7 @@ def sweep_fetch(
                 return data
             if (attempt + 1) % n == 0 and attempt + 1 < policy.max_attempts:
                 # a full sweep of replicas failed: back off before retrying
-                if traced:
-                    engine.trace_parent(sp)
+                engine.trace_parent(sp)
                 yield engine.sleep(policy.backoff(attempt // n))
         if traced:
             sp.set(attempts=policy.max_attempts, error="ReplicationError")
@@ -246,8 +244,7 @@ class QuorumReadPolicy(ReadPolicy):
         try:
             for name in order[:r]:
                 try:
-                    if traced:
-                        engine.trace_parent(sp)
+                    engine.trace_parent(sp)
                     reply = yield engine.fetch(
                         client, name, page_id, data_offset, nbytes
                     )

@@ -26,7 +26,7 @@ from typing import Any, Callable, Generator, Optional, Sequence, Set
 from ..common.errors import ProviderUnavailableError, RpcTimeoutError
 from ..common.rng import substream
 from ..faults.plan import RetryPolicy
-from ..obs import NULL_OBS, Observability
+from ..obs import NULL_OBS, NULL_SPAN, Observability
 from .base import Engine, Payload
 
 #: Backoff magnitudes for the in-process runtime: the same sweep shape
@@ -39,12 +39,19 @@ THREADED_RETRY = RetryPolicy(
 
 
 class _Op:
-    """A deferred engine action; resolved only by the trampoline."""
+    """A deferred engine action; resolved only by the trampoline.
 
-    __slots__ = ("fn",)
+    *awaitable* ops are the asyncio engine's: their ``fn`` returns
+    something its trampoline must ``await``. The op says so itself, so
+    no trampoline ever inspects a result to find out — an endpoint may
+    *return* a coroutine or a future as a plain value.
+    """
 
-    def __init__(self, fn: Callable[[], Any]) -> None:
+    __slots__ = ("fn", "awaitable")
+
+    def __init__(self, fn: Callable[[], Any], awaitable: bool = False) -> None:
         self.fn = fn
+        self.awaitable = awaitable
 
 
 _NOOP = _Op(lambda: None)
@@ -78,10 +85,12 @@ class ThreadedEngine(Engine):
     def _spanned(self, op: _Op, name: str, cat: str, **args: Any) -> _Op:
         """Open one op span now (creation time, matching the DES engine's
         span start order) and finish it when the trampoline resolves the
-        thunk — failed ops record their exception type."""
-        sp = self._tracer.start(
-            name, cat=cat, parent=self._take_parent(), **args
-        )
+        thunk — failed ops record their exception type. Below an
+        unrecorded parent the op is returned as it came."""
+        parent = self._take_parent()
+        if parent is NULL_SPAN:
+            return op
+        sp = self._tracer.start(name, cat=cat, parent=parent, **args)
         fn = op.fn
 
         def traced() -> Any:

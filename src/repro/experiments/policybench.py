@@ -295,8 +295,6 @@ def run_engine_smoke(
             "ok": version == 1 and data == payload,
         }
         service.close()
-        if engine_name == "asyncio":
-            service.engine.close()
     return results
 
 

@@ -43,6 +43,9 @@ def chrome_trace(
     ]
     tids: Dict[str, int] = {}
     spans = tracer.snapshot()
+    # a bounded tracer may have forgotten a span's parent: such a span
+    # exports as a root
+    retained = {span.span_id for span in spans}
     max_ts = tracer.max_ts
     unfinished = 0
     for span in spans:
@@ -61,7 +64,7 @@ def chrome_trace(
     for span in spans:
         args = dict(span.args)
         args["span_id"] = span.span_id
-        if span.parent_id is not None:
+        if span.parent_id in retained:
             args["parent_id"] = span.parent_id
         event: Dict[str, object] = {
             "name": span.name,

@@ -29,9 +29,9 @@ from .timeseries import _NULL_TIMESERIES, TimeSeries
 class Counter:
     """A monotonically increasing total.
 
-    Thread-safe: the HTTP server increments request counters from
-    concurrent handler tasks and wait-pool threads, and ``+=`` on an
-    attribute is a read-modify-write that drops updates under races.
+    Thread-safe: the threaded runtime increments shared counters from
+    many caller threads, and ``+=`` on an attribute is a
+    read-modify-write that drops updates under races.
     """
 
     __slots__ = ("name", "value", "_lock")

@@ -26,14 +26,25 @@ tracer.
 When the tracer is disabled every ``start``/``span`` call returns the
 shared :data:`NULL_SPAN`, whose methods do nothing — the instrumented
 hot paths pay one attribute load and one flag check.
+
+**Head sampling is inheritance.** An enabled tracer applies one more
+rule: a span whose *parent* is :data:`NULL_SPAN` is :data:`NULL_SPAN`.
+Whoever opens the root of a tree decides once whether to record it (a
+long-running server keeps one request in N, see :mod:`repro.server.app`)
+and hands ``NULL_SPAN`` down as the parent otherwise; everything below
+then records nothing, with no second code path in the instrumented
+layers. **Retention is a ring**: ``Tracer(max_spans=N)`` keeps the N
+most recently started spans and forgets the rest; the default keeps
+every span, which is what bounded runs (figures, tests) want.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 class Span:
@@ -113,7 +124,8 @@ class Span:
 
 
 class _NullSpan:
-    """The do-nothing span a disabled tracer hands out."""
+    """The do-nothing span: what a disabled tracer hands out, and what
+    an enabled one hands out below an unrecorded parent."""
 
     __slots__ = ()
     name = ""
@@ -144,7 +156,7 @@ class _NullSpan:
         return False
 
 
-#: shared instance returned by every call on a disabled tracer
+#: shared instance returned for every span that is not recorded
 NULL_SPAN = _NullSpan()
 
 
@@ -155,12 +167,14 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         enabled: bool = True,
+        max_spans: Optional[int] = None,
     ) -> None:
         self.enabled = enabled
         self._clock: Callable[[], float] = clock or time.perf_counter
         self._base = 0.0
-        #: every span ever started, in start order
-        self.spans: List[Span] = []
+        #: the spans retained, in start order: every span ever started,
+        #: or with *max_spans* the most recent that many
+        self.spans: Deque[Span] = deque(maxlen=max_spans)
         self._lock = threading.Lock()
         self._next_id = 1
         self._max_ts = 0.0
@@ -200,14 +214,13 @@ class Tracer:
 
         *parent* defaults to the calling thread's innermost ``with``
         span (if any). *track* defaults to the parent's track, then to
-        the thread name.
+        the thread name. Below an unrecorded parent (:data:`NULL_SPAN`)
+        nothing is recorded.
         """
-        if not self.enabled:
+        if not self.enabled or parent is NULL_SPAN:
             return NULL_SPAN
         if parent is None:
             parent = self._current()
-        if parent is NULL_SPAN:
-            parent = None
         if track is None:
             track = (
                 parent.track if parent is not None

@@ -27,19 +27,26 @@ route returns data):
 ``POST /fs/rename?src=&dst=``               rename
 ``DELETE /fs/files{path}?recursive=``       delete
 ``GET  /healthz``, ``GET /metrics``         liveness / registry snapshot
+``GET  /debug/traces``                      retained spans, Chrome trace JSON
 ==========================================  =================================
 
-Observability is threaded through every request: one ``http.request``
-span per request (child ops hang off it through the engine's
-trace-parent handoff), a per-route latency histogram
-(``http.<route>_s``), and ``http.requests``/``http.errors`` counters —
-the same :class:`~repro.obs.MetricsRegistry` the load-test harness
-reads its p50/p99 tables from.
+Observability is threaded through every request: a per-route latency
+histogram (``http.<route>_s``) and ``http.requests``/``http.errors``
+counters — the same :class:`~repro.obs.MetricsRegistry` the load-test
+harness reads its p50/p99 tables from — and, for one request in
+``trace_sample``, a span tree. The sampling decision is taken once, when
+the request's ``http.request`` span would open (a deterministic
+counter, no RNG): a sampled request hands that span to the protocol
+core as the *parent* of its operation, so everything the operation
+records hangs below it; an unsampled one hands down
+:data:`~repro.obs.NULL_SPAN`, below which nothing is recorded (see
+:mod:`repro.obs.tracer`). ``GET /debug/traces`` reads back whatever the
+tracer still retains.
 
 Shutdown is graceful by contract: :meth:`BlobServer.stop` stops
-accepting, drains (then cancels) open connections, closes the service
-(the version manager stops expiring leases — it owns no threads) and
-releases the engine's wait pool; ``tests/server`` asserts
+accepting, drains (then cancels) open connections and closes the
+service (the version manager stops expiring leases); neither the
+service nor the engine owns a thread. ``tests/server`` asserts
 ``live_lease_timers == 0`` after a stop.
 """
 
@@ -67,7 +74,7 @@ from ..common.errors import (
 )
 from ..engine.aio import AsyncioEngine
 from ..engine.base import Payload
-from ..obs import NULL_OBS, Observability
+from ..obs import NULL_OBS, NULL_SPAN, Observability, chrome_trace
 from .http import (
     DEFAULT_MAX_BODY,
     HttpError,
@@ -104,14 +111,15 @@ class BlobServer:
         seed: int = 0,
         obs: Optional[Observability] = None,
         max_body: int = DEFAULT_MAX_BODY,
-        max_wait_threads: int = 256,
+        trace_sample: int = 1,
     ) -> None:
+        """*trace_sample* = N records the span tree of every N-th
+        routed request (1: every request, 0: none) — if *obs* traces
+        at all."""
         self.obs = obs or NULL_OBS
         self.host = host
         self.port = port  # 0 until start() binds an ephemeral port
-        self.engine = AsyncioEngine(
-            seed=seed, obs=self.obs, max_wait_threads=max_wait_threads
-        )
+        self.engine = AsyncioEngine(seed=seed, obs=self.obs)
         self.service = BlobSeerService(
             config=config,
             n_providers=n_providers,
@@ -132,7 +140,11 @@ class BlobServer:
         self._c_requests = registry.counter("http.requests")
         self._c_errors = registry.counter("http.errors")
         self._c_conns = registry.counter("http.connections")
+        #: route name -> its latency histogram, resolved on first use
+        self._route_hists: dict = {}
         self._tracer = self.obs.tracer
+        self._trace_sample = trace_sample
+        self._routed = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -147,8 +159,7 @@ class BlobServer:
     async def stop(self, drain_s: float = 2.0) -> None:
         """Graceful stop: close the listener, give open connections
         *drain_s* seconds to finish their in-flight request, cancel the
-        stragglers, then release the service and the engine's wait
-        pool. Idempotent."""
+        stragglers, then release the service. Idempotent."""
         if self._stopped:
             return
         self._stopped = True
@@ -163,7 +174,6 @@ class BlobServer:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         self.service.close()
-        self.engine.close()
 
     @property
     def live_lease_timers(self) -> int:
@@ -217,19 +227,27 @@ class BlobServer:
         except HttpError as err:
             self._c_errors.inc()
             return Response.error(err.status, err.message)
-        registry = self.obs.registry
-        span = self._tracer.start(
-            "http.request",
-            cat="http",
-            track=client,
-            route=route,
-            method=request.method,
-            path=request.path,
-        )
+        hist = self._route_hists.get(route)
+        if hist is None:
+            hist = self._route_hists[route] = self.obs.registry.histogram(
+                f"http.{route}_s"
+            )
+        every = self._trace_sample
+        sampled = every and self._routed % every == 0
+        self._routed += 1
+        span = NULL_SPAN
+        if sampled:
+            span = self._tracer.start(
+                "http.request",
+                cat="http",
+                track=client,
+                route=route,
+                method=request.method,
+                path=request.path,
+            )
         t0 = self.engine.now()
         try:
-            self.engine.trace_parent(span)
-            response = await handler(request, client)
+            response = await handler(request, client, span)
         except HttpError as err:
             self._c_errors.inc()
             response = Response.error(err.status, err.message)
@@ -244,7 +262,7 @@ class BlobServer:
                     500, f"{type(exc).__name__}: {exc}"
                 )
             span.set(error=type(exc).__name__)
-        registry.histogram(f"http.{route}_s").observe(self.engine.now() - t0)
+        hist.observe(self.engine.now() - t0)
         span.finish(status=response.status)
         return response
 
@@ -257,6 +275,8 @@ class BlobServer:
             return "healthz", self._h_healthz
         if path == "/metrics" and method == "GET":
             return "metrics", self._h_metrics
+        if path == "/debug/traces" and method == "GET":
+            return "debug_traces", self._h_debug_traces
         if path == "/blob" or path == "/blob/":
             if method == "POST":
                 return "blob_create", self._h_blob_create
@@ -293,10 +313,10 @@ class BlobServer:
 
     # -- handlers: service ---------------------------------------------------
 
-    async def _h_healthz(self, request: Request, client: str) -> Response:
+    async def _h_healthz(self, request: Request, client: str, span) -> Response:
         return Response.json({"status": "ok"})
 
-    async def _h_metrics(self, request: Request, client: str) -> Response:
+    async def _h_metrics(self, request: Request, client: str, span) -> Response:
         doc = self.obs.registry.snapshot()
         # the storage-plane placement view rides along: which policy is
         # routing pages, per-provider byte loads, and who is down (the
@@ -310,19 +330,26 @@ class BlobServer:
         }
         return Response.json(doc)
 
+    async def _h_debug_traces(self, request: Request, client: str, span) -> Response:
+        """The spans the tracer retains (sampled request trees, fault
+        and lease instants), as a Chrome ``trace_event`` document."""
+        return Response.json(chrome_trace(self._tracer))
+
     # -- handlers: blob plane ------------------------------------------------
 
-    async def _h_blob_create(self, request: Request, client: str) -> Response:
+    async def _h_blob_create(self, request: Request, client: str, span) -> Response:
         page_size = request.query_int("page_size")
         blob_id = self.service.create_blob(page_size)
         return Response.json({"blob_id": blob_id}, status=201)
 
-    async def _h_blob_append(self, request: Request, client: str) -> Response:
+    async def _h_blob_append(self, request: Request, client: str, span) -> Response:
         blob_id = int(request.params["blob_id"])
         if not request.body:
             raise HttpError(400, "append body must not be empty")
         version, offset = await self.engine.run(
-            self.blobseer.append(client, blob_id, Payload(request.body))
+            self.blobseer.append(
+                client, blob_id, Payload(request.body), parent=span
+            )
         )
         return Response.json(
             {
@@ -333,7 +360,7 @@ class BlobServer:
             }
         )
 
-    async def _h_blob_write(self, request: Request, client: str) -> Response:
+    async def _h_blob_write(self, request: Request, client: str, span) -> Response:
         blob_id = int(request.params["blob_id"])
         offset = request.query_int("offset")
         if offset is None:
@@ -342,14 +369,14 @@ class BlobServer:
             raise HttpError(400, "write body must not be empty")
         version = await self.engine.run(
             self.blobseer.write(
-                client, blob_id, offset, Payload(request.body)
+                client, blob_id, offset, Payload(request.body), parent=span
             )
         )
         return Response.json(
             {"blob_id": blob_id, "version": version, "offset": offset}
         )
 
-    async def _h_blob_read(self, request: Request, client: str) -> Response:
+    async def _h_blob_read(self, request: Request, client: str, span) -> Response:
         blob_id = int(request.params["blob_id"])
         version = request.query_int("version")
         record, _ps = self.service.version_manager.resolve(blob_id, version)
@@ -359,7 +386,12 @@ class BlobServer:
             length = max(0, record.size - offset)
         _version, data = await self.engine.run(
             self.blobseer.read(
-                client, blob_id, offset, length, version=record.version
+                client,
+                blob_id,
+                offset,
+                length,
+                version=record.version,
+                parent=span,
             )
         )
         return Response(
@@ -371,7 +403,7 @@ class BlobServer:
             },
         )
 
-    async def _h_blob_stat(self, request: Request, client: str) -> Response:
+    async def _h_blob_stat(self, request: Request, client: str, span) -> Response:
         blob_id = int(request.params["blob_id"])
         version = request.query_int("version")
         record, page_size = self.service.version_manager.resolve(
@@ -389,7 +421,7 @@ class BlobServer:
 
     # -- handlers: file plane ------------------------------------------------
 
-    async def _h_fs_create(self, request: Request, client: str) -> Response:
+    async def _h_fs_create(self, request: Request, client: str, span) -> Response:
         path = request.params["path"]
         page_size = request.query_int(
             "page_size", self.service.config.page_size
@@ -398,27 +430,31 @@ class BlobServer:
         blob_id = self.service.create_blob(page_size)
         await self.engine.run(
             self.bsfs.create_file(
-                client, path, blob_id, page_size, overwrite=overwrite
+                client, path, blob_id, page_size, overwrite=overwrite, parent=span
             )
         )
         if request.body:
             await self.engine.run(
-                self.bsfs.append_file(client, path, Payload(request.body))
+                self.bsfs.append_file(
+                    client, path, Payload(request.body), parent=span
+                )
             )
         return Response.json({"path": path, "blob_id": blob_id}, status=201)
 
-    async def _h_fs_append(self, request: Request, client: str) -> Response:
+    async def _h_fs_append(self, request: Request, client: str, span) -> Response:
         path = request.params["path"]
         if not request.body:
             raise HttpError(400, "append body must not be empty")
         version = await self.engine.run(
-            self.bsfs.append_file(client, path, Payload(request.body))
+            self.bsfs.append_file(
+                client, path, Payload(request.body), parent=span
+            )
         )
         return Response.json(
             {"path": path, "version": version, "nbytes": len(request.body)}
         )
 
-    async def _h_fs_read(self, request: Request, client: str) -> Response:
+    async def _h_fs_read(self, request: Request, client: str, span) -> Response:
         path = request.params["path"]
         size = self.namespace.get_status(path).size
         offset = request.query_int("offset", 0)
@@ -429,7 +465,7 @@ class BlobServer:
         if length == 0:
             return Response(status=200, body=b"", headers={"X-File-Size": str(size)})
         _version, data = await self.engine.run(
-            self.bsfs.read_file(client, path, offset, length)
+            self.bsfs.read_file(client, path, offset, length, parent=span)
         )
         return Response(
             status=200,
@@ -437,19 +473,19 @@ class BlobServer:
             headers={"X-File-Size": str(size)},
         )
 
-    async def _h_fs_stat(self, request: Request, client: str) -> Response:
+    async def _h_fs_stat(self, request: Request, client: str, span) -> Response:
         status = self.namespace.get_status(request.params["path"])
         return Response.json(_status_doc(status))
 
-    async def _h_fs_list(self, request: Request, client: str) -> Response:
+    async def _h_fs_list(self, request: Request, client: str, span) -> Response:
         entries = self.namespace.list_dir(request.params["path"])
         return Response.json({"entries": [_status_doc(s) for s in entries]})
 
-    async def _h_fs_mkdirs(self, request: Request, client: str) -> Response:
+    async def _h_fs_mkdirs(self, request: Request, client: str, span) -> Response:
         self.namespace.mkdirs(request.params["path"])
         return Response.json({"path": request.params["path"]}, status=201)
 
-    async def _h_fs_delete(self, request: Request, client: str) -> Response:
+    async def _h_fs_delete(self, request: Request, client: str, span) -> Response:
         recursive = request.query.get("recursive", "") in ("1", "true")
         removed = self.namespace.delete(
             request.params["path"], recursive=recursive
@@ -458,7 +494,7 @@ class BlobServer:
             raise HttpError(404, f"no such path {request.params['path']!r}")
         return Response.json({"deleted": request.params["path"]})
 
-    async def _h_fs_rename(self, request: Request, client: str) -> Response:
+    async def _h_fs_rename(self, request: Request, client: str, span) -> Response:
         src, dst = request.query.get("src"), request.query.get("dst")
         if not src or not dst:
             raise HttpError(400, "rename requires src and dst")

@@ -4,6 +4,13 @@ Examples::
 
     repro-serve                         # 127.0.0.1:8070, 8 providers
     repro-serve --port 0 --providers 16 # ephemeral port, bigger backend
+    repro-serve --trace-sample 1        # record every request's span tree
+
+The process is bounded in memory however long it serves: it records the
+span tree of one request in ``--trace-sample`` into a ring of
+:data:`TRACE_RING_SPANS` spans (read back with ``GET /debug/traces``),
+and its histograms keep a reservoir of :data:`HIST_MAX_SAMPLES` samples
+each (``count``/``mean``/``min``/``max`` stay exact).
 
 Lifecycle contract (tested by ``tests/server/test_cli.py``): SIGINT and
 SIGTERM trigger a *graceful* stop — close the listener, drain open
@@ -20,8 +27,14 @@ import signal
 import sys
 from typing import List
 
-from ..obs import Observability
+from ..obs import MetricsRegistry, Observability, Tracer
 from .app import BlobServer
+
+#: spans the server's tracer retains — about 850 sampled appends (~19
+#: spans each), a few MiB
+TRACE_RING_SPANS = 16_384
+#: samples each histogram retains for its percentiles
+HIST_MAX_SAMPLES = 4096
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -48,16 +61,18 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--wait-threads",
+        "--trace-sample",
         type=int,
-        default=256,
+        default=64,
         metavar="N",
         help=(
-            "thread-pool slots for blocking metadata waits — size at the "
-            "expected number of concurrently queued appenders (default: 256)"
+            "record the span tree of one request in N for GET /debug/traces; "
+            "1 = every request, 0 = tracing off (default: 64)"
         ),
     )
     args = parser.parse_args(argv)
+    if args.trace_sample < 0:
+        parser.error("--trace-sample must be 0 or more")
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:
@@ -68,14 +83,19 @@ def main(argv: List[str] | None = None) -> int:
 
 
 async def _serve(args) -> int:
-    obs = Observability.on()
+    obs = Observability(
+        tracer=Tracer(
+            enabled=args.trace_sample > 0, max_spans=TRACE_RING_SPANS
+        ),
+        registry=MetricsRegistry(default_hist_max_samples=HIST_MAX_SAMPLES),
+    )
     server = BlobServer(
         host=args.host,
         port=args.port,
         n_providers=args.providers,
         seed=args.seed,
         obs=obs,
-        max_wait_threads=args.wait_threads,
+        trace_sample=args.trace_sample,
     )
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

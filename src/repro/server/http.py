@@ -151,13 +151,19 @@ async def read_request(
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
 
+    # the common target is a bare path: no query to parse, nothing to
+    # decode (urlsplit caches its answer per target)
     split = urlsplit(target)
-    query = {
-        name: values[0]
-        for name, values in parse_qs(
-            split.query, keep_blank_values=True
-        ).items()
-    }
+    path, query = split.path, {}
+    if "%" in path:
+        path = unquote(path)
+    if split.query:
+        query = {
+            name: values[0]
+            for name, values in parse_qs(
+                split.query, keep_blank_values=True
+            ).items()
+        }
 
     body = b""
     length_raw = headers.get("content-length")
@@ -186,7 +192,7 @@ async def read_request(
     )
     return Request(
         method=method.upper(),
-        path=unquote(split.path),
+        path=path,
         query=query,
         headers=headers,
         body=body,

@@ -1,4 +1,4 @@
-"""One table of append-ticket lease rules, three drivers.
+"""One table of append-ticket lease rules, four drivers.
 
 The lease protocol is written once, in ``VersionManagerCore``; the
 runtime bindings only decide *when* ``expire`` runs. Each case below is
@@ -6,10 +6,12 @@ a script of ``(time, op, *args)`` steps with time in lease periods, run
 against
 
 * the bare core with explicit ``now`` values (no sleeps),
-* ``ThreadedVersionManager`` on the wall clock (lazy expiry), and
-* ``SimVMService`` on a bare DES ``Environment`` (scheduled expiry),
+* ``ThreadedVersionManager`` on the wall clock (lazy expiry),
+* ``SimVMService`` on a bare DES ``Environment`` (scheduled expiry), and
+* the asyncio engine's loop-native wait on a real event loop (expiry by
+  the timer of whoever is waiting),
 
-so the three cannot drift apart. Ops: ``assign`` (the next version),
+so the four cannot drift apart. Ops: ``assign`` (the next version),
 ``commit v``, ``ready v`` (hand in the change map), ``abandon v`` (a
 waiter gives up on its turn), ``expect {v: state}`` with state one of
 ``open`` / ``committed`` / ``aborted``. ``starts`` lists the lease
@@ -17,6 +19,8 @@ deadlines the core must have started by the end, exact to the bit on
 the drivers whose clock the test controls.
 """
 
+import asyncio
+import threading
 import time
 
 import pytest
@@ -29,6 +33,7 @@ from repro.blobseer.version_manager import (
 )
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import VersionNotReadyError
+from repro.engine.aio import AsyncioEngine
 from repro.obs import NULL_OBS
 from repro.sim.core import Environment
 
@@ -164,6 +169,9 @@ class CoreDriver:
     def abandon(self, v):
         self.core.abandon(self.blob, v, self.now)
 
+    def close(self):
+        pass
+
 
 class _RecordingEnvironment(Environment):
     """Notes the fire time of every bare callback scheduled on it."""
@@ -240,6 +248,79 @@ class ThreadedDriver:
         with pytest.raises(VersionNotReadyError):
             self.vm.wait_metadata_turn(self.blob, v, timeout=0.001)
 
+    def close(self):
+        pass
+
+
+def _one_op(engine, kind, method, *args):
+    """Coroutine: one ``engine.call``/``engine.wait`` op on the ``vm``
+    endpoint, through the asyncio engine's trampoline."""
+
+    def gen():
+        return (yield getattr(engine, kind)("vm", method, *args))
+
+    return engine.run(gen())
+
+
+class AioDriver(ThreadedDriver):
+    """The same binding behind the asyncio engine, on a real loop: every
+    step is an engine op, and every appender assigned is a task parked
+    in the engine's loop-native wait for its metadata turn (it dies the
+    moment it gets it). Between steps only the loop runs, so the dead
+    heads in a chain are aborted by the timers of the waiters parked
+    behind them."""
+
+    def __init__(self, lease):
+        super().__init__(lease)
+        self.engine = AsyncioEngine()
+        self.engine.bind("vm", self.vm)
+        self.loop = asyncio.new_event_loop()
+        self.parked = {}
+
+    def _call(self, method, *args):
+        return self.loop.run_until_complete(
+            _one_op(self.engine, "call", method, *args)
+        )
+
+    def at(self, t):
+        delay = max(0.0, self.t0 + t * self.UNIT - time.monotonic())
+        self.loop.run_until_complete(asyncio.sleep(delay))
+        self._call("latest_published", self.blob)
+
+    def assign(self):
+        version = self._call("assign_append", self.blob, 10).version
+        self.parked[version] = self.loop.create_task(
+            _one_op(self.engine, "wait", "metadata_turn", self.blob, version)
+        )
+
+    def commit(self, v):
+        self._call("commit", self.blob, v, _root(v))
+
+    def ready(self, v):
+        self._call("commit_ready", self.blob, v, {})
+
+    def abandon(self, v):
+        self.parked.pop(v).cancel()  # one waiter per version
+        with pytest.raises(VersionNotReadyError):
+            self.loop.run_until_complete(
+                _one_op(self.engine, "wait", "metadata_turn", self.blob, v, 0.001)
+            )
+
+    def close(self):
+        for task in self.parked.values():
+            task.cancel()
+        self.loop.run_until_complete(
+            asyncio.gather(*self.parked.values(), return_exceptions=True)
+        )
+        assert _live_timers(self.loop) == []
+        self.loop.close()
+
+
+def _live_timers(loop):
+    """Timer handles still scheduled on *loop* (a private list: there is
+    no public way to ask a loop what it has been told to do later)."""
+    return [h for h in loop._scheduled if not h.cancelled()]
+
 
 def _state(record):
     if record.aborted:
@@ -247,7 +328,9 @@ def _state(record):
     return "committed" if record.committed else "open"
 
 
-@pytest.mark.parametrize("driver_cls", [CoreDriver, ThreadedDriver, SimDriver])
+@pytest.mark.parametrize(
+    "driver_cls", [CoreDriver, ThreadedDriver, SimDriver, AioDriver]
+)
 @pytest.mark.parametrize("case", CASES)
 def test_lease_rule(case, driver_cls):
     spec = CASES[case]
@@ -262,3 +345,129 @@ def test_lease_rule(case, driver_cls):
             getattr(driver, op)(*args)
     if driver.exact:
         assert list(driver.starts) == spec["starts"]
+    driver.close()
+
+
+# -- the loop-native wait itself ----------------------------------------------
+
+
+class TestLoopNativeWait:
+    """What ``AsyncioEngine.wait`` adds to the shared rules: it parks on
+    the loop, not on a thread, and leaves nothing behind."""
+
+    def setup_method(self):
+        self.engine = AsyncioEngine()
+
+    def bind(self, **config):
+        vm = ThreadedVersionManager(config=BlobSeerConfig(**config))
+        self.engine.bind("vm", vm)
+        return vm, vm.create_blob(64)
+
+    def turn(self, blob, version, *timeout):
+        return _one_op(
+            self.engine, "wait", "metadata_turn", blob, version, *timeout
+        )
+
+    def test_decided_wait_never_suspends_and_needs_no_loop(self):
+        vm, blob = self.bind()
+        vm.assign_append(blob, 10)
+        coro = self.turn(blob, 1)
+        # driven by hand, outside any loop: it finishes in one step
+        with pytest.raises(StopIteration) as done:
+            coro.send(None)
+        assert done.value.value == (None, 0)
+
+    def test_blocked_waiter_expires_the_dead_head_itself(self):
+        vm, blob = self.bind(append_lease_s=0.05)
+        vm.assign_append(blob, 10)  # v1 dies
+        vm.assign_append(blob, 10)
+
+        async def main():
+            t0 = time.monotonic()
+            assert await self.turn(blob, 2) == (None, 0)
+            assert 0.04 <= time.monotonic() - t0 < 2.0
+            return _live_timers(asyncio.get_running_loop())
+
+        assert asyncio.run(main()) == []
+        assert vm.get_version(blob, 1).aborted
+
+    def test_timeout_abandons_the_version_and_unwedges_its_successor(self):
+        vm, blob = self.bind(append_lease_s=0)  # isolate the timeout path
+        for _ in range(3):
+            vm.assign_append(blob, 10)
+
+        async def main():
+            with pytest.raises(VersionNotReadyError):
+                await self.turn(blob, 2, 0.05)
+            vm.commit(blob, 1, _root(1))
+            # v2 aborted itself when v1 resolved; v3's turn is up
+            assert (await self.turn(blob, 3))[0] == _root(1)
+            return _live_timers(asyncio.get_running_loop())
+
+        assert asyncio.run(main()) == []
+        assert vm.get_version(blob, 2).aborted
+
+    def test_commit_from_a_foreign_thread_resolves_a_pending_wait(self):
+        vm, blob = self.bind()
+        vm.assign_append(blob, 10)
+        vm.assign_append(blob, 10)
+
+        async def main():
+            waiter = asyncio.ensure_future(self.turn(blob, 2))
+            await asyncio.sleep(0.02)
+            assert not waiter.done() and vm.core.commit_queue_length == 1
+            committer = threading.Thread(
+                target=vm.commit, args=(blob, 1, _root(1))
+            )
+            committer.start()
+            prereq = await asyncio.wait_for(waiter, 5)
+            committer.join(5)
+            assert not committer.is_alive()
+            return prereq, _live_timers(asyncio.get_running_loop())
+
+        prereq, timers = asyncio.run(main())
+        assert prereq[0] == _root(1)
+        assert timers == []
+
+    def test_commit_on_the_loop_resolves_a_pending_wait(self):
+        vm, blob = self.bind()
+        vm.assign_append(blob, 10)
+        vm.assign_append(blob, 10)
+
+        async def main():
+            waiter = asyncio.ensure_future(self.turn(blob, 2))
+            await asyncio.sleep(0)
+            assert not waiter.done()
+            vm.commit(blob, 1, _root(1))
+            return await asyncio.wait_for(waiter, 5)
+
+        assert asyncio.run(main())[0] == _root(1)
+
+    def test_cancelled_wait_leaves_no_timer_and_tolerates_a_late_grant(self):
+        vm, blob = self.bind()
+        vm.assign_append(blob, 10)
+        vm.assign_append(blob, 10)
+
+        async def main():
+            waiter = asyncio.ensure_future(self.turn(blob, 2))
+            await asyncio.sleep(0)
+            waiter.cancel()
+            await asyncio.gather(waiter, return_exceptions=True)
+            vm.commit(blob, 1, _root(1))  # grants a turn nobody waits for
+            return _live_timers(asyncio.get_running_loop())
+
+        assert asyncio.run(main()) == []
+
+    def test_endpoint_value_that_is_awaitable_is_returned_not_awaited(self):
+        class Endpoint:
+            def peek(self):
+                return asyncio.sleep(3600)
+
+        self.engine.bind("x", Endpoint())
+
+        def gen():
+            return (yield self.engine.call("x", "peek"))
+
+        value = asyncio.run(self.engine.run(gen()))
+        assert asyncio.iscoroutine(value)
+        value.close()

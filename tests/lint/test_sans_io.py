@@ -167,3 +167,53 @@ def test_core_lint_catches_a_clock_read():
         "        return time.monotonic()\n"
     )
     assert _core_runtime_references(poisoned) == ["line 3: time"]
+
+
+#: the serving path owns no thread: blocking waits are loop futures fed
+#: by the version-manager core's callbacks, never executor jobs
+LOOP_ONLY_DIRS = [SRC / "engine", SRC / "server"]
+EXECUTOR_NAMES = {"ThreadPoolExecutor", "run_in_executor"}
+
+
+def _executor_references(source: str):
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            continue
+        found.extend(
+            f"line {node.lineno}: {name}" for name in names if name in EXECUTOR_NAMES
+        )
+    return found
+
+
+def test_engines_and_server_ship_nothing_to_an_executor():
+    offenders = [
+        f"{path.relative_to(SRC)} {ref}"
+        for root in LOOP_ONLY_DIRS
+        for path in sorted(root.rglob("*.py"))
+        for ref in _executor_references(path.read_text())
+    ]
+    assert not offenders, (
+        "waits on the serving path stay on the event loop:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_executor_lint_catches_a_wait_pool():
+    poisoned = (
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "pool = ThreadPoolExecutor(4)\n"
+        "def wait(loop, fn):\n"
+        "    return loop.run_in_executor(pool, fn)\n"
+    )
+    assert _executor_references(poisoned) == [
+        "line 1: ThreadPoolExecutor",
+        "line 2: ThreadPoolExecutor",
+        "line 4: run_in_executor",
+    ]
