@@ -1,12 +1,15 @@
 """Perf smoke test — the CI gate on simulator throughput.
 
-Runs a reduced sweep through the bench harness for every figure listed
-in the committed baseline (Figure 3, the concurrent-append tentpole
-workload; Figure 6, the data-join shuffle whose same-instant flow
-churn the coalesced reallocation batches; and Figure 8, the open-loop
-scale sweep) and fails if simulated events/sec regresses more than 30%
-against the committed floor, or if the incremental allocator stops
-beating the reference one outright. The kernel microbench scenarios
+Runs a reduced sweep through :func:`~repro.experiments.bench.bench_figure`
+for every figure listed in the committed baseline (Figure 3, the
+concurrent-append tentpole workload; Figure 6, the data-join shuffle
+whose same-instant flow churn the coalesced reallocation batches; and
+Figure 8, the open-loop scale sweep) and fails if simulated events/sec
+regresses more than 30% against the committed floor, if the number of
+kernel events a figure dispatches differs from the pinned count (the
+simulation changed — fig3-fig7 are pinned in tier-1 too, fig8 only
+here), or if the incremental allocator stops beating the reference one
+outright. The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
@@ -25,7 +28,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.bench import bench_figure, run_bench, to_json_dict
+from repro.experiments.bench import bench_figure
 
 BASELINE_PATH = pathlib.Path(__file__).with_name("baseline.json")
 
@@ -50,7 +53,13 @@ def test_events_per_s_vs_baseline(baseline, figure):
         scale=baseline["scale"],
         repeats=2,
     )
-    assert fb.sim_events > 0 and fb.reallocs > 0, "instruments not wired"
+    assert fb.reallocs > 0, "instruments not wired"
+    pinned = baseline["figures"][figure]["sim_events"]
+    assert fb.sim_events == pinned, (
+        f"{figure} dispatched {fb.sim_events:,} kernel events at "
+        f"{baseline['scale']} scale, pinned {pinned:,}: the simulation "
+        f"changed (a host-speed change never moves this count)"
+    )
     floor = REGRESSION_FLOOR * baseline["figures"][figure]["events_per_s"]
     assert fb.events_per_s >= floor, (
         f"{figure} simulator throughput regressed: "
@@ -127,9 +136,9 @@ def test_coalescing_counters_wired(baseline):
 
 
 def test_incremental_beats_reference():
-    runs = run_bench(["fig3"], scale="quick", repeats=2)
-    doc = to_json_dict(runs, scale="quick", repeats=2)
-    speedup = doc["speedup"]["total"]
+    ref = bench_figure("fig3", "reference", scale="quick", repeats=2)
+    inc = bench_figure("fig3", "incremental", scale="quick", repeats=2)
+    speedup = ref.wall_s / inc.wall_s
     assert speedup > 1.0, (
         f"incremental allocator no longer faster than reference "
         f"(speedup {speedup:.2f}x)"

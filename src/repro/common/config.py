@@ -28,8 +28,6 @@ class BlobSeerConfig:
     cache_blocks: int = 2
     #: enable the BSFS client cache (prefetch + write-behind)
     cache_enabled: bool = True
-    #: degree of parallelism when a client stripes one operation's pages
-    client_parallelism: int = 16
     #: append-ticket lease: an assigned-but-uncommitted version is
     #: aborted (published as a hole) once it has sat at the *head* of
     #: the commit queue for this many seconds, so a dead appender cannot
@@ -90,8 +88,6 @@ class BlobSeerConfig:
             raise ValueError("need at least one metadata provider")
         if self.cache_blocks < 1:
             raise ValueError("cache_blocks must be >= 1")
-        if self.client_parallelism < 1:
-            raise ValueError("client_parallelism must be >= 1")
         if self.append_lease_s < 0:
             raise ValueError("append_lease_s must be non-negative")
         if self.metadata_turn_timeout_s <= 0:
@@ -154,8 +150,6 @@ class MapReduceConfig:
     reduce_slots: int = 2
     #: retries before a task is declared failed
     max_task_attempts: int = 4
-    #: sort buffer for the map-side sort, bytes
-    sort_buffer: int = 64 * MiB
     #: use the storage layer's block locations for task placement
     locality_aware: bool = True
     #: modified-framework mode: reducers append to one shared output file
@@ -266,7 +260,6 @@ class ExperimentConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     blobseer: BlobSeerConfig = field(default_factory=BlobSeerConfig)
     hdfs: HDFSConfig = field(default_factory=HDFSConfig)
-    mapreduce: MapReduceConfig = field(default_factory=MapReduceConfig)
     #: repetitions per data point (the paper runs each test 5 times)
     repetitions: int = 5
 
@@ -274,6 +267,5 @@ class ExperimentConfig:
         self.cluster.validate()
         self.blobseer.validate()
         self.hdfs.validate()
-        self.mapreduce.validate()
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")

@@ -47,15 +47,10 @@ class AsyncioEngine(ThreadedEngine):
 
     Wiring, fault state, the clock and every op that is a plain inline
     thunk (``call``, ``store``, ``fetch``, ``charge_md``...) are the
-    threaded engine's; only the scheduling policy differs: ``sleep``,
-    ``spawn`` and ``wait`` ops are *awaitable* — their ``fn`` returns a
+    threaded engine's; only the scheduling policy differs: ``sleep``
+    and ``wait`` ops are *awaitable* — their ``fn`` returns a
     coroutine that the async trampoline awaits.
     """
-
-    def close(self) -> None:
-        """Nothing to release — the engine owns no thread, pool or
-        timer. Harnesses written against the wait-pool engine still
-        call it."""
 
     def _spanned_awaitable(
         self, op: _Op, name: str, cat: str, **args: Any
@@ -87,11 +82,6 @@ class AsyncioEngine(ThreadedEngine):
                 op, "engine.sleep", "engine.retry", dt=dt
             )
         return op
-
-    def spawn(self, gen: Generator) -> _Op:
-        # the sub-generator runs to completion in this task, not
-        # concurrently with its parent, as under the threaded engine
-        return _Op(lambda: self.run(gen), awaitable=True)
 
     async def run(self, gen: Generator) -> Any:
         """The async trampoline: drive *gen* to completion in this task."""

@@ -124,11 +124,6 @@ class Engine(abc.ABC):
         caller then waits for the process event inside the simulation).
         """
 
-    @abc.abstractmethod
-    def spawn(self, gen) -> Any:
-        """Op: run a protocol sub-generator (concurrently where the
-        runtime supports it, inline where it does not)."""
-
     # -- control plane ------------------------------------------------------
 
     @abc.abstractmethod

@@ -174,9 +174,6 @@ class DesEngine(Engine):
             return self._spanned(ev, "engine.sleep", "engine.retry", dt=dt)
         return ev
 
-    def spawn(self, gen: Generator) -> Event:
-        return self.env.process(gen)
-
     def run(self, gen: Generator) -> Event:
         """Wrap a protocol generator in a kernel process (its event)."""
         return self.env.process(gen)

@@ -62,9 +62,6 @@ class RecordingEngine(Engine):
         self.trace.append(("sleep",))
         return self.inner.sleep(dt)
 
-    def spawn(self, gen: Generator) -> Any:
-        return self.inner.spawn(gen)
-
     def run(self, gen: Generator) -> Any:
         return self.inner.run(gen)
 

@@ -148,11 +148,6 @@ class ThreadedEngine(Engine):
             return self._spanned(op, "engine.sleep", "engine.retry", dt=dt)
         return op
 
-    def spawn(self, gen: Generator) -> _Op:
-        # no scheduler to hand off to: the sub-generator runs to
-        # completion when the op resolves
-        return _Op(lambda: self.run(gen))
-
     def run(self, gen: Generator) -> Any:
         """The trampoline: drive *gen* to completion in this thread."""
         try:

@@ -1,51 +1,48 @@
-"""Wall-clock perf harness — the repo's benchmark trajectory.
+"""Wall-clock timing primitives for the perf floors.
 
 Simulator wall-clock time is the binding constraint on scaling the
 paper's sweeps (every figure is regenerated by the flow-level DES), so
-this module measures it the same way every time: each figure runs under
-a metrics-only :class:`~repro.obs.Observability` (tracing off,
-histograms capped by a sampling reservoir so long sweeps stay bounded)
-once per allocator, and the kernel/network instruments recorded by
-:func:`~repro.experiments.deploy.record_sim_counters` are read back out
-alongside the wall time.
+this module measures it the same way every time: :func:`bench_figure`
+runs one figure under a metrics-only :class:`~repro.obs.Observability`
+(tracing off, histograms capped by a sampling reservoir so long sweeps
+stay bounded) and reads the kernel/network instruments recorded by
+:func:`~repro.experiments.deploy.record_sim_counters` back out
+alongside the wall time; :func:`best_of` is the one best-of-N rule it
+shares with :mod:`.kernelbench` and :mod:`.mdbench`.
 
-Results serialize to ``BENCH_sim.json`` (see :func:`to_json_dict` for
-the schema). Wall times are the best of ``repeats`` runs — the minimum
-is the standard estimator for "how fast can this go", since background
-load only ever adds time. The simulated outputs are deterministic, so
-the instrument counters are identical across repeats.
-
-Entry points: ``repro-fig <figure> --bench-out BENCH_sim.json`` and the
-perf-smoke pytest in ``benchmarks/perf/``.
+Nothing here writes a document. The floors in ``benchmarks/perf/`` call
+these functions and compare against ``baseline.json``; end-to-end and
+per-layer numbers belong to the repo benchmark (``BENCHMARK.json`` +
+``benchmarks/e2e/``). The simulated outputs are deterministic, so the
+instrument counters are identical across repeats — which is why
+``sim_events`` can be pinned exactly.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, TypeVar
 
 from ..common.config import ExperimentConfig
 from ..obs import Observability
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .kernelbench import KernelBenchResult
-    from .loadtest import LoadTestResult
-    from .mdbench import MdBenchResult
-
-#: figures the default bench run covers (DES-driven ones; the
-#: ``filecount`` table exercises the threaded runtime instead).
-#: ``fig7`` (chaos) is measured but NOT gated by the perf baseline —
-#: failure runs are dominated by injected timeouts, not kernel speed.
-DEFAULT_FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
-
 #: reservoir cap applied to bench-run histograms — bounds memory on
 #: arbitrarily long sweeps at a ~3% percentile tolerance
 BENCH_HIST_MAX_SAMPLES = 4096
 
-SCHEMA = "repro-bench-sim/v6"
+R = TypeVar("R")
+
+
+def best_of(run: Callable[[], R], repeats: int) -> R:
+    """The fastest of *repeats* calls of *run*, by the result's
+    ``wall_s`` — the minimum is the standard estimator for "how fast can
+    this go", since background load only ever adds time."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    return min((run() for _ in range(repeats)), key=lambda res: res.wall_s)
 
 
 @dataclass(slots=True)
@@ -65,50 +62,6 @@ class FigureBench:
     #: win is ``coalesced_changes / flushes`` changes per reallocation
     coalesced_changes: int = 0
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "wall_s": self.wall_s,
-            "sim_events": self.sim_events,
-            "events_per_s": self.events_per_s,
-            "reallocs": self.reallocs,
-            "realloc_full": self.realloc_full,
-            "realloc_scope_mean": self.realloc_scope_mean,
-            "flushes": self.flushes,
-            "coalesced_changes": self.coalesced_changes,
-        }
-
-
-@dataclass(slots=True)
-class BenchRun:
-    """All measured figures under one allocator."""
-
-    allocator: str
-    figures: Dict[str, FigureBench] = field(default_factory=dict)
-
-    @property
-    def total_wall_s(self) -> float:
-        return sum(f.wall_s for f in self.figures.values())
-
-    @property
-    def total_events(self) -> int:
-        return sum(f.sim_events for f in self.figures.values())
-
-    @property
-    def total_events_per_s(self) -> float:
-        wall = self.total_wall_s
-        return self.total_events / wall if wall > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "allocator": self.allocator,
-            "figures": {n: f.to_dict() for n, f in self.figures.items()},
-            "totals": {
-                "wall_s": self.total_wall_s,
-                "sim_events": self.total_events,
-                "events_per_s": self.total_events_per_s,
-            },
-        }
-
 
 def _bench_obs() -> Observability:
     """Metrics-only observability with bounded histograms."""
@@ -127,167 +80,38 @@ def bench_figure(
     repeats: int = 3,
     config: Optional[ExperimentConfig] = None,
 ) -> FigureBench:
-    """Measure one figure under one allocator; best wall time of *repeats*."""
-    from dataclasses import replace
+    """Measure one figure under one allocator; best wall time of *repeats*.
 
+    *config* is run as given except for ``cluster.allocator``.
+    """
     from .figures import ALL_FIGURES
 
     if figure not in ALL_FIGURES or figure == "filecount":
         raise ValueError(f"not a DES-driven figure: {figure!r}")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     fn = ALL_FIGURES[figure]
-    best_wall = float("inf")
-    obs: Optional[Observability] = None
-    for _ in range(repeats):
-        run_obs = _bench_obs()
-        base = config if config is not None else ExperimentConfig(repetitions=1)
-        cfg = ExperimentConfig(
-            cluster=replace(base.cluster, allocator=allocator),
-            blobseer=base.blobseer,
-            hdfs=base.hdfs,
-            mapreduce=base.mapreduce,
-            repetitions=base.repetitions,
-        )
+    base = config if config is not None else ExperimentConfig(repetitions=1)
+    cfg = replace(base, cluster=replace(base.cluster, allocator=allocator))
+
+    def run_once() -> FigureBench:
+        obs = _bench_obs()
         t0 = time.perf_counter()
-        fn(scale=scale, config=cfg, obs=run_obs)
+        fn(scale=scale, config=cfg, obs=obs)
         wall = time.perf_counter() - t0
-        if wall < best_wall:
-            best_wall = wall
-            obs = run_obs
-    assert obs is not None
-    reg = obs.registry
-    sim_events = int(reg.value("sim.kernel.events"))
-    scope = reg.histogram("sim.net.realloc_scope")
-    return FigureBench(
-        figure=figure,
-        wall_s=best_wall,
-        sim_events=sim_events,
-        events_per_s=sim_events / best_wall if best_wall > 0 else 0.0,
-        reallocs=int(reg.value("sim.net.reallocs")),
-        realloc_full=int(reg.value("sim.net.realloc_full")),
-        # a run with zero reallocations has no scope samples; report 0.0
-        # rather than a NaN that poisons the JSON document
-        realloc_scope_mean=scope.mean if scope.count else 0.0,
-        flushes=int(reg.value("sim.net.flushes")),
-        coalesced_changes=int(reg.value("sim.net.coalesced_changes")),
-    )
+        reg = obs.registry
+        sim_events = int(reg.value("sim.kernel.events"))
+        scope = reg.histogram("sim.net.realloc_scope")
+        return FigureBench(
+            figure=figure,
+            wall_s=wall,
+            sim_events=sim_events,
+            events_per_s=sim_events / wall if wall > 0 else 0.0,
+            reallocs=int(reg.value("sim.net.reallocs")),
+            realloc_full=int(reg.value("sim.net.realloc_full")),
+            # a run with zero reallocations has no scope samples: 0.0,
+            # not the NaN an empty mean would be
+            realloc_scope_mean=scope.mean if scope.count else 0.0,
+            flushes=int(reg.value("sim.net.flushes")),
+            coalesced_changes=int(reg.value("sim.net.coalesced_changes")),
+        )
 
-
-def run_bench(
-    figures: Sequence[str] = DEFAULT_FIGURES,
-    allocators: Sequence[str] = ("reference", "incremental"),
-    scale: str = "quick",
-    repeats: int = 3,
-    config: Optional[ExperimentConfig] = None,
-) -> List[BenchRun]:
-    """Measure *figures* under each allocator (reference first = before,
-    incremental = after)."""
-    runs: List[BenchRun] = []
-    for allocator in allocators:
-        run = BenchRun(allocator=allocator)
-        for figure in figures:
-            run.figures[figure] = bench_figure(
-                figure, allocator, scale=scale, repeats=repeats, config=config
-            )
-        runs.append(run)
-    return runs
-
-
-def to_json_dict(
-    runs: Sequence[BenchRun],
-    scale: str,
-    repeats: int,
-    kernel: Optional[Sequence["KernelBenchResult"]] = None,
-    metadata: Optional[Sequence["MdBenchResult"]] = None,
-    http_loadtest: Optional["LoadTestResult"] = None,
-    policy_matrix: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The ``BENCH_sim.json`` document.
-
-    Schema (``repro-bench-sim/v6``; v2 added the per-figure ``flushes``
-    and ``coalesced_changes`` coalescing counters, v3 the
-    ``kernel_microbench`` section — raw kernel dispatch throughput with
-    no workload attached, see :mod:`.kernelbench` — v4 the
-    ``metadata_microbench`` section: in-process segment-tree algebra
-    throughput, see :mod:`.mdbench` — v5 the ``http_loadtest``
-    section: real-socket serving-path goodput and append-latency
-    percentiles from :mod:`.loadtest`, the one wall-clock section that
-    exercises the asyncio engine instead of the DES — and v6 the
-    ``policy_matrix`` section: the {placement} x {read-policy} x
-    {workload} grid plus a cross-engine smoke, see
-    :mod:`.policybench`)::
-
-        {
-          "schema": "repro-bench-sim/v6",
-          "scale": "quick" | "paper",
-          "repeats": <best-of count>,
-          "runs": [
-            {"allocator": "reference" | "incremental",
-             "figures": {"fig3": {"wall_s", "sim_events", "events_per_s",
-                                  "reallocs", "realloc_full",
-                                  "realloc_scope_mean", "flushes",
-                                  "coalesced_changes"}, ...},
-             "totals": {"wall_s", "sim_events", "events_per_s"}},
-            ...
-          ],
-          "speedup": {"fig3": <ref wall / inc wall>, ..., "total": ...},
-          "kernel_microbench": {
-            "ring": {"events", "wall_s", "events_per_s"}, ...
-          },
-          "metadata_microbench": {
-            "build": {"ops", "wall_s", "ops_per_s", "node_ops"}, ...
-          },
-          "http_loadtest": {
-            "clients", "duration_s", "op_bytes", "n_files",
-            "completed", "failed", "goodput_ops_s",
-            "latency_s": {"p50", "p95", "p99", "mean", "max"},
-            "bytes_appended", "statuses"
-          },
-          "policy_matrix": {
-            "placement_policies": [...], "read_policies": [...],
-            "cells": [{"placement", "read",
-                       "wordcount": {"ok", "wall_s", "locality",
-                                     "imbalance", "quorum_reads"},
-                       "append": {"ok", "makespan_s", "sim_events",
-                                  "imbalance", "quorum_reads"},
-                       "chaos": {"ok", "replicas_before",
-                                 "replicas_after_crash",
-                                 "replicas_after_repair",
-                                 "rereplications", "quorum_reads"}},
-                      ...],
-            "engines": {"des": {"ok"}, "threaded": {"ok"},
-                        "asyncio": {"ok"}}
-          }
-        }
-
-    Wall times (and therefore events/sec) are machine-relative; the
-    speedup ratios are the portable numbers.
-    """
-    doc: Dict[str, object] = {
-        "schema": SCHEMA,
-        "scale": scale,
-        "repeats": repeats,
-        "runs": [r.to_dict() for r in runs],
-    }
-    if kernel is not None:
-        doc["kernel_microbench"] = {k.scenario: k.to_dict() for k in kernel}
-    if metadata is not None:
-        doc["metadata_microbench"] = {
-            m.scenario: m.to_dict() for m in metadata
-        }
-    if http_loadtest is not None:
-        doc["http_loadtest"] = http_loadtest.to_dict()
-    if policy_matrix is not None:
-        doc["policy_matrix"] = policy_matrix
-    by_alloc = {r.allocator: r for r in runs}
-    ref, inc = by_alloc.get("reference"), by_alloc.get("incremental")
-    if ref is not None and inc is not None:
-        speedup: Dict[str, float] = {}
-        for name in ref.figures:
-            if name in inc.figures and inc.figures[name].wall_s > 0:
-                speedup[name] = ref.figures[name].wall_s / inc.figures[name].wall_s
-        if inc.total_wall_s > 0:
-            speedup["total"] = ref.total_wall_s / inc.total_wall_s
-        doc["speedup"] = speedup
-    return doc
+    return best_of(run_once, repeats)

@@ -26,15 +26,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Generator, List, Optional, Sequence
 
-import numpy as np
-
 from ..common.config import ExperimentConfig
 from ..common.units import MiB
 from ..faults import FaultPlan, schedule_plan, sim_blobseer_injector
 from ..obs import Observability
 from ..sim.core import Event
 from .deploy import deploy_bsfs
-from .microbench import CHUNK, DataPoint, _client_nodes, _rep_config, _run
+from .microbench import CHUNK, DataPoint, _client_nodes, _run, sweep
 
 #: when the first provider crashes (sim seconds into the measured run)
 CRASH_START = 0.05
@@ -46,19 +44,16 @@ CRASH_SPACING = 0.1
 CHAOS_LEASE_S = 2.0
 
 
-def _chaos_config(config: ExperimentConfig, rep: int) -> ExperimentConfig:
-    """Per-repetition config hardened for failures (see module notes)."""
-    base = _rep_config(config, rep)
-    return ExperimentConfig(
-        cluster=base.cluster,
+def _chaos_config(config: ExperimentConfig) -> ExperimentConfig:
+    """*config* hardened for failures (see module notes): only
+    ``blobseer.replication`` and ``blobseer.append_lease_s`` change."""
+    return replace(
+        config,
         blobseer=replace(
-            base.blobseer,
-            replication=max(2, base.blobseer.replication),
+            config.blobseer,
+            replication=max(2, config.blobseer.replication),
             append_lease_s=CHAOS_LEASE_S,
         ),
-        hdfs=base.hdfs,
-        mapreduce=base.mapreduce,
-        repetitions=base.repetitions,
     )
 
 
@@ -76,65 +71,52 @@ def chaos_appends(
     Reports the surviving appenders' average throughput — the failure
     tax shows up as the gap to Figure 3 at the same x.
     """
-    points: List[DataPoint] = []
-    for n in appender_counts:
+
+    def run_one(n: int, cfg: ExperimentConfig) -> float:
         if n <= appender_crashes:
             raise ValueError(
                 f"{n} appenders with {appender_crashes} crashes leaves "
                 "no survivors to measure"
             )
-        samples: List[float] = []
-        for rep in range(config.repetitions):
-            dep = deploy_bsfs(_chaos_config(config, rep), obs=obs)
-            bsfs = dep.bsfs
-            blobseer = bsfs.blobseer
-            env = dep.cluster.env
-            path = "/bench/shared"
-            env.run(env.process(bsfs.create_proc(dep.client_nodes[0], path)))
-            blob_id = bsfs.namespace.get(path).blob_id
+        dep = deploy_bsfs(_chaos_config(cfg), obs=obs)
+        bsfs = dep.bsfs
+        blobseer = bsfs.blobseer
+        env = dep.cluster.env
+        path = "/bench/shared"
+        env.run(env.process(bsfs.create_proc(dep.client_nodes[0], path)))
+        blob_id = bsfs.namespace.get(path).blob_id
 
-            providers = blobseer.roles.data_providers
-            k = min(provider_crashes, len(providers) - 2)
-            plan = FaultPlan()
-            for i in range(k):
-                plan.crash(
-                    "provider", providers[i], at=CRASH_START + CRASH_SPACING * i
-                )
-            schedule_plan(env, plan, sim_blobseer_injector(blobseer, obs))
-
-            clients = _client_nodes(dep, n)
-            # the doomed appenders sit mid-pack so live appenders queue
-            # both before and behind their wedged versions
-            doomed_idx = set(
-                range(n // 2, n // 2 + appender_crashes)
+        providers = blobseer.roles.data_providers
+        k = min(provider_crashes, len(providers) - 2)
+        plan = FaultPlan()
+        for i in range(k):
+            plan.crash(
+                "provider", providers[i], at=CRASH_START + CRASH_SPACING * i
             )
+        schedule_plan(env, plan, sim_blobseer_injector(blobseer, obs))
 
-            def survivor(client: str) -> Generator[Event, None, None]:
-                yield from bsfs.append_proc(client, path, CHUNK)
+        clients = _client_nodes(dep, n)
+        # the doomed appenders sit mid-pack so live appenders queue
+        # both before and behind their wedged versions
+        doomed_idx = set(range(n // 2, n // 2 + appender_crashes))
 
-            def doomed(client: str) -> Generator[Event, None, None]:
-                # take the append ticket, then die: no pages, no commit.
-                # The lease must abort this version or everyone behind
-                # it deadlocks.
-                yield blobseer.engine.call("vm", "assign_append", blob_id, CHUNK)
+        def survivor(client: str) -> Generator[Event, None, None]:
+            yield from bsfs.append_proc(client, path, CHUNK)
 
-            procs = [
-                env.process(
-                    doomed(c) if i in doomed_idx else survivor(c),
-                    name=f"{'doomed' if i in doomed_idx else 'app'}-{i}",
-                )
-                for i, c in enumerate(clients)
-            ]
-            _run(dep, procs, obs=obs)
-            samples.append(
-                bsfs.metrics.average_client_throughput("append") / MiB
+        def doomed(client: str) -> Generator[Event, None, None]:
+            # take the append ticket, then die: no pages, no commit.
+            # The lease must abort this version or everyone behind
+            # it deadlocks.
+            yield blobseer.engine.call("vm", "assign_append", blob_id, CHUNK)
+
+        procs = [
+            env.process(
+                doomed(c) if i in doomed_idx else survivor(c),
+                name=f"{'doomed' if i in doomed_idx else 'app'}-{i}",
             )
-        points.append(
-            DataPoint(
-                x=n,
-                mean_mbps=float(np.mean(samples)),
-                std_mbps=float(np.std(samples)),
-                samples=samples,
-            )
-        )
-    return points
+            for i, c in enumerate(clients)
+        ]
+        _run(dep, procs, obs=obs)
+        return bsfs.metrics.average_client_throughput("append") / MiB
+
+    return sweep(appender_counts, config, run_one)

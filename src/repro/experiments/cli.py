@@ -15,6 +15,7 @@ import os
 import sys
 from typing import List, Optional
 
+from ..common.config import ExperimentConfig
 from ..obs import (
     Observability,
     text_summary,
@@ -33,10 +34,10 @@ def _suffixed(path: str, name: str, multi: bool) -> str:
 
 
 def main(argv: List[str] | None = None) -> int:
-    """Entry point: argument errors (bad figure names) exit 2 through
-    argparse's usage message, and Ctrl-C exits 130 with a one-line
-    notice — a long figure run interrupted at the terminal must never
-    splash a raw ``KeyboardInterrupt`` traceback."""
+    """Entry point: argument errors (bad figure names, ``--reps 0``)
+    exit 2 through argparse's usage message, and Ctrl-C exits 130 with
+    a one-line notice — a long figure run interrupted at the terminal
+    must never splash a raw ``KeyboardInterrupt`` traceback."""
     try:
         return _main(argv)
     except KeyboardInterrupt:
@@ -115,34 +116,6 @@ def _main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--allocator",
-        choices=["incremental", "reference"],
-        default=None,
-        help=(
-            "override the network rate allocator (default: the config's, "
-            "i.e. incremental); 'reference' is the O(flows) full-recompute "
-            "oracle kept for differential testing"
-        ),
-    )
-    parser.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "benchmark mode: instead of printing figures, time the "
-            "selected DES figures under BOTH allocators and write "
-            "BENCH_sim.json (wall time, simulated events/sec, realloc "
-            "counts, speedups) to PATH"
-        ),
-    )
-    parser.add_argument(
-        "--bench-repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="benchmark mode: wall time is the best of N runs (default: 3)",
-    )
-    parser.add_argument(
         "--profile",
         metavar="PATH",
         default=None,
@@ -155,28 +128,10 @@ def _main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     config = None
-    if args.reps is not None or args.allocator is not None:
-        from dataclasses import replace
-
-        from ..common.config import ExperimentConfig
-
-        config = ExperimentConfig()
-        if args.reps is not None:
-            config.repetitions = args.reps
-        elif args.scale == "quick":
-            config.repetitions = 1
-        if args.allocator is not None:
-            config.cluster = replace(config.cluster, allocator=args.allocator)
-
-    if args.bench_out is not None:
-        if args.profile is not None:
-            print(
-                "--profile distorts wall times; run it without "
-                "--bench-out",
-                file=sys.stderr,
-            )
-            return 2
-        return _bench_main(args, config)
+    if args.reps is not None:
+        if args.reps < 1:
+            parser.error("--reps must be >= 1")
+        config = ExperimentConfig(repetitions=args.reps)
 
     names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
     observe = (
@@ -238,83 +193,6 @@ def _main(argv: List[str] | None = None) -> int:
         with open(args.json, "w") as fp:
             json.dump([r.to_dict() for r in results], fp, indent=2)
         print(f"wrote {args.json}")
-    return 0
-
-
-def _bench_main(args, config) -> int:
-    """``--bench-out``: time figures under both allocators, write JSON."""
-    from .bench import DEFAULT_FIGURES, run_bench, to_json_dict
-    from .kernelbench import run_kernel_bench
-    from .mdbench import run_metadata_bench
-
-    if args.figure == "all":
-        figures = list(DEFAULT_FIGURES)
-    elif args.figure == "filecount":
-        print("filecount exercises the threaded runtime, not the DES; "
-              "nothing to benchmark", file=sys.stderr)
-        return 2
-    else:
-        figures = [args.figure]
-    runs = run_bench(
-        figures,
-        scale=args.scale,
-        repeats=args.bench_repeats,
-        config=config,
-    )
-    kernel = run_kernel_bench(repeats=args.bench_repeats)
-    metadata = run_metadata_bench(repeats=args.bench_repeats)
-    from .loadtest import run_loadtest
-
-    http_loadtest = run_loadtest(
-        clients=50 if args.scale == "quick" else 200,
-        duration_s=3.0 if args.scale == "quick" else 10.0,
-    )
-    from .policybench import matrix_text, run_policy_matrix
-
-    policy_matrix = run_policy_matrix(scale=args.scale)
-    doc = to_json_dict(
-        runs,
-        scale=args.scale,
-        repeats=args.bench_repeats,
-        kernel=kernel,
-        metadata=metadata,
-        http_loadtest=http_loadtest,
-        policy_matrix=policy_matrix,
-    )
-    with open(args.bench_out, "w") as fp:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
-    print("[kernel microbench]")
-    for kb in kernel:
-        print(
-            f"  {kb.scenario}: {kb.events} events in {kb.wall_s:.3f}s "
-            f"({kb.events_per_s:,.0f}/s)"
-        )
-    print("[metadata microbench]")
-    for mb in metadata:
-        print(
-            f"  {mb.scenario}: {mb.ops} ops in {mb.wall_s:.3f}s "
-            f"({mb.ops_per_s:,.0f}/s, {mb.node_ops} node ops)"
-        )
-    print("[http loadtest]")
-    print("  " + http_loadtest.to_text().replace("\n", "\n  "))
-    print("[policy matrix]")
-    print("  " + matrix_text(policy_matrix).replace("\n", "\n  "))
-    for run in runs:
-        print(f"[{run.allocator}]")
-        for name, fb in run.figures.items():
-            print(
-                f"  {name}: {fb.wall_s:.3f}s wall, {fb.sim_events} sim "
-                f"events ({fb.events_per_s:,.0f}/s), {fb.reallocs} reallocs"
-            )
-        print(
-            f"  total: {run.total_wall_s:.3f}s, "
-            f"{run.total_events_per_s:,.0f} events/s"
-        )
-    speedup = doc.get("speedup", {})
-    if "total" in speedup:
-        print(f"speedup (reference/incremental wall): {speedup['total']:.2f}x")
-    print(f"wrote {args.bench_out}")
     return 0
 
 

@@ -20,15 +20,17 @@ from .report import FigureResult, Series
 
 
 def _config(scale: str, config: Optional[ExperimentConfig]) -> ExperimentConfig:
-    if config is not None:
-        config.validate()
-        return config
-    cfg = ExperimentConfig()
-    if scale == "quick":
-        cfg.repetitions = 1
-    elif scale != "paper":
+    """The run's config: the caller's, or the scale's default. *scale*
+    also picks every figure's sweep, so it is checked on both paths."""
+    if scale not in ("paper", "quick"):
         raise ValueError(f"unknown scale {scale!r} (use 'paper' or 'quick')")
-    return cfg
+    if config is None:
+        config = ExperimentConfig()
+        if scale == "quick":
+            config.repetitions = 1
+    else:
+        config.validate()
+    return config
 
 
 def _sweep(scale: str, paper: Sequence[int], quick: Sequence[int]) -> List[int]:

@@ -17,17 +17,17 @@ no-op entries. Four scenarios cover the queue's tiers:
 * ``mixed`` — all three running concurrently in one environment; the
   headline kernel number.
 
-Results ride along in ``BENCH_sim.json`` (schema v3) under
-``kernel_microbench`` and are gated by the perf-smoke baseline.
+The perf-smoke floors (``benchmarks/perf/``) call :func:`bench_kernel`
+per scenario and gate it against ``baseline.json``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 from ..sim.core import Environment, Event
+from .bench import best_of
 
 #: queue entries dispatched per scenario run (wall ~0.1-0.5 s each)
 DEFAULT_EVENTS = 300_000
@@ -51,13 +51,6 @@ class KernelBenchResult:
     events: int
     wall_s: float
     events_per_s: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "events": self.events,
-            "wall_s": self.wall_s,
-            "events_per_s": self.events_per_s,
-        }
 
 
 def _arm_ring(env: Environment, n: int) -> Event:
@@ -164,21 +157,4 @@ def bench_kernel(
     """Best-of-*repeats* throughput of one scenario (fresh env each)."""
     if n_events < 1:
         raise ValueError("n_events must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best: KernelBenchResult | None = None
-    for _ in range(repeats):
-        res = _run_scenario(scenario, n_events)
-        if best is None or res.wall_s < best.wall_s:
-            best = res
-    assert best is not None
-    return best
-
-
-def run_kernel_bench(
-    scenarios: Sequence[str] = SCENARIOS,
-    n_events: int = DEFAULT_EVENTS,
-    repeats: int = 3,
-) -> List[KernelBenchResult]:
-    """Measure every scenario; returns them in the given order."""
-    return [bench_kernel(s, n_events=n_events, repeats=repeats) for s in scenarios]
+    return best_of(lambda: _run_scenario(scenario, n_events), repeats)

@@ -13,7 +13,7 @@ version manager's serialized assignment is on the measured path.
 
 Run it against an external server (``repro-loadtest --url``) or
 self-served (the default: boots a server on an ephemeral port in this
-process, which is what the CI gate and the benchmark harness use).
+process, which is what the CI gate uses).
 Latencies also land in the registry histogram ``loadtest.append_s``, so
 a shared :class:`~repro.obs.Observability` sees client-side and
 server-side (``http.fs_append_s``) views of the same traffic.
@@ -39,7 +39,7 @@ DEFAULT_N_FILES = 8
 
 @dataclass(slots=True)
 class LoadTestResult:
-    """One load-test run, ready for BENCH_sim.json."""
+    """One load-test run."""
 
     clients: int
     duration_s: float

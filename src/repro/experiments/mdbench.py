@@ -16,8 +16,8 @@ between engine ops — by driving
   the fast path's merged builds (fewer node writes for the same
   history; the ``node_ops`` field makes the saving visible).
 
-Results ride along in ``BENCH_sim.json`` (schema v4) under
-``metadata_microbench`` and are gated by the perf-smoke baseline.
+The perf-smoke floors (``benchmarks/perf/``) call :func:`bench_metadata`
+per scenario and gate it against ``baseline.json``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from ..blobseer.metadata.segment_tree import (
     query_pages,
 )
 from ..blobseer.pages import Fragment, fresh_page_id
+from .bench import best_of
 
 #: appends in the benchmark history (final tree: ~8k pages, depth 13)
 DEFAULT_VERSIONS = 2000
@@ -70,14 +71,6 @@ class MdBenchResult:
     ops_per_s: float
     #: DHT node accesses (gets + puts) the scenario performed
     node_ops: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ops": self.ops,
-            "wall_s": self.wall_s,
-            "ops_per_s": self.ops_per_s,
-            "node_ops": self.node_ops,
-        }
 
 
 def _changes(version: int, pages: range) -> Dict[int, Tuple[Fragment, ...]]:
@@ -170,24 +163,4 @@ def bench_metadata(
     """Best-of-*repeats* throughput of one scenario (fresh DHT each)."""
     if n_versions < 1:
         raise ValueError("n_versions must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best: MdBenchResult | None = None
-    for _ in range(repeats):
-        res = _run_scenario(scenario, n_versions)
-        if best is None or res.wall_s < best.wall_s:
-            best = res
-    assert best is not None
-    return best
-
-
-def run_metadata_bench(
-    scenarios: Sequence[str] = SCENARIOS,
-    n_versions: int = DEFAULT_VERSIONS,
-    repeats: int = 3,
-) -> List[MdBenchResult]:
-    """Measure every scenario; returns them in the given order."""
-    return [
-        bench_metadata(s, n_versions=n_versions, repeats=repeats)
-        for s in scenarios
-    ]
+    return best_of(lambda: _run_scenario(scenario, n_versions), repeats)

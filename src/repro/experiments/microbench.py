@@ -10,11 +10,9 @@ client's total bytes over its own busy span, averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Generator, List, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
 import numpy as np
-
-from typing import Optional
 
 from ..common.config import ExperimentConfig
 from ..common.units import MiB
@@ -37,15 +35,38 @@ class DataPoint:
 
 
 def _rep_config(config: ExperimentConfig, rep: int) -> ExperimentConfig:
-    """A per-repetition copy with an independent seed."""
+    """A per-repetition copy with an independent seed (``cluster.seed``
+    is the only field that differs from *config*)."""
     cluster = replace(config.cluster, seed=config.cluster.seed + 1000 * rep + 1)
-    return ExperimentConfig(
-        cluster=cluster,
-        blobseer=config.blobseer,
-        hdfs=config.hdfs,
-        mapreduce=config.mapreduce,
-        repetitions=config.repetitions,
-    )
+    return replace(config, cluster=cluster)
+
+
+def sweep(
+    xs: Sequence[int],
+    config: ExperimentConfig,
+    run_one: Callable[[int, ExperimentConfig], float],
+) -> List[DataPoint]:
+    """One :class:`DataPoint` per x, aggregated over repetitions.
+
+    ``run_one(x, rep_config)`` builds a fresh deployment from the
+    per-repetition config, runs it and returns one throughput sample in
+    MiB/s; it is called ``config.repetitions`` times per x, in order.
+    """
+    points: List[DataPoint] = []
+    for x in xs:
+        samples = [
+            run_one(x, _rep_config(config, rep))
+            for rep in range(config.repetitions)
+        ]
+        points.append(
+            DataPoint(
+                x=x,
+                mean_mbps=float(np.mean(samples)),
+                std_mbps=float(np.std(samples)),
+                samples=samples,
+            )
+        )
+    return points
 
 
 def _run(
@@ -79,34 +100,24 @@ def concurrent_appends(
 ) -> List[DataPoint]:
     """Figure 3: N concurrent clients each append a 64 MB chunk to the
     same file; report the average append throughput per client."""
-    points: List[DataPoint] = []
-    for n in client_counts:
+
+    def run_one(n: int, cfg: ExperimentConfig) -> float:
         if n < 1:
             raise ValueError("client counts must be >= 1")
-        samples: List[float] = []
-        for rep in range(config.repetitions):
-            dep = deploy_bsfs(_rep_config(config, rep), obs=obs)
-            bsfs = dep.bsfs
-            env = dep.cluster.env
-            env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/bench/shared")))
-            clients = _client_nodes(dep, n)
+        dep = deploy_bsfs(cfg, obs=obs)
+        bsfs = dep.bsfs
+        env = dep.cluster.env
+        env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/bench/shared")))
 
-            def appender(client: str) -> Generator[Event, None, None]:
-                for _ in range(chunks_per_client):
-                    yield from bsfs.append_proc(client, "/bench/shared", CHUNK)
+        def appender(client: str) -> Generator[Event, None, None]:
+            for _ in range(chunks_per_client):
+                yield from bsfs.append_proc(client, "/bench/shared", CHUNK)
 
-            _run(dep, [env.process(appender(c), name=f"app-{i}")
-                       for i, c in enumerate(clients)], obs=obs)
-            samples.append(bsfs.metrics.average_client_throughput("append") / MiB)
-        points.append(
-            DataPoint(
-                x=n,
-                mean_mbps=float(np.mean(samples)),
-                std_mbps=float(np.std(samples)),
-                samples=samples,
-            )
-        )
-    return points
+        _run(dep, [env.process(appender(c), name=f"app-{i}")
+                   for i, c in enumerate(_client_nodes(dep, n))], obs=obs)
+        return bsfs.metrics.average_client_throughput("append") / MiB
+
+    return sweep(client_counts, config, run_one)
 
 
 def _mixed_workload(
@@ -115,14 +126,13 @@ def _mixed_workload(
     chunks_per_reader: int,
     n_appenders: int,
     chunks_per_appender: int,
-    rep: int,
     obs: Optional[Observability] = None,
 ) -> BSFSDeployment:
     """Shared setup of Figures 4 and 5: *n_readers* clients each read
     *chunks_per_reader* 64 MB chunks from disjoint regions of a shared
     file while *n_appenders* clients each append *chunks_per_appender*
-    chunks to it."""
-    dep = deploy_bsfs(_rep_config(config, rep), obs=obs)
+    chunks to it. *config* is one repetition's (see :func:`sweep`)."""
+    dep = deploy_bsfs(config, obs=obs)
     bsfs = dep.bsfs
     env = dep.cluster.env
     path = "/bench/shared"
@@ -168,56 +178,45 @@ def separate_writes_comparison(
     """
     from .deploy import deploy_hdfs
 
-    hdfs_points: List[DataPoint] = []
-    bsfs_points: List[DataPoint] = []
-    for n in client_counts:
+    def hdfs_one(n: int, cfg: ExperimentConfig) -> float:
+        # one file per client (Figure 1's pattern)
         if n < 1:
             raise ValueError("client counts must be >= 1")
-        hdfs_samples: List[float] = []
-        bsfs_samples: List[float] = []
-        for rep in range(config.repetitions):
-            # HDFS: one file per client (Figure 1's pattern)
-            dep_h = deploy_hdfs(_rep_config(config, rep), obs=obs)
-            env = dep_h.cluster.env
-            procs = [
-                env.process(
-                    dep_h.hdfs.write_file_proc(
-                        dep_h.client_nodes[i % len(dep_h.client_nodes)],
-                        f"/bench/part-{i:05d}",
-                        CHUNK,
-                    )
+        dep = deploy_hdfs(cfg, obs=obs)
+        env = dep.cluster.env
+        procs = [
+            env.process(
+                dep.hdfs.write_file_proc(
+                    dep.client_nodes[i % len(dep.client_nodes)],
+                    f"/bench/part-{i:05d}",
+                    CHUNK,
                 )
-                for i in range(n)
-            ]
-            _run(dep_h, procs, obs=obs)  # type: ignore[arg-type]
-            hdfs_samples.append(
-                dep_h.hdfs.metrics.average_client_throughput("write") / MiB
             )
+            for i in range(n)
+        ]
+        _run(dep, procs, obs=obs)  # type: ignore[arg-type]
+        return dep.hdfs.metrics.average_client_throughput("write") / MiB
 
-            # BSFS: one file per client, written via append
-            dep_b = deploy_bsfs(_rep_config(config, rep), obs=obs)
-            env = dep_b.cluster.env
-            clients = _client_nodes(dep_b, n)
-            for i, c in enumerate(clients):
-                env.run(env.process(dep_b.bsfs.create_proc(c, f"/bench/part-{i:05d}")))
+    def bsfs_one(n: int, cfg: ExperimentConfig) -> float:
+        # one file per client, written via append
+        dep = deploy_bsfs(cfg, obs=obs)
+        env = dep.cluster.env
+        clients = _client_nodes(dep, n)
+        for i, c in enumerate(clients):
+            env.run(env.process(dep.bsfs.create_proc(c, f"/bench/part-{i:05d}")))
+        procs = [
+            env.process(dep.bsfs.append_proc(c, f"/bench/part-{i:05d}", CHUNK))
+            for i, c in enumerate(clients)
+        ]
+        _run(dep, procs, obs=obs)
+        return dep.bsfs.metrics.average_client_throughput("append") / MiB
 
-            procs = [
-                env.process(dep_b.bsfs.append_proc(c, f"/bench/part-{i:05d}", CHUNK))
-                for i, c in enumerate(clients)
-            ]
-            _run(dep_b, procs, obs=obs)
-            bsfs_samples.append(
-                dep_b.bsfs.metrics.average_client_throughput("append") / MiB
-            )
-        hdfs_points.append(
-            DataPoint(n, float(np.mean(hdfs_samples)), float(np.std(hdfs_samples)),
-                      hdfs_samples)
-        )
-        bsfs_points.append(
-            DataPoint(n, float(np.mean(bsfs_samples)), float(np.std(bsfs_samples)),
-                      bsfs_samples)
-        )
-    return hdfs_points, bsfs_points
+    # two independent sweeps: every deployment is its own kernel, so the
+    # order the two systems run in changes no simulated value
+    return (
+        sweep(client_counts, config, hdfs_one),
+        sweep(client_counts, config, bsfs_one),
+    )
 
 
 def reads_under_appends(
@@ -230,26 +229,15 @@ def reads_under_appends(
 ) -> List[DataPoint]:
     """Figure 4: fixed 100 readers (10 chunks each); sweep the number of
     concurrent appenders (16 chunks each); report read throughput."""
-    points: List[DataPoint] = []
-    for n_app in appender_counts:
-        samples: List[float] = []
-        for rep in range(config.repetitions):
-            dep = _mixed_workload(
-                config, n_readers, chunks_per_reader, n_app, chunks_per_appender,
-                rep, obs=obs,
-            )
-            samples.append(
-                dep.bsfs.metrics.average_client_throughput("read") / MiB
-            )
-        points.append(
-            DataPoint(
-                x=n_app,
-                mean_mbps=float(np.mean(samples)),
-                std_mbps=float(np.std(samples)),
-                samples=samples,
-            )
+
+    def run_one(n_app: int, cfg: ExperimentConfig) -> float:
+        dep = _mixed_workload(
+            cfg, n_readers, chunks_per_reader, n_app, chunks_per_appender,
+            obs=obs,
         )
-    return points
+        return dep.bsfs.metrics.average_client_throughput("read") / MiB
+
+    return sweep(appender_counts, config, run_one)
 
 
 def appends_under_reads(
@@ -262,23 +250,12 @@ def appends_under_reads(
 ) -> List[DataPoint]:
     """Figure 5: fixed 100 appenders; sweep the number of concurrent
     readers; both access 10 chunks of 64 MB; report append throughput."""
-    points: List[DataPoint] = []
-    for n_read in reader_counts:
-        samples: List[float] = []
-        for rep in range(config.repetitions):
-            dep = _mixed_workload(
-                config, n_read, chunks_per_reader, n_appenders, chunks_per_appender,
-                rep, obs=obs,
-            )
-            samples.append(
-                dep.bsfs.metrics.average_client_throughput("append") / MiB
-            )
-        points.append(
-            DataPoint(
-                x=n_read,
-                mean_mbps=float(np.mean(samples)),
-                std_mbps=float(np.std(samples)),
-                samples=samples,
-            )
+
+    def run_one(n_read: int, cfg: ExperimentConfig) -> float:
+        dep = _mixed_workload(
+            cfg, n_read, chunks_per_reader, n_appenders, chunks_per_appender,
+            obs=obs,
         )
-    return points
+        return dep.bsfs.metrics.average_client_throughput("append") / MiB
+
+    return sweep(reader_counts, config, run_one)

@@ -88,7 +88,8 @@ def _rack_config(config: ExperimentConfig) -> ExperimentConfig:
     """The sweep's deployment config: the caller's, lifted onto a
     multi-rack topology when it is still flat, with the metadata-plane
     fast path switched on (group commit + node/record caches) — the
-    regime this experiment exists to measure."""
+    regime this experiment exists to measure. Only ``cluster`` and
+    ``blobseer`` ever differ from *config*."""
     cluster = config.cluster
     if cluster.racks == 0:
         cluster = replace(
@@ -104,13 +105,7 @@ def _rack_config(config: ExperimentConfig) -> ExperimentConfig:
             md_cache_nodes=max(blobseer.md_cache_nodes, MD_CACHE_NODES),
             ns_record_cache=True,
         )
-    return ExperimentConfig(
-        cluster=cluster,
-        blobseer=blobseer,
-        hdfs=config.hdfs,
-        mapreduce=config.mapreduce,
-        repetitions=config.repetitions,
-    )
+    return replace(config, cluster=cluster, blobseer=blobseer)
 
 
 def run_open_loop(

@@ -5,8 +5,9 @@ land* (:mod:`repro.blobseer.placement` — round-robin, least-loaded,
 rack-aware) and *how reads pick replicas*
 (:mod:`repro.engine.replica` — rotated-sweep failover or R-of-N quorum
 reads). This experiment runs the full cross product through three
-workload columns and publishes the grid into ``BENCH_sim.json``
-(``policy_matrix`` section, schema v6):
+workload columns and reports the grid (``python -m
+repro.experiments.policybench [--json PATH]``, a named CI gate; the
+grid's shape is a tier-1 test and one append cell is a perf floor):
 
 * **wordcount** — the paper's Map/Reduce integration on the threaded
   runtime: corpus in, counts out (verified against an oracle), plus the

@@ -22,7 +22,7 @@ def test_defaults_validate():
         {"replication": 0},
         {"metadata_providers": 0},
         {"cache_blocks": 0},
-        {"client_parallelism": 0},
+        {"md_cache_nodes": -1},
     ],
 )
 def test_blobseer_rejects(kwargs):

@@ -351,4 +351,3 @@ def test_rpc_trace_identical_under_all_engines(scenario):
     # a real protocol exchange, not a trivial one
     assert len(sim.trace) >= 6
     aio.svc.close()
-    aio.svc.engine.close()

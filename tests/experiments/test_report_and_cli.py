@@ -1,11 +1,13 @@
 """Tests for result rendering and the repro-fig CLI."""
 
+import inspect
 import json
 
 import pytest
 
+from repro.common.config import ExperimentConfig
 from repro.experiments.cli import main as cli_main
-from repro.experiments.figures import filecount_table
+from repro.experiments.figures import ALL_FIGURES, filecount_table
 from repro.experiments.report import FigureResult, Series
 
 
@@ -91,41 +93,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
 
-    def test_bench_out_writes_schema(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_sim.json"
-        rc = cli_main(["fig3", "--bench-out", str(out), "--bench-repeats", "1"])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-bench-sim/v6"
-        allocs = [r["allocator"] for r in doc["runs"]]
-        assert allocs == ["reference", "incremental"]
-        for run in doc["runs"]:
-            fig = run["figures"]["fig3"]
-            assert fig["sim_events"] > 0
-            assert fig["events_per_s"] > 0
-            assert fig["reallocs"] > 0
-            assert run["totals"]["wall_s"] > 0
-            if run["allocator"] == "incremental":
-                assert fig["flushes"] > 0
-                assert fig["coalesced_changes"] >= fig["flushes"]
-        assert "fig3" in doc["speedup"] and "total" in doc["speedup"]
-        kernel = doc["kernel_microbench"]
-        for scenario in ("ring", "timer", "process", "mixed"):
-            assert kernel[scenario]["events"] > 0
-            assert kernel[scenario]["events_per_s"] > 0
-        metadata = doc["metadata_microbench"]
-        for scenario in ("build", "query", "batch"):
-            assert metadata[scenario]["ops"] > 0
-            assert metadata[scenario]["ops_per_s"] > 0
-            assert metadata[scenario]["node_ops"] > 0
-        assert "speedup" in capsys.readouterr().out
-
-    def test_bench_out_rejects_filecount(self, capsys, tmp_path):
-        rc = cli_main(
-            ["filecount", "--bench-out", str(tmp_path / "b.json")]
-        )
-        assert rc == 2
-
     def test_profile_dumps_pstats(self, capsys, tmp_path):
         import pstats
 
@@ -138,17 +105,31 @@ class TestCLI:
         assert stats.total_calls > 0
         assert "wrote" in capsys.readouterr().out
 
-    def test_profile_conflicts_with_bench(self, capsys, tmp_path):
-        rc = cli_main(
-            [
-                "fig3",
-                "--bench-out", str(tmp_path / "b.json"),
-                "--profile", str(tmp_path / "p.pstats"),
-            ]
-        )
-        assert rc == 2
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_is_a_usage_error(self, capsys, reps):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fig3", "--reps", reps])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--reps must be >= 1" in err
+        assert "Traceback" not in err
 
-    def test_allocator_flag_runs_reference(self, capsys):
-        rc = cli_main(["fig3", "--allocator", "reference"])
-        assert rc == 0
-        assert "fig3" in capsys.readouterr().out
+
+class TestFigureArguments:
+    FIGURES_WITH_SCALE = sorted(
+        name
+        for name, fn in ALL_FIGURES.items()
+        if "scale" in inspect.signature(fn).parameters
+    )
+
+    def test_every_des_figure_takes_a_scale(self):
+        assert self.FIGURES_WITH_SCALE == sorted(set(ALL_FIGURES) - {"filecount"})
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    @pytest.mark.parametrize("name", FIGURES_WITH_SCALE)
+    def test_unknown_scale_rejected(self, name, with_config):
+        """A typo in *scale* must not silently run the quick sweep,
+        whether or not the caller brought a config."""
+        config = ExperimentConfig(repetitions=1) if with_config else None
+        with pytest.raises(ValueError, match="unknown scale 'papr'"):
+            ALL_FIGURES[name](scale="papr", config=config)

@@ -48,16 +48,3 @@ class TestLoadTest:
         )
         text = result.to_text()
         assert "clients" in text and "p99" in text
-
-
-class TestBenchIntegration:
-    def test_http_loadtest_section_lands_in_bench_doc(self):
-        from repro.experiments.bench import SCHEMA, to_json_dict
-
-        result = run_loadtest(
-            clients=2, duration_s=0.2, op_bytes=128, n_files=1, n_providers=2
-        )
-        doc = to_json_dict([], scale="quick", repeats=1, http_loadtest=result)
-        assert doc["schema"] == SCHEMA == "repro-bench-sim/v6"
-        assert doc["http_loadtest"]["failed"] == 0
-        assert "p99" in doc["http_loadtest"]["latency_s"]
