@@ -102,29 +102,6 @@ def test_metadata_microbench_vs_baseline(baseline, scenario):
     )
 
 
-@pytest.mark.parametrize("scenario", sorted(_BASELINE.get("policy", {})))
-def test_policy_matrix_vs_baseline(baseline, scenario):
-    """One floored policy-matrix scenario: the DES append column under
-    the default policies must hold its simulator throughput."""
-    from repro.experiments.policybench import run_append_cell
-
-    assert scenario == "append_least_loaded_sweep"
-    best = 0.0
-    for _ in range(2):
-        cell = run_append_cell("least_loaded", "sweep")
-        assert cell["ok"], "append cell failed to spread load"
-        assert cell["sim_events"] > 0, "instruments not wired"
-        best = max(best, cell["events_per_s"])
-    floor = REGRESSION_FLOOR * baseline["policy"][scenario]["events_per_s"]
-    assert best >= floor, (
-        f"policy scenario {scenario!r} regressed: "
-        f"{best:,.0f} events/s < {floor:,.0f} "
-        f"(= {REGRESSION_FLOOR:.0%} of baseline "
-        f"{baseline['policy'][scenario]['events_per_s']:,.0f}); if the "
-        f"hardware class changed, re-baseline benchmarks/perf/baseline.json"
-    )
-
-
 def test_coalescing_counters_wired(baseline):
     """fig6's same-instant shuffle churn must actually coalesce."""
     fb = bench_figure("fig6", "incremental", scale=baseline["scale"], repeats=1)

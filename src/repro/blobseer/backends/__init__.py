@@ -8,14 +8,11 @@ psql/couchbase/blob-server stores behind one storage base class):
 * ``memory`` — :class:`~repro.blobseer.backends.memory.InMemoryPageStore`,
   the default for tests and simulations (no durability);
 * ``log`` — :class:`~repro.blobseer.backends.logstore.LogStructuredPageStore`,
-  an append-only CRC-framed log with tombstones and crash recovery;
-* ``sharded`` — :class:`~repro.blobseer.backends.sharded.ShardedFilePageStore`,
-  one file per page in hash-sharded directories with atomic renames and
-  batched fsync.
+  an append-only CRC-framed log with tombstones and crash recovery.
 
 Every provider of a deployment selects its backend through
 ``BlobSeerConfig.page_store_backend`` (plus ``page_store_dir`` /
-``page_store_fsync`` for the durable ones); tests run every registered
+``page_store_fsync`` for the durable one); tests run every registered
 backend through one shared conformance suite
 (``tests/blobseer/test_pagestore_conformance.py``).
 """
@@ -59,7 +56,7 @@ class PageStore(Protocol):
 _REGISTRY: Dict[str, Callable[[str, Optional[Path], bool], PageStore]] = {}
 
 #: backends that need a ``page_store_dir`` to place their files in
-_NEEDS_ROOT = {"log", "sharded"}
+_NEEDS_ROOT = {"log"}
 
 
 def register_backend(
@@ -117,7 +114,6 @@ def store_factory_from_config(config) -> Optional[Callable[[str], PageStore]]:
 
 from .logstore import LogStructuredPageStore  # noqa: E402
 from .memory import InMemoryPageStore  # noqa: E402
-from .sharded import ShardedFilePageStore  # noqa: E402
 
 register_backend("memory", lambda name, root, fsync: InMemoryPageStore())
 register_backend(
@@ -126,16 +122,11 @@ register_backend(
         root / f"{name}.log", fsync=fsync
     ),
 )
-register_backend(
-    "sharded",
-    lambda name, root, fsync: ShardedFilePageStore(root / name, fsync=fsync),
-)
 
 __all__ = [
     "PageStore",
     "InMemoryPageStore",
     "LogStructuredPageStore",
-    "ShardedFilePageStore",
     "register_backend",
     "available_backends",
     "create_store",

@@ -20,7 +20,6 @@ from ..engine.threaded import ThreadedEngine
 from ..obs import NULL_OBS, Observability
 from .backends import store_factory_from_config
 from .metadata.dht import MetadataDHT
-from .placement import make_placement_policy
 from .protocol import BlobSeerProtocol, compute_layout
 from .provider import Provider
 from .provider_manager import ProviderManager
@@ -38,14 +37,12 @@ class BlobSeerService:
         store_factory=None,
         obs: Optional[Observability] = None,
         engine=None,
-        topology: Optional[Dict[str, str]] = None,
     ) -> None:
         """*store_factory*, when given, is called with each provider's name
         and must return a :class:`~repro.blobseer.backends.PageStore`
         (used to give providers durable log-structured backends); when
         ``None`` it is derived from the config's ``page_store_backend``
-        knobs (see :mod:`repro.blobseer.backends`). *topology* maps
-        provider name -> rack name for the rack-aware placement policy.
+        knobs (see :mod:`repro.blobseer.backends`).
 
         *engine*, when given, replaces the default
         :class:`~repro.engine.threaded.ThreadedEngine` — any engine with
@@ -69,13 +66,7 @@ class BlobSeerService:
         }
         self.version_manager = ThreadedVersionManager(self.obs, config=self.config)
         self.dht = MetadataDHT(self.config.metadata_providers)
-        self.provider_manager = ProviderManager(
-            names,
-            seed=seed,
-            obs=self.obs,
-            policy=make_placement_policy(self.config.placement_policy),
-            topology=topology,
-        )
+        self.provider_manager = ProviderManager(names, seed=seed, obs=self.obs)
 
         self.engine = engine or ThreadedEngine(seed=seed, obs=self.obs)
         self.engine.bind("vm", self.version_manager)
@@ -96,7 +87,7 @@ class BlobSeerService:
             self.dht,
             obs=self.obs,
         )
-        self._replicator = None
+        self._repairer = None
 
     # -- service operations -------------------------------------------------
 
@@ -130,18 +121,18 @@ class BlobSeerService:
         self.engine.recover_endpoint(name)
 
     def rereplicate_once(self, client: str = "rereplicator") -> int:
-        """Run one re-replication scan (requires the ``rereplication``
-        config knob): promote hot pages and repair crash-lost replicas.
-        Returns the number of copies made by this scan."""
-        if self._replicator is None:
-            from .rereplication import HotPageReplicator
+        """Run one crash-repair scan (requires the ``rereplication``
+        config knob): copy pages that lost replicas to crashes back up
+        to ``config.replication``. Returns the number of copies made."""
+        if self._repairer is None:
+            from .rereplication import ReplicaRepairer
 
-            self._replicator = HotPageReplicator(
+            self._repairer = ReplicaRepairer(
                 self.protocol, client, obs=self.obs
             )
-        before = self._replicator.copies
-        self.engine.run(self._replicator.scan())
-        return self._replicator.copies - before
+        before = self._repairer.copies
+        self.engine.run(self._repairer.scan())
+        return self._repairer.copies - before
 
     def close(self) -> None:
         """Release provider persistence backends and stop the version

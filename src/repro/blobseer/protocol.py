@@ -37,7 +37,7 @@ from ..common.errors import (
     RpcTimeoutError,
 )
 from ..engine.base import Engine, Payload
-from ..engine.replica import ReplicaSelector, make_read_policy
+from ..engine.replica import ReplicaSelector, sweep_fetch
 from ..obs import NULL_OBS, Observability
 from .metadata.dht import CachingStore, MetadataDHT, NodeCache, RecordingStore
 from .metadata.segment_tree import (
@@ -125,11 +125,8 @@ class BlobSeerProtocol:
         #: group commit: batch ready consecutive appenders into one
         #: publish round (see :meth:`_publish_batch`)
         self._group_commit = bool(getattr(config, "group_commit", False))
-        #: replica read policy (sweep failover by default; quorum reads
-        #: contact ``read_quorum`` replicas per fetch)
-        self.read_policy = make_read_policy(config, self.obs.registry)
-        #: replica directory feeding the re-replication daemon; ``None``
-        #: (and zero-overhead) unless the ``rereplication`` knob is on
+        #: replica directory feeding crash repair; ``None`` (and
+        #: zero-overhead) unless the ``rereplication`` knob is on
         if getattr(config, "rereplication", False):
             from .rereplication import ReplicaDirectory
 
@@ -719,21 +716,18 @@ class BlobSeerProtocol:
         sp_fetch = self.obs.tracer.start(
             "pages.fetch", cat="blobseer.data", parent=sp, track=client
         )
-        directory = self.directory
-        if directory is not None:
-            for _, piece in jobs:
-                directory.note_read(piece.page_id)
         buf: Optional[bytearray] = None
-        if engine.faults_active or self.read_policy.serial_fetch:
+        if engine.faults_active:
             sel = self.selector(client)
+            directory = self.directory
             for out_pos, piece in jobs:
                 providers = piece.providers
                 if directory is not None:
-                    # re-replicated copies are readable too
+                    # repaired copies are readable too
                     providers = directory.providers_for(
                         piece.page_id, providers
                     )
-                data = yield from self.read_policy.fetch(
+                data = yield from sweep_fetch(
                     engine,
                     sel,
                     client,

@@ -1,14 +1,11 @@
-"""The provider manager — policy-driven page placement.
+"""The provider manager — least-loaded page placement.
 
 When a client writes pages it asks the provider manager for a list of
 target providers; "the distribution of pages to providers aims at
-achieving load-balancing". The manager owns the bookkeeping every
-policy shares — the byte-load table, the down set, seeded tie-break
-ranks, and the lazy least-loaded heap — and delegates the actual choice
-to a :class:`~repro.blobseer.placement.PlacementPolicy` (least-loaded
-by default; round-robin and rack-aware are selectable per deployment).
-Failed providers are skipped; replicas of one page always land on
-distinct providers.
+achieving load-balancing". Each replica goes to the provider with the
+fewest bytes allocated so far (seeded tie-break), served from a lazy
+heap over the byte-load table. Failed providers are skipped; replicas
+of one page always land on distinct providers.
 
 Tie-break ranks are drawn from a seeded permutation over the *sorted*
 provider names, so equal-load choices are deterministic for a given
@@ -18,7 +15,6 @@ seed regardless of the order the deployment listed its providers in.
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +23,6 @@ import numpy as np
 from ..common.errors import ReplicationError
 from ..common.rng import substream
 from ..obs import NULL_OBS, Observability
-from .placement import LeastLoadedPolicy, PlacementPolicy
 
 
 class ProviderManager:
@@ -38,12 +33,7 @@ class ProviderManager:
         provider_names: Sequence[str],
         seed: int = 0,
         obs: Optional[Observability] = None,
-        policy: Optional[PlacementPolicy] = None,
-        topology: Optional[Dict[str, str]] = None,
     ) -> None:
-        """*policy* defaults to the paper's least-loaded heuristic;
-        *topology* maps provider name -> rack name (used by the
-        rack-aware policy; others ignore it)."""
         if not provider_names:
             raise ValueError("need at least one provider")
         if len(set(provider_names)) != len(provider_names):
@@ -62,8 +52,6 @@ class ProviderManager:
         self._load: Dict[str, int] = {name: 0 for name in provider_names}
         self._down: set[str] = set()
         self._rng = substream(seed, "provider-manager")
-        self.policy: PlacementPolicy = policy or LeastLoadedPolicy()
-        self._topology: Dict[str, str] = dict(topology or {})
         # seeded tie-break ranks, drawn over the sorted names so the
         # permutation is a function of (seed, name set) alone — feeding
         # the same providers in a different order must not change
@@ -72,16 +60,12 @@ class ProviderManager:
         names = sorted(provider_names)
         order = self._rng.permutation(len(names))
         self._rank: Dict[str, int] = {names[i]: int(order[i]) for i in range(len(names))}
-        #: the round-robin ring: names in seeded-rank order
-        self._ring_order: List[str] = sorted(names, key=self._rank.__getitem__)
-        self._counter = itertools.count()
         # lazy least-loaded heap: entries are (load, rank, name); an
         # entry is current iff its load matches the table (each push
         # happens on a strictly increasing load, so at most one entry
         # per name is ever current). Popping currents in heap order is
         # exactly the (load, rank) sort order, without sorting all
-        # providers on every page placement. Only the least-loaded
-        # policy consumes it; other policies skip its maintenance.
+        # providers on every page placement.
         self._heap: List[Tuple[int, int, str]] = [
             (0, self._rank[n], n) for n in names
         ]
@@ -103,11 +87,10 @@ class ProviderManager:
                 self._down.discard(name)
                 # its pre-failure heap entry may already be consumed;
                 # push a fresh current one (duplicates are harmless,
-                # the policy drops whichever it sees second)
-                if self.policy.uses_heap:
-                    heapq.heappush(
-                        self._heap, (self._load[name], self._rank[name], name)
-                    )
+                # the pick drops whichever it sees second)
+                heapq.heappush(
+                    self._heap, (self._load[name], self._rank[name], name)
+                )
 
     @property
     def alive_count(self) -> int:
@@ -130,7 +113,7 @@ class ProviderManager:
         wins the primary slot for the first page when it is alive and
         not overloaded relative to the cluster median — a mild locality
         bias that never defeats load balancing. *exclude* temporarily
-        bars specific providers (re-replication uses it to avoid the
+        bars specific providers (crash repair uses it to avoid the
         copies a page already has).
         """
         if replication < 1:
@@ -144,14 +127,13 @@ class ProviderManager:
                 return self._allocate_locked(page_sizes, replication, prefer)
             finally:
                 self._down.difference_update(barred)
-                if self.policy.uses_heap:
-                    # barred entries may have been popped-and-discarded
-                    # as "down" during the pick; restore current ones
-                    for name in barred:
-                        heapq.heappush(
-                            self._heap,
-                            (self._load[name], self._rank[name], name),
-                        )
+                # barred entries may have been popped-and-discarded as
+                # "down" during the pick; restore current ones
+                for name in barred:
+                    heapq.heappush(
+                        self._heap,
+                        (self._load[name], self._rank[name], name),
+                    )
 
     def _allocate_locked(
         self,
@@ -166,7 +148,6 @@ class ProviderManager:
                 f"only {alive_count} alive"
             )
         load, rank, heap = self._load, self._rank, self._heap
-        maintain_heap = self.policy.uses_heap
         result: List[Tuple[str, ...]] = []
         touched: set[str] = set()
         for i, size in enumerate(page_sizes):
@@ -176,8 +157,7 @@ class ProviderManager:
             for name in chosen:
                 new_load = load[name] + size
                 load[name] = new_load
-                if maintain_heap:
-                    heapq.heappush(heap, (new_load, rank[name], name))
+                heapq.heappush(heap, (new_load, rank[name], name))
             result.append(tuple(chosen))
             if self._track_imbalance:
                 touched.update(chosen)
@@ -193,12 +173,19 @@ class ProviderManager:
         return result
 
     def _pick(self, replication: int, prefer: Optional[str]) -> List[str]:
-        chosen = self.policy.pick(self, replication, prefer)
-        assert len(chosen) >= replication, (
-            f"policy {self.policy.name!r} returned {len(chosen)} providers "
-            f"for replication {replication}"
-        )
-        return chosen[:replication]
+        """Providers for one page, primary first (lock held by caller)."""
+        load, down, heap = self._load, self._down, self._heap
+        chosen: List[str] = []
+        if prefer is not None and prefer in load and prefer not in down:
+            loads = sorted(v for n, v in load.items() if n not in down)
+            if load[prefer] <= loads[len(loads) // 2]:
+                chosen.append(prefer)
+        while len(chosen) < replication:
+            lo, _r, name = heapq.heappop(heap)
+            if name in down or load[name] != lo or name in chosen:
+                continue  # failed, stale, or duplicate entry: discard
+            chosen.append(name)
+        return chosen
 
     # -- introspection --------------------------------------------------------------
 
@@ -216,10 +203,6 @@ class ProviderManager:
         """Currently excluded providers, sorted."""
         with self._lock:
             return sorted(self._down)
-
-    def rack_of(self, name: str) -> Optional[str]:
-        """The provider's rack, when the deployment declared a topology."""
-        return self._topology.get(name)
 
     def imbalance(self) -> float:
         """Max/mean load ratio across alive providers (1.0 = perfect)."""

@@ -15,7 +15,8 @@ Algorithm (mark and sweep, per BLOB):
 2. delete every tree node of this BLOB whose creating version is pruned
    *and* which is not reachable from a retained root;
 3. delete every stored object of this BLOB not referenced by any
-   reachable leaf;
+   reachable leaf (and its replica-directory entry, so crash repair
+   never tries to copy an object that no longer exists);
 4. drop the pruned version records from the version manager (reads of
    pruned versions then raise ``VersionNotFoundError``).
 
@@ -137,6 +138,14 @@ def prune_blob(
                 bytes_reclaimed += len(provider.store.get(raw_key))
                 provider.store.delete(raw_key)
                 pages_deleted += 1
+        # crash repair must not chase the objects just deleted
+        directory = service.protocol.directory
+        if directory is not None:
+            directory.forget(
+                pid
+                for pid, _providers, _nbytes in directory.snapshot()
+                if pid.blob_id == blob_id and pid not in reachable_pages
+            )
 
         # drop the version records
         for v in pruned:

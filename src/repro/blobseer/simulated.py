@@ -21,7 +21,6 @@ from ..sim.cluster import SimCluster
 from ..sim.core import Event
 from ..sim.metrics import Metrics
 from .metadata.dht import MetadataDHT
-from .placement import make_placement_policy
 from .protocol import BlobSeerProtocol, compute_layout
 from .provider_manager import ProviderManager
 from .sim_vm import SimVMService
@@ -62,17 +61,8 @@ class SimBlobSeer:
         self.config.validate()
         self.obs = obs or NULL_OBS
         self.dht = MetadataDHT(len(roles.metadata_providers))
-        topology = {
-            name: rack
-            for name in roles.data_providers
-            if (rack := cluster.node(name).net.rack) is not None
-        }
         self.provider_manager = ProviderManager(
-            list(roles.data_providers),
-            seed=cluster.config.seed,
-            obs=self.obs,
-            policy=make_placement_policy(self.config.placement_policy),
-            topology=topology,
+            list(roles.data_providers), seed=cluster.config.seed, obs=self.obs
         )
         self.metrics = Metrics()
 
@@ -97,18 +87,14 @@ class SimBlobSeer:
             obs=self.obs,
             metrics=self.metrics,
         )
-        self.replicator = None
+        #: crash repair runs from the provider-manager machine; the
+        #: caller schedules scans: ``env.process(repairer.scan())``
+        self.repairer = None
         if self.config.rereplication:
-            from .rereplication import HotPageReplicator
+            from .rereplication import ReplicaRepairer
 
-            # the daemon runs on the provider-manager machine; each
-            # periodic tick launches one scan as a simulated process
-            self.replicator = HotPageReplicator(
+            self.repairer = ReplicaRepairer(
                 self.protocol, roles.provider_manager, obs=self.obs
-            )
-            self.env.every(
-                self.config.rereplication_period_s,
-                lambda: self.env.process(self.replicator.scan()),
             )
 
     # -- blob lifecycle -------------------------------------------------------

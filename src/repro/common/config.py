@@ -50,34 +50,17 @@ class BlobSeerConfig:
     #: one namespace-manager RPC per append/read on hot files
     ns_record_cache: bool = False
     #: provider persistence backend (``repro.blobseer.backends``):
-    #: "memory" (default), "log" (append-only CRC log), or "sharded"
-    #: (file-per-page with batched fsync)
+    #: "memory" (default) or "log" (append-only CRC log)
     page_store_backend: str = "memory"
     #: directory durable backends place their per-provider files under;
     #: required when the backend is not "memory"
     page_store_dir: str | None = None
-    #: fsync durable backends on write (the log store per record, the
-    #: sharded store in batches)
+    #: fsync the log store after every record
     page_store_fsync: bool = False
-    #: page placement policy: "least_loaded" (default, the paper's
-    #: load-balancing heuristic), "round_robin", or "rack_aware"
-    #: (replicas spread over distinct racks)
-    placement_policy: str = "least_loaded"
-    #: replica read policy: "sweep" (default rotated failover sweep) or
-    #: "quorum" (fetch from ``read_quorum`` replicas, first wins)
-    read_policy: str = "sweep"
-    #: replicas a quorum read contacts (capped at the replica count)
-    read_quorum: int = 2
-    #: adaptive re-replication: a daemon watches per-page read counters
-    #: and raises the replica count of hot pages, and restores the
-    #: configured replication of pages that lost replicas to crashes
+    #: crash repair: track where every page lives so a scan
+    #: (``repro.blobseer.rereplication``) can restore ``replication``
+    #: live copies of pages that lost replicas to provider crashes
     rereplication: bool = False
-    #: period of the re-replication daemon's scans, seconds
-    rereplication_period_s: float = 1.0
-    #: reads of one page between scans that make it "hot"
-    hot_page_threshold: int = 3
-    #: ceiling on the replica count re-replication may grow a page to
-    rereplication_max: int = 4
 
     def validate(self) -> None:
         if self.page_size <= 0:
@@ -98,24 +81,6 @@ class BlobSeerConfig:
             raise ValueError(
                 f"backend {self.page_store_backend!r} needs page_store_dir"
             )
-        if self.placement_policy not in (
-            "least_loaded",
-            "round_robin",
-            "rack_aware",
-        ):
-            raise ValueError(
-                f"unknown placement_policy {self.placement_policy!r}"
-            )
-        if self.read_policy not in ("sweep", "quorum"):
-            raise ValueError(f"unknown read_policy {self.read_policy!r}")
-        if self.read_quorum < 1:
-            raise ValueError("read_quorum must be >= 1")
-        if self.rereplication_period_s <= 0:
-            raise ValueError("rereplication_period_s must be positive")
-        if self.hot_page_threshold < 1:
-            raise ValueError("hot_page_threshold must be >= 1")
-        if self.rereplication_max < 1:
-            raise ValueError("rereplication_max must be >= 1")
 
 
 @dataclass(slots=True)

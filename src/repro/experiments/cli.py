@@ -22,7 +22,7 @@ from ..obs import (
     write_chrome_trace,
     write_text_summary,
 )
-from .figures import ALL_FIGURES, fig3, fig4, fig5, fig6, filecount_table
+from .figures import ALL_FIGURES
 
 
 def _suffixed(path: str, name: str, multi: bool) -> str:

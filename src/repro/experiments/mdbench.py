@@ -109,6 +109,7 @@ def _build_sequential(
 def _run_scenario(scenario: str, n_versions: int) -> MdBenchResult:
     history = _history(n_versions)
     dht = MetadataDHT(N_PROVIDERS)
+    ops_before = 0  # node ops outside the timed section (query's build)
     if scenario == "build":
         t0 = time.perf_counter()
         _build_sequential(dht, history)
@@ -128,13 +129,6 @@ def _run_scenario(scenario: str, n_versions: int) -> MdBenchResult:
             query_pages(dht, root, lo, lo + QUERY_SPAN)
         wall = time.perf_counter() - t0
         ops = DEFAULT_QUERIES
-        return MdBenchResult(
-            scenario=scenario,
-            ops=ops,
-            wall_s=wall,
-            ops_per_s=ops / wall if wall > 0 else 0.0,
-            node_ops=_node_ops(dht) - ops_before,
-        )
     elif scenario == "batch":
         t0 = time.perf_counter()
         root, cap = None, 0
@@ -153,7 +147,7 @@ def _run_scenario(scenario: str, n_versions: int) -> MdBenchResult:
         ops=ops,
         wall_s=wall,
         ops_per_s=ops / wall if wall > 0 else 0.0,
-        node_ops=_node_ops(dht),
+        node_ops=_node_ops(dht) - ops_before,
     )
 
 

@@ -318,13 +318,11 @@ class BlobServer:
 
     async def _h_metrics(self, request: Request, client: str, span) -> Response:
         doc = self.obs.registry.snapshot()
-        # the storage-plane placement view rides along: which policy is
-        # routing pages, per-provider byte loads, and who is down (the
-        # placement.* counters are already in the snapshot proper)
+        # the storage-plane placement view rides along: per-provider
+        # byte loads and who is down (the placement.rereplications
+        # counter is already in the snapshot proper)
         pm = self.service.provider_manager
         doc["placement"] = {
-            "policy": pm.policy.name,
-            "read_policy": self.service.protocol.read_policy.name,
             "provider_load": pm.load_snapshot(),
             "down": pm.down_snapshot(),
         }

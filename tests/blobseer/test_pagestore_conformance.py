@@ -1,16 +1,15 @@
 """The shared page-store conformance suite.
 
-Every backend in the registry — memory, log-structured, sharded — must
+Every backend in the registry — memory, log-structured — must
 behave identically through the :class:`PageStore` protocol; the suite
 parametrizes over ``available_backends()`` so a newly registered backend
 is covered the moment it registers. Durability/crash-recovery round
-trips run only for the durable backends.
+trips run only for the durable backend.
 """
 
 import pytest
 
 from repro.blobseer.backends import (
-    ShardedFilePageStore,
     available_backends,
     create_store,
     store_factory_from_config,
@@ -18,7 +17,7 @@ from repro.blobseer.backends import (
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import PageNotFoundError
 
-DURABLE = ("log", "sharded")
+DURABLE = ("log",)
 
 
 @pytest.fixture(params=available_backends())
@@ -31,8 +30,8 @@ def make(backend, tmp_path, fsync=False):
 
 
 class TestConformance:
-    def test_registry_covers_all_three(self):
-        assert {"memory", "log", "sharded"} <= set(available_backends())
+    def test_registry_covers_both(self):
+        assert {"memory", "log"} <= set(available_backends())
 
     def test_put_get_roundtrip(self, backend, tmp_path):
         store = make(backend, tmp_path)
@@ -166,35 +165,6 @@ class TestDurability:
         finally:
             again.close()
 
-    def test_sharded_store_sweeps_tmp_files(self, tmp_path):
-        store = make("sharded", tmp_path)
-        store.put(b"k", b"v")
-        store.close()
-        root = tmp_path / "prov-000"
-        shard = next(d for d in root.iterdir() if d.is_dir())
-        # a crash between tmp-write and rename leaves a .tmp orphan
-        (shard / "deadbeef.tmp").write_bytes(b"partial")
-        again = make("sharded", tmp_path)
-        try:
-            assert again.keys() == [b"k"]
-            assert not list(root.rglob("*.tmp"))
-        finally:
-            again.close()
-
-    def test_sharded_fsync_batching(self, tmp_path):
-        store = ShardedFilePageStore(tmp_path / "s", fsync=True, fsync_batch=4)
-        try:
-            for i in range(10):
-                store.put(f"k{i}".encode(), b"v")
-            # 10 puts, batch of 4: two full batches flushed so far
-            assert store.fsync_passes == 2
-            store.flush()
-            assert store.fsync_passes == 3
-            store.flush()  # nothing pending: no extra pass
-            assert store.fsync_passes == 3
-        finally:
-            store.close()
-
 
 class TestConfigWiring:
     def test_memory_config_means_provider_default(self):
@@ -202,13 +172,13 @@ class TestConfigWiring:
 
     def test_durable_config_builds_stores(self, tmp_path):
         cfg = BlobSeerConfig(
-            page_store_backend="sharded", page_store_dir=str(tmp_path)
+            page_store_backend="log", page_store_dir=str(tmp_path)
         )
         factory = store_factory_from_config(cfg)
         store = factory("provider-007")
         try:
             store.put(b"k", b"v")
-            assert (tmp_path / "provider-007").is_dir()
+            assert (tmp_path / "provider-007.log").is_file()
         finally:
             store.close()
 

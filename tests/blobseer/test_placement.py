@@ -1,49 +1,9 @@
-"""Unit tests for the pluggable placement policies, the read policies,
-and the seeded tie-break determinism regression."""
+"""Placement contracts crash repair and reproducibility lean on: the
+seeded tie-break determinism regression and per-call exclusion."""
 
-import pytest
-
-from repro.blobseer.placement import (
-    LeastLoadedPolicy,
-    RackAwarePolicy,
-    RoundRobinPolicy,
-    available_policies,
-    make_placement_policy,
-)
 from repro.blobseer.provider_manager import ProviderManager
-from repro.common.config import BlobSeerConfig
-from repro.engine.replica import (
-    QuorumReadPolicy,
-    SweepReadPolicy,
-    make_read_policy,
-)
 
 NAMES = [f"p{i}" for i in range(6)]
-
-
-# -- registry -----------------------------------------------------------------
-
-
-def test_registry_lists_all_policies():
-    assert available_policies() == ["least_loaded", "rack_aware", "round_robin"]
-
-
-def test_make_policy_by_name():
-    assert isinstance(make_placement_policy("least_loaded"), LeastLoadedPolicy)
-    assert isinstance(make_placement_policy("round_robin"), RoundRobinPolicy)
-    assert isinstance(make_placement_policy("rack_aware"), RackAwarePolicy)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="unknown placement policy"):
-        make_placement_policy("gravity")
-
-
-def test_config_validates_policy_names():
-    with pytest.raises(ValueError):
-        BlobSeerConfig(placement_policy="gravity").validate()
-    with pytest.raises(ValueError):
-        BlobSeerConfig(read_policy="telepathy").validate()
 
 
 # -- tie-break determinism (regression) ---------------------------------------
@@ -73,96 +33,7 @@ def test_tiebreak_varies_with_seed():
     assert a != b  # astronomically unlikely to coincide
 
 
-# -- round robin --------------------------------------------------------------
-
-
-def test_round_robin_cycles_all_providers():
-    pm = ProviderManager(NAMES, seed=1, policy=RoundRobinPolicy())
-    placements = pm.allocate([10] * 6, replication=1)
-    # one full lap: every provider exactly once
-    assert sorted(p[0] for p in placements) == sorted(NAMES)
-
-
-def test_round_robin_is_load_blind_but_fair():
-    pm = ProviderManager(NAMES, seed=1, policy=RoundRobinPolicy())
-    pm.allocate([10] * 60, replication=1)
-    loads = pm.load_snapshot()
-    assert max(loads.values()) == min(loads.values())
-
-
-def test_round_robin_skips_down_providers():
-    pm = ProviderManager(NAMES, seed=1, policy=RoundRobinPolicy())
-    pm.mark_down("p2")
-    for placement in pm.allocate([10] * 12, replication=2):
-        assert "p2" not in placement
-        assert len(set(placement)) == 2
-
-
-def test_round_robin_honors_prefer():
-    pm = ProviderManager(NAMES, seed=1, policy=RoundRobinPolicy())
-    [placement] = pm.allocate([10], replication=1, prefer="p4")
-    assert placement[0] == "p4"
-
-
-# -- rack aware ---------------------------------------------------------------
-
-RACKS = {
-    "p0": "rack-a",
-    "p1": "rack-a",
-    "p2": "rack-b",
-    "p3": "rack-b",
-    "p4": "rack-c",
-    "p5": "rack-c",
-}
-
-
-def _rack_pm(seed=1):
-    return ProviderManager(
-        NAMES, seed=seed, policy=RackAwarePolicy(), topology=RACKS
-    )
-
-
-def test_rack_aware_spreads_replicas_across_racks():
-    pm = _rack_pm()
-    for placement in pm.allocate([10] * 20, replication=3):
-        racks = {RACKS[name] for name in placement}
-        assert len(racks) == 3
-
-
-def test_rack_aware_relaxes_when_racks_exhausted():
-    pm = _rack_pm()
-    # 4 replicas, 3 racks: the 4th relaxes to a distinct provider
-    [placement] = pm.allocate([10], replication=4)
-    assert len(set(placement)) == 4
-    assert len({RACKS[n] for n in placement}) == 3
-
-
-def test_rack_aware_balances_load_within_constraint():
-    pm = _rack_pm()
-    pm.allocate([10] * 60, replication=2)
-    loads = pm.load_snapshot()
-    assert max(loads.values()) <= 2 * min(loads.values())
-
-
-def test_rack_aware_survives_rack_failure():
-    pm = _rack_pm()
-    pm.mark_down("p0")
-    pm.mark_down("p1")  # all of rack-a down
-    for placement in pm.allocate([10] * 10, replication=2):
-        racks = {RACKS[name] for name in placement}
-        assert len(racks) == 2
-        assert "rack-a" not in racks
-
-
-def test_rack_aware_without_topology_is_per_provider():
-    # unmapped providers count as singleton racks: plain distinctness
-    pm = ProviderManager(NAMES, seed=1, policy=RackAwarePolicy())
-    [placement] = pm.allocate([10], replication=3)
-    assert len(set(placement)) == 3
-    assert pm.rack_of("p0") is None
-
-
-# -- exclusion (re-replication's allocate contract) ---------------------------
+# -- exclusion (crash repair's allocate contract) ------------------------------
 
 
 def test_exclude_bars_named_providers():
@@ -181,27 +52,3 @@ def test_exclude_unknown_names_ignored():
     pm = ProviderManager(NAMES, seed=1)
     [placement] = pm.allocate([10], replication=1, exclude=("ghost",))
     assert placement[0] in NAMES
-
-
-# -- read policies ------------------------------------------------------------
-
-
-def test_make_read_policy_default_is_sweep():
-    policy = make_read_policy(BlobSeerConfig())
-    assert isinstance(policy, SweepReadPolicy)
-    assert not policy.serial_fetch
-
-
-def test_make_read_policy_quorum():
-    cfg = BlobSeerConfig(read_policy="quorum", read_quorum=3)
-    policy = make_read_policy(cfg)
-    assert isinstance(policy, QuorumReadPolicy)
-    assert policy.quorum == 3
-    assert policy.serial_fetch
-
-
-def test_quorum_must_be_positive():
-    with pytest.raises(ValueError):
-        QuorumReadPolicy(quorum=0)
-    with pytest.raises(ValueError):
-        BlobSeerConfig(read_policy="quorum", read_quorum=0).validate()

@@ -36,14 +36,13 @@ N_PROVIDERS = 8
 CLIENTS = ("node-013", "node-014")
 
 
-def _config(replication=1, lease_s=30.0, group_commit=False, **cfg_kw):
+def _config(replication=1, lease_s=30.0, group_commit=False):
     return BlobSeerConfig(
         page_size=PAGE,
         metadata_providers=3,
         replication=replication,
         append_lease_s=lease_s,
         group_commit=group_commit,
-        **cfg_kw,
     )
 
 
@@ -54,7 +53,7 @@ class SimHarness:
 
     def __init__(
         self, replication=1, lease_s=30.0, bsfs=False, obs=None,
-        group_commit=False, **cfg_kw,
+        group_commit=False,
     ):
         self.cluster = SimCluster(ClusterConfig(nodes=20, seed=SEED))
         names = self.cluster.names()
@@ -64,7 +63,7 @@ class SimHarness:
             metadata_providers=tuple(names[2:5]),
             data_providers=tuple(names[5 : 5 + N_PROVIDERS]),
         )
-        cfg = _config(replication, lease_s, group_commit, **cfg_kw)
+        cfg = _config(replication, lease_s, group_commit)
         if bsfs:
             dep = SimBSFS(
                 self.cluster,
@@ -119,9 +118,9 @@ class ThreadedHarness:
 
     def __init__(
         self, replication=1, lease_s=30.0, bsfs=False, obs=None,
-        group_commit=False, **cfg_kw,
+        group_commit=False,
     ):
-        cfg = _config(replication, lease_s, group_commit, **cfg_kw)
+        cfg = _config(replication, lease_s, group_commit)
         if bsfs:
             dep = BSFS(
                 config=cfg, n_providers=N_PROVIDERS, seed=SEED, obs=obs
@@ -174,9 +173,9 @@ class AsyncioHarness:
 
     def __init__(
         self, replication=1, lease_s=30.0, bsfs=False, obs=None,
-        group_commit=False, **cfg_kw,
+        group_commit=False,
     ):
-        cfg = _config(replication, lease_s, group_commit, **cfg_kw)
+        cfg = _config(replication, lease_s, group_commit)
         engine = AsyncioEngine(seed=SEED, obs=obs)
         self.svc = BlobSeerService(
             config=cfg,
@@ -304,36 +303,12 @@ def scenario_group_commit_append(h):
 scenario_group_commit_append.harness_kw = {"group_commit": True}
 
 
-def scenario_quorum_read(h):
-    """Quorum reads (R=2 of 3) over a three-way replicated append: both
-    quorum members are contacted per piece, then one replica crashes and
-    the next read's quorum sweeps around the loss — the fetch sequence
-    (members tried, failover order) must coincide on every engine."""
-    blob = h.create_blob()
-    h.run(h.proto.append(h.clients[0], blob, Payload(b"q" * (PAGE + 123))))
-    h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 123))
-    _offset, _length, providers = h.layout(blob)[0]
-    h.fail(providers[0])
-    h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 123))
-    fetches = sum(1 for rec in h.trace if rec[0] == "fetch")
-    # 2 pages x 2 reads, >= 2 replicas contacted each: quorum amplifies
-    assert fetches >= 8
-
-
-scenario_quorum_read.harness_kw = {
-    "replication": 3,
-    "read_policy": "quorum",
-    "read_quorum": 2,
-}
-
-
 SCENARIOS = [
     scenario_append_commit,
     scenario_lease_abort,
     scenario_failover_read,
     scenario_write_behind,
     scenario_group_commit_append,
-    scenario_quorum_read,
 ]
 
 

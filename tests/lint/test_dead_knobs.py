@@ -1,27 +1,109 @@
-"""Lint gate: every configuration knob is read by the program.
+"""Lint gate: every configuration knob is read by the program, and
+every ``BlobSeerConfig`` knob is turned by something other than a test.
 
 A field of a dataclass in ``repro/common/config.py`` that nothing under
 ``src/repro`` reads is an option the tests and benchmarks must still
 cover and nobody can observe — ``BlobSeerConfig.client_parallelism``
-was validated for ten PRs without a single reader. This test fails CI
-when a field is only ever declared, validated or assigned.
+was validated for ten PRs without a single reader. The first test fails
+CI when a field is only ever declared, validated or assigned.
+
+A field that *is* read but that only tests ever move off its default is
+a second code path no figure, benchmark workload, example or server run
+exercises — PR 10's placement/read-policy/hot-page knobs sat that way
+for ten PRs. The second test fails CI unless every ``BlobSeerConfig``
+field is given a non-default value somewhere in the traffic roots
+(``src/repro``, ``benchmarks/e2e``, ``examples``) or is listed, with its
+reason for staying, in :data:`NO_TRAFFIC`.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
 CONFIG = SRC / "common" / "config.py"
 
+#: where a knob must be turned to count as used: product code, the repo
+#: benchmark's workloads, and the examples — never tests
+TRAFFIC_ROOTS = (SRC, REPO / "benchmarks" / "e2e", REPO / "examples")
 
-def _declared_fields(config_source: str):
-    """``Class.field`` for every annotated field of every class."""
-    return [
-        f"{cls.name}.{stmt.target.id}"
+#: ``BlobSeerConfig`` fields no traffic root moves off the default, and
+#: why each stays. An entry whose field has acquired traffic, or that
+#: names no field, fails the lint too — the table cannot go stale.
+NO_TRAFFIC = {
+    "cache_blocks": "stream cache depth; every run uses 2",
+    "cache_enabled": (
+        "only benchmarks/test_ablation_cache.py (the paper's cache "
+        "ablation, outside the traffic roots) and tests turn it off"
+    ),
+    "metadata_turn_timeout_s": (
+        "safety timeout that keeps a live appender from waiting forever "
+        "on a stuck predecessor"
+    ),
+    "page_store_fsync": (
+        "durability switch of the log store; the e2e benchmark pins it "
+        "off (sandbox fsync is not a device measurement), ROADMAP item "
+        "3's restart gate turns it on"
+    ),
+    "rereplication": (
+        "crash repair; ROADMAP item 1's fault plans drive it"
+    ),
+}
+
+
+def _config_classes(config_source: str):
+    """``{class: {field: default AST node}}`` for every annotated field
+    of every class."""
+    return {
+        cls.name: {
+            stmt.target.id: stmt.value
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+        }
         for cls in ast.parse(config_source).body
         if isinstance(cls, ast.ClassDef)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def _is_default(value: ast.expr, default: ast.expr) -> bool:
+    """A literal equal to the field's literal default; anything the lint
+    cannot evaluate (a variable, an expression) counts as non-default."""
+    return (
+        isinstance(value, ast.Constant)
+        and isinstance(default, ast.Constant)
+        and type(value.value) is type(default.value)
+        and value.value == default.value
+    )
+
+
+def _untrafficked(config_source: str, cls_name: str, sources):
+    """Fields of *cls_name* that no source sets to a non-default value.
+
+    A field is set by a keyword argument: ``BlobSeerConfig(f=...)``,
+    ``replace(cfg, f=...)``, a ``dict(f=...)`` splatted into either — a
+    CLI flag reaches a field the same way. Matching is by name, like
+    :func:`_names_read`; attribute assignments do not count (``self.f =``
+    in an unrelated class would).
+    """
+    defaults = _config_classes(config_source)[cls_name]
+    moved = {
+        kw.arg
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg in defaults and not _is_default(kw.value, defaults[kw.arg])
+    }
+    return [name for name in defaults if name not in moved]
+
+
+def _traffic_sources():
+    return [
+        p.read_text()
+        for root in TRAFFIC_ROOTS
+        for p in sorted(root.rglob("*.py"))
+        if p != CONFIG
     ]
 
 
@@ -48,9 +130,10 @@ def _names_read(sources):
 def _dead_knobs(config_source: str, other_sources):
     read = _names_read(other_sources)
     return [
-        field
-        for field in _declared_fields(config_source)
-        if field.split(".")[1] not in read
+        f"{cls}.{field}"
+        for cls, fields in _config_classes(config_source).items()
+        for field in fields
+        if field not in read
     ]
 
 
@@ -85,3 +168,52 @@ def test_lint_catches_a_knob_nothing_reads():
         "DemoConfig.only_validated",
         "DemoConfig.only_set",
     ]
+
+
+def test_every_blobseer_knob_has_traffic_or_a_reason():
+    fields = _config_classes(CONFIG.read_text())["BlobSeerConfig"]
+    idle = _untrafficked(CONFIG.read_text(), "BlobSeerConfig", _traffic_sources())
+    unexplained = [f for f in idle if f not in NO_TRAFFIC]
+    assert not unexplained, (
+        "BlobSeerConfig fields that only tests move off their default "
+        "(delete the knob with the path behind it, give it real traffic, "
+        "or add it to NO_TRAFFIC with the reason it stays):\n"
+        + "\n".join(unexplained)
+    )
+    stale = [f for f in NO_TRAFFIC if f not in idle]
+    assert not stale, (
+        "NO_TRAFFIC entries that name no BlobSeerConfig field or whose "
+        "field now has traffic (delete the entry):\n"
+        + "\n".join(f"{f}{'' if f in fields else ' (no such field)'}" for f in stale)
+    )
+
+
+def test_traffic_lint_tells_moved_from_merely_mentioned():
+    """The gate itself works: passing the default, or reading the
+    field, or assigning an attribute of that name, is not traffic; a
+    non-default literal, a computed value and a ``replace`` keyword
+    are."""
+    config = (
+        "class DemoConfig:\n"
+        "    literal: int = 1\n"
+        "    computed: int = 2\n"
+        "    replaced: bool = False\n"
+        "    assigned: int = 4\n"
+        "    restated: bool = False\n"
+        "    only_read: int = 6\n"
+        "class OtherConfig:\n"
+        "    literal: int = 1\n"
+    )
+    user = (
+        "def run(args, cfg):\n"
+        "    cfg = DemoConfig(literal=3, computed=args.n, restated=False)\n"
+        "    cfg = replace(cfg, replaced=True)\n"
+        "    cfg.assigned = 5\n"
+        "    return cfg.only_read\n"
+    )
+    assert _untrafficked(config, "DemoConfig", [user]) == [
+        "assigned",
+        "restated",
+        "only_read",
+    ]
+    assert _untrafficked(config, "OtherConfig", []) == ["literal"]

@@ -196,6 +196,7 @@ class TestObservability:
         assert status == 200
         assert doc["counters"]["http.requests"] > 0
         assert any(k.startswith("http.") for k in doc["histograms"])
+        assert set(doc["placement"]) == {"provider_load", "down"}
 
     def test_keep_alive_reuses_one_connection(self, conn):
         for _ in range(3):
