@@ -13,7 +13,9 @@ outright. The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way.
+throughput) are gated the same way. One gate is a memory ceiling rather
+than a speed floor: the bytes a live append leaves behind besides its
+payload (tree nodes, their keys, the DHT's buckets).
 
 Not part of the tier-1 suite (pyproject collects ``tests/`` only); CI
 runs it as a separate perf-smoke job::
@@ -23,8 +25,10 @@ runs it as a separate perf-smoke job::
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -100,6 +104,61 @@ def test_metadata_microbench_vs_baseline(baseline, scenario):
         f"{baseline['metadata'][scenario]['ops_per_s']:,.0f}); if the "
         f"hardware class changed, re-baseline benchmarks/perf/baseline.json"
     )
+
+
+def test_live_append_retained_metadata_under_ceiling(baseline):
+    """What `repro-serve` keeps per append besides the payload — ~8 tree
+    nodes at this depth, one version record, one fragment — stays under
+    the committed ceiling, and the DHT keeps nothing per key but its
+    buckets (placement is recomputed, never remembered)."""
+    from repro.engine.base import Payload
+    from repro.server import BlobServer
+
+    row = baseline["memory"]["live_append"]
+    n, record, page = row["appends"], row["record_bytes"], row["page_bytes"]
+    server = BlobServer(n_providers=8)
+
+    async def drive() -> int:
+        blob = server.service.create_blob(page)
+        await server.engine.run(server.bsfs.create_file("c", "/f", blob, page))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(n):
+                body = Payload(bytes([i % 251]) * record)
+                await server.engine.run(server.bsfs.append_file("c", "/f", body))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return after - before
+
+    try:
+        held = asyncio.run(drive())
+    finally:
+        server.service.close()
+    dht = server.service.dht
+    assert len(dht) > 8 * n, "the appends built no tree"
+    per_append = (held - n * record) / n
+    assert per_append <= row["max_retained_bytes_per_append"], (
+        f"a live append retains {per_append:,.0f} B besides its payload "
+        f"({len(dht) / n:.1f} tree nodes), ceiling "
+        f"{row['max_retained_bytes_per_append']:,} B: the per-node cost "
+        f"crept back (see the note in benchmarks/perf/baseline.json)"
+    )
+
+    def entries(value) -> int:
+        if isinstance(value, dict):
+            return len(value) + sum(map(entries, value.values()))
+        if isinstance(value, (list, tuple, set)):
+            return len(value) + sum(map(entries, value))
+        return 0
+
+    per_key = {
+        name: entries(value)
+        for name, value in vars(dht).items()
+        if name != "_buckets" and entries(value) > 2 * dht.n_providers
+    }
+    assert not per_key, f"MetadataDHT grows with its keys outside _buckets: {per_key}"
 
 
 def test_coalescing_counters_wired(baseline):

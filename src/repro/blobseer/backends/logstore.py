@@ -12,7 +12,7 @@ import threading
 from pathlib import Path
 from typing import Dict, List
 
-from ...common.crc import encode_record, scan_log
+from ...common.crc import decode_record, encode_record, scan_log
 from ...common.errors import CorruptPageError, PageNotFoundError
 
 #: tombstone marker: a record with this 1-byte prefix deletes its key
@@ -88,8 +88,6 @@ class LogStructuredPageStore:
                 raise PageNotFoundError(f"no page {key!r}") from None
             self._read_fp.seek(offset)
             raw = self._read_fp.read(length)
-        from ...common.crc import decode_record
-
         stored_key, marked_value, _ = decode_record(raw)
         if stored_key != key:  # pragma: no cover - index corruption guard
             raise CorruptPageError(f"index pointed at wrong record for {key!r}")

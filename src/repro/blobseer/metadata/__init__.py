@@ -9,7 +9,7 @@ from .segment_tree import (
     iter_all_pages,
     query_pages,
 )
-from .dht import AccessRecord, MetadataDHT, RecordingStore, placement_hash
+from .dht import MetadataDHT, RecordingStore, placement_hash
 
 __all__ = [
     "NodeKey",
@@ -18,7 +18,6 @@ __all__ = [
     "capacity_for",
     "iter_all_pages",
     "query_pages",
-    "AccessRecord",
     "MetadataDHT",
     "RecordingStore",
     "placement_hash",

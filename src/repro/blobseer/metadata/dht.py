@@ -7,10 +7,14 @@ keeps metadata from becoming the bottleneck the version manager would
 otherwise be.
 
 :class:`MetadataDHT` is the threaded-runtime implementation (per-bucket
-dicts with locks). :class:`RecordingStore` wraps any node store and logs
-``(op, owner)`` pairs; the simulated runtime replays that log as charged
-RPCs against the simulated metadata-provider machines, so the *exact*
-metadata traffic of the real algorithms is what gets costed.
+dicts with locks). :class:`RecordingStore` wraps it and logs the owning
+provider of every access; the simulated runtime replays that log as
+charged RPCs against the simulated metadata-provider machines, so the
+*exact* metadata traffic of the real algorithms is what gets costed.
+
+Placement is a pure function of the key, recomputed where it is needed
+(one SHA-1 per access that reaches the DHT) and remembered nowhere: the
+DHT holds its buckets and nothing else per key.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ...common.errors import VersionNotFoundError
 from .segment_tree import NodeKey, TreeNode
@@ -44,21 +47,13 @@ class MetadataDHT:
             {} for _ in range(n_providers)
         ]
         self._locks = [threading.Lock() for _ in range(n_providers)]
-        #: placement is a pure function of the key, and every node is
-        #: hashed several times over its life (placement, recorded
-        #: access, bucket op) — memoize instead of re-running SHA-1
-        self._owner_cache: Dict[NodeKey, int] = {}
         #: lifetime op counters per provider: (gets, puts)
         self.gets = [0] * n_providers
         self.puts = [0] * n_providers
 
     def owner(self, key: NodeKey) -> int:
         """Which metadata provider is responsible for *key*."""
-        idx = self._owner_cache.get(key)
-        if idx is None:
-            idx = placement_hash(key.key_bytes(), self.n_providers)
-            self._owner_cache[key] = idx
-        return idx
+        return placement_hash(key.key_bytes(), self.n_providers)
 
     def get_node(self, key: NodeKey) -> TreeNode:
         """Fetch a node; raises ``VersionNotFoundError`` when absent."""
@@ -89,38 +84,30 @@ class MetadataDHT:
         return [len(b) for b in self._buckets]
 
 
-@dataclass(slots=True)
-class AccessRecord:
-    """One logged DHT operation."""
-
-    op: str  # "get" | "put"
-    owner: int
-
-
 class RecordingStore:
-    """Node-store wrapper that logs every access with its owning provider.
+    """Node-store wrapper that logs the owning provider of every access.
 
     The simulated runtime runs the genuine tree algorithms against this
-    wrapper, then charges each logged op as an RPC to the corresponding
+    wrapper, then charges each logged owner one RPC at the corresponding
     simulated metadata-provider machine.
     """
 
     def __init__(self, inner: MetadataDHT) -> None:
         self.inner = inner
-        self.log: List[AccessRecord] = []
+        self.log: List[int] = []
 
     def get_node(self, key: NodeKey) -> TreeNode:
         idx = self.inner.owner(key)
-        self.log.append(AccessRecord("get", idx))
+        self.log.append(idx)
         return self.inner._get_at(idx, key)
 
     def put_node(self, node: TreeNode) -> None:
         idx = self.inner.owner(node.key)
-        self.log.append(AccessRecord("put", idx))
+        self.log.append(idx)
         self.inner._put_at(idx, node)
 
-    def take_log(self) -> List[AccessRecord]:
-        """Return and clear the access log."""
+    def take_log(self) -> List[int]:
+        """Return and clear the owner log."""
         log, self.log = self.log, []
         return log
 

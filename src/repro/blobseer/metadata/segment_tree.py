@@ -20,36 +20,38 @@ simulated runtime (cost-charging DHT) drive them unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple
+from collections import namedtuple
+from typing import (
+    Dict,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from ...common.errors import VersionNotFoundError
 from ..pages import PageFragments, overlay
 
 
-@dataclass(frozen=True, slots=True)
-class NodeKey:
+class NodeKey(NamedTuple):
     """Identity of one tree node: which version created it and the page
-    range ``[lo, hi)`` it covers."""
+    range ``[lo, hi)`` it covers.
+
+    A flat tuple: hashing and equality run in C, which is what every
+    DHT bucket and node-cache lookup pays.
+    """
 
     blob_id: int
     version: int
     lo: int
     hi: int
 
-    #: memoized :meth:`key_bytes` — every key is hashed for placement and
-    #: possibly re-derived by caches; excluded from equality/hash/repr
-    _kb: Optional[bytes] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
     def key_bytes(self) -> bytes:
         """Stable byte form, used for DHT placement."""
-        kb = self._kb
-        if kb is None:
-            kb = f"tree/{self.blob_id}/{self.version}/{self.lo}/{self.hi}".encode()
-            object.__setattr__(self, "_kb", kb)
-        return kb
+        return b"tree/%d/%d/%d/%d" % self
 
     @property
     def span(self) -> int:
@@ -57,12 +59,11 @@ class NodeKey:
 
     @property
     def is_leaf_range(self) -> bool:
-        return self.span == 1
+        return self.hi - self.lo == 1
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    """One immutable tree node.
+class TreeNode(namedtuple("TreeNode", "key fragments left right")):
+    """One immutable tree node, ``(key, fragments, left, right)``.
 
     A leaf (``key.span == 1``) carries the page's fragment list; an
     inner node carries the keys of its children (``None`` where the
@@ -70,20 +71,23 @@ class TreeNode:
     fringe of the tree).
     """
 
-    key: NodeKey
-    fragments: Optional[PageFragments] = None
-    left: Optional[NodeKey] = None
-    right: Optional[NodeKey] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.key.is_leaf_range:
-            if not self.fragments:
-                raise ValueError(f"leaf {self.key} missing fragments")
-            if self.left is not None or self.right is not None:
-                raise ValueError(f"leaf {self.key} must not have children")
-        else:
-            if self.fragments is not None:
-                raise ValueError(f"inner node {self.key} must not carry a page")
+    def __new__(
+        cls,
+        key: NodeKey,
+        fragments: Optional[PageFragments] = None,
+        left: Optional[NodeKey] = None,
+        right: Optional[NodeKey] = None,
+    ) -> "TreeNode":
+        if key.hi - key.lo == 1:
+            if not fragments:
+                raise ValueError(f"leaf {key} missing fragments")
+            if left is not None or right is not None:
+                raise ValueError(f"leaf {key} must not have children")
+        elif fragments is not None:
+            raise ValueError(f"inner node {key} must not carry a page")
+        return tuple.__new__(cls, (key, fragments, left, right))
 
 
 class NodeStore(Protocol):
@@ -126,30 +130,16 @@ def build_version(
         raise ValueError("capacity cannot shrink")
     if any(i < 0 or i >= new_capacity for i in changes):
         raise ValueError("change index out of capacity")
-    # the changed indices, sorted once up front: each node's "does any
-    # change fall in my range" test is then a single bisect instead of a
-    # scan over the whole change map — O(log|changes|) per node, so a
-    # build writes its O(|changes| + log cap) nodes in near-linear time
+    # the changed indices, sorted once: every call below owns the slice
+    # ``sorted_changes[i:j]`` that falls in its range, and one bisect at
+    # the midpoint splits it between the two children
     sorted_changes = sorted(changes)
 
-    def touched_in(lo: int, hi: int) -> bool:
-        i = bisect_left(sorted_changes, lo)
-        return i < len(sorted_changes) and sorted_changes[i] < hi
-
-    def build(lo: int, hi: int, prev: Optional[NodeKey]) -> Optional[NodeKey]:
-        touched = touched_in(lo, hi)
-        if not touched:
-            if prev is _UNRESOLVED:
-                # untouched but structurally misaligned with the old tree:
-                # descend to realign (only along the graft path).
-                pass
-            else:
-                return prev
+    def build(lo: int, hi: int, prev, i: int, j: int) -> NodeKey:
+        """Write the node over ``[lo, hi)`` — a range that holds a change
+        (``i < j``) or lies on the graft path (*prev* unresolved)."""
         if hi - lo == 1:
-            frags = changes.get(lo)
-            if frags is None:  # pragma: no cover - guarded by touched check
-                return prev if prev is not _UNRESOLVED else None
-            leaf = TreeNode(NodeKey(blob_id, version, lo, hi), fragments=frags)
+            leaf = TreeNode(NodeKey(blob_id, version, lo, hi), changes[lo])
             store.put_node(leaf)
             return leaf.key
 
@@ -174,20 +164,26 @@ def build_version(
             node = store.get_node(prev)
             prev_left, prev_right = node.left, node.right
 
-        new_left = build(lo, mid, prev_left)
-        new_right = build(mid, hi, prev_right)
-        inner = TreeNode(
-            NodeKey(blob_id, version, lo, hi), left=new_left, right=new_right
-        )
+        # descend only where something is written: an untouched child is
+        # shared with the previous version by its key, with no call
+        k = bisect_left(sorted_changes, mid, i, j)
+        left, right = prev_left, prev_right
+        if i < k or prev_left is _UNRESOLVED:
+            left = build(lo, mid, prev_left, i, k)
+        if k < j:
+            right = build(mid, hi, prev_right, k, j)
+        inner = TreeNode(NodeKey(blob_id, version, lo, hi), None, left, right)
         store.put_node(inner)
         return inner.key
 
-    if prev_root is not None and new_capacity > prev_capacity:
-        root = build(0, new_capacity, _UNRESOLVED)
-    else:
-        root = build(0, new_capacity, prev_root)
-    assert root is not None
-    return root
+    grafting = prev_root is not None and new_capacity > prev_capacity
+    return build(
+        0,
+        new_capacity,
+        _UNRESOLVED if grafting else prev_root,
+        0,
+        len(sorted_changes),
+    )
 
 
 def query_pages(
@@ -209,12 +205,13 @@ def query_pages(
     def walk(key: Optional[NodeKey]) -> None:
         if key is None:
             return
-        if key.hi <= lo or key.lo >= hi:
+        _, _, key_lo, key_hi = key
+        if key_hi <= lo or key_lo >= hi:
             return
         node = store.get_node(key)
-        if key.is_leaf_range:
+        if key_hi - key_lo == 1:
             assert node.fragments is not None
-            out[key.lo] = node.fragments
+            out[key_lo] = node.fragments
             return
         walk(node.left)
         walk(node.right)

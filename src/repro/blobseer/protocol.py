@@ -600,7 +600,7 @@ class BlobSeerProtocol:
             return
         self._c_md_rpcs.inc(len(log))
         self.engine.trace_parent(parent)
-        yield self.engine.charge_md([rec.owner for rec in log])
+        yield self.engine.charge_md(log)
 
     def _charge_many(self, logs, parent=None):
         """Generator: bill several access logs as one publish round."""
@@ -609,9 +609,7 @@ class BlobSeerProtocol:
             return
         self._c_md_rpcs.inc(sum(len(log) for log in logs))
         self.engine.trace_parent(parent)
-        yield self.engine.charge_md_many(
-            [[rec.owner for rec in log] for log in logs]
-        )
+        yield self.engine.charge_md_many(logs)
 
     # -- read path -----------------------------------------------------------
 

@@ -25,6 +25,10 @@ from ..engine.base import Payload
 from ..obs import NULL_OBS, Observability
 from .cache import ReadBlockCache, WriteBehindBuffer
 
+#: paths the namespace record cache holds at most; the oldest entry
+#: makes room for a new one
+RECORD_CACHE_PATHS = 4096
+
 
 class BSFSProtocol:
     """The one BSFS client stack, bound to a runtime through its engine."""
@@ -47,8 +51,11 @@ class BSFSProtocol:
         #: A record's blob binding and page size are immutable, and the
         #: operations resolved through the cache never consult its size
         #: field (appends learn their offset from the BLOB ticket, reads
-        #: are bounds-checked against the BLOB version), so cached
-        #: entries cannot go stale in a way that matters.
+        #: are bounds-checked against the BLOB version), so an entry
+        #: goes stale only when its *path* is rebound: :meth:`delete`
+        #: and :meth:`rename` empty the cache, an overwriting
+        #: :meth:`create_file` drops its path. Namespace mutations that
+        #: bypass this protocol object are not seen.
         cfg = getattr(blobseer, "config", None)
         if cfg is not None and getattr(cfg, "ns_record_cache", False):
             self._record_cache: Optional[Dict[str, object]] = {}
@@ -84,6 +91,8 @@ class BSFSProtocol:
             self._c_ns_cache_misses.inc()
         record = yield from self._ns(client, parent, "lookup", "get", path)
         if cache is not None:
+            if len(cache) >= RECORD_CACHE_PATHS:
+                del cache[next(iter(cache))]
             cache[path] = record
         return record
 
@@ -112,6 +121,29 @@ class BSFSProtocol:
             self._record_cache.pop(path, None)
         sp.finish(blob=blob_id)
         return record
+
+    def delete(
+        self, client: str, path: str, recursive: bool = False, parent=None
+    ):
+        """Generator: delete *path* at the namespace manager; returns
+        the removed file records, None when nothing was there."""
+        removed = yield from self._ns(
+            client, parent, "delete", "delete", path, recursive
+        )
+        self._forget_records()
+        return removed
+
+    def rename(self, client: str, src: str, dst: str, parent=None):
+        """Generator: rename *src* to *dst* at the namespace manager."""
+        yield from self._ns(client, parent, "rename", "rename", src, dst)
+        self._forget_records()
+
+    def _forget_records(self) -> None:
+        # a delete or rename unbinds every path at or below its
+        # arguments, under any spelling the cache keyed them by; these
+        # are rare beside appends and reads, so drop everything
+        if self._record_cache is not None:
+            self._record_cache.clear()
 
     def append_file(
         self, client: str, path: str, payload: Payload, parent=None

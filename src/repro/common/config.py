@@ -9,14 +9,28 @@ the remaining nodes; 64 MB pages/chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .units import CHUNK_SIZE, MiB
+
+#: node-cache entries per client stack on the ``fast`` profile: a few
+#: thousand nodes hold every hot root-reachable prefix of a few dozen
+#: concurrently appended files without approaching the DHT's full
+#: contents
+FAST_MD_CACHE_NODES = 4096
 
 
 @dataclass(slots=True)
 class BlobSeerConfig:
-    """Tunables of the BlobSeer service and its BSFS layer."""
+    """Tunables of the BlobSeer service and its BSFS layer.
+
+    The three metadata fast-path knobs (``group_commit``,
+    ``md_cache_nodes``, ``ns_record_cache``) move together, as one of
+    two named profiles: ``paper`` — the defaults: the classic serialized
+    publish, every node get and namespace lookup an RPC, every figure
+    and pinned value bit-identical — and :meth:`fast`. Nothing but
+    :meth:`fast` sets them (``tests/lint/test_dead_knobs.py``).
+    """
 
     #: BlobSeer page size; set to the HDFS chunk size for a fair comparison.
     page_size: int = CHUNK_SIZE
@@ -61,6 +75,21 @@ class BlobSeerConfig:
     #: (``repro.blobseer.rereplication``) can restore ``replication``
     #: live copies of pages that lost replicas to provider crashes
     rereplication: bool = False
+
+    def fast(self, group_commit: bool = True) -> "BlobSeerConfig":
+        """This deployment on the ``fast`` profile: group commit, the
+        node cache and the namespace record cache.
+
+        *group_commit* ``False`` keeps the two caches only — for a
+        deployment whose appenders are few closed loops that never queue
+        behind one another, so there is never a batch to publish
+        (``repro-serve``)."""
+        return replace(
+            self,
+            group_commit=group_commit,
+            md_cache_nodes=max(self.md_cache_nodes, FAST_MD_CACHE_NODES),
+            ns_record_cache=True,
+        )
 
     def validate(self) -> None:
         if self.page_size <= 0:

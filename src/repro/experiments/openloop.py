@@ -78,18 +78,14 @@ class OpenLoopPoint:
     latencies_s: List[float] = field(default_factory=list, repr=False)
 
 
-#: node-cache entries per client stack in the open-loop deployment: a
-#: few thousand nodes hold every hot root-reachable prefix of the 32
-#: shard files without approaching the DHT's full contents
-MD_CACHE_NODES = 4096
-
-
 def _rack_config(config: ExperimentConfig) -> ExperimentConfig:
     """The sweep's deployment config: the caller's, lifted onto a
-    multi-rack topology when it is still flat, with the metadata-plane
-    fast path switched on (group commit + node/record caches) — the
-    regime this experiment exists to measure. Only ``cluster`` and
-    ``blobseer`` ever differ from *config*."""
+    multi-rack topology when it is still flat, on the ``fast`` profile
+    (group commit + node/record caches) — the regime this experiment
+    exists to measure. The profile is applied whatever the caller set:
+    group commit and the record cache come on, the node cache grows to
+    at least the profile's size. Only ``cluster`` and ``blobseer`` ever
+    differ from *config*."""
     cluster = config.cluster
     if cluster.racks == 0:
         cluster = replace(
@@ -97,15 +93,7 @@ def _rack_config(config: ExperimentConfig) -> ExperimentConfig:
             racks=DEFAULT_RACKS,
             rack_bandwidth=RACK_UPLINK_NICS * cluster.nic_bandwidth,
         )
-    blobseer = config.blobseer
-    if not blobseer.group_commit:
-        blobseer = replace(
-            blobseer,
-            group_commit=True,
-            md_cache_nodes=max(blobseer.md_cache_nodes, MD_CACHE_NODES),
-            ns_record_cache=True,
-        )
-    return replace(config, cluster=cluster, blobseer=blobseer)
+    return replace(config, cluster=cluster, blobseer=config.blobseer.fast())
 
 
 def run_open_loop(
@@ -195,7 +183,9 @@ def open_loop_sweep(
     arrivals: str = "poisson",
     obs: Optional[Observability] = None,
 ) -> List[OpenLoopPoint]:
-    """Sweep offered load (ops/s) over fresh multi-rack deployments.
+    """Sweep offered load (ops/s) over fresh multi-rack deployments on
+    the ``fast`` metadata profile, whichever fast-path knobs
+    ``config.blobseer`` arrives with (``_rack_config``).
 
     *arrivals* selects the schedule family: ``"poisson"`` (memoryless
     open loop, the default) or ``"lastfm"`` (synthetic trace replay with

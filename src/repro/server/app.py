@@ -113,9 +113,15 @@ class BlobServer:
         max_body: int = DEFAULT_MAX_BODY,
         trace_sample: int = 1,
     ) -> None:
-        """*trace_sample* = N records the span tree of every N-th
+        """Without a *config* the deployment runs the ``fast`` profile's
+        two caches (tree nodes, namespace records) and no group commit —
+        see :meth:`BlobSeerConfig.fast`.
+
+        *trace_sample* = N records the span tree of every N-th
         routed request (1: every request, 0: none) — if *obs* traces
         at all."""
+        if config is None:
+            config = BlobSeerConfig().fast(group_commit=False)
         self.obs = obs or NULL_OBS
         self.host = host
         self.port = port  # 0 until start() binds an ephemeral port
@@ -485,8 +491,10 @@ class BlobServer:
 
     async def _h_fs_delete(self, request: Request, client: str, span) -> Response:
         recursive = request.query.get("recursive", "") in ("1", "true")
-        removed = self.namespace.delete(
-            request.params["path"], recursive=recursive
+        removed = await self.engine.run(
+            self.bsfs.delete(
+                client, request.params["path"], recursive, parent=span
+            )
         )
         if removed is None:
             raise HttpError(404, f"no such path {request.params['path']!r}")
@@ -496,7 +504,7 @@ class BlobServer:
         src, dst = request.query.get("src"), request.query.get("dst")
         if not src or not dst:
             raise HttpError(400, "rename requires src and dst")
-        self.namespace.rename(src, dst)
+        await self.engine.run(self.bsfs.rename(client, src, dst, parent=span))
         return Response.json({"src": src, "dst": dst})
 
 

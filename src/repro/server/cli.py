@@ -6,6 +6,12 @@ Examples::
     repro-serve --port 0 --providers 16 # ephemeral port, bigger backend
     repro-serve --trace-sample 1        # record every request's span tree
 
+The deployment runs ``BlobSeerConfig().fast(group_commit=False)``: the
+``fast`` profile's tree-node cache and namespace record cache, so an
+append re-reads none of the tree it extends and looks its file up once;
+no group commit, which only pays when appenders queue behind one
+another. There is no flag for it.
+
 The process is bounded in memory however long it serves: it records the
 span tree of one request in ``--trace-sample`` into a ring of
 :data:`TRACE_RING_SPANS` spans (read back with ``GET /debug/traces``),
@@ -30,7 +36,7 @@ from typing import List
 from ..obs import MetricsRegistry, Observability, Tracer
 from .app import BlobServer
 
-#: spans the server's tracer retains — about 850 sampled appends (~19
+#: spans the server's tracer retains — about 1,100 sampled appends (15
 #: spans each), a few MiB
 TRACE_RING_SPANS = 16_384
 #: samples each histogram retains for its percentiles
@@ -42,7 +48,9 @@ def main(argv: List[str] | None = None) -> int:
         prog="repro-serve",
         description=(
             "Serve the BlobSeer/BSFS stack over HTTP (concurrent "
-            "appends, versioned reads, namespace operations)."
+            "appends, versioned reads, namespace operations). The "
+            "deployment runs the 'fast' metadata profile's two caches "
+            "(tree nodes, namespace records) without group commit."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1")

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blobseer.metadata.dht import MetadataDHT
+from repro.blobseer.metadata.dht import MetadataDHT, RecordingStore
 from repro.blobseer.metadata.segment_tree import (
+    _UNRESOLVED,
     NodeKey,
+    TreeNode,
     build_version,
     build_versions_batch,
     capacity_for,
@@ -199,6 +201,100 @@ def test_version_history_matches_array_oracle(updates):
             for i, frags in query_pages(store, root, 0, cap).items()
         }
         assert got == expected
+
+
+def reference_build_version(
+    store, blob_id, version, prev_root, prev_capacity, changes, new_capacity
+):
+    """Test-only oracle: the build as it was before it pruned its
+    recursion — it calls into *every* child and lets the untouched ones
+    return their previous key. Same arguments, same result, and (the
+    point) the same store accesses in the same order."""
+
+    def build(lo, hi, prev):
+        touched = any(lo <= i < hi for i in changes)
+        if not touched and prev is not _UNRESOLVED:
+            return prev
+        if hi - lo == 1:
+            if not touched:
+                return None
+            leaf = TreeNode(NodeKey(blob_id, version, lo, hi), changes[lo])
+            store.put_node(leaf)
+            return leaf.key
+        mid = (lo + hi) // 2
+        if prev is None:
+            prev_left = prev_right = None
+        elif prev is _UNRESOLVED:
+            assert lo == 0 and mid >= prev_capacity
+            prev_left = prev_root if mid == prev_capacity else _UNRESOLVED
+            prev_right = None
+        else:
+            node = store.get_node(prev)
+            prev_left, prev_right = node.left, node.right
+        left = build(lo, mid, prev_left)
+        right = build(mid, hi, prev_right)
+        inner = TreeNode(NodeKey(blob_id, version, lo, hi), None, left, right)
+        store.put_node(inner)
+        return inner.key
+
+    if prev_root is not None and new_capacity > prev_capacity:
+        return build(0, new_capacity, _UNRESOLVED)
+    return build(0, new_capacity, prev_root)
+
+
+class _OpLog:
+    """Node store that notes ``(op, key)`` on the way to a recording
+    store — the owner log alone cannot tell a get from a put."""
+
+    def __init__(self, n_providers):
+        self.dht = MetadataDHT(n_providers)
+        self.rec = RecordingStore(self.dht)
+        self.ops = []
+
+    def get_node(self, key):
+        self.ops.append(("get", key))
+        return self.rec.get_node(key)
+
+    def put_node(self, node):
+        self.ops.append(("put", node.key))
+        self.rec.put_node(node)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    history=st.lists(
+        st.tuples(
+            # changed pages: any subset, contiguous or not
+            st.sets(st.integers(min_value=0, max_value=70), min_size=1, max_size=9),
+            # extra doublings of the capacity beyond what the pages need
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_pruned_build_equals_the_full_recursion(history):
+    """The pruned build stores node for node the tree the full recursion
+    stores, through the same store accesses in the same order — so the
+    owner log the DES charges (and with it every pinned ``sim_events``)
+    cannot differ. Covers sparse change sets, capacity growth by several
+    levels with an untouched graft path, and chains of versions."""
+    new, ref = _OpLog(3), _OpLog(3)
+    root = ref_root = None
+    cap = 0
+    for version, (pages, extra) in enumerate(history, start=1):
+        changes = {p: frag(f"v{version}") for p in pages}
+        new_cap = max(cap, capacity_for(max(pages) + 1)) << extra
+        root = build_version(new, 1, version, root, cap, changes, new_cap)
+        ref_root = reference_build_version(
+            ref, 1, version, ref_root, cap, changes, new_cap
+        )
+        cap = new_cap
+        assert root == ref_root
+        assert new.ops == ref.ops
+        assert new.rec.log == ref.rec.log
+    assert new.dht._buckets == ref.dht._buckets
+    assert (new.dht.gets, new.dht.puts) == (ref.dht.gets, ref.dht.puts)
 
 
 class TestNodeWriteCounts:

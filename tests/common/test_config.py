@@ -1,5 +1,7 @@
 """Unit tests for configuration validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (
@@ -28,6 +30,29 @@ def test_defaults_validate():
 def test_blobseer_rejects(kwargs):
     with pytest.raises(ValueError):
         BlobSeerConfig(**kwargs).validate()
+
+
+def test_fast_profile_moves_the_three_fast_path_knobs_and_nothing_else():
+    base = BlobSeerConfig(page_size=4096, replication=2)
+    # the defaults are the paper profile
+    assert (base.group_commit, base.md_cache_nodes, base.ns_record_cache) == (
+        False,
+        0,
+        False,
+    )
+    fast = base.fast()
+    assert (fast.group_commit, fast.md_cache_nodes, fast.ns_record_cache) == (
+        True,
+        4096,
+        True,
+    )
+    assert replace(
+        fast, group_commit=False, md_cache_nodes=0, ns_record_cache=False
+    ) == base
+    served = base.fast(group_commit=False)  # what repro-serve runs
+    assert replace(served, group_commit=True) == fast
+    # a larger cache the caller already chose survives
+    assert BlobSeerConfig(md_cache_nodes=9000).fast().md_cache_nodes == 9000
 
 
 @pytest.mark.parametrize(

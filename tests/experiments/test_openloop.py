@@ -43,6 +43,11 @@ class TestRackConfig:
         assert cfg.cluster.racks == 3
         assert cfg.cluster.rack_bandwidth == 123.0
 
+    def test_fast_profile_applied_whatever_the_caller_set(self):
+        base = small_config()
+        base.blobseer.group_commit = True  # pre-set, caches still off
+        assert _rack_config(base).blobseer == small_config().blobseer.fast()
+
 
 class TestRunOpenLoop:
     def test_completes_every_scheduled_op(self):

@@ -14,6 +14,12 @@ for ten PRs. The second test fails CI unless every ``BlobSeerConfig``
 field is given a non-default value somewhere in the traffic roots
 (``src/repro``, ``benchmarks/e2e``, ``examples``) or is listed, with its
 reason for staying, in :data:`NO_TRAFFIC`.
+
+The three metadata fast-path knobs move together, as a named profile:
+``paper`` is the defaults and ``BlobSeerConfig.fast()`` is the only
+non-test code that may set them; a profile counts as traffic when a
+traffic root calls it. The third test fails CI on any other setter, and on a fifteenth
+``BlobSeerConfig`` field.
 """
 
 import ast
@@ -26,6 +32,10 @@ CONFIG = SRC / "common" / "config.py"
 #: where a knob must be turned to count as used: product code, the repo
 #: benchmark's workloads, and the examples — never tests
 TRAFFIC_ROOTS = (SRC, REPO / "benchmarks" / "e2e", REPO / "examples")
+
+#: the metadata fast path: set by the profile methods and by nothing else
+PROFILE_KNOBS = {"group_commit", "md_cache_nodes", "ns_record_cache"}
+PROFILE_METHODS = {"fast"}
 
 #: ``BlobSeerConfig`` fields no traffic root moves off the default, and
 #: why each stays. An entry whose field has acquired traffic, or that
@@ -98,12 +108,76 @@ def _untrafficked(config_source: str, cls_name: str, sources):
     return [name for name in defaults if name not in moved]
 
 
-def _traffic_sources():
+def _calls(tree: ast.AST):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def _profile_methods(config_tree: ast.Module):
+    """``{name: FunctionDef}`` of ``BlobSeerConfig``'s profile methods."""
+    return {
+        stmt.name: stmt
+        for cls in config_tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "BlobSeerConfig"
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in PROFILE_METHODS
+    }
+
+
+def _is_profile_call(call: ast.Call) -> bool:
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr in PROFILE_METHODS
+    )
+
+
+def _stray_profile_setters(config_source: str, other_sources):
+    """``name:line knob`` for every call that passes a profile knob by
+    keyword from outside the profile methods; *other_sources* maps a
+    name to its source. Calling a profile method with its own parameter
+    (``cfg.fast(group_commit=False)``) is choosing a profile, not
+    setting a knob."""
+    config_tree = ast.parse(config_source)
+    inside = {
+        call
+        for method in _profile_methods(config_tree).values()
+        for call in _calls(method)
+    }
+    trees = {"config": config_tree} | {
+        name: ast.parse(source) for name, source in other_sources.items()
+    }
     return [
-        p.read_text()
+        f"{name}:{call.lineno} {kw.arg}"
+        for name, tree in trees.items()
+        for call in _calls(tree)
+        if call not in inside and not _is_profile_call(call)
+        for kw in call.keywords
+        if kw.arg in PROFILE_KNOBS
+    ]
+
+
+def _root_sources():
+    """``{path relative to the repo: source}`` of every traffic root."""
+    return {
+        str(p.relative_to(REPO)): p.read_text()
         for root in TRAFFIC_ROOTS
         for p in sorted(root.rglob("*.py"))
         if p != CONFIG
+    }
+
+
+def _traffic_sources():
+    """Every traffic root's source, plus the body of each profile method
+    a traffic root calls — a knob the called profile turns has traffic."""
+    sources = list(_root_sources().values())
+    called = {
+        call.func.attr
+        for source in sources
+        for call in _calls(ast.parse(source))
+        if _is_profile_call(call)
+    }
+    profiles = _profile_methods(ast.parse(CONFIG.read_text()))
+    return sources + [
+        ast.unparse(method) for name, method in profiles.items() if name in called
     ]
 
 
@@ -186,6 +260,45 @@ def test_every_blobseer_knob_has_traffic_or_a_reason():
         "field now has traffic (delete the entry):\n"
         + "\n".join(f"{f}{'' if f in fields else ' (no such field)'}" for f in stale)
     )
+
+
+def test_only_the_profile_methods_set_the_fast_path_knobs():
+    config = CONFIG.read_text()
+    assert set(_profile_methods(ast.parse(config))) == PROFILE_METHODS
+    stray = _stray_profile_setters(config, _root_sources())
+    assert not stray, (
+        "group_commit / md_cache_nodes / ns_record_cache are set outside "
+        "BlobSeerConfig.fast() (pick a profile instead):\n"
+        + "\n".join(stray)
+    )
+    assert len(_config_classes(config)["BlobSeerConfig"]) == 14, (
+        "BlobSeerConfig grew or shrank: options only go down (ROADMAP), "
+        "and a removal updates this count"
+    )
+
+
+def test_profile_lint_tells_choosing_a_profile_from_setting_a_knob():
+    """The gate itself works: a ``replace`` or constructor keyword
+    outside the profile methods is a stray setter; the methods' own
+    bodies and a call *of* a profile method are not."""
+    config = (
+        "class BlobSeerConfig:\n"
+        "    group_commit: bool = False\n"
+        "    def fast(self, group_commit=True):\n"
+        "        return replace(self, group_commit=group_commit)\n"
+        "    def other(self):\n"
+        "        return replace(self, md_cache_nodes=1)\n"
+    )
+    user = (
+        "a = BlobSeerConfig().fast(group_commit=False)\n"
+        "b = BlobSeerConfig(ns_record_cache=True)\n"
+        "c = replace(a, page_size=1, group_commit=True)\n"
+    )
+    assert _stray_profile_setters(config, {"user": user}) == [
+        "config:6 md_cache_nodes",
+        "user:2 ns_record_cache",
+        "user:3 group_commit",
+    ]
 
 
 def test_traffic_lint_tells_moved_from_merely_mentioned():

@@ -17,6 +17,8 @@ import time
 import pytest
 
 from repro.blobseer.protocol import BlobSeerProtocol
+from repro.bsfs import protocol as bsfs_protocol
+from repro.common.config import BlobSeerConfig
 from repro.engine.base import Payload
 from repro.engine.threaded import ThreadedEngine
 from repro.obs import NULL_SPAN, MetricsRegistry, Observability, Tracer
@@ -114,7 +116,8 @@ class TestRequestSpanParentsTheOperation:
     def test_sampled_append_records_exactly_the_spans_a_direct_append_does(self):
         """Sampling is inheritance, not a second code path: the tree
         below ``http.request`` is the tree the protocol core records on
-        its own."""
+        its own, under the profile the server serves (node and namespace
+        record caches: no boundary-read charge, no namespace lookup)."""
         via_http, direct = make_server(), make_server()
         for server in (via_http, direct):
             dispatch(server, ("POST", f"/fs/files{FILE}", b"seed"))
@@ -133,7 +136,8 @@ class TestRequestSpanParentsTheOperation:
             (s.name, s.cat) for s in direct_spans
         ]
         assert direct_spans[0].name == "bsfs.append"
-        assert 16 <= len(direct_spans) <= 18
+        assert direct.service.config == BlobSeerConfig().fast(group_commit=False)
+        assert len(direct_spans) == 14
         for server in (via_http, direct):
             server.service.close()
 
@@ -194,6 +198,18 @@ def test_histograms_keep_a_reservoir_and_exact_counts():
     assert doc["histograms"]["http.healthz_s"]["count"] == 3 * cap
     hist = server.obs.registry.histograms()["http.healthz_s"]
     assert len(hist._samples) <= cap
+    server.service.close()
+
+
+def test_namespace_record_cache_keeps_the_newest_paths(monkeypatch):
+    monkeypatch.setattr(bsfs_protocol, "RECORD_CACHE_PATHS", 2)
+    server = make_server()
+    paths = [f"/cap/f{i}" for i in range(3)]
+    dispatch(server, *[("POST", f"/fs/files{p}", p.encode()) for p in paths])
+    assert list(server.bsfs._record_cache) == paths[1:]
+    reads = dispatch(server, *[("GET", f"/fs/files{p}") for p in paths])
+    assert [r.body for r in reads] == [p.encode() for p in paths]
+    assert len(server.bsfs._record_cache) == 2
     server.service.close()
 
 

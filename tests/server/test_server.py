@@ -128,6 +128,39 @@ class TestFilePlane:
         assert rq(conn, "DELETE", "/fs/files/job/out/p1")[0] == 200
         assert rq(conn, "GET", "/fs/stat/job/out/p1")[0] == 404
 
+    def test_renamed_away_path_is_gone_for_appends_and_reads(self, conn):
+        """The served profile caches path -> record; a rename must not
+        leave the old path writing into the BLOB the new path now owns."""
+        rq(conn, "POST", "/fs/files/mv/a", b"abc")
+        assert rq(conn, "POST", "/fs/append/mv/a", b"d")[0] == 200  # cached
+        assert rq(conn, "POST", "/fs/rename?src=/mv/a&dst=/mv/b")[0] == 200
+        assert rq(conn, "POST", "/fs/append/mv/a", b"STRAY")[0] == 404
+        assert rq(conn, "GET", "/fs/files/mv/a")[0] == 404
+        assert rq(conn, "POST", "/fs/append/mv/b", b"e")[0] == 200
+        assert rq(conn, "GET", "/fs/files/mv/b")[1] == b"abcde"
+
+    def test_path_reused_after_delete_serves_the_new_blob(self, conn):
+        rq(conn, "POST", "/fs/files/reuse/a", b"old-bytes")
+        rq(conn, "POST", "/fs/files/reuse/c", b"new")
+        assert rq(conn, "GET", "/fs/files/reuse/a")[1] == b"old-bytes"  # cached
+        assert rq(conn, "DELETE", "/fs/files/reuse/a")[0] == 200
+        assert rq(conn, "POST", "/fs/append/reuse/a", b"x")[0] == 404
+        assert rq(conn, "POST", "/fs/rename?src=/reuse/c&dst=/reuse/a")[0] == 200
+        assert rq(conn, "POST", "/fs/append/reuse/a", b"er")[0] == 200
+        assert rq(conn, "GET", "/fs/files/reuse/a")[1] == b"newer"
+
+    def test_directory_rename_and_recursive_delete_unbind_the_files_below(
+        self, conn
+    ):
+        rq(conn, "POST", "/fs/files/tree/d/f", b"abc")
+        assert rq(conn, "POST", "/fs/append/tree/d/f", b"d")[0] == 200  # cached
+        assert rq(conn, "POST", "/fs/rename?src=/tree/d&dst=/tree/e")[0] == 200
+        assert rq(conn, "POST", "/fs/append/tree/d/f", b"STRAY")[0] == 404
+        assert rq(conn, "POST", "/fs/append/tree/e/f", b"e")[0] == 200  # cached
+        assert rq(conn, "GET", "/fs/files/tree/e/f")[1] == b"abcde"
+        assert rq(conn, "DELETE", "/fs/files/tree/e?recursive=1")[0] == 200
+        assert rq(conn, "POST", "/fs/append/tree/e/f", b"STRAY")[0] == 404
+
     def test_fs_errors(self, conn):
         assert rq(conn, "GET", "/fs/stat/missing")[0] == 404
         assert rq(conn, "POST", "/fs/append/missing", b"x")[0] == 404
