@@ -13,9 +13,12 @@ outright. The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. One gate is a memory ceiling rather
-than a speed floor: the bytes a live append leaves behind besides its
-payload (tree nodes, their keys, the DHT's buckets).
+throughput) are gated the same way. Three gates are ceilings rather
+than speed floors: the bytes a live append leaves behind besides its
+payload (tree nodes, their keys, the DHT's buckets), the objects it
+leaves on the cyclic collector's lists, and the full collections a
+fig8 run performs inside the kernel's dispatch loop (none: the kernel
+pauses the collector, DESIGN.md "Memory and the collector").
 
 Not part of the tier-1 suite (pyproject collects ``tests/`` only); CI
 runs it as a separate perf-smoke job::
@@ -26,6 +29,7 @@ runs it as a separate perf-smoke job::
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import pathlib
 import tracemalloc
@@ -109,8 +113,10 @@ def test_metadata_microbench_vs_baseline(baseline, scenario):
 def test_live_append_retained_metadata_under_ceiling(baseline):
     """What `repro-serve` keeps per append besides the payload — ~8 tree
     nodes at this depth, one version record, one fragment — stays under
-    the committed ceiling, and the DHT keeps nothing per key but its
-    buckets (placement is recomputed, never remembered)."""
+    the committed ceiling in bytes and in collector-tracked objects
+    (keys and inner nodes are exact tuples the collector untracks, so
+    its passes do not grow with history), and the DHT keeps nothing per
+    key but its buckets (placement is recomputed, never remembered)."""
     from repro.engine.base import Payload
     from repro.server import BlobServer
 
@@ -118,9 +124,11 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     n, record, page = row["appends"], row["record_bytes"], row["page_bytes"]
     server = BlobServer(n_providers=8)
 
-    async def drive() -> int:
+    async def drive() -> tuple[int, int]:
         blob = server.service.create_blob(page)
         await server.engine.run(server.bsfs.create_file("c", "/f", blob, page))
+        gc.collect()
+        tracked_before = len(gc.get_objects())
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -130,10 +138,14 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return after - before
+        # keys leave the collector's lists at the first pass that meets
+        # them, the inner nodes holding them at the second
+        gc.collect()
+        gc.collect()
+        return after - before, len(gc.get_objects()) - tracked_before
 
     try:
-        held = asyncio.run(drive())
+        held, tracked = asyncio.run(drive())
     finally:
         server.service.close()
     dht = server.service.dht
@@ -144,6 +156,12 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
         f"({len(dht) / n:.1f} tree nodes), ceiling "
         f"{row['max_retained_bytes_per_append']:,} B: the per-node cost "
         f"crept back (see the note in benchmarks/perf/baseline.json)"
+    )
+    assert tracked / n <= row["max_tracked_objects_per_append"], (
+        f"a live append leaves {tracked / n:.1f} objects on the cyclic "
+        f"collector's lists, ceiling {row['max_tracked_objects_per_append']}: "
+        f"retained metadata must be exact tuples of atoms (a tuple "
+        f"subclass or a slotted object per node is tracked for life)"
     )
 
     def entries(value) -> int:
@@ -159,6 +177,45 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
         if name != "_buckets" and entries(value) > 2 * dht.n_providers
     }
     assert not per_key, f"MetadataDHT grows with its keys outside _buckets: {per_key}"
+
+
+def test_fig8_performs_no_full_collection_inside_the_kernel(monkeypatch):
+    """The open-loop sweep at a quarter of its quick scale (5,000
+    flyweight clients, 0.5 s of arrivals at two offered loads): while
+    `Environment.run` dispatches, the cyclic collector must not walk the
+    deployment — 3 full collections did at this size, 13 per full pass
+    and a third of its host time, before the kernel paused it."""
+    from repro.common.config import ExperimentConfig
+    from repro.experiments.openloop import open_loop_sweep
+    from repro.sim.core import Environment
+
+    depth = [0]
+    inside = [0, 0, 0]
+    real_run = Environment.run
+
+    def run(self, until=None):
+        depth[0] += 1
+        try:
+            return real_run(self, until)
+        finally:
+            depth[0] -= 1
+
+    def on_collection(phase, info):
+        if phase == "stop" and depth[0]:
+            inside[info["generation"]] += 1
+
+    monkeypatch.setattr(Environment, "run", run)
+    gc.callbacks.append(on_collection)
+    try:
+        points = open_loop_sweep(
+            (1000.0, 12500.0), ExperimentConfig(repetitions=1), 0.5, 5000
+        )
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert all(len(p.latencies_s) == p.ops > 0 for p in points)
+    assert inside[2] == 0, (
+        f"collections inside Environment.run by generation: {inside}"
+    )
 
 
 def test_coalescing_counters_wired(baseline):

@@ -7,7 +7,9 @@ from .segment_tree import (
     build_version,
     capacity_for,
     iter_all_pages,
+    node_key,
     query_pages,
+    tree_node,
 )
 from .dht import MetadataDHT, RecordingStore, placement_hash
 
@@ -17,7 +19,9 @@ __all__ = [
     "build_version",
     "capacity_for",
     "iter_all_pages",
+    "node_key",
     "query_pages",
+    "tree_node",
     "MetadataDHT",
     "RecordingStore",
     "placement_hash",

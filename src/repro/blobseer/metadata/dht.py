@@ -25,7 +25,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from ...common.errors import VersionNotFoundError
-from .segment_tree import NodeKey, TreeNode
+from .segment_tree import NodeKey, TreeNode, key_bytes
 
 
 def placement_hash(key_bytes: bytes, buckets: int) -> int:
@@ -53,7 +53,7 @@ class MetadataDHT:
 
     def owner(self, key: NodeKey) -> int:
         """Which metadata provider is responsible for *key*."""
-        return placement_hash(key.key_bytes(), self.n_providers)
+        return placement_hash(key_bytes(key), self.n_providers)
 
     def get_node(self, key: NodeKey) -> TreeNode:
         """Fetch a node; raises ``VersionNotFoundError`` when absent."""
@@ -61,7 +61,7 @@ class MetadataDHT:
 
     def put_node(self, node: TreeNode) -> None:
         """Store a node (idempotent: nodes are immutable)."""
-        self._put_at(self.owner(node.key), node)
+        self._put_at(self.owner(node[0]), node)
 
     def _get_at(self, idx: int, key: NodeKey) -> TreeNode:
         with self._locks[idx]:
@@ -74,7 +74,7 @@ class MetadataDHT:
     def _put_at(self, idx: int, node: TreeNode) -> None:
         with self._locks[idx]:
             self.puts[idx] += 1
-            self._buckets[idx][node.key] = node
+            self._buckets[idx][node[0]] = node
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets)
@@ -102,7 +102,7 @@ class RecordingStore:
         return self.inner._get_at(idx, key)
 
     def put_node(self, node: TreeNode) -> None:
-        idx = self.inner.owner(node.key)
+        idx = self.inner.owner(node[0])
         self.log.append(idx)
         self.inner._put_at(idx, node)
 
@@ -144,8 +144,9 @@ class NodeCache:
 
     def put(self, node: TreeNode) -> None:
         nodes = self._nodes
-        nodes[node.key] = node
-        nodes.move_to_end(node.key)
+        key = node[0]
+        nodes[key] = node
+        nodes.move_to_end(key)
         while len(nodes) > self.capacity:
             nodes.popitem(last=False)
 

@@ -20,12 +20,11 @@ simulated runtime (cost-charging DHT) drive them unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
 from typing import (
     Dict,
     Iterator,
+    List,
     Mapping,
-    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -35,59 +34,58 @@ from typing import (
 from ...common.errors import VersionNotFoundError
 from ..pages import PageFragments, overlay
 
+#: Identity of one tree node, ``(blob_id, version, lo, hi)``: which
+#: version created it and the page range ``[lo, hi)`` it covers. An
+#: *exact* tuple of ints — hashing and equality run in C, which is what
+#: every DHT bucket and node-cache lookup pays, and the cyclic collector
+#: untracks it at its first young collection (a tuple *subclass* is
+#: tracked for life). Build one with :func:`node_key`.
+NodeKey = Tuple[int, int, int, int]
 
-class NodeKey(NamedTuple):
-    """Identity of one tree node: which version created it and the page
-    range ``[lo, hi)`` it covers.
-
-    A flat tuple: hashing and equality run in C, which is what every
-    DHT bucket and node-cache lookup pays.
-    """
-
-    blob_id: int
-    version: int
-    lo: int
-    hi: int
-
-    def key_bytes(self) -> bytes:
-        """Stable byte form, used for DHT placement."""
-        return b"tree/%d/%d/%d/%d" % self
-
-    @property
-    def span(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def is_leaf_range(self) -> bool:
-        return self.hi - self.lo == 1
+#: One immutable tree node, ``(key, fragments, left, right)``, also an
+#: exact tuple. A leaf (span 1) carries the page's fragment list; an
+#: inner node carries the keys of its children (``None`` where the
+#: half-range holds no pages at all — possible only at the right fringe
+#: of the tree), so once its keys are untracked it is too. Build one
+#: with :func:`tree_node`.
+TreeNode = Tuple[
+    NodeKey, Optional[PageFragments], Optional[NodeKey], Optional[NodeKey]
+]
 
 
-class TreeNode(namedtuple("TreeNode", "key fragments left right")):
-    """One immutable tree node, ``(key, fragments, left, right)``.
+def node_key(blob_id: int, version: int, lo: int, hi: int) -> NodeKey:
+    """The key of *version*'s node over the page range ``[lo, hi)``."""
+    if not 0 <= lo < hi:
+        raise ValueError(f"bad node range [{lo}, {hi})")
+    return (blob_id, version, lo, hi)
 
-    A leaf (``key.span == 1``) carries the page's fragment list; an
-    inner node carries the keys of its children (``None`` where the
-    half-range holds no pages at all — possible only at the right
-    fringe of the tree).
-    """
 
-    __slots__ = ()
+def key_bytes(key: NodeKey) -> bytes:
+    """Stable byte form of *key*, used for DHT placement."""
+    return b"tree/%d/%d/%d/%d" % key
 
-    def __new__(
-        cls,
-        key: NodeKey,
-        fragments: Optional[PageFragments] = None,
-        left: Optional[NodeKey] = None,
-        right: Optional[NodeKey] = None,
-    ) -> "TreeNode":
-        if key.hi - key.lo == 1:
-            if not fragments:
-                raise ValueError(f"leaf {key} missing fragments")
-            if left is not None or right is not None:
-                raise ValueError(f"leaf {key} must not have children")
-        elif fragments is not None:
-            raise ValueError(f"inner node {key} must not carry a page")
-        return tuple.__new__(cls, (key, fragments, left, right))
+
+def key_span(key: NodeKey) -> int:
+    """Pages covered by *key*'s node; 1 for a leaf."""
+    return key[3] - key[2]
+
+
+def tree_node(
+    key: NodeKey,
+    fragments: Optional[PageFragments] = None,
+    left: Optional[NodeKey] = None,
+    right: Optional[NodeKey] = None,
+) -> TreeNode:
+    """The node at *key*, checked for shape: a leaf has fragments and no
+    children, an inner node no fragments."""
+    if key_span(key) == 1:
+        if not fragments:
+            raise ValueError(f"leaf {key} missing fragments")
+        if left is not None or right is not None:
+            raise ValueError(f"leaf {key} must not have children")
+    elif fragments is not None:
+        raise ValueError(f"inner node {key} must not carry a page")
+    return (key, fragments, left, right)
 
 
 class NodeStore(Protocol):
@@ -130,60 +128,110 @@ def build_version(
         raise ValueError("capacity cannot shrink")
     if any(i < 0 or i >= new_capacity for i in changes):
         raise ValueError("change index out of capacity")
-    # the changed indices, sorted once: every call below owns the slice
+    # the changed indices, sorted once: every _build call owns the slice
     # ``sorted_changes[i:j]`` that falls in its range, and one bisect at
     # the midpoint splits it between the two children
     sorted_changes = sorted(changes)
-
-    def build(lo: int, hi: int, prev, i: int, j: int) -> NodeKey:
-        """Write the node over ``[lo, hi)`` — a range that holds a change
-        (``i < j``) or lies on the graft path (*prev* unresolved)."""
-        if hi - lo == 1:
-            leaf = TreeNode(NodeKey(blob_id, version, lo, hi), changes[lo])
-            store.put_node(leaf)
-            return leaf.key
-
-        mid = (lo + hi) // 2
-        prev_left: Optional[NodeKey]
-        prev_right: Optional[NodeKey]
-        if prev is None:
-            prev_left = prev_right = None
-        elif prev is _UNRESOLVED:
-            # realign against the old tree's geometry
-            if lo == 0 and mid == prev_capacity:
-                prev_left, prev_right = prev_root, None
-            elif lo == 0 and mid > prev_capacity:
-                prev_left, prev_right = _UNRESOLVED, None
-            elif lo == 0 and mid < prev_capacity:
-                # old tree wider than this half: impossible, since the graft
-                # path only ever *enlarges* ranges left-aligned at zero.
-                raise AssertionError("graft path narrower than old tree")
-            else:
-                prev_left = prev_right = None
-        else:
-            node = store.get_node(prev)
-            prev_left, prev_right = node.left, node.right
-
-        # descend only where something is written: an untouched child is
-        # shared with the previous version by its key, with no call
-        k = bisect_left(sorted_changes, mid, i, j)
-        left, right = prev_left, prev_right
-        if i < k or prev_left is _UNRESOLVED:
-            left = build(lo, mid, prev_left, i, k)
-        if k < j:
-            right = build(mid, hi, prev_right, k, j)
-        inner = TreeNode(NodeKey(blob_id, version, lo, hi), None, left, right)
-        store.put_node(inner)
-        return inner.key
-
     grafting = prev_root is not None and new_capacity > prev_capacity
-    return build(
+    return _build(
+        store,
+        blob_id,
+        version,
+        changes,
+        sorted_changes,
+        prev_root,
+        prev_capacity,
         0,
         new_capacity,
         _UNRESOLVED if grafting else prev_root,
         0,
         len(sorted_changes),
     )
+
+
+def _build(
+    store: NodeStore,
+    blob_id: int,
+    version: int,
+    changes: Mapping[int, PageFragments],
+    sorted_changes: List[int],
+    prev_root: Optional[NodeKey],
+    prev_capacity: int,
+    lo: int,
+    hi: int,
+    prev,
+    i: int,
+    j: int,
+) -> NodeKey:
+    """Write the node over ``[lo, hi)`` — a range that holds a change
+    (``i < j``) or lies on the graft path (*prev* unresolved).
+
+    A module-level function that takes the build's constants as
+    arguments: a nested function that calls itself is a reference cycle
+    (function → cell → function), so every build would leave garbage
+    only the cyclic collector can free.
+    """
+    key = (blob_id, version, lo, hi)  # lo < hi by construction
+    if hi - lo == 1:
+        store.put_node(tree_node(key, changes[lo]))
+        return key
+
+    mid = (lo + hi) // 2
+    prev_left: Optional[NodeKey]
+    prev_right: Optional[NodeKey]
+    if prev is None:
+        prev_left = prev_right = None
+    elif prev is _UNRESOLVED:
+        # realign against the old tree's geometry
+        if lo == 0 and mid == prev_capacity:
+            prev_left, prev_right = prev_root, None
+        elif lo == 0 and mid > prev_capacity:
+            prev_left, prev_right = _UNRESOLVED, None
+        elif lo == 0 and mid < prev_capacity:
+            # old tree wider than this half: impossible, since the graft
+            # path only ever *enlarges* ranges left-aligned at zero.
+            raise AssertionError("graft path narrower than old tree")
+        else:
+            prev_left = prev_right = None
+    else:
+        _, _, prev_left, prev_right = store.get_node(prev)
+
+    # descend only where something is written: an untouched child is
+    # shared with the previous version by its key, with no call
+    k = bisect_left(sorted_changes, mid, i, j)
+    left, right = prev_left, prev_right
+    if i < k or prev_left is _UNRESOLVED:
+        left = _build(
+            store,
+            blob_id,
+            version,
+            changes,
+            sorted_changes,
+            prev_root,
+            prev_capacity,
+            lo,
+            mid,
+            prev_left,
+            i,
+            k,
+        )
+    if k < j:
+        right = _build(
+            store,
+            blob_id,
+            version,
+            changes,
+            sorted_changes,
+            prev_root,
+            prev_capacity,
+            mid,
+            hi,
+            prev_right,
+            k,
+            j,
+        )
+    store.put_node(tree_node(key, None, left, right))
+    return key
 
 
 def query_pages(
@@ -202,21 +250,25 @@ def query_pages(
     if lo == hi:
         return out
 
-    def walk(key: Optional[NodeKey]) -> None:
+    # an explicit stack, not a nested function that calls itself (a
+    # reference cycle per read); pushing right before left keeps the
+    # store accesses in pre-order, left subtree first
+    get_node = store.get_node
+    stack: List[Optional[NodeKey]] = [root]
+    while stack:
+        key = stack.pop()
         if key is None:
-            return
+            continue
         _, _, key_lo, key_hi = key
         if key_hi <= lo or key_lo >= hi:
-            return
-        node = store.get_node(key)
+            continue
+        _, fragments, left, right = get_node(key)
         if key_hi - key_lo == 1:
-            assert node.fragments is not None
-            out[key_lo] = node.fragments
-            return
-        walk(node.left)
-        walk(node.right)
-
-    walk(root)
+            assert fragments is not None
+            out[key_lo] = fragments
+            continue
+        stack.append(right)
+        stack.append(left)
     return out
 
 
@@ -295,19 +347,17 @@ def iter_all_pages(
     store: NodeStore, root: NodeKey
 ) -> Iterator[Tuple[int, PageFragments]]:
     """Every (page index, fragment list) reachable from *root*, in order."""
-
-    def walk(key: Optional[NodeKey]) -> Iterator[Tuple[int, PageFragments]]:
+    stack: List[Optional[NodeKey]] = [root]
+    while stack:
+        key = stack.pop()
         if key is None:
-            return
-        node = store.get_node(key)
-        if key.is_leaf_range:
-            assert node.fragments is not None
-            yield key.lo, node.fragments
-            return
-        yield from walk(node.left)
-        yield from walk(node.right)
-
-    yield from walk(root)
+            continue
+        _, fragments, left, right = store.get_node(key)
+        if fragments is not None:
+            yield key[2], fragments
+            continue
+        stack.append(right)
+        stack.append(left)
 
 
 class _Unresolved:

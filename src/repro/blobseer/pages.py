@@ -105,14 +105,16 @@ def overlay(previous: Iterable[Fragment], new: Fragment) -> PageFragments:
     survive (clipped); the region ``[new.start, new.end)`` now belongs
     to *new*. The result stays sorted and non-overlapping.
     """
+    ns, ne = new.start, new.end
+    if type(previous) is tuple and previous and previous[-1].end <= ns:
+        # the dominant pattern, an append landing past every older
+        # fragment: nothing to clip, and nothing to walk
+        return previous + (new,)
     # The input is sorted and non-overlapping, so starts AND ends are
     # strictly increasing: fragments wholly left of the new range come
     # first, then (at most a few) overlapping ones, then wholly-right
     # ones. The outside fragments survive by reference — only the
-    # overlap region needs clipping — which keeps the dominant append
-    # pattern (new fragment at the tail) O(list copy) instead of
-    # reconstructing every Fragment.
-    ns, ne = new.start, new.end
+    # overlap region needs clipping.
     out: List[Fragment] = []
     tail: List[Fragment] = []
     for frag in previous:

@@ -18,8 +18,6 @@ import heapq
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..common.errors import ReplicationError
 from ..common.rng import substream
 from ..obs import NULL_OBS, Observability
@@ -50,6 +48,11 @@ class ProviderManager:
         self._track_imbalance = obs.registry.enabled
         self._lock = threading.Lock()
         self._load: Dict[str, int] = {name: 0 for name in provider_names}
+        #: sum and max of ``_load``, kept as it changes: loads are ints
+        #: that only grow, so both stay exact and the imbalance readout
+        #: need not rescan every provider per allocation
+        self._load_total = 0
+        self._load_max = 0
         self._down: set[str] = set()
         self._rng = substream(seed, "provider-manager")
         # seeded tie-break ranks, drawn over the sorted names so the
@@ -157,7 +160,10 @@ class ProviderManager:
             for name in chosen:
                 new_load = load[name] + size
                 load[name] = new_load
+                if new_load > self._load_max:
+                    self._load_max = new_load
                 heapq.heappush(heap, (new_load, rank[name], name))
+            self._load_total += size * replication
             result.append(tuple(chosen))
             if self._track_imbalance:
                 touched.update(chosen)
@@ -165,12 +171,24 @@ class ProviderManager:
             self._c_bytes.inc(float(size) * replication)
         self._c_allocations.inc()
         if self._track_imbalance:
-            loads = [v for n, v in load.items() if n not in self._down]
-            mean = sum(loads) / len(loads)
-            self._g_imbalance.set(max(loads) / mean if mean > 0 else 1.0)
+            self._g_imbalance.set(self._imbalance_locked())
             for name in touched:
                 self._registry.gauge(f"pm.load.{name}").set(float(load[name]))
         return result
+
+    def _imbalance_locked(self) -> float:
+        """Max/mean load over the alive providers (lock held by caller).
+        The running total and max cover every provider, so they answer
+        only while none is down or excluded."""
+        if self._down:
+            loads = [v for n, v in self._load.items() if n not in self._down]
+            if not loads:
+                return 1.0
+            total, peak, count = sum(loads), max(loads), len(loads)
+        else:
+            total, peak, count = self._load_total, self._load_max, len(self._load)
+        mean = total / count
+        return peak / mean if mean > 0 else 1.0
 
     def _pick(self, replication: int, prefer: Optional[str]) -> List[str]:
         """Providers for one page, primary first (lock held by caller)."""
@@ -207,8 +225,4 @@ class ProviderManager:
     def imbalance(self) -> float:
         """Max/mean load ratio across alive providers (1.0 = perfect)."""
         with self._lock:
-            loads = [v for n, v in self._load.items() if n not in self._down]
-        mean = float(np.mean(loads)) if loads else 0.0
-        if mean == 0:
-            return 1.0
-        return float(np.max(loads)) / mean
+            return self._imbalance_locked()

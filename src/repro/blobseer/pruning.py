@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..common.errors import BlobError, VersionNotFoundError
-from .metadata.segment_tree import NodeKey, TreeNode
+from .metadata.segment_tree import NodeKey
 from .pages import PageId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,15 +61,15 @@ def collect_reachable(
         if key in nodes:
             continue
         nodes.add(key)
-        node: TreeNode = dht.get_node(key)
-        if node.fragments is not None:
-            for frag in node.fragments:
+        _, fragments, left, right = dht.get_node(key)
+        if fragments is not None:
+            for frag in fragments:
                 pages.add(frag.page_id)
         else:
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
+            if left is not None:
+                stack.append(left)
+            if right is not None:
+                stack.append(right)
     return nodes, pages
 
 
@@ -117,8 +117,8 @@ def prune_blob(
                 doomed = [
                     key
                     for key in bucket
-                    if key.blob_id == blob_id
-                    and 0 < key.version < keep_from_version
+                    if key[0] == blob_id
+                    and 0 < key[1] < keep_from_version
                     and key not in reachable_nodes
                 ]
                 for key in doomed:

@@ -10,6 +10,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from ..obs import (
     write_chrome_trace,
     write_text_summary,
 )
+from ..obs.runtime import gc_metrics
 from .figures import ALL_FIGURES
 
 
@@ -152,10 +154,16 @@ def _main(argv: List[str] | None = None) -> int:
 
             profiler = cProfile.Profile()
             profiler.enable()
-        if name == "filecount":
-            result = fn(obs=obs)
-        else:
-            result = fn(scale=args.scale, config=config, obs=obs)
+        # a report also says what the cyclic collector cost the run
+        with (
+            gc_metrics(obs.registry)
+            if args.report is not None
+            else contextlib.nullcontext()
+        ):
+            if name == "filecount":
+                result = fn(obs=obs)
+            else:
+                result = fn(scale=args.scale, config=config, obs=obs)
         if args.profile is not None:
             profiler.disable()
             profile_path = _suffixed(args.profile, name, multi)

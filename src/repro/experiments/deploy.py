@@ -11,6 +11,7 @@ on the same machines as the datanodes / data providers.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -41,11 +42,28 @@ class HDFSDeployment:
     client_nodes: List[str]
 
 
+def _collect_previous_deployment() -> None:
+    """The one collection between deployments.
+
+    A deployment is a single reference cycle (cluster ↔ environment ↔
+    processes ↔ services), so dropping it frees nothing until the
+    cyclic collector runs — and the kernel pauses the collector while
+    it dispatches (:meth:`~repro.sim.core.Environment.run`), which is
+    most of a figure's host time. Collecting here, before the next
+    cluster is built, keeps a sweep's peak memory at one deployment.
+    A full collection, not a young one: a deployment that lived through
+    ten young collections has been promoted out of a young pass's reach
+    (DESIGN.md §5d has the measurements).
+    """
+    gc.collect()
+
+
 def deploy_bsfs(
     config: ExperimentConfig, obs: Optional[Observability] = None
 ) -> BSFSDeployment:
     """Materialize the paper's BSFS deployment on a fresh simulation."""
     config.validate()
+    _collect_previous_deployment()
     cluster = SimCluster(config.cluster, obs=obs)
     names = cluster.names()
     n_meta = config.blobseer.metadata_providers
@@ -180,6 +198,7 @@ def deploy_hdfs(
 ) -> HDFSDeployment:
     """Materialize the paper's HDFS deployment on a fresh simulation."""
     config.validate()
+    _collect_previous_deployment()
     cluster = SimCluster(config.cluster, obs=obs)
     if obs is not None and obs.tracer.enabled:
         # HDFS internals are not traced, but experiment-level spans over

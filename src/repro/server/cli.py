@@ -34,6 +34,7 @@ import sys
 from typing import List
 
 from ..obs import MetricsRegistry, Observability, Tracer
+from ..obs.runtime import gc_metrics
 from .app import BlobServer
 
 #: spans the server's tracer retains — about 1,100 sampled appends (15
@@ -109,11 +110,13 @@ async def _serve(args) -> int:
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(sig, stop.set)
-    host, port = await server.start()
-    print(f"repro-serve listening on http://{host}:{port}", flush=True)
-    await stop.wait()
-    print("shutting down", file=sys.stderr)
-    await server.stop()
+    # the collector's share of the serving loop, in GET /metrics
+    with gc_metrics(obs.registry):
+        host, port = await server.start()
+        print(f"repro-serve listening on http://{host}:{port}", flush=True)
+        await stop.wait()
+        print("shutting down", file=sys.stderr)
+        await server.stop()
     return 0
 
 

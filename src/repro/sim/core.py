@@ -61,6 +61,7 @@ Queue entries are one of three shapes, cheapest first:
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -591,7 +592,27 @@ class Environment:
         * ``until=<Event>`` — run until that event is processed, returning
           its value (raising its exception if it failed); raises
           :class:`SimDeadlockError` if the queue drains first.
+
+        The cyclic garbage collector is paused while the kernel
+        dispatches and put back as the caller had it on the way out —
+        return, exception, or a run nested inside a callback (which
+        finds it off and leaves it off). Dispatch allocates a few
+        container objects per event and frees them by reference count;
+        the collector would re-walk every live process, generator and
+        tree node of the deployment thousands of times per run to find
+        nothing. What a run does leave in cycles — the deployment
+        itself — the harness collects between deployments
+        (:mod:`repro.experiments.deploy`).
         """
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(until)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _run(self, until: "float | Event | None") -> Any:
         if isinstance(until, Event):
             # the hot loop of every experiment driver: dispatch is fully
             # inlined so a near-tier entry costs one deque popleft plus

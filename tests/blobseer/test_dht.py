@@ -9,14 +9,14 @@ from repro.blobseer.metadata.dht import (
     RecordingStore,
     placement_hash,
 )
-from repro.blobseer.metadata.segment_tree import NodeKey, TreeNode
+from repro.blobseer.metadata.segment_tree import node_key, tree_node
 from repro.blobseer.pages import Fragment, fresh_page_id
 from repro.common.errors import VersionNotFoundError
 
 
 def leaf(version=1, lo=0):
-    return TreeNode(
-        NodeKey(1, version, lo, lo + 1),
+    return tree_node(
+        node_key(1, version, lo, lo + 1),
         fragments=(
             Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),
         ),
@@ -47,18 +47,18 @@ class TestMetadataDHT:
         dht = MetadataDHT(4)
         node = leaf()
         dht.put_node(node)
-        assert dht.get_node(node.key) is node
+        assert dht.get_node(node[0]) is node
 
     def test_missing_raises(self):
         dht = MetadataDHT(4)
         with pytest.raises(VersionNotFoundError):
-            dht.get_node(NodeKey(1, 1, 0, 1))
+            dht.get_node(node_key(1, 1, 0, 1))
 
     def test_counters(self):
         dht = MetadataDHT(2)
         node = leaf()
         dht.put_node(node)
-        dht.get_node(node.key)
+        dht.get_node(node[0])
         assert sum(dht.puts) == 1
         assert sum(dht.gets) == 1
 
@@ -72,7 +72,7 @@ class TestMetadataDHT:
     def test_owner_consistent(self):
         dht = MetadataDHT(5)
         node = leaf()
-        assert dht.owner(node.key) == dht.owner(node.key)
+        assert dht.owner(node[0]) == dht.owner(node[0])
 
 
 class TestRecordingStore:
@@ -81,8 +81,8 @@ class TestRecordingStore:
         rec = RecordingStore(dht)
         node = leaf()
         rec.put_node(node)
-        rec.get_node(node.key)
-        assert rec.take_log() == [dht.owner(node.key)] * 2  # put, get
+        rec.get_node(node[0])
+        assert rec.take_log() == [dht.owner(node[0])] * 2  # put, get
         assert (sum(dht.puts), sum(dht.gets)) == (1, 1)
 
     def test_take_log_clears(self):
@@ -97,7 +97,7 @@ class TestRecordingStore:
         rec = RecordingStore(dht)
         node = leaf()
         rec.put_node(node)
-        assert dht.get_node(node.key) is node
+        assert dht.get_node(node[0]) is node
 
 
 class _Tally:
@@ -118,19 +118,19 @@ class TestNodeCache:
         a, b, c = leaf(lo=0), leaf(lo=1), leaf(lo=2)
         cache.put(a)
         cache.put(b)
-        assert cache.get(a.key) is a  # touch: b is now the LRU entry
+        assert cache.get(a[0]) is a  # touch: b is now the LRU entry
         cache.put(c)
         assert len(cache) == 2
-        assert cache.get(b.key) is None
-        assert cache.get(a.key) is a and cache.get(c.key) is c
+        assert cache.get(b[0]) is None
+        assert cache.get(a[0]) is a and cache.get(c[0]) is c
 
     def test_counts_hits_and_misses(self):
         hits, misses = _Tally(), _Tally()
         cache = NodeCache(4, hit_counter=hits, miss_counter=misses)
         node = leaf()
-        assert cache.get(node.key) is None
+        assert cache.get(node[0]) is None
         cache.put(node)
-        assert cache.get(node.key) is node
+        assert cache.get(node[0]) is node
         assert (hits.value, misses.value) == (1, 1)
 
 
@@ -141,8 +141,8 @@ class TestCachingStore:
         store = CachingStore(rec, NodeCache(8))
         node = leaf()
         store.put_node(node)  # logged, and warms the cache
-        assert rec.take_log() == [dht.owner(node.key)]
-        assert store.get_node(node.key) is node
+        assert rec.take_log() == [dht.owner(node[0])]
+        assert store.get_node(node[0]) is node
         assert rec.take_log() == []  # served from cache: nothing charged
         assert (sum(dht.puts), sum(dht.gets)) == (1, 0)
 
@@ -152,8 +152,8 @@ class TestCachingStore:
         dht.put_node(node)  # present in the DHT, cold in the cache
         rec = RecordingStore(dht)
         store = CachingStore(rec, NodeCache(8))
-        assert store.get_node(node.key) is node
-        assert rec.take_log() == [dht.owner(node.key)]
-        assert store.get_node(node.key) is node
+        assert store.get_node(node[0]) is node
+        assert rec.take_log() == [dht.owner(node[0])]
+        assert store.get_node(node[0]) is node
         assert rec.take_log() == []
         assert sum(dht.gets) == 1

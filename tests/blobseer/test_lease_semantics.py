@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.blobseer.metadata.segment_tree import NodeKey
+from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.sim_vm import SimVMService
 from repro.blobseer.version_manager import (
     ThreadedVersionManager,
@@ -137,7 +137,7 @@ CASES = {
 
 
 def _root(version):
-    return NodeKey(1, version, 0, 1)
+    return node_key(1, version, 0, 1)
 
 
 class CoreDriver:

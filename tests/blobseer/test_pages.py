@@ -132,3 +132,29 @@ def test_overlay_matches_byte_oracle(ops):
     # fragments are sorted and non-overlapping
     for a, b in zip(frags, frags[1:]):
         assert a.end <= b.start
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=90),
+            st.integers(min_value=1, max_value=40),
+        ),
+        min_size=1,
+        max_size=15,
+    ),
+    tail_gap=st.integers(min_value=0, max_value=8),
+)
+def test_overlay_tail_fast_path_equals_general_path(ops, tail_gap):
+    """A tuple input whose last fragment ends at or before the new one
+    takes a shortcut; a list input always takes the walk (and its
+    overlap guard). Both must agree — on random overlays and on a
+    guaranteed tail append after them."""
+    frags = ()
+    for writer, (start, length) in enumerate(ops):
+        new = frag(start, length, f"w{writer}")
+        general = overlay(list(frags), new)
+        assert overlay(frags, new) == general
+        frags = general
+    tail = frag(frags[-1].end + tail_gap, 5, "tail")
+    assert overlay(frags, tail) == overlay(list(frags), tail) == frags + (tail,)

@@ -86,3 +86,34 @@ def test_deterministic_given_seed():
     a = ProviderManager(NAMES, seed=42).allocate([10] * 10)
     b = ProviderManager(NAMES, seed=42).allocate([10] * 10)
     assert a == b
+
+
+def test_imbalance_gauge_equals_a_rescan_of_the_alive_providers():
+    """The gauge is served from a running total and max; it must read,
+    bit for bit, what rescanning the load table would — also while a
+    provider is down or excluded (the scan's own turn) and after it is
+    back (the running figures still count what it received before)."""
+    from repro.obs import Observability
+
+    obs = Observability()
+    pm = ProviderManager(NAMES, seed=3, obs=obs)
+    gauge = obs.registry.gauge("pm.imbalance")
+
+    def rescan():
+        down = set(pm.down_snapshot())
+        loads = [v for n, v in pm.load_snapshot().items() if n not in down]
+        return max(loads) / (sum(loads) / len(loads))
+
+    sizes = [7, 4096, 64, 1, 999, 12345, 3]
+    for step in range(40):
+        if step == 10:
+            pm.mark_down("p2")
+        if step == 25:
+            pm.mark_up("p2")
+        exclude = ("p4",) if step % 7 == 3 else ()
+        pm.allocate(
+            sizes[step % len(sizes) :], replication=1 + step % 3, exclude=exclude
+        )
+        if not exclude:  # an exclusion ends with the call; the gauge saw it
+            assert gauge.value == rescan()
+        assert pm.imbalance() == rescan()

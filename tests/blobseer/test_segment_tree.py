@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 from repro.blobseer.metadata.dht import MetadataDHT, RecordingStore
 from repro.blobseer.metadata.segment_tree import (
     _UNRESOLVED,
-    NodeKey,
-    TreeNode,
     build_version,
     build_versions_batch,
     capacity_for,
     iter_all_pages,
+    key_bytes,
+    key_span,
     merge_change_maps,
+    node_key,
     query_pages,
+    tree_node,
 )
 from repro.blobseer.pages import Fragment, fresh_page_id
 
@@ -152,16 +154,44 @@ class TestVersionSharing:
 class TestNodeKey:
     def test_key_bytes_distinct(self):
         keys = {
-            NodeKey(1, 1, 0, 4).key_bytes(),
-            NodeKey(1, 2, 0, 4).key_bytes(),
-            NodeKey(2, 1, 0, 4).key_bytes(),
-            NodeKey(1, 1, 0, 2).key_bytes(),
+            key_bytes(node_key(1, 1, 0, 4)),
+            key_bytes(node_key(1, 2, 0, 4)),
+            key_bytes(node_key(2, 1, 0, 4)),
+            key_bytes(node_key(1, 1, 0, 2)),
         }
         assert len(keys) == 4
 
     def test_span_and_leaf(self):
-        assert NodeKey(1, 1, 4, 8).span == 4
-        assert NodeKey(1, 1, 3, 4).is_leaf_range
+        assert key_span(node_key(1, 1, 4, 8)) == 4
+        assert key_span(node_key(1, 1, 3, 4)) == 1
+
+    def test_rejects_empty_or_negative_range(self):
+        for lo, hi in ((4, 4), (5, 4), (-1, 1)):
+            with pytest.raises(ValueError):
+                node_key(1, 1, lo, hi)
+
+    def test_keys_and_nodes_are_exact_tuples(self):
+        """What lets the collector untrack them (a tuple *subclass* is
+        tracked for life)."""
+        key = node_key(1, 1, 0, 2)
+        assert type(key) is tuple and key == (1, 1, 0, 2)
+        inner = tree_node(key, None, node_key(1, 1, 0, 1), None)
+        assert type(inner) is tuple and inner[0] is key
+
+
+class TestTreeNodeShape:
+    def test_leaf_needs_fragments_and_no_children(self):
+        leaf_key = node_key(1, 1, 0, 1)
+        with pytest.raises(ValueError):
+            tree_node(leaf_key)
+        with pytest.raises(ValueError):
+            tree_node(leaf_key, ())
+        with pytest.raises(ValueError):
+            tree_node(leaf_key, frag(), left=node_key(1, 1, 0, 1))
+
+    def test_inner_node_carries_no_page(self):
+        with pytest.raises(ValueError):
+            tree_node(node_key(1, 1, 0, 2), frag())
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,9 +248,9 @@ def reference_build_version(
         if hi - lo == 1:
             if not touched:
                 return None
-            leaf = TreeNode(NodeKey(blob_id, version, lo, hi), changes[lo])
+            leaf = tree_node(node_key(blob_id, version, lo, hi), changes[lo])
             store.put_node(leaf)
-            return leaf.key
+            return leaf[0]
         mid = (lo + hi) // 2
         if prev is None:
             prev_left = prev_right = None
@@ -229,13 +259,12 @@ def reference_build_version(
             prev_left = prev_root if mid == prev_capacity else _UNRESOLVED
             prev_right = None
         else:
-            node = store.get_node(prev)
-            prev_left, prev_right = node.left, node.right
+            _, _, prev_left, prev_right = store.get_node(prev)
         left = build(lo, mid, prev_left)
         right = build(mid, hi, prev_right)
-        inner = TreeNode(NodeKey(blob_id, version, lo, hi), None, left, right)
+        inner = tree_node(node_key(blob_id, version, lo, hi), None, left, right)
         store.put_node(inner)
-        return inner.key
+        return inner[0]
 
     if prev_root is not None and new_capacity > prev_capacity:
         return build(0, new_capacity, _UNRESOLVED)
@@ -256,7 +285,7 @@ class _OpLog:
         return self.rec.get_node(key)
 
     def put_node(self, node):
-        self.ops.append(("put", node.key))
+        self.ops.append(("put", node[0]))
         self.rec.put_node(node)
 
 
@@ -397,7 +426,7 @@ class TestBatchBuild:
         # batched: one tree for all three, keyed by the last version
         batch = [(v, m) for (v, _), m in zip(members, maps)]
         batch_root = build_versions_batch(batch_store, 1, batch, None, 0, 8)
-        assert batch_root.version == 3
+        assert batch_root[1] == 3
         for (v, pages), seq_root in zip(members, seq_roots):
             visible = max(pages) + 1
             seq = query_pages(seq_store, seq_root, 0, visible)

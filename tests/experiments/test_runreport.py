@@ -174,3 +174,8 @@ def test_cli_report_flag_writes_json(tmp_path, capsys, monkeypatch):
     assert doc["figure"] == "fig3"
     assert doc["critical_path"]["attributed_fraction"] >= 0.95
     assert doc["spans"]["total"] > 0
+    # the collector's share of the run is a row of the report: every
+    # deployment is preceded by one full collection
+    assert doc["counters"]["runtime.gc.collections.gen2"] >= 1
+    assert doc["histograms"]["runtime.gc.pause_s"]["count"] >= 1
+    assert "runtime.gc.pause_s" in out

@@ -217,3 +217,54 @@ def test_executor_lint_catches_a_wait_pool():
         "line 2: ThreadPoolExecutor",
         "line 4: run_in_executor",
     ]
+
+
+#: who may talk to the cyclic collector, and how (DESIGN.md §5d): the
+#: kernel's scoped pause, the harness's one collection between
+#: deployments, the metrics callback. Nobody tunes or freezes it.
+GC_ALLOWED = {
+    "sim/core.py": {"isenabled", "disable", "enable"},
+    "experiments/deploy.py": {"collect"},
+    "obs/runtime.py": {"callbacks"},
+}
+
+
+def _gc_references(source: str, allowed=frozenset()):
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.append(f"line {node.lineno}: from gc import ...")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+            and node.attr not in allowed
+        ):
+            found.append(f"line {node.lineno}: gc.{node.attr}")
+    return found
+
+
+def test_only_the_kernel_pauses_the_collector_and_nobody_tunes_it():
+    offenders = [
+        f"{path.relative_to(SRC)} {ref}"
+        for path in sorted(SRC.rglob("*.py"))
+        for ref in _gc_references(
+            path.read_text(),
+            GC_ALLOWED.get(path.relative_to(SRC).as_posix(), frozenset()),
+        )
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_collector_lint_catches_a_tuned_or_frozen_collector():
+    poisoned = (
+        "import gc\n"
+        "gc.set_threshold(100_000)\n"
+        "def serve():\n"
+        "    gc.freeze()\n"
+        "    gc.disable()\n"
+    )
+    assert _gc_references(poisoned, {"disable"}) == [
+        "line 2: gc.set_threshold",
+        "line 4: gc.freeze",
+    ]

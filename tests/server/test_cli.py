@@ -63,6 +63,38 @@ class TestServeSignals:
         assert "Traceback" not in err
 
 
+class TestServeMetrics:
+    def test_metrics_carry_the_collectors_share(self):
+        import http.client
+        import json
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server.cli", "--port", "0",
+             "--providers", "2"],
+            env=ENV,
+            cwd=REPO,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            host, _, port = line.rsplit("http://", 1)[1].strip().partition(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            conn.request("GET", "/metrics")
+            doc = json.loads(conn.getresponse().read())
+            conn.close()
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+        except BaseException:
+            proc.kill()
+            raise
+        assert proc.returncode == 0
+        for gen in range(3):
+            assert f"runtime.gc.collections.gen{gen}" in doc["counters"]
+        assert "runtime.gc.pause_s" in doc["histograms"]
+
+
 class TestFigExit:
     def test_bad_figure_name_exits_2_with_usage(self):
         result = run(["repro.experiments.cli", "fig99"])
