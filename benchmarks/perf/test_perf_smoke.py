@@ -13,12 +13,14 @@ outright. The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Three gates are ceilings rather
+throughput) are gated the same way. Four gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
-leaves on the cyclic collector's lists, and the full collections a
+leaves on the cyclic collector's lists, the full collections a
 fig8 run performs inside the kernel's dispatch loop (none: the kernel
-pauses the collector, DESIGN.md "Memory and the collector").
+pauses the collector, DESIGN.md "Memory and the collector"), and the
+rate solves a fig8 run performs (none: no link of its fabric can
+saturate, DESIGN.md "Only links that can bind").
 
 Not part of the tier-1 suite (pyproject collects ``tests/`` only); CI
 runs it as a separate perf-smoke job::
@@ -61,7 +63,8 @@ def test_events_per_s_vs_baseline(baseline, figure):
         scale=baseline["scale"],
         repeats=2,
     )
-    assert fb.reallocs > 0, "instruments not wired"
+    assert fb.flow_changes > 0, "instruments not wired"
+    assert fb.reallocs <= fb.flow_changes
     pinned = baseline["figures"][figure]["sim_events"]
     assert fb.sim_events == pinned, (
         f"{figure} dispatched {fb.sim_events:,} kernel events at "
@@ -218,10 +221,38 @@ def test_fig8_performs_no_full_collection_inside_the_kernel(monkeypatch):
     )
 
 
+def test_fig8_traffic_never_reaches_the_rate_solver(baseline, monkeypatch):
+    """A 1,150 MiB/s NIC binds from its fifth 270 MiB/s flow and fig8's
+    4-NIC rack uplink from its 18th; the open-loop sweep never gets
+    there, so every flow runs at its bound from start to finish and the
+    allocator performs no solve at all — 64,978 of them, a quarter of
+    the run's host time, before it looked at which links can bind."""
+    from repro.sim.network import Network
+
+    started = [0]
+    real_start = Network._start_flow
+
+    def start(self, src, dst, nbytes, done):
+        started[0] += src is not dst
+        real_start(self, src, dst, nbytes, done)
+
+    monkeypatch.setattr(Network, "_start_flow", start)
+    fb = bench_figure("fig8", "incremental", scale=baseline["scale"], repeats=1)
+    assert started[0] > 30_000, "fig8 moved no data"
+    assert fb.flow_changes == 2 * started[0], "a flow started and never finished"
+    assert (fb.reallocs, fb.flushes) == (0, 0), (
+        f"fig8 solved {fb.reallocs} times for {fb.flow_changes} flow "
+        f"changes (mean scope {fb.realloc_scope_mean:.2f}): a link that "
+        f"cannot saturate is coupling its flows again"
+    )
+
+
 def test_coalescing_counters_wired(baseline):
-    """fig6's same-instant shuffle churn must actually coalesce."""
+    """fig6's same-instant shuffle churn must actually coalesce — and
+    its reducers' NICs do saturate, so it is the figure that still
+    needs the solver."""
     fb = bench_figure("fig6", "incremental", scale=baseline["scale"], repeats=1)
-    assert fb.flushes > 0, "no end-of-timestep flushes recorded"
+    assert 0 < fb.reallocs <= fb.flushes, "fig6's shuffle no longer solves"
     assert fb.coalesced_changes > fb.flushes, (
         f"coalescing ineffective: {fb.coalesced_changes} flow changes "
         f"over {fb.flushes} flushes"

@@ -37,7 +37,6 @@ class ProviderManager:
         if len(set(provider_names)) != len(provider_names):
             raise ValueError("duplicate provider names")
         obs = obs or NULL_OBS
-        self._registry = obs.registry
         self._c_allocations = obs.registry.counter("pm.allocations")
         self._c_pages = obs.registry.counter("pm.pages_placed")
         self._c_bytes = obs.registry.counter("pm.bytes_placed")
@@ -46,6 +45,10 @@ class ProviderManager:
         #: O(providers) per allocation — worth computing only when
         #: somebody will read them
         self._track_imbalance = obs.registry.enabled
+        self._g_load = {
+            name: obs.registry.gauge(f"pm.load.{name}")
+            for name in provider_names
+        }
         self._lock = threading.Lock()
         self._load: Dict[str, int] = {name: 0 for name in provider_names}
         #: sum and max of ``_load``, kept as it changes: loads are ints
@@ -172,8 +175,9 @@ class ProviderManager:
         self._c_allocations.inc()
         if self._track_imbalance:
             self._g_imbalance.set(self._imbalance_locked())
+            g_load = self._g_load
             for name in touched:
-                self._registry.gauge(f"pm.load.{name}").set(float(load[name]))
+                g_load[name].set(float(load[name]))
         return result
 
     def _imbalance_locked(self) -> float:

@@ -53,14 +53,20 @@ class FigureBench:
     wall_s: float
     sim_events: int
     events_per_s: float
+    #: rate solves performed; under the incremental allocator only flow
+    #: changes on a link that can saturate need one
     reallocs: int
     realloc_full: int
+    #: mean flows solved per solve
     realloc_scope_mean: float
-    #: end-of-timestep flushes actually performed (incremental only)
+    #: end-of-timestep flushes that solved (incremental only)
     flushes: int = 0
     #: flow starts/finishes absorbed into those flushes — the coalescing
     #: win is ``coalesced_changes / flushes`` changes per reallocation
     coalesced_changes: int = 0
+    #: every non-local flow start and finish, solved for or not
+    #: (incremental only)
+    flow_changes: int = 0
 
 
 def _bench_obs() -> Observability:
@@ -112,6 +118,7 @@ def bench_figure(
             realloc_scope_mean=scope.mean if scope.count else 0.0,
             flushes=int(reg.value("sim.net.flushes")),
             coalesced_changes=int(reg.value("sim.net.coalesced_changes")),
+            flow_changes=int(reg.value("sim.net.flow_changes")),
         )
 
     return best_of(run_once, repeats)

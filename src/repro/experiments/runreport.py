@@ -9,7 +9,9 @@ questions an experimenter actually asks:
   the compute residual, per client track and summed;
 * **how were waits distributed** — p50/p95/p99 tables for every
   histogram the run recorded (ticket waits, turn waits, ...);
-* **what happened** — counter and gauge finals, time-series summaries;
+* **what happened** — counter and gauge finals, time-series summaries,
+  and how many of the network's flow starts/finishes needed a rate
+  solve (``sim.net.flow_changes`` against ``sim.net.reallocs``);
 * **what went wrong, and when** — the fault timeline (crash/recover
   injections, lease expiries, from :mod:`repro.obs.events` instants)
   and the count of spans that never finished.
@@ -95,6 +97,18 @@ def report_text(doc: Dict[str, object]) -> str:
     lines.extend(_table(["layer", "seconds", "share"], layer_rows))
 
     histograms = doc["histograms"]
+    counters = doc["counters"]
+    if "sim.net.flow_changes" in counters:
+        # how much of the traffic needed the rate solver at all (the
+        # network registers all three instruments together)
+        scope_mean = histograms["sim.net.realloc_scope"]["mean"]
+        lines.append("")
+        lines.append(
+            f"network flows: {counters['sim.net.flow_changes']:g} starts and "
+            f"finishes, {counters['sim.net.reallocs']:g} rate solves "
+            f"(mean {scope_mean:.3g} flows per solve)"
+        )
+
     if histograms:
         lines.append("")
         lines.append("latency percentiles:")
@@ -112,7 +126,6 @@ def report_text(doc: Dict[str, object]) -> str:
             )
         )
 
-    counters = doc["counters"]
     if counters:
         lines.append("")
         lines.append("counters:")

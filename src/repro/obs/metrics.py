@@ -12,12 +12,13 @@ not millions, of values) and report linearly interpolated percentiles,
 matching ``numpy.percentile``'s default so tests can cross-check. Long
 perf sweeps can bound histogram memory with a sampling reservoir
 (``max_samples``): count/mean/min/max stay exact, percentiles come
-from a uniform sample of the stream (Vitter's Algorithm R with a
-deterministic per-histogram seed).
+from a uniform sample of the stream (the skip-ahead reservoir, Li's
+Algorithm L, with a deterministic per-histogram seed).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import zlib
@@ -73,10 +74,13 @@ class Histogram:
     """A distribution of observed values with percentile readout.
 
     With ``max_samples`` set, at most that many raw samples are kept in
-    a uniform reservoir (Algorithm R, deterministically seeded from the
+    a uniform reservoir (Algorithm L, deterministically seeded from the
     histogram name): ``count``/``mean``/``min``/``max`` remain exact
     over the whole stream, while percentiles are estimated from the
-    reservoir. Default is unbounded (keep everything).
+    reservoir. A full reservoir costs one comparison per observe — the
+    stream index of the next value to keep is drawn ahead, so random
+    numbers are spent per *replacement* (``cap·ln(n/cap)`` of them over
+    ``n`` values), not per value. Default is unbounded (keep everything).
 
     Thread-safe: observes and percentile readouts may come from
     concurrent server threads/tasks, and both the reservoir swap and
@@ -90,6 +94,7 @@ class Histogram:
     __slots__ = (
         "name", "_samples", "_sorted", "total",
         "_max_samples", "_n", "_min", "_max", "_rng", "_lock",
+        "_keep_at", "_w",
     )
 
     def __init__(self, name: str, max_samples: Optional[int] = None) -> None:
@@ -110,6 +115,22 @@ class Histogram:
             if max_samples is not None
             else None
         )
+        #: stream index of the next value the full reservoir keeps, and
+        #: Algorithm L's running weight (both set when it fills)
+        self._keep_at = -1
+        self._w = 1.0
+
+    def _skip_ahead(self, n: int) -> None:
+        """Draw which stream index after *n* is kept next: the weight
+        shrinks by a ``U**(1/cap)`` factor per kept value and the gap is
+        geometric in it (Li 1994, Algorithm L)."""
+        rng = self._rng
+        w = self._w = self._w * math.exp(
+            math.log(1.0 - rng.random()) / self._max_samples
+        )
+        # w == 1.0 only if the draw above was the 2**-53 case: gap 0
+        gap = math.log(1.0 - rng.random()) / math.log1p(-w) if w < 1.0 else 0.0
+        self._keep_at = n + int(gap) + 1
 
     def observe(self, value: float) -> None:
         with self._lock:
@@ -124,15 +145,16 @@ class Histogram:
                 if value > self._max:
                     self._max = value
             cap = self._max_samples
-            if cap is None or len(self._samples) < cap:
+            if cap is None or n < cap:
                 self._samples.append(value)
                 self._sorted = False
-            else:
-                # Algorithm R: keep each of the n+1 values with prob cap/(n+1)
-                j = self._rng.randrange(n + 1)
-                if j < cap:
-                    self._samples[j] = value
-                    self._sorted = False
+                if n + 1 == cap:
+                    self._skip_ahead(n)
+            elif n == self._keep_at:
+                # a uniformly chosen slot, so sorting in between is free
+                self._samples[self._rng.randrange(cap)] = value
+                self._sorted = False
+                self._skip_ahead(n)
 
     @property
     def count(self) -> int:

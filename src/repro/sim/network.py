@@ -40,9 +40,33 @@ Two allocators implement the same max-min semantics:
 
 Max-min fairness decomposes exactly over connected components of the
 flow/resource sharing graph, so the scoped refill is not an
-approximation. With a backbone configured every non-local flow shares
-one resource and the component always spans all flows — the scoped path
-then degenerates to (and is counted as) a full recompute.
+approximation — and the graph that matters has an edge only through a
+resource that *can bind*. Every non-local flow has a static rate
+``bound`` (the narrowest capacity on its path, or the per-flow cap if
+that is lower) which no feasible allocation exceeds, and every resource
+keeps ``demand``, the sum of its members' bounds. A resource whose
+``demand`` does not exceed its capacity carries at most ``demand`` under
+*any* allocation, so progressive filling never finds it saturated and it
+never freezes a flow: deleting it from the problem leaves the max-min
+allocation unchanged. Components are therefore closed only under
+resources that can bind (``demand > capacity * (1 - 1e-9)``; ties and
+rounding fall on the binding side, which is always exact, just slower):
+
+* a flow that starts with no such resource on its path runs at its
+  ``bound`` from the start and never reaches the solver — on a fat
+  fabric with a per-flow cap (a 1,150 MiB/s NIC binds only from its
+  fifth 270 MiB/s flow) that is nearly all of the open-loop traffic;
+* a departing flow dirties only the resources that could bind *before*
+  it left (their other members may speed up), so most completions re-arm
+  the completion timer and solve nothing;
+* the refill walks onward from a flow only through resources that can
+  bind, and the solver's state is built from those alone — a slack
+  resource's members are not all in the component, so its under-counted
+  share must not enter the saturation heap.
+
+With a backbone narrow enough to bind, every non-local flow shares one
+binding resource and the component always spans all of them — the
+scoped path then degenerates to (and is counted as) a full recompute.
 
 Transfers within one node (client co-located with a provider) bypass
 the NICs at a fixed loopback bandwidth.
@@ -65,18 +89,27 @@ _EPSILON_BYTES = 1e-3
 #: allocator mode names accepted by :class:`Network`
 ALLOCATORS = ("incremental", "reference")
 
+#: a resource can bind once its members' summed rate bounds come within
+#: this relative margin of its capacity: an exact tie, and any rounding
+#: the running sum has picked up, count as binding (the exact side)
+_BIND_MARGIN = 1e-9
+
 
 class _NicResource:
     """One shareable capacity (a NIC direction or the backbone) plus the
     set of flow ids currently crossing it — the membership index that
-    scopes incremental reallocation."""
+    scopes incremental reallocation — and ``demand``, the sum of those
+    flows' rate bounds: the resource can bind (saturate, and so couple
+    its members) only while ``demand > bind_above``."""
 
-    __slots__ = ("key", "capacity", "members")
+    __slots__ = ("key", "capacity", "members", "demand", "bind_above")
 
     def __init__(self, key: Hashable, capacity: float) -> None:
         self.key = key
         self.capacity = capacity
         self.members: Set[int] = set()
+        self.demand = 0.0
+        self.bind_above = capacity * (1.0 - _BIND_MARGIN)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<_NicResource {self.key} cap={self.capacity:g} n={len(self.members)}>"
@@ -121,6 +154,9 @@ class _Flow:
     #: start (src up-NIC, rack hops when the endpoints sit in different
     #: racks, backbone, dst down-NIC); empty for local flows
     resources: Tuple[_NicResource, ...] = ()
+    #: the most any allocation can give this flow: the narrowest capacity
+    #: on its path or the per-flow cap (incremental allocator, non-local)
+    bound: float = 0.0
     rate: float = 0.0
     #: last instant this flow's progress was settled into ``remaining``
     last_update: float = 0.0
@@ -187,9 +223,11 @@ class Network:
         #: resources touched by same-instant flow churn, awaiting the
         #: end-of-timestep coalesced reallocation
         self._dirty: Set[_NicResource] = set()
-        #: flow-change events absorbed since the last flush (the
-        #: numerator of the coalescing ratio)
+        #: flow-change events that dirtied a resource since the last
+        #: flush (the numerator of the coalescing ratio)
         self._pending_changes = 0
+        #: non-local flows in flight (``_flows`` also holds loopback ones)
+        self._nonlocal = 0
         #: a local-flow start or stale-heap cleanup needs a re-arm even
         #: when no shared resource went dirty
         self._dirty_arm = False
@@ -198,8 +236,13 @@ class Network:
         #: (slow; differential tests only)
         self.check_reference = False
         reg = self.obs.registry
+        #: every non-local flow start and finish; ``reallocs`` counts
+        #: the solves those needed (none while no resource can bind)
+        self._c_changes = reg.counter("sim.net.flow_changes")
         self._c_realloc = reg.counter("sim.net.reallocs")
+        #: solves of a non-empty component spanning every non-local flow
         self._c_full = reg.counter("sim.net.realloc_full")
+        #: flows solved per solve
         self._h_scope = reg.histogram("sim.net.realloc_scope")
         self._c_flushes = reg.counter("sim.net.flushes")
         self._c_coalesced = reg.counter("sim.net.coalesced_changes")
@@ -410,9 +453,6 @@ class Network:
             bucket.discard(flow)
             if not bucket:
                 del self._pair_flows[pair]
-        if not flow.local and self._incremental:
-            for res in flow.resources:
-                res.members.discard(flow.fid)
 
     def _start_flow(
         self, src: NetNode, dst: NetNode, nbytes: float, done: Event
@@ -477,12 +517,49 @@ class Network:
             self._push_completion(flow, now)
             self._dirty_arm = True
         else:
+            self._c_changes.inc()
+            self._nonlocal += 1
+            resources = flow.resources
+            bound = self.flow_rate_cap or resources[0].capacity
+            for res in resources:
+                if res.capacity < bound:
+                    bound = res.capacity
+            flow.bound = bound
             fid = flow.fid
-            for res in flow.resources:
+            binding = []
+            for res in resources:
                 res.members.add(fid)
-            self._dirty.update(flow.resources)
-            self._pending_changes += 1
+                res.demand += bound
+                if res.demand > res.bind_above:
+                    binding.append(res)
+            if binding:
+                # the members of those resources (this flow among them)
+                # are refilled at the end of the timestep
+                self._dirty.update(binding)
+                self._pending_changes += 1
+            else:
+                # every link on the path has room for all its members
+                # could ever carry: nobody's rate depends on this flow
+                flow.rate = bound
+                self._push_completion(flow, now)
+                self._dirty_arm = True
         self.env.request_flush()
+
+    def _leave(self, flow: _Flow) -> List[_NicResource]:
+        """Take a finished non-local flow off its resources; returns the
+        ones that could bind *before* it left — their remaining members
+        may speed up, whether or not the resource can still bind."""
+        fid = flow.fid
+        bound = flow.bound
+        could_bind = []
+        for res in flow.resources:
+            if res.demand > res.bind_above:
+                could_bind.append(res)
+            members = res.members
+            members.discard(fid)
+            # exactly zero on an idle resource, so the sum cannot drift
+            res.demand = res.demand - bound if members else 0.0
+        return could_bind
 
     def _flush(self) -> None:
         """End-of-timestep hook: one coalesced reallocation for all the
@@ -496,11 +573,14 @@ class Network:
             self._pending_changes = 0
             self._dirty_arm = False
             self._realloc(seeds)
-            if self.check_reference:
-                self._assert_matches_reference()
         elif self._dirty_arm:
+            # flow churn that coupled nobody: rates stand, re-arm only
             self._dirty_arm = False
             self._arm()
+        else:
+            return
+        if self.check_reference:
+            self._assert_matches_reference()
 
     def _settle(self, flow: _Flow, now: float) -> None:
         """Fold the fluid progress since the flow's last rate change into
@@ -521,7 +601,8 @@ class Network:
             )
 
     def _component(self, seeds: List[_NicResource]) -> List[_Flow]:
-        """All flows transitively sharing a resource with *seeds*."""
+        """The members of *seeds* plus every flow transitively sharing a
+        resource that can bind with one of them."""
         comp: List[_Flow] = []
         seen_res: Set[_NicResource] = set(seeds)
         seen_fids: Set[int] = set()
@@ -536,7 +617,7 @@ class Network:
                 flow = flows[fid]
                 comp.append(flow)
                 for other in flow.resources:
-                    if other not in seen_res:
+                    if other.demand > other.bind_above and other not in seen_res:
                         seen_res.add(other)
                         stack.append(other)
         return comp
@@ -546,7 +627,7 @@ class Network:
         comp = self._component(seeds)
         self._c_realloc.inc()
         self._h_scope.observe(float(len(comp)))
-        if len(comp) == len(self._flows):
+        if comp and len(comp) == self._nonlocal:
             self._c_full.inc()
         if comp:
             rates = self._fill(comp)
@@ -576,19 +657,22 @@ class Network:
         refill's O(F · bottlenecks). Same max-min semantics as
         :meth:`_compute_rates_reference` (differentially tested to 1e-6
         by ``check_reference``).
+
+        Only resources that can bind take part: every one of those the
+        component touches has all its members in *comp*, while a slack
+        one may not (the walk does not cross it) and cannot saturate
+        anyway. A flow crossing none of them runs at its ``bound``.
         """
-        cap_limit = self.flow_rate_cap
-        # fast path 0: a single-flow component — the degenerate
-        # one-flow-per-resource shape that dominates open-loop traffic
-        # (a lone append touching otherwise-idle NICs). No solver state,
-        # just the path's narrowest capacity.
+        # fast path 0: a single-flow component (a lone transfer between
+        # otherwise-idle NICs): no solver state, just the flow's bound
         if len(comp) == 1:
             flow = comp[0]
-            rate = min(res.capacity for res in flow.resources)
-            if cap_limit > 0 and cap_limit < rate:
-                rate = cap_limit
-            return {flow.fid: rate}
+            return {flow.fid: flow.bound}
 
+        cap_limit = self.flow_rate_cap
+        rates: Dict[int, float] = {}
+        #: the flows that cross a resource that can bind
+        solve: List[_Flow] = []
         # per-resource solver state, settled lazily at `res_level[i]`:
         # residual capacity, unfrozen member count, member flows, epoch
         # (bumped on every count change to invalidate older heap entries)
@@ -600,7 +684,11 @@ class Network:
         res_epoch: List[int] = []
 
         for flow in comp:
+            coupled = False
             for res in flow.resources:
+                if res.demand <= res.bind_above:
+                    continue
+                coupled = True
                 i = res_index.get(res)
                 if i is None:
                     i = res_index[res] = len(res_cap)
@@ -611,26 +699,34 @@ class Network:
                     res_epoch.append(0)
                 res_count[i] += 1
                 res_members[i].append(flow)
+            if coupled:
+                solve.append(flow)
+            else:
+                rates[flow.fid] = flow.bound
+        if not solve:
+            return rates
 
         n_res = len(res_cap)
-        n_total = len(comp)
+        n_total = len(solve)
         first_share = min(res_cap[i] / res_count[i] for i in range(n_res))
         # fast path 1: the per-flow cap binds before any resource
-        # saturates — every flow runs at the cap (the microbenchmarks'
-        # common shape: small components on a fat fabric)
+        # saturates — every coupled flow runs at the cap
         if cap_limit > 0 and cap_limit <= first_share:
-            return {flow.fid: cap_limit for flow in comp}
-        # fast path 2: the first bottleneck spans the whole component
-        # (e.g. every flow crosses the backbone) — everything freezes at
+            for flow in solve:
+                rates[flow.fid] = cap_limit
+            return rates
+        # fast path 2: the first bottleneck spans every coupled flow
+        # (e.g. they all cross the backbone) — everything freezes at
         # one level, no heap needed
         for i in range(n_res):
             if (
                 res_count[i] == n_total
                 and res_cap[i] / res_count[i] <= first_share
             ):
-                return {flow.fid: first_share for flow in comp}
+                for flow in solve:
+                    rates[flow.fid] = first_share
+                return rates
 
-        rates: Dict[int, float] = {}
         heap: List[Tuple[float, int, int]] = [
             (res_cap[i] / res_count[i], i, 0) for i in range(n_res)
         ]
@@ -643,7 +739,7 @@ class Network:
             if cap_limit > 0 and cap_limit <= level:
                 # no further resource saturates before the per-flow cap:
                 # every still-unfrozen flow freezes at the cap, done
-                for flow in comp:
+                for flow in solve:
                     if flow.fid not in rates:
                         rates[flow.fid] = cap_limit
                 return rates
@@ -655,7 +751,9 @@ class Network:
                 rates[flow.fid] = level
                 n_frozen += 1
                 for res in flow.resources:
-                    j = res_index[res]
+                    j = res_index.get(res)
+                    if j is None:
+                        continue  # slack: not part of the solve
                     if res_level[j] < level:
                         # settle consumption up to the new common level
                         res_cap[j] -= res_count[j] * (level - res_level[j])
@@ -669,7 +767,7 @@ class Network:
                     heapq.heappush(heap, (proj, j, res_epoch[j]))
         if n_frozen < n_total:  # pragma: no cover - defensive against fp drift
             fallback = cap_limit if cap_limit > 0 else 0.0
-            for flow in comp:
+            for flow in solve:
                 rates.setdefault(flow.fid, fallback)
         return rates
 
@@ -723,8 +821,12 @@ class Network:
                 self._unregister_flow(flow)
                 finished.append(flow)
                 if not flow.local:
-                    seeds.extend(flow.resources)
-                    self._pending_changes += 1
+                    self._c_changes.inc()
+                    self._nonlocal -= 1
+                    could_bind = self._leave(flow)
+                    if could_bind:
+                        seeds.extend(could_bind)
+                        self._pending_changes += 1
             else:  # pragma: no cover - fp drift between heap entry and settle
                 flow.epoch += 1
                 self._push_completion(flow, now)

@@ -117,3 +117,26 @@ def test_imbalance_gauge_equals_a_rescan_of_the_alive_providers():
         if not exclude:  # an exclusion ends with the call; the gauge saw it
             assert gauge.value == rescan()
         assert pm.imbalance() == rescan()
+
+
+def test_load_gauges_are_resolved_once_and_read_the_load_table(monkeypatch):
+    """One ``pm.load.<name>`` gauge per provider, looked up when the
+    provider is registered — an allocation formats no name and touches
+    no registry — and each reads its provider's allocated bytes."""
+    from repro.obs import Observability
+
+    obs = Observability()
+    pm = ProviderManager(NAMES, seed=3, obs=obs)
+    assert set(obs.registry.gauges()) == {"pm.imbalance"} | {
+        f"pm.load.{name}" for name in NAMES
+    }
+
+    def no_lookups(name):
+        raise AssertionError(f"registry lookup of {name!r} during allocate")
+
+    monkeypatch.setattr(obs.registry, "gauge", no_lookups)
+    pm.allocate([10, 300, 7], replication=2)
+    pm.allocate([64], replication=1, exclude=("p1",))
+    gauges = obs.registry.gauges()
+    assert {n: gauges[f"pm.load.{n}"] for n in NAMES} == pm.load_snapshot()
+    assert sum(pm.load_snapshot().values()) == 2 * 317 + 64

@@ -40,10 +40,13 @@ def test_sim_events_pinned(figure):
         f"{figure} dispatched {fb.sim_events:,} kernel events at quick "
         f"scale, pinned {SIM_EVENTS[figure]:,}: the simulation changed"
     )
-    # the network instruments are wired, and same-instant flow changes
-    # coalesce into end-of-timestep flushes
-    assert fb.reallocs > 0 and fb.realloc_scope_mean > 0.0
-    assert 0 < fb.flushes <= fb.coalesced_changes
+    # the network instruments are wired: every flow start and finish is
+    # counted, a solve happens only for the ones on a link that can
+    # saturate, and same-instant ones coalesce into one flush
+    assert fb.flow_changes > 0
+    assert fb.reallocs <= fb.flushes <= fb.coalesced_changes <= fb.flow_changes
+    if figure == "fig6":  # the shuffle saturates the reducers' NICs
+        assert fb.reallocs > 0 and fb.realloc_scope_mean > 0.0
 
 
 class TestBestOf:

@@ -139,6 +139,9 @@ class TestReportText:
         assert "critical path" in text
         assert "% attributed" in text
         assert "network" in text
+        flows = fig3_report["counters"]["sim.net.flow_changes"]
+        assert flows > 0
+        assert f"network flows: {flows:g} starts and finishes, " in text
         assert "latency percentiles:" in text
         assert "vm.append_ticket_bytes" in text
         assert "counters:" in text

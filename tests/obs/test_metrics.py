@@ -128,6 +128,49 @@ class TestReservoir:
 
         assert fill("lat") == fill("lat")
 
+    def test_every_stream_position_is_kept_equally_often(self):
+        """The skip-ahead reservoir is still a uniform sample: over 600
+        seeds (names), each of 200 stream positions survives in a
+        20-slot reservoir with probability 1/10 — early, late and the
+        positions right after the reservoir fills alike."""
+        n, cap, seeds = 200, 20, 600
+        kept = np.zeros(n)
+        for seed in range(seeds):
+            h = Histogram(f"uniformity.{seed}", max_samples=cap)
+            for v in range(n):
+                h.observe(float(v))
+            assert len(h._samples) == cap == len(set(h._samples))
+            kept[[int(v) for v in h._samples]] += 1
+        expect = seeds * cap / n  # 60 per position, sd ~7.3
+        assert kept.sum() == seeds * cap
+        assert abs(kept - expect).max() < 5 * (expect * (1 - cap / n)) ** 0.5
+        # chi-square over the 200 positions: mean 199, sd ~20
+        assert ((kept - expect) ** 2 / (expect * (1 - cap / n))).sum() < 199 + 4 * 20
+        for lo in range(0, n, 50):  # no trend along the stream
+            assert kept[lo:lo + 50].mean() == pytest.approx(expect, rel=0.05)
+
+    def test_a_full_reservoir_draws_per_replacement_not_per_observe(self):
+        import random
+
+        class CountingRandom(random.Random):
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return super().random()
+
+            def randrange(self, *args):
+                self.draws += 1
+                return super().randrange(*args)
+
+        h = Histogram("lat", max_samples=64)
+        h._rng = CountingRandom(1)
+        n = 20_000
+        for v in range(n):
+            h.observe(float(v))
+        # ~64 ln(20000/64) = 368 replacements, three draws each
+        assert 0 < h._rng.draws < n / 10
+
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             Histogram("lat", max_samples=0)
