@@ -1,5 +1,5 @@
-"""Map/Reduce applications: the paper's data join plus classic workloads
-(word count, distributed grep, total-order sort)."""
+"""Map/Reduce applications: the paper's data join, and word count (the
+quickstart's and the locality ablation's job)."""
 
 from .datajoin import (
     make_datajoin_conf,
@@ -14,8 +14,6 @@ from .wordcount import (
     wordcount_map,
     wordcount_reduce,
 )
-from .grep import make_grep_conf, run_grep
-from .sort import make_sort_conf, run_sort, sample_split_points
 
 __all__ = [
     "make_datajoin_conf",
@@ -27,9 +25,4 @@ __all__ = [
     "run_wordcount",
     "wordcount_map",
     "wordcount_reduce",
-    "make_grep_conf",
-    "run_grep",
-    "make_sort_conf",
-    "run_sort",
-    "sample_split_points",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..common.config import BlobSeerConfig
-from ..common.intervals import Extent
 from ..engine.base import Payload
 from ..engine.threaded import ThreadedEngine
 from ..obs import NULL_OBS, Observability
@@ -214,18 +213,13 @@ class BlobClient:
 
     def get_layout(
         self, blob_id: int, version: Optional[int] = None
-    ) -> List[Tuple[Extent, Tuple[str, ...]]]:
+    ) -> List[Tuple[int, int, Tuple[str, ...]]]:
         """The data layout of a published version: one
-        ``(extent, providers)`` entry per stored fragment, in offset
-        order — the primitive the paper adds so the Map/Reduce scheduler
-        can be made data-location aware."""
+        ``(offset, length, providers)`` entry per stored fragment, in
+        offset order — the primitive the paper adds so the Map/Reduce
+        scheduler can be made data-location aware."""
         record, page_size = self.service.version_manager.resolve(blob_id, version)
-        return [
-            (Extent(offset, length), providers)
-            for offset, length, providers in compute_layout(
-                self.service.dht, record, page_size
-            )
-        ]
+        return compute_layout(self.service.dht, record, page_size)
 
     def close(self) -> None:
         """Kept for API compatibility; the client holds no resources."""

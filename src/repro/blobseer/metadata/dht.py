@@ -79,10 +79,6 @@ class MetadataDHT:
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets)
 
-    def load_per_provider(self) -> List[int]:
-        """Number of nodes held by each metadata provider."""
-        return [len(b) for b in self._buckets]
-
 
 class RecordingStore:
     """Node-store wrapper that logs the owning provider of every access.

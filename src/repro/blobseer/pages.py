@@ -135,20 +135,3 @@ def overlay(previous: Iterable[Fragment], new: Fragment) -> PageFragments:
         if a.end > b.start:  # pragma: no cover - invariant guard
             raise AssertionError(f"overlapping fragments {a} / {b}")
     return tuple(out)
-
-
-def fragments_fill(fragments: PageFragments) -> int:
-    """Number of defined bytes in the page (the max fragment end)."""
-    return max((f.end for f in fragments), default=0)
-
-
-def fragments_cover(fragments: PageFragments, lo: int, hi: int) -> bool:
-    """True when ``[lo, hi)`` of the page is fully covered (no holes)."""
-    cursor = lo
-    for frag in fragments:
-        if frag.start > cursor:
-            break
-        cursor = max(cursor, frag.end)
-        if cursor >= hi:
-            return True
-    return cursor >= hi

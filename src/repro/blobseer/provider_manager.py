@@ -98,11 +98,6 @@ class ProviderManager:
                     self._heap, (self._load[name], self._rank[name], name)
                 )
 
-    @property
-    def alive_count(self) -> int:
-        with self._lock:
-            return len(self._load) - len(self._down)
-
     # -- allocation ------------------------------------------------------------------
 
     def allocate(
@@ -211,11 +206,6 @@ class ProviderManager:
 
     # -- introspection --------------------------------------------------------------
 
-    def load_of(self, name: str) -> int:
-        """Bytes allocated to one provider so far."""
-        with self._lock:
-            return self._load[name]
-
     def load_snapshot(self) -> Dict[str, int]:
         """Copy of the allocation table."""
         with self._lock:
@@ -225,8 +215,3 @@ class ProviderManager:
         """Currently excluded providers, sorted."""
         with self._lock:
             return sorted(self._down)
-
-    def imbalance(self) -> float:
-        """Max/mean load ratio across alive providers (1.0 = perfect)."""
-        with self._lock:
-            return self._imbalance_locked()

@@ -596,10 +596,6 @@ class VersionManagerCore:
         """The newest version readers may see."""
         return self.resolve(blob_id)[0]
 
-    def get_version(self, blob_id: int, version: int) -> VersionRecord:
-        """A specific published version."""
-        return self.resolve(blob_id, version)[0]
-
 
 def _locked(name: str, timed: bool = False, wakes: bool = False):
     """The :class:`ThreadedVersionManager` method that runs
@@ -752,7 +748,6 @@ class ThreadedVersionManager:
     publish_batch = _locked("publish_batch", timed=True, wakes=True)
     resolve = _locked("resolve")
     latest_published = _locked("latest_published")
-    get_version = _locked("get_version")
 
     def metadata_turn(
         self, blob_id: int, version: int, timeout: Optional[float] = None

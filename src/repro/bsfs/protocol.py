@@ -356,19 +356,16 @@ class ReadStreamCore:
 def clip_block_locations(
     layout, size: int, offset: int, length: int
 ) -> List[BlockLocation]:
-    """Page-level ``(extent, providers)`` layout entries clipped to the
+    """``(offset, length, providers)`` layout entries (see
+    :func:`~repro.blobseer.protocol.compute_layout`) clipped to the
     namespace file *size* and intersected with ``[offset, offset+length)``
     — what the modified framework hands the jobtracker for
     locality-aware scheduling."""
     out: List[BlockLocation] = []
-    for extent, providers in layout:
-        visible = min(extent.size, max(0, size - extent.offset))
+    for start, span, providers in layout:
+        visible = min(span, max(0, size - start))
         if visible <= 0:
             continue
-        if extent.offset + visible > offset and extent.offset < offset + length:
-            out.append(
-                BlockLocation(
-                    offset=extent.offset, length=visible, hosts=providers
-                )
-            )
+        if start + visible > offset and start < offset + length:
+            out.append(BlockLocation(offset=start, length=visible, hosts=providers))
     return out

@@ -1,9 +1,8 @@
-"""Shared substrate: units, errors, extent algebra, RNG streams, the
-abstract file-system interface, CRC framing, and configuration."""
+"""Shared substrate: units, errors, RNG streams, the abstract
+file-system interface, CRC framing, and configuration."""
 
-from .units import KiB, MiB, GiB, TiB, CHUNK_SIZE, RECORD_SIZE, format_bytes, parse_bytes
+from .units import KiB, MiB, GiB, TiB, CHUNK_SIZE, RECORD_SIZE
 from .errors import ReproError
-from .intervals import Extent
 from .fs import FileSystem, FileStatus, BlockLocation, InputStream, OutputStream
 from .config import (
     BlobSeerConfig,
@@ -20,10 +19,7 @@ __all__ = [
     "TiB",
     "CHUNK_SIZE",
     "RECORD_SIZE",
-    "format_bytes",
-    "parse_bytes",
     "ReproError",
-    "Extent",
     "FileSystem",
     "FileStatus",
     "BlockLocation",

@@ -146,8 +146,6 @@ class MapReduceConfig:
     max_task_attempts: int = 4
     #: use the storage layer's block locations for task placement
     locality_aware: bool = True
-    #: modified-framework mode: reducers append to one shared output file
-    shared_output_file: bool = False
 
     def validate(self) -> None:
         if self.map_slots < 1 or self.reduce_slots < 1:

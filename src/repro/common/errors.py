@@ -163,7 +163,3 @@ class SimulationError(ReproError):
 
 class SimDeadlockError(SimulationError):
     """The event queue drained while processes were still waiting."""
-
-
-class InterruptedProcessError(SimulationError):
-    """A simulated process was interrupted by another process."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import posixpath
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import List
 
 
 def normalize_path(path: str) -> str:
@@ -37,11 +37,6 @@ def normalize_path(path: str) -> str:
 def parent_path(path: str) -> str:
     """Parent directory of a normalized path (parent of ``/`` is ``/``)."""
     return posixpath.dirname(normalize_path(path)) or "/"
-
-
-def basename(path: str) -> str:
-    """Final component of a normalized path (empty for ``/``)."""
-    return posixpath.basename(normalize_path(path))
 
 
 def path_components(path: str) -> List[str]:
@@ -103,42 +98,11 @@ class InputStream(abc.ABC):
     def close(self) -> None:
         """Release the stream; further I/O raises ``FileClosedError``."""
 
-    def read_fully(self, offset: int, n: int) -> bytes:
-        """Positional read that raises if fewer than *n* bytes exist."""
-        data = self.pread(offset, n)
-        if len(data) != n:
-            from .errors import OutOfRangeReadError
-
-            raise OutOfRangeReadError(
-                f"wanted {n} bytes at {offset}, file ended after {len(data)}"
-            )
-        return data
-
     def __enter__(self) -> "InputStream":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def iter_lines(self) -> Iterator[bytes]:
-        """Iterate newline-terminated records from the current position.
-
-        The trailing record is yielded even without a final newline.
-        """
-        buf = b""
-        while True:
-            piece = self.read(64 * 1024)
-            if not piece:
-                break
-            buf += piece
-            while True:
-                nl = buf.find(b"\n")
-                if nl < 0:
-                    break
-                yield buf[: nl + 1]
-                buf = buf[nl + 1 :]
-        if buf:
-            yield buf
 
 
 class OutputStream(abc.ABC):
@@ -254,13 +218,3 @@ class FileSystem(abc.ABC):
     def file_size(self, path: str) -> int:
         """Size in bytes of a file path."""
         return self.get_status(path).size
-
-    def list_files_recursive(self, path: str) -> List[FileStatus]:
-        """Every *file* under a directory tree, depth-first, sorted."""
-        out: List[FileStatus] = []
-        for st in self.list_dir(path):
-            if st.is_directory:
-                out.extend(self.list_files_recursive(st.path))
-            else:
-                out.append(st)
-        return sorted(out, key=lambda s: s.path)

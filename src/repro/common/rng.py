@@ -9,7 +9,6 @@ while distinct subsystems stay statistically independent.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
 
 import numpy as np
 
@@ -49,13 +48,3 @@ def zipf_indices(
     weights = ranks ** (-skew)
     weights /= weights.sum()
     return rng.choice(n_items, size=count, p=weights)
-
-
-def choose_distinct(
-    rng: np.random.Generator, population: Sequence, k: int
-) -> list:
-    """Sample *k* distinct elements (order random); errors if k > len."""
-    if k > len(population):
-        raise ValueError(f"cannot choose {k} distinct from {len(population)}")
-    idx = rng.choice(len(population), size=k, replace=False)
-    return [population[i] for i in idx]

@@ -1,4 +1,4 @@
-"""Byte-size units and formatting helpers.
+"""Byte-size units.
 
 Everything in the reproduction is denominated in plain integer bytes;
 these constants exist so that configuration reads like the paper
@@ -21,46 +21,3 @@ CHUNK_SIZE: int = 64 * MiB
 #: ("Map/Reduce applications usually process data in small records (4KB,
 #: whereas Hadoop is concerned)").
 RECORD_SIZE: int = 4 * KiB
-
-
-def format_bytes(n: int) -> str:
-    """Render a byte count with a binary-unit suffix, e.g. ``"64.0 MiB"``.
-
-    Negative counts keep their sign; sub-KiB counts render as plain bytes.
-    """
-    sign = "-" if n < 0 else ""
-    n = abs(int(n))
-    for unit, factor in (("TiB", TiB), ("GiB", GiB), ("MiB", MiB), ("KiB", KiB)):
-        if n >= factor:
-            return f"{sign}{n / factor:.1f} {unit}"
-    return f"{sign}{n} B"
-
-
-def parse_bytes(text: str) -> int:
-    """Parse ``"64MB"``, ``"64 MiB"``, ``"4k"``, ``"123"`` into bytes.
-
-    Decimal suffixes (MB) are treated as binary (MiB) to match the paper's
-    informal usage, where "64 MB chunks" means 2**26 bytes.
-    """
-    s = text.strip().lower().replace(" ", "")
-    multipliers = {
-        "t": TiB, "tb": TiB, "tib": TiB,
-        "g": GiB, "gb": GiB, "gib": GiB,
-        "m": MiB, "mb": MiB, "mib": MiB,
-        "k": KiB, "kb": KiB, "kib": KiB,
-        "b": 1, "": 1,
-    }
-    idx = len(s)
-    while idx > 0 and not s[idx - 1].isdigit():
-        idx -= 1
-    num, suffix = s[:idx], s[idx:]
-    if not num or suffix not in multipliers:
-        raise ValueError(f"unparseable byte size: {text!r}")
-    try:
-        quantity = float(num) if "." in num else int(num)
-    except ValueError:
-        raise ValueError(f"unparseable byte size: {text!r}") from None
-    result = quantity * multipliers[suffix]
-    if result != int(result):
-        raise ValueError(f"fractional byte count: {text!r}")
-    return int(result)

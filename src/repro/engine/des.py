@@ -132,14 +132,6 @@ class DesEngine(Engine):
             Resource(self.env, capacity=1) for _ in range(n_owners)
         ]
 
-    def endpoint_inflight(self) -> dict[str, int]:
-        """RPCs queued per bound control endpoint right now — the
-        telemetry samplers record these as time series."""
-        return {
-            name: ctl.slot.queue_length
-            for name, ctl in self._control.items()
-        }
-
     # -- fault state --------------------------------------------------------
 
     def fail_endpoint(self, name: str) -> None:

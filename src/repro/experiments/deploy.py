@@ -123,7 +123,7 @@ def attach_sim_samplers(
     * ``vm.commit_queue_len`` — versions queued for their metadata turn
       (when *vm_core* is given);
     * ``rpc.inflight.<endpoint>`` — RPCs queued per control endpoint
-      (when *engine* is a :class:`~repro.engine.des.DesEngine`).
+      (when *engine*, a :class:`~repro.engine.des.DesEngine`, is given).
 
     The ticking stops with the workload (see
     :meth:`~repro.sim.core.Environment.every`), so a sampled run drains
@@ -147,13 +147,9 @@ def attach_sim_samplers(
     ts_flows = reg.timeseries("sim.net.active_flows")
     ts_disk = reg.timeseries("sim.disk.queue_max")
     ts_vm = reg.timeseries("vm.commit_queue_len") if vm_core is not None else None
-    # iterate the engine's control-endpoint table directly rather than
-    # building a fresh {name: depth} dict per tick
-    control = (
-        engine._control
-        if engine is not None and hasattr(engine, "endpoint_inflight")
-        else None
-    )
+    # the engine's control-endpoint table: each slot's waiting queue is
+    # that endpoint's in-flight depth
+    control = engine._control if engine is not None else None
     ts_rpc = (
         {name: reg.timeseries(f"rpc.inflight.{name}") for name in control}
         if control is not None

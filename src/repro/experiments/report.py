@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -18,13 +17,6 @@ class Series:
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.ys):
             raise ValueError("xs and ys must have equal length")
-
-    def flatness(self) -> float:
-        """min/max ratio of the y values (1.0 = perfectly flat)."""
-        if not self.ys:
-            return 1.0
-        top = max(self.ys)
-        return (min(self.ys) / top) if top > 0 else 1.0
 
 
 @dataclass(slots=True)
@@ -112,6 +104,3 @@ class FigureResult:
                 {"label": s.label, "xs": s.xs, "ys": s.ys} for s in self.series
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)

@@ -9,7 +9,7 @@ the full datanode-to-datanode pipeline; the bytes moved are the same.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import Optional
 
 from ..common.errors import PageNotFoundError, ProviderUnavailableError
 from .block import BlockId
@@ -78,15 +78,3 @@ class DataNode:
         with self._lock:
             self.bytes_served += len(piece)
         return piece
-
-    def has_block(self, block_id: BlockId) -> bool:
-        with self._lock:
-            return block_id.key() in self._blocks
-
-    def block_count(self) -> int:
-        with self._lock:
-            return len(self._blocks)
-
-    def block_keys(self) -> List[bytes]:
-        with self._lock:
-            return list(self._blocks)

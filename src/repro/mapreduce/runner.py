@@ -59,9 +59,6 @@ class MapReduceCluster:
         """Run *conf* to completion; raises
         :class:`~repro.common.errors.JobFailedError` when a task exhausts
         its retries."""
-        if self.config.shared_output_file and conf.output_mode == "separate":
-            # cluster-wide "modified framework" switch
-            conf.output_mode = "shared"
         start = time.perf_counter()
         sp = self.obs.tracer.start(
             "mr.job", cat="mapreduce", track="jobtracker", job=conf.name

@@ -38,10 +38,9 @@ class MapOutputStore:
 
     def __init__(self, obs: Optional[Observability] = None) -> None:
         self._data: Dict[Tuple[int, int], Partition] = {}
-        # secondary indexes so discard/size queries don't scan every
-        # (map, partition) entry under the lock
+        # secondary index so a discard doesn't scan every (map,
+        # partition) entry under the lock
         self._by_map: Dict[int, Set[int]] = {}
-        self._by_partition: Dict[int, Set[int]] = {}
         self._lock = threading.Lock()
         #: lifetime counter of stored bytes-ish (pair count)
         self.pairs_stored = 0
@@ -54,7 +53,6 @@ class MapOutputStore:
         with self._lock:
             self._data[(map_id, partition)] = pairs
             self._by_map.setdefault(map_id, set()).add(partition)
-            self._by_partition.setdefault(partition, set()).add(map_id)
             self.pairs_stored += len(pairs)
             self._c_pairs_stored.inc(float(len(pairs)))
 
@@ -70,23 +68,11 @@ class MapOutputStore:
         with self._lock:
             for partition in self._by_map.pop(map_id, ()):
                 del self._data[(map_id, partition)]
-                maps = self._by_partition[partition]
-                maps.discard(map_id)
-                if not maps:
-                    del self._by_partition[partition]
 
     def map_ids(self) -> List[int]:
         """Every map-task id that has stored output, sorted."""
         with self._lock:
             return sorted(self._by_map)
-
-    def partition_sizes(self, partition: int) -> Dict[int, int]:
-        """pair counts per map task for one partition (shuffle skew view)."""
-        with self._lock:
-            return {
-                mid: len(self._data[(mid, partition)])
-                for mid in self._by_partition.get(partition, ())
-            }
 
 
 def partition_and_sort(

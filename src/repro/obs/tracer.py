@@ -330,15 +330,6 @@ class Tracer:
         with self._lock:
             return self._max_ts
 
-    def by_category(self, cat: str) -> List[Span]:
-        """Finished spans of one category."""
-        return [s for s in self.finished() if s.cat == cat]
-
-    def categories(self) -> List[str]:
-        """Sorted distinct categories of recorded spans."""
-        with self._lock:
-            return sorted({s.cat for s in self.spans})
-
     def clear(self) -> None:
         """Drop every recorded span (instrument handles stay valid)."""
         with self._lock:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 #: request line + header block ceiling (per request)
@@ -198,17 +198,3 @@ async def read_request(
         body=body,
         keep_alive=keep_alive,
     )
-
-
-def parse_http_response(raw: bytes) -> Tuple[int, Dict[str, str], bytes]:
-    """Split a fully buffered response into (status, headers, body) —
-    the load-test client's decoder (responses here always carry
-    ``Content-Length``)."""
-    head, _, rest = raw.partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ", 2)[1])
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, rest

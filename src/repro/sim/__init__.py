@@ -1,16 +1,8 @@
 """Discrete-event cluster simulator: the stand-in for the Grid'5000
 testbed on which the paper's evaluation ran."""
 
-from .core import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Environment,
-    Event,
-    Process,
-    Timeout,
-)
-from .resources import Lock, Request, Resource, Store
+from .core import AllOf, Environment, Event, Process, Timeout
+from .resources import Request, Resource
 from .network import Network, NetNode
 from .disk import Disk
 from .cluster import SimCluster, SimNode
@@ -18,16 +10,12 @@ from .metrics import Metrics, OpSample
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Condition",
     "Environment",
     "Event",
     "Process",
     "Timeout",
-    "Lock",
     "Request",
     "Resource",
-    "Store",
     "Network",
     "NetNode",
     "Disk",

@@ -17,32 +17,33 @@ Queue architecture (the 1M events/s push)
 The pending-entry store is a **two-tier calendar queue** instead of one
 global binary heap:
 
-* the *near tier* is a pair of FIFO rings (plain deques): ``_ring``
-  holds every entry scheduled **at the current instant** (delay 0 —
-  process resumes, event trigger deliveries, flush-scheduled work) and
-  ``_urgent`` holds priority-0 entries (interrupt delivery) that must
-  run before every same-instant normal entry. Same-instant bursts are
-  the dominant traffic of the coalescing flush hook (a reducer wave
-  starting hundreds of fetches, a barrier of flows completing
-  together); a deque append+popleft costs ~1/20th of a heap
-  push+pop+tuple, and the FIFO order *is* the scheduling order the old
-  heap produced via its monotone entry ids.
+* the *near tier* is a FIFO ring (a plain deque), ``_ring``, holding
+  every entry scheduled **at the current instant** (delay 0 — process
+  resumes, event trigger deliveries, flush-scheduled work). Same-instant
+  bursts are the dominant traffic of the coalescing flush hook (a
+  reducer wave starting hundreds of fetches, a barrier of flows
+  completing together); a deque append+popleft costs ~1/20th of a heap
+  push+pop+tuple, and the FIFO order *is* the scheduling order a single
+  heap produces via its monotone entry ids.
 * the *far tier* is the binary heap of ``(fire_time, eid, entry)``
   tuples for strictly-future work (latency legs, service completions,
   timeouts).
 
-Order equivalence with the single-heap kernel rests on one invariant:
+Order equivalence with a single-heap kernel rests on one invariant:
 **no entry lands in the far heap at the current instant.** Every
 scheduling site routes ``fire_time <= now`` to the near ring (including
 the floating-point corner where ``now + tiny_delay == now``), so heap
 entries at the current instant can only have been scheduled at an
 *earlier* instant — they carry older entry ids than anything in the
 ring and are drained first. Within each tier FIFO order equals entry-id
-order. The drain order per instant is therefore: urgent ring, then
-heap entries at ``now``, then the normal ring — exactly the
-``(time, priority, eid)`` order of the old kernel, which the
-differential allocator oracle and the DES↔threaded parity suites
-re-verify.
+order. The drain order per instant is therefore: heap entries at
+``now``, then the ring — exactly the ``(time, eid)`` order of one heap,
+which the differential allocator oracle and the DES↔threaded parity
+suites re-verify. There is no priority tier and no interrupt delivery:
+a process runs until it returns, raises, or waits forever.
+
+One loop, :meth:`Environment.run`, dispatches every entry, whatever the
+run ends on (a drained queue, a time horizon, an event).
 
 Queue entries are one of three shapes, cheapest first:
 
@@ -63,10 +64,11 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from ..common.errors import InterruptedProcessError, SimDeadlockError
+from ..common.errors import SimDeadlockError
 
 #: type of the generators that implement simulated processes
 ProcessGenerator = Generator["Event", Any, Any]
@@ -169,21 +171,6 @@ class Timeout(Event):
         env._schedule(self, delay=delay)
 
 
-class Interruption(Event):
-    """Internal event used to deliver an interrupt into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        self.process = process
-        self.triggered = True
-        self._ok = False
-        self._value = InterruptedProcessError(cause)
-        # priority 0: delivered before every same-instant normal entry
-        self.env._urgent.append(self)
-
-
 class Process(Event):
     """A running simulated process; also an event that fires at its return.
 
@@ -192,7 +179,7 @@ class Process(Event):
     has the event's exception thrown into it).
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self, env: "Environment", generator: ProcessGenerator, name: str = ""
@@ -200,97 +187,51 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Event | None = None
         # bootstrap: resume the generator at t=now on the next kernel step
         env._schedule_resume(self, True, None)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not returned or raised."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`InterruptedProcessError` into the process.
-
-        Used by failure-injection tests to kill providers mid-transfer.
-        Interrupting a finished process is a no-op.
-        """
-        if not self.is_alive:
-            return
-        Interruption(self, cause).callbacks.append(self._deliver_interrupt)
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if not self.is_alive:
-            return
-        # detach from whatever we were waiting for
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        self._step(event)
-
     def _resume(self, event: Event) -> None:
-        self._target = None
-        self._do_step(event._ok, event._value)
-
-    def _step(self, event: Event) -> None:
         self._do_step(event._ok, event._value)
 
     def _do_step(self, ok: bool, value: Any) -> None:
-        env = self.env
-        env._active_process = self
         try:
             if ok:
                 target = self.generator.send(value)
             else:
                 target = self.generator.throw(value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
             return
-        env._active_process = None
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"
             )
         if target.processed:
             # already fired: resume on the next kernel step
-            env._schedule_resume(self, target._ok, target._value)
+            self.env._schedule_resume(self, target._ok, target._value)
         else:
-            self._target = target
             target.callbacks.append(self._resume)
 
 
-class Condition(Event):
-    """Waits for all (or any) of a set of events.
+class AllOf(Event):
+    """Fires when every constituent event has fired.
 
-    Succeeds with a list of the values of the events that had fired by
-    trigger time, in the order the events were given. Fails as soon as
-    any constituent fails.
+    Succeeds with the list of their values, in the order the events were
+    given. Fails as soon as any constituent fails.
     """
 
-    __slots__ = ("events", "need", "_done")
+    __slots__ = ("events", "_left")
 
-    def __init__(self, env: "Environment", events: Iterable[Event], need: int) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        # subclasses hand in a list they already materialized; reuse it
-        # instead of copying (these fan-ins sit on the page-ship path)
-        self.events: List[Event] = (
-            events if type(events) is list else list(events)
-        )
-        if need < 0 or need > len(self.events):
-            raise ValueError(f"need={need} out of range for {len(self.events)} events")
-        self.need = need
-        self._done = 0
-        if need == 0 or not self.events:
+        self.events: List[Event] = list(events)
+        self._left = len(self.events)
+        if not self._left:
             self.succeed([])
             return
         on_fire = self._on_fire
@@ -308,26 +249,9 @@ class Condition(Event):
         if not event._ok:
             self.fail(event._value)
             return
-        self._done += 1
-        if self._done >= self.need:
-            values = [ev._value for ev in self.events if ev.triggered and ev._ok]
-            self.succeed(values)
-
-
-class AllOf(Condition):
-    """Fires when every constituent event has fired."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(env, events, need=len(events))
-
-
-class AnyOf(Condition):
-    """Fires when at least one constituent event has fired."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        events = list(events)
-        super().__init__(env, events, need=min(1, len(events)))
+        self._left -= 1
+        if not self._left:
+            self.succeed([ev._value for ev in self.events])
 
 
 class Environment:
@@ -337,9 +261,7 @@ class Environment:
         "now",
         "_heap",
         "_ring",
-        "_urgent",
         "_eid",
-        "_active_process",
         "events_processed",
         "_flush_hooks",
         "_flush_pending",
@@ -352,11 +274,7 @@ class Environment:
         self._heap: List[tuple] = []
         #: near tier: entries firing at the current instant, FIFO
         self._ring: deque = deque()
-        #: priority-0 entries (interrupt delivery), before every normal
-        #: same-instant entry
-        self._urgent: deque = deque()
         self._eid = 0
-        self._active_process: Process | None = None
         #: lifetime count of processed queue entries (events, scheduled
         #: callbacks, resumes) — the denominator of events/sec in the
         #: perf harness
@@ -395,11 +313,8 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Internal: enqueue an Event *delay* seconds from now."""
-        if not priority:
-            self._urgent.append(event)
-            return
         if delay == 0.0:
             self._ring.append(event)
             return
@@ -424,15 +339,6 @@ class Environment:
         else:
             entry = _Resume(process, ok, value)
         self._ring.append(entry)
-
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
-        """Run *callback* at absolute simulated time *when*; returns the
-        event so callers can also wait on it."""
-        if not (when >= self.now):
-            raise ValueError(f"cannot schedule in the past ({when} < {self.now})")
-        ev = Timeout(self, when - self.now)
-        ev.callbacks.append(lambda _ev: callback())
-        return ev
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> None:
         """Run bare callback *fn* after *delay* seconds — the fast path
@@ -501,7 +407,7 @@ class Environment:
                 state["ticks"] += 1
                 if state["ticks"] % double_after == 0:
                     state["period"] *= 2.0
-            if self._heap or self._ring or self._urgent or self._flush_pending:
+            if self._heap or self._ring or self._flush_pending:
                 self.call_in(state["period"], tick)
 
         self.call_in(state["period"], tick)
@@ -524,71 +430,15 @@ class Environment:
         """An event firing once every event in *events* has fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing once any event in *events* has fired."""
-        return AnyOf(self, events)
-
     # -- execution ----------------------------------------------------------
-
-    def _pending(self) -> bool:
-        """Any queue entry at all (either tier)?"""
-        return bool(self._urgent or self._ring or self._heap)
-
-    def step(self) -> None:
-        """Process the next scheduled entry (running a pending flush
-        first when the current instant is exhausted)."""
-        urgent = self._urgent
-        ring = self._ring
-        heap = self._heap
-        now = self.now
-        if self._flush_pending and not urgent and not ring and (
-            not heap or heap[0][0] > now
-        ):
-            self._run_flush_hooks()
-        # drain order within the instant: urgent ring, then heap entries
-        # scheduled at `now` from earlier instants (older entry ids),
-        # then the normal ring — see the module docstring
-        if urgent:
-            entry = urgent.popleft()
-        elif heap and heap[0][0] <= now:
-            entry = heapq.heappop(heap)[2]
-        elif ring:
-            entry = ring.popleft()
-        elif heap:
-            when, _eid, entry = heapq.heappop(heap)
-            self.now = when
-        else:
-            raise IndexError("step from an empty queue")
-        self.events_processed += 1
-        self._dispatch(entry)
-
-    def _dispatch(self, entry: Any) -> None:
-        """Run one queue entry (shared by step(); run() inlines this)."""
-        cls = entry.__class__
-        if cls is _Resume:
-            process, ok, value = entry.process, entry.ok, entry.value
-            entry.process = entry.value = None
-            self._resume_pool.append(entry)
-            process._do_step(ok, value)
-            return
-        if cls is Event or isinstance(entry, Event):
-            callbacks = entry.callbacks
-            entry.callbacks = None
-            entry.processed = True
-            if callbacks:
-                for cb in callbacks:
-                    cb(entry)
-            elif not entry._ok and not isinstance(entry, Interruption):
-                # an unwaited-for failure must not pass silently
-                raise entry._value
-            return
-        entry()  # bare callable from call_in/call_at
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
 
         * ``until=None`` — run until the queue drains.
-        * ``until=<float>`` — run until simulated time reaches the value.
+        * ``until=<float>`` — run until simulated time reaches the value
+          (``now`` ends there even if the queue drains first; a past or
+          NaN horizon raises :class:`ValueError`).
         * ``until=<Event>`` — run until that event is processed, returning
           its value (raising its exception if it failed); raises
           :class:`SimDeadlockError` if the queue drains first.
@@ -613,93 +463,81 @@ class Environment:
                 gc.enable()
 
     def _run(self, until: "float | Event | None") -> Any:
-        if isinstance(until, Event):
-            # the hot loop of every experiment driver: dispatch is fully
-            # inlined so a near-tier entry costs one deque popleft plus
-            # the callback itself, with the events_processed tally kept
-            # in a local
-            target = until
-            urgent = self._urgent
-            ring = self._ring
-            heap = self._heap
-            pop = heapq.heappop
-            resume_pool = self._resume_pool
-            processed = 0
-            try:
-                while not target.processed:
-                    if urgent:
-                        entry = urgent.popleft()
-                    elif heap and heap[0][0] <= self.now:
-                        entry = pop(heap)[2]
-                    elif ring:
-                        entry = ring.popleft()
-                    else:
-                        # instant exhausted: run deferred work (e.g. the
-                        # network's coalesced reallocation) before time
-                        # advances, then re-peek — the flush may have
-                        # scheduled same-instant entries
-                        if self._flush_pending:
-                            self._run_flush_hooks()
-                            continue
-                        if not heap:
-                            raise SimDeadlockError(
-                                f"event queue drained before {target!r} fired"
-                            )
-                        when, _eid, entry = pop(heap)
-                        self.now = when
-                    processed += 1
-                    cls = entry.__class__
-                    if cls is _Resume:
-                        process, ok, value = entry.process, entry.ok, entry.value
-                        entry.process = entry.value = None
-                        resume_pool.append(entry)
-                        process._do_step(ok, value)
+        # the hot loop of every experiment driver: dispatch is fully
+        # inlined so a near-tier entry costs one deque popleft plus the
+        # callback itself, with the events_processed tally kept in a
+        # local. A run to a horizon or to a drained queue waits on a
+        # target that never fires; the horizon is only consulted when
+        # time would advance.
+        target = until if isinstance(until, Event) else _NEVER
+        if until is None or target is until:
+            horizon = math.inf
+        else:
+            horizon = float(until)
+            # `not (horizon >= now)` also rejects NaN
+            if not (horizon >= self.now):
+                raise ValueError(f"until={horizon} is in the past (now={self.now})")
+        ring = self._ring
+        heap = self._heap
+        pop = heapq.heappop
+        resume_pool = self._resume_pool
+        processed = 0
+        try:
+            while not target.processed:
+                if heap and heap[0][0] <= self.now:
+                    entry = pop(heap)[2]
+                elif ring:
+                    entry = ring.popleft()
+                else:
+                    # instant exhausted: run deferred work (e.g. the
+                    # network's coalesced reallocation) before time
+                    # advances, then re-peek — the flush may have
+                    # scheduled same-instant entries
+                    if self._flush_pending:
+                        self._run_flush_hooks()
                         continue
-                    if cls is Event or isinstance(entry, Event):
-                        callbacks = entry.callbacks
-                        entry.callbacks = None
-                        entry.processed = True
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(entry)
-                        elif not entry._ok and not isinstance(entry, Interruption):
-                            raise entry._value
-                        continue
-                    entry()
-            finally:
-                self.events_processed += processed
+                    if not heap or heap[0][0] > horizon:
+                        break
+                    when, _eid, entry = pop(heap)
+                    self.now = when
+                processed += 1
+                cls = entry.__class__
+                if cls is _Resume:
+                    process, ok, value = entry.process, entry.ok, entry.value
+                    entry.process = entry.value = None
+                    resume_pool.append(entry)
+                    process._do_step(ok, value)
+                    continue
+                if cls is Event or isinstance(entry, Event):
+                    callbacks = entry.callbacks
+                    entry.callbacks = None
+                    entry.processed = True
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(entry)
+                    elif not entry._ok:
+                        # an unwaited-for failure must not pass silently
+                        raise entry._value
+                    continue
+                entry()  # bare callable from call_in/call_at
+        finally:
+            self.events_processed += processed
+        if target is until:
+            if not target.processed:
+                raise SimDeadlockError(f"event queue drained before {target!r} fired")
             if not target._ok:
                 raise target._value
             return target._value
-        if until is None:
-            while True:
-                if self._pending():
-                    self.step()
-                elif self._flush_pending:
-                    # a pending flush may arm new work (e.g. deferred
-                    # flow-completion timers) before the queue drains
-                    self._run_flush_hooks()
-                else:
-                    return None
-        horizon = float(until)
-        if horizon < self.now:
-            raise ValueError(f"until={horizon} is in the past (now={self.now})")
-        heap = self._heap
-        while True:
-            if self._urgent or self._ring:
-                self.step()
-                continue
-            if self._flush_pending and (not heap or heap[0][0] > self.now):
-                self._run_flush_hooks()
-                continue
-            if heap and heap[0][0] <= horizon:
-                self.step()
-                continue
-            break
-        self.now = horizon
+        if until is not None:
+            self.now = horizon
         return None
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped (None between steps)."""
-        return self._active_process
+
+class _Never:
+    """The target of a run that ends on a horizon or a drained queue."""
+
+    __slots__ = ()
+    processed = False
+
+
+_NEVER = _Never()

@@ -113,8 +113,3 @@ class Disk:
         return self._spindle.round_trip(
             0.0, nbytes / self.read_bandwidth, fetched
         )
-
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for the spindle."""
-        return self._spindle.queue_length

@@ -89,16 +89,6 @@ class Metrics:
             return 0.0
         return float(np.mean(list(per.values())))
 
-    def aggregate_throughput(self, kind: str) -> float:
-        """Total bytes of *kind* over the experiment's span (B/s)."""
-        ops = self.of_kind(kind)
-        if not ops:
-            return 0.0
-        start = min(o.start for o in ops)
-        end = max(o.end for o in ops)
-        total = sum(o.nbytes for o in ops)
-        return total / (end - start) if end > start else 0.0
-
     def makespan(self, kind: str | None = None) -> float:
         """Wall time from the first start to the last end (optionally of
         one kind)."""

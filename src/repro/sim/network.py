@@ -127,9 +127,6 @@ class NetNode:
     #: lifetime counters, for metrics/debugging
     bytes_sent: float = 0.0
     bytes_received: float = 0.0
-    #: lifetime round trips initiated/served via :meth:`Network.rpc`
-    rpcs_sent: int = 0
-    rpcs_received: int = 0
     #: the node's shareable NIC directions (set by :meth:`Network.add_node`)
     _up_res: object = field(default=None, repr=False)
     _down_res: object = field(default=None, repr=False)
@@ -142,7 +139,7 @@ class NetNode:
             raise ValueError(f"capacities must be positive on {self.name!r}")
 
 
-@dataclass(slots=True, eq=False)  # identity hash: flows live in sets
+@dataclass(slots=True, eq=False)
 class _Flow:
     fid: int
     src: NetNode
@@ -202,8 +199,6 @@ class Network:
         self.nodes: Dict[str, NetNode] = {}
         self._flows: Dict[int, _Flow] = {}
         self._fid = itertools.count()
-        #: flows indexed by (src name, dst name), for current_rate()
-        self._pair_flows: Dict[Tuple[str, str], Set[_Flow]] = {}
         self._backbone: Optional[_NicResource] = (
             _NicResource(("__backbone__", None), backbone_bandwidth)
             if backbone_bandwidth > 0
@@ -312,10 +307,6 @@ class Network:
         self.nodes[name] = node
         return node
 
-    def node(self, name: str) -> NetNode:
-        """Look up a node by name."""
-        return self.nodes[name]
-
     # -- transfers ----------------------------------------------------------
 
     def transfer(self, src: str, dst: str, nbytes: float) -> Event:
@@ -383,27 +374,6 @@ class Network:
         for src_node, dst_node, nbytes, done in batch:
             self._start_flow(src_node, dst_node, nbytes, done)
 
-    def rpc(self, src: str, dst: str) -> Event:
-        """A latency-only round trip (request + reply), no payload.
-
-        Both endpoints must exist — a typo'd node name raises instead of
-        silently simulating a zero-cost RPC — and the round trip is
-        counted on each node's RPC counters.
-        """
-        try:
-            src_node = self.nodes[src]
-        except KeyError:
-            raise ValueError(f"rpc from unknown node {src!r}") from None
-        try:
-            dst_node = self.nodes[dst]
-        except KeyError:
-            raise ValueError(f"rpc to unknown node {dst!r}") from None
-        src_node.rpcs_sent += 1
-        dst_node.rpcs_received += 1
-        done = Event(self.env)
-        self.env.call_in(2 * self.latency, lambda: done.succeed(None))
-        return done
-
     # -- shared internals ----------------------------------------------------
 
     def _resources_for(
@@ -437,23 +407,6 @@ class Network:
         res.append(dst._down_res)
         return tuple(res)
 
-    def _register_flow(self, flow: _Flow) -> None:
-        self._flows[flow.fid] = flow
-        pair = (flow.src.name, flow.dst.name)
-        bucket = self._pair_flows.get(pair)
-        if bucket is None:
-            bucket = self._pair_flows[pair] = set()
-        bucket.add(flow)
-
-    def _unregister_flow(self, flow: _Flow) -> None:
-        del self._flows[flow.fid]
-        pair = (flow.src.name, flow.dst.name)
-        bucket = self._pair_flows.get(pair)
-        if bucket is not None:
-            bucket.discard(flow)
-            if not bucket:
-                del self._pair_flows[pair]
-
     def _start_flow(
         self, src: NetNode, dst: NetNode, nbytes: float, done: Event
     ) -> None:
@@ -472,7 +425,7 @@ class Network:
             resources=() if local else self._resources_for(src, dst),
             last_update=self.env.now,
         )
-        self._register_flow(flow)
+        self._flows[flow.fid] = flow
         self._reallocate_and_arm()
 
     def _local_rate(self) -> float:
@@ -511,7 +464,7 @@ class Network:
             resources=() if local else self._resources_for(src, dst),
             last_update=now,
         )
-        self._register_flow(flow)
+        self._flows[flow.fid] = flow
         if local:
             flow.rate = self._local_rate()
             self._push_completion(flow, now)
@@ -818,7 +771,7 @@ class Network:
                 # time the residue needs, so the flow is done now
                 or now + flow.remaining / flow.rate <= now
             ):
-                self._unregister_flow(flow)
+                del self._flows[flow.fid]
                 finished.append(flow)
                 if not flow.local:
                     self._c_changes.inc()
@@ -884,7 +837,7 @@ class Network:
             if flow.remaining <= _EPSILON_BYTES:
                 finished.append(flow)
         for flow in finished:
-            self._unregister_flow(flow)
+            del self._flows[flow.fid]
             self.completed_transfers += 1
             flow.event.succeed(self.env.now)
 
@@ -999,7 +952,9 @@ class Network:
 
     def active_flows_between(self, src: str, dst: str) -> int:
         """Number of in-flight transfers from *src* to *dst*."""
-        return len(self._pair_flows.get((src, dst), ()))
+        return sum(
+            1 for f in self._flows.values() if f.src.name == src and f.dst.name == dst
+        )
 
     def current_rate(self, src: str, dst: str) -> float:
         """Aggregate current rate of all flows from *src* to *dst* (B/s)."""
@@ -1008,7 +963,8 @@ class Network:
             # force it so observed rates are current (the kernel's later
             # flush then finds nothing dirty and is a no-op)
             self._flush()
-        bucket = self._pair_flows.get((src, dst))
-        if not bucket:
-            return 0.0
-        return sum(f.rate for f in bucket)
+        return sum(
+            f.rate
+            for f in self._flows.values()
+            if f.src.name == src and f.dst.name == dst
+        )

@@ -1,18 +1,18 @@
 """Shared-resource primitives for the simulation kernel.
 
-* :class:`Resource` — a counted resource with FIFO admission (e.g. RPC
-  handler threads at the version manager, reducer slots).
-* :class:`Lock` — a convenience one-slot resource (mutual exclusion),
-  used by the locking-append ablation.
-* :class:`Store` — an unbounded FIFO of items (message queues between
-  simulated components).
+:class:`Resource` is a counted resource with FIFO admission (RPC handler
+threads at the version manager, a disk spindle). Most traffic takes it
+through :meth:`Resource.round_trip` / :func:`batch_round_trips`;
+generator-based holders use :meth:`Resource.request` /
+:meth:`Resource.release`, as the locking-append ablation's file lock
+does.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Optional
 
 from .core import Environment, Event
 
@@ -21,8 +21,7 @@ class Request(Event):
     """Admission ticket for a :class:`Resource`; fires when granted.
 
     Use as ``yield res.request()`` inside a process, and pass the request
-    back to :meth:`Resource.release` when done (or use :meth:`Resource.held`
-    as a generator-based context).
+    back to :meth:`Resource.release` when done.
     """
 
     __slots__ = ("resource",)
@@ -161,31 +160,6 @@ class Resource:
             arrive()
         return done
 
-    def cancel(self, request: Request) -> None:
-        """Withdraw a not-yet-granted request from the queue."""
-        try:
-            self._waiting.remove(request)
-        except ValueError:
-            pass
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for admission."""
-        return len(self._waiting)
-
-    def held(self, work: Generator[Event, Any, Any]) -> Generator[Event, Any, Any]:
-        """Run *work* (a process generator) while holding one unit.
-
-        Usage: ``result = yield env.process(res.held(body()))``. The unit
-        is released even if *work* raises.
-        """
-        req = yield self.request()
-        try:
-            result = yield self.env.process(work)
-        finally:
-            self.release(req)
-        return result
-
 
 def batch_round_trips(
     resources: "list[Resource]",
@@ -243,47 +217,3 @@ def batch_round_trips(
         env.call_in(latency, arrive)
     else:
         arrive()
-
-
-class Lock(Resource):
-    """One-slot resource: plain mutual exclusion."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment) -> None:
-        super().__init__(env, capacity=1)
-
-
-class Store:
-    """An unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks (the store is unbounded); ``get`` returns an
-    event that fires with the oldest item once one is available. Getters
-    are served FIFO.
-    """
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def put(self, item: Any) -> None:
-        """Deposit *item*; wakes the oldest blocked getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """An event firing with the next item (immediately if available)."""
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._items)

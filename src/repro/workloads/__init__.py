@@ -1,28 +1,13 @@
 """Synthetic workloads: the Last.fm-like join dataset plus generic
 text/key-value corpora."""
 
-from .lastfm import (
-    LastFMSpec,
-    estimate_join_output_bytes,
-    generate_records,
-    key_histogram,
-    write_dataset,
-)
-from .generators import (
-    kv_corpus,
-    random_keys_corpus,
-    text_corpus,
-    write_corpus_files,
-)
+from .lastfm import LastFMSpec, generate_records, write_dataset
+from .generators import kv_corpus, text_corpus
 
 __all__ = [
     "LastFMSpec",
-    "estimate_join_output_bytes",
     "generate_records",
-    "key_histogram",
     "write_dataset",
     "kv_corpus",
-    "random_keys_corpus",
     "text_corpus",
-    "write_corpus_files",
 ]

@@ -3,7 +3,7 @@
 Two families live here:
 
 * **corpus generators** — deterministic input bytes for the Map/Reduce
-  figures (text, key/value join fodder, sort keys);
+  figures (text, key/value join fodder);
 * **arrival processes** — *open-loop* request schedules for the scale
   experiments (fig8). Open-loop means arrival times are fixed up front,
   independent of how fast the system serves them — the methodology for
@@ -18,11 +18,10 @@ Two families live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from ..common.fs import FileSystem
 from ..common.rng import substream, zipf_indices
 
 _WORDS = (
@@ -57,15 +56,6 @@ def kv_corpus(
         b"k%05d\tv%06d" % (int(keys[i]), int(vals[i])) for i in range(n_records)
     ]
     return b"\n".join(lines) + (b"\n" if lines else b"")
-
-
-def random_keys_corpus(n_records: int, seed: int = 0) -> bytes:
-    """Tab-separated records with (mostly) unique random keys, for sort."""
-    rng = substream(seed, "sort-corpus")
-    keys = rng.integers(0, 2**40, size=n_records)
-    return b"".join(
-        b"%012d\trow%06d\n" % (int(keys[i]), i) for i in range(n_records)
-    )
 
 
 @dataclass(slots=True, frozen=True)
@@ -165,40 +155,6 @@ def poisson_arrivals(
     return ArrivalProcess(times=times, clients=clients)
 
 
-def trace_arrivals(
-    events: Iterable[Tuple[float, object]],
-    time_scale: float = 1.0,
-) -> ArrivalProcess:
-    """Replay a recorded trace of ``(timestamp, client_key)`` events as
-    an arrival schedule.
-
-    Timestamps are rebased so the earliest event arrives at t=0 and
-    scaled by *time_scale* (e.g. ``1/3600`` replays an hour-long trace
-    in one simulated second); client keys (user names, ids) are mapped
-    to dense integer ids in order of first appearance. Events may be
-    given unordered; the replay is sorted by time with ties kept in
-    input order — the Last.fm-style replay semantics, where one user's
-    same-instant plays stay in log order.
-    """
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    pairs = list(events)
-    ids: dict = {}
-    raw_clients = np.empty(len(pairs), dtype=np.int64)
-    raw_times = np.empty(len(pairs), dtype=np.float64)
-    for i, (ts, key) in enumerate(pairs):
-        raw_times[i] = float(ts)
-        cid = ids.get(key)
-        if cid is None:
-            cid = ids[key] = len(ids)
-        raw_clients[i] = cid
-    order = np.argsort(raw_times, kind="stable")
-    times = raw_times[order]
-    if len(times):
-        times = (times - times[0]) * time_scale
-    return ArrivalProcess(times=times, clients=raw_clients[order])
-
-
 def lastfm_arrivals(
     n_events: int,
     n_clients: int,
@@ -212,7 +168,7 @@ def lastfm_arrivals(
 
     Arrival instants are uniform over the span — the aggregate of many
     independent user sessions — and the schedule is deterministic per
-    seed. Use :func:`trace_arrivals` to replay a real trace instead.
+    seed.
     """
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
@@ -222,16 +178,3 @@ def lastfm_arrivals(
     times = np.sort(rng.uniform(0.0, duration, size=n_events))
     clients = zipf_indices(rng, n_clients, n_events, skew=skew).astype(np.int64)
     return ArrivalProcess(times=times, clients=clients)
-
-
-def write_corpus_files(
-    fs: FileSystem, base_dir: str, n_files: int, bytes_per_file: int, seed: int = 0
-) -> List[str]:
-    """Write *n_files* text files under *base_dir*; returns their paths."""
-    fs.mkdirs(base_dir)
-    paths = []
-    for i in range(n_files):
-        path = f"{base_dir.rstrip('/')}/input-{i:04d}.txt"
-        fs.write_all(path, text_corpus(bytes_per_file, seed=seed + i))
-        paths.append(path)
-    return paths

@@ -9,8 +9,8 @@ Last.fm"; joining them "generates 6.3 GB of output data" — roughly a
 This generator reproduces those statistics synthetically: keys are
 user/artist handles drawn Zipf-skewed from a bounded universe, values
 are track-play records. Key multiplicity on both sides drives the
-join's output multiplication; :func:`estimate_join_output_bytes` lets
-experiments size the universe for a target blow-up.
+join's output multiplication; :func:`spec_for_scale` sizes the universe
+for a target blow-up.
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ def write_dataset(
     return sizes[0], sizes[1]
 
 
-def key_histogram(spec: LastFMSpec, which: str) -> dict[bytes, int]:
-    """Key multiplicities of one generated file (no I/O)."""
-    hist: dict[bytes, int] = {}
-    for key, _value in generate_records(spec, which):
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
 def _sum_p_squared(n_users: int, skew: float) -> float:
     """Σ p_k² of the Zipf(n_users, skew) key distribution."""
     ranks = np.arange(1, n_users + 1, dtype=np.float64)
@@ -173,15 +165,3 @@ def spec_for_scale(
     return LastFMSpec(
         bytes_per_file=bytes_per_file, n_users=n_users, skew=skew, seed=seed
     )
-
-
-def estimate_join_output_bytes(spec: LastFMSpec, record_bytes: int = 60) -> int:
-    """Predicted join output volume: Σ_k left(k)·right(k)·record_bytes.
-
-    Used to pick ``n_users``/``skew`` so a scaled-down run keeps the
-    paper's ~10× input→output blow-up.
-    """
-    left = key_histogram(spec, "left")
-    right = key_histogram(spec, "right")
-    combos = sum(n * right.get(k, 0) for k, n in left.items())
-    return combos * record_bytes

@@ -131,9 +131,9 @@ class TestLayout:
         blob = client.create_blob()
         client.append(blob, b"x" * 2500)
         layout = client.get_layout(blob)
-        assert sum(e.size for e, _p in layout) == 2500
-        assert all(providers for _e, providers in layout)
-        offsets = [e.offset for e, _p in layout]
+        assert sum(length for _o, length, _p in layout) == 2500
+        assert all(providers for _o, _l, providers in layout)
+        offsets = [offset for offset, _l, _p in layout]
         assert offsets == sorted(offsets)
 
     def test_layout_empty_blob(self, client):
@@ -145,7 +145,7 @@ class TestLayout:
         client.append(blob, b"x" * 1000)
         client.append(blob, b"y" * 1000)
         v1 = client.get_layout(blob, version=1)
-        assert sum(e.size for e, _p in v1) == 1000
+        assert sum(length for _o, length, _p in v1) == 1000
 
 
 class TestConcurrency:
@@ -212,7 +212,7 @@ class TestFaultTolerance:
         blob = c.create_blob()
         c.append(blob, b"precious" * 200)
         layout = c.get_layout(blob)
-        primary = layout[0][1][0]
+        primary = layout[0][2][0]
         svc.fail_provider(primary)
         assert c.read(blob, 0, 1600) == (b"precious" * 200)[:1600]
 
@@ -220,7 +220,7 @@ class TestFaultTolerance:
         c = svc.client("c")
         blob = c.create_blob()
         c.append(blob, b"x" * 100)
-        holder = c.get_layout(blob)[0][1][0]
+        holder = c.get_layout(blob)[0][2][0]
         svc.fail_provider(holder)
         with pytest.raises(ReplicationError):
             c.read(blob, 0, 100)
@@ -234,7 +234,7 @@ class TestFaultTolerance:
         blob = c.create_blob()
         c.append(blob, b"y" * 5000)
         assert c.read(blob, 0, 5000) == b"y" * 5000
-        for _e, providers in c.get_layout(blob):
+        for _o, _l, providers in c.get_layout(blob):
             assert "provider-000" not in providers
             assert "provider-001" not in providers
 

@@ -67,7 +67,7 @@ class TestCoreGroupCommit:
         core.publish_batch(blob, [v for v, _, _ in batch], root, 200)
         assert core.latest_published(blob).version == 2
         for v, size in ((1, 100), (2, 200)):
-            rec = core.get_version(blob, v)
+            rec = core.resolve(blob, v)[0]
             assert rec.committed and rec.root == root and rec.size == size
 
     def test_queued_waiter_notified_on_publish(self):
@@ -208,8 +208,8 @@ class TestThreadedGroupCommit:
         # the aborted v1 leaves its 40-byte hole: v2 lands at offset 40
         # and its publish round reports the cumulative size 80
         assert (version, offset, group_end) == (2, 40, 80)
-        assert vm.get_version(blob, 1).aborted
-        assert vm.get_version(blob, 2).committed
+        assert vm.resolve(blob, 1)[0].aborted
+        assert vm.resolve(blob, 2)[0].committed
         reader = svc.client("reader")
         assert reader.read(blob, 40, 40) == b"x" * 40
 

@@ -389,7 +389,7 @@ class TestLoopNativeWait:
             return _live_timers(asyncio.get_running_loop())
 
         assert asyncio.run(main()) == []
-        assert vm.get_version(blob, 1).aborted
+        assert vm.resolve(blob, 1)[0].aborted
 
     def test_timeout_abandons_the_version_and_unwedges_its_successor(self):
         vm, blob = self.bind(append_lease_s=0)  # isolate the timeout path
@@ -405,7 +405,7 @@ class TestLoopNativeWait:
             return _live_timers(asyncio.get_running_loop())
 
         assert asyncio.run(main()) == []
-        assert vm.get_version(blob, 2).aborted
+        assert vm.resolve(blob, 2)[0].aborted
 
     def test_commit_from_a_foreign_thread_resolves_a_pending_wait(self):
         vm, blob = self.bind()

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.blobseer.pages import (
     Fragment,
-    fragments_cover,
-    fragments_fill,
     fresh_page_id,
     overlay,
 )
@@ -89,18 +87,6 @@ class TestOverlay:
         # the surviving tail addresses the old stored object at the
         # matching inner offset
         assert result[2].data_offset == 10
-
-    def test_fill_and_cover(self):
-        frags = overlay((frag(0, 8, "a"),), frag(8, 4, "b"))
-        assert fragments_fill(frags) == 12
-        assert fragments_cover(frags, 0, 12)
-        assert not fragments_cover(frags, 0, 13)
-
-    def test_cover_detects_hole(self):
-        frags = (frag(0, 4), frag(6, 4))
-        assert not fragments_cover(frags, 0, 10)
-        assert fragments_cover(frags, 6, 10)
-
 
 @given(
     ops=st.lists(

@@ -111,11 +111,11 @@ class TestCore:
         blob = core.create_blob(64)
         core.assign_append(blob, 10)
         with pytest.raises(VersionNotReadyError):
-            core.get_version(blob, 1)
+            core.resolve(blob, 1)[0]
         with pytest.raises(VersionNotFoundError):
-            core.get_version(blob, 7)
+            core.resolve(blob, 7)[0]
         core.commit(blob, 1, root_key(1))
-        assert core.get_version(blob, 1).size == 10
+        assert core.resolve(blob, 1)[0].size == 10
 
     def test_old_versions_stay_readable(self):
         core = VersionManagerCore()
@@ -123,7 +123,7 @@ class TestCore:
         for v in range(1, 5):
             core.assign_append(blob, 10)
             core.commit(blob, v, root_key(v))
-        assert core.get_version(blob, 2).size == 20
+        assert core.resolve(blob, 2)[0].size == 20
         assert core.latest_published(blob).size == 40
 
 
@@ -190,7 +190,7 @@ class TestCoreAbort:
         core.assign_append(blob, 10)  # v3 commits
         core.commit(blob, 1, root_key(1))
         assert core.abort(blob, 2) is True
-        rec = core.get_version(blob, 2)
+        rec = core.resolve(blob, 2)[0]
         assert rec.aborted and rec.root == root_key(1)
         # v3 builds on the aborted version's *inherited* tree
         assert core.metadata_prereq(blob, 3) == (root_key(1), 1)
@@ -204,7 +204,7 @@ class TestCoreAbort:
         core.commit(blob, 1, root_key(1))
         core.assign_append(blob, 30)
         core.abort(blob, 2)
-        assert core.get_version(blob, 2).size == 10
+        assert core.resolve(blob, 2)[0].size == 10
         # the next append lands where v1 ended, not after the hole
         assert core.assign_append(blob, 5).offset == 10
 
@@ -216,7 +216,7 @@ class TestCoreAbort:
         core.assign_append(blob, 30)  # v2 dies
         core.assign_append(blob, 10)  # v3 already assigned after it
         core.abort(blob, 2)
-        assert core.get_version(blob, 2).size == 40  # no reclaim
+        assert core.resolve(blob, 2)[0].size == 40  # no reclaim
         assert core.assign_append(blob, 5).offset == 50
 
     def test_commit_after_abort_raises(self):
@@ -230,7 +230,7 @@ class TestCoreAbort:
         core, blob = self._two_assigned()
         core.commit(blob, 1, root_key(1))
         assert core.abort(blob, 1) is False
-        assert not core.get_version(blob, 1).aborted
+        assert not core.resolve(blob, 1)[0].aborted
 
     def test_abort_requires_resolved_predecessor(self):
         core, blob = self._two_assigned()
@@ -267,7 +267,7 @@ class TestAppendLeases:
         t0 = time.monotonic()
         assert vm.wait_metadata_turn(blob, 2, timeout=5) == (None, 0)
         assert 0.04 <= time.monotonic() - t0 < 2.0
-        assert vm.get_version(blob, 1).aborted
+        assert vm.resolve(blob, 1)[0].aborted
 
     def test_wait_turn_timeout_routes_through_abort(self):
         # satellite (c): the timed-out waiter aborts its own version so
@@ -283,7 +283,7 @@ class TestAppendLeases:
             vm.wait_metadata_turn(blob, 2, timeout=0.05)
         vm.commit(blob, 1, root_key(1))
         # v2 aborted itself when v1 resolved; v3's turn is immediately up
-        assert vm.get_version(blob, 2).aborted
+        assert vm.resolve(blob, 2)[0].aborted
         assert vm.wait_metadata_turn(blob, 3, timeout=1)[0] == root_key(1)
 
     def test_turn_timeout_survives_wakeups_for_other_blobs(self):

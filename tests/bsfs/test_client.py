@@ -177,11 +177,6 @@ class TestReadStreams:
             out.write(b"b" * 100)
         assert stream.pread(50, 150) == b"a" * 50 + b"b" * 100
 
-    def test_iter_lines(self, fs):
-        fs.write_all("/f", b"one\ntwo\nthree")
-        with fs.open("/f") as s:
-            assert list(s.iter_lines()) == [b"one\n", b"two\n", b"three"]
-
 
 class TestLocality:
     def test_block_locations_cover_file(self, fs):

@@ -26,7 +26,6 @@ from repro.common import errors as E
         (E.TaskFailedError, E.MapReduceError),
         (E.JobFailedError, E.MapReduceError),
         (E.SimDeadlockError, E.SimulationError),
-        (E.InterruptedProcessError, E.SimulationError),
     ],
 )
 def test_child_of(child, parent):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bsfs import BSFS
 from repro.common.config import BlobSeerConfig
-from repro.common.errors import OutOfRangeReadError
 
 
 @pytest.fixture()
@@ -23,33 +22,6 @@ def test_write_all_read_all(fs):
 def test_file_size(fs):
     fs.write_all("/f", b"x" * 123)
     assert fs.file_size("/f") == 123
-
-
-def test_read_fully_raises_on_short_read(fs):
-    fs.write_all("/f", b"x" * 100)
-    with fs.open("/f") as stream:
-        assert stream.read_fully(90, 10) == b"x" * 10
-        with pytest.raises(OutOfRangeReadError):
-            stream.read_fully(95, 10)
-
-
-def test_list_files_recursive(fs):
-    fs.write_all("/a/1", b"1")
-    fs.write_all("/a/b/2", b"2")
-    fs.write_all("/a/b/c/3", b"3")
-    fs.mkdirs("/a/empty")
-    files = fs.list_files_recursive("/a")
-    assert [s.path for s in files] == ["/a/1", "/a/b/2", "/a/b/c/3"]
-    assert all(not s.is_directory for s in files)
-
-
-def test_iter_lines_across_read_chunks(fs):
-    # lines longer than the 64 KiB internal read chunk still come out whole
-    long_line = b"z" * (70 * 1024)
-    fs.write_all("/f", long_line + b"\nshort\n")
-    with fs.open("/f") as stream:
-        lines = list(stream.iter_lines())
-    assert lines == [long_line + b"\n", b"short\n"]
 
 
 def test_stream_context_managers(fs):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.fs import (
-    basename,
     join_path,
     normalize_path,
     parent_path,
@@ -37,11 +36,6 @@ def test_parent():
     assert parent_path("/a/b/c") == "/a/b"
     assert parent_path("/a") == "/"
     assert parent_path("/") == "/"
-
-
-def test_basename():
-    assert basename("/a/b/c.txt") == "c.txt"
-    assert basename("/") == ""
 
 
 def test_components():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.rng import choose_distinct, derive_seed, substream, zipf_indices
+from repro.common.rng import derive_seed, substream, zipf_indices
 
 
 def test_derive_seed_is_deterministic():
@@ -50,11 +50,3 @@ def test_zipf_rejects_bad_args():
         zipf_indices(rng, 10, -1)
     with pytest.raises(ValueError):
         zipf_indices(rng, 10, 10, skew=0)
-
-
-def test_choose_distinct():
-    rng = substream(0, "choose")
-    picked = choose_distinct(rng, list(range(20)), 5)
-    assert len(picked) == len(set(picked)) == 5
-    with pytest.raises(ValueError):
-        choose_distinct(rng, [1, 2], 3)

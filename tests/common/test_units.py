@@ -1,16 +1,6 @@
-"""Unit tests for byte-size units and parsing."""
+"""Unit tests for byte-size units."""
 
-import pytest
-
-from repro.common.units import (
-    CHUNK_SIZE,
-    GiB,
-    KiB,
-    MiB,
-    TiB,
-    format_bytes,
-    parse_bytes,
-)
+from repro.common.units import CHUNK_SIZE, GiB, KiB, MiB, TiB
 
 
 def test_constants_are_powers():
@@ -19,53 +9,3 @@ def test_constants_are_powers():
     assert GiB == 2**30
     assert TiB == 2**40
     assert CHUNK_SIZE == 64 * MiB
-
-
-@pytest.mark.parametrize(
-    "n,expected",
-    [
-        (0, "0 B"),
-        (1023, "1023 B"),
-        (1024, "1.0 KiB"),
-        (64 * MiB, "64.0 MiB"),
-        (int(6.3 * GiB), "6.3 GiB"),
-        (2 * TiB, "2.0 TiB"),
-        (-3 * MiB, "-3.0 MiB"),
-    ],
-)
-def test_format_bytes(n, expected):
-    assert format_bytes(n) == expected
-
-
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("64MB", 64 * MiB),
-        ("64 MiB", 64 * MiB),
-        ("4k", 4 * KiB),
-        ("4KB", 4 * KiB),
-        ("1g", GiB),
-        ("2TiB", 2 * TiB),
-        ("123", 123),
-        ("10b", 10),
-    ],
-)
-def test_parse_bytes(text, expected):
-    assert parse_bytes(text) == expected
-
-
-def test_parse_fractional_units():
-    assert parse_bytes("1.5MB") == int(1.5 * MiB)
-    with pytest.raises(ValueError):
-        parse_bytes("1.0000001b")  # fractional byte count
-
-
-@pytest.mark.parametrize("bad", ["", "MB", "ten", "5x", "1.2.3k"])
-def test_parse_bytes_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        parse_bytes(bad)
-
-
-def test_roundtrip_whole_units():
-    for n in (512, KiB, 3 * MiB, 7 * GiB):
-        assert parse_bytes(format_bytes(n).replace(" ", "")) == n

@@ -16,11 +16,6 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series("x", [1, 2], [1.0])
 
-    def test_flatness(self):
-        assert Series("x", [1, 2], [100.0, 100.0]).flatness() == 1.0
-        assert Series("x", [1, 2], [50.0, 100.0]).flatness() == 0.5
-        assert Series("x", [], []).flatness() == 1.0
-
 
 class TestFigureResult:
     def make(self):
@@ -45,7 +40,7 @@ class TestFigureResult:
 
     def test_to_json_roundtrip(self):
         result = self.make()
-        data = json.loads(result.to_json())
+        data = json.loads(json.dumps(result.to_dict()))
         assert data["fig_id"] == "figX"
         assert data["series"][0]["ys"] == [100.0, 90.0]
 

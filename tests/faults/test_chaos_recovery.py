@@ -85,7 +85,7 @@ class TestChaosRecovery:
         _dep, sb, obs, blob, ticket = chaos_run
         state = sb.core.blob(blob)
         assert state.published == N_APPENDERS  # every version resolved
-        assert sb.core.get_version(blob, ticket.version).aborted
+        assert sb.core.resolve(blob, ticket.version)[0].aborted
         assert obs.registry.value("vm.aborts") == 1
         assert obs.registry.value("vm.lease_expiries") == 1
         assert obs.registry.value("faults.injected") == 2

@@ -36,9 +36,9 @@ class TestWritePath:
     def test_client_buffers_until_chunk(self, cluster, fs):
         out = fs.create("/f")
         out.write(b"x" * 1000)  # below the 1024 chunk size
-        assert sum(d.block_count() for d in cluster.datanodes.values()) == 0
+        assert sum(len(d._blocks) for d in cluster.datanodes.values()) == 0
         out.write(b"x" * 100)  # crosses the chunk boundary
-        assert sum(d.block_count() for d in cluster.datanodes.values()) == 2
+        assert sum(len(d._blocks) for d in cluster.datanodes.values()) == 2
         out.close()
 
     def test_chunks_are_exactly_chunk_sized(self, cluster, fs):

@@ -62,7 +62,7 @@ def page_shape(core, dht, blob):
     out = []
     state = core.blob(blob)
     for v in range(0, state.published + 1):
-        rec = core.get_version(blob, v)
+        rec = core.resolve(blob, v)[0]
         pages = {}
         if rec.root is not None:
             for idx, frags in iter_all_pages(dht, rec.root):

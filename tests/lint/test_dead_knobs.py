@@ -1,5 +1,5 @@
 """Lint gate: every configuration knob is read by the program, and
-every ``BlobSeerConfig`` knob is turned by something other than a test.
+turned by something other than a test.
 
 A field of a dataclass in ``repro/common/config.py`` that nothing under
 ``src/repro`` reads is an option the tests and benchmarks must still
@@ -10,10 +10,10 @@ CI when a field is only ever declared, validated or assigned.
 A field that *is* read but that only tests ever move off its default is
 a second code path no figure, benchmark workload, example or server run
 exercises — PR 10's placement/read-policy/hot-page knobs sat that way
-for ten PRs. The second test fails CI unless every ``BlobSeerConfig``
-field is given a non-default value somewhere in the traffic roots
-(``src/repro``, ``benchmarks/e2e``, ``examples``) or is listed, with its
-reason for staying, in :data:`NO_TRAFFIC`.
+for ten PRs. The second test fails CI unless every field of every
+config class is given a non-default value somewhere in the traffic
+roots (``src/repro``, ``benchmarks/e2e``, ``examples``) or is listed,
+with its reason for staying, in that class's :data:`NO_TRAFFIC` table.
 
 The three metadata fast-path knobs move together, as a named profile:
 ``paper`` is the defaults and ``BlobSeerConfig.fast()`` is the only
@@ -24,6 +24,8 @@ traffic root calls it. The third test fails CI on any other setter, and on a fif
 
 import ast
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -37,27 +39,72 @@ TRAFFIC_ROOTS = (SRC, REPO / "benchmarks" / "e2e", REPO / "examples")
 PROFILE_KNOBS = {"group_commit", "md_cache_nodes", "ns_record_cache"}
 PROFILE_METHODS = {"fast"}
 
-#: ``BlobSeerConfig`` fields no traffic root moves off the default, and
+_TESTBED = (
+    "testbed constant calibrated to the paper's Grid'5000 Orsay cluster; "
+    "every figure runs the calibrated value"
+)
+_RETRY = (
+    "retry policy of the fault path (RetryPolicy.from_cluster); only "
+    "tests/faults set it"
+)
+
+#: per config class: fields no traffic root moves off the default, and
 #: why each stays. An entry whose field has acquired traffic, or that
 #: names no field, fails the lint too — the table cannot go stale.
 NO_TRAFFIC = {
-    "cache_blocks": "stream cache depth; every run uses 2",
-    "cache_enabled": (
-        "only benchmarks/test_ablation_cache.py (the paper's cache "
-        "ablation, outside the traffic roots) and tests turn it off"
-    ),
-    "metadata_turn_timeout_s": (
-        "safety timeout that keeps a live appender from waiting forever "
-        "on a stuck predecessor"
-    ),
-    "page_store_fsync": (
-        "durability switch of the log store; the e2e benchmark pins it "
-        "off (sandbox fsync is not a device measurement), ROADMAP item "
-        "3's restart gate turns it on"
-    ),
-    "rereplication": (
-        "crash repair; ROADMAP item 1's fault plans drive it"
-    ),
+    "BlobSeerConfig": {
+        "cache_blocks": "stream cache depth; every run uses 2",
+        "cache_enabled": (
+            "only benchmarks/test_ablation_cache.py (the paper's cache "
+            "ablation, outside the traffic roots) and tests turn it off"
+        ),
+        "metadata_turn_timeout_s": (
+            "safety timeout that keeps a live appender from waiting "
+            "forever on a stuck predecessor"
+        ),
+        "page_store_fsync": (
+            "durability switch of the log store; the e2e benchmark pins it "
+            "off (sandbox fsync is not a device measurement), ROADMAP item "
+            "4's restart gate turns it on"
+        ),
+        "rereplication": (
+            "crash repair; ROADMAP item 1's fault plans drive it"
+        ),
+    },
+    "HDFSConfig": {
+        "write_buffer": (
+            "the paper's HDFS client buffers a whole chunk, the default; "
+            "only the validation test moves it (a candidate for a constant)"
+        ),
+        "readahead": (
+            "the paper's HDFS reads ahead a whole chunk, the default; a "
+            "test turns it off to count fetches"
+        ),
+    },
+    "MapReduceConfig": {
+        "max_task_attempts": (
+            "Hadoop's task retry budget; only the validation test moves it "
+            "(a candidate for a constant)"
+        ),
+        "locality_aware": (
+            "only benchmarks/test_ablation_locality.py (the paper's "
+            "locality ablation, outside the traffic roots) turns it off"
+        ),
+    },
+    "ClusterConfig": {
+        "nodes": _TESTBED,
+        "nic_bandwidth": _TESTBED,
+        "disk_write_bandwidth": _TESTBED,
+        "disk_read_bandwidth": _TESTBED,
+        "page_cache_hit_ratio": _TESTBED,
+        "metadata_rpc_time": _TESTBED,
+        "version_assign_time": _TESTBED,
+        "commit_push_time": _TESTBED,
+        "namespace_rpc_time": _TESTBED,
+        "rpc_retry_base": _RETRY,
+        "rpc_retry_cap": _RETRY,
+        "rpc_max_attempts": _RETRY,
+    },
 }
 
 
@@ -244,22 +291,27 @@ def test_lint_catches_a_knob_nothing_reads():
     ]
 
 
-def test_every_blobseer_knob_has_traffic_or_a_reason():
-    fields = _config_classes(CONFIG.read_text())["BlobSeerConfig"]
-    idle = _untrafficked(CONFIG.read_text(), "BlobSeerConfig", _traffic_sources())
-    unexplained = [f for f in idle if f not in NO_TRAFFIC]
+@pytest.mark.parametrize("cls", sorted(_config_classes(CONFIG.read_text())))
+def test_every_knob_has_traffic_or_a_reason(cls):
+    fields = _config_classes(CONFIG.read_text())[cls]
+    reasons = NO_TRAFFIC.get(cls, {})
+    idle = _untrafficked(CONFIG.read_text(), cls, _traffic_sources())
+    unexplained = [f for f in idle if f not in reasons]
     assert not unexplained, (
-        "BlobSeerConfig fields that only tests move off their default "
-        "(delete the knob with the path behind it, give it real traffic, "
-        "or add it to NO_TRAFFIC with the reason it stays):\n"
-        + "\n".join(unexplained)
+        f"{cls} fields that only tests move off their default (delete the "
+        "knob with the path behind it, give it real traffic, or add it to "
+        "NO_TRAFFIC with the reason it stays):\n" + "\n".join(unexplained)
     )
-    stale = [f for f in NO_TRAFFIC if f not in idle]
+    stale = [f for f in reasons if f not in idle]
     assert not stale, (
-        "NO_TRAFFIC entries that name no BlobSeerConfig field or whose "
-        "field now has traffic (delete the entry):\n"
+        f"NO_TRAFFIC entries that name no {cls} field or whose field now "
+        "has traffic (delete the entry):\n"
         + "\n".join(f"{f}{'' if f in fields else ' (no such field)'}" for f in stale)
     )
+
+
+def test_no_traffic_names_config_classes():
+    assert set(NO_TRAFFIC) <= set(_config_classes(CONFIG.read_text()))
 
 
 def test_only_the_profile_methods_set_the_fast_path_knobs():

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.bsfs import BSFS
-from repro.common.config import BlobSeerConfig, MapReduceConfig
+from repro.common.config import BlobSeerConfig
 from repro.common.errors import JobConfigurationError, JobFailedError
 from repro.mapreduce import JobConf, MapReduceCluster
 from repro.mapreduce.scheduler import pick_map_task, pick_reduce_task
@@ -197,14 +197,13 @@ class TestCountersAndLocality:
     def test_cluster_wide_shared_switch(self):
         dep, fs, _ = make_env()
         hosts = [f"provider-{i:03d}" for i in range(4)]
-        cluster = MapReduceCluster(
-            fs, hosts=hosts, config=MapReduceConfig(shared_output_file=True)
-        )
+        cluster = MapReduceCluster(fs, hosts=hosts)
         fs.write_all("/in", b"a b\n" * 10)
         result = cluster.run_job(
             JobConf(
                 name="sw", input_paths=["/in"], output_dir="/out",
                 map_fn=wc_map, reduce_fn=wc_reduce, n_reducers=3,
+                output_mode="shared",
             )
         )
         assert result.output_file_count == 1

@@ -102,9 +102,3 @@ class TestMapOutputStore:
         store.put(5, 0, [])
         store.put(2, 1, [])
         assert store.map_ids() == [2, 5]
-
-    def test_partition_sizes(self):
-        store = MapOutputStore()
-        store.put(0, 0, [(b"a", 1), (b"b", 2)])
-        store.put(1, 0, [(b"c", 3)])
-        assert store.partition_sizes(0) == {0: 2, 1: 1}

@@ -24,10 +24,15 @@ def _small_config():
     )
 
 
+def spans_of(tracer, cat):
+    """Finished spans of one category."""
+    return [s for s in tracer.finished() if s.cat == cat]
+
+
 def test_simulated_append_run_traces_all_layers():
     obs = Observability.on()
     concurrent_appends([4], _small_config(), obs=obs)
-    cats = set(obs.tracer.categories())
+    cats = {s.cat for s in obs.tracer.snapshot()}
     # at least the FS, BLOB and version-manager layers must appear
     assert {"bsfs", "blobseer", "blobseer.vm"} <= cats
     # every span carries simulated (not wall-clock) timestamps
@@ -41,7 +46,7 @@ def test_simulated_append_run_traces_all_layers():
     assert ticket_bytes.percentile(50) == 64 * MiB
     # spans nest: some blobseer.vm span has a parent
     assert any(
-        s.parent_id is not None for s in obs.tracer.by_category("blobseer.vm")
+        s.parent_id is not None for s in spans_of(obs.tracer, "blobseer.vm")
     )
 
 
@@ -70,7 +75,7 @@ def test_threaded_cache_counters_reach_registry_and_metrics():
     assert dep.metrics.counters["bsfs.cache.misses"] == 1.0
     assert dep.metrics.counters["bsfs.writebehind.flushes"] >= 3.0
     # and the tracer saw the threaded read/append spans
-    assert {"bsfs", "blobseer"} <= set(obs.tracer.categories())
+    assert {"bsfs", "blobseer"} <= {s.cat for s in obs.tracer.snapshot()}
 
 
 def test_mapreduce_job_emits_spans_and_locality_counters():
@@ -102,13 +107,13 @@ def test_mapreduce_job_emits_spans_and_locality_counters():
             n_reducers=2,
         )
     )
-    names = {s.name for s in obs.tracer.by_category("mapreduce")}
+    names = {s.name for s in spans_of(obs.tracer, "mapreduce")}
     assert {"mr.job", "mr.map_task", "mr.reduce_task", "mr.shuffle_fetch"} <= names
     counters = obs.registry.counters()
     assert counters["mr.maps_local"] + counters["mr.maps_remote"] >= 1.0
     assert counters["mr.shuffle.pairs_fetched"] >= 1.0
     # task spans run on their tasktracker's track
-    tracks = {s.track for s in obs.tracer.by_category("mapreduce")}
+    tracks = {s.track for s in spans_of(obs.tracer, "mapreduce")}
     assert any(t.startswith("provider-") for t in tracks)
 
 

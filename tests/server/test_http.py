@@ -5,12 +5,20 @@ import asyncio
 
 import pytest
 
-from repro.server.http import (
-    HttpError,
-    Response,
-    parse_http_response,
-    read_request,
-)
+from repro.server.http import HttpError, Response, read_request
+
+
+def parse_http_response(raw: bytes):
+    """Split a fully buffered response into (status, headers, body)
+    (responses here always carry ``Content-Length``)."""
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split(" ", 2)[1])
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, rest
 
 
 def parse(raw: bytes, max_body: int = 1 << 20):

@@ -17,7 +17,7 @@ def test_node_lookup():
     cluster = SimCluster(ClusterConfig(nodes=5))
     node = cluster.node("node-003")
     assert node.name == "node-003"
-    assert node.net is cluster.network.node("node-003")
+    assert node.net is cluster.network.nodes["node-003"]
 
 
 def test_shared_environment():

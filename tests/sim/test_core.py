@@ -1,8 +1,9 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import InterruptedProcessError, SimDeadlockError
+from repro.common.errors import SimDeadlockError
 from repro.sim.core import Environment
 
 
@@ -128,19 +129,6 @@ class TestConditions:
 
         assert env.run(env.process(parent())) == (2.0, ["a", "b"])
 
-    def test_any_of_fires_on_first(self, env):
-        def child(d, v):
-            yield env.timeout(d)
-            return v
-
-        def parent():
-            yield env.any_of(
-                [env.process(child(5, "slow")), env.process(child(1, "fast"))]
-            )
-            return env.now
-
-        assert env.run(env.process(parent())) == 1.0
-
     def test_all_of_empty(self, env):
         def parent():
             values = yield env.all_of([])
@@ -231,58 +219,6 @@ class TestRunModes:
             env.run(until=1)
 
 
-class TestInterrupts:
-    def test_interrupt_wakes_sleeper(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-            except InterruptedProcessError:
-                return env.now
-
-        p = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(2)
-            p.interrupt("stop")
-
-        env.process(killer())
-        assert env.run(p) == 2.0
-
-    def test_interrupt_finished_is_noop(self, env):
-        def quick():
-            yield env.timeout(1)
-            return "ok"
-
-        p = env.process(quick())
-        env.run(p)
-        p.interrupt("late")  # no effect, no error
-
-    def test_uncaught_interrupt_fails_process(self, env):
-        def sleeper():
-            yield env.timeout(100)
-
-        p = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(1)
-            p.interrupt("die")
-
-        env.process(killer())
-        with pytest.raises(InterruptedProcessError):
-            env.run(p)
-
-
-def test_schedule_at_callback(env):
-    fired = []
-    env.schedule_at(4.0, lambda: fired.append(env.now))
-
-    def proc():
-        yield env.timeout(10)
-
-    env.run(env.process(proc()))
-    assert fired == [4.0]
-
-
 class TestEvery:
     def test_ticks_at_period_and_stops_with_the_workload(self, env):
         ticks = []
@@ -360,13 +296,13 @@ class TestSchedulingValidation:
         with pytest.raises(ValueError):
             env.timeout(float("nan"))
 
-    def test_schedule_at_past_rejected(self, env):
-        def proc():
-            yield env.timeout(2.0)
-            env.schedule_at(1.0, lambda: None)
-
+    def test_run_until_nan_rejected(self, env):
+        env.call_in(1.0, lambda: None)
         with pytest.raises(ValueError, match="in the past"):
-            env.run(env.process(proc()))
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        env.run(until=3.0)  # the rejected run left the queue intact
+        assert env.now == 3.0 and env.events_processed == 1
 
     def test_call_in_zero_fires_this_instant(self, env):
         fired = []
@@ -397,3 +333,77 @@ class TestSchedulingValidation:
 
         env.run(env.process(proc()))
         assert fired == [1e9]
+
+
+# -- one dispatch loop, whatever the run ends on -------------------------------
+
+#: (kind, delay in quarter seconds, follow-up depth)
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["call", "timeout", "process", "flush"]),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def build(env, ops, log):
+    """Schedule *ops* on *env*; every dispatch appends ``(tag, now)``."""
+    armed = []
+
+    def fire(tag, depth):
+        def run():
+            log.append((tag, env.now))
+            if depth:
+                env.call_in(0.25 * (depth % 2), fire(tag + "+", depth - 1))
+                armed.append(tag)
+                env.request_flush()
+
+        return run
+
+    def hook():
+        # end of the instant: log, then queue same-instant work
+        log.append(("flush", env.now, tuple(armed)))
+        for tag in armed:
+            env.call_in(0.0, fire(tag + "!", 0))
+        armed.clear()
+
+    def proc(tag, delay, hops):
+        for hop in range(hops + 1):
+            yield env.timeout(delay)
+            log.append((f"{tag}.{hop}", env.now))
+
+    env.add_flush_hook(hook)
+    for i, (kind, quarters, depth) in enumerate(ops):
+        delay, tag = 0.25 * quarters, f"{kind}{i}"
+        if kind == "call":
+            env.call_in(delay, fire(tag, depth))
+        elif kind == "timeout":
+            env.timeout(delay).callbacks.append(lambda _ev, t=tag: log.append((t, env.now)))
+        elif kind == "process":
+            env.process(proc(tag, delay, depth))
+        else:
+            env.call_in(delay, lambda t=tag: (armed.append(t), env.request_flush()))
+
+
+def outcome(ops, *horizons):
+    """Dispatch log, final clock and entry count of *ops* run as
+    ``run(until=h)`` per horizon, or as one ``run()`` without any."""
+    env, log = Environment(), []
+    build(env, ops, log)
+    for h in horizons:
+        env.run(until=h)
+    if not horizons:
+        env.run()
+    return log, env.now, env.events_processed
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(ops=OPS, cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_drain_slices_and_horizon_runs_dispatch_alike(ops, cuts):
+    drained = outcome(ops)
+    last = drained[1]  # the drained run ends at its last event
+    assert outcome(ops, last) == drained
+    assert outcome(ops, *sorted(last * c for c in cuts), last) == drained

@@ -39,13 +39,6 @@ def test_kinds_are_separate():
     assert m.average_client_throughput("write") == 0.0
 
 
-def test_aggregate_throughput():
-    m = Metrics()
-    m.record("a", "read", 0.0, 2.0, 100)
-    m.record("b", "read", 1.0, 2.0, 100)
-    assert m.aggregate_throughput("read") == pytest.approx(100.0)
-
-
 def test_makespan():
     m = Metrics()
     m.record("a", "read", 1.0, 2.0, 1)
@@ -80,9 +73,3 @@ def test_zero_duration_client_does_not_poison_average():
     avg = m.average_client_throughput("append")
     assert math.isfinite(avg)
     assert avg == pytest.approx(50.0)
-
-
-def test_zero_span_aggregate_throughput_is_finite():
-    m = Metrics()
-    m.record("a", "read", 2.0, 2.0, 100)
-    assert m.aggregate_throughput("read") == 0.0

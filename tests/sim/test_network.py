@@ -136,12 +136,6 @@ class TestFlowCap:
 
 
 class TestRPCAndIntrospection:
-    def test_rpc_is_round_trip_latency(self):
-        env, net = make_net(latency=0.1)
-        ev = net.rpc("n0", "n1")
-        finish_times(env, {"x": ev})
-        assert env.now == pytest.approx(0.2)
-
     def test_current_rate_during_transfer(self):
         env, net = make_net()
         net.transfer("n0", "n1", 1000.0)
@@ -168,8 +162,8 @@ class TestAccounting:
         env, net = make_net()
         ev = net.transfer("n0", "n1", 123.0)
         finish_times(env, {"x": ev})
-        assert net.node("n0").bytes_sent == pytest.approx(123.0)
-        assert net.node("n1").bytes_received == pytest.approx(123.0)
+        assert net.nodes["n0"].bytes_sent == pytest.approx(123.0)
+        assert net.nodes["n1"].bytes_received == pytest.approx(123.0)
         assert net.completed_transfers == 1
 
     def test_duplicate_node_rejected(self):
@@ -212,7 +206,7 @@ def test_conservation_property(flows):
     assert env.now >= lower - 1e-6
     assert env.now <= sum(f[2] for f in flows) / 100.0 * len(flows) + 1.0
     for i in range(6):
-        assert net.node(f"n{i}").bytes_sent >= 0
+        assert net.nodes[f"n{i}"].bytes_sent >= 0
     total = sum(nbytes for _s, _d, nbytes in flows)  # loopback counts too
     assert sum(n.bytes_received for n in net.nodes.values()) == pytest.approx(
         total, rel=1e-6

@@ -94,41 +94,6 @@ def test_allocators_agree_on_completion_times(seed):
         assert fin_inc[t] == pytest.approx(fin_ref[t], rel=1e-9, abs=1e-12)
 
 
-class TestRpc:
-    def _net(self, latency=0.001):
-        env = Environment()
-        net = Network(env, latency=latency)
-        net.add_node("a", bandwidth=100.0)
-        net.add_node("b", bandwidth=100.0)
-        return env, net
-
-    def test_unknown_endpoints_rejected(self):
-        env, net = self._net()
-        with pytest.raises(ValueError, match="rpc from unknown node"):
-            net.rpc("ghost", "b")
-        with pytest.raises(ValueError, match="rpc to unknown node"):
-            net.rpc("a", "ghost")
-
-    def test_counts_both_endpoints(self):
-        env, net = self._net()
-        def proc():
-            yield net.rpc("a", "b")
-            yield net.rpc("a", "b")
-            yield net.rpc("b", "a")
-        env.run(env.process(proc()))
-        assert net.node("a").rpcs_sent == 2
-        assert net.node("a").rpcs_received == 1
-        assert net.node("b").rpcs_sent == 1
-        assert net.node("b").rpcs_received == 2
-
-    def test_takes_round_trip_latency(self):
-        env, net = self._net(latency=0.25)
-        def proc():
-            yield net.rpc("a", "b")
-            return env.now
-        assert env.run(env.process(proc())) == pytest.approx(0.5)
-
-
 class TestPairIndex:
     def test_active_flows_between_tracks_and_drains(self):
         env = Environment()

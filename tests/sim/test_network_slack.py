@@ -208,7 +208,7 @@ class TestTipping:
     def test_the_flow_that_tips_a_link_slows_exactly_its_members(self):
         obs = _obs()
         env, net = _fan_in(30.0, obs)
-        d_down = net.node("d")._down_res
+        d_down = net.nodes["d"]._down_res
         seen = {}
 
         def driver():
@@ -250,7 +250,7 @@ class TestTipping:
             seen["before"] = [net.current_rate(f"s{i}", "d") for i in range(4)]
             yield env.timeout(0.4)
             seen["after"] = [net.current_rate(f"s{i}", "d") for i in range(1, 4)]
-            seen["demand"] = net.node("d")._down_res.demand
+            seen["demand"] = net.nodes["d"]._down_res.demand
 
         env.run(env.process(driver()))
         assert seen["before"] == [25.0] * 4
@@ -262,7 +262,7 @@ class TestTipping:
     def test_bounds_summing_to_the_capacity_exactly_count_as_binding(self):
         obs = _obs()
         env, net = _fan_in(25.0, obs)
-        d_down = net.node("d")._down_res
+        d_down = net.nodes["d"]._down_res
         seen = {}
 
         def driver():
@@ -291,7 +291,7 @@ class TestDemandBookkeeping:
         net = Network(env, latency=0.0, flow_rate_cap=0.7)
         for name, bandwidth in (("a", 0.1), ("b", 1.0 / 3.0), ("c", NIC), ("d", NIC)):
             net.add_node(name, bandwidth=bandwidth)
-        d_down = net.node("d")._down_res
+        d_down = net.nodes["d"]._down_res
         rng = random.Random(5)
         bounds = {"a": 0.1, "b": 1.0 / 3.0, "c": 0.7}
         worst = [0.0]

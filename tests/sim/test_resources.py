@@ -1,9 +1,9 @@
-"""Unit tests for simulation resources and stores."""
+"""Unit tests for simulation resources."""
 
 import pytest
 
 from repro.sim.core import Environment
-from repro.sim.resources import Lock, Resource, Store
+from repro.sim.resources import Resource
 
 
 @pytest.fixture()
@@ -45,44 +45,6 @@ class TestResource:
         env.run()
         assert order == ["a", "b", "c"]
 
-    def test_queue_length(self, env):
-        res = Resource(env, capacity=1)
-        observed = []
-
-        def holder():
-            req = yield res.request()
-            yield env.timeout(5)
-            observed.append(res.queue_length)
-            res.release(req)
-
-        def waiter():
-            req = yield res.request()
-            res.release(req)
-
-        env.process(holder())
-        env.process(waiter())
-        env.run()
-        assert observed == [1]
-
-    def test_cancel_waiting_request(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder():
-            req = yield res.request()
-            yield env.timeout(5)
-            res.release(req)
-
-        env.process(holder())
-
-        def canceller():
-            yield env.timeout(1)
-            req = res.request()
-            res.cancel(req)
-            return res.queue_length
-
-        assert env.run(env.process(canceller())) == 0
-        env.run()
-
     def test_release_foreign_request_rejected(self, env):
         res1 = Resource(env, capacity=1)
         res2 = Resource(env, capacity=1)
@@ -95,74 +57,6 @@ class TestResource:
 
         env.run(env.process(proc()))
 
-    def test_held_releases_on_error(self, env):
-        res = Resource(env, capacity=1)
-
-        def failing_body():
-            yield env.timeout(1)
-            raise ValueError("body failed")
-
-        def outer():
-            with pytest.raises(ValueError):
-                yield env.process(res.held(failing_body()))
-            # the unit must be free again
-            req = yield res.request()
-            res.release(req)
-            return "reacquired"
-
-        assert env.run(env.process(outer())) == "reacquired"
-
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
             Resource(env, capacity=0)
-
-
-class TestLock:
-    def test_is_single_slot(self, env):
-        lock = Lock(env)
-        assert lock.capacity == 1
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("item")
-
-        def getter():
-            value = yield store.get()
-            return value
-
-        assert env.run(env.process(getter())) == "item"
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-
-        def getter():
-            value = yield store.get()
-            return (env.now, value)
-
-        def putter():
-            yield env.timeout(3)
-            store.put("late")
-
-        env.process(putter())
-        assert env.run(env.process(getter())) == (3.0, "late")
-
-    def test_fifo_ordering(self, env):
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        got = []
-
-        def getter():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.run(env.process(getter()))
-        assert got == [0, 1, 2]
-
-    def test_len(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

@@ -7,7 +7,6 @@ from repro.workloads.generators import (
     ArrivalProcess,
     lastfm_arrivals,
     poisson_arrivals,
-    trace_arrivals,
 )
 
 
@@ -94,31 +93,6 @@ class TestPoissonArrivals:
             poisson_arrivals(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             poisson_arrivals(1.0, 1.0, 0)
-
-
-class TestTraceArrivals:
-    def test_replay_sorted_with_stable_ties(self):
-        events = [
-            (100.0, "alice"),
-            (50.0, "bob"),
-            (100.0, "bob"),  # same instant as alice's: input order kept
-            (75.0, "carol"),
-        ]
-        ap = trace_arrivals(events)
-        # ids assigned in first-appearance order: alice=0 bob=1 carol=2
-        assert list(ap) == [(0.0, 1), (25.0, 2), (50.0, 0), (50.0, 1)]
-
-    def test_rebased_to_zero_and_scaled(self):
-        ap = trace_arrivals([(3600.0, "u"), (7200.0, "v")], time_scale=1 / 3600)
-        assert list(ap) == [(0.0, 0), (1.0, 1)]
-
-    def test_empty_trace(self):
-        ap = trace_arrivals([])
-        assert len(ap) == 0
-
-    def test_bad_time_scale_rejected(self):
-        with pytest.raises(ValueError):
-            trace_arrivals([(0.0, "u")], time_scale=0.0)
 
 
 class TestLastfmArrivals:

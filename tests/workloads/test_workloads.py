@@ -6,16 +6,20 @@ from repro.bsfs import BSFS
 from repro.common.config import BlobSeerConfig
 from repro.workloads import (
     LastFMSpec,
-    estimate_join_output_bytes,
     generate_records,
-    key_histogram,
     kv_corpus,
-    random_keys_corpus,
     text_corpus,
-    write_corpus_files,
     write_dataset,
 )
 from repro.workloads.lastfm import spec_for_scale, users_for_blowup
+
+
+def key_histogram(spec, which):
+    """Key multiplicities of one generated file."""
+    hist = {}
+    for key, _value in generate_records(spec, which):
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 class TestTextCorpus:
@@ -45,11 +49,6 @@ class TestKVCorpora:
 
     def test_kv_corpus_empty(self):
         assert kv_corpus(0) == b""
-
-    def test_random_keys_mostly_unique(self):
-        data = random_keys_corpus(300, seed=3)
-        keys = [l.split(b"\t")[0] for l in data.splitlines()]
-        assert len(set(keys)) > 290
 
 
 class TestLastFM:
@@ -85,21 +84,14 @@ class TestLastFM:
 
     def test_calibration_hits_target_blowup(self):
         spec = spec_for_scale(50_000, target_blowup=10.0)
-        est = estimate_join_output_bytes(spec)
-        blowup = est / (2 * spec.bytes_per_file)
+        left = key_histogram(spec, "left")
+        right = key_histogram(spec, "right")
+        # every (left, right) pair of a key is one ~60-byte output record
+        joined = 60 * sum(n * right.get(k, 0) for k, n in left.items())
+        blowup = joined / (2 * spec.bytes_per_file)
         assert 5.0 < blowup < 20.0
 
     def test_users_for_blowup_monotone(self):
         few = users_for_blowup(50_000, target_blowup=50.0)
         many = users_for_blowup(50_000, target_blowup=5.0)
         assert few < many  # smaller blow-up needs a bigger key universe
-
-
-def test_write_corpus_files():
-    dep = BSFS(config=BlobSeerConfig(page_size=8192, metadata_providers=2),
-               n_providers=3)
-    fs = dep.file_system()
-    paths = write_corpus_files(fs, "/corpus", n_files=3, bytes_per_file=2000)
-    assert len(paths) == 3
-    contents = {fs.read_all(p) for p in paths}
-    assert len(contents) == 3  # per-file seeds differ
