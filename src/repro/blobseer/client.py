@@ -160,23 +160,20 @@ class BlobClient:
     def append(self, blob_id: int, data: bytes) -> int:
         """Append *data*; returns the version this update generates. The
         offset is chosen by the version manager, as in GFS record append."""
-        version, _offset = self.append_with_offset(blob_id, data)
-        return version
+        return self.append_ex(blob_id, data)[0]
 
     def append_with_offset(self, blob_id: int, data: bytes) -> Tuple[int, int]:
         """Append *data*; returns ``(version, offset)`` — BSFS uses the
         assigned offset to maintain the namespace file size."""
-        return self.service.engine.run(
-            self.service.protocol.append(self.name, blob_id, Payload(data))
-        )
+        return self.append_ex(blob_id, data)[:2]
 
     def append_ex(self, blob_id: int, data: bytes) -> Tuple[int, int, Optional[int]]:
         """Append *data*; returns ``(version, offset, group_end)`` where
         *group_end* is the blob size this client's publish round landed
         (``None`` when a group-commit leader published on its behalf —
-        see :meth:`BlobSeerProtocol.append_ex`)."""
+        see :meth:`BlobSeerProtocol.update`)."""
         return self.service.engine.run(
-            self.service.protocol.append_ex(self.name, blob_id, Payload(data))
+            self.service.protocol.update(self.name, blob_id, Payload(data))
         )
 
     def write(self, blob_id: int, offset: int, data: bytes) -> int:
@@ -184,8 +181,8 @@ class BlobClient:
         version. The offset must be page-aligned and must not create a
         hole; data outside the range is inherited via subtree sharing."""
         return self.service.engine.run(
-            self.service.protocol.write(self.name, blob_id, offset, Payload(data))
-        )
+            self.service.protocol.update(self.name, blob_id, Payload(data), offset)
+        )[0]
 
     def read(
         self,

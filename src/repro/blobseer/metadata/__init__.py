@@ -7,7 +7,6 @@ from .segment_tree import (
     build_version,
     capacity_for,
     iter_all_pages,
-    node_key,
     query_pages,
     tree_node,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "build_version",
     "capacity_for",
     "iter_all_pages",
-    "node_key",
     "query_pages",
     "tree_node",
     "MetadataDHT",

@@ -39,7 +39,7 @@ from ..pages import PageFragments, overlay
 #: *exact* tuple of ints — hashing and equality run in C, which is what
 #: every DHT bucket and node-cache lookup pays, and the cyclic collector
 #: untracks it at its first young collection (a tuple *subclass* is
-#: tracked for life). Build one with :func:`node_key`.
+#: tracked for life).
 NodeKey = Tuple[int, int, int, int]
 
 #: One immutable tree node, ``(key, fragments, left, right)``, also an
@@ -51,13 +51,6 @@ NodeKey = Tuple[int, int, int, int]
 TreeNode = Tuple[
     NodeKey, Optional[PageFragments], Optional[NodeKey], Optional[NodeKey]
 ]
-
-
-def node_key(blob_id: int, version: int, lo: int, hi: int) -> NodeKey:
-    """The key of *version*'s node over the page range ``[lo, hi)``."""
-    if not 0 <= lo < hi:
-        raise ValueError(f"bad node range [{lo}, {hi})")
-    return (blob_id, version, lo, hi)
 
 
 def key_bytes(key: NodeKey) -> bytes:

@@ -43,20 +43,12 @@ from .metadata.dht import CachingStore, MetadataDHT, NodeCache, RecordingStore
 from .metadata.segment_tree import (
     build_version,
     build_versions_batch,
-    capacity_for,
     iter_all_pages,
     query_pages,
 )
 from .pages import Fragment, fresh_page_id, overlay
 from .provider_manager import ProviderManager
-from .version_manager import Ticket
-
-
-def capacity_pages(size: int, page_size: int) -> int:
-    """Tree capacity (power of two of pages) for a blob of *size* bytes."""
-    if size == 0:
-        return 0
-    return capacity_for(-(-size // page_size))
+from .version_manager import Ticket, pages_capacity
 
 
 def compute_layout(dht: MetadataDHT, record, page_size: int):
@@ -157,129 +149,58 @@ class BlobSeerProtocol:
 
     # -- update path ---------------------------------------------------------
 
-    def append(
+    def update(
         self,
         client: str,
         blob_id: int,
         payload: Payload,
+        offset: Optional[int] = None,
         record: bool = True,
         parent=None,
     ):
-        """Generator: one append — ticket, ship, metadata turn, commit.
+        """Generator: one update — ticket, ship, metadata turn, commit.
 
-        Returns ``(version, offset)`` of the published append.
-        """
-        version, offset, _group_end = yield from self.append_ex(
-            client, blob_id, payload, record=record, parent=parent
-        )
-        return version, offset
-
-    def append_ex(
-        self,
-        client: str,
-        blob_id: int,
-        payload: Payload,
-        record: bool = True,
-        parent=None,
-    ):
-        """Generator: one append, exposing the publish outcome.
-
+        An append when *offset* is ``None`` (the version manager picks
+        the offset, as in GFS record append), else a write at *offset*.
         Returns ``(version, offset, group_end)``. *group_end* is the
         byte size this client's *publish round* advanced the blob to —
-        ``offset + nbytes`` on the classic one-at-a-time path, the
-        batch's final size when this client led a group commit, and
-        ``None`` when another leader published this version (a size
-        report is then the leader's job; see the BSFS namespace update).
+        the update's end on the classic one-at-a-time path, the batch's
+        final size when this client led a group commit, and ``None``
+        when another leader published this version (a size report is
+        then the leader's job; see the BSFS namespace update).
         """
-        if len(payload) <= 0:
-            raise ValueError("cannot append zero bytes")
+        nbytes = len(payload)
+        if offset is None:
+            kind, args = "append", (blob_id, nbytes)
+            # under group commit an append hands its change map to the
+            # version manager instead of taking the serialized turn
+            publish = self._group_publish if self._group_commit else self._publish
+        else:
+            kind, args, publish = "write", (blob_id, offset, nbytes), self._publish
+        if nbytes <= 0:
+            raise ValueError(f"cannot {kind} zero bytes")
         engine = self.engine
+        tracer = self.obs.tracer
         start = engine.now()
-        sp = self.obs.tracer.start(
-            "blobseer.append",
+        sp = tracer.start(
+            "blobseer." + kind,
             cat="blobseer",
             parent=parent,
             track=client,
             blob=blob_id,
-            nbytes=len(payload),
+            nbytes=nbytes,
         )
-        sp_vm = self.obs.tracer.start(
-            "vm.assign_append", cat="blobseer.vm", parent=sp, track=client
+        sp_vm = tracer.start(
+            "vm.assign_" + kind, cat="blobseer.vm", parent=sp, track=client
         )
         t0 = engine.now()
         engine.trace_parent(sp_vm)
-        ticket = yield engine.call("vm", "assign_append", blob_id, len(payload))
+        ticket = yield engine.call("vm", "assign_" + kind, *args)
         sp_vm.finish()
-        self._h_ticket_wait.observe(engine.now() - t0)
-        version, group_end = yield from self._update(
-            client, ticket, payload, parent=sp, group=self._group_commit
-        )
-        sp.finish(version=version, offset=ticket.offset)
-        if record and self.metrics is not None:
-            self.metrics.record(
-                client, "append", start, engine.now(), len(payload)
-            )
-        return version, ticket.offset, group_end
-
-    def write(
-        self,
-        client: str,
-        blob_id: int,
-        offset: int,
-        payload: Payload,
-        record: bool = True,
-        parent=None,
-    ):
-        """Generator: one write-at-offset; returns the published version."""
-        if len(payload) <= 0:
-            raise ValueError("cannot write zero bytes")
-        engine = self.engine
-        start = engine.now()
-        sp = self.obs.tracer.start(
-            "blobseer.write",
-            cat="blobseer",
-            parent=parent,
-            track=client,
-            blob=blob_id,
-            nbytes=len(payload),
-        )
-        sp_vm = self.obs.tracer.start(
-            "vm.assign_write", cat="blobseer.vm", parent=sp, track=client
-        )
-        engine.trace_parent(sp_vm)
-        ticket = yield engine.call(
-            "vm", "assign_write", blob_id, offset, len(payload)
-        )
-        sp_vm.finish()
-        version, _ = yield from self._update(
-            client, ticket, payload, parent=sp
-        )
-        sp.finish(version=version)
-        if record and self.metrics is not None:
-            self.metrics.record(
-                client, "write", start, engine.now(), len(payload)
-            )
-        return version
-
-    def _update(
-        self,
-        client: str,
-        ticket: Ticket,
-        payload: Payload,
-        parent,
-        group: bool = False,
-    ):
-        """The shared body of append/write, from a granted ticket on.
-
-        Returns ``(version, group_end)`` — see :meth:`append_ex`. With
-        *group* set (appends under group commit) the serialized metadata
-        turn is replaced by the ready hand-off: the client pushes its
-        change map to the version manager and either leads a batched
-        publish round or returns as soon as some leader publishes it.
-        """
-        engine = self.engine
-        tracer = self.obs.tracer
+        if offset is None:
+            self._h_ticket_wait.observe(engine.now() - t0)
         ps = ticket.page_size
+        # from here on, the ticket's offset (an append's is the VM's choice)
         offset, end = ticket.offset, ticket.offset + ticket.nbytes
         first, last = offset // ps, (end - 1) // ps
         page_indices = range(first, last + 1)
@@ -293,7 +214,7 @@ class BlobSeerProtocol:
         sp_ship = tracer.start(
             "pages.ship",
             cat="blobseer.data",
-            parent=parent,
+            parent=sp,
             track=client,
             pages=len(sizes),
         )
@@ -342,12 +263,21 @@ class BlobSeerProtocol:
                     frag.page_id, frag.providers, frag.length
                 )
 
-        if group:
-            group_end = yield from self._group_publish(
-                client, ticket, new_frags, parent
-            )
-            return ticket.version, group_end
+        group_end = yield from publish(client, ticket, new_frags, sp)
+        sp.finish(version=ticket.version, offset=ticket.offset)
+        if record and self.metrics is not None:
+            self.metrics.record(client, kind, start, engine.now(), nbytes)
+        return ticket.version, ticket.offset, group_end
 
+    def _publish(
+        self, client: str, ticket: Ticket, new_frags: Dict[int, Fragment], parent
+    ):
+        """Generator: the classic metadata turn for one update — wait
+        for the predecessor, overlay boundary pages, build and commit
+        the version's tree. Returns the update's end offset."""
+        engine = self.engine
+        tracer = self.obs.tracer
+        ps = ticket.page_size
         sp_turn = tracer.start(
             "vm.metadata_turn_wait",
             cat="blobseer.vm",
@@ -397,7 +327,7 @@ class BlobSeerProtocol:
             prev_root,
             prev_capacity,
             changes,
-            capacity_pages(ticket.new_size, ps),
+            pages_capacity(ticket.new_size, ps),
         )
         build_log = rec_store.take_log()
         sp_md = tracer.start(
@@ -416,7 +346,7 @@ class BlobSeerProtocol:
         engine.trace_parent(sp_c)
         yield engine.call("vm", "commit", ticket.blob_id, ticket.version, root)
         sp_c.finish()
-        return ticket.version, ticket.offset + ticket.nbytes
+        return ticket.offset + ticket.nbytes
 
     def _group_publish(
         self, client: str, ticket: Ticket, new_frags: Dict[int, Fragment], parent
@@ -526,7 +456,7 @@ class BlobSeerProtocol:
             list(zip(versions, member_maps)),
             prev_root,
             prev_capacity,
-            capacity_pages(last_size, page_size),
+            pages_capacity(last_size, page_size),
         )
         logs.append(rec_store.take_log())
         sp_md = tracer.start(

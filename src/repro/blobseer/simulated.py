@@ -133,7 +133,7 @@ class SimBlobSeer:
         record: bool = True, parent: Optional[Span] = None,
     ) -> Generator[Event, None, int]:
         """Simulated process: one append of *nbytes*; returns the version."""
-        version, _offset = yield from self.protocol.append(
+        version, _offset, _ = yield from self.protocol.update(
             client, blob_id, Payload(nbytes=nbytes), record=record, parent=parent
         )
         return version
@@ -143,8 +143,8 @@ class SimBlobSeer:
         record: bool = True, parent: Optional[Span] = None,
     ) -> Generator[Event, None, int]:
         """Simulated process: one write-at-offset; returns the version."""
-        version = yield from self.protocol.write(
-            client, blob_id, offset, Payload(nbytes=nbytes),
+        version, _offset, _ = yield from self.protocol.update(
+            client, blob_id, Payload(nbytes=nbytes), offset,
             record=record, parent=parent,
         )
         return version

@@ -98,7 +98,7 @@ class BlobState:
     published: int = 0
 
 
-def _pages_capacity(size: int, page_size: int) -> int:
+def pages_capacity(size: int, page_size: int) -> int:
     """Tree capacity (in pages, power of two) for a blob of *size* bytes."""
     if size == 0:
         return 0
@@ -286,7 +286,7 @@ class VersionManagerCore:
     def metadata_prereq(
         self, blob_id: int, version: int
     ) -> Optional[tuple[Optional[NodeKey], int]]:
-        """Previous version's ``(root, capacity_pages)`` once available.
+        """Previous version's ``(root, pages_capacity)`` once available.
 
         Returns ``None`` while version ``version - 1`` has not committed
         its metadata yet; the caller must wait for its turn (see
@@ -299,7 +299,7 @@ class VersionManagerCore:
             return None
         # capacity must match the tree actually rooted at prev.root: an
         # aborted predecessor carries an older (possibly smaller) tree
-        return prev.root, _pages_capacity(prev.tree_size, state.page_size)
+        return prev.root, pages_capacity(prev.tree_size, state.page_size)
 
     def when_turn(
         self, blob_id: int, version: int, callback: Callable[[tuple], None]
@@ -754,7 +754,7 @@ class ThreadedVersionManager:
     ) -> tuple[Optional[NodeKey], int]:
         """Block until it is *version*'s turn to write metadata (for at
         most *timeout*, default ``metadata_turn_timeout_s``); returns
-        the predecessor's ``(root, capacity_pages)``."""
+        the predecessor's ``(root, pages_capacity)``."""
         return self._await(
             self.core.when_turn, blob_id, version, "metadata turn", timeout
         )

@@ -19,7 +19,10 @@ writes until a whole block has been filled in the cache."
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
+
+#: whole blocks a read stream's cache holds
+STREAM_CACHE_BLOCKS = 2
 
 
 class ReadBlockCache:
@@ -55,7 +58,7 @@ class ReadBlockCache:
 
         The split lookup/:meth:`insert` API serves the generator stream
         cores, which must yield to their engine between the miss and the
-        fill; :meth:`get` remains for synchronous callers.
+        fill.
         """
         block = self._blocks.get(index)
         if block is None:
@@ -77,16 +80,6 @@ class ReadBlockCache:
         self._blocks[index] = block
         while len(self._blocks) > self.capacity_blocks:
             self._blocks.popitem(last=False)
-
-    def get(
-        self, index: int, fetch: Callable[[int], bytes]
-    ) -> bytes:
-        """The block at *index*, via *fetch* on a miss (LRU evicting)."""
-        block = self.lookup(index)
-        if block is None:
-            block = fetch(index)
-            self.insert(index, block)
-        return block
 
     def invalidate(self, index: Optional[int] = None) -> None:
         """Drop one block (or everything) — used when a cached partial

@@ -28,7 +28,7 @@ from ..common.fs import (
 )
 from ..obs import NULL_OBS, Observability
 from ..sim.metrics import Metrics
-from .cache import ReadBlockCache
+from .cache import STREAM_CACHE_BLOCKS, ReadBlockCache
 from .namespace import BSFSFile, NamespaceManager
 from .protocol import (
     AppendStreamCore,
@@ -233,7 +233,7 @@ class BSFSInputStream(InputStream):
         self._cache: Optional[ReadBlockCache] = (
             ReadBlockCache(
                 record.page_size,
-                cfg.cache_blocks,
+                STREAM_CACHE_BLOCKS,
                 on_hit=obs.registry.counter("bsfs.cache.hits").inc,
                 on_miss=obs.registry.counter("bsfs.cache.misses").inc,
             )

@@ -146,11 +146,20 @@ class BSFSProtocol:
             self._record_cache.clear()
 
     def append_file(
-        self, client: str, path: str, payload: Payload, parent=None
+        self,
+        client: str,
+        path: str,
+        payload: Payload,
+        parent=None,
+        blob_id: Optional[int] = None,
     ):
         """Generator: the paper's two-step append — look the file up,
         append to its BLOB, bump the namespace size to the append's end
-        offset. Returns the BLOB version generated."""
+        offset. Returns the BLOB version generated.
+
+        An open stream commits a write-behind block with the *blob_id*
+        of the file record it holds: no lookup, and no per-operation
+        sample (the stream's writes are the operations)."""
         engine = self.engine
         start = engine.now()
         sp = self.obs.tracer.start(
@@ -161,9 +170,11 @@ class BSFSProtocol:
             path=path,
             nbytes=len(payload),
         )
-        record = yield from self._lookup(client, sp, path)
-        version, _offset, group_end = yield from self.blobseer.append_ex(
-            client, record.blob_id, payload, record=False, parent=sp
+        looked_up = blob_id is None
+        if looked_up:
+            blob_id = (yield from self._lookup(client, sp, path)).blob_id
+        version, _offset, group_end = yield from self.blobseer.update(
+            client, blob_id, payload, record=False, parent=sp
         )
         # the appender learns its publish round's end offset from the
         # BLOB layer; concurrent appenders may report in any order (the
@@ -174,32 +185,8 @@ class BSFSProtocol:
                 client, sp, "update_size", "update_size", path, group_end
             )
         sp.finish(version=version)
-        if self.metrics is not None:
+        if looked_up and self.metrics is not None:
             self.metrics.record(client, "append", start, engine.now(), len(payload))
-        return version
-
-    def append_block(
-        self, client: str, path: str, blob_id: int, payload: Payload, parent=None
-    ):
-        """Generator: commit one write-behind block — like
-        :meth:`append_file` minus the lookup (an open stream already
-        holds the file record)."""
-        sp = self.obs.tracer.start(
-            "bsfs.append",
-            cat="bsfs",
-            parent=parent,
-            track=client,
-            path=path,
-            nbytes=len(payload),
-        )
-        version, _offset, group_end = yield from self.blobseer.append_ex(
-            client, blob_id, payload, record=False, parent=sp
-        )
-        if group_end is not None:
-            yield from self._ns(
-                client, sp, "update_size", "update_size", path, group_end
-            )
-        sp.finish(version=version)
         return version
 
     def read_file(
@@ -277,8 +264,8 @@ class AppendStreamCore:
                 yield from self._commit(block)
 
     def _commit(self, block: bytes):
-        yield from self.protocol.append_block(
-            self.client, self.path, self.blob_id, Payload(block)
+        yield from self.protocol.append_file(
+            self.client, self.path, Payload(block), blob_id=self.blob_id
         )
         self.appends_issued += 1
         if self.buffer is not None:

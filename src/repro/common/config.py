@@ -38,8 +38,6 @@ class BlobSeerConfig:
     replication: int = 1
     #: number of metadata providers forming the DHT
     metadata_providers: int = 20
-    #: BSFS client cache: number of whole blocks kept per stream
-    cache_blocks: int = 2
     #: enable the BSFS client cache (prefetch + write-behind)
     cache_enabled: bool = True
     #: append-ticket lease: an assigned-but-uncommitted version is
@@ -98,8 +96,6 @@ class BlobSeerConfig:
             raise ValueError("replication must be >= 1")
         if self.metadata_providers < 1:
             raise ValueError("need at least one metadata provider")
-        if self.cache_blocks < 1:
-            raise ValueError("cache_blocks must be >= 1")
         if self.append_lease_s < 0:
             raise ValueError("append_lease_s must be non-negative")
         if self.metadata_turn_timeout_s <= 0:
@@ -120,18 +116,12 @@ class HDFSConfig:
     chunk_size: int = CHUNK_SIZE
     #: block replication degree
     replication: int = 1
-    #: client-side write buffer: writes are held until a chunk fills
-    write_buffer: int = CHUNK_SIZE
-    #: readahead: a small read prefetches the whole containing chunk
-    readahead: bool = True
 
     def validate(self) -> None:
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if self.write_buffer <= 0:
-            raise ValueError("write_buffer must be positive")
 
 
 @dataclass(slots=True)
@@ -142,16 +132,12 @@ class MapReduceConfig:
     map_slots: int = 2
     #: reduce slots per tasktracker
     reduce_slots: int = 2
-    #: retries before a task is declared failed
-    max_task_attempts: int = 4
     #: use the storage layer's block locations for task placement
     locality_aware: bool = True
 
     def validate(self) -> None:
         if self.map_slots < 1 or self.reduce_slots < 1:
             raise ValueError("slot counts must be >= 1")
-        if self.max_task_attempts < 1:
-            raise ValueError("max_task_attempts must be >= 1")
 
 
 @dataclass(slots=True)

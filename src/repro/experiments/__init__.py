@@ -11,8 +11,7 @@ from .microbench import (
 from .datajoin_exp import (
     DataJoinCalibration,
     DataJoinPoint,
-    run_datajoin_bsfs,
-    run_datajoin_hdfs,
+    run_datajoin_point,
 )
 from .report import FigureResult, Series
 from .figures import ALL_FIGURES, fig3, fig4, fig5, fig6, filecount_table
@@ -28,8 +27,7 @@ __all__ = [
     "reads_under_appends",
     "DataJoinCalibration",
     "DataJoinPoint",
-    "run_datajoin_bsfs",
-    "run_datajoin_hdfs",
+    "run_datajoin_point",
     "FigureResult",
     "Series",
     "ALL_FIGURES",

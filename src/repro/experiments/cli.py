@@ -17,14 +17,10 @@ import sys
 from typing import List, Optional
 
 from ..common.config import ExperimentConfig
-from ..obs import (
-    Observability,
-    text_summary,
-    write_chrome_trace,
-    write_text_summary,
-)
+from ..obs import Observability, write_chrome_trace
 from ..obs.runtime import gc_metrics
 from .figures import ALL_FIGURES
+from .runreport import build_report, report_text, write_report
 
 
 def _suffixed(path: str, name: str, multi: bool) -> str:
@@ -92,18 +88,8 @@ def _main(argv: List[str] | None = None) -> int:
         help=(
             "capture spans while the figure runs and write a Chrome "
             "trace_event JSON to PATH (load it in chrome://tracing or "
-            "ui.perfetto.dev); with multiple figures the figure name is "
-            "appended to the file name"
-        ),
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the plain-text metrics summary (counters, histogram "
-            "percentiles, cache hit-rate) to PATH; implies collection "
-            "even without --trace"
+            "ui.perfetto.dev) and print the run report; with multiple "
+            "figures the figure name is appended to the file name"
         ),
     )
     parser.add_argument(
@@ -112,9 +98,9 @@ def _main(argv: List[str] | None = None) -> int:
         default=None,
         help=(
             "write a JSON run report to PATH (critical-path layer "
-            "breakdown, latency percentiles, counters, fault timeline) "
-            "and print its text rendering; implies collection even "
-            "without --trace"
+            "breakdown, latency percentiles, counters, gauges, cache "
+            "hit-rate, fault timeline) and print its text rendering; "
+            "implies collection even without --trace"
         ),
     )
     parser.add_argument(
@@ -136,11 +122,7 @@ def _main(argv: List[str] | None = None) -> int:
         config = ExperimentConfig(repetitions=args.reps)
 
     names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
-    observe = (
-        args.trace is not None
-        or args.metrics_out is not None
-        or args.report is not None
-    )
+    observe = args.trace is not None or args.report is not None
     multi = len(names) > 1
     results = []
     for name in names:
@@ -177,23 +159,15 @@ def _main(argv: List[str] | None = None) -> int:
             print()
             print(result.to_ascii_chart())
         if obs is not None:
+            report = build_report(obs, figure=name)
             print()
-            print(text_summary(obs.registry, obs.tracer))
+            print(report_text(report))
             if args.trace:
                 trace_path = _suffixed(args.trace, name, multi)
                 write_chrome_trace(obs.tracer, trace_path, obs.registry)
                 print(f"wrote {trace_path} ({len(obs.tracer)} spans)")
-            if args.metrics_out:
-                metrics_path = _suffixed(args.metrics_out, name, multi)
-                write_text_summary(obs.registry, metrics_path, obs.tracer)
-                print(f"wrote {metrics_path}")
             if args.report:
-                from .runreport import build_report, report_text, write_report
-
                 report_path = _suffixed(args.report, name, multi)
-                report = build_report(obs, figure=name)
-                print()
-                print(report_text(report))
                 write_report(report, report_path)
                 print(f"wrote {report_path}")
         print()

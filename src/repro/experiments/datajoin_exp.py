@@ -25,16 +25,25 @@ at reduced scale in ``tests/apps/test_datajoin.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Sequence, Tuple
-
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..common.config import ExperimentConfig
 from ..common.units import MiB
 from ..obs import NULL_OBS, Observability
 from ..sim.core import Event
-from .deploy import deploy_bsfs, deploy_hdfs, record_sim_counters
+from .deploy import (
+    BSFSDeployment,
+    HDFSDeployment,
+    deploy_bsfs,
+    deploy_hdfs,
+    record_sim_counters,
+)
+
+#: the join's two input files (two 320 MB files in the paper)
+INPUT_PATHS = ("/join/input-a", "/join/input-b")
+#: the modified framework's one output file
+SHARED_OUTPUT = "/join/out-shared"
 
 
 @dataclass(slots=True)
@@ -79,35 +88,117 @@ def _spread(total: int, parts: int) -> List[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
-def run_datajoin_hdfs(
+class _Storage(NamedTuple):
+    """What Figure 6's two scenarios do differently: the deployment and
+    its inputs, where map tasks run, and where a reducer's output goes.
+    Everything else — the map phase, the barrier, the shuffle and the
+    reduce waves — is shared (:func:`run_datajoin_point`)."""
+
+    #: the :class:`DataJoinPoint` scenario label
+    label: str
+    #: the deployment: its cluster, and the tasktracker machines
+    #: (``client_nodes``)
+    dep: HDFSDeployment | BSFSDeployment
+    #: ``read_proc(host, path, offset, nbytes)``: one chunk read
+    fs: object
+    #: one map task per input chunk, on a machine holding the chunk
+    map_hosts: List[str]
+    #: ``(host, partition, nbytes) -> process``: a reducer's output write
+    write_output: Callable[[str, int, int], Generator[Event, None, object]]
+    #: the number of output files the job left
+    output_files: Callable[[], int]
+
+
+def _inputs(cal: DataJoinCalibration) -> List[Tuple[str, int]]:
+    half = cal.input_bytes // 2
+    return [(INPUT_PATHS[0], half), (INPUT_PATHS[1], cal.input_bytes - half)]
+
+
+def _hdfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
+    """The original framework on HDFS: one output file per reducer."""
+    dep = deploy_hdfs(config, obs=obs)
+    hdfs = dep.hdfs
+    for path, nbytes in _inputs(cal):
+        hdfs.preload(path, nbytes)
+    # map tasks run data-local: on the datanode holding their chunk
+    map_hosts = [
+        loc.hosts[0]
+        for path in INPUT_PATHS
+        for loc in hdfs.namenode.get_block_locations(path, 0, cal.input_bytes)
+    ]
+    return _Storage(
+        "hdfs-separate",
+        dep,
+        hdfs,
+        map_hosts[: cal.n_map_tasks],
+        lambda host, partition, nbytes: hdfs.write_file_proc(
+            host, f"/join/out/part-{partition:05d}", nbytes
+        ),
+        lambda: sum(
+            not s.is_directory for s in hdfs.namenode.list_dir("/join/out")
+        ),
+    )
+
+
+def _bsfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
+    """The modified framework on BSFS: every reducer appends to one
+    shared output file."""
+    dep = deploy_bsfs(config, obs=obs)
+    bsfs = dep.bsfs
+    env = dep.cluster.env
+    for path in INPUT_PATHS:
+        env.run(env.process(bsfs.create_proc(dep.client_nodes[0], path)))
+    for path, nbytes in _inputs(cal):
+        bsfs.preload(path, nbytes)
+    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], SHARED_OUTPUT)))
+    map_hosts = [
+        providers[0]
+        for path in INPUT_PATHS
+        for _off, _len, providers in bsfs.blobseer.layout(
+            bsfs.namespace.get(path).blob_id
+        )
+    ]
+    return _Storage(
+        "bsfs-shared",
+        dep,
+        bsfs,
+        map_hosts[: cal.n_map_tasks],
+        lambda host, _partition, nbytes: bsfs.append_proc(
+            host, SHARED_OUTPUT, nbytes
+        ),
+        lambda: sum(
+            not s.is_directory and "out" in s.path
+            for s in bsfs.namespace.list_dir("/join")
+        ),
+    )
+
+
+_SCENARIOS = {"hdfs": _hdfs, "bsfs": _bsfs}
+
+
+def run_datajoin_point(
+    scenario: str,
     n_reducers: int,
     config: ExperimentConfig,
     calibration: DataJoinCalibration | None = None,
     obs: Optional[Observability] = None,
 ) -> DataJoinPoint:
-    """One Figure 6 point, original framework + HDFS."""
+    """One Figure 6 point: *scenario* ``"hdfs"`` (original framework) or
+    ``"bsfs"`` (modified framework, shared output file). Drives map
+    phase → barrier → reduce waves and reports the makespan."""
     cal = calibration or DataJoinCalibration()
     obs = obs or NULL_OBS
     tracer = obs.tracer
-    dep = deploy_hdfs(config, obs=obs)
-    hdfs, cluster = dep.hdfs, dep.cluster
+    storage = _SCENARIOS[scenario](config, cal, obs)
+    cluster, map_hosts = storage.dep.cluster, storage.map_hosts
     env = cluster.env
-    hdfs.preload("/join/input-a", cal.input_bytes // 2)
-    hdfs.preload("/join/input-b", cal.input_bytes - cal.input_bytes // 2)
-
-    # map tasks run data-local: on the datanode holding their chunk
-    map_hosts: List[str] = []
-    for path in ("/join/input-a", "/join/input-b"):
-        for loc in hdfs.namenode.get_block_locations(path, 0, cal.input_bytes):
-            map_hosts.append(loc.hosts[0])
-    map_hosts = map_hosts[: cal.n_map_tasks]
 
     def map_task(host: str, path: str, offset: int) -> Generator[Event, None, None]:
         sp = tracer.start(
-            "mr.map_task", cat="mapreduce", track=host, scenario="hdfs", path=path
+            "mr.map_task", cat="mapreduce", track=host, scenario=scenario, path=path
         )
         yield env.timeout(cal.task_overhead_seconds)
-        yield env.process(hdfs.read_proc(host, path, offset, cal.chunk_bytes))
+        yield env.process(storage.fs.read_proc(host, path, offset, cal.chunk_bytes))
         yield env.timeout(cal.map_seconds_per_chunk)
         # spill the map output to the local disk
         yield cluster.node(host).disk.write(
@@ -122,7 +213,7 @@ def run_datajoin_hdfs(
             "mr.reduce_task",
             cat="mapreduce",
             track=host,
-            scenario="hdfs",
+            scenario=scenario,
             partition=partition,
         )
         yield env.timeout(cal.task_overhead_seconds)
@@ -134,105 +225,44 @@ def run_datajoin_hdfs(
         yield env.timeout(
             cal.reduce_seconds_per_output_mib * (out_bytes / MiB)
         )
-        yield env.process(
-            hdfs.write_file_proc(host, f"/join/out/part-{partition:05d}", out_bytes)
-        )
+        yield env.process(storage.write_output(host, partition, out_bytes))
         sp.finish()
 
-    completion = _run_job(
-        env,
-        dep.client_nodes,
-        map_hosts,
-        map_task,
-        reduce_task,
-        n_reducers,
-        cal,
-        input_paths=("/join/input-a", "/join/input-b"),
-    )
-    files = len(
-        [s for s in hdfs.namenode.list_dir("/join/out") if not s.is_directory]
-    )
-    record_sim_counters(dep.cluster, obs)
-    return DataJoinPoint(n_reducers, completion, files, "hdfs-separate")
+    def job() -> Generator[Event, None, None]:
+        # map phase: one task per input chunk, on the chunk's holder
+        half = cal.input_bytes // 2
+        maps = []
+        for i, host in enumerate(map_hosts):
+            offset = i * cal.chunk_bytes
+            path = INPUT_PATHS[0] if offset < half else INPUT_PATHS[1]
+            offset = offset if offset < half else offset - half
+            maps.append(env.process(map_task(host, path, offset), name=f"map-{i}"))
+        yield env.all_of(maps)
+        # reduce phase: round-robin over the tasktracker machines, in
+        # waves bounded by the cluster's reduce slots
+        trackers = storage.dep.client_nodes
+        out_sizes = _spread(cal.output_bytes, n_reducers)
+        slots = max(1, 2 * len(trackers))  # 2 reduce slots per node
+        partition = 0
+        while partition < n_reducers:
+            wave = []
+            for _ in range(min(slots, n_reducers - partition)):
+                host = trackers[partition % len(trackers)]
+                wave.append(
+                    env.process(
+                        reduce_task(host, partition, out_sizes[partition]),
+                        name=f"reduce-{partition}",
+                    )
+                )
+                partition += 1
+            yield env.all_of(wave)
 
-
-def run_datajoin_bsfs(
-    n_reducers: int,
-    config: ExperimentConfig,
-    calibration: DataJoinCalibration | None = None,
-    obs: Optional[Observability] = None,
-) -> DataJoinPoint:
-    """One Figure 6 point, modified framework + BSFS (shared output file)."""
-    cal = calibration or DataJoinCalibration()
-    obs = obs or NULL_OBS
-    tracer = obs.tracer
-    dep = deploy_bsfs(config, obs=obs)
-    bsfs, cluster = dep.bsfs, dep.cluster
-    env = cluster.env
-    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/join/input-a")))
-    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/join/input-b")))
-    bsfs.preload("/join/input-a", cal.input_bytes // 2)
-    bsfs.preload("/join/input-b", cal.input_bytes - cal.input_bytes // 2)
-    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/join/out-shared")))
-
-    map_hosts: List[str] = []
-    for path in ("/join/input-a", "/join/input-b"):
-        record = bsfs.namespace.get(path)
-        for _off, _len, providers in bsfs.blobseer.layout(record.blob_id):
-            map_hosts.append(providers[0])
-    map_hosts = map_hosts[: cal.n_map_tasks]
-
-    def map_task(host: str, path: str, offset: int) -> Generator[Event, None, None]:
-        sp = tracer.start(
-            "mr.map_task", cat="mapreduce", track=host, scenario="bsfs", path=path
-        )
-        yield env.timeout(cal.task_overhead_seconds)
-        yield env.process(bsfs.read_proc(host, path, offset, cal.chunk_bytes))
-        yield env.timeout(cal.map_seconds_per_chunk)
-        yield cluster.node(host).disk.write(
-            int(cal.chunk_bytes * cal.intermediate_expansion)
-        )
-        sp.finish()
-
-    def reduce_task(
-        host: str, partition: int, out_bytes: int
-    ) -> Generator[Event, None, None]:
-        sp = tracer.start(
-            "mr.reduce_task",
-            cat="mapreduce",
-            track=host,
-            scenario="bsfs",
-            partition=partition,
-        )
-        yield env.timeout(cal.task_overhead_seconds)
-        sp_sh = tracer.start("mr.shuffle", cat="mapreduce", parent=sp)
-        yield env.process(
-            _shuffle(cluster, env, map_hosts, host, cal, n_reducers, partition)
-        )
-        sp_sh.finish(n_maps=len(map_hosts))
-        yield env.timeout(
-            cal.reduce_seconds_per_output_mib * (out_bytes / MiB)
-        )
-        # the modified framework: append to the single shared file
-        yield env.process(bsfs.append_proc(host, "/join/out-shared", out_bytes))
-        sp.finish()
-
-    completion = _run_job(
-        env,
-        dep.client_nodes,
-        map_hosts,
-        map_task,
-        reduce_task,
-        n_reducers,
-        cal,
-        input_paths=("/join/input-a", "/join/input-b"),
-    )
-    files = len(
-        [s for s in bsfs.namespace.list_dir("/join") if not s.is_directory
-         and "out" in s.path]
-    )
-    record_sim_counters(dep.cluster, obs)
-    return DataJoinPoint(n_reducers, completion, files, "bsfs-shared")
+    start = env.now
+    env.run(env.process(job(), name="datajoin-job"))
+    completion = env.now - start
+    files = storage.output_files()
+    record_sim_counters(cluster, obs)
+    return DataJoinPoint(n_reducers, completion, files, storage.label)
 
 
 def _shuffle(
@@ -260,54 +290,6 @@ def _shuffle(
     yield env.all_of(transfers)
 
 
-def _run_job(
-    env,
-    tracker_hosts: List[str],
-    map_hosts: List[str],
-    map_task,
-    reduce_task,
-    n_reducers: int,
-    cal: DataJoinCalibration,
-    input_paths: Tuple[str, str],
-) -> float:
-    """Drive map phase → barrier → reduce phase; returns the makespan."""
-    start = env.now
-    half = cal.input_bytes // 2
-
-    def job() -> Generator[Event, None, None]:
-        # map phase: one task per input chunk, on the chunk's holder
-        maps = []
-        for i, host in enumerate(map_hosts):
-            path = input_paths[0] if i * cal.chunk_bytes < half else input_paths[1]
-            offset = (
-                i * cal.chunk_bytes
-                if i * cal.chunk_bytes < half
-                else i * cal.chunk_bytes - half
-            )
-            maps.append(env.process(map_task(host, path, offset), name=f"map-{i}"))
-        yield env.all_of(maps)
-        # reduce phase: round-robin over the tasktracker machines, in
-        # waves bounded by the cluster's reduce slots
-        out_sizes = _spread(cal.output_bytes, n_reducers)
-        slots = max(1, 2 * len(tracker_hosts))  # 2 reduce slots per node
-        partition = 0
-        while partition < n_reducers:
-            wave = []
-            for _ in range(min(slots, n_reducers - partition)):
-                host = tracker_hosts[partition % len(tracker_hosts)]
-                wave.append(
-                    env.process(
-                        reduce_task(host, partition, out_sizes[partition]),
-                        name=f"reduce-{partition}",
-                    )
-                )
-                partition += 1
-            yield env.all_of(wave)
-
-    env.run(env.process(job(), name="datajoin-job"))
-    return env.now - start
-
-
 def sweep(
     reducer_counts: Sequence[int],
     config: ExperimentConfig,
@@ -315,10 +297,11 @@ def sweep(
     obs: Optional[Observability] = None,
 ) -> Tuple[List[DataJoinPoint], List[DataJoinPoint]]:
     """Figure 6's two series: (HDFS-separate, BSFS-shared)."""
-    hdfs_pts = [
-        run_datajoin_hdfs(r, config, calibration, obs=obs) for r in reducer_counts
-    ]
-    bsfs_pts = [
-        run_datajoin_bsfs(r, config, calibration, obs=obs) for r in reducer_counts
-    ]
+    hdfs_pts, bsfs_pts = (
+        [
+            run_datajoin_point(scenario, r, config, calibration, obs=obs)
+            for r in reducer_counts
+        ]
+        for scenario in ("hdfs", "bsfs")
+    )
     return hdfs_pts, bsfs_pts

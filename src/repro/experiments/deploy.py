@@ -180,7 +180,7 @@ def record_sim_counters(cluster: SimCluster, obs: Optional[Observability]) -> No
 
     Call once per deployment after its simulation has run; together with
     the network's ``sim.net.realloc*`` instruments this makes kernel
-    cost visible in ``--metrics-out`` and the perf harness.
+    cost visible in the ``--report`` readout and the perf harness.
     """
     if obs is None:
         return

@@ -10,14 +10,16 @@ questions an experimenter actually asks:
 * **how were waits distributed** — p50/p95/p99 tables for every
   histogram the run recorded (ticket waits, turn waits, ...);
 * **what happened** — counter and gauge finals, time-series summaries,
-  and how many of the network's flow starts/finishes needed a rate
-  solve (``sim.net.flow_changes`` against ``sim.net.reallocs``);
+  how many of the network's flow starts/finishes needed a rate solve
+  (``sim.net.flow_changes`` against ``sim.net.reallocs``), and the
+  derived BSFS cache hit-rate and Map/Reduce map locality;
 * **what went wrong, and when** — the fault timeline (crash/recover
   injections, lease expiries, from :mod:`repro.obs.events` instants)
   and the count of spans that never finished.
 
 The JSON document is the machine-readable contract; the text rendering
-is the terminal companion, aligned like the metrics summary.
+is the terminal companion, and the one readout ``repro-fig`` prints
+for an observed run.
 """
 
 from __future__ import annotations
@@ -27,8 +29,26 @@ from typing import Dict, List, Optional
 
 from ..obs import Observability, attribute
 from ..obs.events import FAULT_CAT
-from ..obs.export import _table
 from ..obs.tracer import Tracer
+
+
+def _table(header: List[str], rows: List[List[str]]) -> List[str]:
+    """Right-align *rows* (first column left) under *header*."""
+    if not rows:
+        return []
+    widths = [
+        max(len(header[c]), *(len(r[c]) for r in rows))
+        for c in range(len(header))
+    ]
+
+    def fmt(cells: List[str]) -> str:
+        first = cells[0].ljust(widths[0])
+        rest = [c.rjust(w) for c, w in zip(cells[1:], widths[1:])]
+        return "  ".join([first] + rest)
+
+    return [fmt(header), "  ".join("-" * w for w in widths)] + [
+        fmt(r) for r in rows
+    ]
 
 
 def fault_timeline(tracer: Tracer) -> List[Dict[str, object]]:
@@ -126,15 +146,17 @@ def report_text(doc: Dict[str, object]) -> str:
             )
         )
 
-    if counters:
-        lines.append("")
-        lines.append("counters:")
-        lines.extend(
-            _table(
-                ["name", "value"],
-                [[n, f"{v:g}"] for n, v in counters.items()],
+    for section in ("counters", "gauges"):
+        values = doc[section]
+        if values:
+            lines.append("")
+            lines.append(f"{section}:")
+            lines.extend(
+                _table(
+                    ["name", "value"],
+                    [[n, f"{v:g}"] for n, v in values.items()],
+                )
             )
-        )
 
     series = doc["timeseries"]
     if series:
@@ -147,6 +169,25 @@ def report_text(doc: Dict[str, object]) -> str:
         ]
         lines.extend(
             _table(["name", "samples", "last", "min", "max", "mean"], rows)
+        )
+
+    # derived readouts the benchmarks care about, always reported
+    hits = counters.get("bsfs.cache.hits", 0.0)
+    misses = counters.get("bsfs.cache.misses", 0.0)
+    lines.append("")
+    lines.append("derived:")
+    lines.append(
+        f"cache hit-rate: {100.0 * hits / (hits + misses):.1f}% "
+        f"({hits:g} hits / {misses:g} misses)"
+        if hits + misses > 0
+        else "cache hit-rate: n/a (no cache traffic)"
+    )
+    maps_local = counters.get("mr.maps_local", 0.0)
+    maps_total = maps_local + counters.get("mr.maps_remote", 0.0)
+    if maps_total > 0:
+        lines.append(
+            f"map locality: {100.0 * maps_local / maps_total:.1f}% "
+            f"({maps_local:g} of {maps_total:g} map attempts data-local)"
         )
 
     faults = doc["faults"]

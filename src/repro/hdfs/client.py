@@ -185,11 +185,7 @@ class HDFSInputStream(InputStream):
         self._closed = False
         self._lock = threading.Lock()
         self._core = BlockReadCore(
-            fs.cluster.protocol,
-            fs.client_name,
-            path,
-            inode.blocks,
-            fs.cluster.config.readahead,
+            fs.cluster.protocol, fs.client_name, path, inode.blocks
         )
 
     @property

@@ -198,9 +198,8 @@ class ChunkStreamCore:
         self.protocol = protocol
         self.client = client
         self.path = path
-        cfg = protocol.config
         self.buffer = bytearray()
-        self.buffer_limit = min(cfg.write_buffer, cfg.chunk_size)
+        self.chunk_size = protocol.config.chunk_size
         #: total bytes accepted
         self.written = 0
 
@@ -208,9 +207,9 @@ class ChunkStreamCore:
         """Generator: accept *data*, shipping every chunk it completes."""
         self.buffer += data
         self.written += len(data)
-        while len(self.buffer) >= self.buffer_limit:
-            chunk = bytes(self.buffer[: self.buffer_limit])
-            del self.buffer[: self.buffer_limit]
+        while len(self.buffer) >= self.chunk_size:
+            chunk = bytes(self.buffer[: self.chunk_size])
+            del self.buffer[: self.chunk_size]
             yield from self.protocol.write_block(
                 self.client, self.path, Payload(chunk)
             )
@@ -244,7 +243,6 @@ class BlockReadCore:
         client: str,
         path: str,
         blocks: Sequence[BlockInfo],
-        readahead: bool,
     ) -> None:
         self.protocol = protocol
         self.client = client
@@ -256,7 +254,6 @@ class BlockReadCore:
             pos += b.length
         #: total file size
         self.size = pos
-        self.readahead = readahead
         self.selector = ReplicaSelector(
             protocol.engine.rng("replica", "hdfs-read", client, path)
         )
@@ -301,18 +298,12 @@ class BlockReadCore:
         block = self.blocks[index]
         if self.cached is not None and self.cached[0] == index:
             return self.cached[1][offset : offset + size]
-        if self.readahead:
-            # prefetch the entire chunk containing the requested range
-            chunk = yield from self.protocol.read_block_range(
-                self.client, block, 0, block.length, self.selector
-            )
-            self.fetches += 1
-            if chunk is None:
-                return None
-            self.cached = (index, chunk)
-            return chunk[offset : offset + size]
-        self.fetches += 1
-        data = yield from self.protocol.read_block_range(
-            self.client, block, offset, size, self.selector
+        # prefetch the entire chunk containing the requested range
+        chunk = yield from self.protocol.read_block_range(
+            self.client, block, 0, block.length, self.selector
         )
-        return data
+        self.fetches += 1
+        if chunk is None:
+            return None
+        self.cached = (index, chunk)
+        return chunk[offset : offset + size]

@@ -23,6 +23,10 @@ from .scheduler import pick_map_task, pick_reduce_task
 from .shuffle import MapOutputStore
 from .task import MapTaskInfo, ReduceTaskInfo, TaskState
 
+#: attempts before a task, and with it the job, is declared failed
+#: (Hadoop's default budget)
+MAX_TASK_ATTEMPTS = 4
+
 
 class JobInProgress:
     """One submitted job's complete runtime state (thread-safe)."""
@@ -136,7 +140,7 @@ class JobInProgress:
         self._c_map_failures.inc()
         with self._lock:
             self.map_outputs.discard_map(task.task_id)
-            if task.attempts >= self.config.max_task_attempts:
+            if task.attempts >= MAX_TASK_ATTEMPTS:
                 task.state = TaskState.FAILED
                 self._failed = (
                     f"map task {task.task_id} failed "
@@ -153,7 +157,7 @@ class JobInProgress:
     def reduce_failed(self, task: ReduceTaskInfo, error: Exception) -> None:
         self._c_reduce_failures.inc()
         with self._lock:
-            if task.attempts >= self.config.max_task_attempts:
+            if task.attempts >= MAX_TASK_ATTEMPTS:
                 task.state = TaskState.FAILED
                 self._failed = (
                     f"reduce task {task.task_id} failed "

@@ -31,10 +31,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..common.errors import JobFailedError, MapReduceError
 from ..common.fs import FileSystem
 from .io.committers import make_committer
-from .io.records import TextRecordWriter
 from .job import Context, Counters, JobConf, Partitioner, default_partitioner
 from .runner import MapReduceCluster
-from .shuffle import MapOutputStore, merge_sorted_partitions, partition_and_sort
+from .shuffle import MapOutputStore
+from .tasktracker import execute_map_task, execute_reduce_task
 
 #: streaming feeder batch size (records per mini-split)
 _BATCH_RECORDS = 2000
@@ -204,14 +204,26 @@ def _run_streaming_stage(
     map_workers: int,
 ) -> Tuple[List[str], dict]:
     """Stage *k+1*: map workers consume the growing upstream file, then a
-    standard shuffle/reduce produces this stage's shared output."""
-    job_counters = Counters()
+    standard shuffle/reduce produces this stage's shared output. The
+    workers run the tasktracker's per-task code over a record batch and
+    a partition; the first failure of the feeder or of any worker fails
+    the stage with :class:`JobFailedError`."""
+    conf = _stage_conf(stage, [upstream_path], output_dir, "shared", "text")
+    counters = Counters()
     store = MapOutputStore()
     batches: "queue.Queue" = queue.Queue(maxsize=64)
-    feeder_error: List[BaseException] = []
+    errors: List[BaseException] = []
+
+    def guarded(task: Callable[..., Any], *args: Any) -> None:
+        # a task's failure is the stage's, raised once every thread is done
+        try:
+            task(*args)
+        except Exception as exc:
+            errors.append(exc)
 
     def feeder() -> None:
-        """Tail the upstream shared file, batching complete lines.
+        """Tail the upstream shared file, batching complete lines, until
+        the upstream stage is done or this stage has failed.
 
         Idle polls sleep with capped exponential backoff (reset whenever
         bytes arrive) instead of a fixed interval, and every poll bumps
@@ -222,122 +234,100 @@ def _run_streaming_stage(
 
         def tail_sleep() -> None:
             nonlocal backoff
-            job_counters.increment("tail_polls")
+            counters.increment("tail_polls")
             time.sleep(backoff)
             backoff = min(backoff * 2, _TAIL_MAX_INTERVAL)
 
-        try:
-            while not fs.exists(upstream_path):
-                if upstream_done.is_set():
-                    # upstream failed before creating its output
-                    raise JobFailedError(f"{upstream_path} never appeared")
-                tail_sleep()
-            stream = fs.open(upstream_path)
-            pos = 0
-            pending = b""
-            batch: List[bytes] = []
-            batch_id = 0
-            while True:
+        while not fs.exists(upstream_path):
+            if upstream_done.is_set():
+                # upstream failed before creating its output
+                raise JobFailedError(f"{upstream_path} never appeared")
+            tail_sleep()
+        stream = fs.open(upstream_path)
+        pos = 0
+        pending = b""
+        batch: List[bytes] = []
+        batch_id = 0
+        while not errors:
+            piece = stream.pread(pos, 1 << 20)
+            if piece:
+                backoff = _TAIL_INTERVAL
+                pos += len(piece)
+                pending += piece
+                *lines, pending = pending.split(b"\n")
+                for line in lines:
+                    batch.append(line)
+                    if len(batch) >= _BATCH_RECORDS:
+                        batches.put((batch_id, batch))
+                        batch_id += 1
+                        batch = []
+                continue
+            if upstream_done.is_set():
+                # one final check: the size may have grown after the
+                # last read but before the flag was set
                 piece = stream.pread(pos, 1 << 20)
                 if piece:
                     backoff = _TAIL_INTERVAL
                     pos += len(piece)
                     pending += piece
                     *lines, pending = pending.split(b"\n")
-                    for line in lines:
-                        batch.append(line)
-                        if len(batch) >= _BATCH_RECORDS:
-                            batches.put((batch_id, batch))
-                            batch_id += 1
-                            batch = []
+                    batch.extend(lines)
                     continue
-                if upstream_done.is_set():
-                    # one final check: the size may have grown after the
-                    # last read but before the flag was set
-                    piece = stream.pread(pos, 1 << 20)
-                    if piece:
-                        backoff = _TAIL_INTERVAL
-                        pos += len(piece)
-                        pending += piece
-                        *lines, pending = pending.split(b"\n")
-                        batch.extend(lines)
-                        continue
-                    break
-                tail_sleep()
-            if pending:
-                batch.append(pending)
-            if batch:
-                batches.put((batch_id, batch))
-            stream.close()
-        except BaseException as exc:  # noqa: BLE001
-            feeder_error.append(exc)
-        finally:
-            for _ in range(map_workers):
-                batches.put(None)
+                break
+            tail_sleep()
+        if pending:
+            batch.append(pending)
+        if batch:
+            batches.put((batch_id, batch))
+        stream.close()
+
+    def feed() -> None:
+        guarded(feeder)
+        for _ in range(map_workers):
+            batches.put(None)
 
     def map_worker() -> None:
-        ctx = Context(job_counters)
-        while True:
-            item = batches.get()
-            if item is None:
-                return
-            batch_id, lines = item
-            pairs: List[Tuple[Any, Any]] = []
-            ctx._bind(lambda k, v: pairs.append((k, v)))
-            for offset, line in enumerate(lines):
-                stage.map_fn(offset, line, ctx)
-            job_counters.increment("map_input_records", len(lines))
-            job_counters.increment("map_output_records", len(pairs))
-            partitions = partition_and_sort(
-                pairs,
-                stage.partitioner,
-                stage.n_reducers,
-                stage.combiner_fn,
-                job_counters,
-            )
-            for p, bucket in partitions.items():
-                store.put(batch_id, p, bucket)
+        # a worker keeps draining after a failure, so the feeder never
+        # blocks on a full queue
+        while (item := batches.get()) is not None:
+            if not errors:
+                batch_id, lines = item
+                guarded(
+                    execute_map_task, conf, counters, enumerate(lines), store, batch_id
+                )
 
-    feeder_thread = threading.Thread(target=feeder, name="feeder", daemon=True)
-    workers = [
+    threads = [threading.Thread(target=feed, name="feeder", daemon=True)] + [
         threading.Thread(target=map_worker, name=f"smap-{i}", daemon=True)
         for i in range(map_workers)
     ]
-    feeder_thread.start()
-    for w in workers:
-        w.start()
-    feeder_thread.join()
-    for w in workers:
-        w.join()
-    if feeder_error:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+    if not errors:
+        # standard reduce over the streamed map output
+        committer = make_committer("shared", fs, output_dir)
+        committer.setup_job()
+        map_ids = store.map_ids()
+        reducers = [
+            threading.Thread(
+                target=guarded,
+                args=(
+                    execute_reduce_task, conf, counters, store, map_ids,
+                    committer, p, 1,
+                ),
+                name=f"sred-{p}",
+            )
+            for p in range(stage.n_reducers)
+        ]
+        for r in reducers:
+            r.start()
+        for r in reducers:
+            r.join()
+    if errors:
         raise JobFailedError(
-            f"streaming feeder failed: {feeder_error[0]!r}"
-        ) from feeder_error[0]
-
-    # standard reduce over the streamed map output
-    committer = make_committer("shared", fs, output_dir)
-    committer.setup_job()
-    batch_ids = store.map_ids()
-
-    def reduce_worker(partition: int) -> None:
-        parts = [store.get(mid, partition) for mid in batch_ids]
-        stream = committer.open_task_output(partition, 1)
-        writer = TextRecordWriter(stream)
-        ctx = Context(job_counters)
-        ctx._bind(writer.write)
-        for key, values in merge_sorted_partitions(parts):
-            stage.reduce_fn(key, values, ctx)
-        writer.close()
-        committer.commit_task(partition, 1)
-        job_counters.increment("reduce_output_records", writer.records)
-
-    reducers = [
-        threading.Thread(target=reduce_worker, args=(p,), name=f"sred-{p}")
-        for p in range(stage.n_reducers)
-    ]
-    for r in reducers:
-        r.start()
-    for r in reducers:
-        r.join()
+            f"streaming stage {stage.name!r} failed: {errors[0]!r}"
+        ) from errors[0]
     committer.cleanup_job()
-    return committer.output_files(), job_counters.snapshot()
+    return committer.output_files(), counters.snapshot()

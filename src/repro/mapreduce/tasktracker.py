@@ -4,42 +4,52 @@ One tasktracker per machine, each with a fixed number of map slots and
 reduce slots (worker threads). Workers pull tasks from the
 :class:`~repro.mapreduce.jobtracker.JobInProgress`, execute them against
 the shared file system, and report success/failure; failed attempts are
-retried by the jobtracker up to the configured attempt budget.
+retried by the jobtracker up to its attempt budget.
+
+:func:`execute_map_task` and :func:`execute_reduce_task` are the one
+per-task code: the pipelined framework's streaming workers
+(:mod:`repro.mapreduce.pipeline`) run them over a record batch and a
+partition.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import Any, Iterable, Sequence, Tuple
 
 from ..common.errors import TaskFailedError
 from ..common.fs import FileSystem
+from ..obs import NULL_OBS
+from ..obs.tracer import Tracer
+from .io.committers import OutputCommitter
 from .io.input import make_record_reader
 from .io.records import TextRecordWriter
-from .job import Context
+from .job import Context, Counters, JobConf
 from .jobtracker import JobInProgress
-from .shuffle import merge_sorted_partitions, partition_and_sort
-from .task import MapTaskInfo, ReduceTaskInfo
+from .shuffle import MapOutputStore, merge_sorted_partitions, partition_and_sort
 
 #: idle workers poll the jobtracker at this interval (seconds)
 _POLL_INTERVAL = 0.002
 
 
 def execute_map_task(
-    fs: FileSystem, jip: JobInProgress, task: MapTaskInfo
+    conf: JobConf,
+    counters: Counters,
+    records: Iterable[Tuple[Any, Any]],
+    store: MapOutputStore,
+    map_id: int,
+    split=None,
 ) -> None:
-    """Run one map attempt: read the split, apply map, partition/sort,
-    park the output in the shuffle store."""
-    conf = jip.conf
-    counters = jip.counters
+    """Run one map attempt over *records* (of input *split*, when it
+    reads one): apply map, partition/sort, park the output in *store*
+    as map *map_id*."""
     pairs: list = []
     ctx = Context(counters)
     ctx._bind(lambda k, v: pairs.append((k, v)))
-    ctx.split = task.split
-    reader = make_record_reader(fs, task.split, conf.input_format)
+    ctx.split = split
     n_records = 0
-    for key, value in reader:
+    for key, value in records:
         conf.map_fn(key, value, ctx)
         n_records += 1
     counters.increment("map_input_records", n_records)
@@ -48,26 +58,27 @@ def execute_map_task(
         pairs, conf.partitioner, conf.n_reducers, conf.combiner_fn, counters
     )
     for p, bucket in partitions.items():
-        jip.map_outputs.put(task.task_id, p, bucket)
+        store.put(map_id, p, bucket)
 
 
 def execute_reduce_task(
-    fs: FileSystem, jip: JobInProgress, task: ReduceTaskInfo
+    conf: JobConf,
+    counters: Counters,
+    store: MapOutputStore,
+    map_ids: Sequence[int],
+    committer: OutputCommitter,
+    partition: int,
+    attempt: int,
+    tracer: Tracer = NULL_OBS.tracer,
 ) -> str:
-    """Run one reduce attempt: fetch + merge the partition, apply reduce,
-    write through the committer; returns the committed output path."""
-    conf = jip.conf
-    counters = jip.counters
-    with jip.obs.tracer.span(
-        "mr.shuffle_fetch",
-        cat="mapreduce",
-        partition=task.partition,
-        n_maps=len(jip.map_tasks),
+    """Run one reduce attempt: fetch *partition* of every map in
+    *map_ids* from *store* and merge them, apply reduce, write through
+    the committer; returns the committed output path."""
+    with tracer.span(
+        "mr.shuffle_fetch", cat="mapreduce", partition=partition, n_maps=len(map_ids)
     ):
-        partitions = [
-            jip.map_outputs.get(m.task_id, task.partition) for m in jip.map_tasks
-        ]
-    stream = jip.committer.open_task_output(task.partition, task.attempts)
+        partitions = [store.get(m, partition) for m in map_ids]
+    stream = committer.open_task_output(partition, attempt)
     writer = TextRecordWriter(stream)
     ctx = Context(counters)
     ctx._bind(writer.write)
@@ -87,7 +98,7 @@ def execute_reduce_task(
     counters.increment("reduce_input_groups", n_groups)
     counters.increment("reduce_output_records", writer.records)
     counters.increment("reduce_output_bytes", writer.bytes_written)
-    return jip.committer.commit_task(task.partition, task.attempts)
+    return committer.commit_task(partition, attempt)
 
 
 class TaskTracker:
@@ -179,7 +190,14 @@ class TaskTracker:
                     attempt=task.attempts,
                     data_local=task.data_local,
                 ):
-                    execute_map_task(self.fs, jip, task)
+                    execute_map_task(
+                        jip.conf,
+                        jip.counters,
+                        make_record_reader(self.fs, task.split, jip.conf.input_format),
+                        jip.map_outputs,
+                        task.task_id,
+                        split=task.split,
+                    )
             except Exception as exc:
                 jip.map_failed(task, exc)
             else:
@@ -207,7 +225,16 @@ class TaskTracker:
                     task=task.task_id,
                     attempt=task.attempts,
                 ):
-                    path = execute_reduce_task(self.fs, jip, task)
+                    path = execute_reduce_task(
+                        jip.conf,
+                        jip.counters,
+                        jip.map_outputs,
+                        [m.task_id for m in jip.map_tasks],
+                        jip.committer,
+                        task.partition,
+                        task.attempts,
+                        jip.obs.tracer,
+                    )
             except Exception as exc:
                 jip.committer.abort_task(task.partition, task.attempts)
                 jip.reduce_failed(task, exc)

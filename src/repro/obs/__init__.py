@@ -11,8 +11,7 @@ those paths visible without changing their behavior:
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   histograms (p50/p95/p99);
 * :mod:`repro.obs.export` — a Chrome ``trace_event`` JSON exporter
-  (loadable in ``chrome://tracing`` / Perfetto) and an aligned
-  plain-text summary.
+  (loadable in ``chrome://tracing`` / Perfetto).
 
 Instrumented components take an :class:`Observability` bundle and
 default to :data:`NULL_OBS`, the shared disabled instance: every
@@ -30,12 +29,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .timeseries import TimeSeries
 from .tracer import NULL_SPAN, Span, Tracer
 from .critical import CriticalPathReport, attribute
-from .export import (
-    chrome_trace,
-    text_summary,
-    write_chrome_trace,
-    write_text_summary,
-)
+from .export import chrome_trace, write_chrome_trace
 
 
 @dataclass(slots=True)
@@ -80,7 +74,5 @@ __all__ = [
     "Tracer",
     "attribute",
     "chrome_trace",
-    "text_summary",
     "write_chrome_trace",
-    "write_text_summary",
 ]

@@ -350,10 +350,8 @@ class BlobServer:
         blob_id = int(request.params["blob_id"])
         if not request.body:
             raise HttpError(400, "append body must not be empty")
-        version, offset = await self.engine.run(
-            self.blobseer.append(
-                client, blob_id, Payload(request.body), parent=span
-            )
+        version, offset, _ = await self.engine.run(
+            self.blobseer.update(client, blob_id, Payload(request.body), parent=span)
         )
         return Response.json(
             {
@@ -371,9 +369,9 @@ class BlobServer:
             raise HttpError(400, "write requires an offset query parameter")
         if not request.body:
             raise HttpError(400, "write body must not be empty")
-        version = await self.engine.run(
-            self.blobseer.write(
-                client, blob_id, offset, Payload(request.body), parent=span
+        version, _, _ = await self.engine.run(
+            self.blobseer.update(
+                client, blob_id, Payload(request.body), offset, parent=span
             )
         )
         return Response.json(

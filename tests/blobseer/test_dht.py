@@ -9,14 +9,14 @@ from repro.blobseer.metadata.dht import (
     RecordingStore,
     placement_hash,
 )
-from repro.blobseer.metadata.segment_tree import node_key, tree_node
+from repro.blobseer.metadata.segment_tree import tree_node
 from repro.blobseer.pages import Fragment, fresh_page_id
 from repro.common.errors import VersionNotFoundError
 
 
 def leaf(version=1, lo=0):
     return tree_node(
-        node_key(1, version, lo, lo + 1),
+        (1, version, lo, lo + 1),
         fragments=(
             Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),
         ),
@@ -52,7 +52,7 @@ class TestMetadataDHT:
     def test_missing_raises(self):
         dht = MetadataDHT(4)
         with pytest.raises(VersionNotFoundError):
-            dht.get_node(node_key(1, 1, 0, 1))
+            dht.get_node((1, 1, 0, 1))
 
     def test_counters(self):
         dht = MetadataDHT(2)

@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.blobseer.client import BlobSeerService
-from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.simulated import BlobSeerRoles, SimBlobSeer
 from repro.blobseer.version_manager import VersionManagerCore
 from repro.common.config import BlobSeerConfig, ClusterConfig
@@ -63,7 +62,7 @@ class TestCoreGroupCommit:
             core.assign_append(blob, 100)
         core.submit_ready(blob, 2, "m2")
         _, _, batch = core.submit_ready(blob, 1, "m1")
-        root = node_key(blob, 2, 0, 1)
+        root = (blob, 2, 0, 1)
         core.publish_batch(blob, [v for v, _, _ in batch], root, 200)
         assert core.latest_published(blob).version == 2
         for v, size in ((1, 100), (2, 200)):
@@ -81,7 +80,7 @@ class TestCoreGroupCommit:
         assert core.submit_ready(blob, 2, "m2") is None
         core.when_published(blob, 2, outcomes.append)
         assert outcomes == []
-        core.publish_batch(blob, [1], node_key(blob, 1, 0, 1), 100)
+        core.publish_batch(blob, [1], (blob, 1, 0, 1), 100)
         # v1's publish promotes the queued v2 waiter to leader
         assert len(outcomes) == 1 and outcomes[0][0] == "lead"
         _, _, _, batch2 = outcomes[0]
@@ -96,14 +95,14 @@ class TestCoreGroupCommit:
         outcomes = []
         assert core.submit_ready(blob, 2, "m2") is None
         core.when_published(blob, 2, outcomes.append)
-        core.commit(blob, 1, node_key(blob, 1, 0, 1))
+        core.commit(blob, 1, (blob, 1, 0, 1))
         assert len(outcomes) == 1 and outcomes[0][0] == "lead"
 
     def test_when_published_fires_immediately_when_committed(self):
         core, blob = make_core()
         core.assign_append(blob, 100)
         _, _, batch = core.submit_ready(blob, 1, "m1")
-        core.publish_batch(blob, [1], node_key(blob, 1, 0, 1), 100)
+        core.publish_batch(blob, [1], (blob, 1, 0, 1), 100)
         outcomes = []
         core.when_published(blob, 1, outcomes.append)
         assert outcomes == [("published",)]
@@ -128,7 +127,7 @@ class TestCoreGroupCommit:
             core.publish_batch(blob, [], None, 0)
         with pytest.raises(ValueError):
             # v1 was never drained into a batch
-            core.publish_batch(blob, [1], node_key(blob, 1, 0, 1), 100)
+            core.publish_batch(blob, [1], (blob, 1, 0, 1), 100)
 
     def test_group_metrics(self):
         obs = Observability.on()
@@ -139,7 +138,7 @@ class TestCoreGroupCommit:
         core.submit_ready(blob, 2, "m2")
         core.submit_ready(blob, 3, "m3")
         _, _, batch = core.submit_ready(blob, 1, "m1")
-        core.publish_batch(blob, [1, 2, 3], node_key(blob, 3, 0, 1), 300)
+        core.publish_batch(blob, [1, 2, 3], (blob, 3, 0, 1), 300)
         assert obs.registry.counter("vm.group_commits").value == 1
         assert obs.registry.counter("vm.commits").value == 3
         hist = obs.registry.histogram("vm.group_commit_size")

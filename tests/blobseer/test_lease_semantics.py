@@ -25,7 +25,6 @@ import time
 
 import pytest
 
-from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.sim_vm import SimVMService
 from repro.blobseer.version_manager import (
     ThreadedVersionManager,
@@ -137,7 +136,7 @@ CASES = {
 
 
 def _root(version):
-    return node_key(1, version, 0, 1)
+    return (1, version, 0, 1)
 
 
 class CoreDriver:

@@ -13,7 +13,6 @@ from repro.blobseer.metadata.segment_tree import (
     key_bytes,
     key_span,
     merge_change_maps,
-    node_key,
     query_pages,
     tree_node,
 )
@@ -154,44 +153,39 @@ class TestVersionSharing:
 class TestNodeKey:
     def test_key_bytes_distinct(self):
         keys = {
-            key_bytes(node_key(1, 1, 0, 4)),
-            key_bytes(node_key(1, 2, 0, 4)),
-            key_bytes(node_key(2, 1, 0, 4)),
-            key_bytes(node_key(1, 1, 0, 2)),
+            key_bytes((1, 1, 0, 4)),
+            key_bytes((1, 2, 0, 4)),
+            key_bytes((2, 1, 0, 4)),
+            key_bytes((1, 1, 0, 2)),
         }
         assert len(keys) == 4
 
     def test_span_and_leaf(self):
-        assert key_span(node_key(1, 1, 4, 8)) == 4
-        assert key_span(node_key(1, 1, 3, 4)) == 1
-
-    def test_rejects_empty_or_negative_range(self):
-        for lo, hi in ((4, 4), (5, 4), (-1, 1)):
-            with pytest.raises(ValueError):
-                node_key(1, 1, lo, hi)
+        assert key_span((1, 1, 4, 8)) == 4
+        assert key_span((1, 1, 3, 4)) == 1
 
     def test_keys_and_nodes_are_exact_tuples(self):
         """What lets the collector untrack them (a tuple *subclass* is
         tracked for life)."""
-        key = node_key(1, 1, 0, 2)
+        key = (1, 1, 0, 2)
         assert type(key) is tuple and key == (1, 1, 0, 2)
-        inner = tree_node(key, None, node_key(1, 1, 0, 1), None)
+        inner = tree_node(key, None, (1, 1, 0, 1), None)
         assert type(inner) is tuple and inner[0] is key
 
 
 class TestTreeNodeShape:
     def test_leaf_needs_fragments_and_no_children(self):
-        leaf_key = node_key(1, 1, 0, 1)
+        leaf_key = (1, 1, 0, 1)
         with pytest.raises(ValueError):
             tree_node(leaf_key)
         with pytest.raises(ValueError):
             tree_node(leaf_key, ())
         with pytest.raises(ValueError):
-            tree_node(leaf_key, frag(), left=node_key(1, 1, 0, 1))
+            tree_node(leaf_key, frag(), left=(1, 1, 0, 1))
 
     def test_inner_node_carries_no_page(self):
         with pytest.raises(ValueError):
-            tree_node(node_key(1, 1, 0, 2), frag())
+            tree_node((1, 1, 0, 2), frag())
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,7 +242,7 @@ def reference_build_version(
         if hi - lo == 1:
             if not touched:
                 return None
-            leaf = tree_node(node_key(blob_id, version, lo, hi), changes[lo])
+            leaf = tree_node((blob_id, version, lo, hi), changes[lo])
             store.put_node(leaf)
             return leaf[0]
         mid = (lo + hi) // 2
@@ -262,7 +256,7 @@ def reference_build_version(
             _, _, prev_left, prev_right = store.get_node(prev)
         left = build(lo, mid, prev_left)
         right = build(mid, hi, prev_right)
-        inner = tree_node(node_key(blob_id, version, lo, hi), None, left, right)
+        inner = tree_node((blob_id, version, lo, hi), None, left, right)
         store.put_node(inner)
         return inner[0]
 

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.version_manager import (
     ThreadedVersionManager,
     VersionManagerCore,
@@ -21,7 +20,7 @@ from repro.obs import Observability
 
 
 def root_key(v):
-    return node_key(1, v, 0, 1)
+    return (1, v, 0, 1)
 
 
 class TestCore:

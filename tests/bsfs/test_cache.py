@@ -6,35 +6,44 @@ from hypothesis import given, strategies as st
 from repro.bsfs.cache import ReadBlockCache, WriteBehindBuffer
 
 
+def get(cache, index, fetch):
+    """Lookup-or-fetch, the way the read stream core drives the cache."""
+    block = cache.lookup(index)
+    if block is None:
+        block = fetch(index)
+        cache.insert(index, block)
+    return block
+
+
 class TestReadBlockCache:
     def test_miss_then_hit(self):
         cache = ReadBlockCache(block_size=100, capacity_blocks=2)
         fetches = []
         fetch = lambda i: fetches.append(i) or b"%03d" % i  # noqa: E731
-        assert cache.get(5, fetch) == b"005"
-        assert cache.get(5, fetch) == b"005"
+        assert get(cache, 5, fetch) == b"005"
+        assert get(cache, 5, fetch) == b"005"
         assert fetches == [5]
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_lru_eviction(self):
         cache = ReadBlockCache(block_size=10, capacity_blocks=2)
         fetch = lambda i: bytes([i])  # noqa: E731
-        cache.get(1, fetch)
-        cache.get(2, fetch)
-        cache.get(1, fetch)  # refresh 1
-        cache.get(3, fetch)  # evicts 2
+        get(cache, 1, fetch)
+        get(cache, 2, fetch)
+        get(cache, 1, fetch)  # refresh 1
+        get(cache, 3, fetch)  # evicts 2
         assert len(cache) == 2
         misses = cache.misses
-        cache.get(1, fetch)  # still cached
+        get(cache, 1, fetch)  # still cached
         assert cache.misses == misses
-        cache.get(2, fetch)  # was evicted
+        get(cache, 2, fetch)  # was evicted
         assert cache.misses == misses + 1
 
     def test_invalidate_one_and_all(self):
         cache = ReadBlockCache(10, 4)
         fetch = lambda i: bytes([i])  # noqa: E731
-        cache.get(1, fetch)
-        cache.get(2, fetch)
+        get(cache, 1, fetch)
+        get(cache, 2, fetch)
         cache.invalidate(1)
         assert len(cache) == 1
         cache.invalidate()

@@ -23,7 +23,7 @@ def test_defaults_validate():
         {"page_size": 0},
         {"replication": 0},
         {"metadata_providers": 0},
-        {"cache_blocks": 0},
+        {"append_lease_s": -1},
         {"md_cache_nodes": -1},
     ],
 )
@@ -60,7 +60,6 @@ def test_fast_profile_moves_the_three_fast_path_knobs_and_nothing_else():
     [
         {"chunk_size": 0},
         {"replication": 0},
-        {"write_buffer": 0},
     ],
 )
 def test_hdfs_rejects(kwargs):
@@ -73,7 +72,6 @@ def test_hdfs_rejects(kwargs):
     [
         {"map_slots": 0},
         {"reduce_slots": 0},
-        {"max_task_attempts": 0},
     ],
 )
 def test_mapreduce_rejects(kwargs):

@@ -227,8 +227,8 @@ def scenario_append_commit(h):
     """Two appends — the second lands unaligned, forcing the boundary
     overlay read — then a full read back."""
     blob = h.create_blob()
-    h.run(h.proto.append(h.clients[0], blob, Payload(b"a" * (PAGE + 123))))
-    h.run(h.proto.append(h.clients[1], blob, Payload(b"b" * 700)))
+    h.run(h.proto.update(h.clients[0], blob, Payload(b"a" * (PAGE + 123))))
+    h.run(h.proto.update(h.clients[1], blob, Payload(b"b" * 700)))
     h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 823))
 
 
@@ -240,7 +240,7 @@ def scenario_lease_abort(h):
     the lease, commits over the abort, and the hole reads as missing."""
     blob = h.create_blob()
     h.ticket_only(blob, 700)
-    h.run(h.proto.append(h.clients[1], blob, Payload(b"s" * 700)))
+    h.run(h.proto.update(h.clients[1], blob, Payload(b"s" * 700)))
     try:
         h.run(h.proto.read(h.clients[1], blob, 0, 700))
     except PageNotFoundError:
@@ -255,7 +255,7 @@ def scenario_failover_read(h):
     """Two of a page's three replicas crash; the read sweeps to the
     survivor, learning the dead replicas along the way."""
     blob = h.create_blob()
-    h.run(h.proto.append(h.clients[0], blob, Payload(b"x" * 700)))
+    h.run(h.proto.update(h.clients[0], blob, Payload(b"x" * 700)))
     _offset, _length, providers = h.layout(blob)[0]
     for name in providers[:2]:
         h.fail(name)
@@ -291,8 +291,8 @@ def scenario_group_commit_append(h):
     new ``commit_ready``/``md_many``/``publish_batch`` ops must record
     identically under both engines."""
     blob = h.create_blob()
-    h.run(h.proto.append(h.clients[0], blob, Payload(b"a" * (PAGE + 123))))
-    h.run(h.proto.append(h.clients[1], blob, Payload(b"b" * 700)))
+    h.run(h.proto.update(h.clients[0], blob, Payload(b"a" * (PAGE + 123))))
+    h.run(h.proto.update(h.clients[1], blob, Payload(b"b" * 700)))
     h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 823))
     ops = [rec[2] for rec in h.trace if rec[0] == "call" and rec[1] == "vm"]
     assert ops.count("commit_ready") == 2

@@ -74,7 +74,7 @@ class _FutureConfig(ExperimentConfig):
 def _unusual_config() -> _FutureConfig:
     return _FutureConfig(
         cluster=ClusterConfig(nodes=48, latency=0.0003),
-        blobseer=BlobSeerConfig(replication=3, cache_blocks=5),
+        blobseer=BlobSeerConfig(replication=3, append_lease_s=5.0),
         hdfs=HDFSConfig(replication=2),
         repetitions=2,
         journal=True,

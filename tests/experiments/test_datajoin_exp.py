@@ -12,8 +12,7 @@ from repro.common.units import MiB
 from repro.experiments.datajoin_exp import (
     DataJoinCalibration,
     _spread,
-    run_datajoin_bsfs,
-    run_datajoin_hdfs,
+    run_datajoin_point,
     sweep,
 )
 
@@ -51,13 +50,13 @@ class TestSpread:
 
 class TestScenarios:
     def test_hdfs_produces_one_file_per_reducer(self):
-        pt = run_datajoin_hdfs(6, small_config(), small_calibration())
+        pt = run_datajoin_point("hdfs", 6, small_config(), small_calibration())
         assert pt.output_files == 6
         assert pt.scenario == "hdfs-separate"
         assert pt.completion_seconds > 0
 
     def test_bsfs_produces_single_file(self):
-        pt = run_datajoin_bsfs(6, small_config(), small_calibration())
+        pt = run_datajoin_point("bsfs", 6, small_config(), small_calibration())
         assert pt.output_files == 1
         assert pt.scenario == "bsfs-shared"
 

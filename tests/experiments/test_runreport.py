@@ -157,6 +157,68 @@ class TestReportText:
         assert LEASE_EXPIRED in text
 
 
+def printed_once(text, names):
+    """Names that are not the first cell of exactly one line of *text*."""
+    firsts = [line.split(" ", 1)[0] for line in text.splitlines()]
+    return [n for n in names if firsts.count(n) != 1]
+
+
+class TestReadout:
+    """The report is the one terminal readout: counters, gauges,
+    histogram percentiles and the derived lines."""
+
+    def test_counters_gauges_histograms_and_hit_rate(self):
+        obs = Observability.on()
+        outer = obs.tracer.start("bsfs.append", cat="bsfs", track="client-0")
+        obs.tracer.start("vm.assign", cat="blobseer.vm", parent=outer).finish()
+        outer.finish()
+        reg = obs.registry
+        reg.counter("bsfs.cache.hits").inc(3)
+        reg.counter("bsfs.cache.misses").inc(1)
+        reg.gauge("vm.turn_queue_depth").set(7)
+        h = reg.histogram("vm.append_ticket_wait_s")
+        for v in (0.1, 0.2, 0.3):
+            h.observe(v)
+
+        text = report_text(build_report(obs))
+        assert "cache hit-rate: 75.0% (3 hits / 1 misses)" in text
+        assert "gauges:" in text
+        assert ["vm.turn_queue_depth", "7"] in [
+            line.split() for line in text.splitlines()
+        ]
+        assert "vm.append_ticket_wait_s" in text
+        for col in ("count", "mean", "p50", "p95", "p99", "max"):
+            assert col in text
+        assert "2 total, 0 unfinished" in text
+        assert not printed_once(
+            text,
+            ["bsfs.cache.hits", "bsfs.cache.misses", "vm.turn_queue_depth",
+             "vm.append_ticket_wait_s"],
+        )
+
+    def test_no_traffic(self):
+        text = report_text(build_report(Observability.on()))
+        assert "cache hit-rate: n/a (no cache traffic)" in text
+        for absent in ("counters:", "gauges:", "latency percentiles:",
+                       "map locality", "fault timeline:"):
+            assert absent not in text
+        assert "spans: 0 total, 0 unfinished" in text
+
+    def test_map_locality_line(self):
+        obs = Observability.on()
+        obs.registry.counter("mr.maps_local").inc(3)
+        obs.registry.counter("mr.maps_remote").inc(1)
+        text = report_text(build_report(obs))
+        assert "map locality: 75.0% (3 of 4 map attempts data-local)" in text
+
+    def test_figure_run_prints_every_counter_and_gauge_once(self, fig3_report):
+        assert fig3_report["gauges"], "the DES run sets gauges"
+        text = report_text(fig3_report)
+        assert not printed_once(
+            text, [*fig3_report["counters"], *fig3_report["gauges"]]
+        )
+
+
 def test_cli_report_flag_writes_json(tmp_path, capsys, monkeypatch):
     report_path = tmp_path / "report.json"
     import repro.experiments.figures as figures
@@ -182,3 +244,7 @@ def test_cli_report_flag_writes_json(tmp_path, capsys, monkeypatch):
     assert doc["counters"]["runtime.gc.collections.gen2"] >= 1
     assert doc["histograms"]["runtime.gc.pause_s"]["count"] >= 1
     assert "runtime.gc.pause_s" in out
+    # one readout: every counter and gauge is printed exactly once
+    assert out.count("== run report") == 1
+    assert "gauges:" in out
+    assert not printed_once(out, [*doc["counters"], *doc["gauges"]])

@@ -88,18 +88,6 @@ class TestReadPath:
                 s.pread(off, 64)
             assert s.fetches == 1  # one chunk prefetch served them all
 
-    def test_readahead_disabled_fetches_ranges(self):
-        cluster = HDFSCluster(
-            n_datanodes=3,
-            config=HDFSConfig(chunk_size=1024, readahead=False),
-        )
-        fs = cluster.file_system()
-        fs.write_all("/f", b"r" * 2048)
-        with fs.open("/f") as s:
-            s.pread(0, 64)
-            s.pread(64, 64)
-            assert s.fetches == 2
-
     def test_replica_fallback_on_failure(self, cluster, fs):
         fs.write_all("/f", b"precious" * 500)
         locs = fs.get_block_locations("/f", 0, 100)

@@ -18,8 +18,8 @@ with its reason for staying, in that class's :data:`NO_TRAFFIC` table.
 The three metadata fast-path knobs move together, as a named profile:
 ``paper`` is the defaults and ``BlobSeerConfig.fast()`` is the only
 non-test code that may set them; a profile counts as traffic when a
-traffic root calls it. The third test fails CI on any other setter, and on a fifteenth
-``BlobSeerConfig`` field.
+traffic root calls it. The third test fails CI on any other setter, and on a
+fourteenth ``BlobSeerConfig`` field.
 """
 
 import ast
@@ -53,7 +53,6 @@ _RETRY = (
 #: names no field, fails the lint too — the table cannot go stale.
 NO_TRAFFIC = {
     "BlobSeerConfig": {
-        "cache_blocks": "stream cache depth; every run uses 2",
         "cache_enabled": (
             "only benchmarks/test_ablation_cache.py (the paper's cache "
             "ablation, outside the traffic roots) and tests turn it off"
@@ -71,21 +70,7 @@ NO_TRAFFIC = {
             "crash repair; ROADMAP item 1's fault plans drive it"
         ),
     },
-    "HDFSConfig": {
-        "write_buffer": (
-            "the paper's HDFS client buffers a whole chunk, the default; "
-            "only the validation test moves it (a candidate for a constant)"
-        ),
-        "readahead": (
-            "the paper's HDFS reads ahead a whole chunk, the default; a "
-            "test turns it off to count fetches"
-        ),
-    },
     "MapReduceConfig": {
-        "max_task_attempts": (
-            "Hadoop's task retry budget; only the validation test moves it "
-            "(a candidate for a constant)"
-        ),
         "locality_aware": (
             "only benchmarks/test_ablation_locality.py (the paper's "
             "locality ablation, outside the traffic roots) turns it off"
@@ -323,7 +308,7 @@ def test_only_the_profile_methods_set_the_fast_path_knobs():
         "BlobSeerConfig.fast() (pick a profile instead):\n"
         + "\n".join(stray)
     )
-    assert len(_config_classes(config)["BlobSeerConfig"]) == 14, (
+    assert len(_config_classes(config)["BlobSeerConfig"]) == 13, (
         "BlobSeerConfig grew or shrank: options only go down (ROADMAP), "
         "and a removal updates this count"
     )

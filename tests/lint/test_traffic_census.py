@@ -57,15 +57,14 @@ ROOTS: List[Tuple[str, List[str]]] = [
         "fig7-outputs",
         [
             "-m", "repro.experiments.cli", "fig7", "--trace", "fig7-trace.json",
-            "--metrics-out", "fig7-metrics.txt", "--report", "fig7-report.json",
-            "--chart", "--json", "fig7.json",
+            "--report", "fig7-report.json", "--chart", "--json", "fig7.json",
         ],
     ),
     ("fig3-report", ["-m", "repro.experiments.cli", "fig3", "--report", "fig3-report.json"]),
     (
         "filecount-trace",
         ["-m", "repro.experiments.cli", "filecount", "--trace", "filecount-trace.json",
-         "--metrics-out", "filecount-metrics.txt"],
+         "--report", "filecount-report.json"],
     ),
     (
         "loadtest",
@@ -375,14 +374,7 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.blobseer.metadata.dht.MetadataDHT.__len__": _PROBE,
     "repro.blobseer.metadata.dht.NodeCache.__len__": _PROBE,
     "repro.bsfs.cache.ReadBlockCache.__len__": _PROBE,
-    "repro.bsfs.cache.ReadBlockCache.get": (
-        "lookup-or-fetch convenience over lookup()/insert(), which the "
-        "stream cores call directly"
-    ),
     "repro.bsfs.cache.WriteBehindBuffer.pending": _PROBE,
-    "repro.blobseer.metadata.segment_tree.node_key": (
-        "builds a NodeKey by name; the tree builds its keys inline"
-    ),
     "repro.blobseer.pages.Fragment.primary": _PROBE,
     "repro.hdfs.block.BlockInfo.primary": _PROBE,
     "repro.blobseer.version_manager.ThreadedVersionManager.live_lease_timers": (
@@ -406,6 +398,10 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.faults.plan.FaultPlan.__iter__": _PROBE,
     "repro.obs.Observability.enabled": _PROBE,
     "repro.obs.metrics.MetricsRegistry.names": _PROBE,
+    "repro.obs.metrics.MetricsRegistry.value": (
+        "one instrument's value by name: the tests and bench_figure "
+        "(benchmarks/perf) read it; the run report reads the snapshot"
+    ),
     "repro.obs.metrics.Histogram._skip_ahead": (
         "reservoir sampling past max_samples observations: a long-running "
         "repro-serve (the bench's server child, which escapes the hook)"

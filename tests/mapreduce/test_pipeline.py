@@ -1,5 +1,7 @@
 """Tests for pipelined Map/Reduce (the paper's §5 future work)."""
 
+import threading
+
 import pytest
 
 from repro.bsfs import BSFS
@@ -38,6 +40,25 @@ def env():
         fs, hosts=[f"provider-{i:03d}" for i in range(4)]
     )
     return fs, cluster
+
+
+def run_bounded(*args, timeout=60, **kwargs):
+    """``run_pipeline`` in a thread joined with a timeout, so a wedged
+    pipeline fails the test instead of hanging the suite. Returns what
+    it returned or raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = run_pipeline(*args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "run_pipeline did not return"
+    return out
 
 
 STAGES = [
@@ -120,3 +141,35 @@ class TestOverlapped:
         ]
         with pytest.raises(JobFailedError):
             run_pipeline(cluster, stages, ["/in/doc"], "/f", overlap=True)
+
+    @pytest.mark.parametrize("broken", ["map", "reduce"])
+    def test_downstream_failure_propagates(self, env, broken):
+        """A failing streamed stage fails the pipeline (its workers'
+        errors used to die with their threads)."""
+        _fs, cluster = env
+
+        def boom(*_args):
+            raise RuntimeError(f"stage-1 {broken} is broken")
+
+        stages = [
+            STAGES[0],
+            PipelineStage(
+                "downstream",
+                boom if broken == "map" else count_map,
+                boom if broken == "reduce" else count_red,
+                n_reducers=1,
+            ),
+        ]
+        out = run_bounded(cluster, stages, ["/in/doc"], f"/x-{broken}", overlap=True)
+        assert isinstance(out.get("error"), JobFailedError), out
+
+    def test_streamed_stage_reports_the_staged_counters(self, env):
+        _fs, cluster = env
+        seq = run_pipeline(cluster, STAGES, ["/in/doc"], "/g", overlap=False)
+        ov = run_pipeline(cluster, STAGES, ["/in/doc"], "/h", overlap=True)
+        staged, streamed = seq.counters[1], ov.counters[1]
+        # the feeder's idle polls are the one streaming-only counter
+        assert set(streamed) - {"tail_polls"} == set(staged)
+        for name in ("map_input_records", "reduce_input_groups",
+                     "reduce_output_records", "reduce_output_bytes"):
+            assert streamed[name] == staged[name], name

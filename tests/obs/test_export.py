@@ -1,8 +1,11 @@
-"""Exporter tests: Chrome trace round-trip and the text summary."""
+"""Exporter tests: Chrome trace round-trip.
+
+The terminal readout is the run report
+(``tests/experiments/test_runreport.py``)."""
 
 import json
 
-from repro.obs import MetricsRegistry, chrome_trace, text_summary, write_chrome_trace
+from repro.obs import chrome_trace, write_chrome_trace
 from repro.obs.tracer import Tracer
 
 
@@ -73,34 +76,3 @@ def test_chrome_trace_flags_open_spans():
     assert "still_open" not in xs["closed"]["args"]
     assert doc["metadata"]["spans_unfinished"] == 1
     assert open_span.end is None  # the exporter did not mutate the span
-
-
-def test_text_summary_sections():
-    reg = MetricsRegistry()
-    reg.counter("bsfs.cache.hits").inc(3)
-    reg.counter("bsfs.cache.misses").inc(1)
-    h = reg.histogram("vm.append_ticket_wait_s")
-    for v in (0.1, 0.2, 0.3):
-        h.observe(v)
-    tracer, *_ = _traced_pair()
-
-    out = text_summary(reg, tracer)
-    assert "cache hit-rate: 75.0%" in out
-    assert "vm.append_ticket_wait_s" in out
-    for col in ("count", "mean", "p50", "p95", "p99", "max"):
-        assert col in out
-    # per-category span table
-    assert "blobseer.vm" in out and "bsfs" in out
-
-
-def test_text_summary_without_traffic_or_tracer():
-    out = text_summary(MetricsRegistry())
-    assert "cache hit-rate: n/a" in out
-    assert "spans:" not in out
-
-
-def test_text_summary_map_locality_line():
-    reg = MetricsRegistry()
-    reg.counter("mr.maps_local").inc(3)
-    reg.counter("mr.maps_remote").inc(1)
-    assert "map locality: 75.0%" in text_summary(reg)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bsfs import BSFS
 from repro.common.config import (
     BlobSeerConfig,
@@ -117,32 +119,32 @@ def test_mapreduce_job_emits_spans_and_locality_counters():
     assert any(t.startswith("provider-") for t in tracks)
 
 
-def test_cli_trace_and_metrics_out(tmp_path, capsys, monkeypatch):
-    trace_path = tmp_path / "trace.json"
-    metrics_path = tmp_path / "metrics.txt"
-    # shrink the sweep: patch the quick fig3 counts via repetitions=1 and
-    # let the 270-node quick run be replaced by a tiny custom config
+@pytest.fixture()
+def tiny_fig3(monkeypatch):
+    """``repro-fig fig3`` on a tiny deployment: the 270-node quick run is
+    replaced by :func:`_small_config`."""
     import repro.experiments.figures as figures
 
     orig_fig3 = figures.fig3
 
-    def tiny_fig3(scale="quick", config=None, obs=None):
+    def tiny(scale="quick", config=None, obs=None):
         return orig_fig3(scale=scale, config=_small_config(), obs=obs)
 
-    monkeypatch.setitem(figures.ALL_FIGURES, "fig3", tiny_fig3)
+    monkeypatch.setitem(figures.ALL_FIGURES, "fig3", tiny)
+
+
+def test_cli_trace_and_report(tmp_path, capsys, tiny_fig3):
+    trace_path = tmp_path / "trace.json"
+    report_path = tmp_path / "report.json"
     rc = cli_main(
-        [
-            "fig3",
-            "--trace",
-            str(trace_path),
-            "--metrics-out",
-            str(metrics_path),
-        ]
+        ["fig3", "--trace", str(trace_path), "--report", str(report_path)]
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "observability summary" in out
-    assert "cache hit-rate" in out
+    # one readout, printed once, with the derived lines
+    assert out.count("== run report: fig3 ==") == 1
+    assert out.count("cache hit-rate") == 1
+    assert "vm.append_ticket_bytes" in out
 
     doc = json.loads(trace_path.read_text())
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -151,6 +153,13 @@ def test_cli_trace_and_metrics_out(tmp_path, capsys, monkeypatch):
     assert len(cats & {"bsfs", "bsfs.ns", "blobseer", "blobseer.vm",
                        "blobseer.md", "blobseer.data"}) >= 3
 
-    summary = metrics_path.read_text()
-    assert "vm.append_ticket_bytes" in summary
-    assert "cache hit-rate" in summary
+    report = json.loads(report_path.read_text())
+    assert "vm.append_ticket_bytes" in report["histograms"]
+    assert report["gauges"]
+
+
+def test_cli_trace_alone_prints_the_report(tmp_path, capsys, tiny_fig3):
+    assert cli_main(["fig3", "--trace", str(tmp_path / "t.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("== run report: fig3 ==") == 1
+    assert not list(tmp_path.glob("*report*"))

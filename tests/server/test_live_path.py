@@ -397,7 +397,7 @@ def test_loop_and_thread_appenders_share_one_blob(live):
         try:
             for _ in range(per_writer):
                 threaded.run(
-                    protocol.append(
+                    protocol.update(
                         f"thread-{k}", blob, Payload(bytes([65 + k]) * record)
                     )
                 )
