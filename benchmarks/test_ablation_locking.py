@@ -29,9 +29,9 @@ def config():
 def run_appends(locked: bool) -> float:
     """Aggregate append throughput (MiB/s): all clients' bytes over the
     wall-clock makespan — queueing behind the file mutex counts."""
-    dep = deploy_bsfs(config())
-    bsfs, env = dep.bsfs, dep.cluster.env
-    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/f")))
+    bsfs = deploy_bsfs(config())
+    env = bsfs.env
+    env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], "/f")))
     gate = Resource(env, capacity=1)
 
     def locked_append(client):
@@ -44,7 +44,7 @@ def run_appends(locked: bool) -> float:
     start = env.now
     procs = []
     for i in range(N_CLIENTS):
-        client = dep.client_nodes[i % len(dep.client_nodes)]
+        client = bsfs.client_nodes[i % len(bsfs.client_nodes)]
         if locked:
             procs.append(env.process(locked_append(client)))
         else:

@@ -19,7 +19,7 @@ from repro.experiments.figures import fig3, fig4, fig5
 def main() -> None:
     cfg = ExperimentConfig(repetitions=1)
     dep = deploy_bsfs(cfg)
-    roles = dep.bsfs.roles
+    roles = dep.roles
     print("simulated deployment (paper §4.1):")
     print(f"    version manager    : {roles.blobseer.version_manager}")
     print(f"    provider manager   : {roles.blobseer.provider_manager}")

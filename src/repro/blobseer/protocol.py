@@ -86,16 +86,12 @@ class BlobSeerProtocol:
         provider_manager: ProviderManager,
         dht: MetadataDHT,
         obs: Optional[Observability] = None,
-        metrics=None,
     ) -> None:
         self.engine = engine
         self.config = config
         self.pm = provider_manager
         self.dht = dht
         self.obs = obs or NULL_OBS
-        #: per-operation throughput sink (the simulator's Metrics); None
-        #: on runtimes that do not sample op timings
-        self.metrics = metrics
         self._selectors: Dict[str, ReplicaSelector] = {}
         self._h_ticket_wait = self.obs.registry.histogram(
             "vm.append_ticket_wait_s"
@@ -155,7 +151,6 @@ class BlobSeerProtocol:
         blob_id: int,
         payload: Payload,
         offset: Optional[int] = None,
-        record: bool = True,
         parent=None,
     ):
         """Generator: one update — ticket, ship, metadata turn, commit.
@@ -181,7 +176,6 @@ class BlobSeerProtocol:
             raise ValueError(f"cannot {kind} zero bytes")
         engine = self.engine
         tracer = self.obs.tracer
-        start = engine.now()
         sp = tracer.start(
             "blobseer." + kind,
             cat="blobseer",
@@ -265,8 +259,6 @@ class BlobSeerProtocol:
 
         group_end = yield from publish(client, ticket, new_frags, sp)
         sp.finish(version=ticket.version, offset=ticket.offset)
-        if record and self.metrics is not None:
-            self.metrics.record(client, kind, start, engine.now(), nbytes)
         return ticket.version, ticket.offset, group_end
 
     def _publish(
@@ -550,7 +542,6 @@ class BlobSeerProtocol:
         offset: int,
         nbytes: int,
         version: Optional[int] = None,
-        record: bool = True,
         parent=None,
     ):
         """Generator: read ``[offset, offset+nbytes)`` of a version.
@@ -561,7 +552,6 @@ class BlobSeerProtocol:
         if offset < 0 or nbytes < 0:
             raise ValueError("read range must be non-negative")
         engine = self.engine
-        start = engine.now()
         sp = self.obs.tracer.start(
             "blobseer.read",
             cat="blobseer",
@@ -687,6 +677,4 @@ class BlobSeerProtocol:
             yield engine.gather(fetchers)
         sp_fetch.finish(fragments=len(jobs))
         sp.finish(version=rec.version)
-        if record and self.metrics is not None:
-            self.metrics.record(client, "read", start, engine.now(), nbytes)
         return rec.version, (bytes(buf) if buf is not None else None)

@@ -3,23 +3,20 @@
 The client logic lives in :mod:`repro.blobseer.protocol`; this module
 assembles a deployment around the DES engine: it binds the
 version-manager service (:class:`~repro.blobseer.sim_vm.SimVMService`,
-the version-manager core on the simulation clock) and exposes the
-generator entry points experiment drivers wrap in kernel processes.
+the version-manager core on the simulation clock) and the metadata
+providers, and holds the crash hooks. Clients drive
+``protocol.update`` / ``protocol.read`` in kernel processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..common.config import BlobSeerConfig
-from ..engine.base import Payload
 from ..engine.des import DesEngine
 from ..obs import NULL_OBS, Observability
-from ..obs.tracer import Span
 from ..sim.cluster import SimCluster
-from ..sim.core import Event
-from ..sim.metrics import Metrics
 from .metadata.dht import MetadataDHT
 from .protocol import BlobSeerProtocol, compute_layout
 from .provider_manager import ProviderManager
@@ -64,7 +61,6 @@ class SimBlobSeer:
         self.provider_manager = ProviderManager(
             list(roles.data_providers), seed=cluster.config.seed, obs=self.obs
         )
-        self.metrics = Metrics()
 
         self.engine = DesEngine(cluster, obs=self.obs)
         vm = SimVMService(self.env, self.config.append_lease_s, self.obs)
@@ -78,14 +74,8 @@ class SimBlobSeer:
             method_services={"commit_ready": cluster.config.commit_push_time},
         )
         self.engine.bind_md(len(roles.metadata_providers))
-        self.retry = self.engine.retry
         self.protocol = BlobSeerProtocol(
-            self.engine,
-            self.config,
-            self.provider_manager,
-            self.dht,
-            obs=self.obs,
-            metrics=self.metrics,
+            self.engine, self.config, self.provider_manager, self.dht, obs=self.obs
         )
         #: crash repair runs from the provider-manager machine; the
         #: caller schedules scans: ``env.process(repairer.scan())``
@@ -125,43 +115,6 @@ class SimBlobSeer:
 
     def recover_metadata_provider(self, index: int) -> None:
         self.engine.recover_md(index)
-
-    # -- client operations -----------------------------------------------------
-
-    def append_proc(
-        self, client: str, blob_id: int, nbytes: int,
-        record: bool = True, parent: Optional[Span] = None,
-    ) -> Generator[Event, None, int]:
-        """Simulated process: one append of *nbytes*; returns the version."""
-        version, _offset, _ = yield from self.protocol.update(
-            client, blob_id, Payload(nbytes=nbytes), record=record, parent=parent
-        )
-        return version
-
-    def write_proc(
-        self, client: str, blob_id: int, offset: int, nbytes: int,
-        record: bool = True, parent: Optional[Span] = None,
-    ) -> Generator[Event, None, int]:
-        """Simulated process: one write-at-offset; returns the version."""
-        version, _offset, _ = yield from self.protocol.update(
-            client, blob_id, Payload(nbytes=nbytes), offset,
-            record=record, parent=parent,
-        )
-        return version
-
-    def read_proc(
-        self, client: str, blob_id: int, offset: int, nbytes: int,
-        version: Optional[int] = None, record: bool = True,
-        parent: Optional[Span] = None,
-    ) -> Generator[Event, None, int]:
-        """Simulated process: read a range; returns the version read."""
-        if nbytes <= 0:
-            raise ValueError("read size must be positive")
-        version_read, _data = yield from self.protocol.read(
-            client, blob_id, offset, nbytes,
-            version=version, record=record, parent=parent,
-        )
-        return version_read
 
     # -- introspection ---------------------------------------------------------
 

@@ -10,6 +10,8 @@ ever blocking each other or the readers.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from ..blobseer.client import BlobClient, BlobSeerService
@@ -27,7 +29,6 @@ from ..common.fs import (
     normalize_path,
 )
 from ..obs import NULL_OBS, Observability
-from ..sim.metrics import Metrics
 from .cache import STREAM_CACHE_BLOCKS, ReadBlockCache
 from .namespace import BSFSFile, NamespaceManager
 from .protocol import (
@@ -56,9 +57,9 @@ class BSFS:
             config=config, n_providers=n_providers, seed=seed, obs=self.obs
         )
         self.namespace = NamespaceManager()
-        #: experiment-level samples/counters; streams push cache and
-        #: write-behind totals here when they close
-        self.metrics = Metrics()
+        #: per-stream totals: streams add their cache and write-behind
+        #: counts to ``metrics.counters`` when they close
+        self.metrics = SimpleNamespace(counters=defaultdict(float))
         self.engine = self.service.engine
         self.engine.bind("ns", self.namespace)
         self.protocol = BSFSProtocol(
@@ -195,11 +196,11 @@ class BSFSOutputStream(OutputStream):
                 return
             self._flush_locked()
             self._closed = True
-            metrics = self.fs.deployment.metrics
-            metrics.bump("bsfs.appends_issued", float(self.appends_issued))
+            counters = self.fs.deployment.metrics.counters
+            counters["bsfs.appends_issued"] += self.appends_issued
             buffer = self._core.buffer
             if buffer is not None:
-                metrics.bump("bsfs.writebehind.flushes", float(buffer.flushes))
+                counters["bsfs.writebehind.flushes"] += buffer.flushes
 
     def discard(self) -> None:
         """Drop buffered data and close without appending it — already
@@ -323,9 +324,9 @@ class BSFSInputStream(InputStream):
                 return
             self._closed = True
             if self._cache is not None:
-                metrics = self.fs.deployment.metrics
-                metrics.bump("bsfs.cache.hits", float(self._cache.hits))
-                metrics.bump("bsfs.cache.misses", float(self._cache.misses))
+                counters = self.fs.deployment.metrics.counters
+                counters["bsfs.cache.hits"] += self._cache.hits
+                counters["bsfs.cache.misses"] += self._cache.misses
                 self._cache.invalidate()
 
     def _check_open(self) -> None:

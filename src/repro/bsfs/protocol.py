@@ -38,14 +38,10 @@ class BSFSProtocol:
         engine,
         blobseer: BlobSeerProtocol,
         obs: Optional[Observability] = None,
-        metrics=None,
     ) -> None:
         self.engine = engine
         self.blobseer = blobseer
         self.obs = obs or NULL_OBS
-        #: per-operation throughput sink (the simulator's Metrics); None
-        #: on runtimes that do not sample op timings
-        self.metrics = metrics
         self._c_ns_rpcs = self.obs.registry.counter("ns.rpcs")
         #: path -> file record, when the ``ns_record_cache`` knob is on.
         #: A record's blob binding and page size are immutable, and the
@@ -158,10 +154,7 @@ class BSFSProtocol:
         offset. Returns the BLOB version generated.
 
         An open stream commits a write-behind block with the *blob_id*
-        of the file record it holds: no lookup, and no per-operation
-        sample (the stream's writes are the operations)."""
-        engine = self.engine
-        start = engine.now()
+        of the file record it holds, and skips the lookup."""
         sp = self.obs.tracer.start(
             "bsfs.append",
             cat="bsfs",
@@ -170,11 +163,10 @@ class BSFSProtocol:
             path=path,
             nbytes=len(payload),
         )
-        looked_up = blob_id is None
-        if looked_up:
+        if blob_id is None:
             blob_id = (yield from self._lookup(client, sp, path)).blob_id
         version, _offset, group_end = yield from self.blobseer.update(
-            client, blob_id, payload, record=False, parent=sp
+            client, blob_id, payload, parent=sp
         )
         # the appender learns its publish round's end offset from the
         # BLOB layer; concurrent appenders may report in any order (the
@@ -185,8 +177,6 @@ class BSFSProtocol:
                 client, sp, "update_size", "update_size", path, group_end
             )
         sp.finish(version=version)
-        if looked_up and self.metrics is not None:
-            self.metrics.record(client, "append", start, engine.now(), len(payload))
         return version
 
     def read_file(
@@ -195,8 +185,6 @@ class BSFSProtocol:
         """Generator: look the file up and read a range of its BLOB.
         Returns ``(version, data)`` (data is None under the DES runtime,
         which moves no real bytes)."""
-        engine = self.engine
-        start = engine.now()
         sp = self.obs.tracer.start(
             "bsfs.read",
             cat="bsfs",
@@ -208,11 +196,9 @@ class BSFSProtocol:
         )
         record = yield from self._lookup(client, sp, path)
         version, data = yield from self.blobseer.read(
-            client, record.blob_id, offset, nbytes, record=False, parent=sp
+            client, record.blob_id, offset, nbytes, parent=sp
         )
         sp.finish(version=version)
-        if self.metrics is not None:
-            self.metrics.record(client, "read", start, engine.now(), nbytes)
         return version, data
 
 
@@ -322,7 +308,7 @@ class ReadStreamCore:
         if self.cache is None:
             self.fetches += 1
             _version, data = yield from self.protocol.blobseer.read(
-                self.client, self.blob_id, base + offset, size, record=False
+                self.client, self.blob_id, base + offset, size
             )
             return data
         block = self.cache.lookup(index)
@@ -334,7 +320,7 @@ class ReadStreamCore:
             length = min(self.page_size, known_size - base)
             self.fetches += 1
             _version, block = yield from self.protocol.blobseer.read(
-                self.client, self.blob_id, base, length, record=False
+                self.client, self.blob_id, base, length
             )
             self.cache.insert(index, block)
         return block[offset : offset + size] if block is not None else None

@@ -11,7 +11,7 @@ microbenchmarks exercise exactly the paper's two-step append.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, List, Optional
 
 from ..blobseer.metadata.segment_tree import build_version, capacity_for
 from ..blobseer.pages import Fragment, fresh_page_id
@@ -21,7 +21,6 @@ from ..engine.base import Payload
 from ..obs import NULL_OBS, Observability
 from ..sim.cluster import SimCluster
 from ..sim.core import Event
-from ..sim.metrics import Metrics
 from .namespace import NamespaceManager
 from .protocol import BSFSProtocol
 
@@ -47,20 +46,19 @@ class SimBSFS:
         self.cluster = cluster
         self.env = cluster.env
         self.roles = roles
+        #: the machines client processes run on: co-located with the
+        #: data providers, as in the paper's deployment
+        self.client_nodes: List[str] = list(roles.blobseer.data_providers)
         self.obs = obs or NULL_OBS
         self.blobseer = SimBlobSeer(cluster, roles.blobseer, config, obs=self.obs)
         self.config = self.blobseer.config
         self.namespace = NamespaceManager()
-        self.metrics = Metrics()
         self.engine = self.blobseer.engine
         self.engine.bind(
             "ns", self.namespace, cluster.config.namespace_rpc_time
         )
         self.protocol = BSFSProtocol(
-            self.engine,
-            self.blobseer.protocol,
-            obs=self.obs,
-            metrics=self.metrics,
+            self.engine, self.blobseer.protocol, obs=self.obs
         )
 
     # -- file operations -----------------------------------------------------------

@@ -7,7 +7,8 @@ provides the runtimes they plug into:
 * :class:`~repro.engine.base.Engine` — the op interface and
   :class:`~repro.engine.base.Payload` data currency;
 * :class:`~repro.engine.des.DesEngine` — ops as simulation kernel
-  events, charged against the cluster cost model;
+  events, charged against the cluster cost model (imported from its
+  module, so that the live runtimes load no simulator);
 * :class:`~repro.engine.threaded.ThreadedEngine` — ops as lazy thunks
   resolved by a synchronous trampoline on the wall clock;
 * :class:`~repro.engine.aio.AsyncioEngine` — the same real components
@@ -20,7 +21,6 @@ provides the runtimes they plug into:
 
 from .aio import AsyncioEngine
 from .base import Engine, Payload
-from .des import DesEngine
 from .recording import RecordingEngine
 from .replica import ReplicaSelector, sweep_fetch
 from .threaded import THREADED_RETRY, ThreadedEngine
@@ -28,7 +28,6 @@ from .threaded import THREADED_RETRY, ThreadedEngine
 __all__ = [
     "Engine",
     "Payload",
-    "DesEngine",
     "ThreadedEngine",
     "AsyncioEngine",
     "THREADED_RETRY",

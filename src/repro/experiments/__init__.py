@@ -1,7 +1,7 @@
 """Experiment harness: simulated Grid'5000 deployments and drivers that
 regenerate every figure of the paper's evaluation section."""
 
-from .deploy import BSFSDeployment, HDFSDeployment, deploy_bsfs, deploy_hdfs
+from .deploy import deploy_bsfs, deploy_hdfs
 from .microbench import (
     DataPoint,
     appends_under_reads,
@@ -17,8 +17,6 @@ from .report import FigureResult, Series
 from .figures import ALL_FIGURES, fig3, fig4, fig5, fig6, filecount_table
 
 __all__ = [
-    "BSFSDeployment",
-    "HDFSDeployment",
     "deploy_bsfs",
     "deploy_hdfs",
     "DataPoint",

@@ -67,6 +67,8 @@ class FigureBench:
     #: every non-local flow start and finish, solved for or not
     #: (incremental only)
     flow_changes: int = 0
+    #: what the figure returned (its :class:`~.report.FigureResult`)
+    result: object = None
 
 
 def _bench_obs() -> Observability:
@@ -101,7 +103,7 @@ def bench_figure(
     def run_once() -> FigureBench:
         obs = _bench_obs()
         t0 = time.perf_counter()
-        fn(scale=scale, config=cfg, obs=obs)
+        result = fn(scale=scale, config=cfg, obs=obs)
         wall = time.perf_counter() - t0
         reg = obs.registry
         sim_events = int(reg.value("sim.kernel.events"))
@@ -119,6 +121,7 @@ def bench_figure(
             flushes=int(reg.value("sim.net.flushes")),
             coalesced_changes=int(reg.value("sim.net.coalesced_changes")),
             flow_changes=int(reg.value("sim.net.flow_changes")),
+            result=result,
         )
 
     return best_of(run_once, repeats)

@@ -27,12 +27,20 @@ from dataclasses import replace
 from typing import Generator, List, Optional, Sequence
 
 from ..common.config import ExperimentConfig
-from ..common.units import MiB
 from ..faults import FaultPlan, schedule_plan, sim_blobseer_injector
 from ..obs import Observability
 from ..sim.core import Event
 from .deploy import deploy_bsfs
-from .microbench import CHUNK, DataPoint, _client_nodes, _run, sweep
+from .microbench import (
+    CHUNK,
+    DataPoint,
+    OpTiming,
+    _client_nodes,
+    _run,
+    mean_client_mibps,
+    sweep,
+    timed,
+)
 
 #: when the first provider crashes (sim seconds into the measured run)
 CRASH_START = 0.05
@@ -78,12 +86,11 @@ def chaos_appends(
                 f"{n} appenders with {appender_crashes} crashes leaves "
                 "no survivors to measure"
             )
-        dep = deploy_bsfs(_chaos_config(cfg), obs=obs)
-        bsfs = dep.bsfs
+        bsfs = deploy_bsfs(_chaos_config(cfg), obs=obs)
         blobseer = bsfs.blobseer
-        env = dep.cluster.env
+        env = bsfs.env
         path = "/bench/shared"
-        env.run(env.process(bsfs.create_proc(dep.client_nodes[0], path)))
+        env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], path)))
         blob_id = bsfs.namespace.get(path).blob_id
 
         providers = blobseer.roles.data_providers
@@ -95,13 +102,15 @@ def chaos_appends(
             )
         schedule_plan(env, plan, sim_blobseer_injector(blobseer, obs))
 
-        clients = _client_nodes(dep, n)
+        clients = _client_nodes(bsfs, n)
         # the doomed appenders sit mid-pack so live appenders queue
         # both before and behind their wedged versions
         doomed_idx = set(range(n // 2, n // 2 + appender_crashes))
+        appends: List[OpTiming] = []
 
         def survivor(client: str) -> Generator[Event, None, None]:
-            yield from bsfs.append_proc(client, path, CHUNK)
+            op = bsfs.append_proc(client, path, CHUNK)
+            yield from timed(env, appends, client, CHUNK, op)
 
         def doomed(client: str) -> Generator[Event, None, None]:
             # take the append ticket, then die: no pages, no commit.
@@ -116,7 +125,7 @@ def chaos_appends(
             )
             for i, c in enumerate(clients)
         ]
-        _run(dep, procs, obs=obs)
-        return bsfs.metrics.average_client_throughput("append") / MiB
+        _run(bsfs, procs, obs=obs)
+        return mean_client_mibps(appends)
 
     return sweep(appender_counts, config, run_one)

@@ -28,17 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..bsfs.simulated import SimBSFS
 from ..common.config import ExperimentConfig
 from ..common.units import MiB
+from ..hdfs.simulated import SimHDFS
 from ..obs import NULL_OBS, Observability
 from ..sim.core import Event
-from .deploy import (
-    BSFSDeployment,
-    HDFSDeployment,
-    deploy_bsfs,
-    deploy_hdfs,
-    record_sim_counters,
-)
+from .deploy import deploy_bsfs, deploy_hdfs, record_sim_counters
 
 #: the join's two input files (two 320 MB files in the paper)
 INPUT_PATHS = ("/join/input-a", "/join/input-b")
@@ -96,11 +92,10 @@ class _Storage(NamedTuple):
 
     #: the :class:`DataJoinPoint` scenario label
     label: str
-    #: the deployment: its cluster, and the tasktracker machines
-    #: (``client_nodes``)
-    dep: HDFSDeployment | BSFSDeployment
-    #: ``read_proc(host, path, offset, nbytes)``: one chunk read
-    fs: object
+    #: the deployment: its cluster, the tasktracker machines
+    #: (``client_nodes``), and ``read_proc(host, path, offset, nbytes)``
+    #: for one chunk read
+    dep: SimHDFS | SimBSFS
     #: one map task per input chunk, on a machine holding the chunk
     map_hosts: List[str]
     #: ``(host, partition, nbytes) -> process``: a reducer's output write
@@ -116,8 +111,7 @@ def _inputs(cal: DataJoinCalibration) -> List[Tuple[str, int]]:
 
 def _hdfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
     """The original framework on HDFS: one output file per reducer."""
-    dep = deploy_hdfs(config, obs=obs)
-    hdfs = dep.hdfs
+    hdfs = deploy_hdfs(config, obs=obs)
     for path, nbytes in _inputs(cal):
         hdfs.preload(path, nbytes)
     # map tasks run data-local: on the datanode holding their chunk
@@ -128,7 +122,6 @@ def _hdfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
     ]
     return _Storage(
         "hdfs-separate",
-        dep,
         hdfs,
         map_hosts[: cal.n_map_tasks],
         lambda host, partition, nbytes: hdfs.write_file_proc(
@@ -143,14 +136,13 @@ def _hdfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
 def _bsfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
     """The modified framework on BSFS: every reducer appends to one
     shared output file."""
-    dep = deploy_bsfs(config, obs=obs)
-    bsfs = dep.bsfs
-    env = dep.cluster.env
+    bsfs = deploy_bsfs(config, obs=obs)
+    env = bsfs.env
     for path in INPUT_PATHS:
-        env.run(env.process(bsfs.create_proc(dep.client_nodes[0], path)))
+        env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], path)))
     for path, nbytes in _inputs(cal):
         bsfs.preload(path, nbytes)
-    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], SHARED_OUTPUT)))
+    env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], SHARED_OUTPUT)))
     map_hosts = [
         providers[0]
         for path in INPUT_PATHS
@@ -160,7 +152,6 @@ def _bsfs(config: ExperimentConfig, cal: DataJoinCalibration, obs) -> _Storage:
     ]
     return _Storage(
         "bsfs-shared",
-        dep,
         bsfs,
         map_hosts[: cal.n_map_tasks],
         lambda host, _partition, nbytes: bsfs.append_proc(
@@ -198,7 +189,7 @@ def run_datajoin_point(
             "mr.map_task", cat="mapreduce", track=host, scenario=scenario, path=path
         )
         yield env.timeout(cal.task_overhead_seconds)
-        yield env.process(storage.fs.read_proc(host, path, offset, cal.chunk_bytes))
+        yield env.process(storage.dep.read_proc(host, path, offset, cal.chunk_bytes))
         yield env.timeout(cal.map_seconds_per_chunk)
         # spill the map output to the local disk
         yield cluster.node(host).disk.write(

@@ -12,8 +12,7 @@ on the same machines as the datanodes / data providers.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..blobseer.simulated import BlobSeerRoles
 from ..bsfs.simulated import BSFSRoles, SimBSFS
@@ -21,25 +20,6 @@ from ..common.config import ExperimentConfig
 from ..hdfs.simulated import HDFSRoles, SimHDFS
 from ..obs import Observability
 from ..sim.cluster import SimCluster
-
-
-@dataclass(slots=True)
-class BSFSDeployment:
-    """A ready BSFS testbed: the cluster, the service, and the machines
-    client processes run on (co-located with the data providers)."""
-
-    cluster: SimCluster
-    bsfs: SimBSFS
-    client_nodes: List[str]
-
-
-@dataclass(slots=True)
-class HDFSDeployment:
-    """A ready HDFS testbed."""
-
-    cluster: SimCluster
-    hdfs: SimHDFS
-    client_nodes: List[str]
 
 
 def _collect_previous_deployment() -> None:
@@ -60,7 +40,7 @@ def _collect_previous_deployment() -> None:
 
 def deploy_bsfs(
     config: ExperimentConfig, obs: Optional[Observability] = None
-) -> BSFSDeployment:
+) -> SimBSFS:
     """Materialize the paper's BSFS deployment on a fresh simulation."""
     config.validate()
     _collect_previous_deployment()
@@ -86,11 +66,7 @@ def deploy_bsfs(
     attach_sim_samplers(
         cluster, obs, engine=bsfs.engine, vm_core=bsfs.blobseer.core
     )
-    return BSFSDeployment(
-        cluster=cluster,
-        bsfs=bsfs,
-        client_nodes=list(roles.blobseer.data_providers),
-    )
+    return bsfs
 
 
 #: default telemetry sampling period, in simulated seconds — fine
@@ -191,7 +167,7 @@ def record_sim_counters(cluster: SimCluster, obs: Optional[Observability]) -> No
 
 def deploy_hdfs(
     config: ExperimentConfig, obs: Optional[Observability] = None
-) -> HDFSDeployment:
+) -> SimHDFS:
     """Materialize the paper's HDFS deployment on a fresh simulation."""
     config.validate()
     _collect_previous_deployment()
@@ -204,6 +180,4 @@ def deploy_hdfs(
     roles = HDFSRoles(namenode=names[0], datanodes=tuple(names[1:]))
     hdfs = SimHDFS(cluster, roles, config.hdfs, obs=obs)
     attach_sim_samplers(cluster, obs, engine=hdfs.engine)
-    return HDFSDeployment(
-        cluster=cluster, hdfs=hdfs, client_nodes=list(roles.datanodes)
-    )
+    return hdfs

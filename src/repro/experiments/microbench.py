@@ -4,24 +4,65 @@ Each driver rebuilds a fresh deployment per data point and repetition
 (the paper: "Each test is executed 5 times, for each set of clients"),
 runs the client processes on machines co-located with the data
 providers, and reports the *average throughput* over clients — each
-client's total bytes over its own busy span, averaged.
+client's total bytes over its own busy span, averaged. The drivers take
+that measurement themselves: every client op they issue runs under
+:func:`timed`, and :func:`mean_client_mibps` reduces the timings. The
+storage systems under test keep no per-op record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.config import ExperimentConfig
 from ..common.units import MiB
 from ..obs import Observability
-from ..sim.core import Event
-from .deploy import BSFSDeployment, deploy_bsfs, record_sim_counters
+from ..sim.core import Environment, Event
+from .deploy import deploy_bsfs, record_sim_counters
 
 #: the microbenchmarks' unit of I/O: one 64 MB chunk
 CHUNK = 64 * MiB
+
+#: one completed client op: ``(client, start, end, nbytes)``
+OpTiming = Tuple[str, float, float, int]
+
+
+def timed(
+    env: Environment, log: List[OpTiming], client: str, nbytes: int, op
+) -> Generator[Event, None, object]:
+    """Generator: run the client op *op* (a generator) to completion,
+    then append its ``(client, start, end, nbytes)`` to *log*. Returns
+    what *op* returns. An op that raises is not logged."""
+    start = env.now
+    result = yield from op
+    log.append((client, start, env.now, nbytes))
+    return result
+
+
+def mean_client_mibps(log: Sequence[OpTiming]) -> float:
+    """The paper's metric over one kind of op: each client's bytes over
+    its busy span (first start to last end), averaged over clients, in
+    MiB/s. A client whose busy span is zero counts 0.0, not ``inf``,
+    which would poison the mean; an empty *log* reads 0.0."""
+    # client -> [first start, last end, bytes]; clients stay in the
+    # order of their first completed op
+    spans: Dict[str, list] = {}
+    for client, start, end, nbytes in log:
+        span = spans.get(client)
+        if span is None:
+            spans[client] = [start, end, nbytes]
+        else:
+            span[0] = min(span[0], start)
+            span[1] = max(span[1], end)
+            span[2] += nbytes
+    per_client = [
+        nbytes / (end - start) if end > start else 0.0
+        for start, end, nbytes in spans.values()
+    ]
+    return float(np.mean(per_client)) / MiB if per_client else 0.0
 
 
 @dataclass(slots=True)
@@ -69,10 +110,8 @@ def sweep(
     return points
 
 
-def _run(
-    deployment: BSFSDeployment, procs, obs: Optional[Observability] = None
-) -> None:
-    env = deployment.cluster.env
+def _run(deployment, procs, obs: Optional[Observability] = None) -> None:
+    env = deployment.env
 
     def main() -> Generator[Event, None, None]:
         yield env.all_of(procs)
@@ -81,7 +120,7 @@ def _run(
     record_sim_counters(deployment.cluster, obs)
 
 
-def _client_nodes(deployment: BSFSDeployment, count: int, phase: int = 0) -> List[str]:
+def _client_nodes(deployment, count: int, phase: int = 0) -> List[str]:
     """*count* client machines, round-robin over the provider nodes.
 
     *phase* offsets the assignment so reader and appender populations
@@ -104,18 +143,20 @@ def concurrent_appends(
     def run_one(n: int, cfg: ExperimentConfig) -> float:
         if n < 1:
             raise ValueError("client counts must be >= 1")
-        dep = deploy_bsfs(cfg, obs=obs)
-        bsfs = dep.bsfs
-        env = dep.cluster.env
-        env.run(env.process(bsfs.create_proc(dep.client_nodes[0], "/bench/shared")))
+        bsfs = deploy_bsfs(cfg, obs=obs)
+        env = bsfs.env
+        path = "/bench/shared"
+        env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], path)))
+        appends: List[OpTiming] = []
 
         def appender(client: str) -> Generator[Event, None, None]:
             for _ in range(chunks_per_client):
-                yield from bsfs.append_proc(client, "/bench/shared", CHUNK)
+                op = bsfs.append_proc(client, path, CHUNK)
+                yield from timed(env, appends, client, CHUNK, op)
 
-        _run(dep, [env.process(appender(c), name=f"app-{i}")
-                   for i, c in enumerate(_client_nodes(dep, n))], obs=obs)
-        return bsfs.metrics.average_client_throughput("append") / MiB
+        _run(bsfs, [env.process(appender(c), name=f"app-{i}")
+                    for i, c in enumerate(_client_nodes(bsfs, n))], obs=obs)
+        return mean_client_mibps(appends)
 
     return sweep(client_counts, config, run_one)
 
@@ -127,30 +168,34 @@ def _mixed_workload(
     n_appenders: int,
     chunks_per_appender: int,
     obs: Optional[Observability] = None,
-) -> BSFSDeployment:
+) -> Tuple[List[OpTiming], List[OpTiming]]:
     """Shared setup of Figures 4 and 5: *n_readers* clients each read
     *chunks_per_reader* 64 MB chunks from disjoint regions of a shared
     file while *n_appenders* clients each append *chunks_per_appender*
-    chunks to it. *config* is one repetition's (see :func:`sweep`)."""
-    dep = deploy_bsfs(config, obs=obs)
-    bsfs = dep.bsfs
-    env = dep.cluster.env
+    chunks to it. *config* is one repetition's (see :func:`sweep`).
+    Returns the timings of the reads and of the appends, apart."""
+    bsfs = deploy_bsfs(config, obs=obs)
+    env = bsfs.env
     path = "/bench/shared"
     # preload the region the readers will consume (disjoint per reader)
-    env.run(env.process(bsfs.create_proc(dep.client_nodes[0], path)))
+    env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], path)))
     if n_readers:
         bsfs.preload(path, n_readers * chunks_per_reader * CHUNK)
-    readers = _client_nodes(dep, n_readers)
-    appenders = _client_nodes(dep, n_appenders, phase=n_readers)
+    readers = _client_nodes(bsfs, n_readers)
+    appenders = _client_nodes(bsfs, n_appenders, phase=n_readers)
+    reads: List[OpTiming] = []
+    appends: List[OpTiming] = []
 
     def reader(idx: int, client: str) -> Generator[Event, None, None]:
         base = idx * chunks_per_reader * CHUNK
         for c in range(chunks_per_reader):
-            yield from bsfs.read_proc(client, path, base + c * CHUNK, CHUNK)
+            op = bsfs.read_proc(client, path, base + c * CHUNK, CHUNK)
+            yield from timed(env, reads, client, CHUNK, op)
 
     def appender(client: str) -> Generator[Event, None, None]:
         for _ in range(chunks_per_appender):
-            yield from bsfs.append_proc(client, path, CHUNK)
+            op = bsfs.append_proc(client, path, CHUNK)
+            yield from timed(env, appends, client, CHUNK, op)
 
     procs = [
         env.process(reader(i, c), name=f"reader-{i}")
@@ -159,8 +204,8 @@ def _mixed_workload(
         env.process(appender(c), name=f"appender-{i}")
         for i, c in enumerate(appenders)
     ]
-    _run(dep, procs, obs=obs)
-    return dep
+    _run(bsfs, procs, obs=obs)
+    return reads, appends
 
 
 def separate_writes_comparison(
@@ -182,34 +227,31 @@ def separate_writes_comparison(
         # one file per client (Figure 1's pattern)
         if n < 1:
             raise ValueError("client counts must be >= 1")
-        dep = deploy_hdfs(cfg, obs=obs)
-        env = dep.cluster.env
-        procs = [
-            env.process(
-                dep.hdfs.write_file_proc(
-                    dep.client_nodes[i % len(dep.client_nodes)],
-                    f"/bench/part-{i:05d}",
-                    CHUNK,
-                )
-            )
-            for i in range(n)
-        ]
-        _run(dep, procs, obs=obs)  # type: ignore[arg-type]
-        return dep.hdfs.metrics.average_client_throughput("write") / MiB
+        hdfs = deploy_hdfs(cfg, obs=obs)
+        env = hdfs.env
+        writes: List[OpTiming] = []
+        procs = []
+        for i in range(n):
+            client = hdfs.client_nodes[i % len(hdfs.client_nodes)]
+            op = hdfs.write_file_proc(client, f"/bench/part-{i:05d}", CHUNK)
+            procs.append(env.process(timed(env, writes, client, CHUNK, op)))
+        _run(hdfs, procs, obs=obs)
+        return mean_client_mibps(writes)
 
     def bsfs_one(n: int, cfg: ExperimentConfig) -> float:
         # one file per client, written via append
-        dep = deploy_bsfs(cfg, obs=obs)
-        env = dep.cluster.env
-        clients = _client_nodes(dep, n)
+        bsfs = deploy_bsfs(cfg, obs=obs)
+        env = bsfs.env
+        clients = _client_nodes(bsfs, n)
         for i, c in enumerate(clients):
-            env.run(env.process(dep.bsfs.create_proc(c, f"/bench/part-{i:05d}")))
-        procs = [
-            env.process(dep.bsfs.append_proc(c, f"/bench/part-{i:05d}", CHUNK))
-            for i, c in enumerate(clients)
-        ]
-        _run(dep, procs, obs=obs)
-        return dep.bsfs.metrics.average_client_throughput("append") / MiB
+            env.run(env.process(bsfs.create_proc(c, f"/bench/part-{i:05d}")))
+        appends: List[OpTiming] = []
+        procs = []
+        for i, c in enumerate(clients):
+            op = bsfs.append_proc(c, f"/bench/part-{i:05d}", CHUNK)
+            procs.append(env.process(timed(env, appends, c, CHUNK, op)))
+        _run(bsfs, procs, obs=obs)
+        return mean_client_mibps(appends)
 
     # two independent sweeps: every deployment is its own kernel, so the
     # order the two systems run in changes no simulated value
@@ -231,11 +273,11 @@ def reads_under_appends(
     concurrent appenders (16 chunks each); report read throughput."""
 
     def run_one(n_app: int, cfg: ExperimentConfig) -> float:
-        dep = _mixed_workload(
+        reads, _appends = _mixed_workload(
             cfg, n_readers, chunks_per_reader, n_app, chunks_per_appender,
             obs=obs,
         )
-        return dep.bsfs.metrics.average_client_throughput("read") / MiB
+        return mean_client_mibps(reads)
 
     return sweep(appender_counts, config, run_one)
 
@@ -252,10 +294,10 @@ def appends_under_reads(
     readers; both access 10 chunks of 64 MB; report append throughput."""
 
     def run_one(n_read: int, cfg: ExperimentConfig) -> float:
-        dep = _mixed_workload(
+        _reads, appends = _mixed_workload(
             cfg, n_read, chunks_per_reader, n_appenders, chunks_per_appender,
             obs=obs,
         )
-        return dep.bsfs.metrics.average_client_throughput("append") / MiB
+        return mean_client_mibps(appends)
 
     return sweep(reader_counts, config, run_one)

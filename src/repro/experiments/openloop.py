@@ -35,11 +35,7 @@ from ..common.config import ExperimentConfig
 from ..common.units import MiB
 from ..obs import Observability
 from ..sim.core import Event
-from ..workloads.generators import (
-    ArrivalProcess,
-    lastfm_arrivals,
-    poisson_arrivals,
-)
+from ..workloads.generators import ArrivalProcess, poisson_arrivals
 from .deploy import deploy_bsfs, record_sim_counters
 
 #: bytes appended per open-loop op — small enough that the version
@@ -75,6 +71,10 @@ class OpenLoopPoint:
     p99_latency_s: float
     mean_latency_s: float
     makespan_s: float
+    #: ops that raised instead of completing; they have no latency and
+    #: no share of the goodput
+    failed: int = 0
+    #: arrival-to-commit latency of each completed op
     latencies_s: List[float] = field(default_factory=list, repr=False)
 
 
@@ -109,26 +109,33 @@ def run_open_loop(
     (short-lived) append generator per arrival — the flyweight-client
     pattern — mapping client ids round-robin onto the provider machines
     and onto *n_files* shared shard files. Latency is arrival-to-commit
-    per op; goodput is completions over the full span including the
-    post-arrival backlog drain, so an overloaded point reports service
-    capacity rather than the offered rate.
+    per completed op; goodput is completions over the full span including
+    the post-arrival backlog drain, so an overloaded point reports
+    service capacity rather than the offered rate. An op that raises
+    (an append aborted by its lease, say) counts in ``failed`` only.
     """
-    dep = deploy_bsfs(config, obs=obs)
-    bsfs = dep.bsfs
-    env = dep.cluster.env
-    nodes = dep.client_nodes
+    bsfs = deploy_bsfs(config, obs=obs)
+    env = bsfs.env
+    nodes = bsfs.client_nodes
     n_nodes = len(nodes)
     files = [f"/openloop/shard-{i:02d}" for i in range(n_files)]
     for path in files:
         env.run(env.process(bsfs.create_proc(nodes[0], path)))
     latencies: List[float] = []
     record = latencies.append
+    failed = 0
     n_ops = len(schedule)
     all_done = Event(env)
 
-    def op_done(_ev: Event, start: float) -> None:
-        record(env.now - start)
-        if len(latencies) == n_ops:
+    def op_done(ev: Event, start: float) -> None:
+        # the callback takes the op's failure too, so the kernel never
+        # raises it: a failed op is counted here, never timed
+        nonlocal failed
+        if ev.ok:
+            record(env.now - start)
+        else:
+            failed += 1
+        if len(latencies) + failed == n_ops:
             all_done.succeed(None)
 
     def driver() -> Generator[Event, None, None]:
@@ -154,9 +161,9 @@ def run_open_loop(
     # deployment keeps e.g. 30 s append-lease expiry checks scheduled
     # past the last completion, and idling up to them would dilute the
     # goodput.
-    if n_ops and len(latencies) < n_ops:
+    if len(latencies) + failed < n_ops:
         env.run(all_done)
-    record_sim_counters(dep.cluster, obs)
+    record_sim_counters(bsfs.cluster, obs)
     makespan = env.now - t0
     lat = np.asarray(latencies, dtype=np.float64)
     ops = len(schedule)
@@ -169,6 +176,7 @@ def run_open_loop(
         p99_latency_s=float(np.percentile(lat, 99)) if len(lat) else 0.0,
         mean_latency_s=float(lat.mean()) if len(lat) else 0.0,
         makespan_s=makespan,
+        failed=failed,
         latencies_s=[float(x) for x in lat],
     )
 
@@ -180,36 +188,21 @@ def open_loop_sweep(
     n_clients: int,
     append_bytes: int = OP_BYTES,
     n_files: int = N_SHARD_FILES,
-    arrivals: str = "poisson",
     obs: Optional[Observability] = None,
 ) -> List[OpenLoopPoint]:
-    """Sweep offered load (ops/s) over fresh multi-rack deployments on
-    the ``fast`` metadata profile, whichever fast-path knobs
-    ``config.blobseer`` arrives with (``_rack_config``).
-
-    *arrivals* selects the schedule family: ``"poisson"`` (memoryless
-    open loop, the default) or ``"lastfm"`` (synthetic trace replay with
-    Zipf-skewed client activity).
-    """
-    if arrivals not in ("poisson", "lastfm"):
-        raise ValueError(f"unknown arrival process {arrivals!r}")
+    """Sweep offered load (ops/s), offered as Poisson arrivals, over
+    fresh multi-rack deployments on the ``fast`` metadata profile,
+    whichever fast-path knobs ``config.blobseer`` arrives with
+    (``_rack_config``)."""
     cfg = _rack_config(config)
     cfg.validate()
     points: List[OpenLoopPoint] = []
     for rate in offered_loads:
         if rate <= 0:
             raise ValueError("offered loads must be positive")
-        if arrivals == "poisson":
-            schedule = poisson_arrivals(
-                rate, duration, n_clients, seed=cfg.cluster.seed
-            )
-        else:
-            schedule = lastfm_arrivals(
-                int(round(rate * duration)),
-                n_clients,
-                duration,
-                seed=cfg.cluster.seed,
-            )
+        schedule = poisson_arrivals(
+            rate, duration, n_clients, seed=cfg.cluster.seed
+        )
         points.append(
             run_open_loop(
                 cfg,

@@ -28,12 +28,9 @@ from .block import BlockInfo
 class HDFSProtocol:
     """The one HDFS client stack, bound to a runtime through its engine."""
 
-    def __init__(
-        self, engine: Engine, config, metrics=None
-    ) -> None:
+    def __init__(self, engine: Engine, config) -> None:
         self.engine = engine
         self.config = config
-        self.metrics = metrics
         self._selectors: Dict[str, ReplicaSelector] = {}
 
     def selector(self, client: str) -> ReplicaSelector:
@@ -104,7 +101,6 @@ class HDFSProtocol:
         if len(payload) <= 0:
             raise ValueError("write of zero bytes")
         engine = self.engine
-        start = engine.now()
         yield engine.call("nn", "create", path, client)
         pos, total = 0, len(payload)
         while pos < total:
@@ -114,8 +110,6 @@ class HDFSProtocol:
             )
             pos += chunk
         yield engine.call("nn", "complete", path, client)
-        if self.metrics is not None:
-            self.metrics.record(client, "write", start, engine.now(), total)
 
     # -- read path -----------------------------------------------------------
 
@@ -125,7 +119,6 @@ class HDFSProtocol:
         if nbytes <= 0:
             raise ValueError("read of zero bytes")
         engine = self.engine
-        start = engine.now()
         locations = yield engine.call(
             "nn", "get_block_locations", path, offset, nbytes
         )
@@ -157,8 +150,6 @@ class HDFSProtocol:
                 for loc, in_chunk, size in jobs
             ]
             yield engine.gather(fetchers)
-        if self.metrics is not None:
-            self.metrics.record(client, "read", start, engine.now(), nbytes)
         return b"".join(pieces) if pieces and pieces[0] is not None else None
 
     def read_block_range(

@@ -12,7 +12,7 @@ in head-to-head experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from ..common.config import HDFSConfig
 from ..engine.base import Payload
@@ -20,7 +20,6 @@ from ..engine.des import DesEngine
 from ..obs import NULL_OBS, Observability
 from ..sim.cluster import SimCluster
 from ..sim.core import Event
-from ..sim.metrics import Metrics
 from .namenode import NameNode
 from .protocol import HDFSProtocol
 
@@ -51,21 +50,20 @@ class SimHDFS:
         self.cluster = cluster
         self.env = cluster.env
         self.roles = roles
+        #: the machines client processes run on: co-located with the
+        #: datanodes, as in the paper's deployment
+        self.client_nodes: List[str] = list(roles.datanodes)
         self.config = config or HDFSConfig()
         self.config.validate()
         self.obs = obs or NULL_OBS
         self.namenode = NameNode(
             list(roles.datanodes), config=self.config, seed=cluster.config.seed
         )
-        self.metrics = Metrics()
         self.engine = DesEngine(cluster, obs=self.obs)
         self.engine.bind(
             "nn", self.namenode, cluster.config.namespace_rpc_time
         )
-        self.retry = self.engine.retry
-        self.protocol = HDFSProtocol(
-            self.engine, self.config, metrics=self.metrics
-        )
+        self.protocol = HDFSProtocol(self.engine, self.config)
 
     # -- fault injection -----------------------------------------------------------
 

@@ -6,7 +6,6 @@ from .resources import Request, Resource
 from .network import Network, NetNode
 from .disk import Disk
 from .cluster import SimCluster, SimNode
-from .metrics import Metrics, OpSample
 
 __all__ = [
     "AllOf",
@@ -21,6 +20,4 @@ __all__ = [
     "Disk",
     "SimCluster",
     "SimNode",
-    "Metrics",
-    "OpSample",
 ]

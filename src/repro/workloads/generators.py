@@ -22,7 +22,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ..common.rng import substream, zipf_indices
+from ..common.rng import substream
 
 _WORDS = (
     b"data", b"append", b"chunk", b"page", b"version", b"reduce", b"map",
@@ -152,29 +152,4 @@ def poisson_arrivals(
         times = np.concatenate([times, float(times[-1]) + np.cumsum(extra)])
     times = times[times < duration]
     clients = _round_robin_clients(len(times), n_clients, rng)
-    return ArrivalProcess(times=times, clients=clients)
-
-
-def lastfm_arrivals(
-    n_events: int,
-    n_clients: int,
-    duration: float,
-    seed: int = 0,
-    skew: float = 1.1,
-) -> ArrivalProcess:
-    """A synthetic Last.fm-style trace: *n_events* plays over *duration*
-    seconds, with client activity Zipf-skewed (a few heavy listeners
-    dominate, like the real dataset's per-user play counts).
-
-    Arrival instants are uniform over the span — the aggregate of many
-    independent user sessions — and the schedule is deterministic per
-    seed.
-    """
-    if n_events < 0:
-        raise ValueError("n_events must be non-negative")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    rng = substream(seed, "lastfm-arrivals", n_events, n_clients)
-    times = np.sort(rng.uniform(0.0, duration, size=n_events))
-    clients = zipf_indices(rng, n_clients, n_events, skew=skew).astype(np.int64)
     return ArrivalProcess(times=times, clients=clients)

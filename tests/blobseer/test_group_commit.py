@@ -20,6 +20,7 @@ from repro.blobseer.version_manager import VersionManagerCore
 from repro.common.config import BlobSeerConfig, ClusterConfig
 from repro.common.errors import AppendAbortedError, VersionNotFoundError
 from repro.common.units import MiB
+from repro.engine.base import Payload
 from repro.obs import Observability
 from repro.sim.cluster import SimCluster
 
@@ -246,16 +247,25 @@ def run(cluster, procs):
     return env.run(env.process(main()))
 
 
+def append(cluster, bs, client, blob, nbytes):
+    return cluster.env.process(
+        bs.protocol.update(client, blob, Payload(nbytes=nbytes))
+    )
+
+
+def read(cluster, bs, client, blob, nbytes, version=None):
+    return cluster.env.process(
+        bs.protocol.read(client, blob, 0, nbytes, version=version)
+    )
+
+
 class TestSimulatedGroupCommit:
     def test_concurrent_appends_batch_and_stay_readable(self):
         cluster, bs, obs = make_sim(group=True, cache=256)
         blob = bs.create_blob()
         clients = list(bs.roles.data_providers)[:12]
-        procs = [
-            cluster.env.process(bs.append_proc(c, blob, MiB)) for c in clients
-        ]
-        versions = run(cluster, procs)
-        assert sorted(versions) == list(range(1, 13))
+        results = run(cluster, [append(cluster, bs, c, blob, MiB) for c in clients])
+        assert sorted(version for version, _, _ in results) == list(range(1, 13))
         assert bs.core.latest_published(blob).size == 12 * MiB
         # batching actually happened: fewer publish rounds than appends
         groups = obs.registry.counter("vm.group_commits").value
@@ -263,23 +273,17 @@ class TestSimulatedGroupCommit:
         assert obs.registry.counter("vm.commits").value == 12
         # every intermediate version still reads its full visible range
         reads = [
-            cluster.env.process(
-                bs.read_proc(clients[0], blob, 0, v * MiB, version=v)
-            )
+            read(cluster, bs, clients[0], blob, v * MiB, version=v)
             for v in range(1, 13)
         ]
-        assert run(cluster, reads) == list(range(1, 13))
+        assert [v for v, _ in run(cluster, reads)] == list(range(1, 13))
 
     def test_group_commit_is_faster_than_serialized(self):
         def makespan(group):
             cluster, bs, _obs = make_sim(group=group)
             blob = bs.create_blob()
             clients = list(bs.roles.data_providers)[:10]
-            procs = [
-                cluster.env.process(bs.append_proc(c, blob, MiB))
-                for c in clients
-            ]
-            run(cluster, procs)
+            run(cluster, [append(cluster, bs, c, blob, MiB) for c in clients])
             return cluster.env.now
 
         assert makespan(group=True) < makespan(group=False)
@@ -288,10 +292,10 @@ class TestSimulatedGroupCommit:
         cluster, bs, obs = make_sim(group=False, cache=512)
         blob = bs.create_blob()
         client = list(bs.roles.data_providers)[0]
-        run(cluster, [cluster.env.process(bs.append_proc(client, blob, 8 * MiB))])
-        run(cluster, [cluster.env.process(bs.read_proc(client, blob, 0, 8 * MiB))])
+        run(cluster, [append(cluster, bs, client, blob, 8 * MiB)])
+        run(cluster, [read(cluster, bs, client, blob, 8 * MiB)])
         md_rpcs_after_first = obs.registry.counter("md.rpcs").value
-        run(cluster, [cluster.env.process(bs.read_proc(client, blob, 0, 8 * MiB))])
+        run(cluster, [read(cluster, bs, client, blob, 8 * MiB)])
         # the whole second walk is served from the client node cache
         assert obs.registry.counter("md.rpcs").value == md_rpcs_after_first
         assert obs.registry.counter("md.cache.hits").value > 0

@@ -6,6 +6,7 @@ from repro.blobseer.client import BlobSeerService
 from repro.blobseer.rereplication import ReplicaDirectory, ReplicaRepairer
 from repro.blobseer.simulated import BlobSeerRoles, SimBlobSeer
 from repro.common.config import BlobSeerConfig, ClusterConfig
+from repro.engine.base import Payload
 from repro.obs import Observability
 from repro.sim.cluster import SimCluster
 
@@ -207,7 +208,9 @@ def test_scan_on_des_engine_bills_network_time():
     sb = SimBlobSeer(cluster, roles, _config(), obs=obs)
     env = cluster.env
     blob = sb.create_blob()
-    env.run(env.process(sb.append_proc(names[10], blob, 3 * PAGE)))
+    env.run(
+        env.process(sb.protocol.update(names[10], blob, Payload(nbytes=3 * PAGE)))
+    )
     directory = sb.protocol.directory
     assert len(directory.snapshot()) == 3
     sb.fail_provider(roles.data_providers[0])

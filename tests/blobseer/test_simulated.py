@@ -7,6 +7,7 @@ from repro.blobseer.simulated import BlobSeerRoles, SimBlobSeer
 from repro.common.config import BlobSeerConfig, ClusterConfig
 from repro.common.errors import OutOfRangeReadError
 from repro.common.units import MiB
+from repro.engine.base import Payload
 from repro.sim.cluster import SimCluster
 
 
@@ -37,28 +38,38 @@ def run(cluster, procs):
     return env.run(env.process(main()))
 
 
+def append(cluster, bs, client, blob, nbytes):
+    """A kernel process: one append; its value is ``(version, offset,
+    group_end)``."""
+    return cluster.env.process(
+        bs.protocol.update(client, blob, Payload(nbytes=nbytes))
+    )
+
+
+def read(cluster, bs, client, blob, offset, nbytes):
+    """A kernel process: one read; its value is ``(version, data)``."""
+    return cluster.env.process(bs.protocol.read(client, blob, offset, nbytes))
+
+
 class TestProtocol:
     def test_append_then_read(self):
         cluster, bs = make_sim()
         blob = bs.create_blob()
         clients = list(bs.roles.data_providers)[:2]
-        run(cluster, [cluster.env.process(bs.append_proc(clients[0], blob, 4 * MiB))])
+        run(cluster, [append(cluster, bs, clients[0], blob, 4 * MiB)])
         rec = bs.core.latest_published(blob)
         assert (rec.version, rec.size) == (1, 4 * MiB)
-        run(
-            cluster,
-            [cluster.env.process(bs.read_proc(clients[1], blob, 0, 4 * MiB))],
+        [(version, data)] = run(
+            cluster, [read(cluster, bs, clients[1], blob, 0, 4 * MiB)]
         )
+        assert version == 1 and data is None  # the DES moves no bytes
 
     def test_concurrent_appends_publish_in_order(self):
         cluster, bs = make_sim()
         blob = bs.create_blob()
         clients = list(bs.roles.data_providers)[:8]
-        procs = [
-            cluster.env.process(bs.append_proc(c, blob, 2 * MiB)) for c in clients
-        ]
-        versions = run(cluster, procs)
-        assert sorted(versions) == list(range(1, 9))
+        results = run(cluster, [append(cluster, bs, c, blob, 2 * MiB) for c in clients])
+        assert sorted(version for version, _, _ in results) == list(range(1, 9))
         assert bs.core.latest_published(blob).size == 16 * MiB
 
     def test_unaligned_append_is_metadata_only(self):
@@ -67,10 +78,10 @@ class TestProtocol:
         cluster, bs = make_sim(page=4 * MiB)
         blob = bs.create_blob()
         c = list(bs.roles.data_providers)[0]
-        run(cluster, [cluster.env.process(bs.append_proc(c, blob, MiB))])
+        run(cluster, [append(cluster, bs, c, blob, MiB)])
         reads_before = sum(n.disk.bytes_read for n in cluster.nodes)
         transfers_before = cluster.network.completed_transfers
-        run(cluster, [cluster.env.process(bs.append_proc(c, blob, MiB))])
+        run(cluster, [append(cluster, bs, c, blob, MiB)])
         assert sum(n.disk.bytes_read for n in cluster.nodes) == reads_before
         # exactly one new data transfer: the appended bytes themselves
         assert cluster.network.completed_transfers == transfers_before + 1
@@ -79,19 +90,16 @@ class TestProtocol:
         cluster, bs = make_sim()
         blob = bs.create_blob()
         c = list(bs.roles.data_providers)[0]
-        run(cluster, [cluster.env.process(bs.append_proc(c, blob, MiB))])
+        run(cluster, [append(cluster, bs, c, blob, MiB)])
         with pytest.raises(OutOfRangeReadError):
-            run(
-                cluster,
-                [cluster.env.process(bs.read_proc(c, blob, 0, 2 * MiB))],
-            )
+            run(cluster, [read(cluster, bs, c, blob, 0, 2 * MiB)])
 
     def test_layout_reports_fragments(self):
         cluster, bs = make_sim(page=4 * MiB)
         blob = bs.create_blob()
         c = list(bs.roles.data_providers)[0]
-        run(cluster, [cluster.env.process(bs.append_proc(c, blob, 3 * MiB))])
-        run(cluster, [cluster.env.process(bs.append_proc(c, blob, 3 * MiB))])
+        run(cluster, [append(cluster, bs, c, blob, 3 * MiB)])
+        run(cluster, [append(cluster, bs, c, blob, 3 * MiB)])
         layout = bs.layout(blob)
         assert sum(length for _o, length, _p in layout) == 6 * MiB
         offsets = [o for o, _l, _p in layout]
@@ -102,7 +110,7 @@ class TestProtocol:
         blob = bs.create_blob()
         c = list(bs.roles.data_providers)[0]
         before = cluster.network.completed_transfers
-        run(cluster, [cluster.env.process(bs.append_proc(c, blob, 4 * MiB))])
+        run(cluster, [append(cluster, bs, c, blob, 4 * MiB)])
         assert cluster.network.completed_transfers == before + 3
         (offset, length, providers) = bs.layout(blob)[0]
         assert len(providers) == 3
@@ -117,12 +125,9 @@ class TestPerformanceShape:
             cluster, bs = make_sim(nodes=30)
             blob = bs.create_blob()
             clients = list(bs.roles.data_providers)[:n]
-            procs = [
-                cluster.env.process(bs.append_proc(c, blob, 4 * MiB))
-                for c in clients
-            ]
-            run(cluster, procs)
-            times[n] = bs.metrics.makespan("append")
+            start = cluster.env.now
+            run(cluster, [append(cluster, bs, c, blob, 4 * MiB) for c in clients])
+            times[n] = cluster.env.now - start
         assert times[8] < times[4] * 1.6
 
     def test_readers_do_not_block_appender(self):
@@ -132,17 +137,21 @@ class TestPerformanceShape:
         cluster, bs = make_sim(nodes=30, page_cache_hit_ratio=1.0)
         blob = bs.create_blob()
         nodes = list(bs.roles.data_providers)
-        run(cluster, [cluster.env.process(bs.append_proc(nodes[0], blob, 4 * MiB))])
-        alone = bs.metrics.of_kind("append")[0].duration
+        start = cluster.env.now
+        run(cluster, [append(cluster, bs, nodes[0], blob, 4 * MiB)])
+        alone = cluster.env.now - start
 
         cluster, bs = make_sim(nodes=30, page_cache_hit_ratio=1.0)
         blob = bs.create_blob()
         nodes = list(bs.roles.data_providers)
-        run(cluster, [cluster.env.process(bs.append_proc(nodes[0], blob, 4 * MiB))])
-        procs = [
-            cluster.env.process(bs.read_proc(n, blob, 0, 4 * MiB))
-            for n in nodes[1:5]
-        ] + [cluster.env.process(bs.append_proc(nodes[5], blob, 4 * MiB))]
-        run(cluster, procs)
-        appends = bs.metrics.of_kind("append")
-        assert appends[-1].duration < alone * 2.5
+        run(cluster, [append(cluster, bs, nodes[0], blob, 4 * MiB)])
+        took = []
+
+        def timed_append():
+            start = cluster.env.now
+            yield append(cluster, bs, nodes[5], blob, 4 * MiB)
+            took.append(cluster.env.now - start)
+
+        procs = [read(cluster, bs, n, blob, 0, 4 * MiB) for n in nodes[1:5]]
+        run(cluster, procs + [cluster.env.process(timed_append())])
+        assert took[0] < alone * 2.5

@@ -177,6 +177,17 @@ class TestReadStreams:
             out.write(b"b" * 100)
         assert stream.pread(50, 150) == b"a" * 50 + b"b" * 100
 
+    def test_deployment_counters_add_up_over_streams(self, dep):
+        fs = dep.file_system("r")
+        fs.write_all("/f", b"a" * 100)
+        for reads in (2, 3):  # each stream: one miss, then hits
+            with fs.open("/f") as s:
+                for _ in range(reads):
+                    s.pread(0, 100)
+        counters = dep.metrics.counters
+        assert counters["bsfs.cache.misses"] == 2.0
+        assert counters["bsfs.cache.hits"] == 3.0
+
 
 class TestLocality:
     def test_block_locations_cover_file(self, fs):

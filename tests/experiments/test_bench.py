@@ -1,5 +1,6 @@
 """The timing primitives behind the perf floors, the pinned fig3-fig7
-event counts, and the rule that a derived config drops no field."""
+and sup-writes event counts and series, and the rule that a derived
+config drops no field."""
 
 import dataclasses
 from dataclasses import dataclass
@@ -30,6 +31,41 @@ SIM_EVENTS = {
     "fig5": 174_165,
     "fig6": 54_641,
     "fig7": 16_435,
+    "sup-writes": 10_505,
+}
+
+#: each figure's quick-scale series, float for float: what the drivers
+#: measure (fig3-5, fig7 and sup-writes time their own client ops; fig6
+#: times its job) must not move with the simulation's event count fixed
+SERIES = {
+    "fig3": {
+        "BSFS": [
+            264.20402421870216, 212.8994407687848, 177.74457419028502,
+            153.5181660992821, 134.38653157240933,
+        ],
+    },
+    "fig4": {"BSFS": [194.62753934609682, 183.2724579421225, 177.42146520797192]},
+    "fig5": {"BSFS": [218.66904887733872, 191.96944682362854, 173.24462609137015]},
+    "fig6": {
+        "HDFS - multiple output files": [
+            661.6076889303525, 523.2764193636498, 509.4145731966687,
+            509.22161785452903,
+        ],
+        "BSFS - single output file": [
+            643.0772947280175, 521.4462599436799, 509.6193731966754,
+            509.4976178545381,
+        ],
+    },
+    "fig7": {
+        "BSFS": [
+            31.91702930642389, 30.980630978539512, 29.94641398716597,
+            27.940168017994157,
+        ],
+    },
+    "sup-writes": {
+        "HDFS": [264.4223412394797, 186.96786293008762, 118.5065024267872],
+        "BSFS": [264.20402421870216, 241.40611548976557, 207.6225426678009],
+    },
 }
 
 
@@ -40,6 +76,7 @@ def test_sim_events_pinned(figure):
         f"{figure} dispatched {fb.sim_events:,} kernel events at quick "
         f"scale, pinned {SIM_EVENTS[figure]:,}: the simulation changed"
     )
+    assert {s.label: s.ys for s in fb.result.series} == SERIES[figure]
     # the network instruments are wired: every flow start and finish is
     # counted, a solve happens only for the ones on a link that can
     # saturate, and same-instant ones coalesce into one flush

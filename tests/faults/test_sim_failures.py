@@ -8,6 +8,7 @@ import pytest
 from repro.common.config import ExperimentConfig
 from repro.common.errors import ReplicationError
 from repro.common.units import MiB
+from repro.engine.base import Payload
 from repro.experiments.deploy import deploy_bsfs, deploy_hdfs
 from repro.faults import FaultPlan, schedule_plan, sim_blobseer_injector
 from repro.obs import Observability
@@ -31,22 +32,33 @@ def _hdfs_dep(nodes=6, replication=3, seed=5):
     return deploy_hdfs(cfg, obs=obs), obs
 
 
+def append(sb, client, blob):
+    """One 4 MiB append; the process's value is ``(version, offset,
+    group_end)``."""
+    return sb.protocol.update(client, blob, Payload(nbytes=4 * MiB))
+
+
+def read(sb, client, blob):
+    """A read of the first 4 MiB; the value is ``(version, data)``."""
+    return sb.protocol.read(client, blob, 0, 4 * MiB)
+
+
 class TestSimBlobSeerFailures:
     def test_read_fails_over_to_surviving_replica(self):
         # 3 data providers, replication 3: every page lives everywhere,
         # so crashing two leaves exactly one readable copy
         dep, obs = _bsfs_dep()
-        sb = dep.bsfs.blobseer
+        sb = dep.blobseer
         env = dep.cluster.env
         client = dep.client_nodes[0]
         providers = sb.roles.data_providers
         assert len(providers) == 3
         blob = sb.create_blob()
-        env.run(env.process(sb.append_proc(client, blob, 4 * MiB)))
+        env.run(env.process(append(sb, client, blob)))
         sb.fail_provider(providers[0])
         sb.fail_provider(providers[1])
         t0 = env.now
-        version = env.run(env.process(sb.read_proc(client, blob, 0, 4 * MiB)))
+        version, _data = env.run(env.process(read(sb, client, blob)))
         assert version == 1
         # the failover was not free: timed-out RPCs were charged
         assert obs.registry.value("net.rpc_timeouts") >= 1
@@ -54,46 +66,46 @@ class TestSimBlobSeerFailures:
 
     def test_read_fails_when_every_replica_is_down(self):
         dep, _obs = _bsfs_dep()
-        sb = dep.bsfs.blobseer
+        sb = dep.blobseer
         env = dep.cluster.env
         client = dep.client_nodes[0]
         blob = sb.create_blob()
-        env.run(env.process(sb.append_proc(client, blob, 4 * MiB)))
+        env.run(env.process(append(sb, client, blob)))
         for name in sb.roles.data_providers:
             sb.fail_provider(name)
         with pytest.raises(ReplicationError):
-            env.run(env.process(sb.read_proc(client, blob, 0, 4 * MiB)))
+            env.run(env.process(read(sb, client, blob)))
 
     def test_placement_avoids_crashed_provider(self):
         dep, _obs = _bsfs_dep(replication=2)
-        sb = dep.bsfs.blobseer
+        sb = dep.blobseer
         env = dep.cluster.env
         client = dep.client_nodes[0]
         dead = sb.roles.data_providers[0]
         sb.fail_provider(dead)
         blob = sb.create_blob()
-        env.run(env.process(sb.append_proc(client, blob, 4 * MiB)))
+        env.run(env.process(append(sb, client, blob)))
         # the crashed provider never comes back, yet reads always succeed:
         # no replica was placed there
-        env.run(env.process(sb.read_proc(client, blob, 0, 4 * MiB)))
+        env.run(env.process(read(sb, client, blob)))
 
     def test_recovered_provider_serves_again(self):
         dep, _obs = _bsfs_dep()
-        sb = dep.bsfs.blobseer
+        sb = dep.blobseer
         env = dep.cluster.env
         client = dep.client_nodes[0]
         blob = sb.create_blob()
-        env.run(env.process(sb.append_proc(client, blob, 4 * MiB)))
+        env.run(env.process(append(sb, client, blob)))
         for name in sb.roles.data_providers:
             sb.fail_provider(name)
         for name in sb.roles.data_providers:
             sb.recover_provider(name)
-        version = env.run(env.process(sb.read_proc(client, blob, 0, 4 * MiB)))
+        version, _data = env.run(env.process(read(sb, client, blob)))
         assert version == 1
 
     def test_metadata_rpcs_retry_until_recovery(self):
         dep, obs = _bsfs_dep()
-        sb = dep.bsfs.blobseer
+        sb = dep.blobseer
         env = dep.cluster.env
         client = dep.client_nodes[0]
         blob = sb.create_blob()
@@ -106,7 +118,7 @@ class TestSimBlobSeerFailures:
             .crash("metadata", "1", at=0.0, duration=1.0)
         )
         schedule_plan(env, plan, sim_blobseer_injector(sb, obs))
-        version = env.run(env.process(sb.append_proc(client, blob, 4 * MiB)))
+        version, _offset, _end = env.run(env.process(append(sb, client, blob)))
         assert version == 1
         assert obs.registry.value("net.rpc_timeouts") >= 1
         assert env.now >= 1.0  # the append could only finish after recovery
@@ -116,10 +128,9 @@ class TestSimBlobSeerFailures:
 
 class TestSimHDFSFailures:
     def test_read_fails_over_across_datanodes(self):
-        dep, obs = _hdfs_dep()
-        hdfs = dep.hdfs
-        env = dep.cluster.env
-        client = dep.client_nodes[0]
+        hdfs, obs = _hdfs_dep()
+        env = hdfs.env
+        client = hdfs.client_nodes[0]
         env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))
         # crash two of the chunk's three replicas
         locs = hdfs.namenode.get_block_locations("/f", 0, 4 * MiB)
@@ -129,10 +140,9 @@ class TestSimHDFSFailures:
         assert obs.registry.value("net.rpc_timeouts") >= 1
 
     def test_read_fails_when_all_replicas_down(self):
-        dep, _obs = _hdfs_dep()
-        hdfs = dep.hdfs
-        env = dep.cluster.env
-        client = dep.client_nodes[0]
+        hdfs, _obs = _hdfs_dep()
+        env = hdfs.env
+        client = hdfs.client_nodes[0]
         env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))
         locs = hdfs.namenode.get_block_locations("/f", 0, 4 * MiB)
         for name in locs[0].hosts:
@@ -141,10 +151,9 @@ class TestSimHDFSFailures:
             env.run(env.process(hdfs.read_proc(client, "/f", 0, 4 * MiB)))
 
     def test_write_places_only_on_alive_datanodes(self):
-        dep, _obs = _hdfs_dep()
-        hdfs = dep.hdfs
-        env = dep.cluster.env
-        client = dep.client_nodes[0]
+        hdfs, _obs = _hdfs_dep()
+        env = hdfs.env
+        client = hdfs.client_nodes[0]
         for name in list(hdfs.roles.datanodes)[:-1]:
             hdfs.fail_datanode(name)
         env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))
@@ -153,10 +162,9 @@ class TestSimHDFSFailures:
         env.run(env.process(hdfs.read_proc(client, "/f", 0, 4 * MiB)))
 
     def test_write_fails_with_no_alive_datanodes(self):
-        dep, _obs = _hdfs_dep()
-        hdfs = dep.hdfs
-        env = dep.cluster.env
-        client = dep.client_nodes[0]
+        hdfs, _obs = _hdfs_dep()
+        env = hdfs.env
+        client = hdfs.client_nodes[0]
         for name in hdfs.roles.datanodes:
             hdfs.fail_datanode(name)
         with pytest.raises(ReplicationError):

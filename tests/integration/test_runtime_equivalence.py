@@ -10,6 +10,7 @@ from repro.blobseer import BlobSeerService
 from repro.blobseer.metadata.segment_tree import iter_all_pages
 from repro.blobseer.simulated import BlobSeerRoles, SimBlobSeer
 from repro.common.config import BlobSeerConfig, ClusterConfig
+from repro.engine.base import Payload
 from repro.sim.cluster import SimCluster
 
 PAGE = 256
@@ -48,11 +49,12 @@ def run_simulated(ops):
     client = roles.data_providers[0]
     for kind, a, b in ops:
         if kind == "append":
-            env.run(env.process(bs.append_proc(client, blob, a)))
+            update = bs.protocol.update(client, blob, Payload(nbytes=a))
         else:
             size = bs.core.latest_published(blob).size
             offset = min(a // PAGE * PAGE, size // PAGE * PAGE)
-            env.run(env.process(bs.write_proc(client, blob, offset, b)))
+            update = bs.protocol.update(client, blob, Payload(nbytes=b), offset)
+        env.run(env.process(update))
     return bs.core, bs.dht, blob
 
 

@@ -70,6 +70,13 @@ NO_TRAFFIC = {
             "crash repair; ROADMAP item 1's fault plans drive it"
         ),
     },
+    "ExperimentConfig": {
+        "hdfs": (
+            "the simulated HDFS baseline's settings: fig6 and sup-writes "
+            "run it on the defaults (the paper's 64 MB chunks), which only "
+            "tests shrink"
+        ),
+    },
     "MapReduceConfig": {
         "locality_aware": (
             "only benchmarks/test_ablation_locality.py (the paper's "

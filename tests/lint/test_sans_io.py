@@ -133,6 +133,82 @@ def test_no_timer_threads_anywhere():
     assert not offenders, "threading.Timer is banned:\n" + "\n".join(offenders)
 
 
+def _des_side(module: str) -> bool:
+    """Whether the dotted *module* is on the DES side: the simulator
+    (``repro.sim``), its engine, the version manager on the simulation
+    clock, the per-system deployments (``*.simulated``) and the figure
+    drivers (``repro.experiments``)."""
+    return (
+        module in ("repro.engine.des", "repro.blobseer.sim_vm")
+        or module.split(".")[1:2] in (["sim"], ["experiments"])
+        or module.rpartition(".")[2] == "simulated"
+    )
+
+
+def _module_of(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts).removesuffix(".__init__")
+
+
+def _des_imports(source: str, package: str):
+    """Imports of a DES-side module in *source*, a module of the dotted
+    *package*; relative imports are resolved against it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(_des_side(t) for t in targets):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_live_runtime_never_imports_the_simulator():
+    """The threaded and asyncio runtimes, the server and the file
+    systems run without the simulator: nothing outside the DES side
+    imports it, or any other DES-side module."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = _module_of(path)
+        if _des_side(module):
+            continue
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        offenders.extend(
+            f"{path.relative_to(SRC)} {ref}"
+            for ref in _des_imports(path.read_text(), package)
+        )
+    assert not offenders, (
+        "the live side imports the DES side:\n" + "\n".join(offenders)
+    )
+
+
+def test_simulator_lint_catches_an_import_from_the_live_side():
+    poisoned = (
+        "from ..sim.core import Event\n"
+        "from .. import sim\n"
+        "import repro.sim.cluster\n"
+        "from ..engine.des import DesEngine\n"
+        "from .simulated import SimBSFS\n"
+        "from ..experiments import deploy\n"
+        "from .sim_vm import SimVMService\n"
+        "from ..blobseer.sim_vm import SimVMService\n"
+        "from ..engine.threaded import ThreadedEngine\n"
+        "from .client import BSFS\n"
+        "from . import namespace\n"
+    )
+    assert _des_imports(poisoned, "repro.bsfs") == [
+        f"line {n}" for n in (1, 2, 3, 4, 5, 6, 8)
+    ]
+    assert _des_side("repro.sim") and not _des_side("repro.simulation")
+
+
 #: names the version-manager core may not mention: it takes the time as
 #: an argument and is wrapped, never bound, by a runtime — so N of them
 #: can sit behind a router

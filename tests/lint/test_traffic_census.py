@@ -112,10 +112,6 @@ _GROUP_COMMIT = (
     "group-commit endpoint of the live runtimes; repro-serve runs "
     "without group commit (ROADMAP item 7b decides group commit's fate)"
 )
-_GEN_API = (
-    "generator-style SimBlobSeer client API for tests driving a bare "
-    "BLOB deployment; every root goes through BSFS"
-)
 
 #: functions no root calls, and why each stays. A key is a qualified
 #: name (``repro.module.Class.method``) or a prefix of one (a module, a
@@ -161,16 +157,9 @@ NO_TRAFFIC: Dict[str, str] = {
         "pairs with request() in benchmarks/test_ablation_locking.py"
     ),
     "repro.sim.resources.Request": "the ticket request() returns",
-    "repro.blobseer.simulated.SimBlobSeer.append_proc": _GEN_API,
-    "repro.blobseer.simulated.SimBlobSeer.write_proc": _GEN_API,
-    "repro.blobseer.simulated.SimBlobSeer.read_proc": _GEN_API,
     "repro.blobseer.sim_vm.SimVMService.assign_write": (
         "the overwrite path on the DES: no figure overwrites (the live "
         "PUT /blob/{id} reaches the threaded twin)"
-    ),
-    "repro.workloads.generators.lastfm_arrivals": (
-        "open_loop_sweep(arrivals='lastfm'); only tests select it — a "
-        "candidate for the next deletion pass"
     ),
     # -- product paths that ROADMAP items give traffic ----------------------
     "repro.blobseer.pruning": (
@@ -388,12 +377,8 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.sim.core.Environment.event": (
         "a bare untriggered event: the kernel tests' signal"
     ),
-    "repro.sim.core.Event.ok": _PROBE,
     "repro.sim.core.Event.value": _PROBE,
     "repro.sim.disk.Disk.rng": "the setter: tests pin a disk's random stream",
-    "repro.sim.metrics.Metrics.makespan": _PROBE,
-    "repro.sim.metrics.OpSample.duration": _PROBE,
-    "repro.sim.metrics.OpSample.throughput": _PROBE,
     "repro.faults.plan.FaultPlan.__len__": _PROBE,
     "repro.faults.plan.FaultPlan.__iter__": _PROBE,
     "repro.obs.Observability.enabled": _PROBE,

@@ -72,7 +72,7 @@ def test_threaded_cache_counters_reach_registry_and_metrics():
     assert counters["bsfs.cache.hits"] == 4.0
     assert counters["bsfs.cache.misses"] == 1.0
     assert counters["bsfs.writebehind.flushes"] >= 3.0  # 10_000 / 4096 blocks
-    # the stream pushed its totals into the deployment's Metrics
+    # the streams pushed their totals into the deployment's counters
     assert dep.metrics.counters["bsfs.cache.hits"] == 4.0
     assert dep.metrics.counters["bsfs.cache.misses"] == 1.0
     assert dep.metrics.counters["bsfs.writebehind.flushes"] >= 3.0

@@ -120,9 +120,9 @@ def small_config():
     )
 
 
-def des_appends_and_reads(dep, n):
-    bsfs, env = dep.bsfs, dep.cluster.env
-    client = dep.client_nodes[0]
+def des_appends_and_reads(bsfs, n):
+    env = bsfs.env
+    client = bsfs.client_nodes[0]
     for i in range(n):
         env.run(env.process(bsfs.append_proc(client, "/f", 1 * MiB)))
         env.run(env.process(bsfs.read_proc(client, "/f", i * MiB, 1 * MiB)))
@@ -131,7 +131,7 @@ def des_appends_and_reads(dep, n):
 def test_des_ops_leave_no_garbage_that_grows_with_their_number():
     dep = deploy_bsfs(small_config())
     env = dep.cluster.env
-    env.run(env.process(dep.bsfs.create_proc(dep.client_nodes[0], "/f")))
+    env.run(env.process(dep.create_proc(dep.client_nodes[0], "/f")))
     des_appends_and_reads(dep, 2)  # first-use set-up is not steady state
     with cyclic_garbage() as few:
         des_appends_and_reads(dep, 8)
@@ -251,7 +251,7 @@ def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
     monkeypatch.setattr(protocol, "query_pages", namespace["query_pages"])
     dep = deploy_bsfs(small_config())
     env = dep.cluster.env
-    env.run(env.process(dep.bsfs.create_proc(dep.client_nodes[0], "/f")))
+    env.run(env.process(dep.create_proc(dep.client_nodes[0], "/f")))
     des_appends_and_reads(dep, 2)
     with cyclic_garbage() as few:
         des_appends_and_reads(dep, 8)

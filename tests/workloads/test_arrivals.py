@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.generators import (
-    ArrivalProcess,
-    lastfm_arrivals,
-    poisson_arrivals,
-)
+from repro.workloads.generators import ArrivalProcess, poisson_arrivals
 
 
 class TestArrivalProcess:
@@ -93,27 +89,3 @@ class TestPoissonArrivals:
             poisson_arrivals(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             poisson_arrivals(1.0, 1.0, 0)
-
-
-class TestLastfmArrivals:
-    def test_deterministic_and_bounded(self):
-        a = lastfm_arrivals(5000, 200, 10.0, seed=5)
-        b = lastfm_arrivals(5000, 200, 10.0, seed=5)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.clients, b.clients)
-        assert np.all(a.times >= 0.0) and np.all(a.times <= 10.0)
-        assert np.all(np.diff(a.times) >= 0.0)
-        assert int(a.clients.min()) >= 0
-        assert int(a.clients.max()) < 200
-
-    def test_client_activity_is_skewed(self):
-        ap = lastfm_arrivals(20_000, 500, 10.0, seed=1)
-        counts = np.bincount(ap.clients, minlength=500)
-        # Zipf: the heaviest listener far exceeds the uniform share
-        assert counts.max() > 5 * (20_000 / 500)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lastfm_arrivals(-1, 10, 1.0)
-        with pytest.raises(ValueError):
-            lastfm_arrivals(10, 10, 0.0)
