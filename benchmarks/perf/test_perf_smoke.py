@@ -8,8 +8,7 @@ Figure 8, the open-loop scale sweep) and fails if simulated events/sec
 regresses more than 30% against the committed floor, if the number of
 kernel events a figure dispatches differs from the pinned count (the
 simulation changed — fig3-fig7 are pinned in tier-1 too, fig8 only
-here), or if the incremental allocator stops beating the reference one
-outright. The kernel microbench scenarios
+here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
@@ -57,12 +56,7 @@ def baseline():
 
 @pytest.mark.parametrize("figure", sorted(_BASELINE["figures"]))
 def test_events_per_s_vs_baseline(baseline, figure):
-    fb = bench_figure(
-        figure,
-        baseline["allocator"],
-        scale=baseline["scale"],
-        repeats=2,
-    )
+    fb = bench_figure(figure, scale=baseline["scale"], repeats=2)
     assert fb.flow_changes > 0, "instruments not wired"
     assert fb.reallocs <= fb.flow_changes
     pinned = baseline["figures"][figure]["sim_events"]
@@ -237,7 +231,7 @@ def test_fig8_traffic_never_reaches_the_rate_solver(baseline, monkeypatch):
         real_start(self, src, dst, nbytes, done)
 
     monkeypatch.setattr(Network, "_start_flow", start)
-    fb = bench_figure("fig8", "incremental", scale=baseline["scale"], repeats=1)
+    fb = bench_figure("fig8", scale=baseline["scale"], repeats=1)
     assert started[0] > 30_000, "fig8 moved no data"
     assert fb.flow_changes == 2 * started[0], "a flow started and never finished"
     assert (fb.reallocs, fb.flushes) == (0, 0), (
@@ -251,19 +245,9 @@ def test_coalescing_counters_wired(baseline):
     """fig6's same-instant shuffle churn must actually coalesce — and
     its reducers' NICs do saturate, so it is the figure that still
     needs the solver."""
-    fb = bench_figure("fig6", "incremental", scale=baseline["scale"], repeats=1)
+    fb = bench_figure("fig6", scale=baseline["scale"], repeats=1)
     assert 0 < fb.reallocs <= fb.flushes, "fig6's shuffle no longer solves"
     assert fb.coalesced_changes > fb.flushes, (
         f"coalescing ineffective: {fb.coalesced_changes} flow changes "
         f"over {fb.flushes} flushes"
-    )
-
-
-def test_incremental_beats_reference():
-    ref = bench_figure("fig3", "reference", scale="quick", repeats=2)
-    inc = bench_figure("fig3", "incremental", scale="quick", repeats=2)
-    speedup = ref.wall_s / inc.wall_s
-    assert speedup > 1.0, (
-        f"incremental allocator no longer faster than reference "
-        f"(speedup {speedup:.2f}x)"
     )

@@ -184,9 +184,6 @@ class ClusterConfig:
     commit_push_time: float = 0.0002
     #: service time of one namespace-manager / namenode RPC, seconds
     namespace_rpc_time: float = 0.0008
-    #: max-min rate allocator: "incremental" (component-scoped refills,
-    #: the fast default) or "reference" (full recompute per flow event)
-    allocator: str = "incremental"
     #: per-RPC timeout a simulated client charges when it addresses a
     #: crashed provider/datanode/metadata provider, seconds
     rpc_timeout: float = 0.5
@@ -200,8 +197,6 @@ class ClusterConfig:
     seed: int = 20100621  # HPDC'10 workshop date
 
     def validate(self) -> None:
-        if self.allocator not in ("incremental", "reference"):
-            raise ValueError(f"unknown allocator {self.allocator!r}")
         if self.nodes < 4:
             raise ValueError("need at least 4 nodes for a deployment")
         for name in (

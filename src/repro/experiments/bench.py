@@ -21,7 +21,7 @@ instrument counters are identical across repeats — which is why
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from ..common.config import ExperimentConfig
@@ -47,25 +47,24 @@ def best_of(run: Callable[[], R], repeats: int) -> R:
 
 @dataclass(slots=True)
 class FigureBench:
-    """One figure's measurement under one allocator."""
+    """One figure's measurement."""
 
     figure: str
     wall_s: float
     sim_events: int
     events_per_s: float
-    #: rate solves performed; under the incremental allocator only flow
-    #: changes on a link that can saturate need one
+    #: rate solves performed; only flow changes on a link that can
+    #: saturate need one
     reallocs: int
     realloc_full: int
     #: mean flows solved per solve
     realloc_scope_mean: float
-    #: end-of-timestep flushes that solved (incremental only)
+    #: end-of-timestep flushes that solved
     flushes: int = 0
     #: flow starts/finishes absorbed into those flushes — the coalescing
     #: win is ``coalesced_changes / flushes`` changes per reallocation
     coalesced_changes: int = 0
     #: every non-local flow start and finish, solved for or not
-    #: (incremental only)
     flow_changes: int = 0
     #: what the figure returned (its :class:`~.report.FigureResult`)
     result: object = None
@@ -83,22 +82,18 @@ def _bench_obs() -> Observability:
 
 def bench_figure(
     figure: str,
-    allocator: str,
     scale: str = "quick",
     repeats: int = 3,
     config: Optional[ExperimentConfig] = None,
 ) -> FigureBench:
-    """Measure one figure under one allocator; best wall time of *repeats*.
-
-    *config* is run as given except for ``cluster.allocator``.
-    """
+    """Measure one figure; best wall time of *repeats*. *config* is run
+    as given (default: one repetition per point)."""
     from .figures import ALL_FIGURES
 
     if figure not in ALL_FIGURES or figure == "filecount":
         raise ValueError(f"not a DES-driven figure: {figure!r}")
     fn = ALL_FIGURES[figure]
-    base = config if config is not None else ExperimentConfig(repetitions=1)
-    cfg = replace(base, cluster=replace(base.cluster, allocator=allocator))
+    cfg = config if config is not None else ExperimentConfig(repetitions=1)
 
     def run_once() -> FigureBench:
         obs = _bench_obs()

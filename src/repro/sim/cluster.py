@@ -48,7 +48,6 @@ class SimCluster:
             latency=config.latency,
             backbone_bandwidth=config.backbone_bandwidth,
             flow_rate_cap=config.flow_rate_cap,
-            allocator=config.allocator,
             obs=obs,
         )
         rack_names: List[str] = []

@@ -38,8 +38,8 @@ entries at the current instant can only have been scheduled at an
 ring and are drained first. Within each tier FIFO order equals entry-id
 order. The drain order per instant is therefore: heap entries at
 ``now``, then the ring — exactly the ``(time, eid)`` order of one heap,
-which the differential allocator oracle and the DES↔threaded parity
-suites re-verify. There is no priority tier and no interrupt delivery:
+which the flow network's kernel-free replay differential and the
+DES↔threaded parity suites re-verify. There is no priority tier and no interrupt delivery:
 a process runs until it returns, raises, or waits forever.
 
 One loop, :meth:`Environment.run`, dispatches every entry, whatever the

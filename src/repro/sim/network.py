@@ -7,36 +7,34 @@ according to the classic progressive-filling (max-min fair) allocation,
 which is the standard fluid approximation of many TCP streams over a
 switched Ethernet — the regime of the paper's Grid'5000 Orsay cluster.
 
-A run is a sequence of fluid intervals with piecewise-constant rates.
-Two allocators implement the same max-min semantics:
+A run is a sequence of fluid intervals with piecewise-constant rates,
+kept by one incremental allocator. Flow arrivals and completions mark
+the resources they cross *dirty* and defer the refill to the kernel's
+end-of-timestep flush (:meth:`Environment.add_flush_hook`): all
+same-instant churn — a reducer wave starting ``n_maps`` fetches, a
+barrier of symmetric flows finishing together — costs **one**
+reallocation instead of one per flow. The deferral is exact, not an
+approximation: rates are only observable across time advancement, and
+the flush runs after every same-instant event but before the clock
+moves. At the flush, only the *connected component* of flows that
+(transitively) share a NIC/backbone resource with a dirty resource is
+refilled; a per-resource membership index keeps disjoint traffic
+untouched. The refill itself is a water-filling max-min solve — a
+saturation-level heap finds successive bottleneck resources in
+O((F+R) log R) rather than iterating uniform increments over the whole
+component — with fast paths for the two common shapes: every flow
+capped by the per-flow rate ceiling, and a single bottleneck resource
+spanning the whole component (e.g. the backbone). Progress is accounted
+lazily per flow — ``(last_update, rate)`` — and completions live in a
+heap, so an event never sweeps the whole flow table. This is what lets
+the kernel scale to thousands of concurrent flows (the regime of the
+paper's 246-client sweeps and the data join's ``n_reducers × n_maps``
+shuffle).
 
-* ``allocator="incremental"`` (default) — flow arrivals and completions
-  mark the resources they cross *dirty* and defer the refill to the
-  kernel's end-of-timestep flush (:meth:`Environment.add_flush_hook`):
-  all same-instant churn — a reducer wave starting ``n_maps`` fetches,
-  a barrier of symmetric flows finishing together — costs **one**
-  reallocation instead of one per flow. The deferral is exact, not an
-  approximation: rates are only observable across time advancement, and
-  the flush runs after every same-instant event but before the clock
-  moves. At the flush, only the *connected component* of flows that
-  (transitively) share a NIC/backbone resource with a dirty resource is
-  refilled; a per-resource membership index keeps disjoint traffic
-  untouched. The refill itself is a water-filling max-min solve — a
-  saturation-level heap finds successive bottleneck resources in
-  O((F+R) log R) rather than iterating uniform increments over the
-  whole component — with fast paths for the two common shapes: every
-  flow capped by the per-flow rate ceiling, and a single bottleneck
-  resource spanning the whole component (e.g. the backbone). Progress
-  is accounted lazily per flow — ``(last_update, rate)`` — and
-  completions live in a heap, so an event never sweeps the whole flow
-  table. This is what lets the kernel scale to thousands of concurrent
-  flows (the regime of the paper's 246-client sweeps and the data
-  join's ``n_reducers × n_maps`` shuffle).
-* ``allocator="reference"`` — the original full recompute: every event
-  settles every active flow and refills the entire flow set from
-  scratch. O(flows²·rounds) over a fluid sequence, but trivially
-  correct; the incremental allocator is differentially tested against
-  it (see ``check_reference``).
+The from-scratch progressive-filling recompute this allocator must
+agree with is test code: ``tests/maxmin.py`` holds it as a pure
+function, checks every flush of a network against it, and replays a
+workload under it to compare completion times.
 
 Max-min fairness decomposes exactly over connected components of the
 flow/resource sharing graph, so the scoped refill is not an
@@ -86,9 +84,6 @@ from .core import Environment, Event
 #: flows whose remaining volume drops below this many bytes are complete
 _EPSILON_BYTES = 1e-3
 
-#: allocator mode names accepted by :class:`Network`
-ALLOCATORS = ("incremental", "reference")
-
 #: a resource can bind once its members' summed rate bounds come within
 #: this relative margin of its capacity: an exact tie, and any rounding
 #: the running sum has picked up, count as binding (the exact side)
@@ -124,9 +119,6 @@ class NetNode:
     down_capacity: float
     #: rack this node is attached to (None on a flat topology)
     rack: Optional[str] = None
-    #: lifetime counters, for metrics/debugging
-    bytes_sent: float = 0.0
-    bytes_received: float = 0.0
     #: the node's shareable NIC directions (set by :meth:`Network.add_node`)
     _up_res: object = field(default=None, repr=False)
     _down_res: object = field(default=None, repr=False)
@@ -152,7 +144,7 @@ class _Flow:
     #: racks, backbone, dst down-NIC); empty for local flows
     resources: Tuple[_NicResource, ...] = ()
     #: the most any allocation can give this flow: the narrowest capacity
-    #: on its path or the per-flow cap (incremental allocator, non-local)
+    #: on its path or the per-flow cap (non-local flows)
     bound: float = 0.0
     rate: float = 0.0
     #: last instant this flow's progress was settled into ``remaining``
@@ -174,7 +166,6 @@ class Network:
         latency: float = 0.0,
         backbone_bandwidth: float = 0.0,
         flow_rate_cap: float = 0.0,
-        allocator: str = "incremental",
         obs: Optional[Observability] = None,
     ) -> None:
         """*backbone_bandwidth* of 0 means a non-blocking fabric;
@@ -187,14 +178,10 @@ class Network:
             raise ValueError("backbone_bandwidth must be non-negative")
         if flow_rate_cap < 0:
             raise ValueError("flow_rate_cap must be non-negative")
-        if allocator not in ALLOCATORS:
-            raise ValueError(f"unknown allocator {allocator!r} (use {ALLOCATORS})")
         self.env = env
         self.latency = latency
         self.backbone_bandwidth = backbone_bandwidth
         self.flow_rate_cap = flow_rate_cap
-        self.allocator = allocator
-        self._incremental = allocator == "incremental"
         self.obs = obs or NULL_OBS
         self.nodes: Dict[str, NetNode] = {}
         self._flows: Dict[int, _Flow] = {}
@@ -211,8 +198,6 @@ class Network:
         self._completions: List[Tuple[float, int, int]] = []
         self._armed_at: Optional[float] = None
         self._timer_generation = 0
-        #: reference-mode global settle point
-        self._last_update = 0.0
         #: lifetime counter of completed transfers
         self.completed_transfers = 0
         #: resources touched by same-instant flow churn, awaiting the
@@ -226,10 +211,6 @@ class Network:
         #: a local-flow start or stale-heap cleanup needs a re-arm even
         #: when no shared resource went dirty
         self._dirty_arm = False
-        #: when True, every coalesced flush point re-runs the reference
-        #: allocator over the full flow set and asserts the rates agree
-        #: (slow; differential tests only)
-        self.check_reference = False
         reg = self.obs.registry
         #: every non-local flow start and finish; ``reallocs`` counts
         #: the solves those needed (none while no resource can bind)
@@ -241,8 +222,7 @@ class Network:
         self._h_scope = reg.histogram("sim.net.realloc_scope")
         self._c_flushes = reg.counter("sim.net.flushes")
         self._c_coalesced = reg.counter("sim.net.coalesced_changes")
-        if self._incremental:
-            env.add_flush_hook(self._flush)
+        env.add_flush_hook(self._flush)
 
     # -- topology -----------------------------------------------------------
 
@@ -315,23 +295,7 @@ class Network:
         Zero-byte transfers still pay one network latency (they model an
         RPC with an empty payload).
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        src_node = self.nodes[src]
-        dst_node = self.nodes[dst]
-        done = Event(self.env)
-        if nbytes == 0:
-            # latency-only RPC
-            self.env.call_in(self.latency, lambda: done.succeed(0.0))
-            return done
-        if self.latency > 0:
-            self.env.call_in(
-                self.latency,
-                lambda: self._start_flow(src_node, dst_node, nbytes, done),
-            )
-        else:
-            self._start_flow(src_node, dst_node, nbytes, done)
-        return done
+        return self.transfer_many(((src, dst, nbytes),))[0]
 
     def transfer_many(
         self, requests: "Iterable[Tuple[str, str, float]]"
@@ -339,13 +303,11 @@ class Network:
         """Start one transfer per ``(src, dst, nbytes)`` request, batched.
 
         Semantically identical to calling :meth:`transfer` once per
-        request, but the whole fan-out pays a single latency leg and —
-        under the incremental allocator — lands in one coalesced
-        reallocation instead of one per flow. This is the API for the
-        data plane's fan-out patterns: a reducer fetching every map's
-        partition, a client shipping a page to its replicas, an HDFS
-        write pipeline. Returns the per-transfer completion events in
-        request order.
+        request, but the whole fan-out pays a single latency leg. This
+        is the API for the data plane's fan-out patterns: a reducer
+        fetching every map's partition, a client shipping a page to its
+        replicas, an HDFS write pipeline. Returns the per-transfer
+        completion events in request order.
         """
         events: List[Event] = []
         batch: List[Tuple[NetNode, NetNode, float, Event]] = []
@@ -357,7 +319,7 @@ class Network:
             done = Event(self.env)
             events.append(done)
             if nbytes == 0:
-                # latency-only RPC, same as transfer()
+                # latency-only RPC
                 self.env.call_in(self.latency, lambda d=done: d.succeed(0.0))
             else:
                 batch.append((src_node, dst_node, float(nbytes), done))
@@ -374,7 +336,7 @@ class Network:
         for src_node, dst_node, nbytes, done in batch:
             self._start_flow(src_node, dst_node, nbytes, done)
 
-    # -- shared internals ----------------------------------------------------
+    # -- paths ----------------------------------------------------------------
 
     def _resources_for(
         self, src: NetNode, dst: NetNode
@@ -407,27 +369,6 @@ class Network:
         res.append(dst._down_res)
         return tuple(res)
 
-    def _start_flow(
-        self, src: NetNode, dst: NetNode, nbytes: float, done: Event
-    ) -> None:
-        if self._incremental:
-            self._start_flow_incremental(src, dst, nbytes, done)
-            return
-        self._advance()
-        local = src is dst
-        flow = _Flow(
-            fid=next(self._fid),
-            src=src,
-            dst=dst,
-            remaining=float(nbytes),
-            event=done,
-            local=local,
-            resources=() if local else self._resources_for(src, dst),
-            last_update=self.env.now,
-        )
-        self._flows[flow.fid] = flow
-        self._reallocate_and_arm()
-
     def _local_rate(self) -> float:
         rate = self.LOOPBACK_BANDWIDTH
         if self.flow_rate_cap > 0:
@@ -447,9 +388,9 @@ class Network:
         telemetry time series."""
         return sum(flow.rate for flow in self._flows.values())
 
-    # -- incremental allocator ----------------------------------------------
+    # -- allocator ------------------------------------------------------------
 
-    def _start_flow_incremental(
+    def _start_flow(
         self, src: NetNode, dst: NetNode, nbytes: float, done: Event
     ) -> None:
         now = self.env.now
@@ -530,20 +471,13 @@ class Network:
             # flow churn that coupled nobody: rates stand, re-arm only
             self._dirty_arm = False
             self._arm()
-        else:
-            return
-        if self.check_reference:
-            self._assert_matches_reference()
 
     def _settle(self, flow: _Flow, now: float) -> None:
         """Fold the fluid progress since the flow's last rate change into
-        its ``remaining`` and the endpoints' byte counters."""
+        its ``remaining``."""
         dt = now - flow.last_update
         if dt > 0.0 and flow.rate > 0.0:
-            moved = flow.rate * dt
-            flow.remaining -= moved
-            flow.src.bytes_sent += moved
-            flow.dst.bytes_received += moved
+            flow.remaining -= flow.rate * dt
         flow.last_update = now
 
     def _push_completion(self, flow: _Flow, now: float) -> None:
@@ -607,9 +541,9 @@ class Network:
         these projected saturation levels visits bottleneck resources in
         order, freezing each bottleneck's members at its level: O((F +
         R) log R) per component instead of the iterative uniform
-        refill's O(F · bottlenecks). Same max-min semantics as
-        :meth:`_compute_rates_reference` (differentially tested to 1e-6
-        by ``check_reference``).
+        refill's O(F · bottlenecks). Same max-min semantics as the
+        progressive-filling oracle in ``tests/maxmin.py``, which checks
+        every flush to 1e-6.
 
         Only resources that can bind take part: every one of those the
         component touches has all its members in *comp*, while a slack
@@ -795,176 +729,3 @@ class Network:
         for flow in finished:
             self.completed_transfers += 1
             flow.event.succeed(now)
-
-    def _assert_matches_reference(self) -> None:
-        """Differential oracle: global reference refill must agree with
-        the incrementally maintained rates (slow; tests only)."""
-        actual = {fid: f.rate for fid, f in self._flows.items()}
-        self._compute_rates_reference()
-        mismatches = []
-        for fid, flow in self._flows.items():
-            expect = flow.rate
-            got = actual[fid]
-            flow.rate = got  # restore the incremental state
-            tol = 1e-6 * max(1.0, abs(expect))
-            if abs(got - expect) > tol:
-                mismatches.append(
-                    f"flow {fid} {flow.src.name}->{flow.dst.name}: "
-                    f"incremental {got!r} vs reference {expect!r}"
-                )
-        if mismatches:
-            raise AssertionError(
-                "incremental allocator diverged from reference:\n"
-                + "\n".join(mismatches)
-            )
-
-    # -- reference allocator (original full recompute) ------------------------
-
-    def _advance(self) -> None:
-        """Account fluid progress since the last rate change."""
-        now = self.env.now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0 or not self._flows:
-            return
-        finished: List[_Flow] = []
-        for flow in self._flows.values():
-            moved = flow.rate * dt
-            flow.remaining -= moved
-            flow.src.bytes_sent += moved
-            flow.dst.bytes_received += moved
-            flow.last_update = now
-            if flow.remaining <= _EPSILON_BYTES:
-                finished.append(flow)
-        for flow in finished:
-            del self._flows[flow.fid]
-            self.completed_transfers += 1
-            flow.event.succeed(self.env.now)
-
-    def _reallocate_and_arm(self) -> None:
-        """Recompute max-min fair rates and arm the next-completion timer."""
-        self._compute_rates_reference()
-        self._c_realloc.inc()
-        self._c_full.inc()
-        self._h_scope.observe(float(len(self._flows)))
-        self._timer_generation += 1
-        generation = self._timer_generation
-        horizon = min(
-            (f.remaining / f.rate for f in self._flows.values() if f.rate > 0),
-            default=None,
-        )
-        if horizon is None:
-            return
-        timer = self.env.timeout(horizon)
-        timer.callbacks.append(lambda _ev: self._on_timer(generation))
-
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
-            return  # superseded by a newer rate change
-        self._advance()
-        self._reallocate_and_arm()
-
-    def _compute_rates_reference(self) -> None:
-        """Progressive-filling max-min fair allocation over NIC capacities,
-        with an optional per-flow rate cap — the original full recompute.
-
-        Every non-local flow consumes each shareable capacity on its
-        path — ``flow.resources``: endpoint NICs, rack uplinks/downlinks
-        when the endpoints sit in different racks, and (when configured)
-        the shared backbone; a flow additionally freezes once it reaches
-        the per-flow cap. Local flows run at the loopback bandwidth.
-
-        Sets ``flow.rate`` on every active flow. The incremental
-        allocator is the scoped equivalent and is differentially tested
-        against this implementation.
-        """
-        unfrozen: Set[int] = set()
-        for flow in self._flows.values():
-            if flow.local:
-                flow.rate = self.LOOPBACK_BANDWIDTH
-                if self.flow_rate_cap > 0:
-                    flow.rate = min(flow.rate, self.flow_rate_cap)
-            else:
-                flow.rate = 0.0
-                unfrozen.add(flow.fid)
-        if not unfrozen:
-            return
-
-        # path resources keyed by their stable (name, direction) keys so
-        # this recompute shares no mutable solver state with the
-        # incremental allocator it checks
-        cap: Dict[Hashable, float] = {}
-        members: Dict[Hashable, Set[int]] = {}
-
-        for fid in unfrozen:
-            flow = self._flows[fid]
-            for res in flow.resources:
-                key = res.key
-                if key not in cap:
-                    cap[key] = res.capacity
-                    members[key] = set()
-                members[key].add(fid)
-
-        def flow_keys(flow: _Flow):
-            for res in flow.resources:
-                yield res.key
-
-        while unfrozen:
-            # fair-share increment is set by the most contended resource …
-            share = min(cap[key] / len(m) for key, m in members.items() if m)
-            # … unless some flow hits its cap first
-            headroom = share
-            if self.flow_rate_cap > 0:
-                headroom = min(
-                    self.flow_rate_cap - self._flows[fid].rate for fid in unfrozen
-                )
-                headroom = min(share, max(headroom, 0.0))
-            for fid in unfrozen:
-                flow = self._flows[fid]
-                flow.rate += headroom
-                for key in flow_keys(flow):
-                    cap[key] -= headroom
-            frozen_now: Set[int] = set()
-            if headroom >= share * (1 - 1e-12):
-                # a resource saturated: freeze every flow through it
-                for key, m in members.items():
-                    if m and cap[key] / len(m) <= share * 1e-9:
-                        frozen_now |= m
-            if self.flow_rate_cap > 0:
-                frozen_now |= {
-                    fid
-                    for fid in unfrozen
-                    if self._flows[fid].rate >= self.flow_rate_cap * (1 - 1e-12)
-                }
-            if not frozen_now:  # pragma: no cover - defensive against fp drift
-                frozen_now = set(unfrozen)
-            for fid in frozen_now:
-                flow = self._flows.get(fid)
-                if flow is None:
-                    continue
-                for key in flow_keys(flow):
-                    m = members.get(key)
-                    if m is not None:
-                        m.discard(fid)
-            unfrozen -= frozen_now
-
-    # -- introspection -------------------------------------------------------
-
-    def active_flows_between(self, src: str, dst: str) -> int:
-        """Number of in-flight transfers from *src* to *dst*."""
-        return sum(
-            1 for f in self._flows.values() if f.src.name == src and f.dst.name == dst
-        )
-
-    def current_rate(self, src: str, dst: str) -> float:
-        """Aggregate current rate of all flows from *src* to *dst* (B/s)."""
-        if self._incremental and (self._dirty or self._dirty_arm):
-            # same-instant churn awaiting the end-of-timestep flush:
-            # force it so observed rates are current (the kernel's later
-            # flush then finds nothing dirty and is a no-op)
-            self._flush()
-        return sum(
-            f.rate
-            for f in self._flows.values()
-            if f.src.name == src and f.dst.name == dst
-        )

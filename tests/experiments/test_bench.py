@@ -20,11 +20,11 @@ from repro.experiments.chaos import _chaos_config
 from repro.experiments.microbench import _rep_config
 from repro.experiments.openloop import _rack_config
 
-#: kernel events each figure dispatches at quick scale on the
-#: incremental allocator. The DES is deterministic, so a change here is
-#: a change in simulated behaviour — an optimisation that claims to
-#: leave every simulated value alone must leave these alone. fig8
-#: (11 s) is pinned where it already runs: benchmarks/perf/baseline.json.
+#: kernel events each figure dispatches at quick scale. The DES is
+#: deterministic, so a change here is a change in simulated behaviour —
+#: an optimisation that claims to leave every simulated value alone must
+#: leave these alone. fig8 (11 s) is pinned where it already runs:
+#: benchmarks/perf/baseline.json.
 SIM_EVENTS = {
     "fig3": 20_127,
     "fig4": 215_164,
@@ -71,7 +71,7 @@ SERIES = {
 
 @pytest.mark.parametrize("figure", sorted(SIM_EVENTS))
 def test_sim_events_pinned(figure):
-    fb = bench_figure(figure, "incremental", scale="quick", repeats=1)
+    fb = bench_figure(figure, scale="quick", repeats=1)
     assert fb.sim_events == SIM_EVENTS[figure], (
         f"{figure} dispatched {fb.sim_events:,} kernel events at quick "
         f"scale, pinned {SIM_EVENTS[figure]:,}: the simulation changed"
@@ -127,7 +127,7 @@ def _bench_stub_figure(config, monkeypatch):
         "fig3",
         lambda scale, config, obs: seen.append(config),
     )
-    fb = bench_figure("fig3", "reference", repeats=1, config=config)
+    fb = bench_figure("fig3", repeats=1, config=config)
     (cfg,) = seen
     return fb, cfg
 
@@ -136,7 +136,7 @@ def test_bench_figure_without_reallocations_reports_zero_not_nan(monkeypatch):
     fb, cfg = _bench_stub_figure(None, monkeypatch)
     assert fb.sim_events == 0 and fb.reallocs == 0
     assert fb.realloc_scope_mean == 0.0 and fb.events_per_s == 0.0
-    assert cfg.cluster.allocator == "reference" and cfg.repetitions == 1
+    assert cfg.repetitions == 1
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ def test_bench_figure_without_reallocations_reports_zero_not_nan(monkeypatch):
         (lambda cfg, mp: _rep_config(cfg, 1), {"cluster"}),
         (lambda cfg, mp: _chaos_config(cfg), {"blobseer"}),
         (lambda cfg, mp: _rack_config(cfg), {"cluster", "blobseer"}),
-        (lambda cfg, mp: _bench_stub_figure(cfg, mp)[1], {"cluster"}),
+        (lambda cfg, mp: _bench_stub_figure(cfg, mp)[1], set()),
     ],
     ids=["_rep_config", "_chaos_config", "_rack_config", "bench_figure"],
 )
@@ -154,7 +154,8 @@ def test_derived_config_keeps_every_field_it_does_not_change(
 ):
     base = _unusual_config()
     derived = derive(base, monkeypatch)
-    assert derived is not base and type(derived) is type(base)
+    # a config that changes nothing is handed on as it is
+    assert (derived is base) == (not changes) and type(derived) is type(base)
     for f in dataclasses.fields(base):
         if f.name in changes:
             assert getattr(derived, f.name) != getattr(base, f.name)

@@ -64,10 +64,10 @@ NO_TRAFFIC = {
         "page_store_fsync": (
             "durability switch of the log store; the e2e benchmark pins it "
             "off (sandbox fsync is not a device measurement), ROADMAP item "
-            "4's restart gate turns it on"
+            "5's restart gate turns it on"
         ),
         "rereplication": (
-            "crash repair; ROADMAP item 1's fault plans drive it"
+            "crash repair; ROADMAP item 3's live chaos root drives it"
         ),
     },
     "ExperimentConfig": {

@@ -83,10 +83,6 @@ ROOTS: List[Tuple[str, List[str]]] = [
     ),
 ]
 
-_REFERENCE = (
-    "the reference max-min allocator: the incremental allocator's "
-    "differential oracle (check_reference, tests/sim)"
-)
 _RECOVERY = (
     "recovery half of a fault: fig7 crashes components and never brings "
     "one back; the fault-injection tests and ROADMAP item 1's checker do"
@@ -110,29 +106,14 @@ _NULL = (
 )
 _GROUP_COMMIT = (
     "group-commit endpoint of the live runtimes; repro-serve runs "
-    "without group commit (ROADMAP item 7b decides group commit's fate)"
+    "without group commit (ROADMAP item 6 decides group commit's fate)"
 )
 
 #: functions no root calls, and why each stays. A key is a qualified
 #: name (``repro.module.Class.method``) or a prefix of one (a module, a
 #: class); the entry covers every function under it.
 NO_TRAFFIC: Dict[str, str] = {
-    # -- test oracles, and tools only tests or benchmarks/perf call --------
-    "repro.sim.network.Network._advance": _REFERENCE,
-    "repro.sim.network.Network._reallocate_and_arm": _REFERENCE,
-    "repro.sim.network.Network._on_timer": _REFERENCE,
-    "repro.sim.network.Network._compute_rates_reference": _REFERENCE,
-    "repro.sim.network.Network._assert_matches_reference": (
-        "the check_reference oracle itself (tests/sim turn it on)"
-    ),
-    "repro.sim.network.Network.current_rate": (
-        "rate probe for the allocator tests; a scan of the flow table, "
-        "so no index is kept up on the hot path for it"
-    ),
-    "repro.sim.network.Network.active_flows_between": (
-        "flow-count probe for the allocator tests; a scan of the flow "
-        "table, so no index is kept up on the hot path for it"
-    ),
+    # -- tools only tests or benchmarks call --------------------------------
     "repro.engine.recording": (
         "the parity suite's RPC-recording engine wrapper (tests/engine); "
         "moving it out of src/repro would not shrink the program"
@@ -163,23 +144,25 @@ NO_TRAFFIC: Dict[str, str] = {
     ),
     # -- product paths that ROADMAP items give traffic ----------------------
     "repro.blobseer.pruning": (
-        "version GC; ROADMAP item 5 puts it on the serving path"
+        "version GC; ROADMAP item 4 puts it on the serving path"
     ),
     "repro.blobseer.client.BlobSeerService.prune_blob": (
-        "version GC; ROADMAP item 5 puts it on the serving path"
+        "version GC; ROADMAP item 4 puts it on the serving path"
     ),
     "repro.blobseer.rereplication": (
         "crash repair (BlobSeerConfig.rereplication, off in every root); "
-        "ROADMAP items 1 and 2 drive it"
+        "ROADMAP item 3's live chaos root drives it"
     ),
     "repro.blobseer.client.BlobSeerService.rereplicate_once": (
-        "crash repair; ROADMAP items 1 and 2 drive it"
+        "crash repair; ROADMAP item 3's live chaos root drives it"
     ),
     "repro.faults.inject.ThreadedFaultDriver": (
-        "the threaded fault injector; ROADMAP item 1's checker drives it"
+        "the threaded fault injector; ROADMAP item 3's live chaos root "
+        "drives it"
     ),
     "repro.faults.inject.threaded_storage_injector": (
-        "the threaded fault injector; ROADMAP item 1's checker drives it"
+        "the threaded fault injector; ROADMAP item 3's live chaos root "
+        "drives it"
     ),
     "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait": _GROUP_COMMIT,
     "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait_nowait": _GROUP_COMMIT,
@@ -187,15 +170,15 @@ NO_TRAFFIC: Dict[str, str] = {
         "bills a group-commit publish round; " + _GROUP_COMMIT
     ),
     "repro.blobseer.backends.logstore.LogStructuredPageStore.compact": (
-        "log compaction; ROADMAP item 4 (restart by replay) needs it"
+        "log compaction; ROADMAP item 5 (restart by replay) needs it"
     ),
     "repro.common.crc.read_record": (
         "log replay when a store reopens an existing file: restart, "
-        "ROADMAP item 4"
+        "ROADMAP item 5"
     ),
     "repro.common.crc.scan_log": (
         "log replay when a store reopens an existing file: restart, "
-        "ROADMAP item 4"
+        "ROADMAP item 5"
     ),
     # -- fault, retry and error paths ---------------------------------------
     "repro.blobseer.client.BlobSeerService.fail_provider": _CRASH,

@@ -4,10 +4,11 @@ PR 3 defers same-instant flow churn to one flush that runs just before
 simulated time advances. These tests pin down the three properties that
 make the deferral safe: (1) the order in which same-instant starts and
 finishes are processed cannot change any observable rate or completion
-time, (2) the reference-allocator differential oracle still validates
+time, (2) the max-min oracle (``tests/maxmin.py``) still validates
 the rate table at every coalesced flush point, and (3)
 ``transfer_many`` is semantically identical to N individual
-``transfer`` calls — on random topologies, under both allocators.
+``transfer`` calls — on random topologies, and against the oracle's
+replay.
 """
 
 import random
@@ -19,6 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.core import Environment
 from repro.sim.network import Network
+from tests.maxmin import current_rate, install, replay
 
 SCENARIOS = {
     "plain": dict(backbone=0.0, cap=0.0),
@@ -106,8 +108,8 @@ class TestSameInstantDeterminism:
         def driver():
             evs = net.transfer_many([("a", "c", 50.0), ("b", "c", 50.0)])
             # same simulated instant: the flush has not run yet
-            seen.append(net.current_rate("a", "c"))
-            seen.append(net.current_rate("b", "c"))
+            seen.append(current_rate(net, "a", "c"))
+            seen.append(current_rate(net, "b", "c"))
             for ev in evs:
                 yield ev
 
@@ -119,7 +121,7 @@ class TestSameInstantDeterminism:
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", range(20))
 def test_oracle_validated_at_flush_points(scenario, seed):
-    """check_reference re-runs the full recompute after every coalesced
+    """The oracle re-runs the full recompute after every coalesced
     flush; bursty batched workloads must keep it green."""
     params = SCENARIOS[scenario]
     rng = random.Random(seed * 6151 + len(scenario))
@@ -130,7 +132,7 @@ def test_oracle_validated_at_flush_points(scenario, seed):
         backbone_bandwidth=params["backbone"],
         flow_rate_cap=params["cap"],
     )
-    net.check_reference = True
+    install(net)
     n_nodes = rng.randint(3, 8)
     for i in range(n_nodes):
         net.add_node(f"n{i}", bandwidth=rng.choice([40.0, 100.0, 250.0]))
@@ -154,7 +156,9 @@ def test_oracle_validated_at_flush_points(scenario, seed):
 class TestTransferManyEquivalence:
     """transfer_many == N× transfer, on seeded random topologies."""
 
-    def _run(self, seed, use_batch, allocator):
+    def _run(self, seed, use_batch):
+        """Returns the network, the ``(t, src, dst, nbytes)`` requests
+        and each one's finish time, keyed ``(wave, j)``."""
         rng = random.Random(seed)
         env = Environment()
         net = Network(
@@ -162,17 +166,18 @@ class TestTransferManyEquivalence:
             latency=rng.choice([0.0, 0.001]),
             backbone_bandwidth=rng.choice([0.0, 200.0]),
             flow_rate_cap=rng.choice([0.0, 45.0]),
-            allocator=allocator,
         )
         n_nodes = rng.randint(3, 7)
         for i in range(n_nodes):
             net.add_node(f"n{i}", bandwidth=rng.choice([60.0, 150.0]))
+        requests = []
         times = {}
 
         def driver():
             evs = []
             for wave in range(rng.randint(1, 3)):
                 reqs = _random_requests(rng, n_nodes, rng.randint(2, 10))
+                requests.extend((env.now, *r) for r in reqs)
                 if use_batch:
                     started = net.transfer_many(reqs)
                 else:
@@ -190,12 +195,12 @@ class TestTransferManyEquivalence:
 
         env.run(env.process(driver()))
         assert net.active_flows == 0
-        return times
+        return net, requests, times
 
     @pytest.mark.parametrize("seed", range(25))
     def test_batch_matches_individual_incremental(self, seed):
-        batch = self._run(seed, use_batch=True, allocator="incremental")
-        loose = self._run(seed, use_batch=False, allocator="incremental")
+        _, _, batch = self._run(seed, use_batch=True)
+        _, _, loose = self._run(seed, use_batch=False)
         assert batch.keys() == loose.keys()
         for key in batch:
             assert batch[key] == pytest.approx(
@@ -204,11 +209,11 @@ class TestTransferManyEquivalence:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_batch_matches_reference_allocator(self, seed):
-        batch = self._run(seed, use_batch=True, allocator="incremental")
-        ref = self._run(seed, use_batch=False, allocator="reference")
-        assert batch.keys() == ref.keys()
-        for key in batch:
-            assert batch[key] == pytest.approx(ref[key], rel=1e-9, abs=1e-12)
+        net, requests, batch = self._run(seed, use_batch=True)
+        want = replay(net, requests)  # in (wave, j) order
+        assert len(batch) == len(want)
+        for key, ref in zip(sorted(batch), want):
+            assert batch[key] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_returns_events_in_request_order(self):
         env = Environment()
@@ -270,17 +275,3 @@ class TestCoalescingCounters:
         assert coalesced >= len(reqs)
         assert flushes < coalesced
         assert reg.value("sim.net.reallocs") <= flushes
-
-    def test_reference_allocator_never_flushes(self):
-        obs = self._obs()
-        env = Environment()
-        net = Network(env, latency=0.0, allocator="reference", obs=obs)
-        net.add_node("a", bandwidth=100.0)
-        net.add_node("b", bandwidth=100.0)
-
-        def driver():
-            for ev in net.transfer_many([("a", "b", 10.0), ("a", "b", 5.0)]):
-                yield ev
-
-        env.run(env.process(driver()))
-        assert obs.registry.value("sim.net.flushes") == 0

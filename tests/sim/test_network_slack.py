@@ -7,15 +7,16 @@ the max-min allocation unchanged. The allocator leans on that three
 ways — a flow with no binding resource starts at its bound, a departure
 dirties only what could bind before it left, the refill neither walks
 through nor solves over slack resources — and these tests hold each of
-them against the reference allocator:
+them against the max-min oracle (``tests/maxmin.py``):
 
 (a) a hypothesis differential over random flat and two-level fabrics,
 (b) the edges (the tipping flow, the tipping departure, the exact tie,
     drift of the running sum, rates observed inside a timestep),
 (c) operation counts: traffic on slack links never reaches the solver
     and costs the same per flow however much of it there is,
-(d) a poisoned allocator — the "could bind *before* it left" rule
-    dropped — that (a) must catch, in the style of the lints' self-tests.
+(d) poisoned allocators — the "could bind *before* it left" rule
+    dropped, a fill that ignores sharing — that (a) must catch, in the
+    style of the lints' self-tests.
 """
 
 import random
@@ -31,9 +32,13 @@ from repro.obs.tracer import Tracer
 from repro.sim import network as network_module
 from repro.sim.core import Environment
 from repro.sim.network import Network
-
-#: the oracle's own tolerance (``Network._assert_matches_reference``)
-ORACLE_REL = 1e-6
+from tests.maxmin import (
+    RATE_REL,
+    active_flows_between,
+    current_rate,
+    install,
+    replay,
+)
 
 NIC = 100.0
 
@@ -50,7 +55,7 @@ def _counters(obs):
     }
 
 
-# -- (a) differential: random fabrics and scripts vs the reference ------------
+# -- (a) differential: random fabrics and scripts vs the oracle ---------------
 
 #: heterogeneous NICs; a rack link is 1x to 8x the base NIC
 _NIC_CHOICES = (40.0, NIC, 250.0)
@@ -74,7 +79,7 @@ def scenarios(draw):
     node = st.integers(min_value=0, max_value=n_nodes - 1)
     transfer = st.tuples(
         node, node,  # src == dst is a loopback flow
-        # half-byte steps: the reference allocator finishes a flow with
+        # half-byte steps: the oracle's replay finishes a flow with
         # under 1e-3 bytes left together with the one that just finished,
         # so arbitrarily close sizes are a difference it is allowed
         st.integers(min_value=1, max_value=800).map(lambda k: 0.5 * k),
@@ -100,22 +105,24 @@ def scenarios(draw):
     )
 
 
-def _run_scenario(scenario, allocator):
+def _check_against_oracle(scenario):
+    """Run *scenario* with the oracle checking every flush, then hold
+    its completion times to the oracle's replay."""
     env = Environment()
     net = Network(
         env,
         latency=scenario["latency"],
         backbone_bandwidth=scenario["backbone"],
         flow_rate_cap=scenario["cap"],
-        allocator=allocator,
     )
-    net.check_reference = allocator == "incremental"
+    install(net)
     for r, bandwidth in enumerate(scenario["racks"]):
         net.add_rack(f"r{r}", bandwidth=bandwidth)
     for i, (bandwidth, rack) in enumerate(scenario["nodes"]):
         net.add_node(
             f"n{i}", bandwidth=bandwidth, rack=None if rack < 0 else f"r{rack}"
         )
+    requests = []
     finished = {}
 
     def driver():
@@ -124,6 +131,7 @@ def _run_scenario(scenario, allocator):
             if gap > 0.0:
                 yield env.timeout(gap)
             for src, dst, nbytes in transfers:
+                requests.append((env.now, f"n{src}", f"n{dst}", nbytes))
                 events.append(net.transfer(f"n{src}", f"n{dst}", nbytes))
         for i, ev in enumerate(events):
             finished[i] = yield ev
@@ -135,24 +143,37 @@ def _run_scenario(scenario, allocator):
         for res in path + (net._backbone,):
             if res is not None:
                 assert not res.members and res.demand == 0.0
-    return finished
-
-
-def _check_against_reference(scenario):
-    got = _run_scenario(scenario, "incremental")  # oracle on at every flush
-    want = _run_scenario(scenario, "reference")
-    assert got.keys() == want.keys()
-    for i in got:
-        assert got[i] == pytest.approx(want[i], rel=ORACLE_REL, abs=1e-12), i
+    for i, want in enumerate(replay(net, requests)):
+        assert finished[i] == pytest.approx(want, rel=RATE_REL, abs=1e-12), i
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(scenarios())
 def test_slack_scoping_matches_reference(scenario):
-    _check_against_reference(scenario)
+    _check_against_oracle(scenario)
 
 
 # -- (d) the differential test catches a poisoned allocator -------------------
+
+
+def _assert_the_flush_check_catches_it():
+    """Within (a)'s example budget, some scenario trips the oracle's
+    flush check (not only the completion-time comparison after it)."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        report_multiple_bugs=False,
+        phases=[Phase.generate],  # finding it is the point, not shrinking it
+    )
+    @given(scenarios())
+    def poisoned(scenario):
+        _check_against_oracle(scenario)
+
+    with pytest.raises(AssertionError, match="diverged from max-min"):
+        poisoned()
 
 
 def _leave_then_look(self, flow):
@@ -173,21 +194,20 @@ def test_the_differential_test_catches_a_departure_judged_after_it_left(
     monkeypatch,
 ):
     monkeypatch.setattr(Network, "_leave", _leave_then_look)
+    _assert_the_flush_check_catches_it()
 
-    @settings(
-        max_examples=150,
-        deadline=None,
-        database=None,
-        derandomize=True,
-        report_multiple_bugs=False,
-        phases=[Phase.generate],  # finding it is the point, not shrinking it
-    )
-    @given(scenarios())
-    def poisoned(scenario):
-        _check_against_reference(scenario)
 
-    with pytest.raises(AssertionError):
-        poisoned()
+def _fill_to_the_bounds(self, comp):
+    """``Network._fill`` that ignores sharing: every flow of the
+    component gets its ``bound``, as if each ran alone on its path."""
+    return {flow.fid: flow.bound for flow in comp}
+
+
+def test_the_differential_test_catches_a_fill_that_ignores_sharing(
+    monkeypatch,
+):
+    monkeypatch.setattr(Network, "_fill", _fill_to_the_bounds)
+    _assert_the_flush_check_catches_it()
 
 
 # -- (b) edges -----------------------------------------------------------------
@@ -218,16 +238,16 @@ class TestTipping:
                 net.transfer(f"s{i}", "d", 1e4)
             yield env.timeout(1.0)
             seen["slack"] = (
-                [net.current_rate(f"s{i}", "d") for i in range(3)],
+                [current_rate(net, f"s{i}", "d") for i in range(3)],
                 d_down.demand,
                 _counters(obs)["reallocs"],
             )
             net.transfer("s3", "d", 1e4)  # 4 x 30 > 100
             yield env.timeout(1.0)
-            seen["binding"] = [net.current_rate(f"s{i}", "d") for i in range(4)]
+            seen["binding"] = [current_rate(net, f"s{i}", "d") for i in range(4)]
             seen["bystanders"] = [
-                net.current_rate("s0", "z"),
-                net.current_rate("x", "y"),
+                current_rate(net, "s0", "z"),
+                current_rate(net, "x", "y"),
             ]
 
         env.run(env.process(driver()))
@@ -247,9 +267,9 @@ class TestTipping:
             for i in range(1, 4):
                 net.transfer(f"s{i}", "d", 1e4)
             yield env.timeout(0.2)
-            seen["before"] = [net.current_rate(f"s{i}", "d") for i in range(4)]
+            seen["before"] = [current_rate(net, f"s{i}", "d") for i in range(4)]
             yield env.timeout(0.4)
-            seen["after"] = [net.current_rate(f"s{i}", "d") for i in range(1, 4)]
+            seen["after"] = [current_rate(net, f"s{i}", "d") for i in range(1, 4)]
             seen["demand"] = net.nodes["d"]._down_res.demand
 
         env.run(env.process(driver()))
@@ -268,7 +288,7 @@ class TestTipping:
         def driver():
             for i in range(4):
                 net.transfer(f"s{i}", "d", 1e4)
-            seen["rates"] = [net.current_rate(f"s{i}", "d") for i in range(4)]
+            seen["rates"] = [current_rate(net, f"s{i}", "d") for i in range(4)]
             seen["demand"] = d_down.demand
             seen["binds"] = d_down.demand > d_down.bind_above
             yield env.timeout(1.0)
@@ -300,7 +320,7 @@ class TestDemandBookkeeping:
             for _ in range(n):
                 yield net.transfer(src, "d", rng.uniform(0.01, 0.2))
                 true = sum(
-                    net.active_flows_between(s, "d") * b for s, b in bounds.items()
+                    active_flows_between(net, s, "d") * b for s, b in bounds.items()
                 )
                 worst[0] = max(worst[0], abs(d_down.demand - true))
 
@@ -332,12 +352,12 @@ class TestRatesInsideATimestep:
                 net.transfer(f"s{i}", "d", 1e4)
             # slack so far: running at their bound, nothing pending
             assert not net._dirty
-            seen.append([net.current_rate(f"s{i}", "d") for i in range(3)])
+            seen.append([current_rate(net, f"s{i}", "d") for i in range(3)])
             net.transfer("s3", "d", 1e4)
             # the tipping flow is pending; reading a rate settles it
             assert net._dirty
-            seen.append([net.current_rate(f"s{i}", "d") for i in range(4)])
-            seen.append(net.current_rate("s0", "s0"))
+            seen.append([current_rate(net, f"s{i}", "d") for i in range(4)])
+            seen.append(current_rate(net, "s0", "s0"))
             yield env.timeout(0.0)
 
         env.run(env.process(driver()))
@@ -376,13 +396,13 @@ class TestOpCounts:
         obs = _obs()
         n = 16  # 16 x 270 = 4,320 <= 4,600
         env, net = _fat_uplink(n, obs)
-        net.check_reference = True
+        install(net)
 
         def driver():
             events = [
                 net.transfer(f"a{i}", f"b{i}", 100.0 * (i + 1)) for i in range(n)
             ]
-            assert all(net.current_rate(f"a{i}", f"b{i}") == 270.0 for i in range(n))
+            assert all(current_rate(net, f"a{i}", f"b{i}") == 270.0 for i in range(n))
             for ev in events:
                 yield ev
 
@@ -396,12 +416,12 @@ class TestOpCounts:
         obs = _obs()
         n = 18  # 18 x 270 = 4,860 > 4,600
         env, net = _fat_uplink(n, obs)
-        net.check_reference = True
+        install(net)
         seen = []
 
         def driver():
             events = [net.transfer(f"a{i}", f"b{i}", 1e4) for i in range(n)]
-            seen.append(net.current_rate("a0", "b0"))
+            seen.append(current_rate(net, "a0", "b0"))
             for ev in events:
                 yield ev
 
