@@ -99,7 +99,7 @@ class BlobSeerProtocol:
         self._h_turn_wait = self.obs.registry.histogram(
             "vm.metadata_turn_wait_s"
         )
-        self._c_md_rpcs = self.obs.registry.counter("md.rpcs")
+        self._c_metadata_rpcs = self.obs.registry.counter("md.rpcs")
         #: bounded LRU of hot (root-reachable) tree nodes; None when the
         #: ``md_cache_nodes`` knob is 0 — every get then reaches the DHT
         if getattr(config, "md_cache_nodes", 0):
@@ -429,16 +429,16 @@ class BlobSeerProtocol:
         member_maps: List[Dict[int, tuple]] = [
             {p: (frag,) for p, frag in frags.items()} for _, frags, _ in batch
         ]
-        logs: List[list] = []
+        # one publish round: the boundary read and the batch build are
+        # charged as one concatenated log, one fan-out wave
+        log: List[int] = []
         first_map = member_maps[0]
         p0 = min(first_map)
         frag0 = first_map[p0][0]
         if frag0.start > 0 and prev_root is not None:
             store, rec_store = self._node_store()
             prev_frags = query_pages(store, prev_root, p0, p0 + 1).get(p0, ())
-            blog = rec_store.take_log()
-            if blog:
-                logs.append(blog)
+            log = rec_store.take_log()
             first_map[p0] = overlay(prev_frags, frag0)
         last_size = batch[-1][2]
         store, rec_store = self._node_store()
@@ -450,16 +450,16 @@ class BlobSeerProtocol:
             prev_capacity,
             pages_capacity(last_size, page_size),
         )
-        logs.append(rec_store.take_log())
+        log += rec_store.take_log()
         sp_md = tracer.start(
             "md.publish_batch",
             cat="blobseer.md",
             parent=parent,
             track=client,
-            rpcs=sum(len(log) for log in logs),
+            rpcs=len(log),
             members=len(batch),
         )
-        yield from self._charge_many(logs, parent=sp_md)
+        yield from self._charge(log, parent=sp_md)
         sp_md.finish()
 
         sp_c = tracer.start(
@@ -520,18 +520,9 @@ class BlobSeerProtocol:
         """Generator: bill a metadata access log as RPCs to its owners."""
         if not log:
             return
-        self._c_md_rpcs.inc(len(log))
+        self._c_metadata_rpcs.inc(len(log))
         self.engine.trace_parent(parent)
         yield self.engine.charge_md(log)
-
-    def _charge_many(self, logs, parent=None):
-        """Generator: bill several access logs as one publish round."""
-        logs = [log for log in logs if log]
-        if not logs:
-            return
-        self._c_md_rpcs.inc(sum(len(log) for log in logs))
-        self.engine.trace_parent(parent)
-        yield self.engine.charge_md_many(logs)
 
     # -- read path -----------------------------------------------------------
 

@@ -107,15 +107,6 @@ class SimBlobSeer:
         self.provider_manager.mark_up(name)
         self.engine.recover_endpoint(name)
 
-    def fail_metadata_provider(self, index: int) -> None:
-        """Crash metadata provider *index*: its RPCs time out and retry."""
-        if not 0 <= index < len(self.roles.metadata_providers):
-            raise IndexError(f"no metadata provider {index}")
-        self.engine.fail_md(index)
-
-    def recover_metadata_provider(self, index: int) -> None:
-        self.engine.recover_md(index)
-
     # -- introspection ---------------------------------------------------------
 
     def layout(

@@ -102,9 +102,11 @@ class SimBSFS:
             blob_id = core.create_blob(ps)
             self.namespace.create(path, blob_id, ps)
         record = self.namespace.get(path)
-        ticket = core.assign_append(record.blob_id, nbytes)
-        if ticket.offset != 0:
+        # refuse before assigning: a version assigned here and never
+        # committed would wedge every later append to the blob
+        if core.blob(record.blob_id).assigned_size != 0:
             raise ValueError("preload only supports empty files")
+        ticket = core.assign_append(record.blob_id, nbytes)
         n_pages = -(-nbytes // ps)
         fills = [min(ps, nbytes - p * ps) for p in range(n_pages)]
         placements = self.blobseer.provider_manager.allocate(

@@ -168,25 +168,15 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def charge_md(self, owners: Sequence[int]) -> Any:
-        """Op: charge a batch of metadata RPCs against their owners.
+        """Op: charge a non-empty batch of metadata RPCs against their
+        owners.
 
-        The DES engine serializes them at the per-owner metadata-provider
-        slots (with the timeout/retry path for crashed owners); the
-        threaded engine resolves immediately (its DHT is in-process).
-        """
-
-    @abc.abstractmethod
-    def charge_md_many(self, batches: Sequence[Sequence[int]]) -> Any:
-        """Op: charge several metadata access logs as ONE publish round.
-
-        A group-commit leader folds its boundary-read log and its batch
-        build log into a single fan-out wave — one DHT round trip per
-        *node set* rather than one sequential wave per log. Cost-wise the
-        DES engine treats the concatenation as one
-        :func:`~repro.sim.resources.batch_round_trips` wave; the threaded
-        engine resolves immediately. Kept as a distinct op (not sugar
-        over :meth:`charge_md`) so recorded traces preserve the batch
-        structure the parity suite compares.
+        One op is one fan-out wave: the DES engine runs the whole batch
+        as one :func:`~repro.sim.resources.batch_round_trips` over the
+        per-owner metadata-provider slots, so a group-commit leader that
+        concatenates its boundary-read and build logs pays one DHT round
+        trip per *node set*. The threaded engine resolves immediately
+        (its DHT is in-process).
         """
 
     # -- fault / liveness view ---------------------------------------------
@@ -207,8 +197,9 @@ class Engine(abc.ABC):
     # -- DES-only batch fast paths ------------------------------------------
     # The fault-free DES hot paths batch whole page fan-outs into one
     # network reallocation. Cores only reach these when
-    # ``faults_active`` is False, which never happens on the threaded
-    # engine, so it need not implement them.
+    # ``faults_active`` is False, or from ``HDFSProtocol.read_range``,
+    # which only the simulated HDFS calls; neither happens on the
+    # threaded engine, so it need not implement them.
 
     def ship_many(
         self,

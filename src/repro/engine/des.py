@@ -13,10 +13,11 @@ Cost model (unchanged from the pre-engine simulated clients):
 * ``fetch`` — endpoint disk (or page-cache) service chained into the
   network transfer back to the client;
 * ``charge_md`` — batched fan-out over the per-owner metadata slots;
-* down endpoints fail ``store``/``fetch`` with
+* down data endpoints fail ``store``/``fetch`` with
   :class:`~repro.common.errors.RpcTimeoutError` after the retry
-  policy's ``rpc_timeout`` of simulated time, and crashed metadata
-  owners go through the timeout/backoff retry loop.
+  policy's ``rpc_timeout`` of simulated time. Data providers are the
+  only endpoints the DES crashes (fig7's fault model): metadata lives in
+  the in-process DHT on every runtime, so it has no crash model here.
 
 The fault-free fast paths (``ship_many``/``gather``) batch whole page
 fan-outs through ``network.transfer_many`` so same-instant replica churn
@@ -26,9 +27,9 @@ the cores on those fast paths) until the first injected fault.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Set
 
-from ..common.errors import ProviderUnavailableError, RpcTimeoutError
+from ..common.errors import RpcTimeoutError
 from ..common.rng import substream
 from ..faults.plan import RetryPolicy
 from ..obs import NULL_OBS, Observability
@@ -71,7 +72,6 @@ class DesEngine(Engine):
         self._control: dict[str, _Control] = {}
         self._md_slots: List[Resource] = []
         self._down: Set[str] = set()
-        self._down_md: Set[int] = set()
         self._faults_on = False
         self.use_obs(obs or NULL_OBS)
 
@@ -140,13 +140,6 @@ class DesEngine(Engine):
 
     def recover_endpoint(self, name: str) -> None:
         self._down.discard(name)
-
-    def fail_md(self, index: int) -> None:
-        self._down_md.add(index)
-        self._faults_on = True
-
-    def recover_md(self, index: int) -> None:
-        self._down_md.discard(index)
 
     def is_down(self, endpoint: str) -> bool:
         return endpoint in self._down
@@ -271,85 +264,19 @@ class DesEngine(Engine):
         return done
 
     def charge_md(self, owners: Sequence[int]) -> Event:
-        done = self._charge_md_event(owners)
-        if self._tracer is not None:
-            return self._spanned(
-                done, "engine.charge_md", "engine.md", rpcs=len(owners)
-            )
-        return done
-
-    def charge_md_many(self, batches: Sequence[Sequence[int]]) -> Event:
-        # one publish round: the concatenated logs cost a single fan-out
-        # wave over the owners' slots (the fault path inside
-        # _charge_md_event still detours crashed owners through retries)
-        owners = [o for batch in batches for o in batch]
-        done = self._charge_md_event(owners)
-        if self._tracer is not None:
-            return self._spanned(
-                done,
-                "engine.charge_md_many",
-                "engine.md",
-                rpcs=len(owners),
-                batches=len(batches),
-            )
-        return done
-
-    def _charge_md_event(self, owners: Sequence[int]) -> Event:
         done = Event(self.env)
-        if not owners:
-            done.succeed(None)
-            return done
         cfg = self.cluster.config
-        if self._faults_on and any(o in self._down_md for o in owners):
-            # down owners go through the timeout/retry path; the rest
-            # batch as usual
-            events: List[Event] = [
-                self.env.process(self._md_retry(o))
-                for o in owners
-                if o in self._down_md
-            ]
-            alive = [o for o in owners if o not in self._down_md]
-            if alive:
-                sub = Event(self.env)
-                batch_round_trips(
-                    [self._md_slots[o] for o in alive],
-                    cfg.latency,
-                    cfg.metadata_rpc_time,
-                    sub,
-                )
-                events.append(sub)
-            return self.env.all_of(events)
         batch_round_trips(
             [self._md_slots[o] for o in owners],
             cfg.latency,
             cfg.metadata_rpc_time,
             done,
         )
+        if self._tracer is not None:
+            return self._spanned(
+                done, "engine.charge_md", "engine.md", rpcs=len(owners)
+            )
         return done
-
-    def _md_rpc(self, owner: int) -> Event:
-        """One metadata RPC at provider *owner*: latency + queued service."""
-        return self._md_slots[owner].round_trip(
-            self.cluster.config.latency, self.cluster.config.metadata_rpc_time
-        )
-
-    def _md_retry(self, owner: int) -> Generator[Event, None, None]:
-        """One metadata RPC with timeout + capped-backoff retries, for a
-        possibly-crashed owner."""
-        policy = self.retry
-        for attempt in range(policy.max_attempts):
-            if owner in self._down_md:
-                self._c_rpc_timeouts.inc()
-                yield self.env.timeout(policy.rpc_timeout)
-                if attempt + 1 < policy.max_attempts:
-                    yield self.env.timeout(policy.backoff(attempt))
-            else:
-                yield self._md_rpc(owner)
-                return
-        raise ProviderUnavailableError(
-            f"metadata provider {owner} is down (gave up after "
-            f"{policy.max_attempts} attempts)"
-        )
 
     # -- batch fast paths ---------------------------------------------------
 

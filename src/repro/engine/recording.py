@@ -99,10 +99,6 @@ class RecordingEngine(Engine):
         self.trace.append(("md", tuple(owners)))
         return self.inner.charge_md(owners)
 
-    def charge_md_many(self, batches: Sequence[Sequence[int]]) -> Any:
-        self.trace.append(("md_many", tuple(tuple(b) for b in batches)))
-        return self.inner.charge_md_many(batches)
-
     # -- fault view ---------------------------------------------------------
 
     def is_down(self, endpoint: str) -> bool:

@@ -252,14 +252,3 @@ class ThreadedEngine(Engine):
                 rpcs=len(owners),
             )
         return _NOOP
-
-    def charge_md_many(self, batches: Sequence[Sequence[int]]) -> _Op:
-        if self._tracer is not None:
-            return self._spanned(
-                _Op(lambda: None),
-                "engine.charge_md_many",
-                "engine.md",
-                rpcs=sum(len(b) for b in batches),
-                batches=len(batches),
-            )
-        return _NOOP

@@ -12,7 +12,6 @@ from .inject import (
     ThreadedFaultDriver,
     schedule_plan,
     sim_blobseer_injector,
-    sim_hdfs_injector,
     threaded_storage_injector,
 )
 from .plan import COMPONENTS, FaultPlan, FaultSpec, RetryPolicy
@@ -26,6 +25,5 @@ __all__ = [
     "ThreadedFaultDriver",
     "schedule_plan",
     "sim_blobseer_injector",
-    "sim_hdfs_injector",
     "threaded_storage_injector",
 ]

@@ -160,25 +160,9 @@ def sim_blobseer_injector(
     blobseer, obs: Optional[Observability] = None
 ) -> FaultInjector:
     """Injector wired to a :class:`~repro.blobseer.simulated.SimBlobSeer`
-    (``provider`` and ``metadata`` components; metadata targets are the
-    provider index as a string)."""
-    return (
-        FaultInjector(obs)
-        .register(
-            "provider", blobseer.fail_provider, blobseer.recover_provider
-        )
-        .register(
-            "metadata",
-            lambda t: blobseer.fail_metadata_provider(int(t)),
-            lambda t: blobseer.recover_metadata_provider(int(t)),
-        )
-    )
-
-
-def sim_hdfs_injector(hdfs, obs: Optional[Observability] = None) -> FaultInjector:
-    """Injector wired to a :class:`~repro.hdfs.simulated.SimHDFS`."""
+    (the ``provider`` component: data providers by name)."""
     return FaultInjector(obs).register(
-        "datanode", hdfs.fail_datanode, hdfs.recover_datanode
+        "provider", blobseer.fail_provider, blobseer.recover_provider
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 #: component kinds a plan may target
-COMPONENTS = ("provider", "datanode", "metadata", "tasktracker")
+COMPONENTS = ("provider", "datanode", "tasktracker")
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,8 +11,9 @@ the DES engine; plain locked calls under the threaded engine); datanodes
 are data endpoints. Failure handling is the shared policy: allocations
 are re-requested with backoff while every target is down, chunk stores
 skip over datanodes that time out (reporting them to the namenode), and
-reads fail over replicas through
-:func:`~repro.engine.replica.sweep_fetch`.
+block reads fail over replicas through
+:func:`~repro.engine.replica.sweep_fetch`. The simulated deployment
+never crashes a datanode, so its range read has no failover.
 """
 
 from __future__ import annotations
@@ -115,42 +116,29 @@ class HDFSProtocol:
 
     def read_range(self, client: str, path: str, offset: int, nbytes: int):
         """Generator: read a byte range — one namenode location RPC, then
-        the chunk fetches (parallel on the fault-free fast path)."""
+        the chunk fetches in parallel, each from its first replica.
+
+        The simulated HDFS's fault-free fast path: its only caller
+        (:class:`~repro.hdfs.simulated.SimHDFS`) never crashes a
+        datanode, and it carries sizes, not bytes.
+        """
         if nbytes <= 0:
             raise ValueError("read of zero bytes")
         engine = self.engine
         locations = yield engine.call(
             "nn", "get_block_locations", path, offset, nbytes
         )
-        jobs = []
+        fetchers = []
         for loc in locations:
             lo = max(offset, loc.offset)
             hi = min(offset + nbytes, loc.offset + loc.length)
-            if hi <= lo:
-                continue
-            jobs.append((loc, lo - loc.offset, hi - lo))
-        pieces = []
-        if engine.faults_active:
-            sel = self.selector(client)
-            for loc, in_chunk, size in jobs:
-                data = yield from sweep_fetch(
-                    engine,
-                    sel,
-                    client,
-                    loc.hosts,
-                    None,
-                    in_chunk,
-                    size,
-                    f"the chunk at {loc.offset} of {path}",
+            if hi > lo:
+                fetchers.append(
+                    engine.fetch(
+                        client, loc.hosts[0], None, lo - loc.offset, hi - lo
+                    )
                 )
-                pieces.append(data)
-        else:
-            fetchers = [
-                engine.fetch(client, loc.hosts[0], None, in_chunk, size)
-                for loc, in_chunk, size in jobs
-            ]
-            yield engine.gather(fetchers)
-        return b"".join(pieces) if pieces and pieces[0] is not None else None
+        yield engine.gather(fetchers)
 
     def read_block_range(
         self,

@@ -65,19 +65,6 @@ class SimHDFS:
         )
         self.protocol = HDFSProtocol(self.engine, self.config)
 
-    # -- fault injection -----------------------------------------------------------
-
-    def fail_datanode(self, name: str) -> None:
-        """Crash a datanode: excluded from placement, reads must fail over."""
-        if name not in self.roles.datanodes:
-            raise ValueError(f"unknown datanode {name!r}")
-        self.namenode.mark_down(name)
-        self.engine.fail_endpoint(name)
-
-    def recover_datanode(self, name: str) -> None:
-        self.namenode.mark_up(name)
-        self.engine.recover_endpoint(name)
-
     # -- file operations ------------------------------------------------------------
 
     def write_file_proc(

@@ -22,11 +22,9 @@ refilled; a per-resource membership index keeps disjoint traffic
 untouched. The refill itself is a water-filling max-min solve — a
 saturation-level heap finds successive bottleneck resources in
 O((F+R) log R) rather than iterating uniform increments over the whole
-component — with fast paths for the two common shapes: every flow
-capped by the per-flow rate ceiling, and a single bottleneck resource
-spanning the whole component (e.g. the backbone). Progress is accounted
-lazily per flow — ``(last_update, rate)`` — and completions live in a
-heap, so an event never sweeps the whole flow table. This is what lets
+component. Progress is accounted lazily per flow — ``(last_update,
+rate)`` — and completions live in a heap, so an event never sweeps the
+whole flow table. This is what lets
 the kernel scale to thousands of concurrent flows (the regime of the
 paper's 246-client sweeps and the data join's ``n_reducers × n_maps``
 shuffle).
@@ -550,12 +548,6 @@ class Network:
         one may not (the walk does not cross it) and cannot saturate
         anyway. A flow crossing none of them runs at its ``bound``.
         """
-        # fast path 0: a single-flow component (a lone transfer between
-        # otherwise-idle NICs): no solver state, just the flow's bound
-        if len(comp) == 1:
-            flow = comp[0]
-            return {flow.fid: flow.bound}
-
         cap_limit = self.flow_rate_cap
         rates: Dict[int, float] = {}
         #: the flows that cross a resource that can bind
@@ -593,29 +585,9 @@ class Network:
         if not solve:
             return rates
 
-        n_res = len(res_cap)
         n_total = len(solve)
-        first_share = min(res_cap[i] / res_count[i] for i in range(n_res))
-        # fast path 1: the per-flow cap binds before any resource
-        # saturates — every coupled flow runs at the cap
-        if cap_limit > 0 and cap_limit <= first_share:
-            for flow in solve:
-                rates[flow.fid] = cap_limit
-            return rates
-        # fast path 2: the first bottleneck spans every coupled flow
-        # (e.g. they all cross the backbone) — everything freezes at
-        # one level, no heap needed
-        for i in range(n_res):
-            if (
-                res_count[i] == n_total
-                and res_cap[i] / res_count[i] <= first_share
-            ):
-                for flow in solve:
-                    rates[flow.fid] = first_share
-                return rates
-
         heap: List[Tuple[float, int, int]] = [
-            (res_cap[i] / res_count[i], i, 0) for i in range(n_res)
+            (res_cap[i] / res_count[i], i, 0) for i in range(len(res_cap))
         ]
         heapq.heapify(heap)
         n_frozen = 0

@@ -286,9 +286,9 @@ scenario_write_behind.harness_kw = {"bsfs": True}
 
 def scenario_group_commit_append(h):
     """Group commit on, one appender at a time: each append leads its
-    own batch — ready push, one batched metadata round (the second
-    append's includes the boundary read), one batch publish — and the
-    new ``commit_ready``/``md_many``/``publish_batch`` ops must record
+    own batch — ready push, one metadata round (the second append's
+    concatenates the boundary read with the build), one batch publish —
+    and the ``commit_ready``/``publish_batch`` ops must record
     identically under both engines."""
     blob = h.create_blob()
     h.run(h.proto.update(h.clients[0], blob, Payload(b"a" * (PAGE + 123))))
@@ -296,8 +296,12 @@ def scenario_group_commit_append(h):
     h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 823))
     ops = [rec[2] for rec in h.trace if rec[0] == "call" and rec[1] == "vm"]
     assert ops.count("commit_ready") == 2
-    assert ops.count("publish_batch") == 2
-    assert sum(1 for rec in h.trace if rec[0] == "md_many") == 2
+    # each publish round is one ("md", owners) charge, right before it
+    publish = ("call", "vm", "publish_batch")
+    publishes = [i for i, rec in enumerate(h.trace) if rec == publish]
+    assert len(publishes) == 2
+    assert all(h.trace[i - 1][0] == "md" for i in publishes)
+    assert all(h.trace[i - 2][0] != "md" for i in publishes)
 
 
 scenario_group_commit_append.harness_kw = {"group_commit": True}

@@ -120,6 +120,21 @@ class TestSimBSFS:
         with pytest.raises(ValueError):
             bsfs.preload("/f", 4 * MiB)
 
+    def test_refused_preload_leaves_the_file_appendable(self):
+        # the refusal must not assign a version it never commits: the
+        # next append would wait forever for that version's turn
+        bsfs = deploy_bsfs(small_config())
+        env = bsfs.env
+        client = bsfs.client_nodes[0]
+        env.run(env.process(bsfs.create_proc(client, "/f")))
+        bsfs.preload("/f", 4 * MiB)
+        with pytest.raises(ValueError):
+            bsfs.preload("/f", 4 * MiB)
+        append = env.process(bsfs.append_proc(client, "/f", 4 * MiB))
+        [version] = run_all(bsfs.cluster, [append])
+        assert version == 2
+        assert bsfs.namespace.get_status("/f").size == 8 * MiB
+
 
 class TestSimHDFS:
     def test_write_then_read(self):

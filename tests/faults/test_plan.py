@@ -21,6 +21,9 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec("gremlin", "x", 0.0)
         with pytest.raises(ValueError):
+            # metadata lives in the in-process DHT: nothing to crash
+            FaultSpec("metadata", "0", 0.0)
+        with pytest.raises(ValueError):
             FaultSpec("provider", "x", -1.0)
         with pytest.raises(ValueError):
             FaultSpec("provider", "x", 0.0, duration=0.0)

@@ -1,5 +1,6 @@
-"""Simulated-runtime failure injection: replica failover, RPC retries,
-and placement around crashed storage nodes."""
+"""Simulated-runtime failure injection: replica failover, RPC timeouts,
+and placement around crashed data providers (fig7's fault model; the
+live HDFS failover is tested in tests/hdfs/test_client.py)."""
 
 from dataclasses import replace
 
@@ -9,8 +10,7 @@ from repro.common.config import ExperimentConfig
 from repro.common.errors import ReplicationError
 from repro.common.units import MiB
 from repro.engine.base import Payload
-from repro.experiments.deploy import deploy_bsfs, deploy_hdfs
-from repro.faults import FaultPlan, schedule_plan, sim_blobseer_injector
+from repro.experiments.deploy import deploy_bsfs
 from repro.obs import Observability
 
 
@@ -22,14 +22,6 @@ def _bsfs_dep(nodes=8, replication=3, seed=5):
     )
     obs = Observability.on()
     return deploy_bsfs(cfg, obs=obs), obs
-
-
-def _hdfs_dep(nodes=6, replication=3, seed=5):
-    cfg = ExperimentConfig(repetitions=1)
-    cfg.cluster = replace(cfg.cluster, nodes=nodes, seed=seed)
-    cfg.hdfs = replace(cfg.hdfs, replication=replication)
-    obs = Observability.on()
-    return deploy_hdfs(cfg, obs=obs), obs
 
 
 def append(sb, client, blob):
@@ -102,70 +94,3 @@ class TestSimBlobSeerFailures:
             sb.recover_provider(name)
         version, _data = env.run(env.process(read(sb, client, blob)))
         assert version == 1
-
-    def test_metadata_rpcs_retry_until_recovery(self):
-        dep, obs = _bsfs_dep()
-        sb = dep.blobseer
-        env = dep.cluster.env
-        client = dep.client_nodes[0]
-        blob = sb.create_blob()
-        # crash both metadata providers now, recover them a second later
-        # via a scheduled plan — the append's metadata writes must spin on
-        # timeouts + backoff until then, and still land
-        plan = (
-            FaultPlan()
-            .crash("metadata", "0", at=0.0, duration=1.0)
-            .crash("metadata", "1", at=0.0, duration=1.0)
-        )
-        schedule_plan(env, plan, sim_blobseer_injector(sb, obs))
-        version, _offset, _end = env.run(env.process(append(sb, client, blob)))
-        assert version == 1
-        assert obs.registry.value("net.rpc_timeouts") >= 1
-        assert env.now >= 1.0  # the append could only finish after recovery
-        assert obs.registry.value("faults.injected") == 2
-        assert obs.registry.value("faults.recovered") == 2
-
-
-class TestSimHDFSFailures:
-    def test_read_fails_over_across_datanodes(self):
-        hdfs, obs = _hdfs_dep()
-        env = hdfs.env
-        client = hdfs.client_nodes[0]
-        env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))
-        # crash two of the chunk's three replicas
-        locs = hdfs.namenode.get_block_locations("/f", 0, 4 * MiB)
-        for name in locs[0].hosts[:2]:
-            hdfs.fail_datanode(name)
-        env.run(env.process(hdfs.read_proc(client, "/f", 0, 4 * MiB)))
-        assert obs.registry.value("net.rpc_timeouts") >= 1
-
-    def test_read_fails_when_all_replicas_down(self):
-        hdfs, _obs = _hdfs_dep()
-        env = hdfs.env
-        client = hdfs.client_nodes[0]
-        env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))
-        locs = hdfs.namenode.get_block_locations("/f", 0, 4 * MiB)
-        for name in locs[0].hosts:
-            hdfs.fail_datanode(name)
-        with pytest.raises(ReplicationError):
-            env.run(env.process(hdfs.read_proc(client, "/f", 0, 4 * MiB)))
-
-    def test_write_places_only_on_alive_datanodes(self):
-        hdfs, _obs = _hdfs_dep()
-        env = hdfs.env
-        client = hdfs.client_nodes[0]
-        for name in list(hdfs.roles.datanodes)[:-1]:
-            hdfs.fail_datanode(name)
-        env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))
-        locs = hdfs.namenode.get_block_locations("/f", 0, 4 * MiB)
-        assert locs[0].hosts == (hdfs.roles.datanodes[-1],)
-        env.run(env.process(hdfs.read_proc(client, "/f", 0, 4 * MiB)))
-
-    def test_write_fails_with_no_alive_datanodes(self):
-        hdfs, _obs = _hdfs_dep()
-        env = hdfs.env
-        client = hdfs.client_nodes[0]
-        for name in hdfs.roles.datanodes:
-            hdfs.fail_datanode(name)
-        with pytest.raises(ReplicationError):
-            env.run(env.process(hdfs.write_file_proc(client, "/f", 4 * MiB)))

@@ -166,9 +166,6 @@ NO_TRAFFIC: Dict[str, str] = {
     ),
     "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait": _GROUP_COMMIT,
     "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait_nowait": _GROUP_COMMIT,
-    "repro.engine.threaded.ThreadedEngine.charge_md_many": (
-        "bills a group-commit publish round; " + _GROUP_COMMIT
-    ),
     "repro.blobseer.backends.logstore.LogStructuredPageStore.compact": (
         "log compaction; ROADMAP item 5 (restart by replay) needs it"
     ),
@@ -188,18 +185,7 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.blobseer.provider.Provider.is_failed": _PROBE,
     "repro.blobseer.provider_manager.ProviderManager.mark_up": _RECOVERY,
     "repro.blobseer.simulated.SimBlobSeer.recover_provider": _RECOVERY,
-    "repro.blobseer.simulated.SimBlobSeer.fail_metadata_provider": _CRASH,
-    "repro.blobseer.simulated.SimBlobSeer.recover_metadata_provider": _RECOVERY,
-    "repro.engine.des.DesEngine.fail_md": _CRASH,
-    "repro.engine.des.DesEngine.recover_md": _RECOVERY,
     "repro.engine.des.DesEngine.recover_endpoint": _RECOVERY,
-    "repro.engine.des.DesEngine._md_rpc": (
-        "metadata RPC under a crashed metadata provider: the retrying "
-        "form of the batched charge"
-    ),
-    "repro.engine.des.DesEngine._md_retry": (
-        "retries a metadata RPC until its crashed provider recovers"
-    ),
     "repro.engine.des.DesEngine._timeout_fail": (
         "an RPC timeout against a crashed data endpoint, which no root's "
         "operation addresses (tests/faults do)"
@@ -248,12 +234,9 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.faults.inject.FaultInjector.components": (
         "names the handlers in the error for an unknown component"
     ),
-    "repro.faults.inject.sim_hdfs_injector": _CRASH,
     "repro.obs.events.fault_recover": _RECOVERY,
     "repro.hdfs.client.HDFSCluster.fail_datanode": _CRASH,
     "repro.hdfs.client.HDFSCluster.recover_datanode": _RECOVERY,
-    "repro.hdfs.simulated.SimHDFS.fail_datanode": _CRASH,
-    "repro.hdfs.simulated.SimHDFS.recover_datanode": _RECOVERY,
     "repro.hdfs.datanode.DataNode.fail": _CRASH,
     "repro.hdfs.datanode.DataNode.recover": _RECOVERY,
     "repro.hdfs.datanode.DataNode.is_failed": _PROBE,
