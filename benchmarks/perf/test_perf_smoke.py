@@ -113,7 +113,8 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     the committed ceiling in bytes and in collector-tracked objects
     (keys and inner nodes are exact tuples the collector untracks, so
     its passes do not grow with history), and the DHT keeps nothing per
-    key but its buckets (placement is recomputed, never remembered)."""
+    key but its buckets (placement is computed only where the simulator
+    bills it, never remembered)."""
     from repro.engine.base import Payload
     from repro.server import BlobServer
 

@@ -1,4 +1,6 @@
-"""The default backend: a thread-safe dict, no durability."""
+"""The default backend: a thread-safe dict, no durability.
+
+Writers serialise on the store's lock; ``get`` takes none."""
 
 from __future__ import annotations
 
@@ -20,11 +22,11 @@ class InMemoryPageStore:
             self._data[key] = value
 
     def get(self, key: bytes) -> bytes:
-        with self._lock:
-            try:
-                return self._data[key]
-            except KeyError:
-                raise PageNotFoundError(f"no page {key!r}") from None
+        # one dict lookup, atomic on its own: readers take no lock
+        try:
+            return self._data[key]
+        except KeyError:
+            raise PageNotFoundError(f"no page {key!r}") from None
 
     def contains(self, key: bytes) -> bool:
         with self._lock:

@@ -6,26 +6,26 @@ hit different providers most of the time — the decentralization that
 keeps metadata from becoming the bottleneck the version manager would
 otherwise be.
 
-:class:`MetadataDHT` is the threaded-runtime implementation (per-bucket
-dicts with locks). :class:`RecordingStore` wraps it and logs the owning
-provider of every access; the simulated runtime replays that log as
-charged RPCs against the simulated metadata-provider machines, so the
-*exact* metadata traffic of the real algorithms is what gets costed.
-
-Placement is a pure function of the key, recomputed where it is needed
-(one SHA-1 per access that reaches the DHT) and remembered nowhere: the
-DHT holds its buckets and nothing else per key.
+:class:`MetadataDHT` is the live store every runtime's tree algorithms
+run against: *n* lock-free partitions, each get or put one dict
+operation. Nodes are immutable and written once, so a reader never
+synchronises with a writer. :class:`RecordingStore` wraps it and logs
+the key of every access; the simulated runtime charges that log through
+``DesEngine.charge_md``, the one place that computes
+:func:`placement_hash` — the owning metadata provider — so the *exact*
+metadata traffic of the real algorithms is what gets costed. The live
+runtimes, whose DHT is in-process, never hash for placement.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from ...common.errors import VersionNotFoundError
-from .segment_tree import NodeKey, TreeNode, key_bytes
+from ...common.tally import Tally
+from .segment_tree import NodeKey, TreeNode
 
 
 def placement_hash(key_bytes: bytes, buckets: int) -> int:
@@ -37,7 +37,16 @@ def placement_hash(key_bytes: bytes, buckets: int) -> int:
 
 
 class MetadataDHT:
-    """Thread-safe in-process DHT over *n* metadata providers."""
+    """In-process DHT over *n* metadata providers; takes no lock.
+
+    A node lives in partition ``hash(key) % n`` — the builtin hash,
+    deterministic for int-tuple keys and an order of magnitude cheaper
+    than SHA-1. The partition is storage layout only (it bounds each
+    dict's resize transient, and the pruner sweeps one at a time); the
+    provider the simulator bills is :func:`placement_hash`'s, computed
+    where it is charged. The ``gets``/``puts`` tallies are exact without
+    a lock: each thread counts in its own cell.
+    """
 
     def __init__(self, n_providers: int) -> None:
         if n_providers < 1:
@@ -46,64 +55,59 @@ class MetadataDHT:
         self._buckets: List[Dict[NodeKey, TreeNode]] = [
             {} for _ in range(n_providers)
         ]
-        self._locks = [threading.Lock() for _ in range(n_providers)]
-        #: lifetime op counters per provider: (gets, puts)
-        self.gets = [0] * n_providers
-        self.puts = [0] * n_providers
+        #: lifetime node reads (column 0) and writes (column 1)
+        self._tally = Tally(2)
 
-    def owner(self, key: NodeKey) -> int:
-        """Which metadata provider is responsible for *key*."""
-        return placement_hash(key_bytes(key), self.n_providers)
+    @property
+    def gets(self) -> List[int]:
+        """Lifetime node reads, one entry per counting thread."""
+        return self._tally.column(0)
+
+    @property
+    def puts(self) -> List[int]:
+        """Lifetime node writes, one entry per counting thread."""
+        return self._tally.column(1)
 
     def get_node(self, key: NodeKey) -> TreeNode:
         """Fetch a node; raises ``VersionNotFoundError`` when absent."""
-        return self._get_at(self.owner(key), key)
+        self._tally.cell()[0] += 1
+        try:
+            return self._buckets[hash(key) % self.n_providers][key]
+        except KeyError:
+            raise VersionNotFoundError(f"no tree node for {key}") from None
 
     def put_node(self, node: TreeNode) -> None:
         """Store a node (idempotent: nodes are immutable)."""
-        self._put_at(self.owner(node[0]), node)
-
-    def _get_at(self, idx: int, key: NodeKey) -> TreeNode:
-        with self._locks[idx]:
-            self.gets[idx] += 1
-            try:
-                return self._buckets[idx][key]
-            except KeyError:
-                raise VersionNotFoundError(f"no tree node for {key}") from None
-
-    def _put_at(self, idx: int, node: TreeNode) -> None:
-        with self._locks[idx]:
-            self.puts[idx] += 1
-            self._buckets[idx][node[0]] = node
+        self._tally.cell()[1] += 1
+        key = node[0]
+        self._buckets[hash(key) % self.n_providers][key] = node
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets)
 
 
 class RecordingStore:
-    """Node-store wrapper that logs the owning provider of every access.
+    """Node-store wrapper that logs the key of every access.
 
     The simulated runtime runs the genuine tree algorithms against this
-    wrapper, then charges each logged owner one RPC at the corresponding
-    simulated metadata-provider machine.
+    wrapper, then charges each logged key one RPC at the simulated
+    metadata provider that owns it (see ``Engine.charge_md``).
     """
 
     def __init__(self, inner: MetadataDHT) -> None:
         self.inner = inner
-        self.log: List[int] = []
+        self.log: List[NodeKey] = []
 
     def get_node(self, key: NodeKey) -> TreeNode:
-        idx = self.inner.owner(key)
-        self.log.append(idx)
-        return self.inner._get_at(idx, key)
+        self.log.append(key)
+        return self.inner.get_node(key)
 
     def put_node(self, node: TreeNode) -> None:
-        idx = self.inner.owner(node[0])
-        self.log.append(idx)
-        self.inner._put_at(idx, node)
+        self.log.append(node[0])
+        self.inner.put_node(node)
 
-    def take_log(self) -> List[int]:
-        """Return and clear the owner log."""
+    def take_log(self) -> List[NodeKey]:
+        """Return and clear the key log."""
         log, self.log = self.log, []
         return log
 
@@ -128,12 +132,18 @@ class NodeCache:
         self._misses = miss_counter
 
     def get(self, key: NodeKey) -> Optional[TreeNode]:
-        node = self._nodes.get(key)
+        nodes = self._nodes
+        node = nodes.get(key)
+        if node is not None:
+            try:
+                nodes.move_to_end(key)
+            except KeyError:
+                # another thread's put evicted it since the lookup
+                node = None
         if node is None:
             if self._misses is not None:
                 self._misses.inc()
             return None
-        self._nodes.move_to_end(key)
         if self._hits is not None:
             self._hits.inc()
         return node
@@ -141,8 +151,10 @@ class NodeCache:
     def put(self, node: TreeNode) -> None:
         nodes = self._nodes
         key = node[0]
+        # re-inserting puts the key last in one step: a move_to_end after
+        # the store could meet a key another thread just evicted
+        nodes.pop(key, None)
         nodes[key] = node
-        nodes.move_to_end(key)
         while len(nodes) > self.capacity:
             nodes.popitem(last=False)
 

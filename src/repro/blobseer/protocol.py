@@ -11,10 +11,11 @@ in-process runtime (``repro.blobseer.client``), which are now thin shims
 over this module.
 
 The metadata tree algorithms run in-process against a
-:class:`~repro.blobseer.metadata.dht.RecordingStore`; the access log is
-then charged through ``engine.charge_md`` so the DES runtime bills each
-node access as an RPC to its owning metadata provider while the threaded
-runtime (whose DHT is genuinely in-process) pays nothing.
+:class:`~repro.blobseer.metadata.dht.RecordingStore`; its log of node
+keys is then charged through ``engine.charge_md``. The DES runtime maps
+each key to its owning metadata provider and bills the access as an RPC
+there; the live runtimes (whose DHT is genuinely in-process) pay nothing
+and compute no placement.
 
 Failure handling is shared, not duplicated per runtime: page stores
 reroute around :class:`~repro.common.errors.RpcTimeoutError` by
@@ -431,7 +432,7 @@ class BlobSeerProtocol:
         ]
         # one publish round: the boundary read and the batch build are
         # charged as one concatenated log, one fan-out wave
-        log: List[int] = []
+        log: list = []
         first_map = member_maps[0]
         p0 = min(first_map)
         frag0 = first_map[p0][0]
@@ -517,7 +518,8 @@ class BlobSeerProtocol:
         return tuple(stored)
 
     def _charge(self, log, parent=None):
-        """Generator: bill a metadata access log as RPCs to its owners."""
+        """Generator: bill a metadata access log (node keys) as RPCs to
+        their owners."""
         if not log:
             return
         self._c_metadata_rpcs.inc(len(log))

@@ -13,6 +13,7 @@ import threading
 from typing import List, Optional
 
 from ..common.errors import PageNotFoundError, ProviderUnavailableError
+from ..common.tally import Tally
 from .pages import PageId
 from .backends import InMemoryPageStore, PageStore
 
@@ -28,7 +29,9 @@ class Provider:
         #: lifetime counters
         self.bytes_stored = 0
         self.pages_stored = 0
-        self.bytes_served = 0
+        #: bytes served, counted per reader thread: ``get_page`` takes
+        #: no lock ``put_page`` takes
+        self._served = Tally()
 
     # -- fault injection -------------------------------------------------------
 
@@ -41,6 +44,10 @@ class Provider:
         """Bring a failed provider back (its stored pages survive)."""
         with self._lock:
             self._failed = False
+
+    @property
+    def bytes_served(self) -> int:
+        return sum(self._served.column(0))
 
     @property
     def is_failed(self) -> bool:
@@ -75,8 +82,7 @@ class Provider:
                 f"range [{offset}, {offset + size}) outside page of {len(data)} bytes"
             )
         piece = data[offset : offset + size]
-        with self._lock:
-            self.bytes_served += len(piece)
+        self._served.cell()[0] += len(piece)
         return piece
 
     def has_page(self, page_id: PageId) -> bool:

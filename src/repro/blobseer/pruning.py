@@ -112,18 +112,19 @@ def prune_blob(
 
         # sweep tree nodes created by pruned versions
         nodes_deleted = 0
-        for bucket, lock in zip(service.dht._buckets, service.dht._locks):
-            with lock:
-                doomed = [
-                    key
-                    for key in bucket
-                    if key[0] == blob_id
-                    and 0 < key[1] < keep_from_version
-                    and key not in reachable_nodes
-                ]
-                for key in doomed:
-                    del bucket[key]
-                nodes_deleted += len(doomed)
+        for bucket in service.dht._buckets:
+            # a snapshot of the partition: writers keep inserting nodes
+            # of new versions while it is swept (the DHT takes no lock)
+            doomed = [
+                key
+                for key in list(bucket)
+                if key[0] == blob_id
+                and 0 < key[1] < keep_from_version
+                and key not in reachable_nodes
+            ]
+            for key in doomed:
+                del bucket[key]
+            nodes_deleted += len(doomed)
 
         # sweep stored objects no retained leaf references
         pages_deleted = 0

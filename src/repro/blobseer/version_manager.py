@@ -36,6 +36,7 @@ adapters that only decide *when* its transitions run:
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -142,6 +143,9 @@ class VersionManagerCore:
         #: lease deadline of every version whose clock is running (at
         #: most one per blob); bindings may read it, only the core writes
         self.deadlines: Dict[tuple[int, int], float] = {}
+        #: ``min(deadlines.values())``, inf when no clock runs: before it
+        #: no lease can be overdue, so a reader need not expire any
+        self.earliest_deadline = math.inf
         #: versions given up on while still queued: aborted in turn
         self._abandoned: set[tuple[int, int]] = set()
         #: the writer waiting for its version's metadata turn — one
@@ -402,7 +406,7 @@ class VersionManagerCore:
             key, deadline = min(self.deadlines.items(), key=lambda kv: kv[1])
             if deadline > now:
                 break
-            del self.deadlines[key]
+            self._stop_lease(key)
             self._c_lease_expiries.inc()
             lease_expired(self._tracer, *key)
             self.abandon(*key, deadline)
@@ -413,6 +417,7 @@ class VersionManagerCore:
         """Stop every lease clock and start no more (service shutdown)."""
         self.lease_s = 0.0
         self.deadlines.clear()
+        self.earliest_deadline = math.inf
 
     def _start_lease(
         self, state: BlobState, version: int, now: Optional[float]
@@ -429,8 +434,14 @@ class VersionManagerCore:
             return
         deadline = now + self.lease_s
         self.deadlines[(state.blob_id, version)] = deadline
+        self.earliest_deadline = min(self.earliest_deadline, deadline)
         if self._on_lease_start is not None:
             self._on_lease_start(deadline)
+
+    def _stop_lease(self, key: tuple[int, int]) -> None:
+        """Stop *key*'s lease clock, if one runs."""
+        if self.deadlines.pop(key, None) == self.earliest_deadline:
+            self.earliest_deadline = min(self.deadlines.values(), default=math.inf)
 
     # -- group commit (batched metadata publication) ---------------------------
 
@@ -458,7 +469,7 @@ class VersionManagerCore:
         record = self._unaborted(state, version)
         if record.committed or self.is_ready(blob_id, version):
             raise ValueError(f"version {version} submitted twice")
-        self.deadlines.pop((blob_id, version), None)
+        self._stop_lease((blob_id, version))
         self._pending[(blob_id, version)] = changes
         if self.metadata_prereq(blob_id, version) is None:
             return None
@@ -547,9 +558,16 @@ class VersionManagerCore:
         self, state: BlobState, version: int, now: Optional[float]
     ) -> None:
         """*version* resolved: advance the publish frontier and hand the
-        head of the commit queue to its successor."""
+        head of the commit queue to its successor.
+
+        Every caller completes the resolved records (root, size,
+        ``committed``) *before* calling this, and only this advances
+        ``published``: a reader that resolves without the binding's lock
+        (:meth:`ThreadedVersionManager.resolve`) and sees a version
+        published therefore sees its record whole. Keep that order.
+        """
         blob_id = state.blob_id
-        self.deadlines.pop((blob_id, version), None)
+        self._stop_lease((blob_id, version))
         while (nxt := state.versions.get(state.published + 1)) and nxt.committed:
             state.published += 1
         succ = (blob_id, version + 1)
@@ -623,7 +641,8 @@ class ThreadedVersionManager:
     on entry, and a blocked waiter sleeps no longer than the earliest
     deadline — so a dead appender is aborted by whoever next touches (or
     is already waiting on) the version manager, at the deadline it would
-    have had under a timer. No thread is ever started.
+    have had under a timer. No thread is ever started. Readers take the
+    mutex only once a lease is overdue (:meth:`resolve`).
     """
 
     def __init__(
@@ -746,7 +765,26 @@ class ThreadedVersionManager:
     commit = _locked("commit", timed=True, wakes=True)
     commit_ready = _locked("commit_ready")
     publish_batch = _locked("publish_batch", timed=True, wakes=True)
-    resolve = _locked("resolve")
+
+    def resolve(
+        self, blob_id: int, version: Optional[int] = None
+    ) -> tuple[VersionRecord, int]:
+        """``core.resolve`` — without the mutex while no lease can be
+        overdue, so a reader never waits on a writer's transition.
+
+        Before the core's earliest lease deadline, :meth:`_expire` would
+        abort nothing, and a version is published only once its record
+        is complete (see ``VersionManagerCore._finish_version``), so the
+        lock-free answer is one the locked path could have given. Past
+        the deadline the reader locks and expires, aborting a dead
+        appender as every other transition does.
+        """
+        if time.monotonic() < self.core.earliest_deadline:
+            return self.core.resolve(blob_id, version)
+        with self._turn:
+            self._expire()
+            return self.core.resolve(blob_id, version)
+
     latest_published = _locked("latest_published")
 
     def metadata_turn(

@@ -216,10 +216,11 @@ class BSFSOutputStream(OutputStream):
 
 
 class BSFSInputStream(InputStream):
-    """Read stream with whole-block prefetching. The namespace size is
-    tracked lazily: a read past the last known size re-consults the
-    namespace manager, so a reader can follow a file that concurrent
-    appenders are still growing (the paper's pipelined Map/Reduce)."""
+    """Read stream with whole-block prefetching. The file size is
+    tracked lazily: a read past the last known size re-reads it from the
+    file's namespace record, so a reader can follow a file that
+    concurrent appenders are still growing (the paper's pipelined
+    Map/Reduce) without taking the namespace lock its appenders take."""
 
     def __init__(self, fs: BSFSFileSystem, path: str, record: BSFSFile) -> None:
         self.fs = fs
@@ -249,7 +250,7 @@ class BSFSInputStream(InputStream):
             record.page_size,
             cache=self._cache,
         )
-        self._known_size = fs.deployment.namespace.get_status(path).size
+        self._known_size = record.size
 
     @property
     def fetches(self) -> int:
@@ -270,8 +271,12 @@ class BSFSInputStream(InputStream):
             return self._pos
 
     def refresh_size(self) -> int:
-        """Re-read the file size from the namespace manager."""
-        self._known_size = self.fs.deployment.namespace.get_status(self.path).size
+        """Re-read the file size from the record this stream opened.
+
+        One attribute read, no lock: the namespace manager grows the
+        size in place (a monotonic max, stored once its BLOB append has
+        published), so the value read is one a reader may serve."""
+        self._known_size = self.record.size
         return self._known_size
 
     @property

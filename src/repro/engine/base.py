@@ -167,16 +167,20 @@ class Engine(abc.ABC):
         """
 
     @abc.abstractmethod
-    def charge_md(self, owners: Sequence[int]) -> Any:
-        """Op: charge a non-empty batch of metadata RPCs against their
-        owners.
+    def charge_md(self, keys: Sequence[Any]) -> Any:
+        """Op: charge a non-empty batch of metadata RPCs, one per tree
+        node key accessed (a :class:`~repro.blobseer.metadata.dht.RecordingStore`
+        log).
 
-        One op is one fan-out wave: the DES engine runs the whole batch
-        as one :func:`~repro.sim.resources.batch_round_trips` over the
-        per-owner metadata-provider slots, so a group-commit leader that
-        concatenates its boundary-read and build logs pays one DHT round
-        trip per *node set*. The threaded engine resolves immediately
-        (its DHT is in-process).
+        One op is one fan-out wave: the DES engine maps each key to its
+        owning metadata provider
+        (:func:`~repro.blobseer.metadata.dht.placement_hash`) and runs
+        the whole batch as one
+        :func:`~repro.sim.resources.batch_round_trips` over the per-owner
+        slots, so a group-commit leader that concatenates its
+        boundary-read and build logs pays one DHT round trip per *node
+        set*. The live engines resolve immediately and never compute
+        placement (their DHT is in-process).
         """
 
     # -- fault / liveness view ---------------------------------------------

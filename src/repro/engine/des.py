@@ -12,7 +12,9 @@ Cost model (unchanged from the pre-engine simulated clients):
   receipt, with asynchronous disk persistence (fire-and-forget);
 * ``fetch`` — endpoint disk (or page-cache) service chained into the
   network transfer back to the client;
-* ``charge_md`` — batched fan-out over the per-owner metadata slots;
+* ``charge_md`` — batched fan-out over the per-owner metadata slots,
+  each logged node key billed to the provider :func:`placement_hash`
+  assigns it (the live engines never compute placement);
 * down data endpoints fail ``store``/``fetch`` with
   :class:`~repro.common.errors.RpcTimeoutError` after the retry
   policy's ``rpc_timeout`` of simulated time. Data providers are the
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Sequence, Set
 
+from ..blobseer.metadata.dht import placement_hash
+from ..blobseer.metadata.segment_tree import NodeKey, key_bytes
 from ..common.errors import RpcTimeoutError
 from ..common.rng import substream
 from ..faults.plan import RetryPolicy
@@ -263,18 +267,22 @@ class DesEngine(Engine):
             )
         return done
 
-    def charge_md(self, owners: Sequence[int]) -> Event:
+    def charge_md(self, keys: Sequence[NodeKey]) -> Event:
+        # the only placement computation in the system: each node key
+        # bills the slot of the metadata provider that owns it
         done = Event(self.env)
         cfg = self.cluster.config
+        slots = self._md_slots
+        n = len(slots)
         batch_round_trips(
-            [self._md_slots[o] for o in owners],
+            [slots[placement_hash(key_bytes(key), n)] for key in keys],
             cfg.latency,
             cfg.metadata_rpc_time,
             done,
         )
         if self._tracer is not None:
             return self._spanned(
-                done, "engine.charge_md", "engine.md", rpcs=len(owners)
+                done, "engine.charge_md", "engine.md", rpcs=len(keys)
             )
         return done
 

@@ -95,9 +95,9 @@ class RecordingEngine(Engine):
         self.trace.append(("fetch", self._label(endpoint), nbytes))
         return self.inner.fetch(client, endpoint, page_id, data_offset, nbytes)
 
-    def charge_md(self, owners: Sequence[int]) -> Any:
-        self.trace.append(("md", tuple(owners)))
-        return self.inner.charge_md(owners)
+    def charge_md(self, keys: Sequence[Any]) -> Any:
+        self.trace.append(("md", tuple(keys)))
+        return self.inner.charge_md(keys)
 
     # -- fault view ---------------------------------------------------------
 

@@ -241,7 +241,7 @@ class ThreadedEngine(Engine):
             )
         return op
 
-    def charge_md(self, owners: Sequence[int]) -> _Op:
+    def charge_md(self, keys: Sequence[Any]) -> _Op:
         # the DHT is in-process: metadata RPCs cost nothing here, but
         # the op still gets its span so both runtimes' trees match
         if self._tracer is not None:
@@ -249,6 +249,6 @@ class ThreadedEngine(Engine):
                 _Op(lambda: None),
                 "engine.charge_md",
                 "engine.md",
-                rpcs=len(owners),
+                rpcs=len(keys),
             )
         return _NOOP

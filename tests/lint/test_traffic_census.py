@@ -321,6 +321,7 @@ NO_TRAFFIC: Dict[str, str] = {
     ),
     "repro.blobseer.provider.Provider.page_ids": "pruning's sweep calls it",
     "repro.blobseer.provider.Provider.has_page": _PROBE,
+    "repro.blobseer.provider.Provider.bytes_served": _PROBE,
     "repro.blobseer.backends.available_backends": (
         "lists the registry in the error for an unknown store name"
     ),
