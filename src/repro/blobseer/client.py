@@ -47,8 +47,9 @@ class BlobSeerService:
         :class:`~repro.engine.threaded.ThreadedEngine` — any engine with
         the same ``bind``/``bind_data`` wiring surface works; the HTTP
         front-end passes an :class:`~repro.engine.aio.AsyncioEngine`
-        here (note its ``run`` is a coroutine, so the synchronous
-        :class:`BlobClient` facade only works on the threaded default).
+        here: the threaded engine with a coroutine ``run`` that its loop
+        awaits, so the synchronous :class:`BlobClient` facade only works
+        on the threaded default.
         """
         self.config = config or BlobSeerConfig()
         self.config.validate()

@@ -194,6 +194,26 @@ class BlobSeerProtocol:
         sp_vm.finish()
         if offset is None:
             self._h_ticket_wait.observe(engine.now() - t0)
+        try:
+            new_frags = yield from self._ship(client, ticket, payload, sp)
+            group_end = yield from publish(client, ticket, new_frags, sp)
+        except Exception as exc:
+            # give the ticket back now: the version becomes a hole at
+            # once instead of wedging every later update for a lease.
+            # Not BaseException — a client that dies holding its ticket
+            # (GeneratorExit) is what the lease is for.
+            engine.trace_parent(sp)
+            yield engine.call("vm", "abandon", ticket.blob_id, ticket.version)
+            sp.finish(error=type(exc).__name__)
+            raise
+        sp.finish(version=ticket.version, offset=ticket.offset)
+        return ticket.version, ticket.offset, group_end
+
+    def _ship(self, client: str, ticket: Ticket, payload: Payload, parent):
+        """Generator: place and store the ticket's pages; returns the
+        new fragment of each page the update touches."""
+        engine = self.engine
+        tracer = self.obs.tracer
         ps = ticket.page_size
         # from here on, the ticket's offset (an append's is the VM's choice)
         offset, end = ticket.offset, ticket.offset + ticket.nbytes
@@ -209,7 +229,7 @@ class BlobSeerProtocol:
         sp_ship = tracer.start(
             "pages.ship",
             cat="blobseer.data",
-            parent=sp,
+            parent=parent,
             track=client,
             pages=len(sizes),
         )
@@ -257,10 +277,7 @@ class BlobSeerProtocol:
                 self.directory.note_page(
                     frag.page_id, frag.providers, frag.length
                 )
-
-        group_end = yield from publish(client, ticket, new_frags, sp)
-        sp.finish(version=ticket.version, offset=ticket.offset)
-        return ticket.version, ticket.offset, group_end
+        return new_frags
 
     def _publish(
         self, client: str, ticket: Ticket, new_frags: Dict[int, Fragment], parent

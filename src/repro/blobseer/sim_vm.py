@@ -49,6 +49,9 @@ class SimVMService:
     def publish_batch(self, blob_id: int, versions, root, tree_size: int) -> None:
         self.core.publish_batch(blob_id, versions, root, tree_size, self.env.now)
 
+    def abandon(self, blob_id: int, version: int) -> None:
+        self.core.abandon(blob_id, version, self.env.now)
+
     # -- uncharged waits -----------------------------------------------------
 
     def metadata_turn(self, blob_id: int, version: int) -> Event:

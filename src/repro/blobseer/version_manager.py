@@ -665,82 +665,47 @@ class ThreadedVersionManager:
             self._turn.notify_all()
         return now
 
-    def _waiting(
+    def _await(
         self,
         when,
         blob_id: int,
         version: int,
         what: str,
         timeout: Optional[float] = None,
-        wake: Optional[Callable[[], None]] = None,
     ):
-        """With the lock held: file a wait for *version*'s outcome
-        through *when* (``core.when_turn`` or ``core.when_published``).
+        """Block until *version*'s outcome, filed through *when*
+        (``core.when_turn`` or ``core.when_published``), is decided.
 
-        Returns ``(outcome, nap)``. The core's answer lands in the
-        *outcome* list — at once when it is already decided, else under
-        the lock on whichever thread runs the resolving transition,
-        followed by a call to *wake*. ``nap()``, lock held, is the one
-        rule every waiter sleeps by: ``None`` once the outcome is in,
-        else the seconds it may sleep before asking again — never past
-        the earliest lease deadline, so a blocked waiter aborts a dead
-        head itself. *timeout* (default ``metadata_turn_timeout_s``) is
-        counted once, from here — wake-ups caused by other blobs do not
-        restart it. When it runs out the version is abandoned (a no-op
-        for a ready or published one), so later versions are never
-        wedged behind it, and ``VersionNotReadyError`` is raised.
+        The core's answer arrives at once when it is already decided,
+        else under the lock on whichever thread runs the resolving
+        transition (which notifies the condition). A waiter never
+        sleeps past the earliest lease deadline, so a
+        blocked waiter aborts a dead head itself. *timeout* (default
+        ``metadata_turn_timeout_s``) is counted once, from here —
+        wake-ups caused by other blobs do not restart it. When it runs
+        out the version is abandoned (a no-op for a ready or published
+        one), so later versions are never wedged behind it, and
+        ``VersionNotReadyError`` is raised.
         """
         outcome: list = []
-
-        def deliver(result) -> None:
-            outcome.append(result)
-            if wake is not None:
-                wake()
-
-        give_up = self._expire() + (
-            self._turn_timeout_s if timeout is None else timeout
-        )
-        when(blob_id, version, deliver)
-
-        def nap() -> Optional[float]:
-            if outcome:
-                return None
-            now = self._expire()
-            if outcome:  # expiring a dead head granted it
-                return None
-            if now >= give_up:
-                self.core.abandon(blob_id, version, now)
-                self._turn.notify_all()
-                raise VersionNotReadyError(
-                    f"timed out waiting for {what} of blob {blob_id} v{version}"
-                )
-            wake_at = min(self.core.deadlines.values(), default=give_up)
-            return min(give_up, wake_at) - now
-
-        return outcome, nap
-
-    def _await(self, *wait):
-        """Block on the condition variable until the wait is decided."""
         with self._turn:
-            outcome, nap = self._waiting(*wait)
-            while (delay := nap()) is not None:
-                self._turn.wait(delay)
+            give_up = self._expire() + (
+                self._turn_timeout_s if timeout is None else timeout
+            )
+            when(blob_id, version, outcome.append)
+            while not outcome:
+                now = self._expire()
+                if outcome:  # expiring a dead head granted it
+                    break
+                if now >= give_up:
+                    self.core.abandon(blob_id, version, now)
+                    self._turn.notify_all()
+                    raise VersionNotReadyError(
+                        f"timed out waiting for {what} of blob {blob_id} v{version}"
+                    )
+                wake_at = min(self.core.deadlines.values(), default=give_up)
+                self._turn.wait(min(give_up, wake_at) - now)
         return outcome[0]
-
-    def _nowait(self, *wait):
-        """The same wait for a caller that must not block (the asyncio
-        engine's loop): ``(outcome, nap)`` with ``nap`` taking the lock
-        itself. The caller sleeps however it sleeps, for at most the
-        delay ``nap()`` returned or until *wake* is called, and asks
-        again."""
-        with self._turn:
-            outcome, nap = self._waiting(*wait)
-
-        def locked_nap() -> Optional[float]:
-            with self._turn:
-                return nap()
-
-        return outcome, locked_nap
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -765,6 +730,7 @@ class ThreadedVersionManager:
     commit = _locked("commit", timed=True, wakes=True)
     commit_ready = _locked("commit_ready")
     publish_batch = _locked("publish_batch", timed=True, wakes=True)
+    abandon = _locked("abandon", timed=True, wakes=True)
 
     def resolve(
         self, blob_id: int, version: Optional[int] = None
@@ -805,19 +771,4 @@ class ThreadedVersionManager:
         the batch still unpublished)."""
         return self._await(
             self.core.when_published, blob_id, version, "publication"
-        )
-
-    # the two waits again, for the engine whose caller may not block:
-    # ``<method>_nowait(wake, *args)`` (see :meth:`_nowait`)
-
-    def metadata_turn_nowait(
-        self, wake, blob_id: int, version: int, timeout: Optional[float] = None
-    ):
-        return self._nowait(
-            self.core.when_turn, blob_id, version, "metadata turn", timeout, wake
-        )
-
-    def publish_wait_nowait(self, wake, blob_id: int, version: int):
-        return self._nowait(
-            self.core.when_published, blob_id, version, "publication", None, wake
         )

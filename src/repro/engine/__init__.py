@@ -11,8 +11,9 @@ provides the runtimes they plug into:
   module, so that the live runtimes load no simulator);
 * :class:`~repro.engine.threaded.ThreadedEngine` — ops as lazy thunks
   resolved by a synchronous trampoline on the wall clock;
-* :class:`~repro.engine.aio.AsyncioEngine` — the same real components
-  driven from one asyncio event loop (the HTTP front-end's runtime);
+* :class:`~repro.engine.aio.AsyncioEngine` — the threaded engine with a
+  coroutine ``run``, which the HTTP front-end awaits: its operations run
+  inline on the event loop;
 * :class:`~repro.engine.recording.RecordingEngine` — a decorator that
   captures the op-creation trace for the engine-parity suite;
 * :mod:`~repro.engine.replica` — the shared replica-failover policy

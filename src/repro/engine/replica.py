@@ -1,4 +1,4 @@
-"""Replica-read failover, shared by all three engines:
+"""Replica-read failover, shared by the DES and the live engines:
 
 * a **seeded rotation phase** per client/stream (derived from the
   engine's named rng), stepped once per fetch, so concurrent readers
@@ -9,7 +9,7 @@
   rotations, per the engine's :class:`~repro.faults.plan.RetryPolicy`.
 
 :func:`sweep_fetch` is an engine-parameterized generator like everything
-else in :mod:`repro.engine`, so DES, threaded, and asyncio runtimes keep
+else in :mod:`repro.engine`, so the DES and the live runtimes keep
 operation-trace parity.
 """
 

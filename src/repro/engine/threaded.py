@@ -39,19 +39,12 @@ THREADED_RETRY = RetryPolicy(
 
 
 class _Op:
-    """A deferred engine action; resolved only by the trampoline.
+    """A deferred engine action; resolved only by the trampoline."""
 
-    *awaitable* ops are the asyncio engine's: their ``fn`` returns
-    something its trampoline must ``await``. The op says so itself, so
-    no trampoline ever inspects a result to find out — an endpoint may
-    *return* a coroutine or a future as a plain value.
-    """
+    __slots__ = ("fn",)
 
-    __slots__ = ("fn", "awaitable")
-
-    def __init__(self, fn: Callable[[], Any], awaitable: bool = False) -> None:
+    def __init__(self, fn: Callable[[], Any]) -> None:
         self.fn = fn
-        self.awaitable = awaitable
 
 
 _NOOP = _Op(lambda: None)

@@ -1,13 +1,15 @@
 """The HTTP blob/file front-end: real traffic against the BlobSeer stack.
 
-One :class:`BlobServer` is one network-facing deployment: an
-:class:`~repro.engine.aio.AsyncioEngine` over the threaded components
-(version manager, providers, namespace manager), the sans-IO protocol
-cores on top, and a handwritten HTTP/1.1 loop (:mod:`repro.server.http`)
-in front. Every concurrent connection drives its own protocol
-generators as asyncio tasks, so hundreds of clients share one process —
-concurrent appends serialize exactly where BlobSeer says they should
-(the version manager's ticket/commit queue) and nowhere else.
+One :class:`BlobServer` is one network-facing deployment: the threaded
+components (version manager, providers, namespace manager), the
+sans-IO protocol cores on top, and a handwritten HTTP/1.1 loop
+(:mod:`repro.server.http`) in front. Every connection is an asyncio
+task: it reads a request from its socket, runs the operation to
+completion inline through the threaded trampoline
+(:class:`~repro.engine.aio.AsyncioEngine`), and writes the reply. So
+hundreds of clients share one process and one event loop, and concurrent
+appends serialize exactly where BlobSeer says they should (the version
+manager's ticket/commit queue) and nowhere else.
 
 Endpoints (all bodies are raw bytes; responses are JSON unless the
 route returns data):
@@ -100,7 +102,16 @@ _ERROR_STATUS = (
 
 
 class BlobServer:
-    """One network-facing BlobSeer/BSFS deployment on asyncio."""
+    """One network-facing BlobSeer/BSFS deployment on asyncio.
+
+    Tickets on the served service are taken only through the server's
+    loop. An update runs from ``assign`` to ``commit`` without yielding,
+    so its predecessor has always resolved by its metadata turn, and an
+    update that fails gives its ticket back before it answers: no route
+    leaves a ticket open. A *library* caller that takes a ticket on
+    :attr:`service` blocks the loop's next update of that blob until the
+    ticket commits or its lease expires.
+    """
 
     def __init__(
         self,

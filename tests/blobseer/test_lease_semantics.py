@@ -8,8 +8,8 @@ against
 * the bare core with explicit ``now`` values (no sleeps),
 * ``ThreadedVersionManager`` on the wall clock (lazy expiry),
 * ``SimVMService`` on a bare DES ``Environment`` (scheduled expiry), and
-* the asyncio engine's loop-native wait on a real event loop (expiry by
-  the timer of whoever is waiting),
+* the served engine's ops on a real event loop (``abandon`` through the
+  endpoint a failed update calls),
 
 so the four cannot drift apart. Ops: ``assign`` (the next version),
 ``commit v``, ``ready v`` (hand in the change map), ``abandon v`` (a
@@ -20,7 +20,6 @@ the drivers whose clock the test controls.
 """
 
 import asyncio
-import threading
 import time
 
 import pytest
@@ -253,7 +252,7 @@ class ThreadedDriver:
 
 def _one_op(engine, kind, method, *args):
     """Coroutine: one ``engine.call``/``engine.wait`` op on the ``vm``
-    endpoint, through the asyncio engine's trampoline."""
+    endpoint, through the served engine's ``run``."""
 
     def gen():
         return (yield getattr(engine, kind)("vm", method, *args))
@@ -262,19 +261,18 @@ def _one_op(engine, kind, method, *args):
 
 
 class AioDriver(ThreadedDriver):
-    """The same binding behind the asyncio engine, on a real loop: every
-    step is an engine op, and every appender assigned is a task parked
-    in the engine's loop-native wait for its metadata turn (it dies the
-    moment it gets it). Between steps only the loop runs, so the dead
-    heads in a chain are aborted by the timers of the waiters parked
-    behind them."""
+    """The same binding behind the served engine, on a real loop: every
+    step is an engine op awaited on the loop. A served update never
+    parks behind another client (its ops run inline from ticket to
+    commit), so nobody waits here: as on the threaded driver, the
+    driver's own ops are what evaluate the leases, and they leave no
+    timer on the loop."""
 
     def __init__(self, lease):
         super().__init__(lease)
         self.engine = AsyncioEngine()
         self.engine.bind("vm", self.vm)
         self.loop = asyncio.new_event_loop()
-        self.parked = {}
 
     def _call(self, method, *args):
         return self.loop.run_until_complete(
@@ -287,10 +285,7 @@ class AioDriver(ThreadedDriver):
         self._call("latest_published", self.blob)
 
     def assign(self):
-        version = self._call("assign_append", self.blob, 10).version
-        self.parked[version] = self.loop.create_task(
-            _one_op(self.engine, "wait", "metadata_turn", self.blob, version)
-        )
+        self._call("assign_append", self.blob, 10)
 
     def commit(self, v):
         self._call("commit", self.blob, v, _root(v))
@@ -299,18 +294,9 @@ class AioDriver(ThreadedDriver):
         self._call("commit_ready", self.blob, v, {})
 
     def abandon(self, v):
-        self.parked.pop(v).cancel()  # one waiter per version
-        with pytest.raises(VersionNotReadyError):
-            self.loop.run_until_complete(
-                _one_op(self.engine, "wait", "metadata_turn", self.blob, v, 0.001)
-            )
+        self._call("abandon", self.blob, v)
 
     def close(self):
-        for task in self.parked.values():
-            task.cancel()
-        self.loop.run_until_complete(
-            asyncio.gather(*self.parked.values(), return_exceptions=True)
-        )
         assert _live_timers(self.loop) == []
         self.loop.close()
 
@@ -347,12 +333,12 @@ def test_lease_rule(case, driver_cls):
     driver.close()
 
 
-# -- the loop-native wait itself ----------------------------------------------
+# -- waits taken on the loop --------------------------------------------------
 
 
 class TestLoopNativeWait:
-    """What ``AsyncioEngine.wait`` adds to the shared rules: it parks on
-    the loop, not on a thread, and leaves nothing behind."""
+    """A wait taken on the loop: the served engine runs it inline, so it
+    never suspends its task and leaves no timer behind."""
 
     def setup_method(self):
         self.engine = AsyncioEngine()
@@ -405,57 +391,6 @@ class TestLoopNativeWait:
 
         assert asyncio.run(main()) == []
         assert vm.resolve(blob, 2)[0].aborted
-
-    def test_commit_from_a_foreign_thread_resolves_a_pending_wait(self):
-        vm, blob = self.bind()
-        vm.assign_append(blob, 10)
-        vm.assign_append(blob, 10)
-
-        async def main():
-            waiter = asyncio.ensure_future(self.turn(blob, 2))
-            await asyncio.sleep(0.02)
-            assert not waiter.done() and vm.core.commit_queue_length == 1
-            committer = threading.Thread(
-                target=vm.commit, args=(blob, 1, _root(1))
-            )
-            committer.start()
-            prereq = await asyncio.wait_for(waiter, 5)
-            committer.join(5)
-            assert not committer.is_alive()
-            return prereq, _live_timers(asyncio.get_running_loop())
-
-        prereq, timers = asyncio.run(main())
-        assert prereq[0] == _root(1)
-        assert timers == []
-
-    def test_commit_on_the_loop_resolves_a_pending_wait(self):
-        vm, blob = self.bind()
-        vm.assign_append(blob, 10)
-        vm.assign_append(blob, 10)
-
-        async def main():
-            waiter = asyncio.ensure_future(self.turn(blob, 2))
-            await asyncio.sleep(0)
-            assert not waiter.done()
-            vm.commit(blob, 1, _root(1))
-            return await asyncio.wait_for(waiter, 5)
-
-        assert asyncio.run(main())[0] == _root(1)
-
-    def test_cancelled_wait_leaves_no_timer_and_tolerates_a_late_grant(self):
-        vm, blob = self.bind()
-        vm.assign_append(blob, 10)
-        vm.assign_append(blob, 10)
-
-        async def main():
-            waiter = asyncio.ensure_future(self.turn(blob, 2))
-            await asyncio.sleep(0)
-            waiter.cancel()
-            await asyncio.gather(waiter, return_exceptions=True)
-            vm.commit(blob, 1, _root(1))  # grants a turn nobody waits for
-            return _live_timers(asyncio.get_running_loop())
-
-        assert asyncio.run(main()) == []
 
     def test_endpoint_value_that_is_awaitable_is_returned_not_awaited(self):
         class Endpoint:

@@ -1,10 +1,10 @@
 """Engine parity: the protocol cores issue the *same RPC sequence*
-under all three runtimes.
+under every runtime.
 
 Each scenario drives fresh :class:`BlobSeerProtocol`/:class:`BSFSProtocol`
 instances through a :class:`~repro.engine.recording.RecordingEngine`
 wrapped around each deployment's real engine, then asserts the
-recorded traces — DES, threaded, and asyncio — are identical, element
+recorded traces — DES, threaded, and served — are identical, element
 for element. Provider names are normalized to placement indices
 (``p0``..``p7``) since the runtimes name their nodes differently;
 client names and every seed are shared, so placement, replica
@@ -22,7 +22,7 @@ from repro.bsfs.client import BSFS
 from repro.bsfs.protocol import AppendStreamCore, BSFSProtocol
 from repro.bsfs.simulated import BSFSRoles, SimBSFS
 from repro.common.config import BlobSeerConfig, ClusterConfig
-from repro.common.errors import PageNotFoundError
+from repro.common.errors import PageNotFoundError, ReplicationError
 from repro.engine.aio import AsyncioEngine
 from repro.engine.base import Payload
 from repro.engine.recording import RecordingEngine
@@ -106,6 +106,9 @@ class SimHarness:
     def fail(self, provider_name):
         self.sb.fail_provider(provider_name)
 
+    def recover(self, provider_name):
+        self.sb.recover_provider(provider_name)
+
     def layout(self, blob):
         rec = self.sb.core.latest_published(blob)
         return compute_layout(self.sb.dht, rec, PAGE)
@@ -159,15 +162,18 @@ class ThreadedHarness:
     def fail(self, name):
         self.svc.fail_provider(name)
 
+    def recover(self, name):
+        self.svc.recover_provider(name)
+
     def layout(self, blob):
         rec = self.svc.version_manager.latest_published(blob)
         return compute_layout(self.svc.dht, rec, PAGE)
 
 
 class AsyncioHarness:
-    """The asyncio deployment behind the same recording stack: the same
-    threaded components, bound to an :class:`AsyncioEngine`, each
-    protocol run driven to completion by ``asyncio.run``."""
+    """The served deployment behind the same recording stack: the same
+    threaded components, bound to the server's :class:`AsyncioEngine`,
+    each protocol run awaited by ``asyncio.run``."""
 
     name = "asyncio"
 
@@ -214,6 +220,9 @@ class AsyncioHarness:
 
     def fail(self, name):
         self.svc.fail_provider(name)
+
+    def recover(self, name):
+        self.svc.recover_provider(name)
 
     def layout(self, blob):
         rec = self.svc.version_manager.latest_published(blob)
@@ -307,12 +316,35 @@ def scenario_group_commit_append(h):
 scenario_group_commit_append.harness_kw = {"group_commit": True}
 
 
+def scenario_abandon(h):
+    """An append that cannot place its replicas gives its ticket back:
+    the ``abandon`` op follows the ticket, and the next append takes
+    the blob's head at offset 0 without waiting out the lease."""
+    blob = h.create_blob()
+    for name in h.providers[1:]:
+        h.fail(name)
+    with pytest.raises(ReplicationError):
+        h.run(h.proto.update(h.clients[0], blob, Payload(b"a" * 700)))
+    for name in h.providers[1:]:
+        h.recover(name)
+    version, offset, _ = h.run(
+        h.proto.update(h.clients[1], blob, Payload(b"b" * 700))
+    )
+    assert (version, offset) == (2, 0)
+    h.run(h.proto.read(h.clients[1], blob, 0, 700))
+    assert ("call", "vm", "abandon") in h.trace
+
+
+scenario_abandon.harness_kw = {"replication": 2}
+
+
 SCENARIOS = [
     scenario_append_commit,
     scenario_lease_abort,
     scenario_failover_read,
     scenario_write_behind,
     scenario_group_commit_append,
+    scenario_abandon,
 ]
 
 

@@ -165,7 +165,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "drives it"
     ),
     "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait": _GROUP_COMMIT,
-    "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait_nowait": _GROUP_COMMIT,
     "repro.blobseer.backends.logstore.LogStructuredPageStore.compact": (
         "log compaction; ROADMAP item 5 (restart by replay) needs it"
     ),
@@ -191,6 +190,11 @@ NO_TRAFFIC: Dict[str, str] = {
         "operation addresses (tests/faults do)"
     ),
     "repro.engine.des.DesEngine.is_down": _PROBE,
+    "repro.blobseer.sim_vm.SimVMService.abandon": (
+        "gives back the ticket of a DES update that raised after taking "
+        "it; no figure's update raises (the parity suite's abandon "
+        "scenario does)"
+    ),
     "repro.engine.des.DesEngine.rng": (
         "seeds a client's replica selector, which the DES builds only for "
         "a read under an active fault plan"
@@ -211,25 +215,12 @@ NO_TRAFFIC: Dict[str, str] = {
         "retry backoff between replica sweeps: only a read that finds "
         "every replica down sleeps"
     ),
-    "repro.engine.aio.AsyncioEngine.sleep": (
-        "retry backoff between replica sweeps: only a read that finds "
-        "every replica down sleeps"
-    ),
     "repro.faults.plan.RetryPolicy.backoff": (
         "retry backoff between replica sweeps: only a read that finds "
         "every replica down sleeps"
     ),
     "repro.engine.threaded.ThreadedEngine.fail_endpoint": _CRASH,
     "repro.engine.threaded.ThreadedEngine.recover_endpoint": _RECOVERY,
-    "repro.engine.aio.AsyncioEngine._wait.<locals>.arrived": (
-        "wakes an append parked behind an unfinished predecessor; on one "
-        "loop with in-process providers a served append never parks "
-        "(tests/server/test_live_path.py forces it)"
-    ),
-    "repro.blobseer.version_manager.ThreadedVersionManager._nowait.<locals>.locked_nap": (
-        "lease clock of a parked asyncio append; see "
-        "AsyncioEngine._wait.arrived"
-    ),
     "repro.faults.inject.FaultInjector.recover": _RECOVERY,
     "repro.faults.inject.FaultInjector.components": (
         "names the handlers in the error for an unknown component"

@@ -1,9 +1,9 @@
 """The serving path keeps only what it serves: head-sampled tracing
-into a ring, capped histograms, and version-manager waits that never
-leave the event loop.
+into a ring, capped histograms, and operations that run inline on the
+event loop without starting a thread.
 
 Bulk cases drive ``BlobServer._dispatch`` in-process (thousands of
-requests without sockets); the cases about threads and blocked turns go
+requests without sockets); the cases about threads and shared blobs go
 over real sockets through :class:`ServerThread`.
 """
 
@@ -12,7 +12,6 @@ import http.client
 import json
 import sys
 import threading
-import time
 
 import pytest
 
@@ -281,7 +280,7 @@ class TestDebugTraces:
         server.service.close()
 
 
-# -- waits stay on the loop ----------------------------------------------------
+# -- over real sockets ---------------------------------------------------------
 
 
 @pytest.fixture()
@@ -298,35 +297,6 @@ def request(server, method, target, body=None):
         return resp.status, json.loads(resp.read())
     finally:
         conn.close()
-
-
-def test_http_append_blocks_behind_an_uncommitted_ticket(live):
-    _, doc = request(live, "POST", f"/fs/files{FILE}")
-    blob = doc["blob_id"]
-    vm = live.service.version_manager
-    held = vm.assign_append(blob, 7)  # this thread holds v1, uncommitted
-    result = {}
-
-    def append():
-        result["reply"] = request(live, "POST", f"/blob/{blob}/append", b"12345")
-
-    appender = threading.Thread(target=append)
-    appender.start()
-    deadline = time.monotonic() + 5
-    while vm.core.commit_queue_length == 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert vm.core.commit_queue_length == 1  # parked on its metadata turn
-    appender.join(0.2)
-    assert appender.is_alive() and not result
-    # the loop is not wedged behind the parked append
-    assert request(live, "GET", "/healthz")[0] == 200
-    vm.commit(blob, held.version, None)  # from a foreign thread
-    appender.join(10)
-    assert not appender.is_alive()
-    status, doc = result["reply"]
-    assert status == 200
-    assert (doc["version"], doc["offset"]) == (2, 7)
-    assert vm.core.commit_queue_length == 0
 
 
 def test_appends_start_no_threads(live):
@@ -359,7 +329,7 @@ def test_appends_start_no_threads(live):
 
 
 def test_loop_and_thread_appenders_share_one_blob(live):
-    """Stress both wake directions: HTTP appends (loop-native waits) and
+    """Stress both wake directions: HTTP appends (inline on the loop) and
     the threaded engine's blocking appends, on the same version manager
     and the same BLOB, with the interpreter switching threads as often
     as it can. A lost wake-up shows as a turn timeout or a wedged join;
