@@ -1,27 +1,28 @@
-"""Pluggable page-store backends — the provider persistence registry.
+"""Page-store backends — where a provider persists its pages.
 
 BlobSeer "offers persistence through a BerkeleyDB layer"; this package
-generalizes that one layer into a registry of interchangeable backends
-behind the :class:`PageStore` protocol (the way ucondb layers its
-psql/couchbase/blob-server stores behind one storage base class):
+puts two interchangeable stores behind the :class:`PageStore` protocol:
 
 * ``memory`` — :class:`~repro.blobseer.backends.memory.InMemoryPageStore`,
   the default for tests and simulations (no durability);
 * ``log`` — :class:`~repro.blobseer.backends.logstore.LogStructuredPageStore`,
   an append-only CRC-framed log with tombstones and crash recovery.
 
-Every provider of a deployment selects its backend through
+Every provider of a deployment selects its store through
 ``BlobSeerConfig.page_store_backend`` (plus ``page_store_dir`` /
-``page_store_fsync`` for the durable one); tests run every registered
-backend through one shared conformance suite
-(``tests/blobseer/test_pagestore_conformance.py``).
+``page_store_fsync`` for the durable one), opened by
+:func:`create_store`; tests run both through one shared conformance
+suite (``tests/blobseer/test_pagestore_conformance.py``).
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, List, Optional, Protocol
+
+from .logstore import LogStructuredPageStore
+from .memory import InMemoryPageStore
 
 
 class PageStore(Protocol):
@@ -52,52 +53,27 @@ class PageStore(Protocol):
         ...
 
 
-#: backend name -> factory(provider_name, root, fsync) -> PageStore
-_REGISTRY: Dict[str, Callable[[str, Optional[Path], bool], PageStore]] = {}
-
-#: backends that need a ``page_store_dir`` to place their files in
-_NEEDS_ROOT = {"log"}
-
-
-def register_backend(
-    name: str, factory: Callable[[str, Optional[Path], bool], PageStore]
-) -> None:
-    """Register a page-store backend under *name*.
-
-    *factory* is called as ``factory(provider_name, root, fsync)`` and
-    must return a fresh :class:`PageStore` for that provider. Durable
-    backends derive a per-provider path under *root*; memory-class ones
-    ignore it.
-    """
-    if name in _REGISTRY:
-        raise ValueError(f"backend {name!r} already registered")
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> List[str]:
-    """Names of every registered backend, sorted."""
-    return sorted(_REGISTRY)
-
-
 def create_store(
     backend: str,
     provider_name: str,
     root: Optional[str | os.PathLike[str]] = None,
     fsync: bool = False,
 ) -> PageStore:
-    """Instantiate one provider's page store from the registry."""
-    try:
-        factory = _REGISTRY[backend]
-    except KeyError:
+    """Open one provider's page store: ``memory``, or ``log`` under
+    *root* (one ``<provider_name>.log`` file each)."""
+    if backend == "memory":
+        return InMemoryPageStore()
+    if backend != "log":
         raise ValueError(
-            f"unknown page-store backend {backend!r} "
-            f"(registered: {', '.join(available_backends())})"
-        ) from None
-    if backend in _NEEDS_ROOT and root is None:
+            f"unknown page-store backend {backend!r} (one of: memory, log)"
+        )
+    if root is None:
         raise ValueError(
             f"backend {backend!r} is durable and needs page_store_dir"
         )
-    return factory(provider_name, Path(root) if root is not None else None, fsync)
+    return LogStructuredPageStore(
+        Path(root) / f"{provider_name}.log", fsync=fsync
+    )
 
 
 def store_factory_from_config(config) -> Optional[Callable[[str], PageStore]]:
@@ -112,23 +88,10 @@ def store_factory_from_config(config) -> Optional[Callable[[str], PageStore]]:
     return lambda name: create_store(backend, name, root=root, fsync=fsync)
 
 
-from .logstore import LogStructuredPageStore  # noqa: E402
-from .memory import InMemoryPageStore  # noqa: E402
-
-register_backend("memory", lambda name, root, fsync: InMemoryPageStore())
-register_backend(
-    "log",
-    lambda name, root, fsync: LogStructuredPageStore(
-        root / f"{name}.log", fsync=fsync
-    ),
-)
-
 __all__ = [
     "PageStore",
     "InMemoryPageStore",
     "LogStructuredPageStore",
-    "register_backend",
-    "available_backends",
     "create_store",
     "store_factory_from_config",
 ]

@@ -74,11 +74,6 @@ class Fragment:
     def end(self) -> int:
         return self.start + self.length
 
-    @property
-    def primary(self) -> str:
-        """The first-choice provider for reads."""
-        return self.providers[0]
-
     def clip(self, lo: int, hi: int) -> "Fragment | None":
         """The sub-fragment covering ``[lo, hi)`` of the page, or None."""
         new_lo = max(self.start, lo)

@@ -176,8 +176,7 @@ class BlobSeerProtocol:
         if nbytes <= 0:
             raise ValueError(f"cannot {kind} zero bytes")
         engine = self.engine
-        tracer = self.obs.tracer
-        sp = tracer.start(
+        sp = self.obs.tracer.start(
             "blobseer." + kind,
             cat="blobseer",
             parent=parent,
@@ -185,18 +184,14 @@ class BlobSeerProtocol:
             blob=blob_id,
             nbytes=nbytes,
         )
-        sp_vm = tracer.start(
-            "vm.assign_" + kind, cat="blobseer.vm", parent=sp, track=client
-        )
         t0 = engine.now()
-        engine.trace_parent(sp_vm)
+        engine.trace_parent(sp)
         ticket = yield engine.call("vm", "assign_" + kind, *args)
-        sp_vm.finish()
         if offset is None:
             self._h_ticket_wait.observe(engine.now() - t0)
         try:
             new_frags = yield from self._ship(client, ticket, payload, sp)
-            group_end = yield from publish(client, ticket, new_frags, sp)
+            group_end = yield from publish(ticket, new_frags, sp)
         except Exception as exc:
             # give the ticket back now: the version becomes a hole at
             # once instead of wedging every later update for a lease.
@@ -279,28 +274,17 @@ class BlobSeerProtocol:
                 )
         return new_frags
 
-    def _publish(
-        self, client: str, ticket: Ticket, new_frags: Dict[int, Fragment], parent
-    ):
+    def _publish(self, ticket: Ticket, new_frags: Dict[int, Fragment], parent):
         """Generator: the classic metadata turn for one update — wait
         for the predecessor, overlay boundary pages, build and commit
         the version's tree. Returns the update's end offset."""
         engine = self.engine
-        tracer = self.obs.tracer
         ps = ticket.page_size
-        sp_turn = tracer.start(
-            "vm.metadata_turn_wait",
-            cat="blobseer.vm",
-            parent=parent,
-            track=client,
-            version=ticket.version,
-        )
         turn_t0 = engine.now()
-        engine.trace_parent(sp_turn)
+        engine.trace_parent(parent)
         prereq = yield engine.wait(
             "vm", "metadata_turn", ticket.blob_id, ticket.version
         )
-        sp_turn.finish()
         self._h_turn_wait.observe(engine.now() - turn_t0)
         assert prereq is not None, "turn granted before predecessor resolved"
         prev_root, prev_capacity = prereq
@@ -318,16 +302,7 @@ class BlobSeerProtocol:
             prev_frags = query_pages(store, prev_root, p, p + 1).get(p, ())
             boundary_log.extend(rec_store.take_log())
             changes[p] = overlay(prev_frags, frag)
-        if boundary_log:
-            sp_b = tracer.start(
-                "md.boundary_read",
-                cat="blobseer.md",
-                parent=parent,
-                track=client,
-                rpcs=len(boundary_log),
-            )
-            yield from self._charge(boundary_log, parent=sp_b)
-            sp_b.finish()
+        yield from self._charge(boundary_log, parent)
 
         store, rec_store = self._node_store()
         root = build_version(
@@ -339,27 +314,14 @@ class BlobSeerProtocol:
             changes,
             pages_capacity(ticket.new_size, ps),
         )
-        build_log = rec_store.take_log()
-        sp_md = tracer.start(
-            "md.build_version",
-            cat="blobseer.md",
-            parent=parent,
-            track=client,
-            rpcs=len(build_log),
-        )
-        yield from self._charge(build_log, parent=sp_md)
-        sp_md.finish()
+        yield from self._charge(rec_store.take_log(), parent)
 
-        sp_c = tracer.start(
-            "vm.commit", cat="blobseer.vm", parent=parent, track=client
-        )
-        engine.trace_parent(sp_c)
+        engine.trace_parent(parent)
         yield engine.call("vm", "commit", ticket.blob_id, ticket.version, root)
-        sp_c.finish()
         return ticket.offset + ticket.nbytes
 
     def _group_publish(
-        self, client: str, ticket: Ticket, new_frags: Dict[int, Fragment], parent
+        self, ticket: Ticket, new_frags: Dict[int, Fragment], parent
     ):
         """Generator: the group-commit metadata turn for one append.
 
@@ -375,52 +337,34 @@ class BlobSeerProtocol:
         ``None`` when another leader published its version.
         """
         engine = self.engine
-        tracer = self.obs.tracer
         turn_t0 = engine.now()
-        sp_r = tracer.start(
-            "vm.commit_ready",
-            cat="blobseer.vm",
-            parent=parent,
-            track=client,
-            version=ticket.version,
-        )
-        engine.trace_parent(sp_r)
+        engine.trace_parent(parent)
         reply = yield engine.call(
             "vm", "commit_ready", ticket.blob_id, ticket.version, new_frags
         )
-        sp_r.finish(role=reply[0])
         if reply[0] == "queued":
-            sp_w = tracer.start(
-                "vm.publish_wait",
-                cat="blobseer.vm",
-                parent=parent,
-                track=client,
-                version=ticket.version,
-            )
-            engine.trace_parent(sp_w)
+            engine.trace_parent(parent)
             reply = yield engine.wait(
                 "vm", "publish_wait", ticket.blob_id, ticket.version
             )
-            sp_w.finish(role=reply[0])
         self._h_turn_wait.observe(engine.now() - turn_t0)
         if reply[0] == "published":
             return None
         assert reply[0] == "lead", f"unexpected publish reply {reply!r}"
         _, prev_root, prev_capacity, batch = reply
-        group_end = yield from self._publish_batch(
-            client,
-            ticket.blob_id,
-            prev_root,
-            prev_capacity,
-            batch,
-            ticket.page_size,
-            parent,
+        return (
+            yield from self._publish_batch(
+                ticket.blob_id,
+                prev_root,
+                prev_capacity,
+                batch,
+                ticket.page_size,
+                parent,
+            )
         )
-        return group_end
 
     def _publish_batch(
         self,
-        client: str,
         blob_id: int,
         prev_root,
         prev_capacity: int,
@@ -441,7 +385,6 @@ class BlobSeerProtocol:
 
         Returns the batch's final blob size.
         """
-        tracer = self.obs.tracer
         engine = self.engine
         versions = [v for v, _, _ in batch]
         member_maps: List[Dict[int, tuple]] = [
@@ -469,29 +412,12 @@ class BlobSeerProtocol:
             pages_capacity(last_size, page_size),
         )
         log += rec_store.take_log()
-        sp_md = tracer.start(
-            "md.publish_batch",
-            cat="blobseer.md",
-            parent=parent,
-            track=client,
-            rpcs=len(log),
-            members=len(batch),
-        )
-        yield from self._charge(log, parent=sp_md)
-        sp_md.finish()
+        yield from self._charge(log, parent)
 
-        sp_c = tracer.start(
-            "vm.publish_batch",
-            cat="blobseer.vm",
-            parent=parent,
-            track=client,
-            members=len(batch),
-        )
-        engine.trace_parent(sp_c)
+        engine.trace_parent(parent)
         yield engine.call(
             "vm", "publish_batch", blob_id, versions, root, last_size
         )
-        sp_c.finish()
         return last_size
 
     def _store_page(
@@ -534,9 +460,9 @@ class BlobSeerProtocol:
             )
         return tuple(stored)
 
-    def _charge(self, log, parent=None):
+    def _charge(self, log, parent):
         """Generator: bill a metadata access log (node keys) as RPCs to
-        their owners."""
+        their owners, the op span under *parent*."""
         if not log:
             return
         self._c_metadata_rpcs.inc(len(log))
@@ -571,12 +497,8 @@ class BlobSeerProtocol:
             offset=offset,
             nbytes=nbytes,
         )
-        sp_vm = self.obs.tracer.start(
-            "vm.resolve", cat="blobseer.vm", parent=sp, track=client
-        )
-        engine.trace_parent(sp_vm)
+        engine.trace_parent(sp)
         rec, ps = yield engine.call("vm", "resolve", blob_id, version)
-        sp_vm.finish()
         if nbytes == 0:
             if offset > rec.size:
                 raise OutOfRangeReadError(
@@ -598,16 +520,7 @@ class BlobSeerProtocol:
         first, last = offset // ps, (offset + nbytes - 1) // ps
         store, rec_store = self._node_store()
         leaves = query_pages(store, rec.root, first, last + 1)
-        query_log = rec_store.take_log()
-        sp_md = self.obs.tracer.start(
-            "md.query_pages",
-            cat="blobseer.md",
-            parent=sp,
-            track=client,
-            rpcs=len(query_log),
-        )
-        yield from self._charge(query_log, parent=sp_md)
-        sp_md.finish()
+        yield from self._charge(rec_store.take_log(), sp)
 
         # walk each page's fragments with a cursor so holes *inside* a
         # leaf (from an aborted writer whose neighbour committed) fail

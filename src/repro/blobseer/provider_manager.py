@@ -104,18 +104,14 @@ class ProviderManager:
         self,
         page_sizes: Sequence[int],
         replication: int = 1,
-        prefer: Optional[str] = None,
         exclude: Sequence[str] = (),
     ) -> List[Tuple[str, ...]]:
         """Choose providers for each of a write's pages.
 
         Returns one tuple of *replication* distinct provider names per
-        page, primary first. *prefer* (e.g. the client's own machine)
-        wins the primary slot for the first page when it is alive and
-        not overloaded relative to the cluster median — a mild locality
-        bias that never defeats load balancing. *exclude* temporarily
-        bars specific providers (crash repair uses it to avoid the
-        copies a page already has).
+        page, primary first. *exclude* temporarily bars specific
+        providers (crash repair uses it to avoid the copies a page
+        already has).
         """
         if replication < 1:
             raise ValueError("replication must be >= 1")
@@ -125,7 +121,7 @@ class ProviderManager:
             ]
             self._down.update(barred)
             try:
-                return self._allocate_locked(page_sizes, replication, prefer)
+                return self._allocate_locked(page_sizes, replication)
             finally:
                 self._down.difference_update(barred)
                 # barred entries may have been popped-and-discarded as
@@ -140,7 +136,6 @@ class ProviderManager:
         self,
         page_sizes: Sequence[int],
         replication: int,
-        prefer: Optional[str],
     ) -> List[Tuple[str, ...]]:
         alive_count = len(self._load) - len(self._down)
         if alive_count < replication:
@@ -151,10 +146,10 @@ class ProviderManager:
         load, rank, heap = self._load, self._rank, self._heap
         result: List[Tuple[str, ...]] = []
         touched: set[str] = set()
-        for i, size in enumerate(page_sizes):
+        for size in page_sizes:
             if size <= 0:
                 raise ValueError("page size must be positive")
-            chosen = self._pick(replication, prefer if i == 0 else None)
+            chosen = self._pick(replication)
             for name in chosen:
                 new_load = load[name] + size
                 load[name] = new_load
@@ -189,14 +184,10 @@ class ProviderManager:
         mean = total / count
         return peak / mean if mean > 0 else 1.0
 
-    def _pick(self, replication: int, prefer: Optional[str]) -> List[str]:
+    def _pick(self, replication: int) -> List[str]:
         """Providers for one page, primary first (lock held by caller)."""
         load, down, heap = self._load, self._down, self._heap
         chosen: List[str] = []
-        if prefer is not None and prefer in load and prefer not in down:
-            loads = sorted(v for n, v in load.items() if n not in down)
-            if load[prefer] <= loads[len(loads) // 2]:
-                chosen.append(prefer)
         while len(chosen) < replication:
             lo, _r, name = heapq.heappop(heap)
             if name in down or load[name] != lo or name in chosen:

@@ -763,8 +763,6 @@ class ThreadedVersionManager:
             self.core.when_turn, blob_id, version, "metadata turn", timeout
         )
 
-    wait_metadata_turn = metadata_turn
-
     def publish_wait(self, blob_id: int, version: int) -> tuple:
         """Block until a leader publishes this version — or until this
         version is itself promoted to leader (predecessor resolved with

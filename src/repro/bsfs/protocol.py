@@ -64,18 +64,14 @@ class BSFSProtocol:
 
     # -- namespace RPCs ------------------------------------------------------
 
-    def _ns(self, client, parent, op, method, *args):
-        """Generator: one charged round trip to the namespace manager."""
+    def _ns(self, parent, method, *args):
+        """Generator: one charged round trip to the namespace manager,
+        its op span under *parent*."""
         self._c_ns_rpcs.inc()
-        sp = self.obs.tracer.start(
-            f"ns.{op}", cat="bsfs.ns", parent=parent, track=client
-        )
-        self.engine.trace_parent(sp)
-        result = yield self.engine.call("ns", method, *args)
-        sp.finish()
-        return result
+        self.engine.trace_parent(parent)
+        return (yield self.engine.call("ns", method, *args))
 
-    def _lookup(self, client, parent, path: str):
+    def _lookup(self, parent, path: str):
         """Generator: resolve *path* to its file record, through the
         client record cache when enabled."""
         cache = self._record_cache
@@ -85,7 +81,7 @@ class BSFSProtocol:
                 self._c_ns_cache_hits.inc()
                 return record
             self._c_ns_cache_misses.inc()
-        record = yield from self._ns(client, parent, "lookup", "get", path)
+        record = yield from self._ns(parent, "get", path)
         if cache is not None:
             if len(cache) >= RECORD_CACHE_PATHS:
                 del cache[next(iter(cache))]
@@ -110,7 +106,7 @@ class BSFSProtocol:
             "bsfs.create", cat="bsfs", parent=parent, track=client, path=path
         )
         record = yield from self._ns(
-            client, sp, "create", "create", path, blob_id, page_size, overwrite
+            sp, "create", path, blob_id, page_size, overwrite
         )
         if self._record_cache is not None:
             # an overwrite rebinds the path to a new BLOB
@@ -123,15 +119,13 @@ class BSFSProtocol:
     ):
         """Generator: delete *path* at the namespace manager; returns
         the removed file records, None when nothing was there."""
-        removed = yield from self._ns(
-            client, parent, "delete", "delete", path, recursive
-        )
+        removed = yield from self._ns(parent, "delete", path, recursive)
         self._forget_records()
         return removed
 
     def rename(self, client: str, src: str, dst: str, parent=None):
         """Generator: rename *src* to *dst* at the namespace manager."""
-        yield from self._ns(client, parent, "rename", "rename", src, dst)
+        yield from self._ns(parent, "rename", src, dst)
         self._forget_records()
 
     def _forget_records(self) -> None:
@@ -164,7 +158,7 @@ class BSFSProtocol:
             nbytes=len(payload),
         )
         if blob_id is None:
-            blob_id = (yield from self._lookup(client, sp, path)).blob_id
+            blob_id = (yield from self._lookup(sp, path)).blob_id
         version, _offset, group_end = yield from self.blobseer.update(
             client, blob_id, payload, parent=sp
         )
@@ -173,9 +167,7 @@ class BSFSProtocol:
         # namespace size is a monotonic max). Under group commit only
         # the batch leader reports — one size bump lands a whole batch.
         if group_end is not None:
-            yield from self._ns(
-                client, sp, "update_size", "update_size", path, group_end
-            )
+            yield from self._ns(sp, "update_size", path, group_end)
         sp.finish(version=version)
         return version
 
@@ -194,7 +186,7 @@ class BSFSProtocol:
             offset=offset,
             nbytes=nbytes,
         )
-        record = yield from self._lookup(client, sp, path)
+        record = yield from self._lookup(sp, path)
         version, data = yield from self.blobseer.read(
             client, record.blob_id, offset, nbytes, parent=sp
         )

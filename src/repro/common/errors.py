@@ -129,10 +129,6 @@ class ImmutableFileError(FileSystemError):
     """Write/append to a closed HDFS file (write-once-read-many model)."""
 
 
-class LeaseExpiredError(FileSystemError):
-    """The writer's lease on a file lapsed before the operation."""
-
-
 # --------------------------------------------------------------------------
 # Map/Reduce framework
 # --------------------------------------------------------------------------

@@ -76,14 +76,19 @@ class Engine(abc.ABC):
     the *control endpoint* (``engine.call:vm.commit``), never the
     runtime's node names, so the two engines produce identical span
     trees for identical scenarios (the trace-parity suite asserts it).
-    A protocol core parents those op spans by calling
-    :meth:`trace_parent` immediately before creating an op; the engine
+    The op span is the only span of a single op: a protocol core
+    parents it directly under its operation span (``blobseer.append``,
+    ``bsfs.read``, ...), or under a group span that holds several ops
+    (``pages.ship``, ``pages.fetch``, ``replica.sweep``), by calling
+    :meth:`trace_parent` immediately before creating the op; the engine
     consumes the parent on the next op creation (consume-on-create, so
-    a stale parent can never misattach to a later unrelated op). An op
-    created under an unrecorded parent (``NULL_SPAN`` — an unsampled
-    request of the live server) gets no span. With
-    tracing disabled the whole mechanism is one attribute store per
-    call site and ``_tracer`` stays ``None`` — the NULL_OBS fast path.
+    a stale parent can never misattach to a later unrelated op). The
+    threaded engine keeps that pending parent per thread, because every
+    client thread of a service shares it. An op created under an
+    unrecorded parent (``NULL_SPAN`` — an unsampled request of the live
+    server) gets no span. With tracing disabled the whole mechanism is
+    one store (DES) or one ``None`` check (threaded) per call site and
+    ``_tracer`` stays ``None`` — the NULL_OBS fast path.
     """
 
     retry: RetryPolicy

@@ -9,7 +9,11 @@ parity suite compares.
 
 Thread safety comes from the bound components (the threaded version
 manager, provider stores, the namespace), not from the engine: each
-caller thread drives its own generator through its own trampoline.
+caller thread drives its own generator through its own trampoline. The
+one piece of engine state that creating an op writes, the pending
+op-span parent (:meth:`ThreadedEngine.trace_parent`), is kept per
+thread, so a client thread's op spans never land under another
+thread's operation.
 
 A provider that refuses service (:class:`ProviderUnavailableError`) is
 surfaced to the cores as :class:`RpcTimeoutError` — the same failure
@@ -20,6 +24,7 @@ fault telemetry as the simulator.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Callable, Generator, Optional, Sequence, Set
 
@@ -50,6 +55,12 @@ class _Op:
 _NOOP = _Op(lambda: None)
 
 
+class _Pending(threading.local):
+    """One thread's pending op-span parent."""
+
+    parent = None
+
+
 class ThreadedEngine(Engine):
     """Engine over in-process components and the wall clock."""
 
@@ -72,8 +83,22 @@ class ThreadedEngine(Engine):
         switch a live engine onto an enabled bundle."""
         self.obs = obs
         self._tracer = obs.tracer if obs.tracer.enabled else None
-        self._trace_parent = None
+        self._pending = _Pending()
         self._c_rpc_timeouts = obs.registry.counter("net.rpc_timeouts")
+
+    def trace_parent(self, span) -> None:
+        """Parent the calling thread's next op span under *span*; every
+        client thread of a service shares this engine, so the slot is
+        per thread. Untraced, nothing is stored."""
+        if self._tracer is not None:
+            self._pending.parent = span
+
+    def _take_parent(self):
+        pending = self._pending
+        parent = pending.parent
+        if parent is not None:
+            pending.parent = None
+        return parent
 
     def _spanned(self, op: _Op, name: str, cat: str, **args: Any) -> _Op:
         """Open one op span now (creation time, matching the DES engine's

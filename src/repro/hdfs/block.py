@@ -37,8 +37,3 @@ class BlockInfo:
             raise ValueError("negative block length")
         if not self.datanodes:
             raise ValueError("block must have at least one datanode")
-
-    @property
-    def primary(self) -> str:
-        """First-choice replica for reads."""
-        return self.datanodes[0]

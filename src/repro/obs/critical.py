@@ -1,12 +1,14 @@
 """Critical-path analysis: attribute wall-clock to named layers.
 
-The engine emits one span per operation (``engine.call``, ``engine.wait``,
+The engine emits one span per op (``engine.call``, ``engine.wait``,
 ``engine.store``/``fetch``/``ship_many``, ``engine.charge_md``, retry
-sweeps) nested under the protocol spans that issued them. This walker
-turns that span forest into a per-track time breakdown: every instant of
-a track's busy time (the union of its root spans) is attributed to
-exactly one *layer* — the innermost engine span active at that instant —
-with the uncovered remainder reported as ``compute``.
+sweeps), each directly under the operation span that issued it
+(``blobseer.append``, ``bsfs.read``, ...) or under a group span holding
+several ops (``pages.ship``, ``pages.fetch``, ``replica.sweep``). This
+walker turns that span forest into a per-track time breakdown: every
+instant of a track's busy time (the union of its root spans) is
+attributed to exactly one *layer* — the innermost engine span active at
+that instant — with the uncovered remainder reported as ``compute``.
 
 Layers, by engine span category:
 

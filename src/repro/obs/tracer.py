@@ -87,13 +87,6 @@ class Span:
         #: lease expiries) — exported as Chrome instant events
         self.instant = False
 
-    @property
-    def duration(self) -> Optional[float]:
-        """Seconds from start to finish (None while still open)."""
-        if self.end is None:
-            return None
-        return self.end - self.start
-
     def set(self, **args: Any) -> "Span":
         """Attach key/value annotations (shown in the trace viewer)."""
         self.args.update(args)
@@ -119,7 +112,7 @@ class Span:
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "open" if self.end is None else f"dur={self.duration:.6f}"
+        state = "open" if self.end is None else f"dur={self.end - self.start:.6f}"
         return f"<Span {self.name!r} cat={self.cat!r} {state}>"
 
 
@@ -133,7 +126,6 @@ class _NullSpan:
     track = ""
     start = 0.0
     end = 0.0
-    duration = 0.0
     span_id = None
     parent_id = None
     instant = False
@@ -220,7 +212,7 @@ class Tracer:
         if not self.enabled or parent is NULL_SPAN:
             return NULL_SPAN
         if parent is None:
-            parent = self._current()
+            parent = self.current()
         if track is None:
             track = (
                 parent.track if parent is not None
@@ -284,13 +276,10 @@ class Tracer:
             stack = self._tls.stack = []
         return stack
 
-    def _current(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def current(self) -> Optional[Span]:
         """The calling thread's innermost active ``with`` span."""
-        return self._current()
+        stack = self._stack()
+        return stack[-1] if stack else None
 
     def _push(self, span: Span) -> None:
         self._stack().append(span)

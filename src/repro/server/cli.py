@@ -37,8 +37,8 @@ from ..obs import MetricsRegistry, Observability, Tracer
 from ..obs.runtime import gc_metrics
 from .app import BlobServer
 
-#: spans the server's tracer retains — about 1,100 sampled appends (15
-#: spans each), a few MiB
+#: spans the server's tracer retains — about 1,600 sampled appends (10
+#: spans each: the request and the 9 below it), a few MiB
 TRACE_RING_SPANS = 16_384
 #: samples each histogram retains for its percentiles
 HIST_MAX_SAMPLES = 4096

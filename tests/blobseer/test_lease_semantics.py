@@ -244,7 +244,7 @@ class ThreadedDriver:
 
     def abandon(self, v):
         with pytest.raises(VersionNotReadyError):
-            self.vm.wait_metadata_turn(self.blob, v, timeout=0.001)
+            self.vm.metadata_turn(self.blob, v, timeout=0.001)
 
     def close(self):
         pass

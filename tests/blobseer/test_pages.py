@@ -45,7 +45,7 @@ class TestFragment:
     def test_end_and_primary(self):
         f = Fragment(5, 10, fresh_page_id(1, "w"), 0, ("a", "b"))
         assert f.end == 15
-        assert f.primary == "a"
+        assert f.providers[0] == "a"
 
     def test_clip_inside(self):
         f = frag(10, 10, data_offset=100)

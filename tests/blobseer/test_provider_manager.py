@@ -52,21 +52,6 @@ def test_mark_up_readmits():
     assert pm.down_snapshot() == []
 
 
-def test_prefer_hint_wins_when_not_overloaded():
-    pm = ProviderManager(NAMES, seed=1)
-    [placement] = pm.allocate([10], replication=1, prefer="p3")
-    assert placement[0] == "p3"
-
-
-def test_prefer_hint_ignored_when_overloaded():
-    pm = ProviderManager(NAMES, seed=1)
-    # pile load onto p3
-    for _ in range(10):
-        pm.allocate([1000], replication=1, prefer="p3")
-    [placement] = pm.allocate([10], replication=1, prefer="p3")
-    assert placement[0] != "p3"
-
-
 def test_validation():
     with pytest.raises(ValueError):
         ProviderManager([])

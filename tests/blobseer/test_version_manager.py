@@ -156,7 +156,7 @@ class TestThreadedWrapper:
         result = {}
 
         def second_writer():
-            result["prereq"] = vm.wait_metadata_turn(blob, 2, timeout=5)
+            result["prereq"] = vm.metadata_turn(blob, 2, timeout=5)
 
         t = threading.Thread(target=second_writer)
         t.start()
@@ -170,7 +170,7 @@ class TestThreadedWrapper:
         vm.assign_append(blob, 10)
         vm.assign_append(blob, 10)
         with pytest.raises(VersionNotReadyError):
-            vm.wait_metadata_turn(blob, 2, timeout=0.05)
+            vm.metadata_turn(blob, 2, timeout=0.05)
 
 
 class TestCoreAbort:
@@ -264,7 +264,7 @@ class TestAppendLeases:
         vm.assign_append(blob, 10)  # v1 dies
         vm.assign_append(blob, 10)
         t0 = time.monotonic()
-        assert vm.wait_metadata_turn(blob, 2, timeout=5) == (None, 0)
+        assert vm.metadata_turn(blob, 2, timeout=5) == (None, 0)
         assert 0.04 <= time.monotonic() - t0 < 2.0
         assert vm.resolve(blob, 1)[0].aborted
 
@@ -279,11 +279,11 @@ class TestAppendLeases:
         vm.assign_append(blob, 10)  # v2: times out waiting for v1
         vm.assign_append(blob, 10)  # v3: must not be wedged behind v2
         with pytest.raises(VersionNotReadyError):
-            vm.wait_metadata_turn(blob, 2, timeout=0.05)
+            vm.metadata_turn(blob, 2, timeout=0.05)
         vm.commit(blob, 1, root_key(1))
         # v2 aborted itself when v1 resolved; v3's turn is immediately up
         assert vm.resolve(blob, 2)[0].aborted
-        assert vm.wait_metadata_turn(blob, 3, timeout=1)[0] == root_key(1)
+        assert vm.metadata_turn(blob, 3, timeout=1)[0] == root_key(1)
 
     def test_turn_timeout_survives_wakeups_for_other_blobs(self):
         # one condition variable serves every blob: commits on blob B
@@ -305,7 +305,7 @@ class TestAppendLeases:
         try:
             t0 = time.monotonic()
             with pytest.raises(VersionNotReadyError):
-                vm.wait_metadata_turn(a, 2, timeout=0.05)
+                vm.metadata_turn(a, 2, timeout=0.05)
             assert time.monotonic() - t0 < 1.0
         finally:
             stop.set()
@@ -322,7 +322,7 @@ class TestAppendLeases:
         for _ in range(4):
             vm.assign_append(blob, 10)  # v1 stalls; v2..v4 wait behind it
         waiters = [
-            threading.Thread(target=vm.wait_metadata_turn, args=(blob, v, 5))
+            threading.Thread(target=vm.metadata_turn, args=(blob, v, 5))
             for v in (2, 3, 4)
         ]
         for w in waiters:
@@ -350,7 +350,7 @@ class TestAppendLeases:
         vm.assign_append(blob, 10)
         vm.assign_append(blob, 10)
         with pytest.raises(VersionNotReadyError):
-            vm.wait_metadata_turn(blob, 2)  # no explicit timeout
+            vm.metadata_turn(blob, 2)  # no explicit timeout
 
 
 class TestClose:

@@ -313,17 +313,12 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.blobseer.provider.Provider.page_ids": "pruning's sweep calls it",
     "repro.blobseer.provider.Provider.has_page": _PROBE,
     "repro.blobseer.provider.Provider.bytes_served": _PROBE,
-    "repro.blobseer.backends.available_backends": (
-        "lists the registry in the error for an unknown store name"
-    ),
     # -- probes the tests read ----------------------------------------------
     "repro.blobseer.backends.logstore.LogStructuredPageStore.__len__": _PROBE,
     "repro.blobseer.metadata.dht.MetadataDHT.__len__": _PROBE,
     "repro.blobseer.metadata.dht.NodeCache.__len__": _PROBE,
     "repro.bsfs.cache.ReadBlockCache.__len__": _PROBE,
     "repro.bsfs.cache.WriteBehindBuffer.pending": _PROBE,
-    "repro.blobseer.pages.Fragment.primary": _PROBE,
-    "repro.hdfs.block.BlockInfo.primary": _PROBE,
     "repro.blobseer.version_manager.ThreadedVersionManager.live_lease_timers": (
         "shutdown check: tests assert no lease clock survives a stop"
     ),
@@ -355,8 +350,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.obs.timeseries.TimeSeries.count": _PROBE,
     "repro.obs.tracer.Tracer.clear": _PROBE,
     "repro.obs.tracer.Tracer.finished": _PROBE,
-    "repro.obs.tracer.Tracer.current": _PROBE,
-    "repro.obs.tracer.Span.duration": _PROBE,
 }
 
 #: the hook every census process loads first: record each code object

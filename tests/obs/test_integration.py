@@ -35,8 +35,8 @@ def test_simulated_append_run_traces_all_layers():
     obs = Observability.on()
     concurrent_appends([4], _small_config(), obs=obs)
     cats = {s.cat for s in obs.tracer.snapshot()}
-    # at least the FS, BLOB and version-manager layers must appear
-    assert {"bsfs", "blobseer", "blobseer.vm"} <= cats
+    # at least the FS and BLOB layers and the version-manager ops appear
+    assert {"bsfs", "blobseer", "engine.call", "engine.wait"} <= cats
     # every span carries simulated (not wall-clock) timestamps
     assert all(s.end is not None and s.end < 1e4 for s in obs.tracer.finished())
     # the append path's registry trail
@@ -46,9 +46,17 @@ def test_simulated_append_run_traces_all_layers():
     ticket_bytes = obs.registry.histogram("vm.append_ticket_bytes")
     assert ticket_bytes.count == 4
     assert ticket_bytes.percentile(50) == 64 * MiB
-    # spans nest: some blobseer.vm span has a parent
+    # one span per engine op, directly under its operation span or
+    # under the group span that holds several ops
+    by_id = {s.span_id: s for s in obs.tracer.finished()}
+    holders = {"bsfs.create", "bsfs.append", "blobseer.append", "pages.ship"}
+    ops = [s for s in by_id.values() if s.cat.startswith("engine.")]
+    assert ops
+    assert all(by_id[s.parent_id].name in holders for s in ops)
     assert any(
-        s.parent_id is not None for s in spans_of(obs.tracer, "blobseer.vm")
+        s.name == "engine.wait:vm.metadata_turn"
+        and by_id[s.parent_id].name == "blobseer.append"
+        for s in ops
     )
 
 
@@ -150,8 +158,8 @@ def test_cli_trace_and_report(tmp_path, capsys, tiny_fig3):
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert xs, "trace must contain complete events"
     cats = {e["cat"] for e in xs}
-    assert len(cats & {"bsfs", "bsfs.ns", "blobseer", "blobseer.vm",
-                       "blobseer.md", "blobseer.data"}) >= 3
+    assert {"bsfs", "blobseer", "blobseer.data", "engine.call"} <= cats
+    assert not cats & {"bsfs.ns", "blobseer.vm", "blobseer.md"}
 
     report = json.loads(report_path.read_text())
     assert "vm.append_ticket_bytes" in report["histograms"]

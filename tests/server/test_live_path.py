@@ -110,7 +110,7 @@ class TestRequestSpanParentsTheOperation:
 
     def test_routes_without_an_operation_leave_no_parent_armed(self, server):
         dispatch(server, ("GET", "/healthz"), ("POST", "/blob"), ("GET", "/healthz"))
-        assert server.engine._trace_parent is None
+        assert server.engine._pending.parent is None
 
     def test_sampled_append_records_exactly_the_spans_a_direct_append_does(self):
         """Sampling is inheritance, not a second code path: the tree
@@ -136,7 +136,7 @@ class TestRequestSpanParentsTheOperation:
         ]
         assert direct_spans[0].name == "bsfs.append"
         assert direct.service.config == BlobSeerConfig().fast(group_commit=False)
-        assert len(direct_spans) == 14
+        assert len(direct_spans) == 9
         for server in (via_http, direct):
             server.service.close()
 
