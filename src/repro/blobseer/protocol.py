@@ -185,8 +185,7 @@ class BlobSeerProtocol:
             nbytes=nbytes,
         )
         t0 = engine.now()
-        engine.trace_parent(sp)
-        ticket = yield engine.call("vm", "assign_" + kind, *args)
+        ticket = yield engine.call(sp, "vm", "assign_" + kind, *args)
         if offset is None:
             self._h_ticket_wait.observe(engine.now() - t0)
         try:
@@ -197,8 +196,7 @@ class BlobSeerProtocol:
             # once instead of wedging every later update for a lease.
             # Not BaseException — a client that dies holding its ticket
             # (GeneratorExit) is what the lease is for.
-            engine.trace_parent(sp)
-            yield engine.call("vm", "abandon", ticket.blob_id, ticket.version)
+            yield engine.call(sp, "vm", "abandon", ticket.blob_id, ticket.version)
             sp.finish(error=type(exc).__name__)
             raise
         sp.finish(version=ticket.version, offset=ticket.offset)
@@ -259,13 +257,11 @@ class BlobSeerProtocol:
                     data_offset=0,
                     providers=placements[i],
                 )
-            engine.trace_parent(sp_ship)
-            shippers = engine.ship_many(client, placements, sizes)
+            shippers = engine.ship_many(sp_ship, client, placements, sizes)
             if len(shippers) == 1:
                 yield shippers[0]
             else:
-                engine.trace_parent(sp_ship)
-                yield engine.gather(shippers)
+                yield engine.gather(sp_ship, shippers)
         sp_ship.finish()
         if self.directory is not None:
             for frag in new_frags.values():
@@ -281,9 +277,8 @@ class BlobSeerProtocol:
         engine = self.engine
         ps = ticket.page_size
         turn_t0 = engine.now()
-        engine.trace_parent(parent)
         prereq = yield engine.wait(
-            "vm", "metadata_turn", ticket.blob_id, ticket.version
+            parent, "vm", "metadata_turn", ticket.blob_id, ticket.version
         )
         self._h_turn_wait.observe(engine.now() - turn_t0)
         assert prereq is not None, "turn granted before predecessor resolved"
@@ -316,8 +311,7 @@ class BlobSeerProtocol:
         )
         yield from self._charge(rec_store.take_log(), parent)
 
-        engine.trace_parent(parent)
-        yield engine.call("vm", "commit", ticket.blob_id, ticket.version, root)
+        yield engine.call(parent, "vm", "commit", ticket.blob_id, ticket.version, root)
         return ticket.offset + ticket.nbytes
 
     def _group_publish(
@@ -338,14 +332,12 @@ class BlobSeerProtocol:
         """
         engine = self.engine
         turn_t0 = engine.now()
-        engine.trace_parent(parent)
         reply = yield engine.call(
-            "vm", "commit_ready", ticket.blob_id, ticket.version, new_frags
+            parent, "vm", "commit_ready", ticket.blob_id, ticket.version, new_frags
         )
         if reply[0] == "queued":
-            engine.trace_parent(parent)
             reply = yield engine.wait(
-                "vm", "publish_wait", ticket.blob_id, ticket.version
+                parent, "vm", "publish_wait", ticket.blob_id, ticket.version
             )
         self._h_turn_wait.observe(engine.now() - turn_t0)
         if reply[0] == "published":
@@ -414,9 +406,8 @@ class BlobSeerProtocol:
         log += rec_store.take_log()
         yield from self._charge(log, parent)
 
-        engine.trace_parent(parent)
         yield engine.call(
-            "vm", "publish_batch", blob_id, versions, root, last_size
+            parent, "vm", "publish_batch", blob_id, versions, root, last_size
         )
         return last_size
 
@@ -433,8 +424,7 @@ class BlobSeerProtocol:
         while remaining:
             name = remaining.pop(0)
             try:
-                engine.trace_parent(parent)
-                yield engine.store(client, name, page_id, payload)
+                yield engine.store(parent, client, name, page_id, payload)
             except RpcTimeoutError:
                 self.pm.mark_down(name)
                 attempts += 1
@@ -466,8 +456,7 @@ class BlobSeerProtocol:
         if not log:
             return
         self._c_metadata_rpcs.inc(len(log))
-        self.engine.trace_parent(parent)
-        yield self.engine.charge_md(log)
+        yield self.engine.charge_md(parent, log)
 
     # -- read path -----------------------------------------------------------
 
@@ -497,8 +486,7 @@ class BlobSeerProtocol:
             offset=offset,
             nbytes=nbytes,
         )
-        engine.trace_parent(sp)
-        rec, ps = yield engine.call("vm", "resolve", blob_id, version)
+        rec, ps = yield engine.call(sp, "vm", "resolve", blob_id, version)
         if nbytes == 0:
             if offset > rec.size:
                 raise OutOfRangeReadError(
@@ -586,9 +574,9 @@ class BlobSeerProtocol:
         else:
             fetchers = []
             for _, piece in jobs:
-                engine.trace_parent(sp_fetch)
                 fetchers.append(
                     engine.fetch(
+                        sp_fetch,
                         client,
                         piece.providers[0],
                         piece.page_id,
@@ -596,8 +584,7 @@ class BlobSeerProtocol:
                         piece.length,
                     )
                 )
-            engine.trace_parent(sp_fetch)
-            yield engine.gather(fetchers)
+            yield engine.gather(sp_fetch, fetchers)
         sp_fetch.finish(fragments=len(jobs))
         sp.finish(version=rec.version)
         return rec.version, (bytes(buf) if buf is not None else None)

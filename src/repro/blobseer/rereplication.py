@@ -141,7 +141,7 @@ class ReplicaRepairer:
                 Payload(data) if data is not None else Payload(nbytes=nbytes)
             )
             for name in targets:
-                yield engine.store(self.client, name, page_id, payload)
+                yield engine.store(None, self.client, name, page_id, payload)
                 directory.add_replica(page_id, name)
                 self._c_rereplications.inc()
                 self.copies += 1

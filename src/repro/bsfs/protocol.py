@@ -68,8 +68,7 @@ class BSFSProtocol:
         """Generator: one charged round trip to the namespace manager,
         its op span under *parent*."""
         self._c_ns_rpcs.inc()
-        self.engine.trace_parent(parent)
-        return (yield self.engine.call("ns", method, *args))
+        return (yield self.engine.call(parent, "ns", method, *args))
 
     def _lookup(self, parent, path: str):
         """Generator: resolve *path* to its file record, through the

@@ -76,19 +76,16 @@ class Engine(abc.ABC):
     the *control endpoint* (``engine.call:vm.commit``), never the
     runtime's node names, so the two engines produce identical span
     trees for identical scenarios (the trace-parity suite asserts it).
-    The op span is the only span of a single op: a protocol core
-    parents it directly under its operation span (``blobseer.append``,
-    ``bsfs.read``, ...), or under a group span that holds several ops
-    (``pages.ship``, ``pages.fetch``, ``replica.sweep``), by calling
-    :meth:`trace_parent` immediately before creating the op; the engine
-    consumes the parent on the next op creation (consume-on-create, so
-    a stale parent can never misattach to a later unrelated op). The
-    threaded engine keeps that pending parent per thread, because every
-    client thread of a service shares it. An op created under an
-    unrecorded parent (``NULL_SPAN`` — an unsampled request of the live
-    server) gets no span. With tracing disabled the whole mechanism is
-    one store (DES) or one ``None`` check (threaded) per call site and
-    ``_tracer`` stays ``None`` — the NULL_OBS fast path.
+    Every op primitive takes the op span's parent as its first
+    positional argument: a protocol core passes its operation span
+    (``blobseer.append``, ``bsfs.read``, ...), or a group span that
+    holds several ops (``pages.ship``, ``pages.fetch``,
+    ``replica.sweep``), or ``None`` for a root. Creating an op writes no
+    engine state, so concurrent callers of one engine cannot misparent
+    each other's ops. An op created under an unrecorded parent
+    (``NULL_SPAN`` — an unsampled request of the live server) gets no
+    span. With tracing disabled ``_tracer`` stays ``None`` and the
+    parent is never read — the NULL_OBS fast path.
     """
 
     retry: RetryPolicy
@@ -96,19 +93,6 @@ class Engine(abc.ABC):
     #: the enabled tracer, or ``None`` when observability is off —
     #: implementations cache this so every op pays one None-check
     _tracer = None
-    #: parent span for the next op created (consumed on creation)
-    _trace_parent = None
-
-    def trace_parent(self, span) -> None:
-        """Parent the *next* op's span under *span* (one-shot)."""
-        self._trace_parent = span
-
-    def _take_parent(self):
-        """Consume the pending op-span parent (internal)."""
-        parent = self._trace_parent
-        if parent is not None:
-            self._trace_parent = None
-        return parent
 
     # -- clock / flow -------------------------------------------------------
 
@@ -117,7 +101,7 @@ class Engine(abc.ABC):
         """The runtime's clock (simulated seconds or wall seconds)."""
 
     @abc.abstractmethod
-    def sleep(self, dt: float) -> Any:
+    def sleep(self, parent, dt: float) -> Any:
         """Op: resume after *dt* seconds."""
 
     @abc.abstractmethod
@@ -132,7 +116,7 @@ class Engine(abc.ABC):
     # -- control plane ------------------------------------------------------
 
     @abc.abstractmethod
-    def call(self, endpoint: str, method: str, *args: Any) -> Any:
+    def call(self, parent, endpoint: str, method: str, *args: Any) -> Any:
         """Op: one charged RPC to a bound control endpoint.
 
         The result is the endpoint method's return value; exceptions it
@@ -140,7 +124,7 @@ class Engine(abc.ABC):
         """
 
     @abc.abstractmethod
-    def wait(self, endpoint: str, method: str, *args: Any) -> Any:
+    def wait(self, parent, endpoint: str, method: str, *args: Any) -> Any:
         """Op: an *uncharged* wait on a control endpoint condition.
 
         Used for the metadata-turn wait: the caller blocks until the
@@ -152,7 +136,9 @@ class Engine(abc.ABC):
     # -- data plane ---------------------------------------------------------
 
     @abc.abstractmethod
-    def store(self, client: str, endpoint: str, page_id: Any, payload: Payload) -> Any:
+    def store(
+        self, parent, client: str, endpoint: str, page_id: Any, payload: Payload
+    ) -> Any:
         """Op: ship one stored object to a data endpoint (ack on receipt).
 
         Fails with :class:`~repro.common.errors.RpcTimeoutError` when
@@ -161,7 +147,13 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def fetch(
-        self, client: str, endpoint: str, page_id: Any, data_offset: int, nbytes: int
+        self,
+        parent,
+        client: str,
+        endpoint: str,
+        page_id: Any,
+        data_offset: int,
+        nbytes: int,
     ) -> Any:
         """Op: read a byte range of one stored object from a data endpoint.
 
@@ -172,7 +164,7 @@ class Engine(abc.ABC):
         """
 
     @abc.abstractmethod
-    def charge_md(self, keys: Sequence[Any]) -> Any:
+    def charge_md(self, parent, keys: Sequence[Any]) -> Any:
         """Op: charge a non-empty batch of metadata RPCs, one per tree
         node key accessed (a :class:`~repro.blobseer.metadata.dht.RecordingStore`
         log).
@@ -212,6 +204,7 @@ class Engine(abc.ABC):
 
     def ship_many(
         self,
+        parent,
         client: str,
         placements: Sequence[Sequence[str]],
         sizes: Sequence[int],
@@ -219,6 +212,6 @@ class Engine(abc.ABC):
         """Ops, one per page: batch-ship every (page, replica) transfer."""
         raise NotImplementedError("ship_many is a fault-free fast path")
 
-    def gather(self, ops: List[Any]) -> Any:
+    def gather(self, parent, ops: List[Any]) -> Any:
         """Op: resume when every op in *ops* has resolved."""
         raise NotImplementedError("gather is a fault-free fast path")

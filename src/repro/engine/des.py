@@ -91,15 +91,12 @@ class DesEngine(Engine):
             self._tracer = obs.tracer
         else:
             self._tracer = None
-        self._trace_parent = None
         self._c_rpc_timeouts = obs.registry.counter("net.rpc_timeouts")
 
-    def _spanned(self, ev: Event, name: str, cat: str, **args: Any) -> Event:
-        """Open one op span now (creation time) and finish it when *ev*
-        fires — failed ops record their exception type."""
-        sp = self._tracer.start(
-            name, cat=cat, parent=self._take_parent(), **args
-        )
+    def _spanned(self, ev: Event, parent, name: str, cat: str, **args: Any) -> Event:
+        """Open one op span under *parent* now (creation time) and finish
+        it when *ev* fires — failed ops record their exception type."""
+        sp = self._tracer.start(name, cat=cat, parent=parent, **args)
 
         def _finish(e: Event, sp=sp) -> None:
             if not e._ok:
@@ -157,10 +154,10 @@ class DesEngine(Engine):
     def now(self) -> float:
         return self.env.now
 
-    def sleep(self, dt: float) -> Event:
+    def sleep(self, parent, dt: float) -> Event:
         ev = self.env.timeout(dt)
         if self._tracer is not None:
-            return self._spanned(ev, "engine.sleep", "engine.retry", dt=dt)
+            return self._spanned(ev, parent, "engine.sleep", "engine.retry", dt=dt)
         return ev
 
     def run(self, gen: Generator) -> Event:
@@ -172,7 +169,7 @@ class DesEngine(Engine):
 
     # -- control plane ------------------------------------------------------
 
-    def call(self, endpoint: str, method: str, *args: Any) -> Event:
+    def call(self, parent, endpoint: str, method: str, *args: Any) -> Event:
         ctl = self._control[endpoint]
         fn = getattr(ctl.adapter, method)
         service = ctl.method_services.get(method, ctl.service)
@@ -181,11 +178,11 @@ class DesEngine(Engine):
         )
         if self._tracer is not None:
             return self._spanned(
-                ev, f"engine.call:{endpoint}.{method}", "engine.call"
+                ev, parent, f"engine.call:{endpoint}.{method}", "engine.call"
             )
         return ev
 
-    def wait(self, endpoint: str, method: str, *args: Any) -> Event:
+    def wait(self, parent, endpoint: str, method: str, *args: Any) -> Event:
         """Uncharged wait: the adapter may hand back a condition event."""
         out = getattr(self._control[endpoint].adapter, method)(*args)
         if isinstance(out, Event):
@@ -195,7 +192,7 @@ class DesEngine(Engine):
             ev.succeed(out)
         if self._tracer is not None:
             return self._spanned(
-                ev, f"engine.wait:{endpoint}.{method}", "engine.wait"
+                ev, parent, f"engine.wait:{endpoint}.{method}", "engine.wait"
             )
         return ev
 
@@ -212,7 +209,7 @@ class DesEngine(Engine):
         return ev
 
     def store(
-        self, client: str, endpoint: str, page_id: Any, payload: Payload
+        self, parent, client: str, endpoint: str, page_id: Any, payload: Payload
     ) -> Event:
         nbytes = len(payload)
         if endpoint in self._down:
@@ -228,13 +225,14 @@ class DesEngine(Engine):
             t.callbacks.append(persist)
         if self._tracer is not None:
             return self._spanned(
-                t, "engine.store", "engine.data",
+                t, parent, "engine.store", "engine.data",
                 endpoint=endpoint, nbytes=nbytes,
             )
         return t
 
     def fetch(
         self,
+        parent,
         client: str,
         endpoint: str,
         page_id: Any,
@@ -262,12 +260,12 @@ class DesEngine(Engine):
             )
         if self._tracer is not None:
             return self._spanned(
-                done, "engine.fetch", "engine.data",
+                done, parent, "engine.fetch", "engine.data",
                 endpoint=endpoint, nbytes=nbytes,
             )
         return done
 
-    def charge_md(self, keys: Sequence[NodeKey]) -> Event:
+    def charge_md(self, parent, keys: Sequence[NodeKey]) -> Event:
         # the only placement computation in the system: each node key
         # bills the slot of the metadata provider that owns it
         done = Event(self.env)
@@ -282,7 +280,7 @@ class DesEngine(Engine):
         )
         if self._tracer is not None:
             return self._spanned(
-                done, "engine.charge_md", "engine.md", rpcs=len(keys)
+                done, parent, "engine.charge_md", "engine.md", rpcs=len(keys)
             )
         return done
 
@@ -290,6 +288,7 @@ class DesEngine(Engine):
 
     def ship_many(
         self,
+        parent,
         client: str,
         placements: Sequence[Sequence[str]],
         sizes: Sequence[int],
@@ -334,6 +333,7 @@ class DesEngine(Engine):
             # page's last replica has the bytes
             self._spanned(
                 self.env.all_of(list(out)),
+                parent,
                 "engine.ship_many",
                 "engine.data",
                 pages=len(out),
@@ -341,8 +341,8 @@ class DesEngine(Engine):
             )
         return out
 
-    def gather(self, ops: List[Event]) -> Event:
+    def gather(self, parent, ops: List[Event]) -> Event:
         ev = self.env.all_of(ops)
         if self._tracer is not None:
-            return self._spanned(ev, "engine.gather", "engine.data", n=len(ops))
+            return self._spanned(ev, parent, "engine.gather", "engine.data", n=len(ops))
         return ev

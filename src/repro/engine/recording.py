@@ -50,17 +50,14 @@ class RecordingEngine(Engine):
     def use_obs(self, obs) -> None:
         self.inner.use_obs(obs)
 
-    def trace_parent(self, span) -> None:
-        self.inner.trace_parent(span)
-
     # -- clock / flow (pass-through) ----------------------------------------
 
     def now(self) -> float:
         return self.inner.now()
 
-    def sleep(self, dt: float) -> Any:
+    def sleep(self, parent, dt: float) -> Any:
         self.trace.append(("sleep",))
-        return self.inner.sleep(dt)
+        return self.inner.sleep(parent, dt)
 
     def run(self, gen: Generator) -> Any:
         return self.inner.run(gen)
@@ -70,22 +67,23 @@ class RecordingEngine(Engine):
 
     # -- recorded primitives ------------------------------------------------
 
-    def call(self, endpoint: str, method: str, *args: Any) -> Any:
+    def call(self, parent, endpoint: str, method: str, *args: Any) -> Any:
         self.trace.append(("call", endpoint, method))
-        return self.inner.call(endpoint, method, *args)
+        return self.inner.call(parent, endpoint, method, *args)
 
-    def wait(self, endpoint: str, method: str, *args: Any) -> Any:
+    def wait(self, parent, endpoint: str, method: str, *args: Any) -> Any:
         self.trace.append(("wait", endpoint, method))
-        return self.inner.wait(endpoint, method, *args)
+        return self.inner.wait(parent, endpoint, method, *args)
 
     def store(
-        self, client: str, endpoint: str, page_id: Any, payload: Payload
+        self, parent, client: str, endpoint: str, page_id: Any, payload: Payload
     ) -> Any:
         self.trace.append(("store", self._label(endpoint), len(payload)))
-        return self.inner.store(client, endpoint, page_id, payload)
+        return self.inner.store(parent, client, endpoint, page_id, payload)
 
     def fetch(
         self,
+        parent,
         client: str,
         endpoint: str,
         page_id: Any,
@@ -93,11 +91,11 @@ class RecordingEngine(Engine):
         nbytes: int,
     ) -> Any:
         self.trace.append(("fetch", self._label(endpoint), nbytes))
-        return self.inner.fetch(client, endpoint, page_id, data_offset, nbytes)
+        return self.inner.fetch(parent, client, endpoint, page_id, data_offset, nbytes)
 
-    def charge_md(self, keys: Sequence[Any]) -> Any:
+    def charge_md(self, parent, keys: Sequence[Any]) -> Any:
         self.trace.append(("md", tuple(keys)))
-        return self.inner.charge_md(keys)
+        return self.inner.charge_md(parent, keys)
 
     # -- fault view ---------------------------------------------------------
 

@@ -93,9 +93,8 @@ def sweep_fetch(
         for attempt in range(policy.max_attempts):
             name = order[attempt % n]
             try:
-                engine.trace_parent(sp)
                 data = yield engine.fetch(
-                    client, name, page_id, data_offset, nbytes
+                    sp, client, name, page_id, data_offset, nbytes
                 )
             except RpcTimeoutError as exc:
                 selector.dead.add(name)
@@ -110,8 +109,7 @@ def sweep_fetch(
                 return data
             if (attempt + 1) % n == 0 and attempt + 1 < policy.max_attempts:
                 # a full sweep of replicas failed: back off before retrying
-                engine.trace_parent(sp)
-                yield engine.sleep(policy.backoff(attempt // n))
+                yield engine.sleep(sp, policy.backoff(attempt // n))
         if traced:
             sp.set(attempts=policy.max_attempts, error="ReplicationError")
         raise ReplicationError(

@@ -9,11 +9,10 @@ parity suite compares.
 
 Thread safety comes from the bound components (the threaded version
 manager, provider stores, the namespace), not from the engine: each
-caller thread drives its own generator through its own trampoline. The
-one piece of engine state that creating an op writes, the pending
-op-span parent (:meth:`ThreadedEngine.trace_parent`), is kept per
-thread, so a client thread's op spans never land under another
-thread's operation.
+caller thread drives its own generator through its own trampoline.
+Creating an op writes no engine state: its span's parent arrives as the
+op's first argument, so a client thread's op spans never land under
+another thread's operation.
 
 A provider that refuses service (:class:`ProviderUnavailableError`) is
 surfaced to the cores as :class:`RpcTimeoutError` — the same failure
@@ -24,7 +23,6 @@ fault telemetry as the simulator.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Generator, Optional, Sequence, Set
 
@@ -55,12 +53,6 @@ class _Op:
 _NOOP = _Op(lambda: None)
 
 
-class _Pending(threading.local):
-    """One thread's pending op-span parent."""
-
-    parent = None
-
-
 class ThreadedEngine(Engine):
     """Engine over in-process components and the wall clock."""
 
@@ -83,29 +75,13 @@ class ThreadedEngine(Engine):
         switch a live engine onto an enabled bundle."""
         self.obs = obs
         self._tracer = obs.tracer if obs.tracer.enabled else None
-        self._pending = _Pending()
         self._c_rpc_timeouts = obs.registry.counter("net.rpc_timeouts")
 
-    def trace_parent(self, span) -> None:
-        """Parent the calling thread's next op span under *span*; every
-        client thread of a service shares this engine, so the slot is
-        per thread. Untraced, nothing is stored."""
-        if self._tracer is not None:
-            self._pending.parent = span
-
-    def _take_parent(self):
-        pending = self._pending
-        parent = pending.parent
-        if parent is not None:
-            pending.parent = None
-        return parent
-
-    def _spanned(self, op: _Op, name: str, cat: str, **args: Any) -> _Op:
-        """Open one op span now (creation time, matching the DES engine's
-        span start order) and finish it when the trampoline resolves the
-        thunk — failed ops record their exception type. Below an
-        unrecorded parent the op is returned as it came."""
-        parent = self._take_parent()
+    def _spanned(self, op: _Op, parent, name: str, cat: str, **args: Any) -> _Op:
+        """Open one op span under *parent* now (creation time, matching
+        the DES engine's span start order) and finish it when the
+        trampoline resolves the thunk — failed ops record their exception
+        type. Below an unrecorded parent the op is returned as it came."""
         if parent is NULL_SPAN:
             return op
         sp = self._tracer.start(name, cat=cat, parent=parent, **args)
@@ -160,10 +136,10 @@ class ThreadedEngine(Engine):
     def now(self) -> float:
         return time.perf_counter()
 
-    def sleep(self, dt: float) -> _Op:
+    def sleep(self, parent, dt: float) -> _Op:
         op = _Op(lambda: time.sleep(dt))
         if self._tracer is not None:
-            return self._spanned(op, "engine.sleep", "engine.retry", dt=dt)
+            return self._spanned(op, parent, "engine.sleep", "engine.retry", dt=dt)
         return op
 
     def run(self, gen: Generator) -> Any:
@@ -191,16 +167,16 @@ class ThreadedEngine(Engine):
 
     # -- control plane ------------------------------------------------------
 
-    def call(self, endpoint: str, method: str, *args: Any) -> _Op:
+    def call(self, parent, endpoint: str, method: str, *args: Any) -> _Op:
         adapter = self._control[endpoint]
         op = _Op(lambda: getattr(adapter, method)(*args))
         if self._tracer is not None:
             return self._spanned(
-                op, f"engine.call:{endpoint}.{method}", "engine.call"
+                op, parent, f"engine.call:{endpoint}.{method}", "engine.call"
             )
         return op
 
-    def wait(self, endpoint: str, method: str, *args: Any) -> _Op:
+    def wait(self, parent, endpoint: str, method: str, *args: Any) -> _Op:
         # a wait is just a blocking call here; the charged/uncharged
         # distinction only exists under the simulator's cost model —
         # but its span keeps the DES engine's distinct wait name
@@ -208,14 +184,14 @@ class ThreadedEngine(Engine):
         op = _Op(lambda: getattr(adapter, method)(*args))
         if self._tracer is not None:
             return self._spanned(
-                op, f"engine.wait:{endpoint}.{method}", "engine.wait"
+                op, parent, f"engine.wait:{endpoint}.{method}", "engine.wait"
             )
         return op
 
     # -- data plane ---------------------------------------------------------
 
     def store(
-        self, client: str, endpoint: str, page_id: Any, payload: Payload
+        self, parent, client: str, endpoint: str, page_id: Any, payload: Payload
     ) -> _Op:
         store_fn = self._data[endpoint][0]
 
@@ -229,13 +205,14 @@ class ThreadedEngine(Engine):
         op = _Op(do)
         if self._tracer is not None:
             return self._spanned(
-                op, "engine.store", "engine.data",
+                op, parent, "engine.store", "engine.data",
                 endpoint=endpoint, nbytes=len(payload),
             )
         return op
 
     def fetch(
         self,
+        parent,
         client: str,
         endpoint: str,
         page_id: Any,
@@ -254,17 +231,18 @@ class ThreadedEngine(Engine):
         op = _Op(do)
         if self._tracer is not None:
             return self._spanned(
-                op, "engine.fetch", "engine.data",
+                op, parent, "engine.fetch", "engine.data",
                 endpoint=endpoint, nbytes=nbytes,
             )
         return op
 
-    def charge_md(self, keys: Sequence[Any]) -> _Op:
+    def charge_md(self, parent, keys: Sequence[Any]) -> _Op:
         # the DHT is in-process: metadata RPCs cost nothing here, but
         # the op still gets its span so both runtimes' trees match
         if self._tracer is not None:
             return self._spanned(
                 _Op(lambda: None),
+                parent,
                 "engine.charge_md",
                 "engine.md",
                 rpcs=len(keys),

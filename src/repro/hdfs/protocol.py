@@ -53,8 +53,9 @@ class HDFSProtocol:
         the chunk.
         """
         engine = self.engine
+        size = len(payload)
         block_id, targets = yield engine.call(
-            "nn", "allocate_block", path, client
+            None, "nn", "allocate_block", path, client
         )
         if engine.faults_active:
             # targets may have crashed between allocation and shipping;
@@ -70,17 +71,17 @@ class HDFSProtocol:
                         f"chunk of {path} could not be placed: "
                         "all allocated datanodes are down"
                     )
-                yield engine.sleep(engine.retry.backoff(sweep))
+                yield engine.sleep(None, engine.retry.backoff(sweep))
                 sweep += 1
                 block_id, targets = yield engine.call(
-                    "nn", "allocate_block", path, client
+                    None, "nn", "allocate_block", path, client
                 )
             stored = []
             for name in alive:
                 try:
-                    yield engine.store(client, name, block_id, payload)
+                    yield engine.store(None, client, name, block_id, payload)
                 except RpcTimeoutError:
-                    yield engine.wait("nn", "mark_down", name)
+                    yield engine.wait(None, "nn", "mark_down", name)
                 else:
                     stored.append(name)
             if not stored:
@@ -88,11 +89,11 @@ class HDFSProtocol:
             stored = tuple(stored)
         else:
             # fault-free fast path: one batched fan-out to all replicas
-            shippers = engine.ship_many(client, [targets], [len(payload)])
-            yield shippers[0]
+            (shipped,) = engine.ship_many(None, client, [targets], [size])
+            yield shipped
             stored = tuple(targets)
         yield engine.call(
-            "nn", "commit_block", path, client, block_id, len(payload), stored
+            None, "nn", "commit_block", path, client, block_id, size, stored
         )
         return block_id, stored
 
@@ -102,7 +103,7 @@ class HDFSProtocol:
         if len(payload) <= 0:
             raise ValueError("write of zero bytes")
         engine = self.engine
-        yield engine.call("nn", "create", path, client)
+        yield engine.call(None, "nn", "create", path, client)
         pos, total = 0, len(payload)
         while pos < total:
             chunk = min(self.config.chunk_size, total - pos)
@@ -110,7 +111,7 @@ class HDFSProtocol:
                 client, path, payload.slice(pos, pos + chunk)
             )
             pos += chunk
-        yield engine.call("nn", "complete", path, client)
+        yield engine.call(None, "nn", "complete", path, client)
 
     # -- read path -----------------------------------------------------------
 
@@ -126,19 +127,18 @@ class HDFSProtocol:
             raise ValueError("read of zero bytes")
         engine = self.engine
         locations = yield engine.call(
-            "nn", "get_block_locations", path, offset, nbytes
+            None, "nn", "get_block_locations", path, offset, nbytes
         )
         fetchers = []
         for loc in locations:
             lo = max(offset, loc.offset)
             hi = min(offset + nbytes, loc.offset + loc.length)
             if hi > lo:
+                host, at = loc.hosts[0], lo - loc.offset
                 fetchers.append(
-                    engine.fetch(
-                        client, loc.hosts[0], None, lo - loc.offset, hi - lo
-                    )
+                    engine.fetch(None, client, host, None, at, hi - lo)
                 )
-        yield engine.gather(fetchers)
+        yield engine.gather(None, fetchers)
 
     def read_block_range(
         self,
@@ -202,7 +202,7 @@ class ChunkStreamCore:
             )
             self.buffer.clear()
         yield self.protocol.engine.call(
-            "nn", "complete", self.path, self.client
+            None, "nn", "complete", self.path, self.client
         )
 
 

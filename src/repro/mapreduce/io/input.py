@@ -95,61 +95,43 @@ class LineRecordReader:
     def __iter__(self) -> Iterator[Tuple[int, bytes]]:
         split = self.split
         with self.fs.open(split.path) as stream:
-            pos = split.offset
+            lines = _lines(stream, split.offset, split.end)
             if split.offset > 0:
-                # skip the partial first line: it belongs to the previous split
-                skipped = _scan_past_newline(stream, split.offset)
-                if skipped is None:
-                    return  # no newline until EOF: nothing starts here
-                pos = skipped
-            # Hadoop's boundary rule: keep reading while the next line
-            # STARTS at or before the split end (pos <= end). A line
-            # starting exactly at the boundary therefore belongs to the
-            # earlier split — matching the skip rule above, so no line is
-            # lost or read twice.
-            while pos <= split.end:
-                line_start = pos
-                line, pos = _read_line(stream, pos)
-                if line is None:
-                    return  # EOF
-                yield line_start, line
+                # skip the partial first line: it belongs to the previous
+                # split (with no newline until EOF, nothing starts here)
+                next(lines, None)
+            yield from lines
 
 
-def _scan_past_newline(stream: InputStream, offset: int) -> Optional[int]:
-    """Position of the first byte after the first ``\\n`` at/after *offset*;
-    None when the file ends first."""
-    pos = offset
-    while True:
-        piece = stream.pread(pos, _IO_CHUNK)
+def _lines(
+    stream: InputStream, offset: int, end: int
+) -> Iterator[Tuple[int, bytes]]:
+    """``(start, line)`` for every line from *offset* that starts at or
+    before *end*, newline stripped; a trailing line without a final
+    newline comes as-is.
+
+    That is Hadoop's boundary rule: a line starting exactly at a split
+    boundary belongs to the earlier split, matching the skip rule of the
+    later one, so no line is lost or read twice.
+
+    One buffer is cut into lines; the next ``_IO_CHUNK`` is read only
+    when a line crosses the buffer's end, so every byte is read once.
+    """
+    buf = b""
+    pos = offset  # file offset of buf[0], where the next line starts
+    while pos <= end:
+        piece = stream.pread(pos + len(buf), _IO_CHUNK)
         if not piece:
-            return None
-        nl = piece.find(b"\n")
-        if nl >= 0:
-            return pos + nl + 1
-        pos += len(piece)
-
-
-def _read_line(
-    stream: InputStream, offset: int
-) -> Tuple[Optional[bytes], int]:
-    """The line starting at *offset* (without its newline) and the offset
-    just past it. ``(None, offset)`` at EOF; a trailing line without a
-    final newline is returned as-is."""
-    parts: List[bytes] = []
-    pos = offset
-    while True:
-        piece = stream.pread(pos, _IO_CHUNK)
-        if not piece:
-            if parts:
-                line = b"".join(parts)
-                return line, pos
-            return None, pos
-        nl = piece.find(b"\n")
-        if nl >= 0:
-            parts.append(piece[:nl])
-            return b"".join(parts), pos + nl + 1
-        parts.append(piece)
-        pos += len(piece)
+            if buf:
+                yield pos, buf
+            return
+        buf += piece
+        cut = 0
+        while (nl := buf.find(b"\n", cut)) >= 0 and pos + cut <= end:
+            yield pos + cut, buf[cut:nl]
+            cut = nl + 1
+        buf = buf[cut:]
+        pos += cut
 
 
 class KeyValueLineRecordReader:

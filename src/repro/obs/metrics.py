@@ -22,7 +22,7 @@ import math
 import random
 import threading
 import zlib
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .timeseries import _NULL_TIMESERIES, TimeSeries
 
@@ -388,7 +388,3 @@ class MetricsRegistry:
                 for n, s in series.items()
             }
         return doc
-
-    def names(self) -> Iterable[str]:
-        with self._lock:
-            return sorted(self._instruments)

@@ -293,11 +293,6 @@ class Tracer:
 
     # -- inspection -----------------------------------------------------------
 
-    def finished(self) -> List[Span]:
-        """Spans that have both endpoints, in start order."""
-        with self._lock:
-            return [s for s in self.spans if s.end is not None]
-
     def open_spans(self) -> List[Span]:
         """Spans started but never finished, in start order.
 
@@ -318,12 +313,6 @@ class Tracer:
         """The latest timestamp recorded so far (start or end)."""
         with self._lock:
             return self._max_ts
-
-    def clear(self) -> None:
-        """Drop every recorded span (instrument handles stay valid)."""
-        with self._lock:
-            self.spans.clear()
-            self._max_ts = 0.0
 
     def __len__(self) -> int:
         with self._lock:

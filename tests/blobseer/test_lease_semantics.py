@@ -255,7 +255,7 @@ def _one_op(engine, kind, method, *args):
     endpoint, through the served engine's ``run``."""
 
     def gen():
-        return (yield getattr(engine, kind)("vm", method, *args))
+        return (yield getattr(engine, kind)(None, "vm", method, *args))
 
     return engine.run(gen())
 
@@ -400,7 +400,7 @@ class TestLoopNativeWait:
         self.engine.bind("x", Endpoint())
 
         def gen():
-            return (yield self.engine.call("x", "peek"))
+            return (yield self.engine.call(None, "x", "peek"))
 
         value = asyncio.run(self.engine.run(gen()))
         assert asyncio.iscoroutine(value)

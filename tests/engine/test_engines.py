@@ -45,8 +45,8 @@ class TestTrampoline:
         eng.bind("svc", _Adder())
 
         def gen():
-            three = yield eng.call("svc", "add", 1, 2)
-            yield eng.sleep(0)
+            three = yield eng.call(None, "svc", "add", 1, 2)
+            yield eng.sleep(None, 0)
             return three * 10
 
         assert eng.run(gen()) == 30
@@ -57,7 +57,7 @@ class TestTrampoline:
 
         def gen():
             try:
-                yield eng.call("svc", "boom")
+                yield eng.call(None, "svc", "boom")
             except KeyError:
                 return "recovered"
             return "unreached"
@@ -69,7 +69,7 @@ class TestTrampoline:
         eng.bind("svc", _Adder())
 
         def gen():
-            yield eng.call("svc", "boom")
+            yield eng.call(None, "svc", "boom")
 
         with pytest.raises(KeyError):
             eng.run(gen())
@@ -77,7 +77,7 @@ class TestTrampoline:
     def test_batch_fast_paths_are_des_only(self):
         eng = ThreadedEngine()
         with pytest.raises(NotImplementedError):
-            eng.ship_many("c", [("p",)], [1])
+            eng.ship_many(None, "c", [("p",)], [1])
 
 
 class TestReplicaSelector:
@@ -116,10 +116,10 @@ class TestThreadedFaults:
 
         def gen():
             try:
-                yield eng.store("c", "p", "pid", Payload(b"x"))
+                yield eng.store(None, "c", "p", "pid", Payload(b"x"))
             except RpcTimeoutError:
                 pass
-            yield eng.fetch("c", "p", "pid", 0, 1)
+            yield eng.fetch(None, "c", "p", "pid", 0, 1)
 
         with pytest.raises(RpcTimeoutError):
             eng.run(gen())
@@ -140,7 +140,9 @@ class TestDesFaults:
 
         def proc():
             try:
-                yield eng.store(names[0], names[1], "page", Payload(nbytes=100))
+                yield eng.store(
+                    None, names[0], names[1], "page", Payload(nbytes=100)
+                )
             except RpcTimeoutError:
                 failed_at["t"] = eng.now()
 

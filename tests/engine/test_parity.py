@@ -99,7 +99,7 @@ class SimHarness:
         """Take an append ticket and walk away (a doomed appender)."""
 
         def gen():
-            yield self.eng.call("vm", "assign_append", blob, nbytes)
+            yield self.eng.call(None, "vm", "assign_append", blob, nbytes)
 
         self.run(gen())
 
@@ -155,7 +155,7 @@ class ThreadedHarness:
 
     def ticket_only(self, blob, nbytes):
         def gen():
-            yield self.eng.call("vm", "assign_append", blob, nbytes)
+            yield self.eng.call(None, "vm", "assign_append", blob, nbytes)
 
         self.run(gen())
 
@@ -214,7 +214,7 @@ class AsyncioHarness:
 
     def ticket_only(self, blob, nbytes):
         def gen():
-            yield self.eng.call("vm", "assign_append", blob, nbytes)
+            yield self.eng.call(None, "vm", "assign_append", blob, nbytes)
 
         self.run(gen())
 

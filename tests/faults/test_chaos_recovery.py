@@ -63,7 +63,7 @@ def chaos_run():
     def doomed(client):
         # dies between taking the append ticket and committing it
         doomed_ticket["t"] = yield sb.engine.call(
-            "vm", "assign_append", blob, CHUNK
+            None, "vm", "assign_append", blob, CHUNK
         )
 
     clients = [

@@ -335,7 +335,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.faults.plan.FaultPlan.__len__": _PROBE,
     "repro.faults.plan.FaultPlan.__iter__": _PROBE,
     "repro.obs.Observability.enabled": _PROBE,
-    "repro.obs.metrics.MetricsRegistry.names": _PROBE,
     "repro.obs.metrics.MetricsRegistry.value": (
         "one instrument's value by name: the tests and bench_figure "
         "(benchmarks/perf) read it; the run report reads the snapshot"
@@ -348,8 +347,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.obs.timeseries._NullTimeSeries": _NULL,
     "repro.obs.timeseries.TimeSeries.__len__": _PROBE,
     "repro.obs.timeseries.TimeSeries.count": _PROBE,
-    "repro.obs.tracer.Tracer.clear": _PROBE,
-    "repro.obs.tracer.Tracer.finished": _PROBE,
 }
 
 #: the hook every census process loads first: record each code object

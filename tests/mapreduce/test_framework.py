@@ -241,12 +241,9 @@ class TestTaskTrackerCrash:
         assert dead.maps_run == 0 and dead.reduces_run == 0
         assert sum(t.maps_run for t in cluster.tasktrackers) >= 1
 
-    def test_mid_run_crash_requeues_claimed_tasks(self):
-        from repro.faults import (
-            FaultPlan,
-            ThreadedFaultDriver,
-            threaded_storage_injector,
-        )
+    def test_mid_run_crash_requeues_claimed_tasks(self, monkeypatch):
+        from repro.faults import threaded_storage_injector
+        from repro.mapreduce.jobtracker import JobInProgress
 
         _dep, fs, cluster = make_env()
         fs.write_all("/in", b"hello world\n" * 500)
@@ -254,13 +251,24 @@ class TestTaskTrackerCrash:
         injector = threaded_storage_injector(
             tasktrackers=cluster.tasktrackers
         )
-        plan = FaultPlan().crash("tasktracker", victim.host, at=0.005)
-        driver = ThreadedFaultDriver(plan, injector).start()
-        try:
-            result = cluster.run_job(self._job("mid-run-crash"))
-        finally:
-            driver.stop()
-            driver.join(timeout=5)
+        # the victim crashes on its first claim, holding the task; the
+        # survivors claim nothing before that, so the crash always lands
+        # mid-run with a task in hand
+        claimed = threading.Event()
+        next_map_task = JobInProgress.next_map_task
+
+        def claim(jip, host):
+            if host != victim.host:
+                return next_map_task(jip, host) if claimed.is_set() else None
+            task = next_map_task(jip, host)
+            if task is not None and not claimed.is_set():
+                injector.crash("tasktracker", victim.host)
+                claimed.set()
+            return task
+
+        monkeypatch.setattr(JobInProgress, "next_map_task", claim)
+        result = cluster.run_job(self._job("mid-run-crash"))
+        assert claimed.is_set()
         assert victim.is_failed
         # tasks the victim had claimed were re-queued on the survivors,
         # so the job still produced complete, correct output

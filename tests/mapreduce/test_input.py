@@ -1,11 +1,15 @@
 """Unit + property tests for input splitting and record reading —
 the Hadoop line-boundary semantics (no record lost, none read twice)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import HDFSConfig
+from repro.bsfs import BSFS
+from repro.common.config import BlobSeerConfig, HDFSConfig
 from repro.hdfs import HDFSCluster
+from repro.mapreduce.io import input as input_mod
 from repro.mapreduce.io.input import (
     FileSplit,
     KeyValueLineRecordReader,
@@ -120,6 +124,46 @@ class TestLineReader:
         if payload.endswith(b"\n"):
             expected = expected[:-1]
         assert [r[1] for r in records] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lines=st.lists(st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+                       min_size=1, max_size=20),
+        split_size=st.integers(min_value=1, max_value=40),
+        chunk=st.integers(min_value=1, max_value=8),
+    )
+    def test_lines_straddling_reads(self, lines, split_size, chunk):
+        """Lines cut across the reader's pread pieces come out whole."""
+        payload = b"\n".join(lines) + b"\n"
+        fs = make_fs()
+        fs.write_all("/f", payload)
+        with mock.patch.object(input_mod, "_IO_CHUNK", chunk):
+            records = self.read_all_splits(fs, "/f", split_size)
+        starts = [0]
+        for line in lines[:-1]:
+            starts.append(starts[-1] + len(line) + 1)
+        assert records == list(zip(starts, lines))
+
+
+class TestReadCost:
+    def test_whole_file_split_fetches_each_page_about_once(self):
+        """The reader cuts lines from one buffer: reading a split costs
+        about one block fetch per page, not one read per line."""
+        page = 4096
+        dep = BSFS(
+            config=BlobSeerConfig(page_size=page, metadata_providers=2),
+            n_providers=3,
+            seed=1,
+        )
+        fs = dep.file_system("r")
+        payload = b"".join(b"%09d\n" % i for i in range(1600))
+        fs.write_all("/f", payload)
+        pages = -(-len(payload) // page)
+        assert pages == 4
+        records = list(LineRecordReader(fs, FileSplit("/f", 0, len(payload))))
+        assert len(records) == 1600
+        assert records[-1] == (len(payload) - 10, b"%09d" % 1599)
+        assert dep.metrics.counters["bsfs.cache.misses"] <= pages + 1
 
 
 class TestKeyValueReader:

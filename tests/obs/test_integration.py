@@ -26,9 +26,14 @@ def _small_config():
     )
 
 
+def finished(tracer):
+    """The tracer's spans that have both endpoints, in start order."""
+    return [s for s in tracer.snapshot() if s.end is not None]
+
+
 def spans_of(tracer, cat):
     """Finished spans of one category."""
-    return [s for s in tracer.finished() if s.cat == cat]
+    return [s for s in finished(tracer) if s.cat == cat]
 
 
 def test_simulated_append_run_traces_all_layers():
@@ -38,7 +43,7 @@ def test_simulated_append_run_traces_all_layers():
     # at least the FS and BLOB layers and the version-manager ops appear
     assert {"bsfs", "blobseer", "engine.call", "engine.wait"} <= cats
     # every span carries simulated (not wall-clock) timestamps
-    assert all(s.end is not None and s.end < 1e4 for s in obs.tracer.finished())
+    assert all(s.end is not None and s.end < 1e4 for s in finished(obs.tracer))
     # the append path's registry trail
     counters = obs.registry.counters()
     assert counters["vm.append_tickets"] == 4.0
@@ -48,7 +53,7 @@ def test_simulated_append_run_traces_all_layers():
     assert ticket_bytes.percentile(50) == 64 * MiB
     # one span per engine op, directly under its operation span or
     # under the group span that holds several ops
-    by_id = {s.span_id: s for s in obs.tracer.finished()}
+    by_id = {s.span_id: s for s in finished(obs.tracer)}
     holders = {"bsfs.create", "bsfs.append", "blobseer.append", "pages.ship"}
     ops = [s for s in by_id.values() if s.cat.startswith("engine.")]
     assert ops

@@ -1,10 +1,10 @@
 """Op spans stay on their own thread.
 
 Every client thread of a threaded deployment drives its operations
-through the one engine the service shares. The pending op parent a
-protocol core arms with ``trace_parent`` must therefore be per thread:
-an op span opened on one thread must parent under a span that thread
-opened, never under another thread's operation, and never under none.
+through the one engine the service shares. Each op takes its span's
+parent as an argument, so an op span opened on one thread must parent
+under a span that thread opened, never under another thread's
+operation, and never under none.
 """
 
 import sys

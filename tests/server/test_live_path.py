@@ -108,10 +108,6 @@ class TestRequestSpanParentsTheOperation:
         # ...and exactly one of the two requests recorded anything
         assert sum(s.name == operation for s in new) == 1
 
-    def test_routes_without_an_operation_leave_no_parent_armed(self, server):
-        dispatch(server, ("GET", "/healthz"), ("POST", "/blob"), ("GET", "/healthz"))
-        assert server.engine._pending.parent is None
-
     def test_sampled_append_records_exactly_the_spans_a_direct_append_does(self):
         """Sampling is inheritance, not a second code path: the tree
         below ``http.request`` is the tree the protocol core records on
