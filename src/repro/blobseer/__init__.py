@@ -27,7 +27,6 @@ from .version_manager import (
     VersionRecord,
 )
 from .client import BlobClient, BlobSeerService
-from .pruning import PruneReport, prune_blob
 
 __all__ = [
     "Fragment",
@@ -47,6 +46,4 @@ __all__ = [
     "VersionRecord",
     "BlobClient",
     "BlobSeerService",
-    "PruneReport",
-    "prune_blob",
 ]

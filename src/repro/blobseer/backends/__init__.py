@@ -6,7 +6,8 @@ puts two interchangeable stores behind the :class:`PageStore` protocol:
 * ``memory`` — :class:`~repro.blobseer.backends.memory.InMemoryPageStore`,
   the default for tests and simulations (no durability);
 * ``log`` — :class:`~repro.blobseer.backends.logstore.LogStructuredPageStore`,
-  an append-only CRC-framed log with tombstones and crash recovery.
+  an append-only CRC-framed log, replayed on open with its torn tail
+  cut off.
 
 Every provider of a deployment selects its store through
 ``BlobSeerConfig.page_store_backend`` (plus ``page_store_dir`` /
@@ -19,14 +20,15 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from .logstore import LogStructuredPageStore
 from .memory import InMemoryPageStore
 
 
 class PageStore(Protocol):
-    """Key → bytes storage a provider persists its pages in."""
+    """Key → bytes storage a provider persists its pages in. Pages are
+    immutable and never deleted, so a store only puts, gets and closes."""
 
     def put(self, key: bytes, value: bytes) -> None:
         """Store/overwrite one record."""
@@ -34,18 +36,6 @@ class PageStore(Protocol):
 
     def get(self, key: bytes) -> bytes:
         """Fetch a record; raises ``PageNotFoundError`` when absent."""
-        ...
-
-    def contains(self, key: bytes) -> bool:
-        """True when the key is stored."""
-        ...
-
-    def delete(self, key: bytes) -> None:
-        """Remove a record (idempotent)."""
-        ...
-
-    def keys(self) -> List[bytes]:
-        """Every stored key."""
         ...
 
     def close(self) -> None:

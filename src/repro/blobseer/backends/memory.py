@@ -5,7 +5,7 @@ Writers serialise on the store's lock; ``get`` takes none."""
 from __future__ import annotations
 
 import threading
-from typing import Dict, List
+from typing import Dict
 
 from ...common.errors import PageNotFoundError
 
@@ -27,18 +27,6 @@ class InMemoryPageStore:
             return self._data[key]
         except KeyError:
             raise PageNotFoundError(f"no page {key!r}") from None
-
-    def contains(self, key: bytes) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def delete(self, key: bytes) -> None:
-        with self._lock:
-            self._data.pop(key, None)
-
-    def keys(self) -> List[bytes]:
-        with self._lock:
-            return list(self._data)
 
     def close(self) -> None:
         pass

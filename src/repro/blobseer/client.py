@@ -87,7 +87,6 @@ class BlobSeerService:
             self.dht,
             obs=self.obs,
         )
-        self._repairer = None
 
     # -- service operations -------------------------------------------------
 
@@ -100,14 +99,6 @@ class BlobSeerService:
         but clients are themselves thread-safe)."""
         return BlobClient(self, name)
 
-    def prune_blob(self, blob_id: int, keep_from_version: int):
-        """Reclaim the storage of versions older than *keep_from_version*
-        (which stays readable, as does everything newer). Returns a
-        :class:`~repro.blobseer.pruning.PruneReport`."""
-        from .pruning import prune_blob
-
-        return prune_blob(self, blob_id, keep_from_version)
-
     def fail_provider(self, name: str) -> None:
         """Fault injection: crash a provider and exclude it from placement."""
         self.providers[name].fail()
@@ -119,20 +110,6 @@ class BlobSeerService:
         self.providers[name].recover()
         self.provider_manager.mark_up(name)
         self.engine.recover_endpoint(name)
-
-    def rereplicate_once(self, client: str = "rereplicator") -> int:
-        """Run one crash-repair scan (requires the ``rereplication``
-        config knob): copy pages that lost replicas to crashes back up
-        to ``config.replication``. Returns the number of copies made."""
-        if self._repairer is None:
-            from .rereplication import ReplicaRepairer
-
-            self._repairer = ReplicaRepairer(
-                self.protocol, client, obs=self.obs
-            )
-        before = self._repairer.copies
-        self.engine.run(self._repairer.scan())
-        return self._repairer.copies - before
 
     def close(self) -> None:
         """Release provider persistence backends and stop the version

@@ -42,9 +42,8 @@ class MetadataDHT:
     A node lives in partition ``hash(key) % n`` — the builtin hash,
     deterministic for int-tuple keys and an order of magnitude cheaper
     than SHA-1. The partition is storage layout only (it bounds each
-    dict's resize transient, and the pruner sweeps one at a time); the
-    provider the simulator bills is :func:`placement_hash`'s, computed
-    where it is charged. The ``gets``/``puts`` tallies are exact without
+    dict's resize transient); the provider the simulator bills is
+    :func:`placement_hash`'s, computed where it is charged. The ``gets``/``puts`` tallies are exact without
     a lock: each thread counts in its own cell.
     """
 

@@ -114,14 +114,6 @@ class BlobSeerProtocol:
         #: group commit: batch ready consecutive appenders into one
         #: publish round (see :meth:`_publish_batch`)
         self._group_commit = bool(getattr(config, "group_commit", False))
-        #: replica directory feeding crash repair; ``None`` (and
-        #: zero-overhead) unless the ``rereplication`` knob is on
-        if getattr(config, "rereplication", False):
-            from .rereplication import ReplicaDirectory
-
-            self.directory: Optional[ReplicaDirectory] = ReplicaDirectory()
-        else:
-            self.directory = None
 
     def _node_store(self):
         """``(algorithm store, recording store)`` for one metadata op.
@@ -263,11 +255,6 @@ class BlobSeerProtocol:
             else:
                 yield engine.gather(sp_ship, shippers)
         sp_ship.finish()
-        if self.directory is not None:
-            for frag in new_frags.values():
-                self.directory.note_page(
-                    frag.page_id, frag.providers, frag.length
-                )
         return new_frags
 
     def _publish(self, ticket: Ticket, new_frags: Dict[int, Fragment], parent):
@@ -548,19 +535,12 @@ class BlobSeerProtocol:
         buf: Optional[bytearray] = None
         if engine.faults_active:
             sel = self.selector(client)
-            directory = self.directory
             for out_pos, piece in jobs:
-                providers = piece.providers
-                if directory is not None:
-                    # repaired copies are readable too
-                    providers = directory.providers_for(
-                        piece.page_id, providers
-                    )
                 data = yield from sweep_fetch(
                     engine,
                     sel,
                     client,
-                    providers,
+                    piece.providers,
                     piece.page_id,
                     piece.data_offset,
                     piece.length,

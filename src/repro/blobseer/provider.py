@@ -10,10 +10,9 @@ role with disk/NIC costs in :mod:`repro.blobseer.simulated`.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import Optional
 
 from ..common.errors import PageNotFoundError, ProviderUnavailableError
-from ..common.tally import Tally
 from .pages import PageId
 from .backends import InMemoryPageStore, PageStore
 
@@ -29,9 +28,6 @@ class Provider:
         #: lifetime counters
         self.bytes_stored = 0
         self.pages_stored = 0
-        #: bytes served, counted per reader thread: ``get_page`` takes
-        #: no lock ``put_page`` takes
-        self._served = Tally()
 
     # -- fault injection -------------------------------------------------------
 
@@ -44,10 +40,6 @@ class Provider:
         """Bring a failed provider back (its stored pages survive)."""
         with self._lock:
             self._failed = False
-
-    @property
-    def bytes_served(self) -> int:
-        return sum(self._served.column(0))
 
     @property
     def is_failed(self) -> bool:
@@ -81,14 +73,4 @@ class Provider:
             raise PageNotFoundError(
                 f"range [{offset}, {offset + size}) outside page of {len(data)} bytes"
             )
-        piece = data[offset : offset + size]
-        self._served.cell()[0] += len(piece)
-        return piece
-
-    def has_page(self, page_id: PageId) -> bool:
-        """True when the page is stored here (even while failed)."""
-        return self.store.contains(page_id.key())
-
-    def page_ids(self) -> List[bytes]:
-        """Raw keys of every stored page."""
-        return self.store.keys()
+        return data[offset : offset + size]

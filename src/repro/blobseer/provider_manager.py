@@ -101,36 +101,17 @@ class ProviderManager:
     # -- allocation ------------------------------------------------------------------
 
     def allocate(
-        self,
-        page_sizes: Sequence[int],
-        replication: int = 1,
-        exclude: Sequence[str] = (),
+        self, page_sizes: Sequence[int], replication: int = 1
     ) -> List[Tuple[str, ...]]:
         """Choose providers for each of a write's pages.
 
         Returns one tuple of *replication* distinct provider names per
-        page, primary first. *exclude* temporarily bars specific
-        providers (crash repair uses it to avoid the copies a page
-        already has).
+        page, primary first.
         """
         if replication < 1:
             raise ValueError("replication must be >= 1")
         with self._lock:
-            barred = [
-                n for n in exclude if n in self._load and n not in self._down
-            ]
-            self._down.update(barred)
-            try:
-                return self._allocate_locked(page_sizes, replication)
-            finally:
-                self._down.difference_update(barred)
-                # barred entries may have been popped-and-discarded as
-                # "down" during the pick; restore current ones
-                for name in barred:
-                    heapq.heappush(
-                        self._heap,
-                        (self._load[name], self._rank[name], name),
-                    )
+            return self._allocate_locked(page_sizes, replication)
 
     def _allocate_locked(
         self,
@@ -173,7 +154,7 @@ class ProviderManager:
     def _imbalance_locked(self) -> float:
         """Max/mean load over the alive providers (lock held by caller).
         The running total and max cover every provider, so they answer
-        only while none is down or excluded."""
+        only while none is down."""
         if self._down:
             loads = [v for n, v in self._load.items() if n not in self._down]
             if not loads:

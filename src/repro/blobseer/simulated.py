@@ -77,15 +77,6 @@ class SimBlobSeer:
         self.protocol = BlobSeerProtocol(
             self.engine, self.config, self.provider_manager, self.dht, obs=self.obs
         )
-        #: crash repair runs from the provider-manager machine; the
-        #: caller schedules scans: ``env.process(repairer.scan())``
-        self.repairer = None
-        if self.config.rereplication:
-            from .rereplication import ReplicaRepairer
-
-            self.repairer = ReplicaRepairer(
-                self.protocol, roles.provider_manager, obs=self.obs
-            )
 
     # -- blob lifecycle -------------------------------------------------------
 

@@ -653,7 +653,7 @@ class ThreadedVersionManager:
         self.core = VersionManagerCore(
             obs, lease_s=config.append_lease_s if config else 30.0
         )
-        #: one mutex for all state (pruning takes it too); waiters of
+        #: one mutex for all state; waiters of
         #: every blob share its condition
         self._turn = threading.Condition(threading.Lock())
         self._turn_timeout_s = config.metadata_turn_timeout_s if config else 60.0

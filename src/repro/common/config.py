@@ -69,10 +69,6 @@ class BlobSeerConfig:
     page_store_dir: str | None = None
     #: fsync the log store after every record
     page_store_fsync: bool = False
-    #: crash repair: track where every page lives so a scan
-    #: (``repro.blobseer.rereplication``) can restore ``replication``
-    #: live copies of pages that lost replicas to provider crashes
-    rereplication: bool = False
 
     def fast(self, group_commit: bool = True) -> "BlobSeerConfig":
         """This deployment on the ``fast`` profile: group commit, the

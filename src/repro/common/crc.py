@@ -7,13 +7,15 @@ log-structured store whose on-disk records are framed as::
 
 The CRC covers key and value, so torn or bit-rotted records are detected
 on read (surfaced as :class:`~repro.common.errors.CorruptPageError`).
+:func:`decode_record` is the one decoder: the store's reads and its
+recovery replay both go through it.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import BinaryIO, Iterator, Tuple
+from typing import Tuple
 
 from .errors import CorruptPageError
 
@@ -52,34 +54,3 @@ def decode_record(buf: bytes, offset: int = 0) -> Tuple[bytes, bytes, int]:
             f"crc mismatch at offset {offset}: stored=0x{crc:08x} actual=0x{actual:08x}"
         )
     return key, value, value_end
-
-
-def read_record(fp: BinaryIO) -> Tuple[bytes, bytes] | None:
-    """Read the record at the file's current position; ``None`` at EOF."""
-    header = fp.read(_HEADER.size)
-    if not header:
-        return None
-    if len(header) < _HEADER.size:
-        raise CorruptPageError("truncated header at end of log")
-    magic, key_len, value_len, crc = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise CorruptPageError(f"bad magic 0x{magic:04x}")
-    body = fp.read(key_len + value_len)
-    if len(body) < key_len + value_len:
-        raise CorruptPageError("truncated body at end of log")
-    key, value = body[:key_len], body[key_len:]
-    actual = zlib.crc32(value, zlib.crc32(key))
-    if actual != crc:
-        raise CorruptPageError(
-            f"crc mismatch: stored=0x{crc:08x} actual=0x{actual:08x}"
-        )
-    return key, value
-
-
-def scan_log(fp: BinaryIO) -> Iterator[Tuple[bytes, bytes]]:
-    """Iterate every record in a log file from its current position."""
-    while True:
-        rec = read_record(fp)
-        if rec is None:
-            return
-        yield rec

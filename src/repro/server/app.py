@@ -336,8 +336,7 @@ class BlobServer:
     async def _h_metrics(self, request: Request, client: str, span) -> Response:
         doc = self.obs.registry.snapshot()
         # the storage-plane placement view rides along: per-provider
-        # byte loads and who is down (the placement.rereplications
-        # counter is already in the snapshot proper)
+        # byte loads and who is down
         pm = self.service.provider_manager
         doc["placement"] = {
             "provider_load": pm.load_snapshot(),

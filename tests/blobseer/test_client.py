@@ -1,12 +1,13 @@
 """Integration tests for the threaded BlobSeer client: append/write/read
 semantics, versioning snapshots, concurrency, fault tolerance."""
 
+import collections
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blobseer import BlobSeerService
+from repro.blobseer import BlobSeerService, Provider
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import OutOfRangeReadError, ReplicationError
 
@@ -272,30 +273,42 @@ class TestReplicaRotation:
             seed=11,
         )
 
-    def test_reads_spread_over_replicas(self):
+    @staticmethod
+    def _count_served(monkeypatch) -> collections.Counter:
+        """Bytes each provider serves, by name, from now on."""
+        served = collections.Counter()
+        get_page = Provider.get_page
+
+        def counted(self, *args):
+            piece = get_page(self, *args)
+            served[self.name] += len(piece)
+            return piece
+
+        monkeypatch.setattr(Provider, "get_page", counted)
+        return served
+
+    def test_reads_spread_over_replicas(self, monkeypatch):
         svc = self._everywhere_svc()
         c = svc.client("c")
         blob = c.create_blob()
         c.append(blob, b"z" * 1024)
+        served = self._count_served(monkeypatch)
         for _ in range(16):
             c.read(blob, 0, 1024)
-        served = [
-            p.bytes_served for p in svc.providers.values() if p.bytes_served
-        ]
         # without rotation one provider would absorb every read
         assert len(served) > 1
 
-    def test_rotation_phase_is_deterministic_per_client_name(self):
+    def test_rotation_phase_is_deterministic_per_client_name(self, monkeypatch):
+        served = self._count_served(monkeypatch)
         hits_by_run = []
         for _run in range(2):
             svc = self._everywhere_svc()
             c = svc.client("same-name")
             blob = c.create_blob()
             c.append(blob, b"z" * 1024)
+            served.clear()
             c.read(blob, 0, 1024)
-            hits_by_run.append(
-                sorted(n for n, p in svc.providers.items() if p.bytes_served)
-            )
+            hits_by_run.append(sorted(served))
         assert hits_by_run[0] == hits_by_run[1]
 
     def test_dead_providers_remembered_until_they_serve_again(self):

@@ -1,14 +1,22 @@
 """Unit tests for provider persistence (the BerkeleyDB substitute)."""
 
+import errno
 import hashlib
 import random
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.blobseer.backends import InMemoryPageStore, LogStructuredPageStore
+from repro.blobseer.backends import (
+    InMemoryPageStore,
+    LogStructuredPageStore,
+    logstore,
+)
 from repro.common.errors import PageNotFoundError
 
 
@@ -17,18 +25,10 @@ class TestInMemory:
         store = InMemoryPageStore()
         store.put(b"k", b"v")
         assert store.get(b"k") == b"v"
-        assert store.contains(b"k")
 
     def test_missing(self):
         with pytest.raises(PageNotFoundError):
             InMemoryPageStore().get(b"ghost")
-
-    def test_delete(self):
-        store = InMemoryPageStore()
-        store.put(b"k", b"v")
-        store.delete(b"k")
-        assert not store.contains(b"k")
-        store.delete(b"k")  # idempotent
 
 
 class TestLogStructured:
@@ -52,11 +52,12 @@ class TestLogStructured:
         store = LogStructuredPageStore(path)
         store.put(b"a", b"1")
         store.put(b"b", b"2")
-        store.delete(b"a")
+        store.put(b"a", b"3")
         store.close()
         reopened = LogStructuredPageStore(path)
-        assert not reopened.contains(b"a")
+        assert reopened.get(b"a") == b"3"
         assert reopened.get(b"b") == b"2"
+        assert len(reopened) == 2
         reopened.close()
 
     def test_torn_tail_truncated_on_recovery(self, tmp_path):
@@ -76,29 +77,33 @@ class TestLogStructured:
         assert final.get(b"after") == b"crash"
         final.close()
 
-    def test_compaction_shrinks_log(self, tmp_path):
+    def test_failed_write_is_cut_back_off_the_log(self, tmp_path, monkeypatch):
+        """A write that fails after a short write leaves no partial
+        record behind: a later put reads back, live and after a reopen."""
         path = tmp_path / "pages.log"
         store = LogStructuredPageStore(path)
-        for i in range(20):
-            store.put(b"hot", b"x" * 1000)  # 19 dead versions
-        before = path.stat().st_size
-        store.compact()
-        after = path.stat().st_size
-        assert after < before / 5
-        assert store.get(b"hot") == b"x" * 1000
-        store.close()
+        store.put(b"a", b"1" * 100)
+        write = logstore.os.write
 
-    def test_compaction_preserves_all_keys(self, tmp_path):
-        store = LogStructuredPageStore(tmp_path / "pages.log")
-        for i in range(10):
-            store.put(f"k{i}".encode(), f"v{i}".encode())
-        store.delete(b"k3")
-        store.compact()
-        assert sorted(store.keys()) == sorted(
-            f"k{i}".encode() for i in range(10) if i != 3
-        )
-        assert store.get(b"k7") == b"v7"
+        def short_then_full_disk(fd, data):
+            if len(data) > 20:
+                return write(fd, data[:20])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(logstore.os, "write", short_then_full_disk)
+            with pytest.raises(OSError):
+                store.put(b"b", b"2" * 100)
+        store.put(b"c", b"3" * 100)
+        assert store.get(b"c") == b"3" * 100
+        with pytest.raises(PageNotFoundError):
+            store.get(b"b")
         store.close()
+        reopened = LogStructuredPageStore(path)
+        assert reopened.get(b"a") == b"1" * 100
+        assert reopened.get(b"c") == b"3" * 100
+        assert len(reopened) == 2
+        reopened.close()
 
     def test_len(self, tmp_path):
         store = LogStructuredPageStore(tmp_path / "pages.log")
@@ -121,40 +126,71 @@ class TestLogStructured:
         p2.store.close()
 
 
+class TestReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        puts=st.lists(
+            st.tuples(st.sampled_from([b"a", b"b", b"c"]), st.binary(max_size=40)),
+            max_size=10,
+        ),
+        data=st.data(),
+    )
+    def test_reopen_keeps_exactly_the_records_before_the_cut(self, puts, data):
+        """Cut the log at any byte — a crash mid-write — and reopen:
+        exactly the records that end at or before the cut are readable,
+        the last write of each key wins, and the torn rest is gone."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pages.log"
+            store = LogStructuredPageStore(path)
+            ends = []
+            for key, value in puts:
+                store.put(key, value)
+                ends.append(path.stat().st_size)
+            store.close()
+            raw = path.read_bytes()
+            cuts = {0, len(raw), data.draw(st.integers(0, len(raw)), label="cut")}
+            for cut in sorted(cuts):
+                path.write_bytes(raw[:cut])
+                kept = [end for end in ends if end <= cut]
+                model = dict(puts[: len(kept)])
+                store = LogStructuredPageStore(path)
+                try:
+                    assert len(store) == len(model)
+                    for key in (b"a", b"b", b"c"):
+                        if key in model:
+                            assert store.get(key) == model[key]
+                        else:
+                            with pytest.raises(PageNotFoundError):
+                                store.get(key)
+                finally:
+                    store.close()
+                assert path.stat().st_size == (kept[-1] if kept else 0)
+
+
 class TestLogFormat:
     def test_fixed_sequence_writes_the_pinned_bytes(self, tmp_path):
         """The on-disk format is a contract: recovery replays it and the
         benchmark's ``stored_bytes_per_user_byte`` measures it. A fixed
-        sequence of puts, an overwrite, deletes and a compaction writes
-        these exact bytes."""
+        sequence of puts and an overwrite writes these exact bytes."""
         path = tmp_path / "pages.log"
         store = LogStructuredPageStore(path)
         for i in range(6):
             store.put(f"page/1/w/{i}".encode(), bytes([i]) * (100 + 37 * i))
         store.put(b"page/1/w/2", b"overwritten")
-        store.delete(b"page/1/w/4")
-        store.delete(b"absent")  # no tombstone for a key never stored
-        raw = path.read_bytes()
-        assert len(raw) == 1398
-        assert hashlib.sha256(raw).hexdigest() == (
-            "6263682c56ac34f0daf6afac4dfa9ad75f67510968024e96e2262f741dc6e197"
-        )
-        store.compact()
-        store.put(b"after", b"compaction")
         store.close()
         raw = path.read_bytes()
-        assert len(raw) == 923
+        assert len(raw) == 1369
         assert hashlib.sha256(raw).hexdigest() == (
-            "b761cc9a2b17970e475528b55b52e62cf05079b7c8cb486c931078dc96c3c608"
+            "7edb5c1e2269d71606b8171e20a61b1a332677e56cb50b9282741c4fe2be1dd2"
         )
 
 
 class TestLogConcurrency:
-    def test_gets_racing_writers_and_compaction_see_stored_bytes(self, tmp_path):
-        """``get`` takes no lock. Racing puts, overwrites, deletes and
-        ``compact()``, it returns bytes some put stored under that very
-        key, or raises ``PageNotFoundError`` — never a corrupt record,
-        a torn one, or another key's bytes."""
+    def test_gets_racing_writers_see_stored_bytes(self, tmp_path):
+        """``get`` takes no lock. Racing puts and overwrites, it returns
+        bytes some put stored under that very key, or raises
+        ``PageNotFoundError`` for a key not yet put — never a corrupt
+        record, a torn one, or another key's bytes."""
         keys = [f"page/{i}".encode() for i in range(24)]
 
         def value(key: bytes, gen: int) -> bytes:
@@ -165,27 +201,26 @@ class TestLogConcurrency:
             return head == key and data == value(key, int(gen))
 
         store = LogStructuredPageStore(tmp_path / "pages.log")
-        for key in keys:
+        for key in keys[::2]:
             store.put(key, value(key, 0))
         stop = threading.Event()
         errors = []
-        seen = {"bytes": 0, "missing": 0, "compactions": 0}
+        seen = {"bytes": 0, "missing": 0}
 
         def writer():
             rng = random.Random(1)
+            # the odd keys appear one at a time while readers look; the
+            # last is never put, so every reader meets a missing key
+            unput = keys[1:-1:2]
             gen = 1
             try:
                 while not stop.is_set():
-                    key = rng.choice(keys)
-                    roll = rng.random()
-                    if roll < 0.02:
-                        store.compact()
-                        seen["compactions"] += 1
-                    elif roll < 0.2:
-                        store.delete(key)
+                    if unput and rng.random() < 0.01:
+                        key = unput.pop()
                     else:
-                        store.put(key, value(key, gen))
-                        gen += 1
+                        key = rng.choice(keys[::2])
+                    store.put(key, value(key, gen))
+                    gen += 1
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -222,4 +257,3 @@ class TestLogConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert not errors, repr(errors[0])
         assert seen["bytes"] > 100 and seen["missing"] > 0
-        assert seen["compactions"] > 2

@@ -31,24 +31,3 @@ def test_tiebreak_varies_with_seed():
     a = ProviderManager(NAMES, seed=1).allocate([10] * 12, replication=1)
     b = ProviderManager(NAMES, seed=2).allocate([10] * 12, replication=1)
     assert a != b  # astronomically unlikely to coincide
-
-
-# -- exclusion (crash repair's allocate contract) ------------------------------
-
-
-def test_exclude_bars_named_providers():
-    pm = ProviderManager(NAMES, seed=1)
-    for _ in range(5):
-        [placement] = pm.allocate(
-            [10], replication=2, exclude=("p0", "p1", "p2")
-        )
-        assert not set(placement) & {"p0", "p1", "p2"}
-    # exclusion is per-call: they are allocatable again afterwards
-    placements = pm.allocate([10] * 30, replication=1)
-    assert {"p0", "p1", "p2"} <= {p[0] for p in placements}
-
-
-def test_exclude_unknown_names_ignored():
-    pm = ProviderManager(NAMES, seed=1)
-    [placement] = pm.allocate([10], replication=1, exclude=("ghost",))
-    assert placement[0] in NAMES

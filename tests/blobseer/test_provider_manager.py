@@ -75,8 +75,8 @@ def test_deterministic_given_seed():
 def test_imbalance_gauge_equals_a_rescan_of_the_alive_providers():
     """The gauge is served from a running total and max; it must read,
     bit for bit, what rescanning the load table would — also while a
-    provider is down or excluded (the scan's own turn) and after it is
-    back (the running figures still count what it received before)."""
+    provider is down (the scan's own turn) and after it is back (the
+    running figures still count what it received before)."""
     from repro.obs import Observability
 
     obs = Observability()
@@ -94,12 +94,8 @@ def test_imbalance_gauge_equals_a_rescan_of_the_alive_providers():
             pm.mark_down("p2")
         if step == 25:
             pm.mark_up("p2")
-        exclude = ("p4",) if step % 7 == 3 else ()
-        pm.allocate(
-            sizes[step % len(sizes) :], replication=1 + step % 3, exclude=exclude
-        )
-        if not exclude:  # an exclusion ends with the call; the gauge saw it
-            assert gauge.value == rescan()
+        pm.allocate(sizes[step % len(sizes) :], replication=1 + step % 3)
+        assert gauge.value == rescan()
         assert pm._imbalance_locked() == rescan()
 
 
@@ -120,7 +116,7 @@ def test_load_gauges_are_resolved_once_and_read_the_load_table(monkeypatch):
 
     monkeypatch.setattr(obs.registry, "gauge", no_lookups)
     pm.allocate([10, 300, 7], replication=2)
-    pm.allocate([64], replication=1, exclude=("p1",))
+    pm.allocate([64], replication=1)
     gauges = obs.registry.gauges()
     assert {n: gauges[f"pm.load.{n}"] for n in NAMES} == pm.load_snapshot()
     assert sum(pm.load_snapshot().values()) == 2 * 317 + 64

@@ -1,11 +1,9 @@
 """Unit + property tests for the CRC-framed record encoding."""
 
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.crc import decode_record, encode_record, read_record, scan_log
+from repro.common.crc import decode_record, encode_record
 from repro.common.errors import CorruptPageError
 
 
@@ -25,16 +23,6 @@ def test_roundtrip_property(key, value):
     buf = encode_record(key, value)
     k, v, end = decode_record(buf)
     assert k == key and v == value and end == len(buf)
-
-
-@given(
-    st.lists(
-        st.tuples(st.binary(max_size=50), st.binary(max_size=200)), max_size=10
-    )
-)
-def test_scan_log_roundtrip(records):
-    log = b"".join(encode_record(k, v) for k, v in records)
-    assert list(scan_log(io.BytesIO(log))) == records
 
 
 def test_bit_flip_detected():
@@ -61,15 +49,6 @@ def test_truncated_body():
     buf = encode_record(b"k", b"value")[:-2]
     with pytest.raises(CorruptPageError, match="truncated"):
         decode_record(buf)
-
-
-def test_read_record_eof_returns_none():
-    assert read_record(io.BytesIO(b"")) is None
-
-
-def test_read_record_partial_header_raises():
-    with pytest.raises(CorruptPageError):
-        read_record(io.BytesIO(b"\x01\x02\x03"))
 
 
 def test_decode_at_offset():

@@ -1,4 +1,4 @@
-"""Unit tests for fault plans, retry policy, and the drivers."""
+"""Unit tests for fault plans, retry policy, and the DES plan driver."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    ThreadedFaultDriver,
     schedule_plan,
 )
 from repro.obs import Observability
@@ -143,31 +142,3 @@ class TestSchedulePlan:
         schedule_plan(env, FaultPlan().crash("provider", "p0", at=1.0), injector)
         env.run()
         assert log == [6.0]
-
-
-class TestThreadedFaultDriver:
-    def test_replays_plan_on_wall_clock(self):
-        log = []
-        injector = FaultInjector().register(
-            "tasktracker", lambda t: log.append(("crash", t)),
-            lambda t: log.append(("recover", t)),
-        )
-        plan = FaultPlan().crash("tasktracker", "tt0", at=0.0, duration=0.02)
-        driver = ThreadedFaultDriver(plan, injector, time_scale=1.0).start()
-        driver.join(timeout=5)
-        assert log == [("crash", "tt0"), ("recover", "tt0")]
-
-    def test_stop_cancels_pending(self):
-        log = []
-        injector = FaultInjector().register(
-            "tasktracker", lambda t: log.append(t)
-        )
-        plan = FaultPlan().crash("tasktracker", "tt0", at=60.0)
-        driver = ThreadedFaultDriver(plan, injector).start()
-        driver.stop()
-        driver.join(timeout=5)
-        assert log == []
-
-    def test_rejects_bad_time_scale(self):
-        with pytest.raises(ValueError):
-            ThreadedFaultDriver(FaultPlan(), FaultInjector(), time_scale=0.0)

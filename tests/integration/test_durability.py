@@ -76,17 +76,3 @@ def test_crash_during_append_leaves_committed_data_intact(store_dir):
     assert fresh.read_all("/log") == b"committed-before\n"
     svc.close()
 
-
-def test_compaction_under_live_service(store_dir):
-    svc = make_service(store_dir)
-    client = svc.client("c")
-    blob = client.create_blob()
-    for i in range(6):
-        client.write(blob, 0, bytes([i]) * 4096) if i else client.append(
-            blob, bytes([i]) * 4096
-        )
-    svc.prune_blob(blob, keep_from_version=6)
-    for provider in svc.providers.values():
-        provider.store.compact()
-    assert client.read(blob, 0, 4096) == bytes([5]) * 4096
-    svc.close()

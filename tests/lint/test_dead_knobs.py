@@ -19,7 +19,7 @@ The three metadata fast-path knobs move together, as a named profile:
 ``paper`` is the defaults and ``BlobSeerConfig.fast()`` is the only
 non-test code that may set them; a profile counts as traffic when a
 traffic root calls it. The third test fails CI on any other setter, and on a
-fourteenth ``BlobSeerConfig`` field.
+thirteenth ``BlobSeerConfig`` field.
 """
 
 import ast
@@ -63,11 +63,8 @@ NO_TRAFFIC = {
         ),
         "page_store_fsync": (
             "durability switch of the log store; the e2e benchmark pins it "
-            "off (sandbox fsync is not a device measurement), ROADMAP item "
-            "5's restart gate turns it on"
-        ),
-        "rereplication": (
-            "crash repair; ROADMAP item 3's live chaos root drives it"
+            "off (sandbox fsync is not a device measurement), and the "
+            "page-store conformance suite turns it on"
         ),
     },
     "ExperimentConfig": {
@@ -315,7 +312,7 @@ def test_only_the_profile_methods_set_the_fast_path_knobs():
         "BlobSeerConfig.fast() (pick a profile instead):\n"
         + "\n".join(stray)
     )
-    assert len(_config_classes(config)["BlobSeerConfig"]) == 13, (
+    assert len(_config_classes(config)["BlobSeerConfig"]) == 12, (
         "BlobSeerConfig grew or shrank: options only go down (ROADMAP), "
         "and a removal updates this count"
     )

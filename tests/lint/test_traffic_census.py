@@ -104,10 +104,6 @@ _NULL = (
     "null-object twin of a live instrument: a read of a disabled "
     "registry, which no root makes"
 )
-_GROUP_COMMIT = (
-    "group-commit endpoint of the live runtimes; repro-serve runs "
-    "without group commit (ROADMAP item 6 decides group commit's fate)"
-)
 
 #: functions no root calls, and why each stays. A key is a qualified
 #: name (``repro.module.Class.method``) or a prefix of one (a module, a
@@ -142,39 +138,13 @@ NO_TRAFFIC: Dict[str, str] = {
         "the overwrite path on the DES: no figure overwrites (the live "
         "PUT /blob/{id} reaches the threaded twin)"
     ),
-    # -- product paths that ROADMAP items give traffic ----------------------
-    "repro.blobseer.pruning": (
-        "version GC; ROADMAP item 4 puts it on the serving path"
-    ),
-    "repro.blobseer.client.BlobSeerService.prune_blob": (
-        "version GC; ROADMAP item 4 puts it on the serving path"
-    ),
-    "repro.blobseer.rereplication": (
-        "crash repair (BlobSeerConfig.rereplication, off in every root); "
-        "ROADMAP item 3's live chaos root drives it"
-    ),
-    "repro.blobseer.client.BlobSeerService.rereplicate_once": (
-        "crash repair; ROADMAP item 3's live chaos root drives it"
-    ),
-    "repro.faults.inject.ThreadedFaultDriver": (
-        "the threaded fault injector; ROADMAP item 3's live chaos root "
+    # -- the threaded group-commit binding ------------------------------------
+    "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait": (
+        "the queued leg of the threaded group-commit binding, whose other "
+        "endpoints are _locked assignments the census cannot see; "
+        "repro-serve runs without group commit, and "
+        "tests/blobseer/test_group_commit.py::TestThreadedGroupCommit "
         "drives it"
-    ),
-    "repro.faults.inject.threaded_storage_injector": (
-        "the threaded fault injector; ROADMAP item 3's live chaos root "
-        "drives it"
-    ),
-    "repro.blobseer.version_manager.ThreadedVersionManager.publish_wait": _GROUP_COMMIT,
-    "repro.blobseer.backends.logstore.LogStructuredPageStore.compact": (
-        "log compaction; ROADMAP item 5 (restart by replay) needs it"
-    ),
-    "repro.common.crc.read_record": (
-        "log replay when a store reopens an existing file: restart, "
-        "ROADMAP item 5"
-    ),
-    "repro.common.crc.scan_log": (
-        "log replay when a store reopens an existing file: restart, "
-        "ROADMAP item 5"
     ),
     # -- fault, retry and error paths ---------------------------------------
     "repro.blobseer.client.BlobSeerService.fail_provider": _CRASH,
@@ -292,27 +262,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "drive the rest; every root's data goes through BSFS or the "
         "protocol"
     ),
-    "repro.blobseer.backends.logstore.LogStructuredPageStore.contains": (
-        "PageStore protocol method; pruning and crash repair call it"
-    ),
-    "repro.blobseer.backends.logstore.LogStructuredPageStore.delete": (
-        "PageStore protocol method; pruning calls it"
-    ),
-    "repro.blobseer.backends.logstore.LogStructuredPageStore.keys": (
-        "PageStore protocol method; pruning calls it"
-    ),
-    "repro.blobseer.backends.memory.InMemoryPageStore.contains": (
-        "PageStore protocol method; pruning and crash repair call it"
-    ),
-    "repro.blobseer.backends.memory.InMemoryPageStore.delete": (
-        "PageStore protocol method; pruning calls it"
-    ),
-    "repro.blobseer.backends.memory.InMemoryPageStore.keys": (
-        "PageStore protocol method; pruning calls it"
-    ),
-    "repro.blobseer.provider.Provider.page_ids": "pruning's sweep calls it",
-    "repro.blobseer.provider.Provider.has_page": _PROBE,
-    "repro.blobseer.provider.Provider.bytes_served": _PROBE,
     # -- probes the tests read ----------------------------------------------
     "repro.blobseer.backends.logstore.LogStructuredPageStore.__len__": _PROBE,
     "repro.blobseer.metadata.dht.MetadataDHT.__len__": _PROBE,

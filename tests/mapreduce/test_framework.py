@@ -242,15 +242,11 @@ class TestTaskTrackerCrash:
         assert sum(t.maps_run for t in cluster.tasktrackers) >= 1
 
     def test_mid_run_crash_requeues_claimed_tasks(self, monkeypatch):
-        from repro.faults import threaded_storage_injector
         from repro.mapreduce.jobtracker import JobInProgress
 
         _dep, fs, cluster = make_env()
         fs.write_all("/in", b"hello world\n" * 500)
         victim = cluster.tasktrackers[0]
-        injector = threaded_storage_injector(
-            tasktrackers=cluster.tasktrackers
-        )
         # the victim crashes on its first claim, holding the task; the
         # survivors claim nothing before that, so the crash always lands
         # mid-run with a task in hand
@@ -262,7 +258,7 @@ class TestTaskTrackerCrash:
                 return next_map_task(jip, host) if claimed.is_set() else None
             task = next_map_task(jip, host)
             if task is not None and not claimed.is_set():
-                injector.crash("tasktracker", victim.host)
+                victim.fail()
                 claimed.set()
             return task
 
