@@ -57,13 +57,22 @@ def compute_splits(
         size = split_size or status.block_size or status.size
         if size <= 0:
             size = status.size
-        locations = fs.get_block_locations(path, 0, status.size)
-        offset = 0
-        while offset < status.size:
-            length = min(size, status.size - offset)
-            hosts = _hosts_for_range(locations, offset, length)
-            splits.append(FileSplit(path, offset, length, hosts))
-            offset += length
+        splits.extend(range_splits(fs, path, 0, status.size, size))
+    return splits
+
+
+def range_splits(
+    fs: FileSystem, path: str, offset: int, end: int, split_size: int
+) -> List[FileSplit]:
+    """Splits of at most *split_size* bytes covering ``[offset, end)`` of
+    *path*, with the hosts storing each."""
+    locations = fs.get_block_locations(path, offset, end - offset)
+    splits: List[FileSplit] = []
+    while offset < end:
+        length = min(split_size, end - offset)
+        hosts = _hosts_for_range(locations, offset, length)
+        splits.append(FileSplit(path, offset, length, hosts))
+        offset += length
     return splits
 
 

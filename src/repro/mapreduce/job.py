@@ -69,10 +69,6 @@ class Counters:
         with self._lock:
             self._values[name] = self._values.get(name, 0) + amount
 
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._values.get(name, 0)
-
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._values)

@@ -12,37 +12,33 @@ Two execution modes:
 
 * :func:`run_pipeline` with ``overlap=False`` — classic staging: stage
   *k+1* starts only after stage *k* commits (works on any file system);
-* ``overlap=True`` — stage *k+1*'s map phase *streams* records out of
-  stage *k*'s shared output file while stage *k*'s reducers are still
-  appending to it. This requires a storage layer with concurrent
-  append + read-your-growth semantics, i.e. BSFS; the reader follows
-  the file via the namespace size exactly as the paper's
-  microbenchmarks (Figures 4/5) show is cheap.
+* ``overlap=True`` — every stage is a job on the cluster's
+  tasktrackers from the start, run together with the others. Stage
+  *k+1* starts with an open input that a feeder fills from stage *k*'s
+  shared output file while stage *k*'s reducers still append to it:
+  on every reduce completion upstream, the feeder adds splits over the
+  new whole lines. This requires a storage layer with concurrent
+  append + read-your-growth semantics, i.e. BSFS. A streamed stage
+  thereby has what a staged one has: retries, tracker-crash requeue,
+  slots, locality and ``(byte offset, line)`` records.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-from ..common.errors import JobFailedError, MapReduceError
-from ..common.fs import FileSystem
-from .io.committers import make_committer
-from .job import Context, Counters, JobConf, Partitioner, default_partitioner
+from ..common.errors import MapReduceError
+from ..common.fs import FileSystem, InputStream
+from .io.input import range_splits
+from .job import Context, JobConf, Partitioner, default_partitioner
+from .jobtracker import JobInProgress
 from .runner import MapReduceCluster
-from .shuffle import MapOutputStore
-from .tasktracker import execute_map_task, execute_reduce_task
 
-#: streaming feeder batch size (records per mini-split)
-_BATCH_RECORDS = 2000
-#: first feeder sleep when the upstream file has not grown; doubles on
-#: every idle poll up to :data:`_TAIL_MAX_INTERVAL`, resets on data
-_TAIL_INTERVAL = 0.0005
-#: backoff cap — keeps the tail latency bounded near stage handoff
-_TAIL_MAX_INTERVAL = 0.016
+#: the feeder looks for the last newline in pieces of this size
+_SCAN_CHUNK = 4096
 
 
 @dataclass(slots=True)
@@ -72,21 +68,21 @@ class PipelineResult:
 
 def _stage_conf(
     stage: PipelineStage,
+    index: int,
     input_paths: List[str],
-    output_dir: str,
+    base_dir: str,
     output_mode: str,
-    input_format: str,
 ) -> JobConf:
     return JobConf(
         name=stage.name,
         input_paths=input_paths,
-        output_dir=output_dir,
+        output_dir=f"{base_dir.rstrip('/')}/stage-{index:02d}",
         map_fn=stage.map_fn,
         reduce_fn=stage.reduce_fn,
         combiner_fn=stage.combiner_fn,
         partitioner=stage.partitioner,
         n_reducers=stage.n_reducers,
-        input_format=input_format,
+        input_format=stage.input_format if index == 0 else "text",
         output_mode=output_mode,
     )
 
@@ -110,224 +106,88 @@ def run_pipeline(
     if overlap and output_mode != "shared":
         raise MapReduceError("overlapped pipelines require shared output files")
     start = time.perf_counter()
-    if not overlap:
-        outputs: List[List[str]] = []
-        counters: List[dict] = []
-        paths = list(input_paths)
+    paths = list(input_paths)
+    if overlap:
+        # every job is built up front, so each upstream shared file exists
+        # before its consumer validates its input
+        jobs: List[JobInProgress] = []
         for i, stage in enumerate(stages):
-            conf = _stage_conf(
-                stage,
-                paths,
-                f"{base_dir.rstrip('/')}/stage-{i:02d}",
-                output_mode,
-                stage.input_format if i == 0 else "text",
-            )
-            result = cluster.run_job(conf)
-            outputs.append(result.output_files)
-            counters.append(result.counters)
-            paths = result.output_files
-        return PipelineResult(
-            stage_outputs=outputs,
-            elapsed_seconds=time.perf_counter() - start,
-            overlapped=False,
-            counters=counters,
-        )
-
-    # ---- overlapped execution -------------------------------------------------
-    outputs = [[] for _ in stages]
-    counters = [{} for _ in stages]
-    errors: List[BaseException] = []
-    done_flags = [threading.Event() for _ in stages]
-
-    def run_first() -> None:
-        try:
-            conf = _stage_conf(
-                stages[0],
-                list(input_paths),
-                f"{base_dir.rstrip('/')}/stage-00",
-                "shared",
-                stages[0].input_format,
-            )
-            result = cluster.run_job(conf)
-            outputs[0] = result.output_files
-            counters[0] = result.counters
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            errors.append(exc)
-        finally:
-            done_flags[0].set()
-
-    threads = [threading.Thread(target=run_first, name="stage-00", daemon=True)]
-    for i in range(1, len(stages)):
-
-        def run_streaming(i: int = i) -> None:
-            try:
-                upstream = f"{base_dir.rstrip('/')}/stage-{i - 1:02d}/part-shared"
-                out = _run_streaming_stage(
-                    cluster.fs,
-                    stages[i],
-                    upstream,
-                    f"{base_dir.rstrip('/')}/stage-{i:02d}",
-                    upstream_done=done_flags[i - 1],
-                    map_workers=max(
-                        2, cluster.config.map_slots * len(cluster.tasktrackers) // 2
-                    ),
+            conf = _stage_conf(stage, i, paths, base_dir, output_mode)
+            jobs.append(
+                JobInProgress(
+                    conf, cluster.fs, cluster.config, obs=cluster.obs,
+                    open_input=i > 0,
                 )
-                outputs[i], counters[i] = out
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-            finally:
-                done_flags[i].set()
-
-        threads.append(
-            threading.Thread(target=run_streaming, name=f"stage-{i:02d}", daemon=True)
-        )
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise JobFailedError(f"pipeline failed: {errors[0]!r}") from errors[0]
+            )
+            paths = jobs[-1].committer.output_files()
+        feeders = [
+            threading.Thread(
+                target=_feed,
+                args=(cluster.fs, upstream, jip),
+                name=f"feed-{jip.conf.name}",
+                daemon=True,
+            )
+            for upstream, jip in zip(jobs, jobs[1:])
+        ]
+        for t in feeders:
+            t.start()
+        try:
+            results = cluster.run_jobs(jobs)
+        finally:
+            for t in feeders:
+                t.join()
+    else:
+        results = []
+        for i, stage in enumerate(stages):
+            results.append(
+                cluster.run_job(_stage_conf(stage, i, paths, base_dir, output_mode))
+            )
+            paths = results[-1].output_files
     return PipelineResult(
-        stage_outputs=outputs,
+        stage_outputs=[r.output_files for r in results],
         elapsed_seconds=time.perf_counter() - start,
-        overlapped=True,
-        counters=counters,
+        overlapped=overlap,
+        counters=[r.counters for r in results],
     )
 
 
-def _run_streaming_stage(
-    fs: FileSystem,
-    stage: PipelineStage,
-    upstream_path: str,
-    output_dir: str,
-    upstream_done: threading.Event,
-    map_workers: int,
-) -> Tuple[List[str], dict]:
-    """Stage *k+1*: map workers consume the growing upstream file, then a
-    standard shuffle/reduce produces this stage's shared output. The
-    workers run the tasktracker's per-task code over a record batch and
-    a partition; the first failure of the feeder or of any worker fails
-    the stage with :class:`JobFailedError`."""
-    conf = _stage_conf(stage, [upstream_path], output_dir, "shared", "text")
-    counters = Counters()
-    store = MapOutputStore()
-    batches: "queue.Queue" = queue.Queue(maxsize=64)
-    errors: List[BaseException] = []
+def _feed(fs: FileSystem, upstream: JobInProgress, jip: JobInProgress) -> None:
+    """Fill *jip*'s open input from *upstream*'s shared output file.
 
-    def guarded(task: Callable[..., Any], *args: Any) -> None:
-        # a task's failure is the stage's, raised once every thread is done
-        try:
-            task(*args)
-        except Exception as exc:
-            errors.append(exc)
+    After every reduce completion upstream, add splits over the file's
+    new bytes up to the newline ending its last whole line: the line
+    reader's boundary rule gives that line to the split ending on its
+    newline and skips it in the next, so no line is cut however the
+    file grows afterwards. Every reducer's append ends with a newline,
+    so once every upstream reduce has succeeded the splits cover the
+    whole file and the input closes; if upstream fails, *jip* fails
+    with it.
+    """
+    [path] = jip.conf.input_paths
+    split_size = jip.conf.split_size or fs.get_status(path).block_size
+    n_reduces = len(upstream.reduce_tasks)
+    failure = None
+    try:
+        with fs.open(path) as stream:
+            offset = reduced = 0
+            while reduced < n_reduces:
+                reduced = upstream.await_reduces(reduced)
+                end = _last_newline(stream, offset, fs.get_status(path).size)
+                if end > offset:
+                    jip.add_splits(range_splits(fs, path, offset, end, split_size))
+                    offset = end
+    except Exception as exc:
+        failure = f"feeding from {upstream.conf.name!r} failed: {exc!r}"
+    finally:
+        jip.close_input(failure)
 
-    def feeder() -> None:
-        """Tail the upstream shared file, batching complete lines, until
-        the upstream stage is done or this stage has failed.
 
-        Idle polls sleep with capped exponential backoff (reset whenever
-        bytes arrive) instead of a fixed interval, and every poll bumps
-        the ``tail_polls`` job counter so pipeline stalls show up in the
-        result's counters.
-        """
-        backoff = _TAIL_INTERVAL
-
-        def tail_sleep() -> None:
-            nonlocal backoff
-            counters.increment("tail_polls")
-            time.sleep(backoff)
-            backoff = min(backoff * 2, _TAIL_MAX_INTERVAL)
-
-        while not fs.exists(upstream_path):
-            if upstream_done.is_set():
-                # upstream failed before creating its output
-                raise JobFailedError(f"{upstream_path} never appeared")
-            tail_sleep()
-        stream = fs.open(upstream_path)
-        pos = 0
-        pending = b""
-        batch: List[bytes] = []
-        batch_id = 0
-        while not errors:
-            piece = stream.pread(pos, 1 << 20)
-            if piece:
-                backoff = _TAIL_INTERVAL
-                pos += len(piece)
-                pending += piece
-                *lines, pending = pending.split(b"\n")
-                for line in lines:
-                    batch.append(line)
-                    if len(batch) >= _BATCH_RECORDS:
-                        batches.put((batch_id, batch))
-                        batch_id += 1
-                        batch = []
-                continue
-            if upstream_done.is_set():
-                # one final check: the size may have grown after the
-                # last read but before the flag was set
-                piece = stream.pread(pos, 1 << 20)
-                if piece:
-                    backoff = _TAIL_INTERVAL
-                    pos += len(piece)
-                    pending += piece
-                    *lines, pending = pending.split(b"\n")
-                    batch.extend(lines)
-                    continue
-                break
-            tail_sleep()
-        if pending:
-            batch.append(pending)
-        if batch:
-            batches.put((batch_id, batch))
-        stream.close()
-
-    def feed() -> None:
-        guarded(feeder)
-        for _ in range(map_workers):
-            batches.put(None)
-
-    def map_worker() -> None:
-        # a worker keeps draining after a failure, so the feeder never
-        # blocks on a full queue
-        while (item := batches.get()) is not None:
-            if not errors:
-                batch_id, lines = item
-                guarded(
-                    execute_map_task, conf, counters, enumerate(lines), store, batch_id
-                )
-
-    threads = [threading.Thread(target=feed, name="feeder", daemon=True)] + [
-        threading.Thread(target=map_worker, name=f"smap-{i}", daemon=True)
-        for i in range(map_workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    if not errors:
-        # standard reduce over the streamed map output
-        committer = make_committer("shared", fs, output_dir)
-        committer.setup_job()
-        map_ids = store.map_ids()
-        reducers = [
-            threading.Thread(
-                target=guarded,
-                args=(
-                    execute_reduce_task, conf, counters, store, map_ids,
-                    committer, p, 1,
-                ),
-                name=f"sred-{p}",
-            )
-            for p in range(stage.n_reducers)
-        ]
-        for r in reducers:
-            r.start()
-        for r in reducers:
-            r.join()
-    if errors:
-        raise JobFailedError(
-            f"streaming stage {stage.name!r} failed: {errors[0]!r}"
-        ) from errors[0]
-    committer.cleanup_job()
-    return committer.output_files(), counters.snapshot()
+def _last_newline(stream: InputStream, offset: int, end: int) -> int:
+    """Position of the last ``\n`` in ``[offset, end)``; *offset* if none."""
+    while end > offset:
+        start = max(offset, end - _SCAN_CHUNK)
+        nl = stream.pread(start, end - start).rfind(b"\n")
+        if nl >= 0:
+            return start + nl
+        end = start
+    return offset

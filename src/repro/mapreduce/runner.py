@@ -3,7 +3,8 @@
 :class:`MapReduceCluster` stands in for "a single master jobtracker, and
 multiple slave tasktrackers, one per node": it owns the tasktrackers,
 drives a :class:`~repro.mapreduce.jobtracker.JobInProgress` with real
-threads, and returns a :class:`~repro.mapreduce.job.JobResult`.
+threads, and returns a :class:`~repro.mapreduce.job.JobResult`; the
+overlapped stages of a pipeline run together through :meth:`run_jobs`.
 
 The tasktrackers' hosts should be the same machine names the storage
 layer reports in its block locations (co-deployment of tasktrackers
@@ -58,33 +59,54 @@ class MapReduceCluster:
     def run_job(self, conf: JobConf) -> JobResult:
         """Run *conf* to completion; raises
         :class:`~repro.common.errors.JobFailedError` when a task exhausts
-        its retries."""
+        its retries or no live tasktracker is left to finish the job."""
+        return self.run_jobs(
+            [JobInProgress(conf, self.fs, self.config, obs=self.obs)]
+        )[0]
+
+    def run_jobs(self, jobs: Sequence[JobInProgress]) -> List[JobResult]:
+        """Run *jobs* together on the tasktrackers and return their
+        results in order; raises
+        :class:`~repro.common.errors.JobFailedError` for the first job
+        that failed. A job with an open input runs until its feeder
+        closes it."""
         start = time.perf_counter()
-        sp = self.obs.tracer.start(
-            "mr.job", cat="mapreduce", track="jobtracker", job=conf.name
-        )
-        jip = JobInProgress(conf, self.fs, self.config, obs=self.obs)
-        self.last_job = jip
-        threads: List = []
-        for tracker in self.tasktrackers:
-            threads.extend(tracker.run_job(jip))
+        spans = [
+            self.obs.tracer.start(
+                "mr.job", cat="mapreduce", track="jobtracker", job=jip.conf.name
+            )
+            for jip in jobs
+        ]
+        self.last_job = jobs[-1]
+        # every worker is enlisted before any starts, so the last one to
+        # leave a job knows that no worker is left to finish it
+        threads = [
+            t for jip in jobs for tracker in self.tasktrackers
+            for t in tracker.enlist(jip)
+        ]
+        for t in threads:
+            t.start()
         for t in threads:
             t.join()
-        output_files = jip.finish()
-        sp.finish(
-            n_maps=len(jip.map_tasks),
-            n_reduces=len(jip.reduce_tasks),
-            locality=jip.locality_fraction(),
-        )
-        self.obs.registry.gauge("mr.locality_fraction").set(
-            jip.locality_fraction()
-        )
-        elapsed = time.perf_counter() - start
-        return JobResult(
-            job_name=conf.name,
-            output_files=output_files,
-            counters=jip.counters.snapshot(),
-            n_map_tasks=len(jip.map_tasks),
-            n_reduce_tasks=len(jip.reduce_tasks),
-            elapsed_seconds=elapsed,
-        )
+        results = []
+        for jip, sp in zip(jobs, spans):
+            output_files = jip.finish()
+            sp.finish(
+                n_maps=len(jip.map_tasks),
+                n_reduces=len(jip.reduce_tasks),
+                locality=jip.locality_fraction(),
+            )
+            self.obs.registry.gauge("mr.locality_fraction").set(
+                jip.locality_fraction()
+            )
+            results.append(
+                JobResult(
+                    job_name=jip.conf.name,
+                    output_files=output_files,
+                    counters=jip.counters.snapshot(),
+                    n_map_tasks=len(jip.map_tasks),
+                    n_reduce_tasks=len(jip.reduce_tasks),
+                    elapsed_seconds=time.perf_counter() - start,
+                )
+            )
+        return results

@@ -69,11 +69,6 @@ class MapOutputStore:
             for partition in self._by_map.pop(map_id, ()):
                 del self._data[(map_id, partition)]
 
-    def map_ids(self) -> List[int]:
-        """Every map-task id that has stored output, sorted."""
-        with self._lock:
-            return sorted(self._by_map)
-
 
 def partition_and_sort(
     pairs: Iterable[Tuple[Any, Any]],

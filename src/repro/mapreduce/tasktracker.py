@@ -1,36 +1,30 @@
 """Tasktrackers: slot-bounded task execution.
 
 One tasktracker per machine, each with a fixed number of map slots and
-reduce slots (worker threads). Workers pull tasks from the
-:class:`~repro.mapreduce.jobtracker.JobInProgress`, execute them against
-the shared file system, and report success/failure; failed attempts are
-retried by the jobtracker up to its attempt budget.
-
-:func:`execute_map_task` and :func:`execute_reduce_task` are the one
-per-task code: the pipelined framework's streaming workers
-(:mod:`repro.mapreduce.pipeline`) run them over a record batch and a
-partition.
+reduce slots: worker threads per job it serves. Workers claim tasks from
+the :class:`~repro.mapreduce.jobtracker.JobInProgress` (a claim blocks
+until a task is claimable), execute them against the shared file
+system, and report success/failure; failed attempts are retried by the
+jobtracker up to its attempt budget. Staged jobs and the overlapped
+stages of a pipeline (:mod:`repro.mapreduce.pipeline`) run on the same
+workers.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Iterable, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from ..common.errors import TaskFailedError
 from ..common.fs import FileSystem
 from ..obs import NULL_OBS
 from ..obs.tracer import Tracer
 from .io.committers import OutputCommitter
-from .io.input import make_record_reader
+from .io.input import FileSplit, make_record_reader
 from .io.records import TextRecordWriter
 from .job import Context, Counters, JobConf
 from .jobtracker import JobInProgress
 from .shuffle import MapOutputStore, merge_sorted_partitions, partition_and_sort
-
-#: idle workers poll the jobtracker at this interval (seconds)
-_POLL_INTERVAL = 0.002
 
 
 def execute_map_task(
@@ -39,11 +33,10 @@ def execute_map_task(
     records: Iterable[Tuple[Any, Any]],
     store: MapOutputStore,
     map_id: int,
-    split=None,
+    split: FileSplit,
 ) -> None:
-    """Run one map attempt over *records* (of input *split*, when it
-    reads one): apply map, partition/sort, park the output in *store*
-    as map *map_id*."""
+    """Run one map attempt over *records* of input *split*: apply map,
+    partition/sort, park the output in *store* as map *map_id*."""
     pairs: list = []
     ctx = Context(counters)
     ctx._bind(lambda k, v: pairs.append((k, v)))
@@ -102,7 +95,7 @@ def execute_reduce_task(
 
 
 class TaskTracker:
-    """One machine's worth of task slots, pulling from one job at a time."""
+    """One machine's worth of task slots, serving any number of jobs."""
 
     def __init__(
         self,
@@ -118,6 +111,9 @@ class TaskTracker:
         self.map_slots = map_slots
         self.reduce_slots = reduce_slots
         self._crashed = threading.Event()
+        self._lock = threading.Lock()
+        #: live workers per job this tracker serves: a crash wakes them
+        self._serving: Dict[JobInProgress, int] = {}
         #: lifetime counters
         self.maps_run = 0
         self.reduces_run = 0
@@ -130,114 +126,119 @@ class TaskTracker:
 
     def fail(self) -> None:
         """Fault injection: crash this tracker. Its workers stop claiming
-        tasks; a task claimed but not yet finished is reported failed so
-        the jobtracker re-queues it on surviving trackers. Tasks that
-        already completed stay completed (map outputs live in the shared
-        store, not on the tracker)."""
+        tasks, and those blocked in a claim wake and leave; a task
+        claimed but not yet started is reported failed so the jobtracker
+        re-queues it on surviving trackers. Tasks that already completed
+        stay completed (map outputs live in the shared store, not on the
+        tracker)."""
         self._crashed.set()
+        with self._lock:
+            jobs = list(self._serving)
+        for jip in jobs:
+            jip.wake()
 
     def recover(self) -> None:
         """Bring the tracker back: workers spawned after this point run
         normally (workers that already exited are not restarted)."""
         self._crashed.clear()
 
-    def run_job(self, jip: JobInProgress) -> list[threading.Thread]:
-        """Spawn this tracker's worker threads for one job; returns them
-        (the caller joins)."""
-        threads = [
+    def enlist(self, jip: JobInProgress) -> list[threading.Thread]:
+        """This tracker's worker threads for one job, enlisted with it but
+        not started: the caller enlists every worker of a job before it
+        starts any, then joins them."""
+        workers = [
             threading.Thread(
-                target=self._map_worker,
+                target=worker,
                 args=(jip,),
-                name=f"{self.host}-map-{i}",
+                name=f"{self.host}-{kind}-{i}",
                 daemon=True,
             )
-            for i in range(self.map_slots)
-        ] + [
-            threading.Thread(
-                target=self._reduce_worker,
-                args=(jip,),
-                name=f"{self.host}-reduce-{i}",
-                daemon=True,
+            for worker, kind, slots in (
+                (self._map_worker, "map", self.map_slots),
+                (self._reduce_worker, "reduce", self.reduce_slots),
             )
-            for i in range(self.reduce_slots)
+            for i in range(slots)
         ]
-        for t in threads:
-            t.start()
-        return threads
+        jip.enlist(len(workers))
+        with self._lock:
+            self._serving[jip] = self._serving.get(jip, 0) + len(workers)
+        return workers
+
+    def _leave(self, jip: JobInProgress) -> None:
+        with self._lock:
+            self._serving[jip] -= 1
+            if not self._serving[jip]:
+                del self._serving[jip]
+        jip.leave()
 
     def _map_worker(self, jip: JobInProgress) -> None:
-        while not jip.is_complete:
-            if self.is_failed:
-                return
-            task = jip.next_map_task(self.host)
-            if task is None:
-                if jip.maps_done:
-                    return
-                time.sleep(_POLL_INTERVAL)
-                continue
-            if self.is_failed:
-                # crashed between claiming and executing: hand the task back
-                jip.map_failed(
-                    task, TaskFailedError(f"tasktracker {self.host} crashed")
-                )
-                return
-            try:
-                with jip.obs.tracer.span(
-                    "mr.map_task",
-                    cat="mapreduce",
-                    track=self.host,
-                    task=task.task_id,
-                    attempt=task.attempts,
-                    data_local=task.data_local,
-                ):
-                    execute_map_task(
-                        jip.conf,
-                        jip.counters,
-                        make_record_reader(self.fs, task.split, jip.conf.input_format),
-                        jip.map_outputs,
-                        task.task_id,
-                        split=task.split,
+        try:
+            while (task := jip.next_map_task(self)) is not None:
+                if self.is_failed:
+                    # crashed between claiming and executing: hand the
+                    # task back
+                    jip.map_failed(
+                        task, TaskFailedError(f"tasktracker {self.host} crashed")
                     )
-            except Exception as exc:
-                jip.map_failed(task, exc)
-            else:
-                jip.map_succeeded(task)
-                self.maps_run += 1
+                    return
+                try:
+                    with jip.obs.tracer.span(
+                        "mr.map_task",
+                        cat="mapreduce",
+                        track=self.host,
+                        task=task.task_id,
+                        attempt=task.attempts,
+                        data_local=task.data_local,
+                    ):
+                        execute_map_task(
+                            jip.conf,
+                            jip.counters,
+                            make_record_reader(
+                                self.fs, task.split, jip.conf.input_format
+                            ),
+                            jip.map_outputs,
+                            task.task_id,
+                            split=task.split,
+                        )
+                except Exception as exc:
+                    jip.map_failed(task, exc)
+                else:
+                    jip.map_succeeded(task)
+                    self.maps_run += 1
+        finally:
+            self._leave(jip)
 
     def _reduce_worker(self, jip: JobInProgress) -> None:
-        while not jip.is_complete:
-            if self.is_failed:
-                return
-            task = jip.next_reduce_task(self.host)
-            if task is None:
-                time.sleep(_POLL_INTERVAL)
-                continue
-            if self.is_failed:
-                jip.reduce_failed(
-                    task, TaskFailedError(f"tasktracker {self.host} crashed")
-                )
-                return
-            try:
-                with jip.obs.tracer.span(
-                    "mr.reduce_task",
-                    cat="mapreduce",
-                    track=self.host,
-                    task=task.task_id,
-                    attempt=task.attempts,
-                ):
-                    path = execute_reduce_task(
-                        jip.conf,
-                        jip.counters,
-                        jip.map_outputs,
-                        [m.task_id for m in jip.map_tasks],
-                        jip.committer,
-                        task.partition,
-                        task.attempts,
-                        jip.obs.tracer,
+        try:
+            while (task := jip.next_reduce_task(self)) is not None:
+                if self.is_failed:
+                    jip.reduce_failed(
+                        task, TaskFailedError(f"tasktracker {self.host} crashed")
                     )
-            except Exception as exc:
-                jip.committer.abort_task(task.partition, task.attempts)
-                jip.reduce_failed(task, exc)
-            else:
-                jip.reduce_succeeded(task, path)
-                self.reduces_run += 1
+                    return
+                try:
+                    with jip.obs.tracer.span(
+                        "mr.reduce_task",
+                        cat="mapreduce",
+                        track=self.host,
+                        task=task.task_id,
+                        attempt=task.attempts,
+                    ):
+                        path = execute_reduce_task(
+                            jip.conf,
+                            jip.counters,
+                            jip.map_outputs,
+                            [m.task_id for m in jip.map_tasks],
+                            jip.committer,
+                            task.partition,
+                            task.attempts,
+                            jip.obs.tracer,
+                        )
+                except Exception as exc:
+                    jip.committer.abort_task(task.partition, task.attempts)
+                    jip.reduce_failed(task, exc)
+                else:
+                    jip.reduce_succeeded(task, path)
+                    self.reduces_run += 1
+        finally:
+            self._leave(jip)

@@ -218,7 +218,7 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.hdfs.client.HDFSInputStream._dead": (
         "replica failover of HDFS reads under a crashed datanode"
     ),
-    "repro.mapreduce.jobtracker.JobInProgress.failure": _TASK_FAILURE,
+    "repro.mapreduce.jobtracker.JobInProgress.wake": _TASK_FAILURE,
     "repro.mapreduce.jobtracker.JobInProgress.map_failed": _TASK_FAILURE,
     "repro.mapreduce.jobtracker.JobInProgress.reduce_failed": _TASK_FAILURE,
     "repro.mapreduce.shuffle.MapOutputStore.discard_map": _TASK_FAILURE,
@@ -274,7 +274,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.server.app.BlobServer.live_lease_timers": (
         "shutdown check: tests assert no lease clock survives a stop"
     ),
-    "repro.mapreduce.job.Counters.get": _PROBE,
     "repro.sim.cluster.SimCluster.__len__": _PROBE,
     "repro.sim.core.Environment.event": (
         "a bare untriggered event: the kernel tests' signal"

@@ -2,6 +2,7 @@
 failure handling, counters, locality."""
 
 import threading
+import time
 
 import pytest
 
@@ -248,15 +249,17 @@ class TestTaskTrackerCrash:
         fs.write_all("/in", b"hello world\n" * 500)
         victim = cluster.tasktrackers[0]
         # the victim crashes on its first claim, holding the task; the
-        # survivors claim nothing before that, so the crash always lands
+        # survivors block until then before they claim (a claim that
+        # returns None tells a worker to exit), so the crash always lands
         # mid-run with a task in hand
         claimed = threading.Event()
         next_map_task = JobInProgress.next_map_task
 
-        def claim(jip, host):
-            if host != victim.host:
-                return next_map_task(jip, host) if claimed.is_set() else None
-            task = next_map_task(jip, host)
+        def claim(jip, tracker):
+            if tracker is not victim:
+                claimed.wait(30)
+                return next_map_task(jip, tracker)
+            task = next_map_task(jip, tracker)
             if task is not None and not claimed.is_set():
                 victim.fail()
                 claimed.set()
@@ -274,6 +277,55 @@ class TestTaskTrackerCrash:
                 k, v = line.rsplit("\t", 1)
                 words[k] = int(v)
         assert words == {"hello": 500, "world": 500}
+
+    @pytest.mark.parametrize("mode", ["separate", "shared"])
+    def test_job_fails_when_every_tracker_has_crashed(self, mode):
+        _dep, fs, cluster = make_env()
+        fs.write_all("/in", b"hello world\n" * 200)
+        for tracker in cluster.tasktrackers:
+            tracker.fail()
+        conf = self._job(f"all-dead-{mode}")
+        conf.output_mode = mode
+        with pytest.raises(JobFailedError, match="no live tasktracker"):
+            cluster.run_job(conf)
+
+    def test_crash_wakes_workers_blocked_in_a_claim(self):
+        from repro.mapreduce.io.input import compute_splits
+        from repro.mapreduce.jobtracker import JobInProgress
+
+        _dep, fs, cluster = make_env()
+        fs.write_all("/in", b"hello world\n" * 500)
+        # an open input with no splits yet: every claim blocks
+        jip = JobInProgress(self._job("blocked"), fs, cluster.config, open_input=True)
+        victim, *survivors = cluster.tasktrackers
+        victim_threads = victim.enlist(jip)
+        threads = victim_threads + [
+            t for tracker in survivors for t in tracker.enlist(jip)
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 10
+        while len(jip._cond._waiters) < len(threads):
+            assert time.monotonic() < deadline, "workers never blocked"
+            time.sleep(0.001)
+        victim.fail()
+        # the crash alone wakes the victim's workers: nothing else has
+        # notified the job yet
+        for t in victim_threads:
+            t.join(5)
+            assert not t.is_alive()
+        jip.add_splits(compute_splits(fs, ["/in"], split_size=1024))
+        jip.close_input()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert jip.finish()
+        assert victim.maps_run == victim.reduces_run == 0
+        # the victim's workers took no task, so no attempt was burned
+        tasks = jip.map_tasks + jip.reduce_tasks
+        assert len(jip.map_tasks) > 1
+        assert all(t.attempts == 1 for t in tasks)
+        assert all(t.assigned_to != victim.host for t in tasks)
 
     def test_recovered_tracker_works_for_the_next_job(self):
         _dep, fs, cluster = make_env(n_providers=2)

@@ -1,5 +1,6 @@
 """Tests for pipelined Map/Reduce (the paper's §5 future work)."""
 
+import sys
 import threading
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.bsfs import BSFS
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import JobFailedError, MapReduceError
-from repro.mapreduce import MapReduceCluster, PipelineStage, run_pipeline
+from repro.mapreduce import JobConf, MapReduceCluster, PipelineStage, run_pipeline
 from repro.workloads import text_corpus
 
 
@@ -168,8 +169,120 @@ class TestOverlapped:
         seq = run_pipeline(cluster, STAGES, ["/in/doc"], "/g", overlap=False)
         ov = run_pipeline(cluster, STAGES, ["/in/doc"], "/h", overlap=True)
         staged, streamed = seq.counters[1], ov.counters[1]
-        # the feeder's idle polls are the one streaming-only counter
-        assert set(streamed) - {"tail_polls"} == set(staged)
+        assert set(streamed) == set(staged)
         for name in ("map_input_records", "reduce_input_groups",
                      "reduce_output_records", "reduce_output_bytes"):
             assert streamed[name] == staged[name], name
+
+    def test_streamed_map_keys_are_byte_offsets_in_the_upstream_file(self, env):
+        fs, cluster = env
+        seen = []
+
+        def record_map(off, line, ctx):
+            seen.append((off, line))
+            count_map(off, line, ctx)
+
+        stages = [STAGES[0], PipelineStage("total", record_map, count_red)]
+        run_pipeline(cluster, stages, ["/in/doc"], "/k", overlap=True)
+        upstream = fs.read_all("/k/stage-00/part-shared")
+        starts = [0] + [i + 1 for i, b in enumerate(upstream[:-1]) if b == 0x0A]
+        # every line of the upstream file is read once, keyed by its offset
+        assert sorted(off for off, _line in seen) == starts
+        for off, line in seen:
+            assert upstream[off:off + len(line) + 1] == line + b"\n"
+
+    def test_streamed_map_attempt_that_fails_once_is_retried(self, env):
+        fs, cluster = env
+        lock = threading.Lock()
+        failures = {"left": 1}
+
+        def flaky_map(off, line, ctx):
+            with lock:
+                if failures["left"]:
+                    failures["left"] -= 1
+                    raise RuntimeError("transient map crash")
+            count_map(off, line, ctx)
+
+        seq = run_pipeline(cluster, STAGES, ["/in/doc"], "/r-seq", overlap=False)
+        stages = [STAGES[0], PipelineStage("total", flaky_map, count_red)]
+        out = run_bounded(cluster, stages, ["/in/doc"], "/r-ov", overlap=True)
+        assert "error" not in out, out
+        assert failures["left"] == 0
+        assert fs.read_all(out["result"].stage_outputs[-1][0]) == fs.read_all(
+            seq.stage_outputs[-1][0]
+        )
+
+    def test_no_live_tracker_fails_the_pipeline(self, env):
+        _fs, cluster = env
+        for tracker in cluster.tasktrackers:
+            tracker.fail()
+        out = run_bounded(cluster, STAGES, ["/in/doc"], "/dead", overlap=True)
+        assert isinstance(out.get("error"), JobFailedError), out
+
+    def test_overlap_holds_with_many_workers_and_short_switches(self, env):
+        """More workers than cores, switching threads every microsecond: a
+        lost update in the claim or feed bookkeeping would drop or repeat
+        a line, or wedge the run."""
+        fs, _cluster = env
+        cluster = MapReduceCluster(fs, hosts=[f"provider-{i:03d}" for i in range(8)])
+        seq = run_pipeline(cluster, STAGES, ["/in/doc"], "/s-seq")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = run_bounded(cluster, STAGES, ["/in/doc"], "/s-ov", overlap=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert "error" not in out, out
+        ov = out["result"]
+        assert ov.counters[1]["map_input_records"] == seq.counters[1][
+            "map_input_records"
+        ]
+        assert fs.read_all(ov.stage_outputs[-1][0]) == fs.read_all(
+            seq.stage_outputs[-1][0]
+        )
+
+
+class TestFeeder:
+    def test_each_batch_ends_on_the_last_newline_while_the_file_grows(self, env):
+        """Upstream appends that stop mid-line: every batch of splits is
+        read as soon as it is added, before the rest of its last line
+        arrives, and still yields every line exactly once."""
+        from types import SimpleNamespace
+
+        from repro.mapreduce.io.input import LineRecordReader
+        from repro.mapreduce.jobtracker import JobInProgress
+        from repro.mapreduce.pipeline import _feed
+
+        fs, cluster = env
+        fs.create("/up").close()
+        pieces = [b"alpha\nbe", b"ta\n\ngam", b"ma\ndelta\n"]
+
+        def await_reduces(seen):
+            with fs.append("/up") as stream:
+                stream.write(pieces[seen])
+            return seen + 1
+
+        upstream = SimpleNamespace(
+            conf=SimpleNamespace(name="up"),
+            reduce_tasks=pieces,
+            await_reduces=await_reduces,
+        )
+        conf = JobConf(
+            name="down", input_paths=["/up"], output_dir="/down",
+            map_fn=count_map, reduce_fn=count_red, split_size=4,
+        )
+        jip = JobInProgress(conf, fs, cluster.config, open_input=True)
+        records = []
+        add_splits = jip.add_splits
+
+        def read_at_once(splits):
+            for split in splits:
+                records.extend(LineRecordReader(fs, split))
+            add_splits(splits)
+
+        jip.add_splits = read_at_once
+        _feed(fs, upstream, jip)
+        assert records == [
+            (0, b"alpha"), (6, b"beta"), (11, b""), (12, b"gamma"), (18, b"delta")
+        ]
+        assert [t.task_id for t in jip.map_tasks] == list(range(len(jip.map_tasks)))

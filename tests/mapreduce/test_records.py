@@ -58,7 +58,7 @@ class TestCounters:
             t.start()
         for t in threads:
             t.join()
-        assert counters.get("n") == 8000
+        assert counters.snapshot()["n"] == 8000
 
     def test_snapshot_is_copy(self):
         counters = Counters()

@@ -96,9 +96,3 @@ class TestMapOutputStore:
         store.discard_map(1)
         assert store.get(1, 0) == [] and store.get(1, 1) == []
         assert store.get(2, 0) == [(b"c", 1)]
-
-    def test_map_ids(self):
-        store = MapOutputStore()
-        store.put(5, 0, [])
-        store.put(2, 1, [])
-        assert store.map_ids() == [2, 5]
