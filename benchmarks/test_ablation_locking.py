@@ -32,7 +32,7 @@ def run_appends(locked: bool) -> float:
     bsfs = deploy_bsfs(config())
     env = bsfs.env
     env.run(env.process(bsfs.create_proc(bsfs.client_nodes[0], "/f")))
-    gate = Resource(env, capacity=1)
+    gate = Resource(env)
 
     def locked_append(client):
         req = yield gate.request()

@@ -665,14 +665,7 @@ class ThreadedVersionManager:
             self._turn.notify_all()
         return now
 
-    def _await(
-        self,
-        when,
-        blob_id: int,
-        version: int,
-        what: str,
-        timeout: Optional[float] = None,
-    ):
+    def _await(self, when, blob_id: int, version: int, what: str):
         """Block until *version*'s outcome, filed through *when*
         (``core.when_turn`` or ``core.when_published``), is decided.
 
@@ -680,18 +673,16 @@ class ThreadedVersionManager:
         else under the lock on whichever thread runs the resolving
         transition (which notifies the condition). A waiter never
         sleeps past the earliest lease deadline, so a
-        blocked waiter aborts a dead head itself. *timeout* (default
-        ``metadata_turn_timeout_s``) is counted once, from here —
-        wake-ups caused by other blobs do not restart it. When it runs
+        blocked waiter aborts a dead head itself. The wait is bounded by
+        ``metadata_turn_timeout_s``, counted once, from here — wake-ups
+        caused by other blobs do not restart it. When it runs
         out the version is abandoned (a no-op for a ready or published
         one), so later versions are never wedged behind it, and
         ``VersionNotReadyError`` is raised.
         """
         outcome: list = []
         with self._turn:
-            give_up = self._expire() + (
-                self._turn_timeout_s if timeout is None else timeout
-            )
+            give_up = self._expire() + self._turn_timeout_s
             when(blob_id, version, outcome.append)
             while not outcome:
                 now = self._expire()
@@ -754,14 +745,12 @@ class ThreadedVersionManager:
     latest_published = _locked("latest_published")
 
     def metadata_turn(
-        self, blob_id: int, version: int, timeout: Optional[float] = None
+        self, blob_id: int, version: int
     ) -> tuple[Optional[NodeKey], int]:
         """Block until it is *version*'s turn to write metadata (for at
-        most *timeout*, default ``metadata_turn_timeout_s``); returns
-        the predecessor's ``(root, pages_capacity)``."""
-        return self._await(
-            self.core.when_turn, blob_id, version, "metadata turn", timeout
-        )
+        most ``metadata_turn_timeout_s``); returns the predecessor's
+        ``(root, pages_capacity)``."""
+        return self._await(self.core.when_turn, blob_id, version, "metadata turn")
 
     def publish_wait(self, blob_id: int, version: int) -> tuple:
         """Block until a leader publishes this version — or until this

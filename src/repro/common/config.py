@@ -122,23 +122,27 @@ class HDFSConfig:
 
 @dataclass(slots=True)
 class MapReduceConfig:
-    """Tunables of the Map/Reduce framework."""
+    """Tunables of the Map/Reduce framework. Every tasktracker runs two
+    reduce slots (``tasktracker.REDUCE_SLOTS``), Hadoop's default."""
 
     #: map slots per tasktracker
     map_slots: int = 2
-    #: reduce slots per tasktracker
-    reduce_slots: int = 2
     #: use the storage layer's block locations for task placement
     locality_aware: bool = True
 
     def validate(self) -> None:
-        if self.map_slots < 1 or self.reduce_slots < 1:
-            raise ValueError("slot counts must be >= 1")
+        if self.map_slots < 1:
+            raise ValueError("map_slots must be >= 1")
 
 
 @dataclass(slots=True)
 class ClusterConfig:
-    """Shape and capacities of the simulated Grid'5000 Orsay deployment."""
+    """Shape and capacities of the simulated Grid'5000 Orsay deployment.
+
+    The fabric is the paper's flat single switch — every node's NIC is
+    its only shared link — unless ``racks`` turns it into a two-level
+    tree whose rack uplinks are the only links between racks.
+    """
 
     #: total number of machines in the reservation
     nodes: int = 270
@@ -151,13 +155,10 @@ class ClusterConfig:
     #: copies on 2006-era Opterons) — what actually bounds one client's
     #: throughput on a 10G fabric. bytes/s; 0 disables the cap.
     flow_rate_cap: float = 270.0 * MiB
-    #: aggregate backbone capacity, bytes/s (0 = non-blocking fabric)
-    backbone_bandwidth: float = 0.0
     #: number of racks in a two-level (rack switch + core) topology;
     #: 0 keeps the paper's flat single-switch fabric. Nodes are assigned
     #: round-robin, intra-rack traffic turns around at the rack switch,
-    #: and inter-rack traffic shares each rack's uplink/downlink (and
-    #: the backbone when configured).
+    #: and inter-rack traffic shares each rack's uplink/downlink.
     racks: int = 0
     #: rack uplink = downlink capacity, bytes/s (required when racks > 0)
     rack_bandwidth: float = 0.0

@@ -122,16 +122,14 @@ class DesEngine(Engine):
         """
         self._control[name] = _Control(
             adapter,
-            Resource(self.env, capacity=1),
+            Resource(self.env),
             service_time,
             method_services,
         )
 
     def bind_md(self, n_owners: int) -> None:
         """Register the metadata providers (one service slot each)."""
-        self._md_slots = [
-            Resource(self.env, capacity=1) for _ in range(n_owners)
-        ]
+        self._md_slots = [Resource(self.env) for _ in range(n_owners)]
 
     # -- fault state --------------------------------------------------------
 

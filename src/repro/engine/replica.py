@@ -31,12 +31,12 @@ class ReplicaSelector:
 
     __slots__ = ("_rr", "dead")
 
-    def __init__(self, rng, dead: Set[str] | None = None) -> None:
+    def __init__(self, rng) -> None:
         """*rng* is a seeded generator (``engine.rng(...)``); the phase it
         yields makes the rotation deterministic per client name."""
         self._rr = itertools.count(int(rng.integers(1 << 30)))
         #: endpoints seen failing, tried last until they serve again
-        self.dead: Set[str] = dead if dead is not None else set()
+        self.dead: Set[str] = set()
 
     def order(self, endpoints: Sequence[str]) -> List[str]:
         """The sweep order for one fetch: rotated start, dead last.

@@ -57,14 +57,16 @@ class FigureResult:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
 
-    def to_ascii_chart(self, width: int = 60, height: int = 12) -> str:
-        """A terminal scatter/line chart of every series.
+    def to_ascii_chart(self) -> str:
+        """A terminal scatter/line chart of every series, 60 columns by
+        12 rows.
 
         Y always starts at zero (throughput/latency charts mislead
         otherwise); series are marked with distinct glyphs.
         """
         if not self.series or not self.series[0].xs:
             return "(no data)"
+        width, height = 60, 12
         glyphs = "*o+x#@"
         xs_all = [x for s in self.series for x in s.xs]
         ys_all = [y for s in self.series for y in s.ys]

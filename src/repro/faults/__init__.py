@@ -15,10 +15,9 @@ from .inject import (
     schedule_plan,
     sim_blobseer_injector,
 )
-from .plan import COMPONENTS, FaultPlan, FaultSpec, RetryPolicy
+from .plan import FaultPlan, FaultSpec, RetryPolicy
 
 __all__ = [
-    "COMPONENTS",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

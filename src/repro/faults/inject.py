@@ -48,40 +48,47 @@ class FaultInjector:
     def components(self) -> List[str]:
         return sorted(self._handlers)
 
-    def crash(self, component: str, target: str) -> None:
+    def handler(
+        self, component: str, recovering: bool = False
+    ) -> Callable[[str], None]:
+        """*component*'s fail handler (its recover handler when
+        *recovering*); ``ValueError`` when it has none."""
         try:
-            fail, _recover = self._handlers[component]
+            fail, recover = self._handlers[component]
         except KeyError:
             raise ValueError(
                 f"no handler registered for component {component!r} "
                 f"(have {self.components()})"
             ) from None
-        fail(target)
+        if not recovering:
+            return fail
+        if recover is None:
+            raise ValueError(f"component {component!r} cannot recover")
+        return recover
+
+    def crash(self, component: str, target: str) -> None:
+        self.handler(component)(target)
         self._c_injected.inc()
         fault_crash(self._tracer, component, target)
 
     def recover(self, component: str, target: str) -> None:
-        try:
-            _fail, recover = self._handlers[component]
-        except KeyError:
-            raise ValueError(
-                f"no handler registered for component {component!r} "
-                f"(have {self.components()})"
-            ) from None
-        if recover is None:
-            raise ValueError(f"component {component!r} cannot recover")
-        recover(target)
+        self.handler(component, recovering=True)(target)
         self._c_recovered.inc()
         fault_recover(self._tracer, component, target)
 
 
-def schedule_plan(env, plan: FaultPlan, injector: FaultInjector, rng=None) -> int:
-    """Schedule *plan* on a DES environment, relative to ``env.now``.
+def schedule_plan(env, plan: FaultPlan, injector: FaultInjector) -> int:
+    """Schedule *plan* on a DES environment, relative to ``env.now``;
+    returns the number of faults scheduled.
 
-    Returns the number of faults scheduled (after materializing
-    probabilistic specs with *rng*).
+    Every spec is checked against *injector* first: a plan naming a
+    component it has no handler for (or a recovery it cannot carry out)
+    is rejected here, with nothing scheduled, instead of failing the run
+    when that fault comes due.
     """
-    specs = plan.materialize(rng)
+    specs = plan.specs
+    for spec in specs:
+        injector.handler(spec.component, recovering=spec.duration is not None)
     for spec in specs:
         env.call_at(
             env.now + spec.at,

@@ -2,9 +2,10 @@
 
 A :class:`FaultPlan` is runtime-agnostic data: *what* crashes (a
 component kind plus a target name), *when* (seconds after the plan is
-started), for *how long* (``duration`` — ``None`` means forever), and
-with what *probability*. The drivers in :mod:`repro.faults.inject` turn
-a plan into DES events or wall-clock timer firings.
+started) and for *how long* (``duration`` — ``None`` means forever).
+:func:`repro.faults.inject.schedule_plan` turns a plan into DES events;
+the component kinds a plan may name are the ones its injector has
+handlers for.
 
 :class:`RetryPolicy` bundles the knobs the simulated clients use when a
 fault plan is active: per-RPC timeout, capped exponential backoff
@@ -14,10 +15,7 @@ between retry sweeps, and a total attempt budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
-
-#: component kinds a plan may target
-COMPONENTS = ("provider", "datanode", "tasktracker")
+from typing import List, Optional, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,20 +28,12 @@ class FaultSpec:
     at: float
     #: recover after this many seconds; ``None`` = crashed forever
     duration: Optional[float] = None
-    #: chance this fault actually fires (materialized with a seeded rng)
-    probability: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.component not in COMPONENTS:
-            raise ValueError(
-                f"unknown component {self.component!r} (one of {COMPONENTS})"
-            )
         if self.at < 0:
             raise ValueError("fault time must be non-negative")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive (or None)")
-        if not (0.0 <= self.probability <= 1.0):
-            raise ValueError("probability must be in [0, 1]")
 
 
 class FaultPlan:
@@ -58,39 +48,10 @@ class FaultPlan:
         target: str,
         at: float,
         duration: Optional[float] = None,
-        probability: float = 1.0,
     ) -> "FaultPlan":
         """Append a fault; returns self for chaining."""
-        self.specs.append(
-            FaultSpec(component, target, at, duration, probability)
-        )
+        self.specs.append(FaultSpec(component, target, at, duration))
         return self
-
-    def materialize(self, rng=None) -> List[FaultSpec]:
-        """The faults that actually fire, probabilistic ones resolved.
-
-        *rng* (a ``numpy.random.Generator``, e.g. from
-        :func:`repro.common.rng.substream`) is required as soon as any
-        spec has ``probability < 1`` — determinism is the caller's job.
-        """
-        out: List[FaultSpec] = []
-        for spec in self.specs:
-            if spec.probability >= 1.0:
-                out.append(spec)
-                continue
-            if rng is None:
-                raise ValueError(
-                    "plan has probabilistic faults; pass a seeded rng"
-                )
-            if float(rng.random()) < spec.probability:
-                out.append(spec)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self) -> Iterator[FaultSpec]:
-        return iter(self.specs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,12 +45,7 @@ class MapReduceCluster:
         if not hosts:
             raise ValueError("need at least one tasktracker host")
         self.tasktrackers = [
-            TaskTracker(
-                host,
-                fs,
-                map_slots=self.config.map_slots,
-                reduce_slots=self.config.reduce_slots,
-            )
+            TaskTracker(host, fs, map_slots=self.config.map_slots)
             for host in hosts
         ]
         #: the most recent job's in-progress state (introspection/tests)

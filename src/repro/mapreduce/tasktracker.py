@@ -1,8 +1,9 @@
 """Tasktrackers: slot-bounded task execution.
 
-One tasktracker per machine, each with a fixed number of map slots and
-reduce slots: worker threads per job it serves. Workers claim tasks from
-the :class:`~repro.mapreduce.jobtracker.JobInProgress` (a claim blocks
+One tasktracker per machine, each with a configured number of map
+slots and :data:`REDUCE_SLOTS` reduce slots: worker threads per job it
+serves. Workers claim tasks from the
+:class:`~repro.mapreduce.jobtracker.JobInProgress` (a claim blocks
 until a task is claimable), execute them against the shared file
 system, and report success/failure; failed attempts are retried by the
 jobtracker up to its attempt budget. Staged jobs and the overlapped
@@ -25,6 +26,9 @@ from .io.records import TextRecordWriter
 from .job import Context, Counters, JobConf
 from .jobtracker import JobInProgress
 from .shuffle import MapOutputStore, merge_sorted_partitions, partition_and_sort
+
+#: reduce slots per tasktracker (Hadoop's default of two)
+REDUCE_SLOTS = 2
 
 
 def execute_map_task(
@@ -97,19 +101,12 @@ def execute_reduce_task(
 class TaskTracker:
     """One machine's worth of task slots, serving any number of jobs."""
 
-    def __init__(
-        self,
-        host: str,
-        fs: FileSystem,
-        map_slots: int,
-        reduce_slots: int,
-    ) -> None:
-        if map_slots < 1 or reduce_slots < 1:
-            raise ValueError("slot counts must be >= 1")
+    def __init__(self, host: str, fs: FileSystem, map_slots: int) -> None:
+        if map_slots < 1:
+            raise ValueError("map_slots must be >= 1")
         self.host = host
         self.fs = fs
         self.map_slots = map_slots
-        self.reduce_slots = reduce_slots
         self._crashed = threading.Event()
         self._lock = threading.Lock()
         #: live workers per job this tracker serves: a crash wakes them
@@ -155,7 +152,7 @@ class TaskTracker:
             )
             for worker, kind, slots in (
                 (self._map_worker, "map", self.map_slots),
-                (self._reduce_worker, "reduce", self.reduce_slots),
+                (self._reduce_worker, "reduce", REDUCE_SLOTS),
             )
             for i in range(slots)
         ]

@@ -23,7 +23,6 @@ negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .timeseries import TimeSeries
@@ -44,9 +43,10 @@ class Observability:
         return self.tracer.enabled or self.registry.enabled
 
     @classmethod
-    def on(cls, clock: Optional[Callable[[], float]] = None) -> "Observability":
-        """A fully enabled bundle (wall clock unless *clock* is given)."""
-        return cls(tracer=Tracer(clock=clock), registry=MetricsRegistry())
+    def on(cls) -> "Observability":
+        """A fully enabled bundle on the wall clock (a deployment may
+        switch the tracer to its simulated clock: ``Tracer.use_clock``)."""
+        return cls(tracer=Tracer(), registry=MetricsRegistry())
 
     @classmethod
     def off(cls) -> "Observability":

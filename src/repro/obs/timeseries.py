@@ -19,8 +19,9 @@ from typing import Dict, List, Tuple
 class TimeSeries:
     """Fixed-capacity ring buffer of ``(t, value)`` samples.
 
-    ``count``/``last`` stay exact over the whole stream; only the oldest
-    samples are evicted once *capacity* is exceeded.
+    ``last`` and the summary's ``count`` stay exact over the whole
+    stream; only the oldest samples are evicted once *capacity* is
+    exceeded.
     """
 
     __slots__ = ("name", "capacity", "_buf", "_head", "_n", "last")
@@ -44,11 +45,6 @@ class TimeSeries:
         else:
             self._buf[self._head] = (t, value)
             self._head = (self._head + 1) % self.capacity
-
-    @property
-    def count(self) -> int:
-        """Samples observed over the series' lifetime."""
-        return self._n
 
     def __len__(self) -> int:
         """Samples currently retained (<= capacity)."""
@@ -82,7 +78,6 @@ class _NullTimeSeries:
     __slots__ = ()
     name = ""
     capacity = 0
-    count = 0
     last = 0.0
 
     def record(self, t: float, value: float) -> None:

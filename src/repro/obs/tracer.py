@@ -175,21 +175,20 @@ class Tracer:
     # -- time ----------------------------------------------------------------
 
     def now(self) -> float:
-        """The tracer's current timestamp (clock + rebase offset)."""
+        """The tracer's current timestamp: the clock plus the offset that
+        lays it out after the clocks used before it."""
         return self._base + self._clock()
 
-    def use_clock(
-        self, clock: Callable[[], float], rebase: bool = True
-    ) -> None:
+    def use_clock(self, clock: Callable[[], float]) -> None:
         """Switch the time source (e.g. to a simulation's ``env.now``).
 
-        With *rebase* (the default) the new clock's zero is aligned just
-        past the latest timestamp already recorded, so successive
-        deployments — each restarting its simulated clock at zero — lay
-        out sequentially instead of on top of each other.
+        The new clock's zero is aligned just past the latest timestamp
+        already recorded, so successive deployments — each restarting
+        its simulated clock at zero — lay out sequentially instead of on
+        top of each other.
         """
         with self._lock:
-            self._base = self._max_ts if rebase else 0.0
+            self._base = self._max_ts
             self._clock = clock
 
     # -- span lifecycle -------------------------------------------------------

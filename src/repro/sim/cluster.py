@@ -46,7 +46,6 @@ class SimCluster:
         self.network = Network(
             self.env,
             latency=config.latency,
-            backbone_bandwidth=config.backbone_bandwidth,
             flow_rate_cap=config.flow_rate_cap,
             obs=obs,
         )

@@ -66,7 +66,7 @@ import gc
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List
 
 from ..common.errors import SimDeadlockError
 
@@ -374,10 +374,7 @@ class Environment:
             raise ValueError(f"cannot schedule in the past ({when} < {now})")
 
     def every(
-        self,
-        period: float,
-        fn: Callable[[], None],
-        double_after: Optional[int] = None,
+        self, period: float, fn: Callable[[], None], double_after: int
     ) -> None:
         """Run bare callback *fn* every *period* seconds, starting one
         period from now, for as long as *other* work keeps the queue
@@ -388,25 +385,23 @@ class Environment:
         terminates — the periodic samplers built on this stop with the
         workload instead of keeping the simulation alive forever.
 
-        With *double_after* set, the period doubles after every that
-        many ticks: short runs get fine-grained coverage from the
-        initial period while the lifetime tick count grows only
-        logarithmically with the run's simulated duration — a fixed
-        fine period would make sampling dominate the event count of a
-        multi-hour simulation.
+        The period doubles after every *double_after* ticks: short runs
+        get fine-grained coverage from the initial period while the
+        lifetime tick count grows only logarithmically with the run's
+        simulated duration — a fixed fine period would make sampling
+        dominate the event count of a multi-hour simulation.
         """
         if not (period > 0):
             raise ValueError(f"period must be positive: {period}")
-        if double_after is not None and double_after < 1:
+        if double_after < 1:
             raise ValueError(f"double_after must be >= 1: {double_after}")
         state = {"period": period, "ticks": 0}
 
         def tick() -> None:
             fn()
-            if double_after is not None:
-                state["ticks"] += 1
-                if state["ticks"] % double_after == 0:
-                    state["period"] *= 2.0
+            state["ticks"] += 1
+            if state["ticks"] % double_after == 0:
+                state["period"] *= 2.0
             if self._heap or self._ring or self._flush_pending:
                 self.call_in(state["period"], tick)
 

@@ -3,8 +3,8 @@
 Each simulated machine owns one disk with separate sustained read and
 write bandwidths, served first-come-first-served (a single spindle /
 single write stream, matching the commodity SATA disks of the Orsay
-cluster). Reads optionally hit the OS page cache with a configurable
-probability, in which case they bypass the spindle entirely — this is
+cluster). A configurable fraction of reads hits the OS page cache,
+and those bypass the spindle entirely — this is
 how a 270-node run keeps read throughput above raw-disk speed, exactly
 as on the real testbed where recently appended pages are still resident.
 """
@@ -50,7 +50,7 @@ class Disk:
             rng if isinstance(rng, np.random.Generator) else None
         )
         self._rng_factory = rng if callable(rng) else None
-        self._spindle = Resource(env, capacity=1)
+        self._spindle = Resource(env)
         #: lifetime counters
         self.bytes_written = 0
         self.bytes_read = 0

@@ -1,7 +1,8 @@
 """Flow-level network model with max-min fair bandwidth sharing.
 
-Each node owns an egress ("up") and ingress ("down") NIC capacity; an
-optional backbone capacity models a blocking fabric. A *transfer* is a
+Each node owns an egress ("up") and ingress ("down") NIC direction of
+one bandwidth; racks, when present, add an uplink and a downlink between
+each rack switch and the core. A *transfer* is a
 fluid flow from one node to another: concurrent flows share the NICs
 according to the classic progressive-filling (max-min fair) allocation,
 which is the standard fluid approximation of many TCP streams over a
@@ -17,7 +18,7 @@ reallocation instead of one per flow. The deferral is exact, not an
 approximation: rates are only observable across time advancement, and
 the flush runs after every same-instant event but before the clock
 moves. At the flush, only the *connected component* of flows that
-(transitively) share a NIC/backbone resource with a dirty resource is
+(transitively) share a NIC or rack link with a dirty resource is
 refilled; a per-resource membership index keeps disjoint traffic
 untouched. The refill itself is a water-filling max-min solve — a
 saturation-level heap finds successive bottleneck resources in
@@ -60,9 +61,10 @@ rounding fall on the binding side, which is always exact, just slower):
   resource's members are not all in the component, so its under-counted
   share must not enter the saturation heap.
 
-With a backbone narrow enough to bind, every non-local flow shares one
-binding resource and the component always spans all of them — the
-scoped path then degenerates to (and is counted as) a full recompute.
+When one binding link carries every non-local flow (a narrow rack
+uplink all traffic leaves through), the component always spans all of
+them — the scoped path then degenerates to (and is counted as) a full
+recompute.
 
 Transfers within one node (client co-located with a provider) bypass
 the NICs at a fixed loopback bandwidth.
@@ -89,7 +91,7 @@ _BIND_MARGIN = 1e-9
 
 
 class _NicResource:
-    """One shareable capacity (a NIC direction or the backbone) plus the
+    """One shareable capacity (a NIC or rack-link direction) plus the
     set of flow ids currently crossing it — the membership index that
     scopes incremental reallocation — and ``demand``, the sum of those
     flows' rate bounds: the resource can bind (saturate, and so couple
@@ -110,11 +112,11 @@ class _NicResource:
 
 @dataclass(slots=True)
 class NetNode:
-    """One machine's attachment point: egress/ingress NIC capacities."""
+    """One machine's attachment point: a NIC of *bandwidth* bytes/s in
+    each direction."""
 
     name: str
-    up_capacity: float
-    down_capacity: float
+    bandwidth: float
     #: rack this node is attached to (None on a flat topology)
     rack: Optional[str] = None
     #: the node's shareable NIC directions (set by :meth:`Network.add_node`)
@@ -125,8 +127,8 @@ class NetNode:
     _rack_down: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.up_capacity <= 0 or self.down_capacity <= 0:
-            raise ValueError(f"capacities must be positive on {self.name!r}")
+        if self.bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive on {self.name!r}")
 
 
 @dataclass(slots=True, eq=False)
@@ -139,7 +141,7 @@ class _Flow:
     local: bool
     #: the shareable capacities this flow crosses, computed once at flow
     #: start (src up-NIC, rack hops when the endpoints sit in different
-    #: racks, backbone, dst down-NIC); empty for local flows
+    #: racks, dst down-NIC); empty for local flows
     resources: Tuple[_NicResource, ...] = ()
     #: the most any allocation can give this flow: the narrowest capacity
     #: on its path or the per-flow cap (non-local flows)
@@ -162,33 +164,23 @@ class Network:
         self,
         env: Environment,
         latency: float = 0.0,
-        backbone_bandwidth: float = 0.0,
         flow_rate_cap: float = 0.0,
         obs: Optional[Observability] = None,
     ) -> None:
-        """*backbone_bandwidth* of 0 means a non-blocking fabric;
-        *flow_rate_cap* of 0 means flows are limited only by the NICs
-        (a positive value models the per-connection ceiling of the
-        endpoints' I/O stacks)."""
+        """*flow_rate_cap* of 0 means flows are limited only by the
+        links they cross (a positive value models the per-connection
+        ceiling of the endpoints' I/O stacks)."""
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        if backbone_bandwidth < 0:
-            raise ValueError("backbone_bandwidth must be non-negative")
         if flow_rate_cap < 0:
             raise ValueError("flow_rate_cap must be non-negative")
         self.env = env
         self.latency = latency
-        self.backbone_bandwidth = backbone_bandwidth
         self.flow_rate_cap = flow_rate_cap
         self.obs = obs or NULL_OBS
         self.nodes: Dict[str, NetNode] = {}
         self._flows: Dict[int, _Flow] = {}
         self._fid = itertools.count()
-        self._backbone: Optional[_NicResource] = (
-            _NicResource(("__backbone__", None), backbone_bandwidth)
-            if backbone_bandwidth > 0
-            else None
-        )
         #: rack name -> (uplink resource, downlink resource); empty on a
         #: flat (single-switch) topology
         self._racks: Dict[str, Tuple[_NicResource, _NicResource]] = {}
@@ -224,57 +216,38 @@ class Network:
 
     # -- topology -----------------------------------------------------------
 
-    def add_rack(
-        self,
-        name: str,
-        bandwidth: float | None = None,
-        up: float | None = None,
-        down: float | None = None,
-    ) -> None:
-        """Register a rack switch with an uplink/downlink to the core.
+    def add_rack(self, name: str, bandwidth: float) -> None:
+        """Register a rack switch with an uplink and a downlink of
+        *bandwidth* bytes/s each to the core.
 
         Racks turn the flat single-switch fabric into a two-level tree
         (the standard cluster shape the paper's Grid'5000 Orsay site
         approximates, and the regime where a multi-rack scale experiment
         becomes meaningful): traffic between two nodes of the *same*
         rack crosses only the endpoint NICs, while inter-rack traffic
-        additionally shares the source rack's uplink, the optional
-        backbone, and the destination rack's downlink. Give either a
-        symmetric *bandwidth* or explicit *up*/*down* capacities.
+        additionally shares the source rack's uplink and the destination
+        rack's downlink.
         """
         if name in self._racks:
             raise ValueError(f"duplicate rack {name!r}")
-        if bandwidth is not None:
-            up = down = bandwidth
-        if up is None or down is None:
-            raise ValueError("specify bandwidth= or both up= and down=")
-        if up <= 0 or down <= 0:
-            raise ValueError(f"rack capacities must be positive on {name!r}")
+        if bandwidth <= 0:
+            raise ValueError(f"rack bandwidth must be positive on {name!r}")
         self._racks[name] = (
-            _NicResource((name, "rack-up"), up),
-            _NicResource((name, "rack-down"), down),
+            _NicResource((name, "rack-up"), bandwidth),
+            _NicResource((name, "rack-down"), bandwidth),
         )
 
     def add_node(
-        self,
-        name: str,
-        bandwidth: float | None = None,
-        up: float | None = None,
-        down: float | None = None,
-        rack: Optional[str] = None,
+        self, name: str, bandwidth: float, rack: Optional[str] = None
     ) -> NetNode:
-        """Register a node. Give either a symmetric *bandwidth* or
-        explicit *up*/*down* capacities; *rack* attaches the node to a
-        rack previously created with :meth:`add_rack`."""
+        """Register a node whose NIC carries *bandwidth* bytes/s each
+        way; *rack* attaches it to a rack previously created with
+        :meth:`add_rack`."""
         if name in self.nodes:
             raise ValueError(f"duplicate node {name!r}")
-        if bandwidth is not None:
-            up = down = bandwidth
-        if up is None or down is None:
-            raise ValueError("specify bandwidth= or both up= and down=")
-        node = NetNode(name, up, down, rack=rack)
-        node._up_res = _NicResource((name, "up"), up)
-        node._down_res = _NicResource((name, "down"), down)
+        node = NetNode(name, bandwidth, rack=rack)
+        node._up_res = _NicResource((name, "up"), bandwidth)
+        node._down_res = _NicResource((name, "down"), bandwidth)
         if rack is not None:
             try:
                 node._rack_up, node._rack_down = self._racks[rack]
@@ -340,28 +313,18 @@ class Network:
         self, src: NetNode, dst: NetNode
     ) -> Tuple[_NicResource, ...]:
         """The shareable capacities a src→dst flow crosses, in path
-        order. On a flat topology: the two endpoint NICs plus the
-        optional backbone (byte-identical to the pre-rack model). With
-        racks: intra-rack flows stay within the rack switch (endpoint
-        NICs only), inter-rack flows add the source rack's uplink, the
-        backbone, and the destination rack's downlink."""
-        src_rack = src.rack
-        dst_rack = dst.rack
-        if src_rack == dst_rack:
-            # same rack, or a flat topology (both None). Intra-rack
-            # traffic turns around at the rack switch and never touches
-            # the core; on a flat topology the backbone (when modeled)
-            # is the single switch every flow crosses.
-            if src_rack is None and self._backbone is not None:
-                return (src._up_res, self._backbone, dst._down_res)
+        order: the two endpoint NICs, and between them, when the
+        endpoints sit in different racks, the source rack's uplink and
+        the destination rack's downlink."""
+        if src.rack == dst.rack:
+            # same rack, or a flat topology (both None): the flow turns
+            # around at the switch and never touches the core
             return (src._up_res, dst._down_res)
         # inter-rack (or rack <-> rackless core node): whichever rack
         # hops exist join the path
         res = [src._up_res]
         if src._rack_up is not None:
             res.append(src._rack_up)
-        if self._backbone is not None:
-            res.append(self._backbone)
         if dst._rack_down is not None:
             res.append(dst._rack_down)
         res.append(dst._down_res)

@@ -1,11 +1,11 @@
 """Shared-resource primitives for the simulation kernel.
 
-:class:`Resource` is a counted resource with FIFO admission (RPC handler
-threads at the version manager, a disk spindle). Most traffic takes it
-through :meth:`Resource.round_trip` / :func:`batch_round_trips`;
-generator-based holders use :meth:`Resource.request` /
-:meth:`Resource.release`, as the locking-append ablation's file lock
-does.
+:class:`Resource` is a one-slot server with FIFO admission (the version
+manager's critical section, a metadata provider, a disk spindle). Most
+traffic takes it through :meth:`Resource.round_trip` /
+:func:`batch_round_trips`; generator-based holders use
+:meth:`Resource.request` / :meth:`Resource.release`, as the
+locking-append ablation's file lock does.
 """
 
 from __future__ import annotations
@@ -32,37 +32,35 @@ class Request(Event):
 
 
 class Resource:
-    """A counted resource with FIFO queueing."""
+    """One slot, held by one user at a time, with FIFO queueing."""
 
-    __slots__ = ("env", "capacity", "in_use", "_waiting")
+    __slots__ = ("env", "busy", "_waiting")
 
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
-        self.in_use = 0
+        #: whether a user holds the slot
+        self.busy = False
         # FIFO of waiters: Request events from generator-based users,
         # bare grant callables from round_trip's contended arrivals
         self._waiting: Deque[Any] = deque()
 
     def request(self) -> Request:
-        """Ask for one unit; the returned event fires on grant."""
+        """Ask for the slot; the returned event fires on grant."""
         req = Request(self)
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if not self.busy:
+            self.busy = True
             req.succeed(req)
         else:
             self._waiting.append(req)
         return req
 
     def release(self, request: Request) -> None:
-        """Return the unit held by *request*; admits the next waiter."""
+        """Return the slot held by *request*; admits the next waiter."""
         if request.resource is not self:
             raise ValueError("request belongs to a different resource")
-        self._release_unit()
+        self._release_slot()
 
-    def _release_unit(self) -> None:
+    def _release_slot(self) -> None:
         if self._waiting:
             nxt = self._waiting.popleft()
             # the queue holds Request events (generator-based users) and
@@ -72,9 +70,9 @@ class Resource:
             else:
                 nxt()
         else:
-            if self.in_use <= 0:  # pragma: no cover - defensive
+            if not self.busy:  # pragma: no cover - defensive
                 raise RuntimeError("release without matching request")
-            self.in_use -= 1
+            self.busy = False
 
     def round_trip(
         self,
@@ -86,7 +84,7 @@ class Resource:
         """One RPC round trip against this resource.
 
         Models the standard simulated RPC: one-way *latency* to the
-        server, FIFO admission to one unit, *service* seconds holding
+        server, FIFO admission to the slot, *service* seconds holding
         it, then *latency* back. The returned event fires at the reply's
         arrival with ``fn()``'s result (*fn* runs at the end of service,
         inside the critical section; if it raises, the event fails at
@@ -109,12 +107,12 @@ class Resource:
             try:
                 value = fn() if fn is not None else None
             except Exception as exc:
-                self._release_unit()
+                self._release_slot()
                 if done is None:
                     raise
                 done.fail(exc)
                 return
-            self._release_unit()
+            self._release_slot()
             if done is None:
                 return
             # fire `done` with the reply exactly one latency later —
@@ -137,12 +135,12 @@ class Resource:
                 env._ring.append(serviced)
 
         def arrive() -> None:
-            if self.in_use < self.capacity:
-                # uncontended grant: take the unit inline, no Request
-                self.in_use += 1
+            if not self.busy:
+                # uncontended grant: take the slot inline, no Request
+                self.busy = True
                 start_service()
             else:
-                # contended: queue a bare grant callback — the unit is
+                # contended: queue a bare grant callback — the slot is
                 # transferred at release time without a Request event
                 self._waiting.append(start_service)
 
@@ -184,7 +182,7 @@ def batch_round_trips(
     def make_serviced(res: Resource):
         def serviced() -> None:
             nonlocal remaining
-            res._release_unit()
+            res._release_slot()
             remaining -= 1
             if remaining == 0:
                 # last service done: the straggler's reply lands one
@@ -200,8 +198,8 @@ def batch_round_trips(
     def arrive() -> None:
         for res in resources:
             serviced = make_serviced(res)
-            if res.in_use < res.capacity:
-                res.in_use += 1
+            if not res.busy:
+                res.busy = True
                 when = env.now + service
                 if when > env.now:
                     env._eid += 1

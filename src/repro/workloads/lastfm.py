@@ -137,7 +137,7 @@ def users_for_blowup(
     scale.
 
     The default skew is sub-critical (0.8 < 1) because for skew > 1 the
-    head key keeps a constant probability mass no matter how many users
+    head key keeps a constant share of the records no matter how many users
     exist, putting a floor under the blow-up at small input sizes.
     """
     if target_blowup <= 0:

@@ -221,7 +221,11 @@ class ThreadedDriver:
 
     def __init__(self, lease):
         self.vm = ThreadedVersionManager(
-            config=BlobSeerConfig(append_lease_s=lease * self.UNIT)
+            config=BlobSeerConfig(
+                append_lease_s=lease * self.UNIT,
+                # abandon() gives up on its turn at once
+                metadata_turn_timeout_s=0.001,
+            )
         )
         self.core = self.vm.core
         self.blob = self.vm.create_blob(64)
@@ -244,7 +248,7 @@ class ThreadedDriver:
 
     def abandon(self, v):
         with pytest.raises(VersionNotReadyError):
-            self.vm.metadata_turn(self.blob, v, timeout=0.001)
+            self.vm.metadata_turn(self.blob, v)
 
     def close(self):
         pass
@@ -348,10 +352,8 @@ class TestLoopNativeWait:
         self.engine.bind("vm", vm)
         return vm, vm.create_blob(64)
 
-    def turn(self, blob, version, *timeout):
-        return _one_op(
-            self.engine, "wait", "metadata_turn", blob, version, *timeout
-        )
+    def turn(self, blob, version):
+        return _one_op(self.engine, "wait", "metadata_turn", blob, version)
 
     def test_decided_wait_never_suspends_and_needs_no_loop(self):
         vm, blob = self.bind()
@@ -377,13 +379,16 @@ class TestLoopNativeWait:
         assert vm.resolve(blob, 1)[0].aborted
 
     def test_timeout_abandons_the_version_and_unwedges_its_successor(self):
-        vm, blob = self.bind(append_lease_s=0)  # isolate the timeout path
+        vm, blob = self.bind(
+            append_lease_s=0,  # isolate the timeout path
+            metadata_turn_timeout_s=0.05,
+        )
         for _ in range(3):
             vm.assign_append(blob, 10)
 
         async def main():
             with pytest.raises(VersionNotReadyError):
-                await self.turn(blob, 2, 0.05)
+                await self.turn(blob, 2)
             vm.commit(blob, 1, _root(1))
             # v2 aborted itself when v1 resolved; v3's turn is up
             assert (await self.turn(blob, 3))[0] == _root(1)

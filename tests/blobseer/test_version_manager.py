@@ -156,7 +156,7 @@ class TestThreadedWrapper:
         result = {}
 
         def second_writer():
-            result["prereq"] = vm.metadata_turn(blob, 2, timeout=5)
+            result["prereq"] = vm.metadata_turn(blob, 2)
 
         t = threading.Thread(target=second_writer)
         t.start()
@@ -165,12 +165,14 @@ class TestThreadedWrapper:
         assert result["prereq"][0] == root_key(1)
 
     def test_wait_turn_times_out(self):
-        vm = ThreadedVersionManager()
+        vm = ThreadedVersionManager(
+            config=BlobSeerConfig(metadata_turn_timeout_s=0.05)
+        )
         blob = vm.create_blob(64)
         vm.assign_append(blob, 10)
         vm.assign_append(blob, 10)
         with pytest.raises(VersionNotReadyError):
-            vm.metadata_turn(blob, 2, timeout=0.05)
+            vm.metadata_turn(blob, 2)
 
 
 class TestCoreAbort:
@@ -264,7 +266,7 @@ class TestAppendLeases:
         vm.assign_append(blob, 10)  # v1 dies
         vm.assign_append(blob, 10)
         t0 = time.monotonic()
-        assert vm.metadata_turn(blob, 2, timeout=5) == (None, 0)
+        assert vm.metadata_turn(blob, 2) == (None, 0)
         assert 0.04 <= time.monotonic() - t0 < 2.0
         assert vm.resolve(blob, 1)[0].aborted
 
@@ -272,24 +274,29 @@ class TestAppendLeases:
         # satellite (c): the timed-out waiter aborts its own version so
         # later versions are never wedged behind it
         vm = ThreadedVersionManager(
-            config=BlobSeerConfig(append_lease_s=0)  # isolate the timeout path
+            config=BlobSeerConfig(
+                append_lease_s=0,  # isolate the timeout path
+                metadata_turn_timeout_s=0.05,
+            )
         )
         blob = vm.create_blob(64)
         vm.assign_append(blob, 10)  # v1: slow
         vm.assign_append(blob, 10)  # v2: times out waiting for v1
         vm.assign_append(blob, 10)  # v3: must not be wedged behind v2
         with pytest.raises(VersionNotReadyError):
-            vm.metadata_turn(blob, 2, timeout=0.05)
+            vm.metadata_turn(blob, 2)
         vm.commit(blob, 1, root_key(1))
         # v2 aborted itself when v1 resolved; v3's turn is immediately up
         assert vm.resolve(blob, 2)[0].aborted
-        assert vm.metadata_turn(blob, 3, timeout=1)[0] == root_key(1)
+        assert vm.metadata_turn(blob, 3)[0] == root_key(1)
 
     def test_turn_timeout_survives_wakeups_for_other_blobs(self):
         # one condition variable serves every blob: commits on blob B
         # wake A's waiter every 10 ms, which must not restart its 50 ms
         # timeout (leases off, so only the timeout can end the wait)
-        vm = ThreadedVersionManager(config=BlobSeerConfig(append_lease_s=0))
+        vm = ThreadedVersionManager(
+            config=BlobSeerConfig(append_lease_s=0, metadata_turn_timeout_s=0.05)
+        )
         a, b = vm.create_blob(64), vm.create_blob(64)
         vm.assign_append(a, 10)  # v1: stalled
         vm.assign_append(a, 10)
@@ -305,7 +312,7 @@ class TestAppendLeases:
         try:
             t0 = time.monotonic()
             with pytest.raises(VersionNotReadyError):
-                vm.metadata_turn(a, 2, timeout=0.05)
+                vm.metadata_turn(a, 2)
             assert time.monotonic() - t0 < 1.0
         finally:
             stop.set()
@@ -322,7 +329,7 @@ class TestAppendLeases:
         for _ in range(4):
             vm.assign_append(blob, 10)  # v1 stalls; v2..v4 wait behind it
         waiters = [
-            threading.Thread(target=vm.metadata_turn, args=(blob, v, 5))
+            threading.Thread(target=vm.metadata_turn, args=(blob, v))
             for v in (2, 3, 4)
         ]
         for w in waiters:
@@ -350,7 +357,7 @@ class TestAppendLeases:
         vm.assign_append(blob, 10)
         vm.assign_append(blob, 10)
         with pytest.raises(VersionNotReadyError):
-            vm.metadata_turn(blob, 2)  # no explicit timeout
+            vm.metadata_turn(blob, 2)
 
 
 class TestClose:

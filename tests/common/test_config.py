@@ -71,7 +71,7 @@ def test_hdfs_rejects(kwargs):
     "kwargs",
     [
         {"map_slots": 0},
-        {"reduce_slots": 0},
+        {"map_slots": -1},
     ],
 )
 def test_mapreduce_rejects(kwargs):

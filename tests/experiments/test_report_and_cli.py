@@ -45,12 +45,12 @@ class TestFigureResult:
         assert data["series"][0]["ys"] == [100.0, 90.0]
 
     def test_ascii_chart_shape(self):
-        chart = self.make().to_ascii_chart(width=40, height=8)
+        chart = self.make().to_ascii_chart()
         lines = chart.splitlines()
         assert lines[0].startswith("Demo")
         body = [l for l in lines if l.startswith("|")]
-        assert len(body) == 8
-        assert all(len(l) == 41 for l in body)
+        assert len(body) == 12
+        assert all(len(l) == 61 for l in body)
         # both series' glyphs appear
         flat = "".join(body)
         assert "*" in flat and "o" in flat

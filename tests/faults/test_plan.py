@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.config import ClusterConfig
-from repro.common.rng import substream
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -18,16 +17,9 @@ from repro.sim.core import Environment
 class TestFaultSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultSpec("gremlin", "x", 0.0)
-        with pytest.raises(ValueError):
-            # metadata lives in the in-process DHT: nothing to crash
-            FaultSpec("metadata", "0", 0.0)
-        with pytest.raises(ValueError):
             FaultSpec("provider", "x", -1.0)
         with pytest.raises(ValueError):
             FaultSpec("provider", "x", 0.0, duration=0.0)
-        with pytest.raises(ValueError):
-            FaultSpec("provider", "x", 0.0, probability=1.5)
 
     def test_builder_chains(self):
         plan = (
@@ -35,28 +27,8 @@ class TestFaultSpec:
             .crash("provider", "p0", at=1.0)
             .crash("datanode", "d1", at=2.0, duration=3.0)
         )
-        assert len(plan) == 2
-        assert [s.target for s in plan] == ["p0", "d1"]
-
-
-class TestMaterialize:
-    def test_certain_faults_need_no_rng(self):
-        plan = FaultPlan().crash("provider", "p0", at=0.5)
-        assert plan.materialize() == plan.specs
-
-    def test_probabilistic_faults_require_rng(self):
-        plan = FaultPlan().crash("provider", "p0", at=0.5, probability=0.5)
-        with pytest.raises(ValueError):
-            plan.materialize()
-
-    def test_materialize_is_seed_deterministic(self):
-        plan = FaultPlan()
-        for i in range(20):
-            plan.crash("provider", f"p{i}", at=float(i), probability=0.5)
-        picks_a = plan.materialize(substream(42, "faults"))
-        picks_b = plan.materialize(substream(42, "faults"))
-        assert picks_a == picks_b
-        assert 0 < len(picks_a) < 20  # both outcomes occur at p=0.5, n=20
+        assert [s.target for s in plan.specs] == ["p0", "d1"]
+        assert plan.specs[1] == FaultSpec("datanode", "d1", 2.0, 3.0)
 
 
 class TestRetryPolicy:
@@ -142,3 +114,36 @@ class TestSchedulePlan:
         schedule_plan(env, FaultPlan().crash("provider", "p0", at=1.0), injector)
         env.run()
         assert log == [6.0]
+
+    @pytest.mark.parametrize(
+        "component",
+        [
+            "datanode",  # no product injector registers one
+            "metadata",  # metadata lives in the in-process DHT: nothing to crash
+            "gremlin",
+        ],
+    )
+    def test_a_component_without_a_handler_is_rejected_before_the_run(
+        self, component
+    ):
+        env = Environment()
+        log = []
+        injector = FaultInjector().register("provider", log.append)
+        plan = (
+            FaultPlan()
+            .crash("provider", "p0", at=1.0)
+            .crash(component, "x0", at=5.0)
+        )
+        with pytest.raises(ValueError, match=component):
+            schedule_plan(env, plan, injector)
+        env.run()  # nothing was scheduled, not even the valid spec
+        assert log == [] and env.now == 0.0
+
+    def test_a_recovery_without_a_handler_is_rejected_before_the_run(self):
+        env = Environment()
+        injector = FaultInjector().register("provider", lambda t: None)
+        plan = FaultPlan().crash("provider", "p0", at=1.0, duration=2.0)
+        with pytest.raises(ValueError, match="cannot recover"):
+            schedule_plan(env, plan, injector)
+        env.run()
+        assert env.now == 0.0

@@ -11,8 +11,8 @@ A field that *is* read but that only tests ever move off its default is
 a second code path no figure, benchmark workload, example or server run
 exercises — PR 10's placement/read-policy/hot-page knobs sat that way
 for ten PRs. The second test fails CI unless every field of every
-config class is given a non-default value somewhere in the traffic
-roots (``src/repro``, ``benchmarks/e2e``, ``examples``) or is listed,
+config class is given a non-default value — by building or
+``replace``-ing a config — somewhere in the traffic roots (``src/repro``, ``benchmarks/e2e``, ``examples``) or is listed,
 with its reason for staying, in that class's :data:`NO_TRAFFIC` table.
 
 The three metadata fast-path knobs move together, as a named profile:
@@ -75,6 +75,11 @@ NO_TRAFFIC = {
         ),
     },
     "MapReduceConfig": {
+        "map_slots": (
+            "only benchmarks/test_ablation_locality.py (one map slot per "
+            "tracker, so placement decides which tracker reads which "
+            "split) lowers it"
+        ),
         "locality_aware": (
             "only benchmarks/test_ablation_locality.py (the paper's "
             "locality ablation, outside the traffic roots) turns it off"
@@ -83,6 +88,8 @@ NO_TRAFFIC = {
     "ClusterConfig": {
         "nodes": _TESTBED,
         "nic_bandwidth": _TESTBED,
+        "flow_rate_cap": _TESTBED,
+        "latency": _TESTBED,
         "disk_write_bandwidth": _TESTBED,
         "disk_read_bandwidth": _TESTBED,
         "page_cache_hit_ratio": _TESTBED,
@@ -90,6 +97,7 @@ NO_TRAFFIC = {
         "version_assign_time": _TESTBED,
         "commit_push_time": _TESTBED,
         "namespace_rpc_time": _TESTBED,
+        "rpc_timeout": _RETRY,
         "rpc_retry_base": _RETRY,
         "rpc_retry_cap": _RETRY,
         "rpc_max_attempts": _RETRY,
@@ -128,20 +136,40 @@ def _untrafficked(config_source: str, cls_name: str, sources):
 
     A field is set by a keyword argument: ``BlobSeerConfig(f=...)``,
     ``replace(cfg, f=...)``, a ``dict(f=...)`` splatted into either — a
-    CLI flag reaches a field the same way. Matching is by name, like
-    :func:`_names_read`; attribute assignments do not count (``self.f =``
-    in an unrelated class would).
+    CLI flag reaches a field the same way. A keyword to any other call
+    (``Network(f=cfg.f)``) only passes the value on. Matching is by
+    name, like :func:`_names_read`; attribute assignments do not count
+    (``self.f =`` in an unrelated class would).
     """
-    defaults = _config_classes(config_source)[cls_name]
+    classes = _config_classes(config_source)
+    defaults = classes[cls_name]
     moved = {
         kw.arg
         for source in sources
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        for kw in node.keywords
+        for call in _calls(ast.parse(source))
+        if _callee(call) in classes or _callee(call) == "replace"
+        for kw in _setting_keywords(call)
         if kw.arg in defaults and not _is_default(kw.value, defaults[kw.arg])
     }
     return [name for name in defaults if name not in moved]
+
+
+def _callee(call: ast.Call):
+    """The called name: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _setting_keywords(call: ast.Call):
+    """*call*'s named keywords, plus those of a ``**dict(...)`` it
+    splats; any other ``**mapping`` the lint cannot read."""
+    for kw in call.keywords:
+        if kw.arg is not None:
+            yield kw
+        elif isinstance(kw.value, ast.Call) and _callee(kw.value) == "dict":
+            yield from (k for k in kw.value.keywords if k.arg is not None)
 
 
 def _calls(tree: ast.AST):
@@ -371,3 +399,31 @@ def test_traffic_lint_tells_moved_from_merely_mentioned():
         "only_read",
     ]
     assert _untrafficked(config, "OtherConfig", []) == ["literal"]
+
+
+_PASS_THROUGH_CONFIG = (
+    "class DemoConfig:\n"
+    "    f: float = 0.0\n"
+    "    g: int = 1\n"
+)
+
+
+def test_traffic_lint_reports_a_field_only_passed_through():
+    """The gate itself works: handing a field on to a callee that is not
+    a config (``Network(f=cfg.f)``) moves nothing off the default."""
+    user = (
+        "def build(env, cfg):\n"
+        "    return Network(env, f=cfg.f, g=cfg.g)\n"
+    )
+    assert _untrafficked(_PASS_THROUGH_CONFIG, "DemoConfig", [user]) == ["f", "g"]
+
+
+def test_traffic_lint_accepts_a_field_set_by_replace():
+    """The gate itself works: ``replace(cfg, f=2)`` sets a field, and so
+    does a ``dict(g=...)`` splatted into a config's constructor."""
+    user = (
+        "def build(cfg, n):\n"
+        "    cfg = replace(cfg, f=2)\n"
+        "    return DemoConfig(**dict(g=n))\n"
+    )
+    assert _untrafficked(_PASS_THROUGH_CONFIG, "DemoConfig", [user]) == []

@@ -280,8 +280,6 @@ NO_TRAFFIC: Dict[str, str] = {
     ),
     "repro.sim.core.Event.value": _PROBE,
     "repro.sim.disk.Disk.rng": "the setter: tests pin a disk's random stream",
-    "repro.faults.plan.FaultPlan.__len__": _PROBE,
-    "repro.faults.plan.FaultPlan.__iter__": _PROBE,
     "repro.obs.Observability.enabled": _PROBE,
     "repro.obs.metrics.MetricsRegistry.value": (
         "one instrument's value by name: the tests and bench_figure "
@@ -294,7 +292,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.obs.metrics._NullHistogram": _NULL,
     "repro.obs.timeseries._NullTimeSeries": _NULL,
     "repro.obs.timeseries.TimeSeries.__len__": _PROBE,
-    "repro.obs.timeseries.TimeSeries.count": _PROBE,
 }
 
 #: the hook every census process loads first: record each code object

@@ -11,7 +11,7 @@ class TestRingBuffer:
         ts = TimeSeries("x", capacity=8)
         for i in range(5):
             ts.record(float(i), float(10 * i))
-        assert ts.count == 5
+        assert ts.summary()["count"] == 5
         assert len(ts) == 5
         assert ts.points() == [(float(i), float(10 * i)) for i in range(5)]
         assert ts.last == 40.0
@@ -20,7 +20,7 @@ class TestRingBuffer:
         ts = TimeSeries("x", capacity=4)
         for i in range(10):
             ts.record(float(i), float(i))
-        assert ts.count == 10  # lifetime count is exact
+        assert ts.summary()["count"] == 10  # lifetime count is exact
         assert len(ts) == 4  # retention is bounded
         assert ts.points() == [(6.0, 6.0), (7.0, 7.0), (8.0, 8.0), (9.0, 9.0)]
         assert ts.last == 9.0
@@ -69,7 +69,7 @@ class TestRegistry:
         ts = reg.timeseries("whatever")
         assert ts is _NULL_TIMESERIES
         ts.record(0.0, 1.0)  # no-op
-        assert ts.count == 0 and ts.points() == []
+        assert ts.summary()["count"] == 0 and ts.points() == []
 
     def test_snapshot_includes_series(self):
         reg = MetricsRegistry()

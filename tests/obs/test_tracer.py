@@ -96,7 +96,7 @@ def test_exception_annotates_span():
 def test_use_clock_rebases_past_recorded_spans():
     tracer = Tracer()
     first = FakeClock()
-    tracer.use_clock(first, rebase=False)
+    tracer.use_clock(first)  # nothing recorded yet: no offset
     sp = tracer.start("dep1-op")
     first.t = 10.0
     sp.finish()

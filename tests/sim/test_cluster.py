@@ -31,7 +31,7 @@ def test_config_capacities_applied():
                         disk_read_bandwidth=9.0)
     cluster = SimCluster(cfg)
     node = cluster.node("node-000")
-    assert node.net.up_capacity == 500.0
+    assert node.net.bandwidth == 500.0
     assert node.disk.write_bandwidth == 7.0
     assert node.disk.read_bandwidth == 9.0
 

@@ -222,7 +222,7 @@ class TestRunModes:
 class TestEvery:
     def test_ticks_at_period_and_stops_with_the_workload(self, env):
         ticks = []
-        env.every(1.0, lambda: ticks.append(env.now))
+        env.every(1.0, lambda: ticks.append(env.now), double_after=10)
 
         def proc():
             yield env.timeout(3.5)
@@ -235,7 +235,7 @@ class TestEvery:
 
     def test_does_not_keep_an_idle_queue_alive(self, env):
         ticks = []
-        env.every(1.0, lambda: ticks.append(env.now))
+        env.every(1.0, lambda: ticks.append(env.now), double_after=10)
 
         def proc():
             yield env.timeout(2.0)
@@ -259,7 +259,7 @@ class TestEvery:
 
     def test_validation(self, env):
         with pytest.raises(ValueError):
-            env.every(0.0, lambda: None)
+            env.every(0.0, lambda: None, double_after=1)
         with pytest.raises(ValueError):
             env.every(1.0, lambda: None, double_after=0)
 

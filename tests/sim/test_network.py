@@ -8,11 +8,9 @@ from repro.sim.network import Network
 from tests.maxmin import current_rate
 
 
-def make_net(n_nodes=4, bw=100.0, latency=0.0, cap=0.0, backbone=0.0):
+def make_net(n_nodes=4, bw=100.0, latency=0.0, cap=0.0):
     env = Environment()
-    net = Network(
-        env, latency=latency, backbone_bandwidth=backbone, flow_rate_cap=cap
-    )
+    net = Network(env, latency=latency, flow_rate_cap=cap)
     for i in range(n_nodes):
         net.add_node(f"n{i}", bandwidth=bw)
     return env, net
@@ -98,16 +96,6 @@ class TestSharing:
         assert times["c"] == pytest.approx(1.0)
         assert times["a"] == pytest.approx(2.0)
         assert times["b"] == pytest.approx(2.0)
-
-
-class TestBackbone:
-    def test_backbone_caps_aggregate(self):
-        env, net = make_net(backbone=100.0)
-        e1 = net.transfer("n0", "n1", 100.0)
-        e2 = net.transfer("n2", "n3", 100.0)
-        times = finish_times(env, {"a": e1, "b": e2})
-        # each gets 50 B/s through the shared 100 B/s backbone
-        assert times["a"] == times["b"] == pytest.approx(2.0)
 
 
 class TestFlowCap:

@@ -22,12 +22,26 @@ from repro.sim.core import Environment
 from repro.sim.network import Network
 from tests.maxmin import current_rate, install, replay
 
+#: ``uplink`` > 0 splits the nodes over two racks (even and odd
+#: indices) joined through rack links of that bandwidth — a narrow core
+#: link, or "backbone", that every inter-rack flow crosses
 SCENARIOS = {
-    "plain": dict(backbone=0.0, cap=0.0),
-    "capped": dict(backbone=0.0, cap=35.0),
-    "backbone": dict(backbone=180.0, cap=0.0),
-    "backbone-capped": dict(backbone=180.0, cap=35.0),
+    "plain": dict(uplink=0.0, cap=0.0),
+    "capped": dict(uplink=0.0, cap=35.0),
+    "backbone": dict(uplink=180.0, cap=0.0),
+    "backbone-capped": dict(uplink=180.0, cap=35.0),
 }
+
+
+def _add_nodes(net, bandwidths, uplink):
+    """Nodes ``n0``, ``n1``, ... of *bandwidths*: flat, or by index
+    parity in two racks behind *uplink* links."""
+    if uplink:
+        net.add_rack("even", bandwidth=uplink)
+        net.add_rack("odd", bandwidth=uplink)
+    for i, bandwidth in enumerate(bandwidths):
+        rack = ("odd" if i % 2 else "even") if uplink else None
+        net.add_node(f"n{i}", bandwidth=bandwidth, rack=rack)
 
 
 def _random_requests(rng, n_nodes, k):
@@ -56,13 +70,10 @@ class TestSameInstantDeterminism:
         ("n2", "n3", 120.0),
     ]
 
-    def _completion_times(self, order, backbone, cap):
+    def _completion_times(self, order, uplink, cap):
         env = Environment()
-        net = Network(
-            env, latency=0.001, backbone_bandwidth=backbone, flow_rate_cap=cap
-        )
-        for i in range(4):
-            net.add_node(f"n{i}", bandwidth=120.0)
+        net = Network(env, latency=0.001, flow_rate_cap=cap)
+        _add_nodes(net, [120.0] * 4, uplink)
         times = {}
 
         def driver():
@@ -86,12 +97,12 @@ class TestSameInstantDeterminism:
     def test_permutations_agree(self, scenario, seed):
         params = SCENARIOS[scenario]
         base = self._completion_times(
-            list(range(len(self.REQUESTS))), params["backbone"], params["cap"]
+            list(range(len(self.REQUESTS))), params["uplink"], params["cap"]
         )
         order = list(range(len(self.REQUESTS)))
         random.Random(seed).shuffle(order)
         permuted = self._completion_times(
-            order, params["backbone"], params["cap"]
+            order, params["uplink"], params["cap"]
         )
         for i in base:
             assert permuted[i] == pytest.approx(base[i], rel=1e-12, abs=1e-12)
@@ -127,15 +138,15 @@ def test_oracle_validated_at_flush_points(scenario, seed):
     rng = random.Random(seed * 6151 + len(scenario))
     env = Environment()
     net = Network(
-        env,
-        latency=rng.choice([0.0, 0.001]),
-        backbone_bandwidth=params["backbone"],
-        flow_rate_cap=params["cap"],
+        env, latency=rng.choice([0.0, 0.001]), flow_rate_cap=params["cap"]
     )
     install(net)
     n_nodes = rng.randint(3, 8)
-    for i in range(n_nodes):
-        net.add_node(f"n{i}", bandwidth=rng.choice([40.0, 100.0, 250.0]))
+    _add_nodes(
+        net,
+        [rng.choice([40.0, 100.0, 250.0]) for _ in range(n_nodes)],
+        params["uplink"],
+    )
 
     def driver():
         pending = []
@@ -161,15 +172,15 @@ class TestTransferManyEquivalence:
         and each one's finish time, keyed ``(wave, j)``."""
         rng = random.Random(seed)
         env = Environment()
+        latency = rng.choice([0.0, 0.001])
+        uplink = rng.choice([0.0, 200.0])
         net = Network(
-            env,
-            latency=rng.choice([0.0, 0.001]),
-            backbone_bandwidth=rng.choice([0.0, 200.0]),
-            flow_rate_cap=rng.choice([0.0, 45.0]),
+            env, latency=latency, flow_rate_cap=rng.choice([0.0, 45.0])
         )
         n_nodes = rng.randint(3, 7)
-        for i in range(n_nodes):
-            net.add_node(f"n{i}", bandwidth=rng.choice([60.0, 150.0]))
+        _add_nodes(
+            net, [rng.choice([60.0, 150.0]) for _ in range(n_nodes)], uplink
+        )
         requests = []
         times = {}
 

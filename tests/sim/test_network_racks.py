@@ -7,10 +7,10 @@ from repro.sim.network import Network
 from tests.maxmin import install
 
 
-def make_racked(bw=100.0, rack_bw=150.0, backbone=0.0, racks=2, per_rack=2):
+def make_racked(bw=100.0, rack_bw=150.0, racks=2, per_rack=2):
     """*racks* racks of *per_rack* nodes: node r-i is ``n{r}{i}``."""
     env = Environment()
-    net = Network(env, latency=0.0, backbone_bandwidth=backbone)
+    net = Network(env, latency=0.0)
     for r in range(racks):
         net.add_rack(f"rack{r}", bandwidth=rack_bw)
     for r in range(racks):
@@ -49,15 +49,6 @@ class TestRackWiring:
         with pytest.raises(ValueError):
             net.add_node("n0", bandwidth=10.0, rack="nope")
 
-    def test_asymmetric_up_down(self):
-        env = Environment()
-        net = Network(env)
-        net.add_rack("r", up=10.0, down=20.0)
-        net.add_node("a", bandwidth=100.0, rack="r")
-        net.add_node("b", bandwidth=100.0)
-        # a -> b crosses only the rack uplink: pinched to 10
-        assert finish(env, net.transfer("a", "b", 100.0)) == pytest.approx(10.0)
-
 
 class TestRackRates:
     def test_intra_rack_bypasses_uplink(self):
@@ -87,11 +78,6 @@ class TestRackRates:
         # both flows share rack0's 100 B/s uplink: 50 each
         assert done["t1"] == pytest.approx(2.0)
         assert done["t2"] == pytest.approx(2.0)
-
-    def test_backbone_still_applies_between_racks(self):
-        env, net = make_racked(bw=100.0, rack_bw=100.0, backbone=25.0)
-        t = finish(env, net.transfer("n00", "n10", 100.0))
-        assert t == pytest.approx(4.0)  # core is the bottleneck
 
     def test_unracked_nodes_unaffected(self):
         # nodes without a rack keep the flat-fabric behavior even when

@@ -13,7 +13,7 @@ def env():
 
 class TestResource:
     def test_serializes_beyond_capacity(self, env):
-        res = Resource(env, capacity=2)
+        res = Resource(env)
         spans = {}
 
         def worker(name):
@@ -23,15 +23,15 @@ class TestResource:
             res.release(req)
             spans[name] = (start, env.now)
 
-        for name in "abcd":
+        for name in "abc":
             env.process(worker(name))
         env.run()
-        # 4 jobs, 2 at a time, 10s each -> two waves
-        assert spans["a"][0] == 0 and spans["b"][0] == 0
-        assert spans["c"][0] == 10 and spans["d"][0] == 10
+        # 3 jobs, one at a time, 10s each -> back to back
+        assert [spans[name] for name in "abc"] == [(0, 10), (10, 20), (20, 30)]
+        assert not res.busy
 
     def test_fifo_admission(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         order = []
 
         def worker(name, hold):
@@ -46,8 +46,8 @@ class TestResource:
         assert order == ["a", "b", "c"]
 
     def test_release_foreign_request_rejected(self, env):
-        res1 = Resource(env, capacity=1)
-        res2 = Resource(env, capacity=1)
+        res1 = Resource(env)
+        res2 = Resource(env)
 
         def proc():
             req = yield res1.request()
@@ -56,7 +56,3 @@ class TestResource:
             res1.release(req)
 
         env.run(env.process(proc()))
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)

@@ -19,7 +19,7 @@ def env():
 
 class TestRoundTrip:
     def test_uncontended_timing(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
 
         def proc():
             value = yield res.round_trip(0.5, 2.0, fn=lambda: "ok")
@@ -27,10 +27,10 @@ class TestRoundTrip:
 
         # latency + service + latency
         assert env.run(env.process(proc())) == (3.0, "ok")
-        assert res.in_use == 0
+        assert not res.busy
 
     def test_zero_latency(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
 
         def proc():
             yield res.round_trip(0.0, 1.5)
@@ -39,7 +39,7 @@ class TestRoundTrip:
         assert env.run(env.process(proc())) == 1.5
 
     def test_contended_serializes_fifo(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         ends = []
 
         def proc(tag):
@@ -52,7 +52,7 @@ class TestRoundTrip:
         assert ends == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
     def test_mixes_fifo_with_generator_requests(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         order = []
 
         def generator_user():
@@ -80,7 +80,7 @@ class TestRoundTrip:
         assert order == ["gen-granted", "late-gen-granted", "rpc-done"]
 
     def test_notify_false_returns_none_but_serializes(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         assert res.round_trip(0.0, 2.0, notify=False) is None
 
         def proc():
@@ -89,10 +89,10 @@ class TestRoundTrip:
             return env.now
 
         assert env.run(env.process(proc())) == 3.0
-        assert res.in_use == 0
+        assert not res.busy
 
     def test_fn_failure_fails_event_and_releases(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
 
         def bad():
             raise RuntimeError("service exploded")
@@ -110,8 +110,8 @@ class TestRoundTrip:
 
 class TestBatchRoundTrips:
     def test_fires_at_last_reply(self, env):
-        a = Resource(env, capacity=1)
-        b = Resource(env, capacity=1)
+        a = Resource(env)
+        b = Resource(env)
         from repro.sim.core import Event
 
         done = Event(env)
@@ -124,7 +124,7 @@ class TestBatchRoundTrips:
         assert env.run(env.process(proc())) == 3.0  # 0.5 + 2.0 + 0.5
 
     def test_duplicate_resource_serializes(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         from repro.sim.core import Event
 
         done = Event(env)
@@ -136,11 +136,11 @@ class TestBatchRoundTrips:
             return env.now
 
         assert env.run(env.process(proc())) == 3.0  # 0.5 + 1 + 1 + 0.5
-        assert res.in_use == 0
+        assert not res.busy
 
     def test_matches_individual_round_trips(self, env):
         """The batch is timing-equivalent to k independent round trips."""
-        servers = [Resource(env, capacity=1) for _ in range(3)]
+        servers = [Resource(env) for _ in range(3)]
 
         def individual():
             evs = [s.round_trip(0.3, 1.1) for s in servers]
@@ -150,7 +150,7 @@ class TestBatchRoundTrips:
         t_individual = env.run(env.process(individual()))
 
         env2 = Environment()
-        servers2 = [Resource(env2, capacity=1) for _ in range(3)]
+        servers2 = [Resource(env2) for _ in range(3)]
         from repro.sim.core import Event
 
         done = Event(env2)
