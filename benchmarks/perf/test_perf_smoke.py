@@ -111,10 +111,10 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     """What `repro-serve` keeps per append besides the payload — ~8 tree
     nodes at this depth, one version record, one fragment — stays under
     the committed ceiling in bytes and in collector-tracked objects
-    (keys and inner nodes are exact tuples the collector untracks, so
-    its passes do not grow with history), and the DHT keeps nothing per
-    key but its buckets (placement is computed only where the simulator
-    bills it, never remembered)."""
+    (keys are ints and inner nodes exact tuples, neither left on the
+    collector's lists, so its passes do not grow with history), and the
+    DHT keeps nothing per key but its buckets (placement is computed
+    only where the simulator bills it, never remembered)."""
     from repro.engine.base import Payload
     from repro.server import BlobServer
 
@@ -136,8 +136,8 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # keys leave the collector's lists at the first pass that meets
-        # them, the inner nodes holding them at the second
+        # int keys are never tracked; the inner nodes holding them leave
+        # the collector's lists at the first pass that meets them
         gc.collect()
         gc.collect()
         return after - before, len(gc.get_objects()) - tracked_before
@@ -158,7 +158,7 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     assert tracked / n <= row["max_tracked_objects_per_append"], (
         f"a live append leaves {tracked / n:.1f} objects on the cyclic "
         f"collector's lists, ceiling {row['max_tracked_objects_per_append']}: "
-        f"retained metadata must be exact tuples of atoms (a tuple "
+        f"retained metadata must be ints and exact tuples of atoms (a tuple "
         f"subclass or a slotted object per node is tracked for life)"
     )
 

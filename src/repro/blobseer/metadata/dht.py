@@ -9,8 +9,11 @@ otherwise be.
 :class:`MetadataDHT` is the live store every runtime's tree algorithms
 run against: *n* lock-free partitions, each get or put one dict
 operation. Nodes are immutable and written once, so a reader never
-synchronises with a writer. :class:`RecordingStore` wraps it and logs
-the key of every access; the simulated runtime charges that log through
+synchronises with a writer. A metadata operation runs its tree
+algorithms against one :class:`RecordingStore` session, which reads and
+writes the partitions itself, logs the key of every access and adds its
+access counts to the DHT's tallies once, when the operation takes its
+log. The simulated runtime charges that log through
 ``DesEngine.charge_md``, the one place that computes
 :func:`placement_hash` — the owning metadata provider — so the *exact*
 metadata traffic of the real algorithms is what gets costed. The live
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional
 
 from ...common.errors import VersionNotFoundError
 from ...common.tally import Tally
-from .segment_tree import NodeKey, TreeNode
+from .segment_tree import NodeKey, TreeNode, key_fields
 
 
 def placement_hash(key_bytes: bytes, buckets: int) -> int:
@@ -39,12 +42,11 @@ def placement_hash(key_bytes: bytes, buckets: int) -> int:
 class MetadataDHT:
     """In-process DHT over *n* metadata providers; takes no lock.
 
-    A node lives in partition ``hash(key) % n`` — the builtin hash,
-    deterministic for int-tuple keys and an order of magnitude cheaper
-    than SHA-1. The partition is storage layout only (it bounds each
-    dict's resize transient); the provider the simulator bills is
-    :func:`placement_hash`'s, computed where it is charged. The ``gets``/``puts`` tallies are exact without
-    a lock: each thread counts in its own cell.
+    A node lives in partition ``key % n``. The partition is storage
+    layout only (it bounds each dict's resize transient); the provider
+    the simulator bills is :func:`placement_hash`'s, computed where it
+    is charged. The ``gets``/``puts`` tallies are exact without a lock:
+    each thread counts in its own cell.
     """
 
     def __init__(self, n_providers: int) -> None:
@@ -71,43 +73,69 @@ class MetadataDHT:
         """Fetch a node; raises ``VersionNotFoundError`` when absent."""
         self._tally.cell()[0] += 1
         try:
-            return self._buckets[hash(key) % self.n_providers][key]
+            return self._buckets[key % self.n_providers][key]
         except KeyError:
-            raise VersionNotFoundError(f"no tree node for {key}") from None
+            raise VersionNotFoundError(
+                "no tree node for blob %d v%d [%d, %d)" % key_fields(key)
+            ) from None
 
     def put_node(self, node: TreeNode) -> None:
         """Store a node (idempotent: nodes are immutable)."""
         self._tally.cell()[1] += 1
         key = node[0]
-        self._buckets[hash(key) % self.n_providers][key] = node
+        self._buckets[key % self.n_providers][key] = node
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets)
 
 
 class RecordingStore:
-    """Node-store wrapper that logs the key of every access.
+    """One metadata operation's session on a :class:`MetadataDHT`.
 
-    The simulated runtime runs the genuine tree algorithms against this
-    wrapper, then charges each logged key one RPC at the simulated
-    metadata provider that owns it (see ``Engine.charge_md``).
+    Reads and writes the DHT's partitions directly and logs the key of
+    every access. The protocol runs the genuine tree algorithms against
+    a session on every runtime; the simulated one then charges each
+    logged key one RPC at the simulated metadata provider that owns it
+    (see ``Engine.charge_md``). The session's gets and puts reach the
+    DHT's tallies when the operation takes its log (or a get finds no
+    node), not per access.
     """
 
-    def __init__(self, inner: MetadataDHT) -> None:
-        self.inner = inner
+    __slots__ = ("_buckets", "_n", "_tally", "log", "_gets")
+
+    def __init__(self, dht: MetadataDHT) -> None:
+        self._buckets = dht._buckets
+        self._n = dht.n_providers
+        self._tally = dht._tally
         self.log: List[NodeKey] = []
+        self._gets = 0
 
     def get_node(self, key: NodeKey) -> TreeNode:
         self.log.append(key)
-        return self.inner.get_node(key)
+        self._gets += 1
+        try:
+            return self._buckets[key % self._n][key]
+        except KeyError:
+            self.take_log()  # the operation fails here: count its accesses
+            raise VersionNotFoundError(
+                "no tree node for blob %d v%d [%d, %d)" % key_fields(key)
+            ) from None
 
     def put_node(self, node: TreeNode) -> None:
-        self.log.append(node[0])
-        self.inner.put_node(node)
+        key = node[0]
+        self.log.append(key)
+        self._buckets[key % self._n][key] = node
 
     def take_log(self) -> List[NodeKey]:
-        """Return and clear the key log."""
-        log, self.log = self.log, []
+        """Return and clear the key log, adding its gets and puts to the
+        DHT's tallies."""
+        log = self.log
+        if log:
+            self.log = []
+            gets, self._gets = self._gets, 0
+            cell = self._tally.cell()
+            cell[0] += gets
+            cell[1] += len(log) - gets
         return log
 
 
@@ -118,7 +146,8 @@ class NodeCache:
     only pressure is capacity. Hot root-reachable prefixes (the top of
     every version's path, revisited by each ``query_pages`` walk) stay
     resident, so repeated reads over stable prefixes stop re-charging
-    the DHT.
+    the DHT. Only engines that bill metadata RPCs consult it: a live
+    get is one dict lookup, cheaper than the cache's own bookkeeping.
     """
 
     def __init__(self, capacity: int, hit_counter=None, miss_counter=None) -> None:

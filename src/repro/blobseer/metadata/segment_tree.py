@@ -34,33 +34,61 @@ from typing import (
 from ...common.errors import VersionNotFoundError
 from ..pages import PageFragments, overlay
 
-#: Identity of one tree node, ``(blob_id, version, lo, hi)``: which
-#: version created it and the page range ``[lo, hi)`` it covers. An
-#: *exact* tuple of ints — hashing and equality run in C, which is what
-#: every DHT bucket and node-cache lookup pays, and the cyclic collector
-#: untracks it at its first young collection (a tuple *subclass* is
-#: tracked for life).
-NodeKey = Tuple[int, int, int, int]
+#: Identity of one tree node: which version of which BLOB created it
+#: and the page range ``[lo, hi)`` it covers, packed into one int by
+#: :func:`node_key` (:func:`key_fields` unpacks it). An int is one
+#: object — about 40 B for the small BLOB ids a deployment hands out,
+#: against a 4-tuple's 72 B plus its ``lo``/``hi`` ints — it hashes and
+#: compares in C, and the cyclic collector never tracks it.
+NodeKey = int
 
-#: One immutable tree node, ``(key, fragments, left, right)``, also an
-#: exact tuple. A leaf (span 1) carries the page's fragment list; an
-#: inner node carries the keys of its children (``None`` where the
-#: half-range holds no pages at all — possible only at the right fringe
-#: of the tree), so once its keys are untracked it is too. Build one
-#: with :func:`tree_node`.
+#: One immutable tree node, ``(key, fragments, left, right)``, an exact
+#: tuple. A leaf (span 1) carries the page's fragment list; an inner
+#: node carries the keys of its children (``None`` where the half-range
+#: holds no pages at all — possible only at the right fringe of the
+#: tree), so the collector untracks it at its first collection. Build
+#: one with :func:`tree_node`.
 TreeNode = Tuple[
     NodeKey, Optional[PageFragments], Optional[NodeKey], Optional[NodeKey]
 ]
 
+#: one 32-bit key field; the layout, high to low, is blob_id | lo | hi |
+#: version, so the low bits — which pick a node's DHT partition — vary
+#: with the version even where ``hi`` is a multiple of a large span
+_MASK = 0xFFFF_FFFF
+
+
+def node_key(blob_id: int, version: int, lo: int, hi: int) -> NodeKey:
+    """The key of *blob_id*'s *version* node over pages ``[lo, hi)``.
+
+    Every field must fit its 32 bits: a value that does not raises
+    ``ValueError`` rather than alias another node's key."""
+    if not (
+        0 <= blob_id <= _MASK
+        and 0 <= version <= _MASK
+        and 0 <= lo <= _MASK
+        and 0 <= hi <= _MASK
+    ):
+        raise ValueError(
+            f"node key field out of range: blob {blob_id} v{version} "
+            f"[{lo}, {hi})"
+        )
+    return blob_id << 96 | lo << 64 | hi << 32 | version
+
+
+def key_fields(key: NodeKey) -> Tuple[int, int, int, int]:
+    """``(blob_id, version, lo, hi)`` of *key*."""
+    return key >> 96, key & _MASK, key >> 64 & _MASK, key >> 32 & _MASK
+
 
 def key_bytes(key: NodeKey) -> bytes:
     """Stable byte form of *key*, used for DHT placement."""
-    return b"tree/%d/%d/%d/%d" % key
+    return b"tree/%d/%d/%d/%d" % key_fields(key)
 
 
 def key_span(key: NodeKey) -> int:
     """Pages covered by *key*'s node; 1 for a leaf."""
-    return key[3] - key[2]
+    return (key >> 32 & _MASK) - (key >> 64 & _MASK)
 
 
 def tree_node(
@@ -73,11 +101,11 @@ def tree_node(
     children, an inner node no fragments."""
     if key_span(key) == 1:
         if not fragments:
-            raise ValueError(f"leaf {key} missing fragments")
+            raise ValueError(f"leaf {key_fields(key)} missing fragments")
         if left is not None or right is not None:
-            raise ValueError(f"leaf {key} must not have children")
+            raise ValueError(f"leaf {key_fields(key)} must not have children")
     elif fragments is not None:
-        raise ValueError(f"inner node {key} must not carry a page")
+        raise ValueError(f"inner node {key_fields(key)} must not carry a page")
     return (key, fragments, left, right)
 
 
@@ -126,10 +154,10 @@ def build_version(
     # the midpoint splits it between the two children
     sorted_changes = sorted(changes)
     grafting = prev_root is not None and new_capacity > prev_capacity
+    node_key(blob_id, version, 0, new_capacity)  # every key of the build fits
     return _build(
         store,
-        blob_id,
-        version,
+        node_key(blob_id, version, 0, 0),
         changes,
         sorted_changes,
         prev_root,
@@ -144,8 +172,7 @@ def build_version(
 
 def _build(
     store: NodeStore,
-    blob_id: int,
-    version: int,
+    base: NodeKey,
     changes: Mapping[int, PageFragments],
     sorted_changes: List[int],
     prev_root: Optional[NodeKey],
@@ -157,14 +184,15 @@ def _build(
     j: int,
 ) -> NodeKey:
     """Write the node over ``[lo, hi)`` — a range that holds a change
-    (``i < j``) or lies on the graft path (*prev* unresolved).
+    (``i < j``) or lies on the graft path (*prev* unresolved). *base*
+    is the build's key over the empty range ``[0, 0)``.
 
     A module-level function that takes the build's constants as
     arguments: a nested function that calls itself is a reference cycle
     (function → cell → function), so every build would leave garbage
     only the cyclic collector can free.
     """
-    key = (blob_id, version, lo, hi)  # lo < hi by construction
+    key = base | lo << 64 | hi << 32  # node_key(blob_id, version, lo, hi)
     if hi - lo == 1:
         store.put_node(tree_node(key, changes[lo]))
         return key
@@ -196,8 +224,7 @@ def _build(
     if i < k or prev_left is _UNRESOLVED:
         left = _build(
             store,
-            blob_id,
-            version,
+            base,
             changes,
             sorted_changes,
             prev_root,
@@ -211,8 +238,7 @@ def _build(
     if k < j:
         right = _build(
             store,
-            blob_id,
-            version,
+            base,
             changes,
             sorted_changes,
             prev_root,
@@ -247,12 +273,13 @@ def query_pages(
     # reference cycle per read); pushing right before left keeps the
     # store accesses in pre-order, left subtree first
     get_node = store.get_node
+    mask = _MASK
     stack: List[Optional[NodeKey]] = [root]
     while stack:
         key = stack.pop()
         if key is None:
             continue
-        _, _, key_lo, key_hi = key
+        key_lo, key_hi = key >> 64 & mask, key >> 32 & mask
         if key_hi <= lo or key_lo >= hi:
             continue
         _, fragments, left, right = get_node(key)
@@ -347,7 +374,7 @@ def iter_all_pages(
             continue
         _, fragments, left, right = store.get_node(key)
         if fragments is not None:
-            yield key[2], fragments
+            yield key >> 64 & _MASK, fragments
             continue
         stack.append(right)
         stack.append(left)

@@ -10,12 +10,13 @@ discrete-event runtime (``repro.blobseer.simulated``) and the threaded
 in-process runtime (``repro.blobseer.client``), which are now thin shims
 over this module.
 
-The metadata tree algorithms run in-process against a
-:class:`~repro.blobseer.metadata.dht.RecordingStore`; its log of node
-keys is then charged through ``engine.charge_md``. The DES runtime maps
-each key to its owning metadata provider and bills the access as an RPC
-there; the live runtimes (whose DHT is genuinely in-process) pay nothing
-and compute no placement.
+The metadata tree algorithms run in-process against one
+:class:`~repro.blobseer.metadata.dht.RecordingStore` session per
+metadata operation; its log of node keys is then charged through
+``engine.charge_md``. The DES runtime maps each key to its owning
+metadata provider and bills the access as an RPC there; the live
+runtimes (whose DHT is genuinely in-process) pay nothing, compute no
+placement and, with tracing off, get no op to yield.
 
 Failure handling is shared, not duplicated per runtime: page stores
 reroute around :class:`~repro.common.errors.RpcTimeoutError` by
@@ -102,8 +103,10 @@ class BlobSeerProtocol:
         )
         self._c_metadata_rpcs = self.obs.registry.counter("md.rpcs")
         #: bounded LRU of hot (root-reachable) tree nodes; None when the
-        #: ``md_cache_nodes`` knob is 0 — every get then reaches the DHT
-        if getattr(config, "md_cache_nodes", 0):
+        #: ``md_cache_nodes`` knob is 0 or the engine bills no metadata
+        #: RPCs (a live get is one dict lookup, cheaper than the cache's
+        #: own bookkeeping) — every get then reaches the DHT
+        if getattr(config, "md_cache_nodes", 0) and engine.bills_metadata:
             self._node_cache: Optional[NodeCache] = NodeCache(
                 config.md_cache_nodes,
                 hit_counter=self.obs.registry.counter("md.cache.hits"),
@@ -116,15 +119,15 @@ class BlobSeerProtocol:
         self._group_commit = bool(getattr(config, "group_commit", False))
 
     def _node_store(self):
-        """``(algorithm store, recording store)`` for one metadata op.
+        """``(algorithm store, session)`` for one metadata op.
 
-        The algorithm store serves gets from the node cache when one is
-        configured — cache hits never reach the recording store, so they
-        are never charged as DHT RPCs."""
-        rec = RecordingStore(self.dht)
+        The algorithm store serves gets from the node cache when there
+        is one — cache hits never reach the session, so they are never
+        charged as DHT RPCs."""
+        session = RecordingStore(self.dht)
         if self._node_cache is not None:
-            return CachingStore(rec, self._node_cache), rec
-        return rec, rec
+            return CachingStore(session, self._node_cache), session
+        return session, session
 
     def selector(self, client: str) -> ReplicaSelector:
         """The client's replica selector (rotation phase + dead memory)."""
@@ -273,20 +276,17 @@ class BlobSeerProtocol:
 
         # overlay partially-covered boundary pages on the previous
         # version's fragments (reading those leaves costs metadata RPCs)
+        store, session = self._node_store()
         changes: Dict[int, tuple] = {}
-        boundary_log: list = []
         for p, frag in new_frags.items():
             defined = max(0, min(ticket.new_size, (p + 1) * ps) - p * ps)
             if (frag.start == 0 and frag.end >= defined) or prev_root is None:
                 changes[p] = (frag,)
                 continue
-            store, rec_store = self._node_store()
             prev_frags = query_pages(store, prev_root, p, p + 1).get(p, ())
-            boundary_log.extend(rec_store.take_log())
             changes[p] = overlay(prev_frags, frag)
-        yield from self._charge(boundary_log, parent)
+        yield from self._charge(session.take_log(), parent)
 
-        store, rec_store = self._node_store()
         root = build_version(
             store,
             ticket.blob_id,
@@ -296,7 +296,7 @@ class BlobSeerProtocol:
             changes,
             pages_capacity(ticket.new_size, ps),
         )
-        yield from self._charge(rec_store.take_log(), parent)
+        yield from self._charge(session.take_log(), parent)
 
         yield engine.call(parent, "vm", "commit", ticket.blob_id, ticket.version, root)
         return ticket.offset + ticket.nbytes
@@ -371,17 +371,14 @@ class BlobSeerProtocol:
         ]
         # one publish round: the boundary read and the batch build are
         # charged as one concatenated log, one fan-out wave
-        log: list = []
+        store, session = self._node_store()
         first_map = member_maps[0]
         p0 = min(first_map)
         frag0 = first_map[p0][0]
         if frag0.start > 0 and prev_root is not None:
-            store, rec_store = self._node_store()
             prev_frags = query_pages(store, prev_root, p0, p0 + 1).get(p0, ())
-            log = rec_store.take_log()
             first_map[p0] = overlay(prev_frags, frag0)
         last_size = batch[-1][2]
-        store, rec_store = self._node_store()
         root = build_versions_batch(
             store,
             blob_id,
@@ -390,8 +387,7 @@ class BlobSeerProtocol:
             prev_capacity,
             pages_capacity(last_size, page_size),
         )
-        log += rec_store.take_log()
-        yield from self._charge(log, parent)
+        yield from self._charge(session.take_log(), parent)
 
         yield engine.call(
             parent, "vm", "publish_batch", blob_id, versions, root, last_size
@@ -439,11 +435,14 @@ class BlobSeerProtocol:
 
     def _charge(self, log, parent):
         """Generator: bill a metadata access log (node keys) as RPCs to
-        their owners, the op span under *parent*."""
+        their owners, the op span under *parent*. Yields nothing for an
+        empty log, or on an engine with nothing to bill or record."""
         if not log:
             return
         self._c_metadata_rpcs.inc(len(log))
-        yield self.engine.charge_md(parent, log)
+        op = self.engine.charge_md(parent, log)
+        if op is not None:
+            yield op
 
     # -- read path -----------------------------------------------------------
 
@@ -493,9 +492,9 @@ class BlobSeerProtocol:
             )
 
         first, last = offset // ps, (offset + nbytes - 1) // ps
-        store, rec_store = self._node_store()
+        store, session = self._node_store()
         leaves = query_pages(store, rec.root, first, last + 1)
-        yield from self._charge(rec_store.take_log(), sp)
+        yield from self._charge(session.take_log(), sp)
 
         # walk each page's fragments with a cursor so holes *inside* a
         # leaf (from an aborted writer whose neighbour committed) fail

@@ -659,9 +659,11 @@ class ThreadedVersionManager:
         self._turn_timeout_s = config.metadata_turn_timeout_s if config else 60.0
 
     def _expire(self) -> float:
-        """With the lock held: bring leases up to date; returns now."""
+        """With the lock held: bring leases up to date; returns now.
+        Before the earliest deadline nothing can expire, so the core is
+        not asked (the rule :meth:`resolve` reads without the lock)."""
         now = time.monotonic()
-        if self.core.expire(now):
+        if now >= self.core.earliest_deadline and self.core.expire(now):
             self._turn.notify_all()
         return now
 

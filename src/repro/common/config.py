@@ -55,7 +55,8 @@ class BlobSeerConfig:
     #: batched metadata round. Off by default — the classic serialized
     #: publish stays bit-identical.
     group_commit: bool = False
-    #: client-side LRU over immutable metadata tree nodes (entries);
+    #: client-side LRU over immutable metadata tree nodes (entries),
+    #: consulted by engines that bill metadata RPCs (the simulator);
     #: 0 disables the cache and every node get reaches the DHT
     md_cache_nodes: int = 0
     #: BSFS namespace: cache path->record lookups at the client, saving
@@ -72,12 +73,15 @@ class BlobSeerConfig:
 
     def fast(self, group_commit: bool = True) -> "BlobSeerConfig":
         """This deployment on the ``fast`` profile: group commit, the
-        node cache and the namespace record cache.
+        node cache and the namespace record cache. The node cache saves
+        billed metadata RPCs, so only the simulator (and a recording
+        engine) consults it; a live deployment reads the DHT directly.
 
         *group_commit* ``False`` keeps the two caches only — for a
         deployment whose appenders are few closed loops that never queue
         behind one another, so there is never a batch to publish
-        (``repro-serve``)."""
+        (``repro-serve``, where the namespace record cache is the one
+        that acts)."""
         return replace(
             self,
             group_commit=group_commit,

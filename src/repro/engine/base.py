@@ -90,6 +90,10 @@ class Engine(abc.ABC):
 
     retry: RetryPolicy
 
+    #: whether :meth:`charge_md` bills metadata RPCs — only then does a
+    #: client node cache save anything, so only then is one consulted
+    bills_metadata = False
+
     #: the enabled tracer, or ``None`` when observability is off —
     #: implementations cache this so every op pays one None-check
     _tracer = None
@@ -176,8 +180,9 @@ class Engine(abc.ABC):
         :func:`~repro.sim.resources.batch_round_trips` over the per-owner
         slots, so a group-commit leader that concatenates its
         boundary-read and build logs pays one DHT round trip per *node
-        set*. The live engines resolve immediately and never compute
-        placement (their DHT is in-process).
+        set*. The live engines never compute placement (their DHT is
+        in-process): with a tracer the op only records its span, and
+        without one they return ``None`` and the core yields nothing.
         """
 
     # -- fault / liveness view ---------------------------------------------

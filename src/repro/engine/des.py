@@ -66,6 +66,8 @@ class _Control:
 class DesEngine(Engine):
     """Engine over a :class:`~repro.sim.cluster.SimCluster`."""
 
+    bills_metadata = True
+
     def __init__(
         self, cluster: SimCluster, obs: Optional[Observability] = None
     ) -> None:

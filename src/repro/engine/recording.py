@@ -31,6 +31,11 @@ from .base import Engine, Payload
 class RecordingEngine(Engine):
     """Engine decorator: same semantics, plus an RPC trace."""
 
+    #: the trace records every metadata log as if it were billed, so
+    #: the node cache runs under every wrapped engine and a configured
+    #: cache shapes the DES and threaded traces alike
+    bills_metadata = True
+
     def __init__(
         self,
         inner: Engine,

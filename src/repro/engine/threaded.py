@@ -50,9 +50,6 @@ class _Op:
         self.fn = fn
 
 
-_NOOP = _Op(lambda: None)
-
-
 class ThreadedEngine(Engine):
     """Engine over in-process components and the wall clock."""
 
@@ -236,15 +233,16 @@ class ThreadedEngine(Engine):
             )
         return op
 
-    def charge_md(self, parent, keys: Sequence[Any]) -> _Op:
-        # the DHT is in-process: metadata RPCs cost nothing here, but
-        # the op still gets its span so both runtimes' trees match
-        if self._tracer is not None:
-            return self._spanned(
-                _Op(lambda: None),
-                parent,
-                "engine.charge_md",
-                "engine.md",
-                rpcs=len(keys),
-            )
-        return _NOOP
+    def charge_md(self, parent, keys: Sequence[Any]) -> Optional[_Op]:
+        # the DHT is in-process: metadata RPCs cost nothing here, so
+        # there is no op at all unless its span keeps the runtimes'
+        # trace trees alike
+        if self._tracer is None:
+            return None
+        return self._spanned(
+            _Op(lambda: None),
+            parent,
+            "engine.charge_md",
+            "engine.md",
+            rpcs=len(keys),
+        )

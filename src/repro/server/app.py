@@ -124,9 +124,10 @@ class BlobServer:
         max_body: int = DEFAULT_MAX_BODY,
         trace_sample: int = 1,
     ) -> None:
-        """Without a *config* the deployment runs the ``fast`` profile's
-        two caches (tree nodes, namespace records) and no group commit —
-        see :meth:`BlobSeerConfig.fast`.
+        """Without a *config* the deployment runs the ``fast`` profile
+        without group commit — see :meth:`BlobSeerConfig.fast`. Its
+        namespace record cache serves; its node cache is never built,
+        since the live engines bill no metadata RPCs.
 
         *trace_sample* = N records the span tree of every N-th
         routed request (1: every request, 0: none) — if *obs* traces

@@ -6,11 +6,12 @@ Examples::
     repro-serve --port 0 --providers 16 # ephemeral port, bigger backend
     repro-serve --trace-sample 1        # record every request's span tree
 
-The deployment runs ``BlobSeerConfig().fast(group_commit=False)``: the
-``fast`` profile's tree-node cache and namespace record cache, so an
-append re-reads none of the tree it extends and looks its file up once;
-no group commit, which only pays when appenders queue behind one
-another. There is no flag for it.
+The deployment runs ``BlobSeerConfig().fast(group_commit=False)``. Of
+that profile only the namespace record cache acts here, so an append
+looks its file up once; the tree-node cache prices simulated metadata
+RPCs and is never built on the served path, where a node read is one
+dict lookup. There is no group commit, which only pays when appenders
+queue behind one another. There is no flag for it.
 
 The process is bounded in memory however long it serves: it records the
 span tree of one request in ``--trace-sample`` into a ring of
@@ -50,8 +51,8 @@ def main(argv: List[str] | None = None) -> int:
         description=(
             "Serve the BlobSeer/BSFS stack over HTTP (concurrent "
             "appends, versioned reads, namespace operations). The "
-            "deployment runs the 'fast' metadata profile's two caches "
-            "(tree nodes, namespace records) without group commit."
+            "deployment runs the 'fast' metadata profile's namespace "
+            "record cache without group commit."
         ),
     )
     parser.add_argument("--host", default="127.0.0.1")

@@ -14,7 +14,13 @@ from repro.blobseer.metadata.dht import (
     RecordingStore,
     placement_hash,
 )
-from repro.blobseer.metadata.segment_tree import key_bytes, tree_node
+from repro.blobseer.metadata.segment_tree import (
+    build_version,
+    capacity_for,
+    key_bytes,
+    node_key,
+    tree_node,
+)
 from repro.blobseer.pages import Fragment, fresh_page_id
 from repro.common.config import ClusterConfig
 from repro.common.errors import VersionNotFoundError
@@ -25,7 +31,7 @@ from repro.sim.cluster import SimCluster
 
 def leaf(version=1, lo=0):
     return tree_node(
-        (1, version, lo, lo + 1),
+        node_key(1, version, lo, lo + 1),
         fragments=(
             Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),
         ),
@@ -61,7 +67,7 @@ class TestMetadataDHT:
     def test_missing_raises(self):
         dht = MetadataDHT(4)
         with pytest.raises(VersionNotFoundError):
-            dht.get_node((1, 1, 0, 1))
+            dht.get_node(node_key(1, 1, 0, 1))
 
     def test_counters(self):
         dht = MetadataDHT(2)
@@ -79,9 +85,9 @@ class TestMetadataDHT:
 
     def test_owner_consistent(self):
         # a key's owner — the provider the simulator bills — is a pure
-        # function of the key's value, whichever tuple carries it
+        # function of the key's value, whichever int object carries it
         node = leaf()
-        twin = tuple(list(node[0]))
+        twin = int(str(node[0]))
         assert twin is not node[0]
         owner = placement_hash(key_bytes(node[0]), 5)
         assert placement_hash(key_bytes(twin), 5) == owner
@@ -120,6 +126,19 @@ class TestMetadataDHT:
         assert sum(dht.puts) == sum(dht.gets) == 2 * per_thread
         assert len(dht) == 2 * per_thread
 
+    def test_a_history_fills_every_partition(self):
+        """Inner nodes' ``hi`` is a multiple of their span, so a key's
+        low bits must not be ``hi``'s: an append history spreads over
+        all partitions, none holding more than twice its share."""
+        dht = MetadataDHT(4)
+        root, cap = None, 0
+        for v in range(1, 257):
+            frags = (Fragment(0, 64, fresh_page_id(1, f"v{v}"), 0, ("p0",)),)
+            root = build_version(dht, 1, v, root, cap, {v - 1: frags}, capacity_for(v))
+            cap = capacity_for(v)
+        sizes = [len(bucket) for bucket in dht._buckets]
+        assert max(sizes) <= 2 * len(dht) / len(sizes), sizes
+
     def test_has_no_owner_and_no_lock(self):
         dht = MetadataDHT(3)
         assert not hasattr(dht, "owner")
@@ -141,6 +160,70 @@ class TestRecordingStore:
         rec.get_node(node[0])
         assert rec.take_log() == [node[0]] * 2  # put, get
         assert (sum(dht.puts), sum(dht.gets)) == (1, 1)
+
+    def test_counts_reach_the_tallies_once_per_op(self):
+        dht = MetadataDHT(4)
+        node = leaf()
+        dht.put_node(node)
+        session = RecordingStore(dht)
+        for lo in range(1, 4):
+            session.put_node(leaf(lo=lo))
+        session.get_node(node[0])
+        session.get_node(node[0])
+        # the session reads and writes the partitions directly...
+        assert len(dht) == 4 and (sum(dht.puts), sum(dht.gets)) == (1, 0)
+        # ...and adds its accesses when the op takes its log
+        assert len(session.take_log()) == 5
+        assert (sum(dht.puts), sum(dht.gets)) == (4, 2)
+        assert session.take_log() == []
+        assert (sum(dht.puts), sum(dht.gets)) == (4, 2)
+
+    def test_a_missing_node_raises_and_is_counted(self):
+        dht = MetadataDHT(2)
+        session = RecordingStore(dht)
+        session.put_node(leaf())
+        with pytest.raises(VersionNotFoundError, match=r"blob 1 v1 \[1, 2\)"):
+            session.get_node(node_key(1, 1, 1, 2))
+        assert (sum(dht.puts), sum(dht.gets)) == (1, 1)
+
+    def test_sessions_count_exactly_under_hammering_threads(self):
+        """One session per op on each of more threads than cores: each
+        adds its op's gets and puts to its own thread's cell, so no
+        count is lost however often the interpreter switches."""
+        dht = MetadataDHT(4)
+        per_thread, n_threads = 5_000, 3
+        start = threading.Barrier(n_threads)
+        errors = []
+
+        def hammer(version):
+            try:
+                start.wait()
+                for lo in range(per_thread):
+                    session = RecordingStore(dht)
+                    node = leaf(version=version, lo=lo)
+                    session.put_node(node)
+                    assert session.get_node(node[0]) is node
+                    assert len(session.take_log()) == 2
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(v,))
+                for v in range(1, n_threads + 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        total = n_threads * per_thread
+        assert sum(dht.puts) == sum(dht.gets) == len(dht) == total
 
     def test_take_log_clears(self):
         dht = MetadataDHT(2)
@@ -271,7 +354,7 @@ class TestDesCharge:
         engine = DesEngine(SimCluster(ClusterConfig(nodes=4, seed=1)))
         n = 5
         engine.bind_md(n)
-        keys = [(1, v, lo, lo + 1) for v in (1, 2) for lo in range(6)]
+        keys = [node_key(1, v, lo, lo + 1) for v in (1, 2) for lo in range(6)]
         keys.append(keys[0])
         engine.charge_md(None, keys)
         slots = engine._md_slots

@@ -1,8 +1,8 @@
 """The live engines and the cyclic garbage collector (DESIGN.md, "Memory
 and the collector"): an append or a read on the threaded or the asyncio
 engine leaves nothing only the collector can free, and the metadata an
-append retains is made of exact tuples the collector stops tracking at
-their first collection — so its passes do not grow with history.
+append retains is made of ints and exact tuples the collector stops
+tracking at their first collection — so its passes do not grow with history.
 (The simulator's half lives in ``tests/sim/test_gc_discipline.py``.)
 """
 
@@ -71,11 +71,10 @@ def test_asyncio_ops_leave_no_garbage_that_grows_with_their_number():
 
 
 def test_keys_then_inner_nodes_leave_the_collectors_lists():
-    """Exact tuples of atoms are untracked by the first collection that
-    meets them, and a tuple of untracked tuples by the next one (a pass
-    visits a bucket's node before the node's key, so the node still
-    sees a tracked key the first time). Only the leaves, which hold
-    ``Fragment`` objects, stay tracked."""
+    """Keys are ints, which the collector never tracks, and an inner
+    node — an exact tuple of a key, ``None`` and child keys — is
+    untracked by the first collection that meets it. Only the leaves,
+    which hold ``Fragment`` objects, stay tracked."""
     store = MetadataDHT(2)
     changes = {
         i: (Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),) for i in range(8)
@@ -85,7 +84,6 @@ def test_keys_then_inner_nodes_leave_the_collectors_lists():
     inner = [node for node in nodes if node[1] is None]
     leaves = [node for node in nodes if node[1] is not None]
     assert len(inner) == 7 and len(leaves) == 8
-    gc.collect()
     assert not gc.is_tracked(root)
     assert not any(gc.is_tracked(node[0]) for node in nodes)
     gc.collect()

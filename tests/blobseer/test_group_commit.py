@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.blobseer.client import BlobSeerService
+from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.simulated import BlobSeerRoles, SimBlobSeer
 from repro.blobseer.version_manager import VersionManagerCore
 from repro.common.config import BlobSeerConfig, ClusterConfig
@@ -96,7 +97,7 @@ class TestCoreGroupCommit:
         outcomes = []
         assert core.submit_ready(blob, 2, "m2") is None
         core.when_published(blob, 2, outcomes.append)
-        core.commit(blob, 1, (blob, 1, 0, 1))
+        core.commit(blob, 1, node_key(blob, 1, 0, 1))
         assert len(outcomes) == 1 and outcomes[0][0] == "lead"
 
     def test_when_published_fires_immediately_when_committed(self):

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.sim_vm import SimVMService
 from repro.blobseer.version_manager import (
     ThreadedVersionManager,
@@ -135,7 +136,7 @@ CASES = {
 
 
 def _root(version):
-    return (1, version, 0, 1)
+    return node_key(1, version, 0, 1)
 
 
 class CoreDriver:

@@ -11,8 +11,10 @@ from repro.blobseer.metadata.segment_tree import (
     capacity_for,
     iter_all_pages,
     key_bytes,
+    key_fields,
     key_span,
     merge_change_maps,
+    node_key,
     query_pages,
     tree_node,
 )
@@ -153,39 +155,78 @@ class TestVersionSharing:
 class TestNodeKey:
     def test_key_bytes_distinct(self):
         keys = {
-            key_bytes((1, 1, 0, 4)),
-            key_bytes((1, 2, 0, 4)),
-            key_bytes((2, 1, 0, 4)),
-            key_bytes((1, 1, 0, 2)),
+            key_bytes(node_key(1, 1, 0, 4)),
+            key_bytes(node_key(1, 2, 0, 4)),
+            key_bytes(node_key(2, 1, 0, 4)),
+            key_bytes(node_key(1, 1, 0, 2)),
         }
         assert len(keys) == 4
 
     def test_span_and_leaf(self):
-        assert key_span((1, 1, 4, 8)) == 4
-        assert key_span((1, 1, 3, 4)) == 1
+        assert key_span(node_key(1, 1, 4, 8)) == 4
+        assert key_span(node_key(1, 1, 3, 4)) == 1
 
-    def test_keys_and_nodes_are_exact_tuples(self):
-        """What lets the collector untrack them (a tuple *subclass* is
-        tracked for life)."""
-        key = (1, 1, 0, 2)
-        assert type(key) is tuple and key == (1, 1, 0, 2)
-        inner = tree_node(key, None, (1, 1, 0, 1), None)
+    def test_keys_are_ints_and_nodes_exact_tuples(self):
+        """What keeps them off the collector's lists: an int is never
+        tracked, and an exact tuple of untracked values is untracked at
+        its first collection (a tuple *subclass* is tracked for life)."""
+        key = node_key(1, 1, 0, 2)
+        assert type(key) is int and key_fields(key) == (1, 1, 0, 2)
+        inner = tree_node(key, None, node_key(1, 1, 0, 1), None)
         assert type(inner) is tuple and inner[0] is key
+
+
+_FIELD = st.integers(min_value=0, max_value=(1 << 32) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob_id=_FIELD, version=_FIELD, lo=_FIELD, hi=_FIELD)
+def test_node_key_encodes_its_fields(blob_id, version, lo, hi):
+    """The int key round-trips its fields, spans ``hi - lo``, and has the
+    byte form of the ``(blob_id, version, lo, hi)`` tuple it replaced —
+    so the simulator's placement hash, and every DES charge, is the same
+    as with tuple keys."""
+    key = node_key(blob_id, version, lo, hi)
+    assert key_fields(key) == (blob_id, version, lo, hi)
+    assert key_span(key) == hi - lo
+    assert key_bytes(key) == b"tree/%d/%d/%d/%d" % (blob_id, version, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fields=st.tuples(_FIELD, _FIELD, _FIELD, _FIELD),
+    which=st.integers(min_value=0, max_value=3),
+    bad=st.one_of(
+        st.integers(min_value=1 << 32, max_value=1 << 80),
+        st.integers(max_value=-1, min_value=-(1 << 40)),
+    ),
+)
+def test_node_key_rejects_fields_that_do_not_fit(fields, which, bad):
+    """A field out of range raises instead of spilling into its
+    neighbour's bits (where it would alias another node's key)."""
+    args = list(fields)
+    args[which] = bad
+    with pytest.raises(ValueError):
+        node_key(*args)
 
 
 class TestTreeNodeShape:
     def test_leaf_needs_fragments_and_no_children(self):
-        leaf_key = (1, 1, 0, 1)
+        leaf_key = node_key(1, 1, 0, 1)
         with pytest.raises(ValueError):
             tree_node(leaf_key)
         with pytest.raises(ValueError):
             tree_node(leaf_key, ())
         with pytest.raises(ValueError):
-            tree_node(leaf_key, frag(), left=(1, 1, 0, 1))
+            tree_node(leaf_key, frag(), left=node_key(1, 1, 0, 1))
 
     def test_inner_node_carries_no_page(self):
         with pytest.raises(ValueError):
-            tree_node((1, 1, 0, 2), frag())
+            tree_node(node_key(1, 1, 0, 2), frag())
+
+    def test_a_build_too_wide_for_its_keys_is_refused(self):
+        with pytest.raises(ValueError):
+            build(MetadataDHT(1), 1, None, 0, [0], 1 << 33)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,7 +283,7 @@ def reference_build_version(
         if hi - lo == 1:
             if not touched:
                 return None
-            leaf = tree_node((blob_id, version, lo, hi), changes[lo])
+            leaf = tree_node(node_key(blob_id, version, lo, hi), changes[lo])
             store.put_node(leaf)
             return leaf[0]
         mid = (lo + hi) // 2
@@ -256,7 +297,7 @@ def reference_build_version(
             _, _, prev_left, prev_right = store.get_node(prev)
         left = build(lo, mid, prev_left)
         right = build(mid, hi, prev_right)
-        inner = tree_node((blob_id, version, lo, hi), None, left, right)
+        inner = tree_node(node_key(blob_id, version, lo, hi), None, left, right)
         store.put_node(inner)
         return inner[0]
 
@@ -420,7 +461,7 @@ class TestBatchBuild:
         # batched: one tree for all three, keyed by the last version
         batch = [(v, m) for (v, _), m in zip(members, maps)]
         batch_root = build_versions_batch(batch_store, 1, batch, None, 0, 8)
-        assert batch_root[1] == 3
+        assert key_fields(batch_root)[1] == 3
         for (v, pages), seq_root in zip(members, seq_roots):
             visible = max(pages) + 1
             seq = query_pages(seq_store, seq_root, 0, visible)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.version_manager import (
     ThreadedVersionManager,
     VersionManagerCore,
@@ -20,7 +21,7 @@ from repro.obs import Observability
 
 
 def root_key(v):
-    return (1, v, 0, 1)
+    return node_key(1, v, 0, 1)
 
 
 class TestCore:
@@ -346,6 +347,28 @@ class TestAppendLeases:
         assert not any(w.is_alive() for w in waiters)
         assert vm.core.commit_queue_length == 0
         assert obs.registry.gauge("vm.turn_queue_depth").value == 0
+
+    def test_a_lease_aborts_at_the_first_call_after_its_deadline(self):
+        """Calls before the earliest deadline skip the expiry pass; the
+        first call after it still aborts the dead appender's version."""
+        obs = Observability.on()
+        vm = ThreadedVersionManager(
+            obs, config=BlobSeerConfig(append_lease_s=0.05)
+        )
+        passes = []
+        expire = vm.core.expire
+        vm.core.expire = lambda now: passes.append(now) or expire(now)
+        blob = vm.create_blob(64)
+        vm.assign_append(blob, 10)  # v1: its appender dies holding it
+        vm.assign_append(blob, 10)
+        assert passes == []
+        deadline = vm.core.earliest_deadline
+        while time.monotonic() < deadline:
+            time.sleep(deadline - time.monotonic())
+        vm.assign_append(blob, 10)
+        assert len(passes) == 1
+        assert vm.core.blob(blob).versions[1].aborted
+        assert obs.registry.value("vm.lease_expiries") == 1
 
     def test_turn_timeout_default_comes_from_config(self):
         vm = ThreadedVersionManager(

@@ -36,14 +36,15 @@ N_PROVIDERS = 8
 CLIENTS = ("node-013", "node-014")
 
 
-def _config(replication=1, lease_s=30.0, group_commit=False):
-    return BlobSeerConfig(
+def _config(replication=1, lease_s=30.0, group_commit=False, fast=False):
+    cfg = BlobSeerConfig(
         page_size=PAGE,
         metadata_providers=3,
         replication=replication,
         append_lease_s=lease_s,
         group_commit=group_commit,
     )
+    return cfg.fast() if fast else cfg
 
 
 class SimHarness:
@@ -53,7 +54,7 @@ class SimHarness:
 
     def __init__(
         self, replication=1, lease_s=30.0, bsfs=False, obs=None,
-        group_commit=False,
+        group_commit=False, fast=False,
     ):
         self.cluster = SimCluster(ClusterConfig(nodes=20, seed=SEED))
         names = self.cluster.names()
@@ -63,7 +64,7 @@ class SimHarness:
             metadata_providers=tuple(names[2:5]),
             data_providers=tuple(names[5 : 5 + N_PROVIDERS]),
         )
-        cfg = _config(replication, lease_s, group_commit)
+        cfg = _config(replication, lease_s, group_commit, fast)
         if bsfs:
             dep = SimBSFS(
                 self.cluster,
@@ -121,9 +122,9 @@ class ThreadedHarness:
 
     def __init__(
         self, replication=1, lease_s=30.0, bsfs=False, obs=None,
-        group_commit=False,
+        group_commit=False, fast=False,
     ):
-        cfg = _config(replication, lease_s, group_commit)
+        cfg = _config(replication, lease_s, group_commit, fast)
         if bsfs:
             dep = BSFS(
                 config=cfg, n_providers=N_PROVIDERS, seed=SEED, obs=obs
@@ -179,9 +180,9 @@ class AsyncioHarness:
 
     def __init__(
         self, replication=1, lease_s=30.0, bsfs=False, obs=None,
-        group_commit=False,
+        group_commit=False, fast=False,
     ):
-        cfg = _config(replication, lease_s, group_commit)
+        cfg = _config(replication, lease_s, group_commit, fast)
         engine = AsyncioEngine(seed=SEED, obs=obs)
         self.svc = BlobSeerService(
             config=cfg,
@@ -316,6 +317,23 @@ def scenario_group_commit_append(h):
 scenario_group_commit_append.harness_kw = {"group_commit": True}
 
 
+def scenario_fast_profile(h):
+    """The ``fast`` profile (group commit, node cache, namespace record
+    cache): a wrapped engine consults the node cache whatever runtime
+    it wraps, so the cache shapes every trace alike — a repeated read
+    is served from it and charges no metadata at all."""
+    blob = h.create_blob()
+    h.run(h.proto.update(h.clients[0], blob, Payload(b"a" * (PAGE + 123))))
+    h.run(h.proto.update(h.clients[1], blob, Payload(b"b" * 700)))
+    h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 823))
+    before = len(h.trace)
+    h.run(h.proto.read(h.clients[1], blob, 0, PAGE + 823))
+    assert "md" not in {rec[0] for rec in h.trace[before:]}
+
+
+scenario_fast_profile.harness_kw = {"fast": True}
+
+
 def scenario_abandon(h):
     """An append that cannot place its replicas gives its ticket back:
     the ``abandon`` op follows the ticket, and the next append takes
@@ -344,6 +362,7 @@ SCENARIOS = [
     scenario_failover_read,
     scenario_write_behind,
     scenario_group_commit_append,
+    scenario_fast_profile,
     scenario_abandon,
 ]
 

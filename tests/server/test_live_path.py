@@ -111,8 +111,10 @@ class TestRequestSpanParentsTheOperation:
     def test_sampled_append_records_exactly_the_spans_a_direct_append_does(self):
         """Sampling is inheritance, not a second code path: the tree
         below ``http.request`` is the tree the protocol core records on
-        its own, under the profile the server serves (node and namespace
-        record caches: no boundary-read charge, no namespace lookup)."""
+        its own, under the profile the server serves (the namespace
+        record cache: no namespace lookup; no node cache, which runs
+        only where metadata RPCs are billed, so the boundary read and
+        the build each record an ``engine.charge_md``)."""
         via_http, direct = make_server(), make_server()
         for server in (via_http, direct):
             dispatch(server, ("POST", f"/fs/files{FILE}", b"seed"))
@@ -132,9 +134,28 @@ class TestRequestSpanParentsTheOperation:
         ]
         assert direct_spans[0].name == "bsfs.append"
         assert direct.service.config == BlobSeerConfig().fast(group_commit=False)
-        assert len(direct_spans) == 9
+        assert len(direct_spans) == 10
+        assert [s.name for s in direct_spans].count("engine.charge_md") == 2
         for server in (via_http, direct):
             server.service.close()
+
+
+def test_served_appends_read_the_dht_without_a_node_cache():
+    """A node get on the live path is one dict lookup, so the server
+    builds no node cache: nothing would be saved by one, since the live
+    engines bill no metadata RPCs."""
+    server = make_server()
+    responses = dispatch(
+        server,
+        ("POST", f"/fs/files{FILE}", b"seed"),
+        *[("POST", f"/fs/append{FILE}", b"u" * 100)] * 5,
+    )
+    assert {r.status for r in responses} == {201, 200}
+    assert server.service.protocol._node_cache is None
+    assert server.obs.registry.value("md.cache.hits") == 0
+    # unaligned appends read their boundary leaf from the DHT itself
+    assert sum(server.service.dht.gets) > 0
+    server.service.close()
 
 
 # -- bounded by construction ---------------------------------------------------

@@ -228,7 +228,7 @@ def query_pages(store, root, lo, hi):
     def walk(key):
         if key is None:
             return
-        _, _, key_lo, key_hi = key
+        _, _, key_lo, key_hi = key_fields(key)
         if key_hi <= lo or key_lo >= hi:
             return
         _, fragments, left, right = store.get_node(key)
@@ -244,7 +244,10 @@ def query_pages(store, root, lo, hi):
 
 
 def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
-    namespace = {"__name__": segment_tree.__name__}
+    namespace = {
+        "__name__": segment_tree.__name__,
+        "key_fields": segment_tree.key_fields,
+    }
     exec(
         compile(POISONED_QUERY_PAGES, segment_tree.__file__, "exec"), namespace
     )
