@@ -12,10 +12,11 @@ here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Four gates are ceilings rather
+throughput) are gated the same way. Five gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
-leaves on the cyclic collector's lists, the full collections a
+leaves on the cyclic collector's lists, the bytes an in-flight fig8
+op holds while it waits, the full collections a
 fig8 run performs inside the kernel's dispatch loop (none: the kernel
 pauses the collector, DESIGN.md "Memory and the collector"), and the
 rate solves a fig8 run performs (none: no link of its fabric can
@@ -175,6 +176,75 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
         if name != "_buckets" and entries(value) > 2 * dht.n_providers
     }
     assert not per_key, f"MetadataDHT grows with its keys outside _buckets: {per_key}"
+
+
+def test_openloop_inflight_bytes_per_op_under_ceiling(baseline, monkeypatch):
+    """What one in-flight fig8 op costs while it waits: on one reduced
+    overloaded point (12,500 ops/s for 0.5 s over 5,000 clients, ~6,200
+    appends, nearly all still queued at the version manager when the
+    last one arrives), tracemalloc bytes held at the last arrival minus
+    those held once the backlog has drained (both after a collection,
+    the deployment alive in both), divided by the ops in flight at the
+    last arrival. That is the generator frames plus each simulated
+    RPC's record, the op's process and its completion callback — the
+    per-op closures the RPC path used to build are what the ceiling
+    keeps out."""
+    import weakref
+
+    from repro.bsfs.simulated import SimBSFS
+    from repro.common.config import ExperimentConfig
+    from repro.experiments.openloop import open_loop_sweep
+    from repro.sim.core import Environment
+
+    row = baseline["memory"]["openloop_inflight"]
+    ops = []
+    real_append = SimBSFS.append_proc
+
+    def append_proc(self, *args):
+        gen = real_append(self, *args)
+        ops.append(weakref.ref(gen))
+        return gen
+
+    held = {}
+    real_run = Environment.run
+
+    def run(self, until=None):
+        value = real_run(self, until)
+        if getattr(until, "name", None) == "openloop-driver":
+            # the last arrival: every op not yet done is parked in a yield
+            held["in_flight"] = sum(
+                1 for ref in ops if ref() is not None and ref().gi_suspended
+            )
+            gc.collect()
+            held["at_last_arrival"] = tracemalloc.get_traced_memory()[0]
+        elif "at_last_arrival" in held and "drained" not in held:
+            gc.collect()
+            held["drained"] = tracemalloc.get_traced_memory()[0]
+        return value
+
+    monkeypatch.setattr(SimBSFS, "append_proc", append_proc)
+    monkeypatch.setattr(Environment, "run", run)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (point,) = open_loop_sweep(
+            (row["offered_ops_s"],),
+            ExperimentConfig(repetitions=1),
+            row["duration_s"],
+            row["clients"],
+        )
+    finally:
+        tracemalloc.stop()
+    assert len(point.latencies_s) == point.ops == len(ops)
+    in_flight = held["in_flight"]
+    assert in_flight > 0.9 * point.ops, "the point is not overloaded"
+    per_op = (held["at_last_arrival"] - held["drained"]) / in_flight
+    assert per_op <= row["max_bytes_per_op"], (
+        f"an in-flight open-loop op holds {per_op:,.0f} B "
+        f"({in_flight:,} in flight at the last arrival), ceiling "
+        f"{row['max_bytes_per_op']:,} B: per-op state crept back onto the "
+        f"simulated RPC path (see the note in benchmarks/perf/baseline.json)"
+    )
 
 
 def test_fig8_performs_no_full_collection_inside_the_kernel(monkeypatch):

@@ -161,31 +161,37 @@ class BlobSeerProtocol:
         then the leader's job; see the BSFS namespace update).
         """
         nbytes = len(payload)
-        if offset is None:
-            kind, args = "append", (blob_id, nbytes)
-            # under group commit an append hands its change map to the
-            # version manager instead of taking the serialized turn
-            publish = self._group_publish if self._group_commit else self._publish
-        else:
-            kind, args, publish = "write", (blob_id, offset, nbytes), self._publish
+        append = offset is None
         if nbytes <= 0:
-            raise ValueError(f"cannot {kind} zero bytes")
+            raise ValueError(f"cannot {'append' if append else 'write'} zero bytes")
         engine = self.engine
         sp = self.obs.tracer.start(
-            "blobseer." + kind,
+            "blobseer.append" if append else "blobseer.write",
             cat="blobseer",
             parent=parent,
             track=client,
             blob=blob_id,
             nbytes=nbytes,
         )
-        t0 = engine.now()
-        ticket = yield engine.call(sp, "vm", "assign_" + kind, *args)
-        if offset is None:
+        # the ticket request names its method and arguments inline: an
+        # overloaded open loop parks tens of thousands of updates on
+        # this yield, and each local held across it is paid per op
+        if append:
+            t0 = engine.now()
+            ticket = yield engine.call(sp, "vm", "assign_append", blob_id, nbytes)
             self._h_ticket_wait.observe(engine.now() - t0)
+        else:
+            ticket = yield engine.call(
+                sp, "vm", "assign_write", blob_id, offset, nbytes
+            )
         try:
             new_frags = yield from self._ship(client, ticket, payload, sp)
-            group_end = yield from publish(ticket, new_frags, sp)
+            if append and self._group_commit:
+                # under group commit an append hands its change map to
+                # the version manager instead of taking the serialized turn
+                group_end = yield from self._group_publish(ticket, new_frags, sp)
+            else:
+                group_end = yield from self._publish(ticket, new_frags, sp)
         except Exception as exc:
             # give the ticket back now: the version becomes a hole at
             # once instead of wedging every later update for a lease.

@@ -75,11 +75,9 @@ class SimBSFS:
         self, client: str, path: str, nbytes: int
     ) -> Generator[Event, None, int]:
         """The paper's two-step append (BLOB append + namespace size
-        update); returns the BLOB version generated."""
-        version = yield from self.protocol.append_file(
-            client, path, Payload(nbytes=nbytes)
-        )
-        return version
+        update): the protocol generator itself, whose value is the BLOB
+        version generated."""
+        return self.protocol.append_file(client, path, Payload(nbytes=nbytes))
 
     def read_proc(
         self, client: str, path: str, offset: int, nbytes: int

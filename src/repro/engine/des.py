@@ -171,10 +171,11 @@ class DesEngine(Engine):
 
     def call(self, parent, endpoint: str, method: str, *args: Any) -> Event:
         ctl = self._control[endpoint]
-        fn = getattr(ctl.adapter, method)
-        service = ctl.method_services.get(method, ctl.service)
         ev = ctl.slot.round_trip(
-            self.cluster.config.latency, service, lambda: fn(*args)
+            self.cluster.config.latency,
+            ctl.method_services.get(method, ctl.service),
+            getattr(ctl.adapter, method),
+            args,
         )
         if self._tracer is not None:
             return self._spanned(

@@ -9,9 +9,13 @@ instead offers load on an **open loop**: a Poisson arrival schedule
 (:func:`~repro.workloads.generators.poisson_arrivals`) fixed up front,
 swept across offered rates, with tens of thousands of *flyweight*
 clients — integer ids on a shared schedule, one protocol generator
-spawned per in-flight op, never one long-lived process per client. The
-deployment runs on a multi-rack topology (two-level fabric; see
-:meth:`~repro.sim.network.Network.add_rack`).
+spawned per in-flight op, never one long-lived process per client. An
+op waiting in the version manager's queue holds its generator frames,
+its process, one slotted record per simulated RPC and a two-slot
+completion callback: ~1 KB (973 B by tracemalloc at the last arrival
+of a 12,500 ops/s, 0.5 s, 5,000-client point; a ``benchmarks/perf``
+ceiling holds it). The deployment runs on a multi-rack topology
+(two-level fabric; see :meth:`~repro.sim.network.Network.add_rack`).
 
 The reported curve is goodput and p99 append latency versus offered
 load. The knee sits where the metadata plane's serialized sections
@@ -76,6 +80,21 @@ class OpenLoopPoint:
     failed: int = 0
     #: arrival-to-commit latency of each completed op
     latencies_s: List[float] = field(default_factory=list, repr=False)
+
+
+class _OpDone:
+    """The completion callback of one open-loop op: *fn* called with the
+    op's event and its arrival instant. Slotted, because an overloaded
+    point keeps one per in-flight op."""
+
+    __slots__ = ("fn", "start")
+
+    def __init__(self, fn, start: float) -> None:
+        self.fn = fn
+        self.start = start
+
+    def __call__(self, ev: Event) -> None:
+        self.fn(ev, self.start)
 
 
 def _rack_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -152,7 +171,7 @@ def run_open_loop(
                     nodes[cid % n_nodes], files[cid % n_files], append_bytes
                 )
             )
-            op.callbacks.append(lambda ev, s=start: op_done(ev, s))
+            op.callbacks.append(_OpDone(op_done, start))
 
     t0 = env.now
     env.run(env.process(driver(), name="openloop-driver"))

@@ -48,9 +48,10 @@ run ends on (a drained queue, a time horizon, an event).
 Queue entries are one of three shapes, cheapest first:
 
 * a **bare callable** — ``call_in``/``call_at`` fire-and-forget
-  callbacks (network latency legs, RPC service completions). No
-  wrapper object is allocated at all; the callable itself is the
-  entry.
+  callbacks (network latency legs) and the RPC records of
+  :mod:`repro.sim.resources`, each its own entry at arrival and at the
+  end of service. No wrapper object is allocated at all; the callable
+  itself is the entry.
 * a pooled :class:`_Resume` — resumes a process whose yield target had
   already been processed. Recycled through a freelist immediately
   after dispatch, so steady-state resume traffic allocates nothing.
@@ -190,7 +191,9 @@ class Process(Event):
         # bootstrap: resume the generator at t=now on the next kernel step
         env._schedule_resume(self, True, None)
 
-    def _resume(self, event: Event) -> None:
+    def __call__(self, event: Event) -> None:
+        # a waiting process is its own resume callback: waiting on an
+        # event allocates no bound method
         self._do_step(event._ok, event._value)
 
     def _do_step(self, ok: bool, value: Any) -> None:
@@ -215,7 +218,7 @@ class Process(Event):
             # already fired: resume on the next kernel step
             self.env._schedule_resume(self, target._ok, target._value)
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self)
 
 
 class AllOf(Event):

@@ -3,14 +3,14 @@
 :class:`Resource` is a one-slot server with FIFO admission (the version
 manager's critical section, a metadata provider, a disk spindle). Most
 traffic takes it through :meth:`Resource.round_trip` /
-:func:`batch_round_trips`; generator-based holders use
-:meth:`Resource.request` / :meth:`Resource.release`, as the
-locking-append ablation's file lock does.
+:func:`batch_round_trips`, each call one slotted record that is its own
+kernel entry; generator-based holders use :meth:`Resource.request` /
+:meth:`Resource.release`, as the locking-append ablation's file lock
+does.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
@@ -34,51 +34,58 @@ class Request(Event):
 class Resource:
     """One slot, held by one user at a time, with FIFO queueing."""
 
-    __slots__ = ("env", "busy", "_waiting")
+    __slots__ = ("env", "holder", "_waiting")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        #: whether a user holds the slot
-        self.busy = False
-        # FIFO of waiters: Request events from generator-based users,
-        # bare grant callables from round_trip's contended arrivals
+        #: who holds the slot: a granted :class:`Request`, a round-trip
+        #: record in service, or ``None`` while the slot is free
+        self.holder: Any = None
+        # FIFO of waiters: Request events from generator-based users and
+        # the round-trip records of contended arrivals
         self._waiting: Deque[Any] = deque()
 
     def request(self) -> Request:
         """Ask for the slot; the returned event fires on grant."""
         req = Request(self)
-        if not self.busy:
-            self.busy = True
+        if self.holder is None:
+            self.holder = req
             req.succeed(req)
         else:
             self._waiting.append(req)
         return req
 
     def release(self, request: Request) -> None:
-        """Return the slot held by *request*; admits the next waiter."""
+        """Return the slot held by *request*; admits the next waiter.
+
+        Raises :class:`ValueError` unless *request* holds the slot — a
+        request still queued, or one already released, holds nothing,
+        and releasing it must not admit a second holder.
+        """
         if request.resource is not self:
             raise ValueError("request belongs to a different resource")
+        if self.holder is not request:
+            raise ValueError("request does not hold the slot")
         self._release_slot()
 
     def _release_slot(self) -> None:
         if self._waiting:
             nxt = self._waiting.popleft()
-            # the queue holds Request events (generator-based users) and
-            # bare grant callbacks (round_trip's contended arrivals)
+            self.holder = nxt
             if nxt.__class__ is Request:
                 nxt.succeed(nxt)
             else:
-                nxt()
+                # a round-trip record: service starts at the grant
+                nxt._start(self)
         else:
-            if not self.busy:  # pragma: no cover - defensive
-                raise RuntimeError("release without matching request")
-            self.busy = False
+            self.holder = None
 
     def round_trip(
         self,
         latency: float,
         service: float,
-        fn: Optional[Callable[[], Any]] = None,
+        fn: Optional[Callable[..., Any]] = None,
+        args: tuple = (),
         notify: bool = True,
     ) -> Optional[Event]:
         """One RPC round trip against this resource.
@@ -86,77 +93,99 @@ class Resource:
         Models the standard simulated RPC: one-way *latency* to the
         server, FIFO admission to the slot, *service* seconds holding
         it, then *latency* back. The returned event fires at the reply's
-        arrival with ``fn()``'s result (*fn* runs at the end of service,
-        inside the critical section; if it raises, the event fails at
-        the service point, as the generator-based equivalent would).
+        arrival with ``fn(*args)``'s result (*fn* runs at the end of
+        service, inside the critical section; if it raises, the event
+        fails at the service point, as the generator-based equivalent
+        would).
 
         With ``notify=False`` the round trip is fire-and-forget: no
         completion event and no reply leg at all (asynchronous
         persistence uses this; see :func:`batch_round_trips` for the
         batched fan-in form).
 
-        This is event-chained rather than process-based on purpose:
-        RPCs are the hottest construct in the experiment drivers, and
-        skipping the Process/generator/Timeout machinery roughly halves
-        the kernel work per call.
+        The whole RPC is one :class:`_RoundTrip` record rather than a
+        process or a web of closures: the record is the kernel entry of
+        its arrival and of its end of service, the waiter a contended
+        arrival queues, and the slot's holder while in service. RPCs are
+        the hottest construct in the experiment drivers and an
+        overloaded open loop keeps tens of thousands of them in flight,
+        so both the kernel work and the bytes per call matter.
         """
-        env = self.env
-        done = Event(env) if notify else None
-
-        def serviced() -> None:
-            try:
-                value = fn() if fn is not None else None
-            except Exception as exc:
-                self._release_slot()
-                if done is None:
-                    raise
-                done.fail(exc)
-                return
-            self._release_slot()
-            if done is None:
-                return
-            # fire `done` with the reply exactly one latency later —
-            # equivalent to a Timeout but without a second event
-            done.triggered = True
-            done._value = value
-            env._schedule(done, delay=latency)
-
-        heap = env._heap
-
-        def start_service() -> None:
-            # inlined call_in(service, serviced): this is the hottest
-            # scheduling site in the kernel — the callable is the queue
-            # entry, no wrapper allocation
-            when = env.now + service
-            if when > env.now:
-                env._eid += 1
-                heapq.heappush(heap, (when, env._eid, serviced))
-            else:
-                env._ring.append(serviced)
-
-        def arrive() -> None:
-            if not self.busy:
-                # uncontended grant: take the slot inline, no Request
-                self.busy = True
-                start_service()
-            else:
-                # contended: queue a bare grant callback — the slot is
-                # transferred at release time without a Request event
-                self._waiting.append(start_service)
-
+        rt = _RoundTrip(
+            self, latency, service, fn, args, Event(self.env) if notify else None
+        )
         if latency:
-            when = env.now + latency
-            if when > env.now:
-                env._eid += 1
-                heapq.heappush(heap, (when, env._eid, arrive))
-            else:
-                env._ring.append(arrive)
+            self.env.call_in(latency, rt)
         else:
             # a zero-latency round trip (local service, e.g. a disk)
             # joins the queue at the call site, like the generator-based
             # equivalent whose request ran on the bootstrap step
-            arrive()
-        return done
+            rt()
+        return rt.done
+
+
+class _RoundTrip:
+    """One in-flight :meth:`Resource.round_trip`.
+
+    Called twice: on arrival at the server (``step`` 0; by the kernel,
+    or inline for a zero-latency call) and by the kernel at the end of
+    service (``step`` 1). Between the two it is either queued in the
+    resource's ``_waiting`` or its ``holder``.
+    """
+
+    __slots__ = ("resource", "latency", "service", "fn", "args", "done", "step")
+
+    def __init__(
+        self,
+        resource: Resource,
+        latency: float,
+        service: float,
+        fn: Optional[Callable[..., Any]],
+        args: tuple,
+        done: Optional[Event],
+    ) -> None:
+        self.resource = resource
+        self.latency = latency
+        self.service = service
+        self.fn = fn
+        self.args = args
+        self.done = done
+        self.step = 0
+
+    def _start(self, res: Resource) -> None:
+        """The slot is granted: service ends *service* seconds on."""
+        res.env.call_in(self.service, self)
+
+    def __call__(self) -> None:
+        res = self.resource
+        if not self.step:
+            # arrival: take a free slot inline (no Request), or queue
+            # the record itself — release hands the slot over to it
+            self.step = 1
+            if res.holder is None:
+                res.holder = self
+                self._start(res)
+            else:
+                res._waiting.append(self)
+            return
+        # end of service
+        done = self.done
+        fn = self.fn
+        try:
+            value = fn(*self.args) if fn is not None else None
+        except Exception as exc:
+            res._release_slot()
+            if done is None:
+                raise
+            done.fail(exc)
+            return
+        res._release_slot()
+        if done is not None:
+            # fire `done` with the reply exactly one latency later —
+            # equivalent to a Timeout but without a second event
+            done.triggered = True
+            done._value = value
+            res.env._schedule(done, delay=self.latency)
 
 
 def batch_round_trips(
@@ -174,44 +203,63 @@ def batch_round_trips(
     instant and in list order, and the last service to end is the last
     reply home (one shared *latency* hop). Collapsing the batch to one
     arrival entry plus a countdown turns the hottest fan-in
-    (metadata-RPC charging) from ~3 queue entries per RPC into ~1.
+    (metadata-RPC charging) from ~3 queue entries per RPC into ~1, and
+    the whole batch is one :class:`_BatchRoundTrip` record.
     """
-    env = resources[0].env
-    remaining = len(resources)
-
-    def make_serviced(res: Resource):
-        def serviced() -> None:
-            nonlocal remaining
-            res._release_slot()
-            remaining -= 1
-            if remaining == 0:
-                # last service done: the straggler's reply lands one
-                # latency later — fire `done` there, no per-RPC reply leg
-                done.triggered = True
-                done._value = None
-                env._schedule(done, delay=latency)
-
-        return serviced
-
-    heap = env._heap
-
-    def arrive() -> None:
-        for res in resources:
-            serviced = make_serviced(res)
-            if not res.busy:
-                res.busy = True
-                when = env.now + service
-                if when > env.now:
-                    env._eid += 1
-                    heapq.heappush(heap, (when, env._eid, serviced))
-                else:
-                    env._ring.append(serviced)
-            else:
-                res._waiting.append(
-                    lambda s=serviced: env.call_in(service, s)
-                )
-
+    batch = _BatchRoundTrip(resources, latency, service, done)
     if latency:
-        env.call_in(latency, arrive)
+        resources[0].env.call_in(latency, batch)
     else:
-        arrive()
+        batch()
+
+
+class _BatchRoundTrip:
+    """One in-flight :func:`batch_round_trips` fan-out.
+
+    Called by the kernel on arrival (``started`` is still ``None``) and
+    at the end of each member's service. Every member's service lasts
+    the same *service* seconds, so services end in the order they
+    started: ``started`` lists the resources in that order, and the
+    *n*-th end of service releases ``started[n]``. The record is the
+    holder of each slot it is served at, and what it queues on each
+    contended one (twice on a resource listed twice).
+    """
+
+    __slots__ = ("resources", "latency", "service", "done", "started", "ended")
+
+    def __init__(
+        self, resources: "list[Resource]", latency: float, service: float, done: Event
+    ) -> None:
+        self.resources = resources
+        self.latency = latency
+        self.service = service
+        self.done = done
+        self.started: "Optional[list[Resource]]" = None
+        self.ended = 0
+
+    def _start(self, res: Resource) -> None:
+        self.started.append(res)
+        res.env.call_in(self.service, self)
+
+    def __call__(self) -> None:
+        started = self.started
+        if started is None:
+            # arrival: every member reaches its server at once, in order
+            self.started = []
+            for res in self.resources:
+                if res.holder is None:
+                    res.holder = self
+                    self._start(res)
+                else:
+                    res._waiting.append(self)
+            return
+        res = started[self.ended]
+        self.ended += 1
+        res._release_slot()
+        if self.ended == len(self.resources):
+            # last service done: the straggler's reply lands one latency
+            # later — fire `done` there, no per-RPC reply leg
+            done = self.done
+            done.triggered = True
+            done._value = None
+            res.env._schedule(done, delay=self.latency)

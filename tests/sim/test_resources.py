@@ -28,7 +28,7 @@ class TestResource:
         env.run()
         # 3 jobs, one at a time, 10s each -> back to back
         assert [spans[name] for name in "abc"] == [(0, 10), (10, 20), (20, 30)]
-        assert not res.busy
+        assert res.holder is None
 
     def test_fifo_admission(self, env):
         res = Resource(env)
@@ -56,3 +56,29 @@ class TestResource:
             res1.release(req)
 
         env.run(env.process(proc()))
+
+    def test_double_release_admits_no_second_holder(self, env):
+        res = Resource(env)
+        a, b, c = res.request(), res.request(), res.request()
+        res.release(a)
+        assert res.holder is b
+        with pytest.raises(ValueError, match="does not hold"):
+            res.release(a)
+        # c is still queued: mutual exclusion held
+        assert res.holder is b
+        env.run()
+        assert b.processed and not c.triggered
+        res.release(b)
+        assert res.holder is c
+        res.release(c)
+        assert res.holder is None
+
+    def test_release_of_queued_request_rejected(self, env):
+        res = Resource(env)
+        a, b = res.request(), res.request()
+        with pytest.raises(ValueError, match="does not hold"):
+            res.release(b)
+        # b was not granted by its own release
+        assert res.holder is a and not b.triggered
+        res.release(a)
+        assert res.holder is b

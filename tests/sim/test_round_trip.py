@@ -4,11 +4,16 @@
 Process/Timeout machinery; these tests pin their semantics to the
 generator-based equivalent: same timing, same FIFO admission (also when
 mixed with generator-based ``request()`` users), same failure point.
+``TestMatchesGeneratorReference`` checks that on random schedules.
 """
 
-import pytest
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.sim.core import Environment
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.core import Environment, Event
 from repro.sim.resources import Resource, batch_round_trips
 
 
@@ -27,7 +32,7 @@ class TestRoundTrip:
 
         # latency + service + latency
         assert env.run(env.process(proc())) == (3.0, "ok")
-        assert not res.busy
+        assert res.holder is None
 
     def test_zero_latency(self, env):
         res = Resource(env)
@@ -89,7 +94,7 @@ class TestRoundTrip:
             return env.now
 
         assert env.run(env.process(proc())) == 3.0
-        assert not res.busy
+        assert res.holder is None
 
     def test_fn_failure_fails_event_and_releases(self, env):
         res = Resource(env)
@@ -136,7 +141,7 @@ class TestBatchRoundTrips:
             return env.now
 
         assert env.run(env.process(proc())) == 3.0  # 0.5 + 1 + 1 + 0.5
-        assert not res.busy
+        assert res.holder is None
 
     def test_matches_individual_round_trips(self, env):
         """The batch is timing-equivalent to k independent round trips."""
@@ -187,3 +192,168 @@ class TestCallInCallAt:
         env.call_in(1.0, lambda: order.append("second"))
         env.run()
         assert order == ["first", "second"]
+
+
+# -- the record against a generator-built reference ---------------------------
+
+#: instants on a coarse grid, so arrivals, grants and service ends tie
+#: often, mixed with arbitrary ones
+_instants = st.one_of(
+    st.integers(0, 8).map(lambda k: k * 0.25),
+    st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@dataclass(frozen=True)
+class _Rpc:
+    at: float
+    res: int
+    latency: float
+    service: float
+    notify: bool
+    fails: bool
+
+
+@dataclass(frozen=True)
+class _User:
+    """A generator-based ``request()`` holder."""
+
+    at: float
+    res: int
+    hold: float
+
+
+@dataclass(frozen=True)
+class _Batch:
+    at: float
+    res: Tuple[int, ...]
+    latency: float
+    service: float
+
+
+_ops = st.lists(
+    st.one_of(
+        st.builds(
+            _Rpc, _instants, st.integers(0, 2), _instants, _instants,
+            st.booleans(), st.booleans(),
+        ),
+        st.builds(_User, _instants, st.integers(0, 2), _instants),
+        st.builds(
+            _Batch,
+            _instants,
+            st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
+            _instants,
+            _instants,
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _simulate(ops, reference: bool):
+    """Run *ops*, each from its own process woken at its instant, on the
+    record (``reference=False``) or on request/timeout/release.
+
+    Returns each op's outcome ``(status, value, instant)``, each
+    resource's log of ``(op, instant)`` in the order its slot served
+    them (a call's service end, a user's grant), and the resources."""
+    env = Environment()
+    resources = [Resource(env) for _ in range(3)]
+    log = [[] for _ in resources]
+    out = {}
+
+    def served(i, r, fails):
+        log[r].append((i, env.now))
+        if fails:
+            raise ValueError(f"op {i} failed")
+        return ("value", i)
+
+    def rpc(i, op):
+        # an unwaited-for failure would (rightly) raise out of the
+        # kernel: only a notified call fails
+        fails = op.fails and op.notify
+        yield env.timeout(op.at)
+        res = resources[op.res]
+        if not reference:
+            ev = res.round_trip(
+                op.latency, op.service, served, (i, op.res, fails),
+                notify=op.notify,
+            )
+            if ev is None:
+                return
+            try:
+                out[i] = ("ok", (yield ev), env.now)
+            except ValueError as exc:
+                out[i] = ("failed", str(exc), env.now)
+            return
+        if op.latency:
+            yield env.timeout(op.latency)
+        req = yield res.request()
+        yield env.timeout(op.service)
+        try:
+            value = served(i, op.res, fails)
+        except ValueError as exc:
+            res.release(req)
+            out[i] = ("failed", str(exc), env.now)
+            return
+        res.release(req)
+        if not op.notify:
+            return
+        if op.latency:
+            yield env.timeout(op.latency)
+        out[i] = ("ok", value, env.now)
+
+    def user(i, op):
+        yield env.timeout(op.at)
+        res = resources[op.res]
+        req = yield res.request()
+        log[op.res].append((i, env.now))
+        yield env.timeout(op.hold)
+        res.release(req)
+        out[i] = ("ok", None, env.now)
+
+    def leg(res, req, service):
+        yield req
+        yield env.timeout(service)
+        res.release(req)
+
+    def batch(i, op):
+        yield env.timeout(op.at)
+        members = [resources[r] for r in op.res]
+        if not reference:
+            done = Event(env)
+            batch_round_trips(members, op.latency, op.service, done)
+            yield done
+        else:
+            if op.latency:
+                yield env.timeout(op.latency)
+            # every member arrives at once, in list order
+            reqs = [res.request() for res in members]
+            yield env.all_of(
+                [
+                    env.process(leg(res, req, op.service))
+                    for res, req in zip(members, reqs)
+                ]
+            )
+            if op.latency:
+                yield env.timeout(op.latency)
+        out[i] = ("ok", None, env.now)
+
+    run = {_Rpc: rpc, _User: user, _Batch: batch}
+    for i, op in enumerate(ops):
+        env.process(run[type(op)](i, op))
+    env.run()
+    return out, log, resources
+
+
+class TestMatchesGeneratorReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_ops)
+    def test_same_instants_values_failures_and_grant_order(self, ops):
+        got, got_log, got_res = _simulate(ops, reference=False)
+        want, want_log, _ = _simulate(ops, reference=True)
+        assert got == want
+        assert got_log == want_log
+        for res in got_res:
+            assert res.holder is None and not res._waiting
