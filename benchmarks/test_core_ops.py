@@ -16,7 +16,8 @@ from repro.blobseer.metadata.segment_tree import (
 )
 from repro.blobseer.pages import Fragment, fresh_page_id
 from repro.common.config import BlobSeerConfig
-from repro.common.units import KiB, MiB
+from repro.common.units import MiB
+from repro.engine.base import Payload
 from repro.sim.core import Environment
 from repro.sim.network import Network
 
@@ -26,13 +27,11 @@ def test_threaded_append_throughput(benchmark):
     svc = BlobSeerService(
         BlobSeerConfig(page_size=MiB, metadata_providers=4), n_providers=4
     )
-    client = svc.client("bench")
-    payload = b"x" * (4 * MiB)
-    blobs = iter(range(10**6))
+    payload = Payload(b"x" * (4 * MiB))
 
     def append_4mib():
-        blob = client.create_blob()
-        client.append(blob, payload)
+        blob = svc.create_blob()
+        svc.engine.run(svc.protocol.update("bench", blob, payload))
 
     benchmark(append_4mib)
 
@@ -42,11 +41,10 @@ def test_threaded_read_throughput(benchmark):
     svc = BlobSeerService(
         BlobSeerConfig(page_size=MiB, metadata_providers=4), n_providers=4
     )
-    client = svc.client("bench")
-    blob = client.create_blob()
-    client.append(blob, b"y" * (8 * MiB))
+    blob = svc.create_blob()
+    svc.engine.run(svc.protocol.update("bench", blob, Payload(b"y" * (8 * MiB))))
 
-    benchmark(lambda: client.read(blob, 0, 8 * MiB))
+    benchmark(lambda: svc.engine.run(svc.protocol.read("bench", blob, 0, 8 * MiB)))
 
 
 @pytest.mark.benchmark(group="core-metadata")

@@ -55,8 +55,8 @@ def main() -> None:
 
     # BlobSeer versioning: the file's history is still addressable
     blob_id = deployment.namespace.get("/demo/shared.log").blob_id
-    client = deployment.service.client("history")
-    print(f"the shared log went through {client.latest_version(blob_id)} versions")
+    versions = deployment.service.version_manager.latest_published(blob_id).version
+    print(f"the shared log went through {versions} versions")
 
     # --- the modified Map/Reduce framework -----------------------------------
     fs.write_all(

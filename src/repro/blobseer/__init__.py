@@ -8,8 +8,9 @@ that serializes only version assignment and in-order publication.
 
 Two runtimes share these algorithms:
 
-* the threaded runtime (:class:`BlobSeerService` / :class:`BlobClient`)
-  stores real bytes and is what tests, examples and applications use;
+* the threaded runtime (:class:`BlobSeerService`, driven through
+  ``engine.run`` of its protocol) stores real bytes and is what tests,
+  examples and applications use;
 * the simulated runtime (:mod:`repro.blobseer.simulated`) runs the same
   protocol on the :mod:`repro.sim` cluster model to reproduce the
   paper's Grid'5000-scale measurements.
@@ -26,7 +27,7 @@ from .version_manager import (
     VersionManagerCore,
     VersionRecord,
 )
-from .client import BlobClient, BlobSeerService
+from .client import BlobSeerService
 
 __all__ = [
     "Fragment",
@@ -44,6 +45,5 @@ __all__ = [
     "Ticket",
     "VersionManagerCore",
     "VersionRecord",
-    "BlobClient",
     "BlobSeerService",
 ]

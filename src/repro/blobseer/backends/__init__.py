@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .logstore import LogStructuredPageStore
 from .memory import InMemoryPageStore
@@ -66,22 +66,9 @@ def create_store(
     )
 
 
-def store_factory_from_config(config) -> Optional[Callable[[str], PageStore]]:
-    """A per-provider ``store_factory`` for a deployment, or ``None``
-    when the config selects the default in-memory backend (providers
-    then build their own :class:`InMemoryPageStore`)."""
-    backend = getattr(config, "page_store_backend", "memory")
-    if backend == "memory":
-        return None
-    root = getattr(config, "page_store_dir", None)
-    fsync = bool(getattr(config, "page_store_fsync", False))
-    return lambda name: create_store(backend, name, root=root, fsync=fsync)
-
-
 __all__ = [
     "PageStore",
     "InMemoryPageStore",
     "LogStructuredPageStore",
     "create_store",
-    "store_factory_from_config",
 ]

@@ -14,15 +14,15 @@ from typing import Optional
 
 from ..common.errors import PageNotFoundError, ProviderUnavailableError
 from .pages import PageId
-from .backends import InMemoryPageStore, PageStore
+from .backends import PageStore
 
 
 class Provider:
     """One page-storage node."""
 
-    def __init__(self, name: str, store: Optional[PageStore] = None) -> None:
+    def __init__(self, name: str, store: PageStore) -> None:
         self.name = name
-        self.store: PageStore = store if store is not None else InMemoryPageStore()
+        self.store = store
         self._lock = threading.Lock()
         self._failed = False
         #: lifetime counters

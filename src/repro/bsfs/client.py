@@ -14,7 +14,7 @@ from collections import defaultdict
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
-from ..blobseer.client import BlobClient, BlobSeerService
+from ..blobseer.client import BlobSeerService
 from ..common.config import BlobSeerConfig
 from ..common.errors import (
     FileClosedError,
@@ -83,16 +83,18 @@ class BSFSFileSystem(FileSystem):
     def __init__(self, deployment: BSFS, client_name: str) -> None:
         self.deployment = deployment
         self.client_name = client_name
-        self.blob_client: BlobClient = deployment.service.client(client_name)
 
     # -- data paths ------------------------------------------------------------
 
     def create(self, path: str, overwrite: bool = False) -> "BSFSOutputStream":
         path = normalize_path(path)
-        page_size = self.deployment.config.page_size
-        blob_id = self.deployment.service.create_blob(page_size)
-        record = self.deployment.namespace.create(
-            path, blob_id, page_size, overwrite=overwrite
+        dep = self.deployment
+        page_size = dep.config.page_size
+        blob_id = dep.service.create_blob(page_size)
+        record = dep.engine.run(
+            dep.protocol.create_file(
+                self.client_name, path, blob_id, page_size, overwrite=overwrite
+            )
         )
         return BSFSOutputStream(self, path, record)
 
@@ -115,10 +117,15 @@ class BSFSFileSystem(FileSystem):
         self.deployment.namespace.mkdirs(path)
 
     def delete(self, path: str, recursive: bool = False) -> bool:
-        return self.deployment.namespace.delete(path, recursive=recursive) is not None
+        dep = self.deployment
+        removed = dep.engine.run(
+            dep.protocol.delete(self.client_name, path, recursive)
+        )
+        return removed is not None
 
     def rename(self, src: str, dst: str) -> None:
-        self.deployment.namespace.rename(src, dst)
+        dep = self.deployment
+        dep.engine.run(dep.protocol.rename(self.client_name, src, dst))
 
     def exists(self, path: str) -> bool:
         return self.deployment.namespace.exists(path)
@@ -136,7 +143,7 @@ class BSFSFileSystem(FileSystem):
         to the file's namespace size — the scheduler's locality input."""
         record = self.deployment.namespace.get(path)
         size = self.deployment.namespace.get_status(path).size
-        layout = self.blob_client.get_layout(record.blob_id)
+        layout = self.deployment.service.layout(record.blob_id)
         return clip_block_locations(layout, size, offset, length)
 
 

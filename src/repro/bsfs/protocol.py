@@ -48,10 +48,10 @@ class BSFSProtocol:
         #: operations resolved through the cache never consult its size
         #: field (appends learn their offset from the BLOB ticket, reads
         #: are bounds-checked against the BLOB version), so an entry
-        #: goes stale only when its *path* is rebound: :meth:`delete`
-        #: and :meth:`rename` empty the cache, an overwriting
-        #: :meth:`create_file` drops its path. Namespace mutations that
-        #: bypass this protocol object are not seen.
+        #: goes stale only when its *path* is rebound: :meth:`delete`,
+        #: :meth:`rename` and an overwriting :meth:`create_file` empty
+        #: the cache. Namespace mutations that bypass this protocol
+        #: object are not seen.
         cfg = getattr(blobseer, "config", None)
         if cfg is not None and getattr(cfg, "ns_record_cache", False):
             self._record_cache: Optional[Dict[str, object]] = {}
@@ -107,9 +107,9 @@ class BSFSProtocol:
         record = yield from self._ns(
             sp, "create", path, blob_id, page_size, overwrite
         )
-        if self._record_cache is not None:
+        if overwrite:
             # an overwrite rebinds the path to a new BLOB
-            self._record_cache.pop(path, None)
+            self._forget_records()
         sp.finish(blob=blob_id)
         return record
 
@@ -128,9 +128,10 @@ class BSFSProtocol:
         self._forget_records()
 
     def _forget_records(self) -> None:
-        # a delete or rename unbinds every path at or below its
-        # arguments, under any spelling the cache keyed them by; these
-        # are rare beside appends and reads, so drop everything
+        # a delete, a rename or an overwriting create unbinds every
+        # path at or below its arguments, under any spelling the cache
+        # keyed them by; these are rare beside appends and reads, so
+        # drop everything
         if self._record_cache is not None:
             self._record_cache.clear()
 

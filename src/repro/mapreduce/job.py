@@ -15,7 +15,6 @@ of reduce tasks. The paper's two framework variants are selected by
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -36,9 +35,10 @@ def default_partitioner(key: Any, n_partitions: int) -> int:
 
 
 class Context:
-    """What map/reduce functions see: an ``emit``/``write`` sink, shared
-    job counters, and (in map tasks) the input split being processed —
-    the hook tagged-join applications use to tell their sources apart."""
+    """What map/reduce functions see: an ``emit``/``write`` sink, the
+    counters of this task attempt, and (in map tasks) the input split
+    being processed — the hook tagged-join applications use to tell
+    their sources apart."""
 
     def __init__(self, counters: "Counters") -> None:
         self.counters = counters
@@ -59,19 +59,27 @@ class Context:
 
 
 class Counters:
-    """Thread-safe named counters, aggregated job-wide."""
+    """Named counters of one task attempt, or a job's totals.
+
+    Each attempt counts into its own object on its worker thread; the
+    job adds an attempt's counters to its totals (:meth:`merge`, under
+    the job's condition) only when the attempt succeeds, so a failed or
+    re-queued attempt counts nothing. No two threads touch one object at
+    once, so there is no lock."""
 
     def __init__(self) -> None:
         self._values: Dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def increment(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._values[name] = self._values.get(name, 0) + amount
+        self._values[name] = self._values.get(name, 0) + amount
+
+    def merge(self, other: "Counters") -> None:
+        """Add *other*'s counts to these."""
+        for name, amount in other._values.items():
+            self.increment(name, amount)
 
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._values)
+        return dict(self._values)
 
 
 @dataclass(slots=True)

@@ -64,6 +64,7 @@ class JobInProgress:
         self._c_maps_remote = self.obs.registry.counter("mr.maps_remote")
         self._c_map_failures = self.obs.registry.counter("mr.map_failures")
         self._c_reduce_failures = self.obs.registry.counter("mr.reduce_failures")
+        #: the job's totals: each successful attempt's counters, merged once
         self.counters = Counters()
         self.map_outputs = MapOutputStore(obs=self.obs)
         self.committer: OutputCommitter = make_committer(
@@ -207,9 +208,11 @@ class JobInProgress:
 
     # -- completion reports ------------------------------------------------------------
 
-    def map_succeeded(self, task: MapTaskInfo) -> None:
+    def map_succeeded(self, task: MapTaskInfo, counters: Counters) -> None:
+        """Mark *task* done and add its attempt's *counters* to the job's."""
         with self._cond:
             task.state = TaskState.SUCCEEDED
+            self.counters.merge(counters)
             self._cond.notify_all()
 
     def map_failed(self, task: MapTaskInfo, error: Exception) -> None:
@@ -227,10 +230,14 @@ class JobInProgress:
                 task.state = TaskState.PENDING
             self._cond.notify_all()
 
-    def reduce_succeeded(self, task: ReduceTaskInfo, output_path: str) -> None:
+    def reduce_succeeded(
+        self, task: ReduceTaskInfo, output_path: str, counters: Counters
+    ) -> None:
+        """Mark *task* done and add its attempt's *counters* to the job's."""
         with self._cond:
             task.state = TaskState.SUCCEEDED
             task.output_path = output_path
+            self.counters.merge(counters)
             self._cond.notify_all()
 
     def reduce_failed(self, task: ReduceTaskInfo, error: Exception) -> None:

@@ -178,6 +178,7 @@ class TaskTracker:
                         task, TaskFailedError(f"tasktracker {self.host} crashed")
                     )
                     return
+                counters = Counters()
                 try:
                     with jip.obs.tracer.span(
                         "mr.map_task",
@@ -189,7 +190,7 @@ class TaskTracker:
                     ):
                         execute_map_task(
                             jip.conf,
-                            jip.counters,
+                            counters,
                             make_record_reader(
                                 self.fs, task.split, jip.conf.input_format
                             ),
@@ -200,7 +201,7 @@ class TaskTracker:
                 except Exception as exc:
                     jip.map_failed(task, exc)
                 else:
-                    jip.map_succeeded(task)
+                    jip.map_succeeded(task, counters)
                     self.maps_run += 1
         finally:
             self._leave(jip)
@@ -213,6 +214,7 @@ class TaskTracker:
                         task, TaskFailedError(f"tasktracker {self.host} crashed")
                     )
                     return
+                counters = Counters()
                 try:
                     with jip.obs.tracer.span(
                         "mr.reduce_task",
@@ -223,7 +225,7 @@ class TaskTracker:
                     ):
                         path = execute_reduce_task(
                             jip.conf,
-                            jip.counters,
+                            counters,
                             jip.map_outputs,
                             [m.task_id for m in jip.map_tasks],
                             jip.committer,
@@ -235,7 +237,7 @@ class TaskTracker:
                     jip.committer.abort_task(task.partition, task.attempts)
                     jip.reduce_failed(task, exc)
                 else:
-                    jip.reduce_succeeded(task, path)
+                    jip.reduce_succeeded(task, path, counters)
                     self.reduces_run += 1
         finally:
             self._leave(jip)

@@ -1,9 +1,12 @@
 """The data join application, validated against an in-memory oracle on
 both storage systems — the functional twin of the paper's §4.3."""
 
+import threading
+
 import pytest
 
 from repro.apps import parse_join_output, reference_join, run_datajoin
+from repro.apps.datajoin import make_datajoin_conf
 from repro.bsfs import BSFS
 from repro.common.config import BlobSeerConfig, HDFSConfig
 from repro.common.errors import JobFailedError
@@ -102,3 +105,33 @@ class TestOnBSFS:
         )
         matched_keys = {t[0] for t in oracle}
         assert result.counters["datajoin_matched_keys"] == len(matched_keys)
+
+    def test_matched_key_counters_survive_a_reducer_retry(self, inputs):
+        """A reducer attempt that fails after joining a matched key is
+        retried; the job still counts each matched key once."""
+        left, right, oracle = inputs
+        matched_keys = {t[0] for t in oracle}
+        dep = BSFS(
+            config=BlobSeerConfig(page_size=8192, metadata_providers=2),
+            n_providers=4,
+        )
+        fs = dep.file_system()
+        fs.write_all("/in/left", left)
+        fs.write_all("/in/right", right)
+        mr = MapReduceCluster(fs, hosts=[f"provider-{i:03d}" for i in range(4)])
+        conf = make_datajoin_conf(
+            "/in/left", "/in/right", "/out", n_reducers=3, output_mode="shared"
+        )
+        join_reduce, failed = conf.reduce_fn, threading.Event()
+
+        def flaky_reduce(key, values, ctx):
+            join_reduce(key, values, ctx)
+            if key in matched_keys and not failed.is_set():
+                failed.set()
+                raise RuntimeError("transient reduce crash")
+
+        conf.reduce_fn = flaky_reduce
+        result = mr.run_job(conf)
+        assert failed.is_set()
+        assert result.counters["datajoin_matched_keys"] == len(matched_keys)
+        assert parse_join_output(fs.read_all(result.output_files[0])) == oracle

@@ -1,5 +1,6 @@
-"""Integration tests for the threaded BlobSeer client: append/write/read
-semantics, versioning snapshots, concurrency, fault tolerance."""
+"""Integration tests for the threaded BlobSeer deployment, driven
+through ``engine.run`` of its protocol: append/write/read semantics,
+versioning snapshots, concurrency, fault tolerance."""
 
 import collections
 import threading
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blobseer import BlobSeerService, Provider
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import OutOfRangeReadError, ReplicationError
+from repro.engine.base import Payload
 
 
 @pytest.fixture()
@@ -21,173 +23,184 @@ def svc():
     )
 
 
-@pytest.fixture()
-def client(svc):
-    return svc.client("c0")
+def append(svc, blob, data, client="c0"):
+    """Append *data*; returns ``(version, offset)``."""
+    return svc.engine.run(svc.protocol.update(client, blob, Payload(data)))[:2]
+
+
+def write(svc, blob, offset, data, client="c0"):
+    """Overwrite from *offset*; returns the new version."""
+    return svc.engine.run(
+        svc.protocol.update(client, blob, Payload(data), offset)
+    )[0]
+
+
+def read(svc, blob, offset, size, version=None, client="c0"):
+    return svc.engine.run(
+        svc.protocol.read(client, blob, offset, size, version=version)
+    )[1]
+
+
+def size(svc, blob, version=None):
+    return svc.version_manager.resolve(blob, version)[0].size
 
 
 class TestAppend:
-    def test_append_returns_versions(self, client):
-        blob = client.create_blob()
-        assert client.append(blob, b"x" * 10) == 1
-        assert client.append(blob, b"y" * 10) == 2
-        assert client.size(blob) == 20
+    def test_append_returns_versions(self, svc):
+        blob = svc.create_blob()
+        assert append(svc, blob, b"x" * 10)[0] == 1
+        assert append(svc, blob, b"y" * 10)[0] == 2
+        assert size(svc, blob) == 20
 
-    def test_append_with_offset(self, client):
-        blob = client.create_blob()
-        v, off = client.append_with_offset(blob, b"a" * 100)
-        assert (v, off) == (1, 0)
-        v, off = client.append_with_offset(blob, b"b" * 100)
-        assert (v, off) == (2, 100)
+    def test_append_with_offset(self, svc):
+        blob = svc.create_blob()
+        assert append(svc, blob, b"a" * 100) == (1, 0)
+        assert append(svc, blob, b"b" * 100) == (2, 100)
 
-    def test_multi_page_append(self, client):
-        blob = client.create_blob()
+    def test_multi_page_append(self, svc):
+        blob = svc.create_blob()
         data = bytes(range(256)) * 20  # 5120 bytes = 5 pages
-        client.append(blob, data)
-        assert client.read(blob, 0, len(data)) == data
+        append(svc, blob, data)
+        assert read(svc, blob, 0, len(data)) == data
 
-    def test_unaligned_appends_reassemble(self, client):
-        blob = client.create_blob()
+    def test_unaligned_appends_reassemble(self, svc):
+        blob = svc.create_blob()
         pieces = [b"a" * 700, b"b" * 900, b"c" * 1500, b"d" * 64]
         for piece in pieces:
-            client.append(blob, piece)
+            append(svc, blob, piece)
         whole = b"".join(pieces)
-        assert client.read(blob, 0, len(whole)) == whole
+        assert read(svc, blob, 0, len(whole)) == whole
 
-    def test_empty_append_rejected(self, client):
-        blob = client.create_blob()
+    def test_empty_append_rejected(self, svc):
+        blob = svc.create_blob()
         with pytest.raises(ValueError):
-            client.append(blob, b"")
+            append(svc, blob, b"")
 
 
 class TestWrite:
-    def test_overwrite_page_interior(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"a" * 3000)
-        client.write(blob, 1024, b"X" * 100)
-        data = client.read(blob, 0, 3000)
+    def test_overwrite_page_interior(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"a" * 3000)
+        write(svc, blob, 1024, b"X" * 100)
+        data = read(svc, blob, 0, 3000)
         assert data[:1024] == b"a" * 1024
         assert data[1024:1124] == b"X" * 100
         assert data[1124:] == b"a" * 1876
 
-    def test_overwrite_extends_size(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"a" * 1024)
-        client.write(blob, 1024, b"b" * 500)
-        assert client.size(blob) == 1524
+    def test_overwrite_extends_size(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"a" * 1024)
+        write(svc, blob, 1024, b"b" * 500)
+        assert size(svc, blob) == 1524
 
-    def test_unaligned_write_rejected(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"a" * 2048)
+    def test_unaligned_write_rejected(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"a" * 2048)
         with pytest.raises(ValueError):
-            client.write(blob, 100, b"x")
+            write(svc, blob, 100, b"x")
 
 
 class TestVersioning:
-    def test_snapshots_immutable(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"1" * 1000)
-        client.append(blob, b"2" * 1000)
-        client.write(blob, 0, b"Z" * 1000)
-        assert client.read(blob, 0, 1000, version=1) == b"1" * 1000
-        assert client.read(blob, 0, 2000, version=2) == b"1" * 1000 + b"2" * 1000
-        assert client.read(blob, 0, 1000, version=3) == b"Z" * 1000
+    def test_snapshots_immutable(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"1" * 1000)
+        append(svc, blob, b"2" * 1000)
+        write(svc, blob, 0, b"Z" * 1000)
+        assert read(svc, blob, 0, 1000, version=1) == b"1" * 1000
+        assert read(svc, blob, 0, 2000, version=2) == b"1" * 1000 + b"2" * 1000
+        assert read(svc, blob, 0, 1000, version=3) == b"Z" * 1000
 
-    def test_latest_version(self, client):
-        blob = client.create_blob()
-        assert client.latest_version(blob) == 0
-        client.append(blob, b"x")
-        assert client.latest_version(blob) == 1
+    def test_latest_version(self, svc):
+        blob = svc.create_blob()
+        latest = svc.version_manager.latest_published
+        assert latest(blob).version == 0
+        append(svc, blob, b"x")
+        assert latest(blob).version == 1
 
-    def test_version_sizes(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"x" * 10)
-        client.append(blob, b"y" * 20)
-        assert client.size(blob, version=1) == 10
-        assert client.size(blob, version=2) == 30
+    def test_version_sizes(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"x" * 10)
+        append(svc, blob, b"y" * 20)
+        assert size(svc, blob, version=1) == 10
+        assert size(svc, blob, version=2) == 30
 
 
 class TestReads:
-    def test_read_beyond_size_raises(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"x" * 100)
+    def test_read_beyond_size_raises(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"x" * 100)
         with pytest.raises(OutOfRangeReadError):
-            client.read(blob, 50, 100)
+            read(svc, blob, 50, 100)
 
-    def test_zero_size_read(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"x" * 100)
-        assert client.read(blob, 100, 0) == b""
+    def test_zero_size_read(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"x" * 100)
+        assert read(svc, blob, 100, 0) == b""
         with pytest.raises(OutOfRangeReadError):
-            client.read(blob, 101, 0)
+            read(svc, blob, 101, 0)
 
-    def test_cross_page_read(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"a" * 1024 + b"b" * 1024)
-        assert client.read(blob, 1000, 48) == b"a" * 24 + b"b" * 24
+    def test_cross_page_read(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"a" * 1024 + b"b" * 1024)
+        assert read(svc, blob, 1000, 48) == b"a" * 24 + b"b" * 24
 
 
 class TestLayout:
-    def test_layout_covers_blob(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"x" * 2500)
-        layout = client.get_layout(blob)
+    def test_layout_covers_blob(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"x" * 2500)
+        layout = svc.layout(blob)
         assert sum(length for _o, length, _p in layout) == 2500
         assert all(providers for _o, _l, providers in layout)
         offsets = [offset for offset, _l, _p in layout]
         assert offsets == sorted(offsets)
 
-    def test_layout_empty_blob(self, client):
-        blob = client.create_blob()
-        assert client.get_layout(blob) == []
+    def test_layout_empty_blob(self, svc):
+        blob = svc.create_blob()
+        assert svc.layout(blob) == []
 
-    def test_layout_versioned(self, client):
-        blob = client.create_blob()
-        client.append(blob, b"x" * 1000)
-        client.append(blob, b"y" * 1000)
-        v1 = client.get_layout(blob, version=1)
+    def test_layout_versioned(self, svc):
+        blob = svc.create_blob()
+        append(svc, blob, b"x" * 1000)
+        append(svc, blob, b"y" * 1000)
+        v1 = svc.layout(blob, version=1)
         assert sum(length for _o, length, _p in v1) == 1000
 
 
 class TestConcurrency:
     def test_concurrent_appends_all_land_intact(self, svc):
-        blob = svc.client("setup").create_blob()
+        blob = svc.create_blob()
         n = 24
         payloads = {i: bytes([0x30 + i % 64]) * (333 + 61 * i) for i in range(n)}
         results = {}
 
         def worker(i):
-            c = svc.client(f"w{i}")
-            results[i] = c.append_with_offset(blob, payloads[i])
+            results[i] = append(svc, blob, payloads[i], client=f"w{i}")
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        reader = svc.client("reader")
         total = sum(len(p) for p in payloads.values())
-        assert reader.size(blob) == total
-        whole = reader.read(blob, 0, total)
+        assert size(svc, blob) == total
+        whole = read(svc, blob, 0, total, client="reader")
         # each payload sits exactly at its assigned offset
         for i, (version, offset) in results.items():
             assert whole[offset : offset + len(payloads[i])] == payloads[i]
         assert sorted(v for v, _o in results.values()) == list(range(1, n + 1))
 
     def test_concurrent_readers_during_appends(self, svc):
-        blob = svc.client("setup").create_blob()
-        writer = svc.client("writer")
-        writer.append(blob, b"base" * 300)
+        blob = svc.create_blob()
+        append(svc, blob, b"base" * 300, client="writer")
         stop = threading.Event()
         errors = []
 
         def reader_loop():
-            c = svc.client("r")
             try:
                 while not stop.is_set():
-                    size = c.size(blob)
-                    data = c.read(blob, 0, min(size, 1200))
-                    assert data[:4] == b"base"
+                    n = min(size(svc, blob), 1200)
+                    assert read(svc, blob, 0, n, client="r")[:4] == b"base"
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -195,7 +208,7 @@ class TestConcurrency:
         for t in readers:
             t.start()
         for i in range(10):
-            writer.append(blob, bytes([i]) * 500)
+            append(svc, blob, bytes([i]) * 500, client="writer")
         stop.set()
         for t in readers:
             t.join()
@@ -209,33 +222,29 @@ class TestFaultTolerance:
             n_providers=5,
             seed=3,
         )
-        c = svc.client("c")
-        blob = c.create_blob()
-        c.append(blob, b"precious" * 200)
-        layout = c.get_layout(blob)
-        primary = layout[0][2][0]
+        blob = svc.create_blob()
+        append(svc, blob, b"precious" * 200)
+        primary = svc.layout(blob)[0][2][0]
         svc.fail_provider(primary)
-        assert c.read(blob, 0, 1600) == (b"precious" * 200)[:1600]
+        assert read(svc, blob, 0, 1600) == (b"precious" * 200)[:1600]
 
     def test_unreplicated_read_fails_after_crash(self, svc):
-        c = svc.client("c")
-        blob = c.create_blob()
-        c.append(blob, b"x" * 100)
-        holder = c.get_layout(blob)[0][2][0]
+        blob = svc.create_blob()
+        append(svc, blob, b"x" * 100)
+        holder = svc.layout(blob)[0][2][0]
         svc.fail_provider(holder)
         with pytest.raises(ReplicationError):
-            c.read(blob, 0, 100)
+            read(svc, blob, 0, 100)
         svc.recover_provider(holder)
-        assert c.read(blob, 0, 100) == b"x" * 100
+        assert read(svc, blob, 0, 100) == b"x" * 100
 
     def test_write_routes_around_failed_provider(self, svc):
-        c = svc.client("c")
         svc.fail_provider("provider-000")
         svc.fail_provider("provider-001")
-        blob = c.create_blob()
-        c.append(blob, b"y" * 5000)
-        assert c.read(blob, 0, 5000) == b"y" * 5000
-        for _o, _l, providers in c.get_layout(blob):
+        blob = svc.create_blob()
+        append(svc, blob, b"y" * 5000)
+        assert read(svc, blob, 0, 5000) == b"y" * 5000
+        for _o, _l, providers in svc.layout(blob):
             assert "provider-000" not in providers
             assert "provider-001" not in providers
 
@@ -252,14 +261,13 @@ def test_sequential_appends_equal_one_big_write(pieces):
     svc = BlobSeerService(
         BlobSeerConfig(page_size=512, metadata_providers=2), n_providers=3, seed=1
     )
-    c = svc.client("c")
-    blob = c.create_blob()
+    blob = svc.create_blob()
     expected = bytearray()
     for i, n in enumerate(pieces):
         piece = bytes([(i * 37 + 11) % 256]) * n
-        c.append(blob, piece)
+        append(svc, blob, piece)
         expected += piece
-    assert c.read(blob, 0, len(expected)) == bytes(expected)
+    assert read(svc, blob, 0, len(expected)) == bytes(expected)
 
 
 class TestReplicaRotation:
@@ -289,12 +297,11 @@ class TestReplicaRotation:
 
     def test_reads_spread_over_replicas(self, monkeypatch):
         svc = self._everywhere_svc()
-        c = svc.client("c")
-        blob = c.create_blob()
-        c.append(blob, b"z" * 1024)
+        blob = svc.create_blob()
+        append(svc, blob, b"z" * 1024)
         served = self._count_served(monkeypatch)
         for _ in range(16):
-            c.read(blob, 0, 1024)
+            read(svc, blob, 0, 1024)
         # without rotation one provider would absorb every read
         assert len(served) > 1
 
@@ -303,24 +310,23 @@ class TestReplicaRotation:
         hits_by_run = []
         for _run in range(2):
             svc = self._everywhere_svc()
-            c = svc.client("same-name")
-            blob = c.create_blob()
-            c.append(blob, b"z" * 1024)
+            blob = svc.create_blob()
+            append(svc, blob, b"z" * 1024, client="same-name")
             served.clear()
-            c.read(blob, 0, 1024)
+            read(svc, blob, 0, 1024, client="same-name")
             hits_by_run.append(sorted(served))
         assert hits_by_run[0] == hits_by_run[1]
 
     def test_dead_providers_remembered_until_they_serve_again(self):
         svc = self._everywhere_svc()
-        c = svc.client("c")
-        blob = c.create_blob()
-        c.append(blob, b"z" * 1024)
+        blob = svc.create_blob()
+        append(svc, blob, b"z" * 1024)
         dead = "provider-002"
         svc.fail_provider(dead)
         for _ in range(8):  # enough reads that rotation would hit it
-            c.read(blob, 0, 1024)
-        assert dead in c._dead_providers
+            read(svc, blob, 0, 1024)
+        remembered = svc.protocol.selector("c0").dead
+        assert dead in remembered
         # dead providers sort last, so recovery alone is not enough to be
         # re-probed — only when every other replica fails does the read
         # reach it, and a successful reply clears the grudge
@@ -328,5 +334,5 @@ class TestReplicaRotation:
         for name in svc.providers:
             if name != dead:
                 svc.fail_provider(name)
-        assert c.read(blob, 0, 1024) == b"z" * 1024
-        assert dead not in c._dead_providers
+        assert read(svc, blob, 0, 1024) == b"z" * 1024
+        assert dead not in remembered

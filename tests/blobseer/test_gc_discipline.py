@@ -23,14 +23,15 @@ def test_threaded_ops_leave_no_garbage_that_grows_with_their_number():
     service = BlobSeerService(
         BlobSeerConfig(page_size=4096, metadata_providers=4), n_providers=4
     )
-    client = service.client("c")
-    blob = client.create_blob()
-    client.append(blob, b"w" * 5000)
+    run, protocol = service.engine.run, service.protocol
+    blob = service.create_blob()
+    run(protocol.update("c", blob, Payload(b"w" * 5000)))
 
     def appends_and_reads(n):
         for i in range(n):
-            client.append(blob, b"x" * 3000)  # unaligned: boundary overlays
-            client.read(blob, i * 100, 2000)
+            # unaligned: boundary overlays
+            run(protocol.update("c", blob, Payload(b"x" * 3000)))
+            run(protocol.read("c", blob, i * 100, 2000))
 
     try:
         with cyclic_garbage() as few:

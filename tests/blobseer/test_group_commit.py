@@ -161,9 +161,11 @@ class TestThreadedGroupCommit:
         results = {}
 
         def worker(i):
-            client = svc.client(f"c{i}")
             data = bytes([i + 1]) * 40
-            results[i] = (*client.append_ex(blob, data), data)
+            results[i] = (
+                *svc.engine.run(svc.protocol.update(f"c{i}", blob, Payload(data))),
+                data,
+            )
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(n)
@@ -172,9 +174,8 @@ class TestThreadedGroupCommit:
             t.start()
         for t in threads:
             t.join()
-        reader = svc.client("reader")
-        assert reader.size(blob) == n * 40
-        whole = reader.read(blob, 0, n * 40)
+        assert svc.version_manager.latest_published(blob).size == n * 40
+        _v, whole = svc.engine.run(svc.protocol.read("reader", blob, 0, n * 40))
         for _version, offset, _group_end, data in results.values():
             assert whole[offset : offset + len(data)] == data
         # group followers get no size to report; leaders report the
@@ -189,14 +190,15 @@ class TestThreadedGroupCommit:
         svc = self._service(append_lease_s=0.05)
         blob = svc.create_blob()
         vm = svc.version_manager
-        client = svc.client("writer")
         # v1 assigned but unpublished: v2 will queue as ready
         vm.assign_append(blob, 40)
         done = threading.Event()
         out = {}
 
         def appender():
-            out["result"] = client.append_ex(blob, b"x" * 40)
+            out["result"] = svc.engine.run(
+                svc.protocol.update("writer", blob, Payload(b"x" * 40))
+            )
             done.set()
 
         t = threading.Thread(target=appender)
@@ -211,8 +213,8 @@ class TestThreadedGroupCommit:
         assert (version, offset, group_end) == (2, 40, 80)
         assert vm.resolve(blob, 1)[0].aborted
         assert vm.resolve(blob, 2)[0].committed
-        reader = svc.client("reader")
-        assert reader.read(blob, 40, 40) == b"x" * 40
+        _v, data = svc.engine.run(svc.protocol.read("reader", blob, 40, 40))
+        assert data == b"x" * 40
 
 
 def make_sim(group=True, cache=0, nodes=20):

@@ -8,11 +8,11 @@ trips run only for the durable backend.
 
 import pytest
 
+from repro.blobseer import BlobSeerService
 from repro.blobseer.backends import (
     InMemoryPageStore,
     LogStructuredPageStore,
     create_store,
-    store_factory_from_config,
 )
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import PageNotFoundError
@@ -149,19 +149,22 @@ class TestDurability:
 
 class TestConfigWiring:
     def test_memory_config_means_provider_default(self):
-        assert store_factory_from_config(BlobSeerConfig()) is None
+        svc = BlobSeerService(BlobSeerConfig(), n_providers=1)
+        assert isinstance(svc.providers["provider-000"].store, InMemoryPageStore)
 
     def test_durable_config_builds_stores(self, tmp_path):
         cfg = BlobSeerConfig(
             page_store_backend="log", page_store_dir=str(tmp_path)
         )
-        factory = store_factory_from_config(cfg)
-        store = factory("provider-007")
+        svc = BlobSeerService(cfg, n_providers=8)
         try:
+            store = svc.providers["provider-007"].store
+            assert isinstance(store, LogStructuredPageStore)
+            assert store.path == tmp_path / "provider-007.log"
             store.put(b"k", b"v")
             assert (tmp_path / "provider-007.log").is_file()
         finally:
-            store.close()
+            svc.close()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(

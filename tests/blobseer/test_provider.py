@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.blobseer.backends import InMemoryPageStore
 from repro.blobseer.pages import fresh_page_id
 from repro.blobseer.provider import Provider
 from repro.common.errors import PageNotFoundError, ProviderUnavailableError
@@ -9,7 +10,7 @@ from repro.common.errors import PageNotFoundError, ProviderUnavailableError
 
 @pytest.fixture()
 def provider():
-    return Provider("p0")
+    return Provider("p0", InMemoryPageStore())
 
 
 def test_put_get_roundtrip(provider):

@@ -11,6 +11,7 @@ from repro.common.errors import (
     FileClosedError,
     FileNotFoundInNamespaceError,
 )
+from repro.engine.base import Payload
 
 
 @pytest.fixture()
@@ -209,3 +210,46 @@ class TestLocality:
         fs.write_all("/f", b"x" * 100)
         locs = fs.get_block_locations("/f", 0, 10_000)
         assert sum(l.length for l in locs) == 100
+
+
+class TestRecordCacheSeesFacadeMutations:
+    """The facade's create, delete and rename go through the protocol,
+    so a path the namespace record cache holds is rebound with them: a
+    protocol append after the path was rebound lands in the file that
+    now owns it, not in the BLOB of the file it replaced."""
+
+    @pytest.fixture()
+    def cached(self):
+        dep = BSFS(config=BlobSeerConfig(page_size=4096).fast(group_commit=False))
+        return dep, dep.file_system("c")
+
+    @staticmethod
+    def _append(dep, path, data):
+        dep.engine.run(dep.protocol.append_file("c", path, Payload(data)))
+
+    def test_append_after_delete_and_recreate_lands_in_new_file(self, cached):
+        dep, fs = cached
+        fs.create("/a").close()
+        self._append(dep, "/a", b"old!")
+        assert fs.delete("/a")
+        fs.create("/a").close()
+        self._append(dep, "/a", b"new!")
+        assert fs.read_all("/a") == b"new!"
+
+    def test_append_after_rename_and_recreate_lands_in_new_file(self, cached):
+        dep, fs = cached
+        fs.create("/a").close()
+        self._append(dep, "/a", b"old!")
+        fs.rename("/a", "/b")
+        fs.create("/a").close()
+        self._append(dep, "/a", b"new!")
+        assert fs.read_all("/a") == b"new!"
+        assert fs.read_all("/b") == b"old!"
+
+    def test_append_after_overwrite_under_another_spelling(self, cached):
+        dep, fs = cached
+        fs.create("/a").close()
+        self._append(dep, "/a/", b"old!")
+        fs.create("/a", overwrite=True).close()
+        self._append(dep, "/a/", b"new!")
+        assert fs.read_all("/a") == b"new!"

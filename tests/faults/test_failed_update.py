@@ -21,6 +21,7 @@ import pytest
 from repro.blobseer.client import BlobSeerService
 from repro.common.config import BlobSeerConfig
 from repro.common.errors import ReplicationError
+from repro.engine.base import Payload
 from repro.server import BlobServer, ServerThread
 
 LEASE_S = 3.0
@@ -35,15 +36,17 @@ def _config():
 
 def test_library_append_after_a_failed_one_does_not_wait_out_the_lease():
     service = BlobSeerService(config=_config(), n_providers=2)
-    client = service.client("appender")
-    blob = client.create_blob()
+    run, protocol = service.engine.run, service.protocol
+    blob = service.create_blob()
     service.fail_provider(PROVIDER)
     with pytest.raises(ReplicationError):
-        client.append(blob, b"lost")
+        run(protocol.update("appender", blob, Payload(b"lost")))
     service.recover_provider(PROVIDER)
 
     t0 = time.monotonic()
-    version, offset = client.append_with_offset(blob, b"kept")
+    version, offset, _group_end = run(
+        protocol.update("appender", blob, Payload(b"kept"))
+    )
     elapsed = time.monotonic() - t0
 
     assert elapsed < QUICK_S, f"next append took {elapsed:.2f} s"
@@ -51,7 +54,7 @@ def test_library_append_after_a_failed_one_does_not_wait_out_the_lease():
     assert vm.resolve(blob, 1)[0].aborted
     # the failed version was the newest: its range is reclaimed
     assert (version, offset) == (2, 0)
-    assert client.read(blob, 0, 4) == b"kept"
+    assert run(protocol.read("appender", blob, 0, 4)) == (2, b"kept")
     assert vm.core.commit_queue_length == 0
     service.close()
 

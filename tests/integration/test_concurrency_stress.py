@@ -8,6 +8,7 @@ import pytest
 from repro.blobseer import BlobSeerService
 from repro.bsfs import BSFS
 from repro.common.config import BlobSeerConfig
+from repro.engine.base import Payload
 
 
 class TestBlobLevelStress:
@@ -20,26 +21,24 @@ class TestBlobLevelStress:
             n_providers=5,
             seed=11,
         )
-        setup = svc.client("setup")
-        blob = setup.create_blob()
+        blob = svc.create_blob()
         n_workers = 10
         ops_per_worker = 6
-        records = {}  # version -> ("append"|"write", offset, payload)
+        records = {}  # version -> (offset, payload)
         lock = threading.Lock()
 
         def worker(wid: int) -> None:
-            client = svc.client(f"w{wid}")
             for k in range(ops_per_worker):
                 payload = bytes([32 + (wid * 7 + k) % 90]) * (100 + 40 * k)
                 if (wid + k) % 3 == 0:
                     # overwrite a page-aligned prefix region
-                    version = client.write(blob, 0, payload[:256])
-                    with lock:
-                        records[version] = ("write", 0, payload[:256])
+                    payload = payload[:256]
+                    update = svc.protocol.update(f"w{wid}", blob, Payload(payload), 0)
                 else:
-                    version, offset = client.append_with_offset(blob, payload)
-                    with lock:
-                        records[version] = ("append", offset, payload)
+                    update = svc.protocol.update(f"w{wid}", blob, Payload(payload))
+                version, offset, _group_end = svc.engine.run(update)
+                with lock:
+                    records[version] = (offset, payload)
 
         threads = [threading.Thread(target=worker, args=(w,)) for w in range(n_workers)]
         for t in threads:
@@ -47,19 +46,20 @@ class TestBlobLevelStress:
         for t in threads:
             t.join()
 
-        reader = svc.client("oracle")
-        latest = reader.latest_version(blob)
+        latest = svc.version_manager.latest_published(blob).version
         assert latest == n_workers * ops_per_worker
         # rebuild every version with a byte-array oracle and spot-check
         oracle = bytearray()
         for version in range(1, latest + 1):
-            kind, offset, payload = records[version]
+            offset, payload = records[version]
             end = offset + len(payload)
             if end > len(oracle):
                 oracle.extend(b"\0" * (end - len(oracle)))
             oracle[offset:end] = payload
             if version % 7 == 0 or version == latest:  # spot-check some
-                got = reader.read(blob, 0, len(oracle), version=version)
+                _v, got = svc.engine.run(
+                    svc.protocol.read("oracle", blob, 0, len(oracle), version=version)
+                )
                 assert got == bytes(oracle), f"version {version} corrupt"
 
     def test_many_small_appends_version_count(self):
@@ -67,21 +67,21 @@ class TestBlobLevelStress:
             BlobSeerConfig(page_size=128, metadata_providers=2),
             n_providers=3,
         )
-        blob = svc.client("s").create_blob()
+        blob = svc.create_blob()
 
         def worker(wid):
-            c = svc.client(f"w{wid}")
             for _ in range(20):
-                c.append(blob, b"%02d" % wid)
+                svc.engine.run(
+                    svc.protocol.update(f"w{wid}", blob, Payload(b"%02d" % wid))
+                )
 
         threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        reader = svc.client("r")
-        assert reader.latest_version(blob) == 160
-        data = reader.read(blob, 0, 320)
+        assert svc.version_manager.latest_published(blob).version == 160
+        _v, data = svc.engine.run(svc.protocol.read("r", blob, 0, 320))
         assert len(data) == 320
         # each worker's tag appears exactly 20 times
         for w in range(8):

@@ -22,9 +22,13 @@ def store_dir(tmp_path):
 
 def make_service(store_dir: Path) -> BlobSeerService:
     return BlobSeerService(
-        BlobSeerConfig(page_size=4096, metadata_providers=2),
+        BlobSeerConfig(
+            page_size=4096,
+            metadata_providers=2,
+            page_store_backend="log",
+            page_store_dir=str(store_dir),
+        ),
         n_providers=4,
-        store_factory=lambda name: LogStructuredPageStore(store_dir / f"{name}.log"),
     )
 
 

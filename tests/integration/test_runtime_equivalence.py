@@ -20,15 +20,15 @@ def run_threaded(ops):
     svc = BlobSeerService(
         BlobSeerConfig(page_size=PAGE, metadata_providers=3), n_providers=4, seed=5
     )
-    client = svc.client("c")
-    blob = client.create_blob()
+    blob = svc.create_blob()
     for kind, a, b in ops:
         if kind == "append":
-            client.append(blob, b"\x01" * a)
+            update = svc.protocol.update("c", blob, Payload(b"\x01" * a))
         else:
             size = svc.version_manager.latest_published(blob).size
             offset = min(a // PAGE * PAGE, size // PAGE * PAGE)
-            client.write(blob, offset, b"\x02" * b)
+            update = svc.protocol.update("c", blob, Payload(b"\x02" * b), offset)
+        svc.engine.run(update)
     return svc.version_manager.core, svc.dht, blob
 
 

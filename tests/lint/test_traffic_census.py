@@ -85,7 +85,7 @@ ROOTS: List[Tuple[str, List[str]]] = [
 
 _RECOVERY = (
     "recovery half of a fault: fig7 crashes components and never brings "
-    "one back; the fault-injection tests and ROADMAP item 1's checker do"
+    "one back; the fault-injection tests do"
 )
 _CRASH = (
     "crash hook of a component fig7's plan does not crash (fig7 crashes "
@@ -256,12 +256,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.hdfs.client.HDFSOutputStream.flush": _FS_API,
     "repro.mapreduce.io.committers._BufferedTaskOutput.flush": _FS_API,
     "repro.mapreduce.io.committers._BufferedTaskOutput.tell": _FS_API,
-    "repro.blobseer.client.BlobClient": (
-        "the threaded library client below BSFS: the quickstart reads one "
-        "version number through it, the tests and ROADMAP item 1's model "
-        "drive the rest; every root's data goes through BSFS or the "
-        "protocol"
-    ),
     # -- probes the tests read ----------------------------------------------
     "repro.blobseer.backends.logstore.LogStructuredPageStore.__len__": _PROBE,
     "repro.blobseer.metadata.dht.MetadataDHT.__len__": _PROBE,

@@ -184,6 +184,61 @@ class TestCountersAndLocality:
         assert result.counters["reduce_input_groups"] == 2
         assert result.counters["reduce_output_records"] == 2
 
+    @staticmethod
+    def _fail_first_call_after_counting(fn, counter):
+        """*fn*, counting *counter* per call, whose first call raises
+        once it has counted."""
+        failed = threading.Event()
+
+        def flaky(key, value, ctx):
+            ctx.counters.increment(counter)
+            if not failed.is_set():
+                failed.set()
+                raise RuntimeError("transient task crash")
+            fn(key, value, ctx)
+
+        return flaky
+
+    @staticmethod
+    def _kv_map(key, value, ctx):
+        ctx.emit(key, value)
+
+    @staticmethod
+    def _kv_reduce(key, values, ctx):
+        ctx.emit(key, len(values))
+
+    def _kv_job(self, map_fn=None, reduce_fn=None):
+        """A 10-key ``kv`` job: one map task, one reducer."""
+        _dep, fs, cluster = make_env()
+        fs.write_all("/in", b"".join(b"k%d\t1\n" % i for i in range(10)))
+        return cluster.run_job(
+            JobConf(
+                name="kv", input_paths=["/in"], output_dir="/out",
+                map_fn=map_fn or self._kv_map,
+                reduce_fn=reduce_fn or self._kv_reduce,
+                input_format="kv",
+            )
+        )
+
+    def test_failed_reduce_attempt_counts_nothing(self):
+        result = self._kv_job(
+            reduce_fn=self._fail_first_call_after_counting(
+                self._kv_reduce, "keys_reduced"
+            )
+        )
+        assert result.counters["keys_reduced"] == 10
+        assert result.counters["reduce_input_groups"] == 10
+
+    def test_failed_map_attempt_counts_nothing(self):
+        result = self._kv_job(
+            map_fn=self._fail_first_call_after_counting(
+                self._kv_map, "records_mapped"
+            )
+        )
+        assert result.n_map_tasks == 1
+        assert result.counters["records_mapped"] == 10
+        assert result.counters["map_input_records"] == 10
+
     def test_locality_fraction_reported(self):
         dep, fs, cluster = make_env()
         fs.write_all("/in", b"word\n" * 2000)

@@ -1,8 +1,6 @@
 """Unit tests for record writers and job-model pieces not covered
 elsewhere (Counters, Context, JobResult)."""
 
-import threading
-
 import pytest
 
 from repro.bsfs import BSFS
@@ -46,19 +44,14 @@ class TestTextRecordWriter:
 
 
 class TestCounters:
-    def test_thread_safety(self):
-        counters = Counters()
-
-        def bump():
-            for _ in range(1000):
-                counters.increment("n")
-
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counters.snapshot()["n"] == 8000
+    def test_merge_adds_counts(self):
+        totals, attempt = Counters(), Counters()
+        totals.increment("a", 2)
+        attempt.increment("a", 3)
+        attempt.increment("b")
+        totals.merge(attempt)
+        assert totals.snapshot() == {"a": 5, "b": 1}
+        assert attempt.snapshot() == {"a": 3, "b": 1}
 
     def test_snapshot_is_copy(self):
         counters = Counters()

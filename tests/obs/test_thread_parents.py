@@ -12,6 +12,7 @@ import threading
 
 from repro.blobseer.client import BlobSeerService
 from repro.common.config import BlobSeerConfig
+from repro.engine.base import Payload
 from repro.obs import NULL_SPAN, Observability
 
 THREADS = 4
@@ -40,11 +41,12 @@ def test_op_spans_parent_under_a_span_of_their_own_thread(monkeypatch):
     errors = []
 
     def appender(i):
-        client = svc.client(f"client-{i}")
         barrier.wait(timeout=30)
         try:
             for _ in range(APPENDS):
-                client.append(blob, b"x" * 100)
+                svc.engine.run(
+                    svc.protocol.update(f"client-{i}", blob, Payload(b"x" * 100))
+                )
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
