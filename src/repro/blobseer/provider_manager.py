@@ -19,12 +19,18 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ReplicationError
-from ..common.rng import substream
+from ..common.rng import stream
 from ..obs import NULL_OBS, Observability
 
 
 class ProviderManager:
-    """Tracks provider load and allocates placement for new pages."""
+    """Tracks provider load and allocates placement for new pages.
+
+    Equal loads break by rank: the permutation over the sorted names
+    that :func:`~repro.common.rng.stream` draws for ``(seed,
+    "provider-manager")`` (numpy's ``default_rng`` draw for draw,
+    without numpy), drawn once here and not kept.
+    """
 
     def __init__(
         self,
@@ -57,15 +63,14 @@ class ProviderManager:
         self._load_total = 0
         self._load_max = 0
         self._down: set[str] = set()
-        self._rng = substream(seed, "provider-manager")
         # seeded tie-break ranks, drawn over the sorted names so the
         # permutation is a function of (seed, name set) alone — feeding
         # the same providers in a different order must not change
         # placement (regression: tie-breaking used to follow the input
         # dict's iteration order)
         names = sorted(provider_names)
-        order = self._rng.permutation(len(names))
-        self._rank: Dict[str, int] = {names[i]: int(order[i]) for i in range(len(names))}
+        order = stream(seed, "provider-manager").permutation(len(names))
+        self._rank: Dict[str, int] = dict(zip(names, order))
         # lazy least-loaded heap: entries are (load, rank, name); an
         # entry is current iff its load matches the table (each push
         # happens on a strictly increasing load, so at most one entry

@@ -12,14 +12,11 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..blobseer.client import BlobSeerService
 from ..common.config import BlobSeerConfig
-from ..common.errors import (
-    FileClosedError,
-    IsADirectoryError_,
-)
+from ..common.errors import FileClosedError
 from ..common.fs import (
     BlockLocation,
     FileStatus,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import abc
 from typing import Any, List, Optional, Sequence
 
+from ..common.rng import Pcg64, stream
 from ..faults.plan import RetryPolicy
 
 
@@ -66,6 +67,7 @@ class Engine(abc.ABC):
 
     * ``retry`` — the :class:`~repro.faults.plan.RetryPolicy` active for
       this runtime (timeout charging, backoff magnitudes).
+    * ``_seed`` — the run's root seed, which :meth:`rng` derives from.
     * ``faults_active`` — when ``False`` the core may take batched
       fast paths that assume no endpoint can fail mid-operation. The
       threaded engine always reports ``True`` (real components fail
@@ -196,9 +198,16 @@ class Engine(abc.ABC):
     def faults_active(self) -> bool:
         """Whether the core must use the failure-tolerant paths."""
 
-    @abc.abstractmethod
-    def rng(self, *names):
-        """A named, seeded ``numpy`` generator substream."""
+    def rng(self, *names) -> Pcg64:
+        """The named substream of the run's seed (``_seed``).
+
+        An in-tree :class:`~repro.common.rng.Pcg64`, not a numpy
+        generator: it draws exactly what ``numpy.random.default_rng``
+        would from the same seed, but loading it costs the served
+        process no numpy. Its only caller is the replica selector's
+        phase, one ``integers`` draw per client.
+        """
+        return stream(self._seed, *names)
 
     # -- DES-only batch fast paths ------------------------------------------
     # The fault-free DES hot paths batch whole page fan-outs into one

@@ -34,7 +34,6 @@ from typing import Any, Generator, List, Optional, Sequence, Set
 from ..blobseer.metadata.dht import placement_hash
 from ..blobseer.metadata.segment_tree import NodeKey, key_bytes
 from ..common.errors import RpcTimeoutError
-from ..common.rng import substream
 from ..faults.plan import RetryPolicy
 from ..obs import NULL_OBS, Observability
 from ..sim.cluster import SimCluster
@@ -163,9 +162,6 @@ class DesEngine(Engine):
     def run(self, gen: Generator) -> Event:
         """Wrap a protocol generator in a kernel process (its event)."""
         return self.env.process(gen)
-
-    def rng(self, *names):
-        return substream(self._seed, *names)
 
     # -- control plane ------------------------------------------------------
 

@@ -32,8 +32,10 @@ class ReplicaSelector:
     __slots__ = ("_rr", "dead")
 
     def __init__(self, rng) -> None:
-        """*rng* is a seeded generator (``engine.rng(...)``); the phase it
-        yields makes the rotation deterministic per client name."""
+        """*rng* is the client's named stream (``engine.rng(...)``, a
+        :class:`~repro.common.rng.Pcg64`); its one ``integers`` draw is
+        the phase, which makes the rotation deterministic per client
+        name."""
         self._rr = itertools.count(int(rng.integers(1 << 30)))
         #: endpoints seen failing, tried last until they serve again
         self.dead: Set[str] = set()

@@ -27,7 +27,6 @@ import time
 from typing import Any, Callable, Generator, Optional, Sequence, Set
 
 from ..common.errors import ProviderUnavailableError, RpcTimeoutError
-from ..common.rng import substream
 from ..faults.plan import RetryPolicy
 from ..obs import NULL_OBS, NULL_SPAN, Observability
 from .base import Engine, Payload
@@ -158,9 +157,6 @@ class ThreadedEngine(Engine):
                     op = gen.send(value)
                 except StopIteration as stop:
                     return stop.value
-
-    def rng(self, *names):
-        return substream(self._seed, *names)
 
     # -- control plane ------------------------------------------------------
 

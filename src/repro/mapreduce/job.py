@@ -15,8 +15,8 @@ of reduce tasks. The paper's two framework variants are selected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..common.errors import JobConfigurationError
 from ..common.fs import FileSystem

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ProviderUnavailableError, RpcTimeoutError
-from repro.common.rng import substream
+from repro.common.rng import stream
 from repro.engine.base import Payload
 from repro.engine.des import DesEngine
 from repro.engine.replica import ReplicaSelector
@@ -83,8 +83,8 @@ class TestTrampoline:
 class TestReplicaSelector:
     def test_rotation_is_seeded_and_deterministic(self):
         eps = ("a", "b", "c")
-        s1 = ReplicaSelector(substream(3, "x"))
-        s2 = ReplicaSelector(substream(3, "x"))
+        s1 = ReplicaSelector(stream(3, "x"))
+        s2 = ReplicaSelector(stream(3, "x"))
         orders = [s1.order(eps) for _ in range(6)]
         assert orders == [s2.order(eps) for _ in range(6)]
         # the phase steps once per order(): consecutive calls spread
@@ -94,7 +94,7 @@ class TestReplicaSelector:
             assert sorted(o) == ["a", "b", "c"]
 
     def test_dead_endpoints_sort_last(self):
-        sel = ReplicaSelector(substream(0, "y"))
+        sel = ReplicaSelector(stream(0, "y"))
         sel.dead.add("b")
         for _ in range(4):
             order = sel.order(("a", "b", "c"))

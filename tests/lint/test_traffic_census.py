@@ -165,10 +165,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "it; no figure's update raises (the parity suite's abandon "
         "scenario does)"
     ),
-    "repro.engine.des.DesEngine.rng": (
-        "seeds a client's replica selector, which the DES builds only for "
-        "a read under an active fault plan"
-    ),
     "repro.engine.des.DesEngine.run": (
         "Engine.run on the DES: the figure drivers start protocol "
         "generators with env.process directly; the parity suite calls it"
