@@ -42,7 +42,7 @@ def read_records(fs) -> int:
     with fs.open("/data") as stream:
         while stream.read(RECORD):
             pass
-        return stream.fetches
+        return stream._core.fetches
 
 
 @pytest.mark.benchmark(group="ablation-cache-write")

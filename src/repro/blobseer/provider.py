@@ -41,10 +41,6 @@ class Provider:
         with self._lock:
             self._failed = False
 
-    @property
-    def is_failed(self) -> bool:
-        return self._failed
-
     def _check_alive(self) -> None:
         if self._failed:
             raise ProviderUnavailableError(f"provider {self.name} is down")

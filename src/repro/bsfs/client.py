@@ -9,14 +9,12 @@ ever blocking each other or the readers.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from types import SimpleNamespace
 from typing import List, Optional
 
 from ..blobseer.client import BlobSeerService
 from ..common.config import BlobSeerConfig
-from ..common.errors import FileClosedError
 from ..common.fs import (
     BlockLocation,
     FileStatus,
@@ -150,12 +148,10 @@ class BSFSOutputStream(OutputStream):
     emitted block is one BLOB append."""
 
     def __init__(self, fs: BSFSFileSystem, path: str, record: BSFSFile) -> None:
+        super().__init__(path)
         self.fs = fs
-        self.path = path
         self.record = record
-        self._closed = False
         self._written = 0
-        self._lock = threading.Lock()
         cfg = fs.deployment.config
         self._core = AppendStreamCore(
             fs.deployment.protocol,
@@ -214,10 +210,6 @@ class BSFSOutputStream(OutputStream):
                 self._core.buffer.drain()
             self._closed = True
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FileClosedError(self.path)
-
 
 class BSFSInputStream(InputStream):
     """Read stream with whole-block prefetching. The file size is
@@ -227,12 +219,9 @@ class BSFSInputStream(InputStream):
     Map/Reduce) without taking the namespace lock its appenders take."""
 
     def __init__(self, fs: BSFSFileSystem, path: str, record: BSFSFile) -> None:
+        super().__init__(path)
         self.fs = fs
-        self.path = path
         self.record = record
-        self._pos = 0
-        self._closed = False
-        self._lock = threading.Lock()
         cfg = fs.deployment.config
         obs = fs.deployment.obs
         self._tracer = obs.tracer
@@ -256,24 +245,6 @@ class BSFSInputStream(InputStream):
         )
         self._known_size = record.size
 
-    @property
-    def fetches(self) -> int:
-        """Lifetime counter of BLOB reads issued (prefetch effectiveness)."""
-        return self._core.fetches
-
-    # -- positioning ---------------------------------------------------------------
-
-    def seek(self, offset: int) -> None:
-        with self._lock:
-            self._check_open()
-            if offset < 0:
-                raise ValueError(f"negative seek {offset}")
-            self._pos = offset
-
-    def tell(self) -> int:
-        with self._lock:
-            return self._pos
-
     def refresh_size(self) -> int:
         """Re-read the file size from the record this stream opened.
 
@@ -288,21 +259,7 @@ class BSFSInputStream(InputStream):
         """Last known file size (may lag behind concurrent appenders)."""
         return self._known_size
 
-    # -- reads -----------------------------------------------------------------------
-
-    def read(self, n: int) -> bytes:
-        with self._lock:
-            self._check_open()
-            data = self._traced_pread(self._pos, n)
-            self._pos += len(data)
-            return data
-
-    def pread(self, offset: int, n: int) -> bytes:
-        with self._lock:
-            self._check_open()
-            return self._traced_pread(offset, n)
-
-    def _traced_pread(self, offset: int, n: int) -> bytes:
+    def _pread(self, offset: int, n: int) -> bytes:
         with self._tracer.span(
             "bsfs.read",
             cat="bsfs",
@@ -311,21 +268,18 @@ class BSFSInputStream(InputStream):
             offset=offset,
             nbytes=n,
         ):
-            return self._pread_locked(offset, n)
-
-    def _pread_locked(self, offset: int, n: int) -> bytes:
-        if n < 0:
-            raise ValueError("negative read size")
-        if n == 0:
-            return b""
-        if offset + n > self._known_size:
-            self.refresh_size()
-        if offset >= self._known_size:
-            return b""
-        n = min(n, self._known_size - offset)
-        return self.fs.deployment.engine.run(
-            self._core.read_range(offset, n, self._known_size)
-        )
+            if n < 0:
+                raise ValueError("negative read size")
+            if n == 0:
+                return b""
+            if offset + n > self._known_size:
+                self.refresh_size()
+            if offset >= self._known_size:
+                return b""
+            n = min(n, self._known_size - offset)
+            return self.fs.deployment.engine.run(
+                self._core.read_range(offset, n, self._known_size)
+            )
 
     def close(self) -> None:
         with self._lock:
@@ -337,7 +291,3 @@ class BSFSInputStream(InputStream):
                 counters["bsfs.cache.hits"] += self._cache.hits
                 counters["bsfs.cache.misses"] += self._cache.misses
                 self._cache.invalidate()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FileClosedError(self.path)

@@ -14,14 +14,11 @@ never sees a size that published BLOB versions cannot serve.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
 
-from ..common.errors import FileNotFoundInNamespaceError
-from ..common.fs import FileStatus, normalize_path
-from ..common.namespace import Entry, NamespaceTree
+from ..common.fs import FileStatus
+from ..common.namespace import NamespaceService
 
 
 @dataclass(slots=True)
@@ -33,15 +30,21 @@ class BSFSFile:
     size: int = 0
     creation_time: float = field(default_factory=time.time)
 
+    #: a BSFS file is readable from its creation on
+    visible = True
 
-class NamespaceManager:
+    def status(self, path: str, mtime: float) -> FileStatus:
+        return FileStatus(
+            path=path,
+            is_directory=False,
+            size=self.size,
+            block_size=self.page_size,
+            modification_time=mtime,
+        )
+
+
+class NamespaceManager(NamespaceService):
     """Centralized file→BLOB mapping and size bookkeeping."""
-
-    def __init__(self) -> None:
-        self.tree = NamespaceTree()
-        self._lock = threading.Lock()
-
-    # -- file lifecycle -----------------------------------------------------------
 
     def create(
         self, path: str, blob_id: int, page_size: int, overwrite: bool = False
@@ -68,70 +71,6 @@ class NamespaceManager:
             if end_offset > payload.size:
                 payload.size = end_offset
             return payload.size
-
-    # -- namespace operations --------------------------------------------------------
-
-    def mkdirs(self, path: str) -> None:
-        with self._lock:
-            self.tree.mkdirs(path)
-
-    def delete(self, path: str, recursive: bool = False) -> Optional[List[BSFSFile]]:
-        """Delete; returns removed file payloads (their BLOBs become garbage)."""
-        with self._lock:
-            return self.tree.delete(path, recursive=recursive)
-
-    def rename(self, src: str, dst: str) -> None:
-        with self._lock:
-            self.tree.rename(src, dst)
-
-    def exists(self, path: str) -> bool:
-        with self._lock:
-            return self.tree.exists(path)
-
-    def get_status(self, path: str) -> FileStatus:
-        with self._lock:
-            entry = self.tree.lookup(path)
-            if entry.is_directory:
-                return FileStatus(
-                    path=normalize_path(path),
-                    is_directory=True,
-                    size=0,
-                    modification_time=entry.modification_time,
-                )
-            payload: BSFSFile = entry.payload
-            return FileStatus(
-                path=normalize_path(path),
-                is_directory=False,
-                size=payload.size,
-                block_size=payload.page_size,
-                modification_time=entry.modification_time,
-            )
-
-    def list_dir(self, path: str) -> List[FileStatus]:
-        with self._lock:
-            out: List[FileStatus] = []
-            for child_path, entry in self.tree.list_dir(path):
-                if entry.is_directory:
-                    out.append(
-                        FileStatus(
-                            path=child_path,
-                            is_directory=True,
-                            size=0,
-                            modification_time=entry.modification_time,
-                        )
-                    )
-                else:
-                    payload = entry.payload
-                    out.append(
-                        FileStatus(
-                            path=child_path,
-                            is_directory=False,
-                            size=payload.size,
-                            block_size=payload.page_size,
-                            modification_time=entry.modification_time,
-                        )
-                    )
-            return out
 
     def file_count(self) -> int:
         """Number of files in the namespace (the file-count problem metric)."""

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import abc
 import posixpath
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import List
+
+from .errors import FileClosedError
 
 
 def normalize_path(path: str) -> str:
@@ -75,37 +78,74 @@ class BlockLocation:
     hosts: tuple[str, ...]
 
 
-class InputStream(abc.ABC):
-    """A positioned, seekable read stream (Hadoop's ``FSDataInputStream``)."""
+class _Stream(abc.ABC):
+    """The lifecycle both stream kinds share: the file's path, the lock
+    every call takes, and the closed state."""
 
-    @abc.abstractmethod
-    def read(self, n: int) -> bytes:
-        """Read up to *n* bytes from the current position; ``b""`` at EOF."""
-
-    @abc.abstractmethod
-    def pread(self, offset: int, n: int) -> bytes:
-        """Positional read that does not move the stream cursor."""
-
-    @abc.abstractmethod
-    def seek(self, offset: int) -> None:
-        """Move the cursor to an absolute offset."""
-
-    @abc.abstractmethod
-    def tell(self) -> int:
-        """Current cursor position."""
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._closed = False
+        self._lock = threading.Lock()
 
     @abc.abstractmethod
     def close(self) -> None:
         """Release the stream; further I/O raises ``FileClosedError``."""
 
-    def __enter__(self) -> "InputStream":
+    def _check_open(self) -> None:
+        if self._closed:
+            raise FileClosedError(self.path)
+
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-class OutputStream(abc.ABC):
+class InputStream(_Stream):
+    """A positioned, seekable read stream (Hadoop's ``FSDataInputStream``).
+
+    The stream owns the cursor; a file system supplies :meth:`_pread`.
+    """
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
+        self._pos = 0
+
+    @abc.abstractmethod
+    def _pread(self, offset: int, n: int) -> bytes:
+        """Up to *n* bytes at *offset* (``b""`` at EOF); the caller holds
+        the lock and has checked that the stream is open."""
+
+    def read(self, n: int) -> bytes:
+        """Read up to *n* bytes from the current position; ``b""`` at EOF."""
+        with self._lock:
+            self._check_open()
+            data = self._pread(self._pos, n)
+            self._pos += len(data)
+            return data
+
+    def pread(self, offset: int, n: int) -> bytes:
+        """Positional read that does not move the stream cursor."""
+        with self._lock:
+            self._check_open()
+            return self._pread(offset, n)
+
+    def seek(self, offset: int) -> None:
+        """Move the cursor to an absolute offset."""
+        with self._lock:
+            self._check_open()
+            if offset < 0:
+                raise ValueError(f"negative seek {offset}")
+            self._pos = offset
+
+    def tell(self) -> int:
+        """Current cursor position."""
+        with self._lock:
+            return self._pos
+
+
+class OutputStream(_Stream):
     """An append-only write stream (Hadoop's ``FSDataOutputStream``)."""
 
     @abc.abstractmethod
@@ -115,10 +155,6 @@ class OutputStream(abc.ABC):
     @abc.abstractmethod
     def flush(self) -> None:
         """Push buffered data to the storage service."""
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Flush and release; further I/O raises ``FileClosedError``."""
 
     @abc.abstractmethod
     def tell(self) -> int:
@@ -131,12 +167,6 @@ class OutputStream(abc.ABC):
         Subclasses with client-side buffering override this; the default
         is a plain close.
         """
-        self.close()
-
-    def __enter__(self) -> "OutputStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
         self.close()
 
 

@@ -1,10 +1,13 @@
-"""Hierarchical namespace tree.
+"""Hierarchical namespace tree and the namespace service built on it.
 
 Both centralized metadata services of the paper's storage systems — the
 HDFS *namenode* and the BSFS *namespace manager* — maintain a file-system
 namespace mapping paths to per-file metadata. This module is the shared,
-thread-safe tree they are built on; the payload attached to each file is
-system-specific (block list for HDFS, BLOB id + size for BSFS).
+thread-safe tree they are built on, and :class:`NamespaceService`, the
+status, listing and mutation calls they both serve over it. The payload
+attached to each file is system-specific (block list for HDFS, BLOB id +
+size for BSFS); it answers whether readers may see the file
+(``visible``) and what its status is (``status(path, mtime)``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     IsADirectoryError_,
     NotADirectoryError_,
 )
-from .fs import normalize_path, parent_path, path_components
+from .fs import FileStatus, normalize_path, parent_path, path_components
 
 
 @dataclass(slots=True)
@@ -42,6 +45,12 @@ class Entry:
     @classmethod
     def file(cls, name: str, payload: Any) -> "Entry":
         return cls(name=name, is_directory=False, payload=payload)
+
+    @property
+    def visible(self) -> bool:
+        """Whether readers may see the entry: a directory, or a file
+        whose payload says so."""
+        return self.is_directory or self.payload.visible
 
 
 class NamespaceTree:
@@ -254,3 +263,65 @@ class NamespaceTree:
             dst_parent.children[dst_name] = entry
             src_parent.modification_time = time.time()
             dst_parent.modification_time = time.time()
+
+
+class NamespaceService:
+    """A centralized namespace service: the tree, the one lock every call
+    takes, and the calls both file systems serve the same way. Files
+    readers may not see yet are absent from every query here."""
+
+    def __init__(self) -> None:
+        self.tree = NamespaceTree()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _status(path: str, entry: Entry) -> FileStatus:
+        if entry.is_directory:
+            return FileStatus(
+                path=path,
+                is_directory=True,
+                size=0,
+                modification_time=entry.modification_time,
+            )
+        return entry.payload.status(path, entry.modification_time)
+
+    def _lookup_visible(self, path: str) -> Entry:
+        """Entry at *path*, if readers may see it; the caller holds the lock."""
+        entry = self.tree.lookup(path)
+        if not entry.visible:
+            raise FileNotFoundInNamespaceError(
+                f"{path} is under construction and not yet visible"
+            )
+        return entry
+
+    def get_status(self, path: str) -> FileStatus:
+        """Status of a file or directory."""
+        with self._lock:
+            return self._status(normalize_path(path), self._lookup_visible(path))
+
+    def list_dir(self, path: str) -> List[FileStatus]:
+        """Visible children of a directory."""
+        with self._lock:
+            return [
+                self._status(child_path, entry)
+                for child_path, entry in self.tree.list_dir(path)
+                if entry.visible
+            ]
+
+    def mkdirs(self, path: str) -> None:
+        with self._lock:
+            self.tree.mkdirs(path)
+
+    def delete(self, path: str, recursive: bool = False) -> Optional[List[Any]]:
+        """Delete; returns removed file payloads (their storage becomes
+        garbage), or ``None`` when nothing was there."""
+        with self._lock:
+            return self.tree.delete(path, recursive=recursive)
+
+    def rename(self, src: str, dst: str) -> None:
+        with self._lock:
+            self.tree.rename(src, dst)
+
+    def exists(self, path: str) -> bool:
+        with self._lock:
+            return self.tree.exists(path) and self.tree.lookup(path).visible

@@ -3,17 +3,19 @@
 A shim over :mod:`repro.hdfs.protocol` on the threaded engine. The
 behaviours the paper calls out — chunk-granularity write buffering,
 whole-chunk readahead, **no append**, single writer — live in the
-protocol's stream cores; the streams here keep only locking and
-lifecycle.
+protocol's stream cores; the streams here add only what differs from
+the shared stream lifecycle of :mod:`repro.common.fs`. The datanodes are
+BlobSeer :class:`~repro.blobseer.provider.Provider` objects: storage
+without policy, holding immutable chunks by key.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
+from ..blobseer.backends import InMemoryPageStore
+from ..blobseer.provider import Provider
 from ..common.config import HDFSConfig
-from ..common.errors import FileClosedError
 from ..common.fs import (
     BlockLocation,
     FileStatus,
@@ -24,7 +26,6 @@ from ..common.fs import (
 )
 from ..engine.threaded import ThreadedEngine
 from ..obs import NULL_OBS, Observability
-from .datanode import DataNode
 from .namenode import INodeFile, NameNode
 from .protocol import BlockReadCore, ChunkStreamCore, HDFSProtocol
 
@@ -44,7 +45,9 @@ class HDFSCluster:
         self.seed = seed
         self.obs = obs or NULL_OBS
         names = [f"datanode-{i:03d}" for i in range(n_datanodes)]
-        self.datanodes: Dict[str, DataNode] = {n: DataNode(n) for n in names}
+        self.datanodes: Dict[str, Provider] = {
+            n: Provider(n, InMemoryPageStore()) for n in names
+        }
         self.namenode = NameNode(names, config=self.config, seed=seed)
         self.engine = ThreadedEngine(seed=seed, obs=self.obs)
         self.engine.bind("nn", self.namenode)
@@ -53,8 +56,8 @@ class HDFSCluster:
             # datanode objects are picked up
             self.engine.bind_data(
                 name,
-                lambda bid, data, n=name: self.datanodes[n].put_block(bid, data),
-                lambda bid, off, sz, n=name: self.datanodes[n].get_block(
+                lambda bid, data, n=name: self.datanodes[n].put_page(bid, data),
+                lambda bid, off, sz, n=name: self.datanodes[n].get_page(
                     bid, off, sz
                 ),
             )
@@ -132,10 +135,8 @@ class HDFSOutputStream(OutputStream):
     """Write stream with chunk-granularity client buffering."""
 
     def __init__(self, fs: HDFSFileSystem, path: str) -> None:
+        super().__init__(path)
         self.fs = fs
-        self.path = path
-        self._closed = False
-        self._lock = threading.Lock()
         self._core = ChunkStreamCore(fs.cluster.protocol, fs.client_name, path)
 
     def write(self, data: bytes) -> int:
@@ -170,20 +171,13 @@ class HDFSOutputStream(OutputStream):
             self.fs.cluster.namenode.abandon(self.path, self.fs.client_name)
             self._closed = True
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FileClosedError(self.path)
-
 
 class HDFSInputStream(InputStream):
     """Read stream with whole-chunk readahead caching."""
 
     def __init__(self, fs: HDFSFileSystem, path: str, inode: INodeFile) -> None:
+        super().__init__(path)
         self.fs = fs
-        self.path = path
-        self._pos = 0
-        self._closed = False
-        self._lock = threading.Lock()
         self._core = BlockReadCore(
             fs.cluster.protocol, fs.client_name, path, inode.blocks
         )
@@ -194,47 +188,20 @@ class HDFSInputStream(InputStream):
         return self._core.selector.dead
 
     @property
-    def fetches(self) -> int:
-        """Lifetime counter of datanode fetches (readahead effectiveness)."""
-        return self._core.fetches
-
-    @property
     def size(self) -> int:
         """Total file size."""
         return self._core.size
 
-    # -- positioning -----------------------------------------------------------------
-
     def seek(self, offset: int) -> None:
-        with self._lock:
-            self._check_open()
-            if offset < 0 or offset > self._core.size:
-                raise ValueError(f"seek to {offset} outside [0, {self._core.size}]")
-            self._pos = offset
+        """A closed HDFS file never grows: the cursor stays inside it."""
+        if offset > self._core.size:
+            raise ValueError(f"seek to {offset} outside [0, {self._core.size}]")
+        super().seek(offset)
 
-    def tell(self) -> int:
-        with self._lock:
-            return self._pos
-
-    # -- reads ------------------------------------------------------------------------
-
-    def read(self, n: int) -> bytes:
-        with self._lock:
-            self._check_open()
-            data = self.fs.cluster.engine.run(self._core.pread(self._pos, n))
-            self._pos += len(data)
-            return data
-
-    def pread(self, offset: int, n: int) -> bytes:
-        with self._lock:
-            self._check_open()
-            return self.fs.cluster.engine.run(self._core.pread(offset, n))
+    def _pread(self, offset: int, n: int) -> bytes:
+        return self.fs.cluster.engine.run(self._core.pread(offset, n))
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
             self._core.cached = None
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FileClosedError(self.path)

@@ -1,7 +1,7 @@
 """HDFS namenode — centralized file metadata and chunk placement.
 
-The namenode keeps the namespace (via the shared
-:class:`~repro.common.namespace.NamespaceTree`), maps each file to its
+The namenode keeps the namespace (it is a
+:class:`~repro.common.namespace.NamespaceService`), maps each file to its
 list of chunks, and answers chunk-location queries (what makes the
 jobtracker's scheduling data-location aware). Placement follows the
 paper's description: "When distributing the chunks among datanodes,
@@ -19,10 +19,9 @@ Semantics reproduced from the paper's Hadoop release:
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..common.config import HDFSConfig
 from ..common.errors import (
@@ -34,8 +33,8 @@ from ..common.errors import (
     IsADirectoryError_,
     ReplicationError,
 )
-from ..common.fs import BlockLocation, FileStatus, normalize_path
-from ..common.namespace import NamespaceTree
+from ..common.fs import BlockLocation, FileStatus
+from ..common.namespace import NamespaceService
 from ..common.rng import substream
 from .block import BlockId, BlockInfo
 
@@ -56,8 +55,23 @@ class INodeFile:
     def size(self) -> int:
         return sum(b.length for b in self.blocks)
 
+    @property
+    def visible(self) -> bool:
+        """Paper-era HDFS shows a file to readers only once it is closed."""
+        return not self.under_construction
 
-class NameNode:
+    def status(self, path: str, mtime: float) -> FileStatus:
+        return FileStatus(
+            path=path,
+            is_directory=False,
+            size=self.size,
+            replication=self.replication,
+            block_size=self.block_size,
+            modification_time=mtime,
+        )
+
+
+class NameNode(NamespaceService):
     """The centralized master of the HDFS deployment."""
 
     def __init__(
@@ -68,14 +82,13 @@ class NameNode:
     ) -> None:
         if not datanode_names:
             raise ValueError("need at least one datanode")
+        super().__init__()
         self.config = config or HDFSConfig()
         self.config.validate()
-        self.tree = NamespaceTree()
         self._datanodes = list(datanode_names)
         self._down: set[str] = set()
         self._rng = substream(seed, "hdfs-placement")
         self._inode_ids = itertools.count(1)
-        self._lock = threading.Lock()
 
     # -- datanode membership ------------------------------------------------------
 
@@ -197,41 +210,16 @@ class NameNode:
 
     # -- read-side metadata -----------------------------------------------------------
 
-    def _visible_file(self, path: str) -> INodeFile:
-        entry = self.tree.lookup_file(path)
-        inode: INodeFile = entry.payload
-        if inode.under_construction:
-            # not yet visible: paper-era HDFS shows files only after close
-            raise FileNotFoundInNamespaceError(
-                f"{path} is under construction and not yet visible"
-            )
-        return inode
-
     def get_file(self, path: str) -> INodeFile:
         """Metadata of a closed (visible) file."""
         with self._lock:
             return self._visible_file(path)
 
-    def get_status(self, path: str) -> FileStatus:
-        """Status of a file or directory."""
-        with self._lock:
-            entry = self.tree.lookup(path)
-            if entry.is_directory:
-                return FileStatus(
-                    path=normalize_path(path),
-                    is_directory=True,
-                    size=0,
-                    modification_time=entry.modification_time,
-                )
-            inode = self._visible_file(path)
-            return FileStatus(
-                path=normalize_path(path),
-                is_directory=False,
-                size=inode.size,
-                replication=inode.replication,
-                block_size=inode.block_size,
-                modification_time=entry.modification_time,
-            )
+    def _visible_file(self, path: str) -> INodeFile:
+        entry = self._lookup_visible(path)
+        if entry.is_directory:
+            raise IsADirectoryError_(path)
+        return entry.payload
 
     def get_block_locations(
         self, path: str, offset: int, length: int
@@ -250,57 +238,3 @@ class NameNode:
                     )
                 pos += block.length
             return out
-
-    def list_dir(self, path: str) -> List[FileStatus]:
-        """Visible children of a directory."""
-        with self._lock:
-            out: List[FileStatus] = []
-            for child_path, entry in self.tree.list_dir(path):
-                if entry.is_directory:
-                    out.append(
-                        FileStatus(
-                            path=child_path,
-                            is_directory=True,
-                            size=0,
-                            modification_time=entry.modification_time,
-                        )
-                    )
-                else:
-                    inode: INodeFile = entry.payload
-                    if inode.under_construction:
-                        continue
-                    out.append(
-                        FileStatus(
-                            path=child_path,
-                            is_directory=False,
-                            size=inode.size,
-                            replication=inode.replication,
-                            block_size=inode.block_size,
-                            modification_time=entry.modification_time,
-                        )
-                    )
-            return out
-
-    # -- namespace mutations (delegate to the tree) --------------------------------------
-
-    def mkdirs(self, path: str) -> None:
-        with self._lock:
-            self.tree.mkdirs(path)
-
-    def delete(self, path: str, recursive: bool = False) -> Optional[List[INodeFile]]:
-        """Delete; returns removed file payloads (for datanode GC)."""
-        with self._lock:
-            return self.tree.delete(path, recursive=recursive)
-
-    def rename(self, src: str, dst: str) -> None:
-        with self._lock:
-            self.tree.rename(src, dst)
-
-    def exists(self, path: str) -> bool:
-        with self._lock:
-            if not self.tree.exists(path):
-                return False
-            entry = self.tree.lookup(path)
-            if entry.is_directory:
-                return True
-            return not entry.payload.under_construction

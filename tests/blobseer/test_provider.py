@@ -48,7 +48,7 @@ def test_failure_injection(provider):
     pid = fresh_page_id(1, "w")
     provider.put_page(pid, b"data")
     provider.fail()
-    assert provider.is_failed
+    assert provider._failed
     with pytest.raises(ProviderUnavailableError):
         provider.get_page(pid)
     with pytest.raises(ProviderUnavailableError):

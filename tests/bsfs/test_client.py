@@ -157,7 +157,7 @@ class TestReadStreams:
         with fs.open("/f") as s:
             for off in range(0, 3000, 64):
                 s.pread(off, 64)
-            assert s.fetches <= 4  # one per 1024B block (+ tail growth)
+            assert s._core.fetches <= 4  # one per 1024B block (+ tail growth)
 
     def test_reader_follows_growing_file(self, dep):
         fs = dep.file_system("r")

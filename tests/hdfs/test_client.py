@@ -24,6 +24,20 @@ def fs(cluster):
     return cluster.file_system("c0")
 
 
+def count_probes(cluster):
+    """Wrap every datanode's ``get_page`` to count the fetches it is
+    asked for, served or failed; returns the live name → count map."""
+    probes = dict.fromkeys(cluster.datanodes, 0)
+    for name, node in cluster.datanodes.items():
+
+        def probed(*args, _get=node.get_page, _name=name):
+            probes[_name] += 1
+            return _get(*args)
+
+        node.get_page = probed
+    return probes
+
+
 class TestWritePath:
     def test_roundtrip_multi_chunk(self, fs):
         data = bytes(range(256)) * 20  # 5 chunks
@@ -36,9 +50,9 @@ class TestWritePath:
     def test_client_buffers_until_chunk(self, cluster, fs):
         out = fs.create("/f")
         out.write(b"x" * 1000)  # below the 1024 chunk size
-        assert sum(len(d._blocks) for d in cluster.datanodes.values()) == 0
+        assert sum(d.pages_stored for d in cluster.datanodes.values()) == 0
         out.write(b"x" * 100)  # crosses the chunk boundary
-        assert sum(len(d._blocks) for d in cluster.datanodes.values()) == 2
+        assert sum(d.pages_stored for d in cluster.datanodes.values()) == 2
         out.close()
 
     def test_chunks_are_exactly_chunk_sized(self, cluster, fs):
@@ -86,7 +100,7 @@ class TestReadPath:
         with fs.open("/f") as s:
             for off in range(0, 1024, 64):
                 s.pread(off, 64)
-            assert s.fetches == 1  # one chunk prefetch served them all
+            assert s._core.fetches == 1  # one chunk prefetch served them all
 
     def test_replica_fallback_on_failure(self, cluster, fs):
         fs.write_all("/f", b"precious" * 500)
@@ -138,15 +152,14 @@ class TestReplicaRotation:
         cluster = self._everywhere_cluster()
         fs = cluster.file_system("c0")
         fs.write_all("/f", b"z" * 4096)  # 4 chunks, each on all 4 datanodes
+        probes = count_probes(cluster)
         with fs.open("/f") as stream:
             stream.read(4096)
-        served = [
-            d.bytes_served for d in cluster.datanodes.values() if d.bytes_served
-        ]
+        assert sum(probes.values()) == 4  # one probe per chunk, none failed
         # the rotation phase steps per chunk fetch, so a single stream
         # spreads consecutive chunks over replicas; without rotation the
         # placement-order primary would absorb every read
-        assert len(served) > 1
+        assert sum(1 for n in probes.values() if n) > 1
 
     def test_dead_datanodes_tried_last_for_the_stream(self):
         cluster = self._everywhere_cluster()
@@ -154,11 +167,14 @@ class TestReplicaRotation:
         fs.write_all("/f", b"z" * 4096)  # 4 chunks
         dead = "datanode-001"
         cluster.datanodes[dead].fail()  # crash without telling the namenode
+        probes = count_probes(cluster)
         stream = fs.open("/f")
         assert stream.read(4096) == b"z" * 4096
         assert dead in stream._dead
-        served_before = cluster.datanodes[dead].bytes_served
-        stream.seek(0)
-        assert stream.read(4096) == b"z" * 4096
-        # the dead node is sorted last, so it is never probed again
-        assert cluster.datanodes[dead].bytes_served == served_before
+        assert probes[dead] == 1  # found dead once, then sorted last
+        for _ in range(3):
+            stream.seek(0)
+            assert stream.read(4096) == b"z" * 4096
+        # every chunk has a live replica ahead of the dead node, so the
+        # stream never probes it again
+        assert probes[dead] == 1

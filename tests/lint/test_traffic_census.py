@@ -151,7 +151,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.blobseer.client.BlobSeerService.recover_provider": _RECOVERY,
     "repro.blobseer.provider.Provider.fail": _CRASH,
     "repro.blobseer.provider.Provider.recover": _RECOVERY,
-    "repro.blobseer.provider.Provider.is_failed": _PROBE,
     "repro.blobseer.provider_manager.ProviderManager.mark_up": _RECOVERY,
     "repro.blobseer.simulated.SimBlobSeer.recover_provider": _RECOVERY,
     "repro.engine.des.DesEngine.recover_endpoint": _RECOVERY,
@@ -194,9 +193,6 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.obs.events.fault_recover": _RECOVERY,
     "repro.hdfs.client.HDFSCluster.fail_datanode": _CRASH,
     "repro.hdfs.client.HDFSCluster.recover_datanode": _RECOVERY,
-    "repro.hdfs.datanode.DataNode.fail": _CRASH,
-    "repro.hdfs.datanode.DataNode.recover": _RECOVERY,
-    "repro.hdfs.datanode.DataNode.is_failed": _PROBE,
     "repro.hdfs.namenode.NameNode.mark_down": _CRASH,
     "repro.hdfs.namenode.NameNode.mark_up": _RECOVERY,
     "repro.hdfs.namenode.NameNode.abandon": (
@@ -241,14 +237,11 @@ NO_TRAFFIC: Dict[str, str] = {
     "repro.bsfs.client.BSFSFileSystem.delete": _FS_API,
     "repro.bsfs.client.BSFSFileSystem.list_dir": _FS_API,
     "repro.bsfs.client.BSFSFileSystem.rename": _FS_API,
-    "repro.bsfs.client.BSFSInputStream.seek": _FS_API,
-    "repro.bsfs.client.BSFSInputStream.tell": _FS_API,
     "repro.bsfs.client.BSFSInputStream.size": _FS_API,
-    "repro.bsfs.client.BSFSInputStream.fetches": _PROBE,
+    "repro.common.fs.InputStream.seek": _FS_API,
+    "repro.common.fs.InputStream.tell": _FS_API,
     "repro.hdfs.client.HDFSInputStream.seek": _FS_API,
-    "repro.hdfs.client.HDFSInputStream.tell": _FS_API,
     "repro.hdfs.client.HDFSInputStream.size": _FS_API,
-    "repro.hdfs.client.HDFSInputStream.fetches": _PROBE,
     "repro.hdfs.client.HDFSOutputStream.flush": _FS_API,
     "repro.mapreduce.io.committers._BufferedTaskOutput.flush": _FS_API,
     "repro.mapreduce.io.committers._BufferedTaskOutput.tell": _FS_API,
