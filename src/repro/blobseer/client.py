@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..common.config import BlobSeerConfig
 from ..engine.threaded import ThreadedEngine
 from ..obs import NULL_OBS, Observability
+from ..obs.events import fault_crash, fault_recover
 from .backends import create_store
 from .metadata.dht import MetadataDHT
 from .protocol import BlobSeerProtocol, compute_layout
@@ -111,13 +112,13 @@ class BlobSeerService:
         """Fault injection: crash a provider and exclude it from placement."""
         self.providers[name].fail()
         self.provider_manager.mark_down(name)
-        self.engine.fail_endpoint(name)
+        fault_crash(self.obs, "provider", name)
 
     def recover_provider(self, name: str) -> None:
         """Bring a crashed provider back."""
         self.providers[name].recover()
         self.provider_manager.mark_up(name)
-        self.engine.recover_endpoint(name)
+        fault_recover(self.obs, "provider", name)
 
     def close(self) -> None:
         """Release provider persistence backends and stop the version

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 from ..common.config import BlobSeerConfig
 from ..engine.des import DesEngine
 from ..obs import NULL_OBS, Observability
+from ..obs.events import fault_crash, fault_recover
 from ..sim.cluster import SimCluster
 from .metadata.dht import MetadataDHT
 from .protocol import BlobSeerProtocol, compute_layout
@@ -93,10 +94,12 @@ class SimBlobSeer:
             raise KeyError(f"no data provider {name!r}")
         self.provider_manager.mark_down(name)
         self.engine.fail_endpoint(name)
+        fault_crash(self.obs, "provider", name)
 
     def recover_provider(self, name: str) -> None:
         self.provider_manager.mark_up(name)
         self.engine.recover_endpoint(name)
+        fault_recover(self.obs, "provider", name)
 
     # -- introspection ---------------------------------------------------------
 

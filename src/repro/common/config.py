@@ -185,15 +185,6 @@ class ClusterConfig:
     commit_push_time: float = 0.0002
     #: service time of one namespace-manager / namenode RPC, seconds
     namespace_rpc_time: float = 0.0008
-    #: per-RPC timeout a simulated client charges when it addresses a
-    #: crashed provider/datanode/metadata provider, seconds
-    rpc_timeout: float = 0.5
-    #: first capped-exponential backoff delay between retry sweeps, seconds
-    rpc_retry_base: float = 0.05
-    #: backoff ceiling, seconds
-    rpc_retry_cap: float = 2.0
-    #: RPC attempts (across replicas/sweeps) before the operation fails
-    rpc_max_attempts: int = 6
     #: experiment seed
     seed: int = 20100621  # HPDC'10 workshop date
 
@@ -219,12 +210,6 @@ class ClusterConfig:
             raise ValueError("latency must be non-negative")
         if self.commit_push_time <= 0:
             raise ValueError("commit_push_time must be positive")
-        if self.rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive")
-        if self.rpc_retry_base <= 0 or self.rpc_retry_cap < self.rpc_retry_base:
-            raise ValueError("need 0 < rpc_retry_base <= rpc_retry_cap")
-        if self.rpc_max_attempts < 1:
-            raise ValueError("rpc_max_attempts must be >= 1")
 
 
 @dataclass(slots=True)

@@ -64,11 +64,6 @@ class NamespaceTree:
     def __init__(self) -> None:
         self._root = Entry.directory("")
         self._lock = threading.RLock()
-        #: counts metadata operations, for the file-count-problem analysis
-        self.op_counter: Dict[str, int] = {}
-
-    def _count(self, op: str) -> None:
-        self.op_counter[op] = self.op_counter.get(op, 0) + 1
 
     # -- traversal helpers ----------------------------------------------------
 
@@ -108,7 +103,6 @@ class NamespaceTree:
     def lookup(self, path: str) -> Entry:
         """Entry at *path* (raises ``FileNotFoundInNamespaceError``)."""
         with self._lock:
-            self._count("lookup")
             return self._walk(path)
 
     def lookup_file(self, path: str) -> Entry:
@@ -121,7 +115,6 @@ class NamespaceTree:
     def list_dir(self, path: str) -> List[Tuple[str, Entry]]:
         """(child path, entry) pairs of a directory, sorted by name."""
         with self._lock:
-            self._count("list")
             entry = self._walk(path)
             if not entry.is_directory:
                 raise NotADirectoryError_(path)
@@ -173,7 +166,6 @@ class NamespaceTree:
     def mkdirs(self, path: str) -> None:
         """Create a directory and missing ancestors; idempotent."""
         with self._lock:
-            self._count("mkdirs")
             entry = self._root
             for comp in path_components(path):
                 assert entry.children is not None
@@ -193,7 +185,6 @@ class NamespaceTree:
     ) -> Entry:
         """Create a file entry (parents are created as needed)."""
         with self._lock:
-            self._count("create")
             self.mkdirs(parent_path(path))
             parent, name = self._walk_parent(path)
             assert parent.children is not None
@@ -212,7 +203,6 @@ class NamespaceTree:
         """Delete a path; returns payloads of every removed file, or
         ``None`` when the path did not exist."""
         with self._lock:
-            self._count("delete")
             try:
                 parent, name = self._walk_parent(path)
             except (FileNotFoundInNamespaceError, NotADirectoryError_):
@@ -243,7 +233,6 @@ class NamespaceTree:
         Hadoop's commit-by-rename.
         """
         with self._lock:
-            self._count("rename")
             src_norm, dst_norm = normalize_path(src), normalize_path(dst)
             if dst_norm == src_norm or dst_norm.startswith(src_norm + "/"):
                 raise ValueError(f"cannot rename {src!r} into itself")

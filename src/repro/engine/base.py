@@ -29,10 +29,36 @@ transport for sized-but-unmaterialized pages).
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from ..common.rng import Pcg64, stream
-from ..faults.plan import RetryPolicy
+
+
+@dataclass(frozen=True, slots=True)
+class RetryPolicy:
+    """Timeout/backoff/attempt budget of the failure-tolerant paths."""
+
+    #: what one RPC to a crashed node costs before the client gives up on it
+    rpc_timeout: float = 0.5
+    #: first backoff delay between retry sweeps
+    base_delay: float = 0.05
+    #: backoff ceiling
+    max_delay: float = 2.0
+    #: total attempts (across replicas and sweeps) before the op fails
+    max_attempts: int = 6
+
+    def __post_init__(self) -> None:
+        if self.rpc_timeout <= 0:
+            raise ValueError("rpc_timeout must be positive")
+        if self.base_delay <= 0 or self.max_delay < self.base_delay:
+            raise ValueError("need 0 < base_delay <= max_delay")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+
+    def backoff(self, sweep: int) -> float:
+        """Capped exponential delay before retry sweep *sweep* (0-based)."""
+        return min(self.max_delay, self.base_delay * (2.0 ** sweep))
 
 
 class Payload:
@@ -65,7 +91,7 @@ class Engine(abc.ABC):
 
     Attributes set by implementations:
 
-    * ``retry`` — the :class:`~repro.faults.plan.RetryPolicy` active for
+    * ``retry`` — the :class:`RetryPolicy` active for
       this runtime (timeout charging, backoff magnitudes).
     * ``_seed`` — the run's root seed, which :meth:`rng` derives from.
     * ``faults_active`` — when ``False`` the core may take batched
@@ -187,11 +213,7 @@ class Engine(abc.ABC):
         without one they return ``None`` and the core yields nothing.
         """
 
-    # -- fault / liveness view ---------------------------------------------
-
-    @abc.abstractmethod
-    def is_down(self, endpoint: str) -> bool:
-        """Whether the engine knows the endpoint to be crashed."""
+    # -- fault view ---------------------------------------------------------
 
     @property
     @abc.abstractmethod

@@ -20,6 +20,8 @@ Cost model (unchanged from the pre-engine simulated clients):
   policy's ``rpc_timeout`` of simulated time. Data providers are the
   only endpoints the DES crashes (fig7's fault model): metadata lives in
   the in-process DHT on every runtime, so it has no crash model here.
+  The engine keeps the down set itself because on the DES it *is* the
+  crashed node's model: there is no provider object to refuse service.
 
 The fault-free fast paths (``ship_many``/``gather``) batch whole page
 fan-outs through ``network.transfer_many`` so same-instant replica churn
@@ -34,12 +36,17 @@ from typing import Any, Generator, List, Optional, Sequence, Set
 from ..blobseer.metadata.dht import placement_hash
 from ..blobseer.metadata.segment_tree import NodeKey, key_bytes
 from ..common.errors import RpcTimeoutError
-from ..faults.plan import RetryPolicy
 from ..obs import NULL_OBS, Observability
 from ..sim.cluster import SimCluster
 from ..sim.core import Event
 from ..sim.resources import Resource, batch_round_trips
-from .base import Engine, Payload
+from .base import Engine, Payload, RetryPolicy
+
+#: Timeout and backoff magnitudes of the simulated clients, in
+#: simulated seconds.
+DES_RETRY = RetryPolicy(
+    rpc_timeout=0.5, base_delay=0.05, max_delay=2.0, max_attempts=6
+)
 
 
 class _Control:
@@ -72,7 +79,7 @@ class DesEngine(Engine):
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
-        self.retry = RetryPolicy.from_cluster(cluster.config)
+        self.retry = DES_RETRY
         self._seed = cluster.config.seed
         self._control: dict[str, _Control] = {}
         self._md_slots: List[Resource] = []
@@ -140,9 +147,6 @@ class DesEngine(Engine):
 
     def recover_endpoint(self, name: str) -> None:
         self._down.discard(name)
-
-    def is_down(self, endpoint: str) -> bool:
-        return endpoint in self._down
 
     @property
     def faults_active(self) -> bool:

@@ -104,9 +104,6 @@ class RecordingEngine(Engine):
 
     # -- fault view ---------------------------------------------------------
 
-    def is_down(self, endpoint: str) -> bool:
-        return self.inner.is_down(endpoint)
-
     @property
     def faults_active(self) -> bool:
         # always exercise the failure-tolerant paths: they are the only

@@ -6,7 +6,7 @@
 * **dead-node memory**: endpoints seen timing out sort last in every
   subsequent sweep and are only forgiven by a successful reply;
 * a bounded sweep with **capped exponential backoff** between full
-  rotations, per the engine's :class:`~repro.faults.plan.RetryPolicy`.
+  rotations, per the engine's :class:`~repro.engine.base.RetryPolicy`.
 
 :func:`sweep_fetch` is an engine-parameterized generator like everything
 else in :mod:`repro.engine`, so the DES and the live runtimes keep

@@ -18,18 +18,18 @@ A provider that refuses service (:class:`ProviderUnavailableError`) is
 surfaced to the cores as :class:`RpcTimeoutError` — the same failure
 shape the DES engine produces for a crashed node — and counted on the
 ``net.rpc_timeouts`` counter so the threaded runtime exposes the same
-fault telemetry as the simulator.
+fault telemetry as the simulator. The engine keeps no view of which
+endpoints are down: the crashed component refuses service itself.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Generator, Optional, Sequence, Set
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..common.errors import ProviderUnavailableError, RpcTimeoutError
-from ..faults.plan import RetryPolicy
 from ..obs import NULL_OBS, NULL_SPAN, Observability
-from .base import Engine, Payload
+from .base import Engine, Payload, RetryPolicy
 
 #: Backoff magnitudes for the in-process runtime: the same sweep shape
 #: as the simulator's policy, but over wall milliseconds instead of
@@ -63,7 +63,6 @@ class ThreadedEngine(Engine):
         self._control: dict[str, Any] = {}
         # endpoint -> (store_fn(page_id, data), load_fn(page_id, off, n))
         self._data: dict[str, tuple] = {}
-        self._down: Set[str] = set()
         self.use_obs(obs or NULL_OBS)
 
     def use_obs(self, obs: Observability) -> None:
@@ -110,16 +109,7 @@ class ThreadedEngine(Engine):
         """Register a data endpoint's store/load entry points."""
         self._data[name] = (store_fn, load_fn)
 
-    # -- fault state --------------------------------------------------------
-
-    def fail_endpoint(self, name: str) -> None:
-        self._down.add(name)
-
-    def recover_endpoint(self, name: str) -> None:
-        self._down.discard(name)
-
-    def is_down(self, endpoint: str) -> bool:
-        return endpoint in self._down
+    # -- fault view ---------------------------------------------------------
 
     @property
     def faults_active(self) -> bool:

@@ -27,7 +27,6 @@ from dataclasses import replace
 from typing import Generator, List, Optional, Sequence
 
 from ..common.config import ExperimentConfig
-from ..faults import FaultPlan, schedule_plan, sim_blobseer_injector
 from ..obs import Observability
 from ..sim.core import Event
 from .deploy import deploy_bsfs
@@ -94,13 +93,11 @@ def chaos_appends(
         blob_id = bsfs.namespace.get(path).blob_id
 
         providers = blobseer.roles.data_providers
-        k = min(provider_crashes, len(providers) - 2)
-        plan = FaultPlan()
-        for i in range(k):
-            plan.crash(
-                "provider", providers[i], at=CRASH_START + CRASH_SPACING * i
+        for i in range(min(provider_crashes, len(providers) - 2)):
+            env.call_at(
+                env.now + (CRASH_START + CRASH_SPACING * i),
+                lambda name=providers[i]: blobseer.fail_provider(name),
             )
-        schedule_plan(env, plan, sim_blobseer_injector(blobseer, obs))
 
         clients = _client_nodes(bsfs, n)
         # the doomed appenders sit mid-pack so live appenders queue

@@ -26,6 +26,7 @@ from ..common.fs import (
 )
 from ..engine.threaded import ThreadedEngine
 from ..obs import NULL_OBS, Observability
+from ..obs.events import fault_crash, fault_recover
 from .namenode import INodeFile, NameNode
 from .protocol import BlockReadCore, ChunkStreamCore, HDFSProtocol
 
@@ -71,12 +72,12 @@ class HDFSCluster:
         """Fault injection: crash a datanode and exclude it from placement."""
         self.datanodes[name].fail()
         self.namenode.mark_down(name)
-        self.engine.fail_endpoint(name)
+        fault_crash(self.obs, "datanode", name)
 
     def recover_datanode(self, name: str) -> None:
         self.datanodes[name].recover()
         self.namenode.mark_up(name)
-        self.engine.recover_endpoint(name)
+        fault_recover(self.obs, "datanode", name)
 
 
 class HDFSFileSystem(FileSystem):

@@ -8,10 +8,10 @@ simulated deployment (:mod:`repro.hdfs.simulated`) and the threaded
 
 The namenode is a bound control endpoint (charged, serialized RPCs under
 the DES engine; plain locked calls under the threaded engine); datanodes
-are data endpoints. Failure handling is the shared policy: allocations
-are re-requested with backoff while every target is down, chunk stores
-skip over datanodes that time out (reporting them to the namenode), and
-block reads fail over replicas through
+are data endpoints. Failure handling is the shared policy: chunk stores
+skip over datanodes that time out (reporting them to the namenode), a
+chunk no target took is re-allocated with backoff, and block reads fail
+over replicas through
 :func:`~repro.engine.replica.sweep_fetch`. The simulated deployment
 never crashes a datanode, so its range read has no failover.
 """
@@ -58,34 +58,30 @@ class HDFSProtocol:
             None, "nn", "allocate_block", path, client
         )
         if engine.faults_active:
-            # targets may have crashed between allocation and shipping;
-            # drop them, and re-allocate (with backoff) if none survive.
+            # a target that times out is reported to the namenode, which
+            # excludes it from placement; when no target took the chunk,
+            # back off and allocate again (HDFS's exclude-and-reallocate).
             # Abandoned allocations are harmless: block ids are derived
             # from the committed block count, not reserved state.
             sweep = 0
-            while not (
-                alive := tuple(t for t in targets if not engine.is_down(t))
-            ):
+            while True:
+                stored = []
+                for name in targets:
+                    try:
+                        yield engine.store(None, client, name, block_id, payload)
+                    except RpcTimeoutError:
+                        yield engine.wait(None, "nn", "mark_down", name)
+                    else:
+                        stored.append(name)
+                if stored:
+                    break
                 if sweep >= engine.retry.max_attempts:
-                    raise ReplicationError(
-                        f"chunk of {path} could not be placed: "
-                        "all allocated datanodes are down"
-                    )
+                    raise ReplicationError(f"chunk {block_id} stored nowhere")
                 yield engine.sleep(None, engine.retry.backoff(sweep))
                 sweep += 1
                 block_id, targets = yield engine.call(
                     None, "nn", "allocate_block", path, client
                 )
-            stored = []
-            for name in alive:
-                try:
-                    yield engine.store(None, client, name, block_id, payload)
-                except RpcTimeoutError:
-                    yield engine.wait(None, "nn", "mark_down", name)
-                else:
-                    stored.append(name)
-            if not stored:
-                raise ReplicationError(f"chunk {block_id} stored nowhere")
             stored = tuple(stored)
         else:
             # fault-free fast path: one batched fan-out to all replicas

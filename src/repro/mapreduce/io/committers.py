@@ -22,7 +22,6 @@ import abc
 import threading
 from typing import Dict, List, Tuple
 
-from ...common.errors import FileClosedError
 from ...common.fs import FileSystem, OutputStream, join_path
 
 
@@ -114,13 +113,11 @@ class _BufferedTaskOutput(OutputStream):
     at close, so an attempt contributes either everything or nothing.
     """
 
-    def __init__(self, committer: "SharedAppendCommitter", key: Tuple[int, int]):
-        self._committer = committer
-        self._key = key
+    def __init__(self, committer: "SharedAppendCommitter") -> None:
+        super().__init__(committer.shared_path())
+        self._fs = committer.fs
         self._chunks: List[bytes] = []
         self._written = 0
-        self._closed = False
-        self._lock = threading.Lock()
 
     @property
     def closed(self) -> bool:
@@ -128,10 +125,7 @@ class _BufferedTaskOutput(OutputStream):
 
     def write(self, data: bytes) -> int:
         with self._lock:
-            if self._closed:
-                raise FileClosedError(
-                    f"attempt {self._key} output already closed"
-                )
+            self._check_open()
             self._chunks.append(bytes(data))
             self._written += len(data)
             return len(data)
@@ -139,8 +133,7 @@ class _BufferedTaskOutput(OutputStream):
     def flush(self) -> None:
         # intentionally a no-op: emitting bytes before close would break
         # the abort-containment invariant this wrapper exists to enforce
-        if self._closed:
-            raise FileClosedError(f"attempt {self._key} output already closed")
+        self._check_open()
 
     def tell(self) -> int:
         with self._lock:
@@ -154,7 +147,7 @@ class _BufferedTaskOutput(OutputStream):
             data = b"".join(self._chunks)
             self._chunks.clear()
         if data:
-            stream = self._committer.fs.append(self._committer.shared_path())
+            stream = self._fs.append(self.path)
             try:
                 stream.write(data)
             finally:
@@ -201,7 +194,7 @@ class SharedAppendCommitter(OutputCommitter):
         # surface missing append support at open time, not at close
         # (HDFS raises AppendNotSupportedError here — the paper's point)
         self.fs.append(self.shared_path()).discard()
-        stream = _BufferedTaskOutput(self, (partition, attempt))
+        stream = _BufferedTaskOutput(self)
         with self._lock:
             self._open[(partition, attempt)] = stream
         return stream

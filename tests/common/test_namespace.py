@@ -142,10 +142,3 @@ class TestRename:
         tree.mkdirs("/d")
         with pytest.raises(ValueError):
             tree.rename("/d", "/d/sub")
-
-    def test_op_counter_tracks_metadata_load(self, tree):
-        tree.create_file("/a", payload=1)
-        tree.create_file("/b", payload=2)
-        tree.rename("/a", "/c")
-        assert tree.op_counter["create"] == 2
-        assert tree.op_counter["rename"] == 1

@@ -135,7 +135,7 @@ class TestDesFaults:
         assert not eng.faults_active
         eng.fail_endpoint(names[1])
         assert eng.faults_active
-        assert eng.is_down(names[1])
+        assert names[1] in eng._down
         failed_at = {}
 
         def proc():

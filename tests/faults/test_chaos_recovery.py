@@ -16,7 +16,6 @@ from repro.common.errors import PageNotFoundError
 from repro.common.units import MiB
 from repro.engine.base import Payload
 from repro.experiments.deploy import deploy_bsfs
-from repro.faults import FaultPlan, schedule_plan, sim_blobseer_injector
 from repro.obs import Observability
 
 N_APPENDERS = 64
@@ -44,12 +43,8 @@ def chaos_run():
     blob = sb.create_blob()
     providers = sb.roles.data_providers
 
-    plan = (
-        FaultPlan()
-        .crash("provider", providers[0], at=0.05)
-        .crash("provider", providers[1], at=0.15)
-    )
-    schedule_plan(env, plan, sim_blobseer_injector(sb, obs))
+    for at, name in ((0.05, providers[0]), (0.15, providers[1])):
+        env.call_at(env.now + at, lambda name=name: sb.fail_provider(name))
 
     doomed_ticket = {}
     doomed_i = N_APPENDERS // 2

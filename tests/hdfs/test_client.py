@@ -124,6 +124,23 @@ class TestReadPath:
         for loc in fs.get_block_locations("/f", 0, 3000):
             assert "datanode-000" not in loc.hosts
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_write_routes_around_crashes_the_namenode_has_not_heard_of(
+        self, seed
+    ):
+        # the datanodes die on their own: only the stores that time out
+        # tell the namenode, which must then place the chunk elsewhere
+        cluster = HDFSCluster(
+            n_datanodes=4, config=HDFSConfig(chunk_size=512), seed=seed
+        )
+        for name in ("datanode-000", "datanode-001", "datanode-002"):
+            cluster.datanodes[name].fail()
+        fs = cluster.file_system("w")
+        fs.write_all("/f", b"z" * 3000)
+        assert fs.read_all("/f") == b"z" * 3000
+        for loc in fs.get_block_locations("/f", 0, 3000):
+            assert tuple(loc.hosts) == ("datanode-003",)
+
 
 class TestCommitByRename:
     def test_temp_then_rename_pattern(self, fs):

@@ -43,10 +43,6 @@ _TESTBED = (
     "testbed constant calibrated to the paper's Grid'5000 Orsay cluster; "
     "every figure runs the calibrated value"
 )
-_RETRY = (
-    "retry policy of the fault path (RetryPolicy.from_cluster); only "
-    "tests/faults set it"
-)
 
 #: per config class: fields no traffic root moves off the default, and
 #: why each stays. An entry whose field has acquired traffic, or that
@@ -97,10 +93,6 @@ NO_TRAFFIC = {
         "version_assign_time": _TESTBED,
         "commit_push_time": _TESTBED,
         "namespace_rpc_time": _TESTBED,
-        "rpc_timeout": _RETRY,
-        "rpc_retry_base": _RETRY,
-        "rpc_retry_cap": _RETRY,
-        "rpc_max_attempts": _RETRY,
     },
 }
 

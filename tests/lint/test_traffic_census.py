@@ -158,7 +158,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "an RPC timeout against a crashed data endpoint, which no root's "
         "operation addresses (tests/faults do)"
     ),
-    "repro.engine.des.DesEngine.is_down": _PROBE,
     "repro.blobseer.sim_vm.SimVMService.abandon": (
         "gives back the ticket of a DES update that raised after taking "
         "it; no figure's update raises (the parity suite's abandon "
@@ -180,15 +179,9 @@ NO_TRAFFIC: Dict[str, str] = {
         "retry backoff between replica sweeps: only a read that finds "
         "every replica down sleeps"
     ),
-    "repro.faults.plan.RetryPolicy.backoff": (
+    "repro.engine.base.RetryPolicy.backoff": (
         "retry backoff between replica sweeps: only a read that finds "
         "every replica down sleeps"
-    ),
-    "repro.engine.threaded.ThreadedEngine.fail_endpoint": _CRASH,
-    "repro.engine.threaded.ThreadedEngine.recover_endpoint": _RECOVERY,
-    "repro.faults.inject.FaultInjector.recover": _RECOVERY,
-    "repro.faults.inject.FaultInjector.components": (
-        "names the handlers in the error for an unknown component"
     ),
     "repro.obs.events.fault_recover": _RECOVERY,
     "repro.hdfs.client.HDFSCluster.fail_datanode": _CRASH,

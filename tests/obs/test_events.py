@@ -1,6 +1,6 @@
 """Instant events, the fault vocabulary, and counter rows in the export."""
 
-from repro.obs import MetricsRegistry, NULL_SPAN, chrome_trace
+from repro.obs import MetricsRegistry, NULL_SPAN, Observability, chrome_trace
 from repro.obs.events import (
     FAULT_CAT,
     FAULT_CRASH,
@@ -41,9 +41,10 @@ def test_instant_noop_when_disabled():
 def test_fault_helpers_stamp_the_vocabulary():
     clock = FakeClock()
     tracer = Tracer(clock=clock)
-    fault_crash(tracer, "provider", "node-3")
+    obs = Observability(tracer=tracer, registry=MetricsRegistry())
+    fault_crash(obs, "provider", "node-3")
     clock.t = 2.0
-    fault_recover(tracer, "provider", "node-3")
+    fault_recover(obs, "provider", "node-3")
     lease_expired(tracer, blob_id=1, version=4)
 
     spans = tracer.snapshot()
@@ -51,11 +52,13 @@ def test_fault_helpers_stamp_the_vocabulary():
     assert all(s.cat == FAULT_CAT and s.track == "faults" for s in spans)
     assert spans[0].args == {"component": "provider", "target": "node-3"}
     assert spans[2].args == {"blob": 1, "version": 4}
-    # all no-ops on a disabled tracer
-    off = Tracer(enabled=False)
+    assert obs.registry.value("faults.injected") == 1
+    assert obs.registry.value("faults.recovered") == 1
+    # all no-ops on a disabled bundle
+    off = Observability.off()
     fault_crash(off, "provider", "x")
-    lease_expired(off, 1, 1)
-    assert len(off) == 0
+    lease_expired(off.tracer, 1, 1)
+    assert len(off.tracer) == 0
 
 
 def test_chrome_trace_emits_instants_and_counter_rows():
@@ -63,7 +66,7 @@ def test_chrome_trace_emits_instants_and_counter_rows():
     tracer = Tracer(clock=clock)
     sp = tracer.start("op", track="c0")
     clock.t = 1.0
-    fault_crash(tracer, "provider", "p1")
+    fault_crash(Observability(tracer=tracer), "provider", "p1")
     clock.t = 2.0
     sp.finish()
 
