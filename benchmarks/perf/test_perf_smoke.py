@@ -12,10 +12,11 @@ here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Five gates are ceilings rather
+throughput) are gated the same way. Six gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
-leaves on the cyclic collector's lists, the bytes an in-flight fig8
+leaves on the cyclic collector's lists, the bytes the log page store's
+index holds per record, the bytes an in-flight fig8
 op holds while it waits, the full collections a
 fig8 run performs inside the kernel's dispatch loop (none: the kernel
 pauses the collector, DESIGN.md "Memory and the collector"), and the
@@ -112,8 +113,8 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     """What `repro-serve` keeps per append besides the payload — ~8 tree
     nodes at this depth, one version record, one fragment — stays under
     the committed ceiling in bytes and in collector-tracked objects
-    (keys are ints and inner nodes exact tuples, neither left on the
-    collector's lists, so its passes do not grow with history), and the
+    (keys and inner nodes are ints, never on the collector's lists, so
+    its passes do not grow with history), and the
     DHT keeps nothing per key but its buckets (placement is computed
     only where the simulator bills it, never remembered)."""
     from repro.engine.base import Payload
@@ -137,8 +138,8 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # int keys are never tracked; the inner nodes holding them leave
-        # the collector's lists at the first pass that meets them
+        # keys and inner nodes are ints, never tracked; a leaf is its
+        # fragment tuple
         gc.collect()
         gc.collect()
         return after - before, len(gc.get_objects()) - tracked_before
@@ -159,8 +160,8 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     assert tracked / n <= row["max_tracked_objects_per_append"], (
         f"a live append leaves {tracked / n:.1f} objects on the cyclic "
         f"collector's lists, ceiling {row['max_tracked_objects_per_append']}: "
-        f"retained metadata must be ints and exact tuples of atoms (a tuple "
-        f"subclass or a slotted object per node is tracked for life)"
+        f"retained metadata must be ints, beside each leaf's fragment tuple "
+        f"(a tuple or a slotted object per node is tracked)"
     )
 
     def entries(value) -> int:
@@ -176,6 +177,35 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
         if name != "_buckets" and entries(value) > 2 * dht.n_providers
     }
     assert not per_key, f"MetadataDHT grows with its keys outside _buckets: {per_key}"
+
+
+def test_log_index_bytes_per_record_under_ceiling(baseline, tmp_path):
+    """The log page store keeps one index entry per record in memory —
+    its key and one int packing the record's offset and length — so a
+    durable provider's footprint per stored page stays under the
+    committed ceiling. Measured over as many 4 KiB pages as the
+    live-append probe appends."""
+    from repro.blobseer.backends.logstore import LogStructuredPageStore
+
+    row = baseline["memory"]["live_append"]
+    n, value = row["appends"], b"v" * row["record_bytes"]
+    store = LogStructuredPageStore(tmp_path / "provider.log")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(n):
+            store.put(b"page/1/c/%d" % i, value)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        store.close()
+    per_record = (after - before) / n
+    assert per_record <= row["max_log_index_bytes_per_record"], (
+        f"the log store's index holds {per_record:,.0f} B per record, "
+        f"ceiling {row['max_log_index_bytes_per_record']:,} B: an index "
+        f"entry must stay one int (see benchmarks/perf/baseline.json)"
+    )
 
 
 def test_openloop_inflight_bytes_per_op_under_ceiling(baseline, monkeypatch):

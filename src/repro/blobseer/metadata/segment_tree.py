@@ -7,7 +7,9 @@ power-of-two ranges of pages. All nodes are immutable and live in a
 distributed hash table spread over the metadata providers; a new version
 creates only the leaves it changed plus the O(log n) inner nodes on the
 paths to the root, *sharing* every untouched subtree with previous
-versions by pointing at their node keys. This is what lets BlobSeer
+versions by naming their versions. Every version's tree is kept for
+good, so a node is stored compactly (see :data:`NodeValue`): a leaf is
+its fragment tuple, an inner node one int. This is what lets BlobSeer
 serve reads of old versions completely undisturbed while appenders
 publish new versions — the versioning-based concurrency control the
 paper's Figures 4 and 5 measure.
@@ -22,16 +24,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import (
     Dict,
-    Iterator,
-    List,
+    Iterable,
     Mapping,
     Optional,
     Protocol,
     Sequence,
     Tuple,
+    Union,
 )
 
-from ...common.errors import VersionNotFoundError
 from ..pages import PageFragments, overlay
 
 #: Identity of one tree node: which version of which BLOB created it
@@ -42,20 +43,26 @@ from ..pages import PageFragments, overlay
 #: compares in C, and the cyclic collector never tracks it.
 NodeKey = int
 
-#: One immutable tree node, ``(key, fragments, left, right)``, an exact
-#: tuple. A leaf (span 1) carries the page's fragment list; an inner
-#: node carries the keys of its children (``None`` where the half-range
-#: holds no pages at all — possible only at the right fringe of the
-#: tree), so the collector untracks it at its first collection. Build
-#: one with :func:`tree_node`.
-TreeNode = Tuple[
-    NodeKey, Optional[PageFragments], Optional[NodeKey], Optional[NodeKey]
-]
+#: What the DHT stores at a node's key — no key, no shape, nothing a
+#: reader can rebuild from the key itself. A leaf (span 1) stores its
+#: page's non-empty fragment tuple. An inner node over ``[lo, hi)`` stores
+#: one int packing its children's *versions*, ``(left + 1) << 33 |
+#: (right + 1)``, with 0 for a child whose half-range holds no pages
+#: (possible only at the right fringe of the tree); a child's key is the
+#: parent's blob, the half-range ``[lo, mid)`` or ``[mid, hi)`` with
+#: ``mid = (lo + hi) // 2``, and that version. An int of that size is
+#: about 32 B and never tracked by the cyclic collector, against 80 B
+#: for a ``(key, fragments, left, right)`` tuple.
+NodeValue = Union[PageFragments, int]
 
 #: one 32-bit key field; the layout, high to low, is blob_id | lo | hi |
 #: version, so the low bits — which pick a node's DHT partition — vary
 #: with the version even where ``hi`` is a multiple of a large span
 _MASK = 0xFFFF_FFFF
+
+#: an inner node's right child field, the low 33 bits of its value
+_CHILD_BITS = 33
+_CHILD_MASK = (1 << _CHILD_BITS) - 1
 
 
 def node_key(blob_id: int, version: int, lo: int, hi: int) -> NodeKey:
@@ -86,35 +93,12 @@ def key_bytes(key: NodeKey) -> bytes:
     return b"tree/%d/%d/%d/%d" % key_fields(key)
 
 
-def key_span(key: NodeKey) -> int:
-    """Pages covered by *key*'s node; 1 for a leaf."""
-    return (key >> 32 & _MASK) - (key >> 64 & _MASK)
-
-
-def tree_node(
-    key: NodeKey,
-    fragments: Optional[PageFragments] = None,
-    left: Optional[NodeKey] = None,
-    right: Optional[NodeKey] = None,
-) -> TreeNode:
-    """The node at *key*, checked for shape: a leaf has fragments and no
-    children, an inner node no fragments."""
-    if key_span(key) == 1:
-        if not fragments:
-            raise ValueError(f"leaf {key_fields(key)} missing fragments")
-        if left is not None or right is not None:
-            raise ValueError(f"leaf {key_fields(key)} must not have children")
-    elif fragments is not None:
-        raise ValueError(f"inner node {key_fields(key)} must not carry a page")
-    return (key, fragments, left, right)
-
-
 class NodeStore(Protocol):
     """What the tree algorithms need from the metadata DHT."""
 
-    def get_node(self, key: NodeKey) -> TreeNode: ...
+    def get_node(self, key: NodeKey) -> NodeValue: ...
 
-    def put_node(self, node: TreeNode) -> None: ...
+    def put_node(self, key: NodeKey, value: NodeValue) -> None: ...
 
 
 def capacity_for(n_pages: int) -> int:
@@ -136,9 +120,10 @@ def build_version(
     """Create the tree for *version* and return its root key.
 
     *changes* maps page index → the page's new fragment list; every
-    other page is shared with the previous version's tree. When the BLOB grew past the
-    previous capacity, the old root is grafted in as the leftmost
-    descendant of the (larger) new root.
+    other page is shared with the previous version's tree. When the BLOB
+    grew past the previous capacity, the old root is grafted in as the
+    leftmost descendant of the (larger) new root, named by its version:
+    the tree still splits every range at its midpoint.
 
     The number of nodes written is ``O(|changes| + log(capacity))`` for
     the contiguous change-sets appends produce.
@@ -147,110 +132,88 @@ def build_version(
         raise ValueError("a version must change at least one page")
     if new_capacity < prev_capacity:
         raise ValueError("capacity cannot shrink")
+    if new_capacity < 1 or new_capacity & (new_capacity - 1):
+        # every span is then a power of two, which the walks rely on
+        raise ValueError(f"capacity {new_capacity} is not a power of two")
     if any(i < 0 or i >= new_capacity for i in changes):
         raise ValueError("change index out of capacity")
     # the changed indices, sorted once: every _build call owns the slice
     # ``sorted_changes[i:j]`` that falls in its range, and one bisect at
     # the midpoint splits it between the two children
     sorted_changes = sorted(changes)
-    grafting = prev_root is not None and new_capacity > prev_capacity
-    node_key(blob_id, version, 0, new_capacity)  # every key of the build fits
-    return _build(
+    root = node_key(blob_id, version, 0, new_capacity)  # every key fits
+    if prev_root is None:
+        prev = 0
+    elif new_capacity > prev_capacity:
+        prev = _UNRESOLVED
+    else:
+        prev = (prev_root & _MASK) + 1
+    ctx = (
         store,
-        node_key(blob_id, version, 0, 0),
+        blob_id << 96,
+        version,
         changes,
         sorted_changes,
         prev_root,
         prev_capacity,
-        0,
-        new_capacity,
-        _UNRESOLVED if grafting else prev_root,
-        0,
-        len(sorted_changes),
     )
+    _build(ctx, 0, new_capacity, prev, 0, len(sorted_changes))
+    return root
 
 
-def _build(
-    store: NodeStore,
-    base: NodeKey,
-    changes: Mapping[int, PageFragments],
-    sorted_changes: List[int],
-    prev_root: Optional[NodeKey],
-    prev_capacity: int,
-    lo: int,
-    hi: int,
-    prev,
-    i: int,
-    j: int,
-) -> NodeKey:
-    """Write the node over ``[lo, hi)`` — a range that holds a change
-    (``i < j``) or lies on the graft path (*prev* unresolved). *base*
-    is the build's key over the empty range ``[0, 0)``.
+def _build(ctx: tuple, lo: int, hi: int, prev, i: int, j: int) -> None:
+    """Write the build's node over ``[lo, hi)`` — a range that holds a
+    change (``i < j``) or lies on the graft path (*prev* unresolved).
+    *prev* is the previous version's node over the same range as a
+    child field (its version plus one, 0 for none). *ctx* holds the
+    build's constants: the store, the key bits above ``lo``, the
+    version, the changes and their sorted indices, and the previous
+    root and capacity.
 
-    A module-level function that takes the build's constants as
-    arguments: a nested function that calls itself is a reference cycle
+    A module-level function that takes the build's constants as an
+    argument: a nested function that calls itself is a reference cycle
     (function → cell → function), so every build would leave garbage
     only the cyclic collector can free.
     """
-    key = base | lo << 64 | hi << 32  # node_key(blob_id, version, lo, hi)
+    store, blob, version, changes, sorted_changes, prev_root, prev_capacity = ctx
+    key = blob | lo << 64 | hi << 32  # node_key(blob_id, 0, lo, hi)
     if hi - lo == 1:
-        store.put_node(tree_node(key, changes[lo]))
-        return key
+        fragments = changes[lo]
+        if not fragments:
+            raise ValueError(f"leaf {key_fields(key | version)} missing fragments")
+        store.put_node(key | version, fragments)
+        return
 
     mid = (lo + hi) // 2
-    prev_left: Optional[NodeKey]
-    prev_right: Optional[NodeKey]
-    if prev is None:
-        prev_left = prev_right = None
-    elif prev is _UNRESOLVED:
-        # realign against the old tree's geometry
+    if prev is _UNRESOLVED:
+        # realign against the old tree's geometry: the old root is the
+        # leftmost descendant whose range is exactly its capacity
         if lo == 0 and mid == prev_capacity:
-            prev_left, prev_right = prev_root, None
+            left, right = (prev_root & _MASK) + 1, 0
         elif lo == 0 and mid > prev_capacity:
-            prev_left, prev_right = _UNRESOLVED, None
+            left, right = _UNRESOLVED, 0
         elif lo == 0 and mid < prev_capacity:
             # old tree wider than this half: impossible, since the graft
             # path only ever *enlarges* ranges left-aligned at zero.
             raise AssertionError("graft path narrower than old tree")
         else:
-            prev_left = prev_right = None
+            left = right = 0
+    elif prev:
+        packed = store.get_node(key | prev - 1)
+        left, right = packed >> _CHILD_BITS, packed & _CHILD_MASK
     else:
-        _, _, prev_left, prev_right = store.get_node(prev)
+        left = right = 0
 
     # descend only where something is written: an untouched child is
-    # shared with the previous version by its key, with no call
+    # shared with the previous version by its field, with no call
     k = bisect_left(sorted_changes, mid, i, j)
-    left, right = prev_left, prev_right
-    if i < k or prev_left is _UNRESOLVED:
-        left = _build(
-            store,
-            base,
-            changes,
-            sorted_changes,
-            prev_root,
-            prev_capacity,
-            lo,
-            mid,
-            prev_left,
-            i,
-            k,
-        )
+    if i < k or left is _UNRESOLVED:
+        _build(ctx, lo, mid, left, i, k)
+        left = version + 1
     if k < j:
-        right = _build(
-            store,
-            base,
-            changes,
-            sorted_changes,
-            prev_root,
-            prev_capacity,
-            mid,
-            hi,
-            prev_right,
-            k,
-            j,
-        )
-    store.put_node(tree_node(key, None, left, right))
-    return key
+        _build(ctx, mid, hi, right, k, j)
+        right = version + 1
+    store.put_node(key | version, left << _CHILD_BITS | right)
 
 
 def query_pages(
@@ -270,25 +233,40 @@ def query_pages(
         return out
 
     # an explicit stack, not a nested function that calls itself (a
-    # reference cycle per read); pushing right before left keeps the
-    # store accesses in pre-order, left subtree first
+    # reference cycle per read). The walk carries each node's key less
+    # its version (its *slot*), ``lo``, span and version; a child's slot
+    # is its parent's with ``hi`` lowered or ``lo`` raised by half the
+    # span. It follows the left child in place and stacks the right one
+    # only when both overlap the range, so the store accesses stay in
+    # pre-order, left subtree first, and every node read is one the
+    # range needs.
+    mask, child_mask = _MASK, _CHILD_MASK
+    key_lo, key_hi, version = root >> 64 & mask, root >> 32 & mask, root & mask
+    if key_hi <= lo or key_lo >= hi:
+        return out
     get_node = store.get_node
-    mask = _MASK
-    stack: List[Optional[NodeKey]] = [root]
+    stack = [(root - version, key_lo, key_hi - key_lo, version)]
     while stack:
-        key = stack.pop()
-        if key is None:
-            continue
-        key_lo, key_hi = key >> 64 & mask, key >> 32 & mask
-        if key_hi <= lo or key_lo >= hi:
-            continue
-        _, fragments, left, right = get_node(key)
-        if key_hi - key_lo == 1:
-            assert fragments is not None
-            out[key_lo] = fragments
-            continue
-        stack.append(right)
-        stack.append(left)
+        slot, key_lo, span, version = stack.pop()
+        while True:
+            value = get_node(slot | version)
+            if span == 1:
+                out[key_lo] = value
+                break
+            span >>= 1
+            mid = key_lo + span
+            left = value >> _CHILD_BITS if mid > lo else 0
+            right = value & child_mask if mid < hi else 0
+            if left:
+                if right:
+                    stack.append((slot + (span << 64), mid, span, right - 1))
+                slot -= span << 32
+                version = left - 1
+            elif right:
+                slot += span << 64
+                key_lo, version = mid, right - 1
+            else:
+                break
     return out
 
 
@@ -365,19 +343,9 @@ def build_versions_batch(
 
 def iter_all_pages(
     store: NodeStore, root: NodeKey
-) -> Iterator[Tuple[int, PageFragments]]:
+) -> Iterable[Tuple[int, PageFragments]]:
     """Every (page index, fragment list) reachable from *root*, in order."""
-    stack: List[Optional[NodeKey]] = [root]
-    while stack:
-        key = stack.pop()
-        if key is None:
-            continue
-        _, fragments, left, right = store.get_node(key)
-        if fragments is not None:
-            yield key >> 64 & _MASK, fragments
-            continue
-        stack.append(right)
-        stack.append(left)
+    return query_pages(store, root, root >> 64 & _MASK, root >> 32 & _MASK).items()
 
 
 class _Unresolved:

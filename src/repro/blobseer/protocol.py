@@ -53,6 +53,20 @@ from .provider_manager import ProviderManager
 from .version_manager import Ticket, pages_capacity
 
 
+def report_holes(gaps, holes: List[Tuple[int, int]], lo: int, hi: int) -> None:
+    """Add each ``(start, end)`` extent of *gaps*, clipped to ``[lo,
+    hi)``, to *holes*, merged with the extent before it where they
+    meet."""
+    for start, end in gaps:
+        start, end = max(start, lo), min(end, hi)
+        if start >= end:
+            continue
+        if holes and holes[-1][1] == start:
+            holes[-1] = (holes[-1][0], end)
+        else:
+            holes.append((start, end))
+
+
 def compute_layout(dht: MetadataDHT, record, page_size: int):
     """(offset, length, providers) per stored fragment of a version.
 
@@ -460,11 +474,19 @@ class BlobSeerProtocol:
         nbytes: int,
         version: Optional[int] = None,
         parent=None,
+        holes: Optional[List[Tuple[int, int]]] = None,
     ):
         """Generator: read ``[offset, offset+nbytes)`` of a version.
 
         Returns ``(version, data)`` — *data* is the bytes on engines
         that materialize payloads and ``None`` under pure simulation.
+
+        A byte range no committed version wrote — a *hole*, left by an
+        aborted update whose successors committed — raises
+        ``PageNotFoundError``, unless *holes* is a list: the read then
+        appends each hole's ``(start, end)`` blob offsets to it, merged
+        and in order, and returns zeros across them. Readers that skip
+        holes, as record-append readers skip padding, ask for that.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("read range must be non-negative")
@@ -492,52 +514,50 @@ class BlobSeerProtocol:
                 f"blob {blob_id} v{rec.version}: read [{offset}, "
                 f"{offset + nbytes}) past size {rec.size}"
             )
-        if rec.root is None:
-            raise PageNotFoundError(
-                f"blob {blob_id} v{rec.version}: range is an aborted hole"
-            )
-
         first, last = offset // ps, (offset + nbytes - 1) // ps
-        store, session = self._node_store()
-        leaves = query_pages(store, rec.root, first, last + 1)
-        yield from self._charge(session.take_log(), sp)
+        leaves = {}
+        if rec.root is not None:  # None: the version itself was aborted
+            store, session = self._node_store()
+            leaves = query_pages(store, rec.root, first, last + 1)
+            yield from self._charge(session.take_log(), sp)
 
-        # walk each page's fragments with a cursor so holes *inside* a
-        # leaf (from an aborted writer whose neighbour committed) fail
-        # loudly instead of returning zeros
+        # walk each page's fragments with a cursor so holes — a missing
+        # page, or a gap *inside* a leaf from an aborted writer whose
+        # neighbour committed — are found instead of read as zeros
         jobs: List[Tuple[int, Fragment]] = []
+        gaps: List[Tuple[int, int]] = []  # in blob offsets, one page each
         for p in range(first, last + 1):
-            if p not in leaves:
-                raise PageNotFoundError(
-                    f"blob {blob_id} v{rec.version}: page {p} is a hole"
-                )
             base = p * ps
             lo = max(offset, base) - base
             hi = min(offset + nbytes, base + ps) - base
             cursor = lo
-            for frag in leaves[p]:
+            for frag in leaves.get(p, ()):
                 piece = frag.clip(cursor, hi)
                 if piece is None:
                     continue
                 if piece.start > cursor:
-                    raise PageNotFoundError(
-                        f"blob {blob_id} v{rec.version}: hole in page {p} "
-                        f"at [{cursor}, {piece.start})"
-                    )
+                    gaps.append((base + cursor, base + piece.start))
                 jobs.append((base + piece.start - offset, piece))
                 cursor = piece.end
                 if cursor >= hi:
                     break
             if cursor < hi:
-                raise PageNotFoundError(
-                    f"blob {blob_id} v{rec.version}: page {p} ends at "
-                    f"{cursor}, need {hi}"
-                )
+                gaps.append((base + cursor, base + hi))
+        if holes is not None:
+            report_holes(gaps, holes, offset, offset + nbytes)
+        elif gaps:
+            start, end = gaps[0]
+            base = start // ps * ps
+            raise PageNotFoundError(
+                f"blob {blob_id} v{rec.version}: hole in page {start // ps} "
+                f"at [{start - base}, {end - base})"
+            )
 
         sp_fetch = self.obs.tracer.start(
             "pages.fetch", cat="blobseer.data", parent=sp, track=client
         )
-        buf: Optional[bytearray] = None
+        # a range that is all hole reads as zeros
+        buf = bytearray(nbytes) if holes is not None and not jobs else None
         if engine.faults_active:
             sel = self.selector(client)
             for out_pos, piece in jobs:

@@ -259,7 +259,7 @@ class BSFSInputStream(InputStream):
         """Last known file size (may lag behind concurrent appenders)."""
         return self._known_size
 
-    def _pread(self, offset: int, n: int) -> bytes:
+    def _pread(self, offset: int, n: int, holes=None) -> bytes:
         with self._tracer.span(
             "bsfs.read",
             cat="bsfs",
@@ -278,7 +278,7 @@ class BSFSInputStream(InputStream):
                 return b""
             n = min(n, self._known_size - offset)
             return self.fs.deployment.engine.run(
-                self._core.read_range(offset, n, self._known_size)
+                self._core.read_range(offset, n, self._known_size, holes)
             )
 
     def close(self) -> None:

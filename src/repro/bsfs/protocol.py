@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..blobseer.protocol import BlobSeerProtocol
+from ..blobseer.protocol import BlobSeerProtocol, report_holes
 from ..common.fs import BlockLocation
 from ..engine.base import Payload
 from ..obs import NULL_OBS, Observability
@@ -277,17 +277,22 @@ class ReadStreamCore:
         #: lifetime counter of BLOB reads issued (prefetch effectiveness)
         self.fetches = 0
 
-    def read_range(self, offset: int, nbytes: int, known_size: int):
+    def read_range(self, offset: int, nbytes: int, known_size: int, holes=None):
         """Generator: read ``[offset, offset+nbytes)`` — already clipped
         to *known_size* by the caller — block by block through the
-        cache. Returns the bytes (None under the DES runtime)."""
+        cache. Returns the bytes (None under the DES runtime). With a
+        *holes* list, reports holes into it instead of raising (see
+        :meth:`BlobSeerProtocol.read`); a block with a hole is not
+        cached."""
         pieces: List[Optional[bytes]] = []
         pos, remaining = offset, nbytes
         while remaining > 0:
             index = pos // self.page_size
             in_block = pos - index * self.page_size
             take = min(remaining, self.page_size - in_block)
-            piece = yield from self._read_block(index, in_block, take, known_size)
+            piece = yield from self._read_block(
+                index, in_block, take, known_size, holes
+            )
             pieces.append(piece)
             pos += take
             remaining -= take
@@ -295,12 +300,12 @@ class ReadStreamCore:
             return None
         return b"".join(pieces)
 
-    def _read_block(self, index: int, offset: int, size: int, known_size: int):
+    def _read_block(self, index, offset, size, known_size, holes=None):
         base = index * self.page_size
         if self.cache is None:
             self.fetches += 1
             _version, data = yield from self.protocol.blobseer.read(
-                self.client, self.blob_id, base + offset, size
+                self.client, self.blob_id, base + offset, size, holes=holes
             )
             return data
         block = self.cache.lookup(index)
@@ -311,10 +316,14 @@ class ReadStreamCore:
         if block is None:
             length = min(self.page_size, known_size - base)
             self.fetches += 1
+            found = None if holes is None else []
             _version, block = yield from self.protocol.blobseer.read(
-                self.client, self.blob_id, base, length
+                self.client, self.blob_id, base, length, holes=found
             )
-            self.cache.insert(index, block)
+            if not found:
+                self.cache.insert(index, block)
+            if holes is not None:
+                report_holes(found, holes, base + offset, base + offset + size)
         return block[offset : offset + size] if block is not None else None
 
 

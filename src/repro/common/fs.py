@@ -15,7 +15,7 @@ import abc
 import posixpath
 import threading
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from .errors import FileClosedError
 
@@ -113,9 +113,10 @@ class InputStream(_Stream):
         self._pos = 0
 
     @abc.abstractmethod
-    def _pread(self, offset: int, n: int) -> bytes:
+    def _pread(self, offset: int, n: int, holes=None) -> bytes:
         """Up to *n* bytes at *offset* (``b""`` at EOF); the caller holds
-        the lock and has checked that the stream is open."""
+        the lock and has checked that the stream is open. A hole raises
+        unless *holes* is a list (see :meth:`pread_holes`)."""
 
     def read(self, n: int) -> bytes:
         """Read up to *n* bytes from the current position; ``b""`` at EOF."""
@@ -130,6 +131,19 @@ class InputStream(_Stream):
         with self._lock:
             self._check_open()
             return self._pread(offset, n)
+
+    def pread_holes(
+        self, offset: int, n: int
+    ) -> Tuple[bytes, List[Tuple[int, int]]]:
+        """:meth:`pread` for readers that skip *holes* — byte ranges of a
+        shared file that no appender completed (one died holding its
+        range). Returns the bytes, zeros across a hole, and the holes'
+        ``(start, end)`` file offsets in order, where :meth:`pread`
+        raises on them."""
+        holes: List[Tuple[int, int]] = []
+        with self._lock:
+            self._check_open()
+            return self._pread(offset, n, holes), holes
 
     def seek(self, offset: int) -> None:
         """Move the cursor to an absolute offset."""

@@ -222,8 +222,8 @@ class ThreadedEngine(Engine):
     def charge_md(self, parent, keys: Sequence[Any]) -> Optional[_Op]:
         # the DHT is in-process: metadata RPCs cost nothing here, so
         # there is no op at all unless its span keeps the runtimes'
-        # trace trees alike
-        if self._tracer is None:
+        # trace trees alike — none below an unrecorded parent
+        if self._tracer is None or parent is NULL_SPAN:
             return None
         return self._spanned(
             _Op(lambda: None),

@@ -199,7 +199,8 @@ class HDFSInputStream(InputStream):
             raise ValueError(f"seek to {offset} outside [0, {self._core.size}]")
         super().seek(offset)
 
-    def _pread(self, offset: int, n: int) -> bytes:
+    def _pread(self, offset: int, n: int, holes=None) -> bytes:
+        # an HDFS file is written by one writer at a time: it has no holes
         return self.fs.cluster.engine.run(self._core.pread(offset, n))
 
     def close(self) -> None:

@@ -104,43 +104,61 @@ class LineRecordReader:
     def __iter__(self) -> Iterator[Tuple[int, bytes]]:
         split = self.split
         with self.fs.open(split.path) as stream:
-            lines = _lines(stream, split.offset, split.end)
-            if split.offset > 0:
-                # skip the partial first line: it belongs to the previous
-                # split (with no newline until EOF, nothing starts here)
-                next(lines, None)
-            yield from lines
+            # past offset 0, skip the partial first line: it belongs to
+            # the previous split (with no newline until EOF, nothing
+            # starts here)
+            yield from _lines(stream, split.offset, split.end, split.offset > 0)
 
 
 def _lines(
-    stream: InputStream, offset: int, end: int
+    stream: InputStream, offset: int, end: int, skip_first: bool
 ) -> Iterator[Tuple[int, bytes]]:
     """``(start, line)`` for every line from *offset* that starts at or
-    before *end*, newline stripped; a trailing line without a final
-    newline comes as-is.
+    before *end*, newline stripped, but the first one if *skip_first*;
+    a trailing line without a final newline comes as-is.
 
     That is Hadoop's boundary rule: a line starting exactly at a split
     boundary belongs to the earlier split, matching the skip rule of the
     later one, so no line is lost or read twice.
+
+    A hole in a shared file (see :meth:`InputStream.pread_holes`) is
+    skipped the way record-append readers skip padding: it ends the line
+    before it as a newline on its last byte would, and a line that is
+    only hole is not yielded, though it is the one *skip_first* drops
+    when the split starts inside it.
 
     One buffer is cut into lines; the next ``_IO_CHUNK`` is read only
     when a line crosses the buffer's end, so every byte is read once.
     """
     buf = b""
     pos = offset  # file offset of buf[0], where the next line starts
+    at = offset  # file offset of the next read
     while pos <= end:
-        piece = stream.pread(pos + len(buf), _IO_CHUNK)
+        piece, holes = stream.pread_holes(at, _IO_CHUNK)
         if not piece:
-            if buf:
+            if buf and not skip_first:
                 yield pos, buf
             return
-        buf += piece
-        cut = 0
-        while (nl := buf.find(b"\n", cut)) >= 0 and pos + cut <= end:
-            yield pos + cut, buf[cut:nl]
-            cut = nl + 1
-        buf = buf[cut:]
-        pos += cut
+        seg = 0  # where the piece's next run of bytes starts
+        for hole_lo, hole_hi in [*holes, (at + len(piece), None)]:
+            buf += piece[seg : hole_lo - at]
+            cut = 0
+            while (nl := buf.find(b"\n", cut)) >= 0 and pos + cut <= end:
+                if skip_first:
+                    skip_first = False
+                else:
+                    yield pos + cut, buf[cut:nl]
+                cut = nl + 1
+            buf = buf[cut:]
+            pos += cut
+            if hole_hi is None or pos > end:
+                break
+            if skip_first:
+                skip_first = False
+            elif buf:
+                yield pos, buf
+            buf, pos, seg = b"", hole_hi, hole_hi - at
+        at += len(piece)
 
 
 class KeyValueLineRecordReader:

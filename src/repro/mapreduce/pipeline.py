@@ -183,10 +183,12 @@ def _feed(fs: FileSystem, upstream: JobInProgress, jip: JobInProgress) -> None:
 
 
 def _last_newline(stream: InputStream, offset: int, end: int) -> int:
-    """Position of the last ``\n`` in ``[offset, end)``; *offset* if none."""
+    """Position of the last ``\n`` in ``[offset, end)``; *offset* if none.
+    Holes (a reducer died holding its range) read as zeros, never a
+    newline: the scan skips them as the line reader does."""
     while end > offset:
         start = max(offset, end - _SCAN_CHUNK)
-        nl = stream.pread(start, end - start).rfind(b"\n")
+        nl = stream.pread_holes(start, end - start)[0].rfind(b"\n")
         if nl >= 0:
             return start + nl
         end = start

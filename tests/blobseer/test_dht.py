@@ -19,7 +19,6 @@ from repro.blobseer.metadata.segment_tree import (
     capacity_for,
     key_bytes,
     node_key,
-    tree_node,
 )
 from repro.blobseer.pages import Fragment, fresh_page_id
 from repro.common.config import ClusterConfig
@@ -30,11 +29,10 @@ from repro.sim.cluster import SimCluster
 
 
 def leaf(version=1, lo=0):
-    return tree_node(
+    """``(key, value)`` of a leaf: its value is its fragment tuple."""
+    return (
         node_key(1, version, lo, lo + 1),
-        fragments=(
-            Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),
-        ),
+        (Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),),
     )
 
 
@@ -59,10 +57,16 @@ class TestPlacement:
 
 class TestMetadataDHT:
     def test_put_get_roundtrip(self):
+        """A get returns the very value put: the DHT keeps no key or
+        wrapper beside it, for a leaf's tuple or an inner node's int."""
         dht = MetadataDHT(4)
-        node = leaf()
-        dht.put_node(node)
-        assert dht.get_node(node[0]) is node
+        key, value = leaf()
+        dht.put_node(key, value)
+        assert dht.get_node(key) is value
+        inner_key, inner = node_key(1, 1, 0, 2), (2 << 33) | 2**33 - 1
+        dht.put_node(inner_key, inner)
+        assert dht.get_node(inner_key) is inner
+        assert dht._buckets[key % 4][key] is value and len(dht) == 2
 
     def test_missing_raises(self):
         dht = MetadataDHT(4)
@@ -71,25 +75,25 @@ class TestMetadataDHT:
 
     def test_counters(self):
         dht = MetadataDHT(2)
-        node = leaf()
-        dht.put_node(node)
-        dht.get_node(node[0])
+        key, value = leaf()
+        dht.put_node(key, value)
+        dht.get_node(key)
         assert sum(dht.puts) == 1
         assert sum(dht.gets) == 1
 
     def test_len_and_load(self):
         dht = MetadataDHT(3)
         for lo in range(10):
-            dht.put_node(leaf(lo=lo))
+            dht.put_node(*leaf(lo=lo))
         assert len(dht) == 10
 
     def test_owner_consistent(self):
         # a key's owner — the provider the simulator bills — is a pure
         # function of the key's value, whichever int object carries it
-        node = leaf()
-        twin = int(str(node[0]))
-        assert twin is not node[0]
-        owner = placement_hash(key_bytes(node[0]), 5)
+        key, _ = leaf()
+        twin = int(str(key))
+        assert twin is not key
+        owner = placement_hash(key_bytes(key), 5)
         assert placement_hash(key_bytes(twin), 5) == owner
 
     def test_tallies_exact_under_two_hammering_threads(self):
@@ -105,9 +109,9 @@ class TestMetadataDHT:
             try:
                 start.wait()
                 for lo in range(per_thread):
-                    node = leaf(version=version, lo=lo)
-                    dht.put_node(node)
-                    assert dht.get_node(node[0]) is node
+                    key, value = leaf(version=version, lo=lo)
+                    dht.put_node(key, value)
+                    assert dht.get_node(key) is value
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -155,21 +159,21 @@ class TestRecordingStore:
         # the log holds node keys; their owners are the DES charge's job
         dht = MetadataDHT(4)
         rec = RecordingStore(dht)
-        node = leaf()
-        rec.put_node(node)
-        rec.get_node(node[0])
-        assert rec.take_log() == [node[0]] * 2  # put, get
+        key, value = leaf()
+        rec.put_node(key, value)
+        assert rec.get_node(key) is value
+        assert rec.take_log() == [key] * 2  # put, get
         assert (sum(dht.puts), sum(dht.gets)) == (1, 1)
 
     def test_counts_reach_the_tallies_once_per_op(self):
         dht = MetadataDHT(4)
-        node = leaf()
-        dht.put_node(node)
+        key, value = leaf()
+        dht.put_node(key, value)
         session = RecordingStore(dht)
         for lo in range(1, 4):
-            session.put_node(leaf(lo=lo))
-        session.get_node(node[0])
-        session.get_node(node[0])
+            session.put_node(*leaf(lo=lo))
+        session.get_node(key)
+        session.get_node(key)
         # the session reads and writes the partitions directly...
         assert len(dht) == 4 and (sum(dht.puts), sum(dht.gets)) == (1, 0)
         # ...and adds its accesses when the op takes its log
@@ -181,7 +185,7 @@ class TestRecordingStore:
     def test_a_missing_node_raises_and_is_counted(self):
         dht = MetadataDHT(2)
         session = RecordingStore(dht)
-        session.put_node(leaf())
+        session.put_node(*leaf())
         with pytest.raises(VersionNotFoundError, match=r"blob 1 v1 \[1, 2\)"):
             session.get_node(node_key(1, 1, 1, 2))
         assert (sum(dht.puts), sum(dht.gets)) == (1, 1)
@@ -200,9 +204,9 @@ class TestRecordingStore:
                 start.wait()
                 for lo in range(per_thread):
                     session = RecordingStore(dht)
-                    node = leaf(version=version, lo=lo)
-                    session.put_node(node)
-                    assert session.get_node(node[0]) is node
+                    key, value = leaf(version=version, lo=lo)
+                    session.put_node(key, value)
+                    assert session.get_node(key) is value
                     assert len(session.take_log()) == 2
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -228,16 +232,16 @@ class TestRecordingStore:
     def test_take_log_clears(self):
         dht = MetadataDHT(2)
         rec = RecordingStore(dht)
-        rec.put_node(leaf())
+        rec.put_node(*leaf())
         rec.take_log()
         assert rec.take_log() == []
 
     def test_passthrough_semantics(self):
         dht = MetadataDHT(2)
         rec = RecordingStore(dht)
-        node = leaf()
-        rec.put_node(node)
-        assert dht.get_node(node[0]) is node
+        key, value = leaf()
+        rec.put_node(key, value)
+        assert dht.get_node(key) is value
 
 
 class _Tally:
@@ -256,21 +260,21 @@ class TestNodeCache:
     def test_evicts_least_recently_used(self):
         cache = NodeCache(2)
         a, b, c = leaf(lo=0), leaf(lo=1), leaf(lo=2)
-        cache.put(a)
-        cache.put(b)
-        assert cache.get(a[0]) is a  # touch: b is now the LRU entry
-        cache.put(c)
+        cache.put(*a)
+        cache.put(*b)
+        assert cache.get(a[0]) is a[1]  # touch: b is now the LRU entry
+        cache.put(*c)
         assert len(cache) == 2
         assert cache.get(b[0]) is None
-        assert cache.get(a[0]) is a and cache.get(c[0]) is c
+        assert cache.get(a[0]) is a[1] and cache.get(c[0]) is c[1]
 
     def test_counts_hits_and_misses(self):
         hits, misses = _Tally(), _Tally()
         cache = NodeCache(4, hit_counter=hits, miss_counter=misses)
-        node = leaf()
-        assert cache.get(node[0]) is None
-        cache.put(node)
-        assert cache.get(node[0]) is node
+        key, value = leaf()
+        assert cache.get(key) is None
+        cache.put(key, value)
+        assert cache.get(key) is value
         assert (hits.value, misses.value) == (1, 1)
 
     def test_get_racing_eviction_is_a_miss(self):
@@ -285,7 +289,7 @@ class TestNodeCache:
         def putter():
             i = 0
             while not stop.is_set():
-                cache.put(nodes[i % 64])
+                cache.put(*nodes[i % 64])
                 i += 1
 
         def getter():
@@ -293,9 +297,9 @@ class TestNodeCache:
             deadline = time.perf_counter() + 1.5
             try:
                 while time.perf_counter() < deadline:
-                    for node in nodes:
-                        got = cache.get(node[0])
-                        assert got is None or got is node
+                    for key, value in nodes:
+                        got = cache.get(key)
+                        assert got is None or got is value
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -319,22 +323,22 @@ class TestCachingStore:
         dht = MetadataDHT(2)
         rec = RecordingStore(dht)
         store = CachingStore(rec, NodeCache(8))
-        node = leaf()
-        store.put_node(node)  # logged, and warms the cache
-        assert rec.take_log() == [node[0]]
-        assert store.get_node(node[0]) is node
+        key, value = leaf()
+        store.put_node(key, value)  # logged, and warms the cache
+        assert rec.take_log() == [key]
+        assert store.get_node(key) is value
         assert rec.take_log() == []  # served from cache: nothing charged
         assert (sum(dht.puts), sum(dht.gets)) == (1, 0)
 
     def test_miss_falls_through_and_populates(self):
         dht = MetadataDHT(2)
-        node = leaf()
-        dht.put_node(node)  # present in the DHT, cold in the cache
+        key, value = leaf()
+        dht.put_node(key, value)  # present in the DHT, cold in the cache
         rec = RecordingStore(dht)
         store = CachingStore(rec, NodeCache(8))
-        assert store.get_node(node[0]) is node
-        assert rec.take_log() == [node[0]]
-        assert store.get_node(node[0]) is node
+        assert store.get_node(key) is value
+        assert rec.take_log() == [key]
+        assert store.get_node(key) is value
         assert rec.take_log() == []
         assert sum(dht.gets) == 1
 

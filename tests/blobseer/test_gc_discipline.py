@@ -1,8 +1,8 @@
 """The live engines and the cyclic garbage collector (DESIGN.md, "Memory
 and the collector"): an append or a read on the threaded or the asyncio
 engine leaves nothing only the collector can free, and the metadata an
-append retains is made of ints and exact tuples the collector stops
-tracking at their first collection — so its passes do not grow with history.
+append retains is ints the collector never tracks, beside each leaf's
+fragment tuple — so its passes do not grow with history.
 (The simulator's half lives in ``tests/sim/test_gc_discipline.py``.)
 """
 
@@ -71,22 +71,23 @@ def test_asyncio_ops_leave_no_garbage_that_grows_with_their_number():
     assert op_leftovers(many) == {}
 
 
-def test_keys_then_inner_nodes_leave_the_collectors_lists():
-    """Keys are ints, which the collector never tracks, and an inner
-    node — an exact tuple of a key, ``None`` and child keys — is
-    untracked by the first collection that meets it. Only the leaves,
-    which hold ``Fragment`` objects, stay tracked."""
+def test_keys_and_inner_nodes_are_never_on_the_collectors_lists():
+    """Keys and inner nodes' values are ints, which the collector never
+    tracks, not even before a first collection. A leaf's value is its
+    fragment tuple itself — the only tree object the collector tracks,
+    because it holds ``Fragment`` objects."""
     store = MetadataDHT(2)
     changes = {
         i: (Fragment(0, 64, fresh_page_id(1, "w"), 0, ("p0",)),) for i in range(8)
     }
     root = build_version(store, 1, 1, None, 0, changes, capacity_for(8))
-    nodes = [node for bucket in store._buckets for node in bucket.values()]
-    inner = [node for node in nodes if node[1] is None]
-    leaves = [node for node in nodes if node[1] is not None]
-    assert len(inner) == 7 and len(leaves) == 8
+    nodes = {k: v for bucket in store._buckets for k, v in bucket.items()}
+    inner = [v for v in nodes.values() if type(v) is int]
+    leaves = [v for v in nodes.values() if type(v) is tuple]
+    assert len(inner) == 7 and len(leaves) == 8 and len(nodes) == 15
+    assert {id(v) for v in leaves} == {id(c) for c in changes.values()}
     assert not gc.is_tracked(root)
-    assert not any(gc.is_tracked(node[0]) for node in nodes)
+    assert not any(gc.is_tracked(key) for key in nodes)
+    assert not any(gc.is_tracked(value) for value in inner)
     gc.collect()
-    assert not any(gc.is_tracked(node) for node in inner)
-    assert all(gc.is_tracked(node) for node in leaves)
+    assert all(gc.is_tracked(value) for value in leaves)

@@ -126,6 +126,69 @@ class TestLogStructured:
         p2.store.close()
 
 
+class TestLogIndex:
+    """An index entry is one int, ``offset << 32 | length``."""
+
+    def test_entry_at_the_length_field_limit(self):
+        top = (1 << 32) - 1
+        for offset in (0, 1, top, 1 << 40):
+            entry = logstore._entry(offset, top)
+            assert type(entry) is int
+            assert (entry >> 32, entry & top) == (offset, top)
+        with pytest.raises(ValueError, match="does not fit"):
+            logstore._entry(0, 1 << 32)
+        with pytest.raises(ValueError):
+            logstore._entry(7, 0)
+
+    def test_a_record_too_long_for_its_field_is_refused_before_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "pages.log"
+        store = LogStructuredPageStore(path)
+        store.put(b"a", b"1")
+        size = path.stat().st_size
+        # a narrower field, all ones: room for a one-byte value's record
+        # again, not for a 64-byte one's
+        limit = (1 << size.bit_length()) - 1
+        assert size <= limit < size + 63
+        monkeypatch.setattr(logstore, "_LENGTH_MASK", limit)
+        with pytest.raises(ValueError, match="does not fit"):
+            store.put(b"b", b"2" * 64)
+        assert path.stat().st_size == size
+        with pytest.raises(PageNotFoundError):
+            store.get(b"b")
+        store.put(b"c", b"3")
+        assert store.get(b"c") == b"3" and store.get(b"a") == b"1"
+        store.close()
+
+    def test_recovery_after_a_torn_tail_rebuilds_the_same_entries(self, tmp_path):
+        """Replay rebuilds, entry for entry, the ints the puts indexed:
+        back to back records, each offset the previous record's end. A
+        half-written last record is cut off and indexes nothing."""
+        path = tmp_path / "pages.log"
+        store = LogStructuredPageStore(path)
+        for i in range(5):
+            store.put(b"k%d" % i, bytes([i]) * (100 * i + 1))
+        store.put(b"k1", b"rewritten")  # an overwrite: the later record wins
+        live = dict(store._gen.index)
+        good_end = path.stat().st_size
+        store.put(b"torn", b"t" * 300)
+        store.close()
+        raw = path.read_bytes()
+        path.write_bytes(raw[: good_end + (len(raw) - good_end) // 2])
+        reopened = LogStructuredPageStore(path)
+        assert reopened._gen.index == live
+        assert all(type(entry) is int for entry in live.values())
+        assert path.stat().st_size == good_end
+        spans = sorted((e >> 32, e & (1 << 32) - 1) for e in live.values())
+        assert spans[-1][0] + spans[-1][1] == good_end
+        assert reopened.get(b"k1") == b"rewritten"
+        assert reopened.get(b"k4") == bytes([4]) * 401
+        with pytest.raises(PageNotFoundError):
+            reopened.get(b"torn")
+        reopened.close()
+
+
 class TestReplay:
     @settings(max_examples=60, deadline=None)
     @given(

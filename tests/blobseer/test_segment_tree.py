@@ -1,5 +1,7 @@
 """Unit + property tests for the versioned distributed segment tree."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,11 +14,9 @@ from repro.blobseer.metadata.segment_tree import (
     iter_all_pages,
     key_bytes,
     key_fields,
-    key_span,
     merge_change_maps,
     node_key,
     query_pages,
-    tree_node,
 )
 from repro.blobseer.pages import Fragment, fresh_page_id
 
@@ -36,6 +36,34 @@ def frag(tag="w", start=0, length=64):
 def build(store, version, prev_root, prev_cap, indices, cap, tag=None):
     changes = {i: frag(tag or f"v{version}") for i in indices}
     return build_version(store, 1, version, prev_root, prev_cap, changes, cap)
+
+
+def pack(left_version, right_version):
+    """An inner node's stored value, written out from its documented
+    layout: each child's version plus one (0 when absent), the left one
+    in the bits above 33."""
+
+    def field(v):
+        return 0 if v is None else v + 1
+
+    return field(left_version) << 33 | field(right_version)
+
+
+def children(key, value):
+    """The child keys an inner node's value names, rebuilt from the
+    parent key's blob and half-ranges — the test's own decoder."""
+    blob_id, _, lo, hi = key_fields(key)
+    mid = (lo + hi) // 2
+    left, right = value >> 33, value & (1 << 33) - 1
+    return (
+        node_key(blob_id, left - 1, lo, mid) if left else None,
+        node_key(blob_id, right - 1, mid, hi) if right else None,
+    )
+
+
+def stored(store):
+    """Every ``key -> value`` of a DHT."""
+    return {k: v for bucket in store._buckets for k, v in bucket.items()}
 
 
 class TestCapacity:
@@ -85,6 +113,15 @@ class TestBuildAndQuery:
         store = MetadataDHT(2)
         with pytest.raises(ValueError):
             build(store, 1, None, 0, [4], 4)
+
+    def test_rejects_a_capacity_not_a_power_of_two(self):
+        """Every span of a tree then halves exactly, which is what lets
+        a walk derive a child's range from its parent's."""
+        store = MetadataDHT(2)
+        for cap in (0, 3, 6, 12):
+            with pytest.raises(ValueError, match="power of two"):
+                build(store, 1, None, 0, [0], cap)
+        assert len(store) == 0
 
     def test_rejects_shrinking_capacity(self):
         store = MetadataDHT(2)
@@ -152,6 +189,73 @@ class TestVersionSharing:
         assert [i for i, _f in iter_all_pages(store, r1)] == [0, 1, 5]
 
 
+class TestPacking:
+    """An inner node's value at the edges of its layout: the version
+    field's extremes, an absent child on either side, and the graft
+    path when capacity grows."""
+
+    @pytest.mark.parametrize("v0", [0, (1 << 32) - 2])
+    def test_extreme_versions_round_trip(self, v0):
+        """Versions 0 and 2**32 - 1 fit their 33-bit field (version plus
+        one): a child of either is named, shared and read back."""
+        store = MetadataDHT(2)
+        v1 = v0 + 1
+        r0 = build_version(store, 1, v0, None, 0, {0: frag("a"), 1: frag("b")}, 2)
+        assert stored(store)[r0] == pack(v0, v0)
+        r1 = build_version(store, 1, v1, r0, 2, {1: frag("c")}, 2)
+        assert stored(store)[r1] == pack(v0, v1)
+        assert children(r1, stored(store)[r1]) == (
+            node_key(1, v0, 0, 1),
+            node_key(1, v1, 1, 2),
+        )
+        got = query_pages(store, r1, 0, 2)
+        assert [got[p][0].page_id.writer for p in (0, 1)] == ["a", "c"]
+        assert [i for i, _ in iter_all_pages(store, r0)] == [0, 1]
+
+    def test_the_top_version_sets_the_top_field_bit(self):
+        top = (1 << 32) - 1
+        store = MetadataDHT(1)
+        root = build_version(store, 1, top, None, 0, {1: frag()}, 2)
+        assert stored(store)[root] == pack(None, top) == 1 << 32
+        root = build_version(store, 2, top, None, 0, {0: frag()}, 2)
+        assert stored(store)[root] == pack(top, None) == 1 << 65
+
+    def test_an_absent_child_on_either_side(self):
+        store = MetadataDHT(2)
+        # only page 1 of [0, 4): [0, 2) lacks its left child, the root
+        # its right one
+        root = build_version(store, 1, 3, None, 0, {1: frag()}, 4)
+        nodes = stored(store)
+        assert nodes[root] == pack(3, None)
+        assert nodes[node_key(1, 3, 0, 2)] == pack(None, 3)
+        assert children(root, nodes[root]) == (node_key(1, 3, 0, 2), None)
+        assert list(query_pages(store, root, 0, 4)) == [1]
+        assert query_pages(store, root, 2, 4) == {}
+        assert query_pages(store, root, 0, 1) == {}
+
+    def test_graft_when_capacity_doubles(self):
+        """The old root becomes the new root's left child by its version
+        alone: its key is rebuilt from the new root's blob and ``[0,
+        mid)``, which is exactly the old capacity."""
+        store = MetadataDHT(2)
+        r1 = build_version(store, 1, 1, None, 0, {0: frag("a"), 1: frag("b")}, 2)
+        r2 = build_version(store, 1, 2, r1, 2, {2: frag("c")}, 4)
+        nodes = stored(store)
+        assert nodes[r2] == pack(1, 2)
+        assert children(r2, nodes[r2]) == (r1, node_key(1, 2, 2, 4))
+        assert nodes[node_key(1, 2, 2, 4)] == pack(2, None)
+        # two more doublings in one build: the graft path is rebuilt at
+        # this version down to the old root
+        r3 = build_version(store, 1, 3, r2, 4, {15: frag("d")}, 16)
+        nodes = stored(store)
+        assert nodes[r3] == pack(3, 3)
+        assert nodes[node_key(1, 3, 0, 8)] == pack(2, None)
+        got = query_pages(store, r3, 0, 16)
+        assert {p: f[0].page_id.writer for p, f in got.items()} == {
+            0: "a", 1: "b", 2: "c", 15: "d"
+        }
+
+
 class TestNodeKey:
     def test_key_bytes_distinct(self):
         keys = {
@@ -163,17 +267,31 @@ class TestNodeKey:
         assert len(keys) == 4
 
     def test_span_and_leaf(self):
-        assert key_span(node_key(1, 1, 4, 8)) == 4
-        assert key_span(node_key(1, 1, 3, 4)) == 1
+        _, _, lo, hi = key_fields(node_key(1, 1, 4, 8))
+        assert hi - lo == 4
+        _, _, lo, hi = key_fields(node_key(1, 1, 3, 4))
+        assert hi - lo == 1
 
-    def test_keys_are_ints_and_nodes_exact_tuples(self):
-        """What keeps them off the collector's lists: an int is never
-        tracked, and an exact tuple of untracked values is untracked at
-        its first collection (a tuple *subclass* is tracked for life)."""
-        key = node_key(1, 1, 0, 2)
-        assert type(key) is int and key_fields(key) == (1, 1, 0, 2)
-        inner = tree_node(key, None, node_key(1, 1, 0, 1), None)
-        assert type(inner) is tuple and inner[0] is key
+    def test_keys_and_inner_values_are_ints_and_leaves_their_tuples(self):
+        """What keeps the tree small and off the collector's lists: a key
+        and an inner node's value are ints, never tracked, and a leaf's
+        value is the very fragment tuple the build was given — no node
+        wrapper, key or shape rides along with it."""
+        store = MetadataDHT(2)
+        changes = {p: frag(f"p{p}") for p in (0, 1, 2)}
+        root = build_version(store, 1, 1, None, 0, changes, 4)
+        nodes = stored(store)
+        assert len(nodes) == 3 + 3  # three leaves, [0, 2), [2, 4), [0, 4)
+        for key, value in nodes.items():
+            assert type(key) is int
+            _, version, lo, hi = key_fields(key)
+            assert version == 1
+            if hi - lo == 1:
+                assert value is changes[lo]
+            else:
+                assert type(value) is int and not gc.is_tracked(value)
+        assert nodes[root] == pack(1, 1)
+        assert nodes[node_key(1, 1, 2, 4)] == pack(1, None)
 
 
 _FIELD = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -188,7 +306,6 @@ def test_node_key_encodes_its_fields(blob_id, version, lo, hi):
     as with tuple keys."""
     key = node_key(blob_id, version, lo, hi)
     assert key_fields(key) == (blob_id, version, lo, hi)
-    assert key_span(key) == hi - lo
     assert key_bytes(key) == b"tree/%d/%d/%d/%d" % (blob_id, version, lo, hi)
 
 
@@ -212,17 +329,25 @@ def test_node_key_rejects_fields_that_do_not_fit(fields, which, bad):
 
 class TestTreeNodeShape:
     def test_leaf_needs_fragments_and_no_children(self):
-        leaf_key = node_key(1, 1, 0, 1)
-        with pytest.raises(ValueError):
-            tree_node(leaf_key)
-        with pytest.raises(ValueError):
-            tree_node(leaf_key, ())
-        with pytest.raises(ValueError):
-            tree_node(leaf_key, frag(), left=node_key(1, 1, 0, 1))
+        """A leaf's value is its non-empty fragment tuple and nothing
+        else: no child field rides along with it."""
+        store = MetadataDHT(1)
+        with pytest.raises(ValueError, match="missing fragments"):
+            build_version(store, 1, 1, None, 0, {0: frag(), 1: ()}, 2)
+        assert len(store) == 1  # page 0's leaf; nothing above the empty one
+        leaf_frags = frag()
+        build_version(store, 1, 2, None, 0, {0: leaf_frags}, 1)
+        assert stored(store)[node_key(1, 2, 0, 1)] is leaf_frags
 
     def test_inner_node_carries_no_page(self):
-        with pytest.raises(ValueError):
-            tree_node(node_key(1, 1, 0, 2), frag())
+        """Every inner node's value is one int naming its children — a
+        page's fragments are found only at span 1."""
+        store = MetadataDHT(2)
+        root = build(store, 1, None, 0, [0, 3, 5], 8)
+        for key, value in stored(store).items():
+            _, _, lo, hi = key_fields(key)
+            assert (type(value) is int) == (hi - lo > 1)
+        assert stored(store)[root] == pack(1, 1)
 
     def test_a_build_too_wide_for_its_keys_is_refused(self):
         with pytest.raises(ValueError):
@@ -273,19 +398,21 @@ def reference_build_version(
 ):
     """Test-only oracle: the build as it was before it pruned its
     recursion — it calls into *every* child and lets the untouched ones
-    return their previous key. Same arguments, same result, and (the
-    point) the same store accesses in the same order."""
+    return their previous key. It walks child *keys*, decoding a stored
+    inner value with the test's own :func:`children` and writing one
+    with :func:`pack`. Same arguments, same result, and (the point) the
+    same store accesses in the same order."""
 
     def build(lo, hi, prev):
         touched = any(lo <= i < hi for i in changes)
         if not touched and prev is not _UNRESOLVED:
             return prev
+        key = node_key(blob_id, version, lo, hi)
         if hi - lo == 1:
             if not touched:
                 return None
-            leaf = tree_node(node_key(blob_id, version, lo, hi), changes[lo])
-            store.put_node(leaf)
-            return leaf[0]
+            store.put_node(key, changes[lo])
+            return key
         mid = (lo + hi) // 2
         if prev is None:
             prev_left = prev_right = None
@@ -294,12 +421,14 @@ def reference_build_version(
             prev_left = prev_root if mid == prev_capacity else _UNRESOLVED
             prev_right = None
         else:
-            _, _, prev_left, prev_right = store.get_node(prev)
+            prev_left, prev_right = children(prev, store.get_node(prev))
         left = build(lo, mid, prev_left)
         right = build(mid, hi, prev_right)
-        inner = tree_node(node_key(blob_id, version, lo, hi), None, left, right)
-        store.put_node(inner)
-        return inner[0]
+        store.put_node(
+            key,
+            pack(*(None if k is None else key_fields(k)[1] for k in (left, right))),
+        )
+        return key
 
     if prev_root is not None and new_capacity > prev_capacity:
         return build(0, new_capacity, _UNRESOLVED)
@@ -319,9 +448,9 @@ class _OpLog:
         self.ops.append(("get", key))
         return self.rec.get_node(key)
 
-    def put_node(self, node):
-        self.ops.append(("put", node[0]))
-        self.rec.put_node(node)
+    def put_node(self, key, value):
+        self.ops.append(("put", key))
+        self.rec.put_node(key, value)
 
 
 @settings(max_examples=150, deadline=None)

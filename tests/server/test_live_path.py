@@ -140,6 +140,38 @@ class TestRequestSpanParentsTheOperation:
             server.service.close()
 
 
+def test_an_unsampled_append_yields_no_metadata_charge_op():
+    """Below an unrecorded request the live engine's metadata charge is
+    no op at all, as with no tracer: the trampoline runs nothing for it.
+    A sampled append keeps both of its ``engine.charge_md`` ops."""
+    server = make_server(trace_sample=2)
+    ops = []
+    charge = server.engine.charge_md
+
+    def spy(parent, keys):
+        op = charge(parent, keys)
+        ops.append((parent is NULL_SPAN, op))
+        return op
+
+    server.engine.charge_md = spy
+    # the create is sampled, then every second request
+    responses = dispatch(
+        server,
+        ("POST", f"/fs/files{FILE}", b"seed"),
+        *[("POST", f"/fs/append{FILE}", b"q" * 100)] * 4,
+    )
+    assert {r.status for r in responses} == {201, 200}
+    unsampled = [op for null, op in ops if null]
+    sampled = [op for null, op in ops if not null]
+    # two appends of each kind, each a boundary read and a build; the
+    # seed's first append has no boundary to read
+    assert unsampled == [None] * 4
+    assert len(sampled) == 1 + 4 and None not in sampled
+    names = [s.name for s in server.obs.tracer.snapshot()]
+    assert names.count("engine.charge_md") == 5
+    server.service.close()
+
+
 def test_served_appends_read_the_dht_without_a_node_cache():
     """A node get on the live path is one dict lookup, so the server
     builds no node cache: nothing would be saved by one, since the live

@@ -226,17 +226,18 @@ def query_pages(store, root, lo, hi):
     out = {}
 
     def walk(key):
-        if key is None:
-            return
-        _, _, key_lo, key_hi = key_fields(key)
+        blob_id, _, key_lo, key_hi = key_fields(key)
         if key_hi <= lo or key_lo >= hi:
             return
-        _, fragments, left, right = store.get_node(key)
+        value = store.get_node(key)
         if key_hi - key_lo == 1:
-            out[key_lo] = fragments
+            out[key_lo] = value
             return
-        walk(left)
-        walk(right)
+        mid = (key_lo + key_hi) // 2
+        if value >> 33:
+            walk(node_key(blob_id, (value >> 33) - 1, key_lo, mid))
+        if value & (1 << 33) - 1:
+            walk(node_key(blob_id, (value & (1 << 33) - 1) - 1, mid, key_hi))
 
     walk(root)
     return out
@@ -247,6 +248,7 @@ def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
     namespace = {
         "__name__": segment_tree.__name__,
         "key_fields": segment_tree.key_fields,
+        "node_key": segment_tree.node_key,
     }
     exec(
         compile(POISONED_QUERY_PAGES, segment_tree.__file__, "exec"), namespace
