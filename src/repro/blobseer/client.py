@@ -42,7 +42,7 @@ class BlobSeerService:
 
         *engine*, when given, replaces the default
         :class:`~repro.engine.threaded.ThreadedEngine` — any engine with
-        the same ``bind``/``bind_data`` wiring surface works; the HTTP
+        the same ``bind``/``bind_providers`` wiring surface works; the HTTP
         front-end passes an :class:`~repro.engine.aio.AsyncioEngine`
         here: the threaded engine with a coroutine ``run`` that its loop
         awaits.
@@ -73,16 +73,9 @@ class BlobSeerService:
 
         self.engine = engine or ThreadedEngine(seed=seed, obs=self.obs)
         self.engine.bind("vm", self.version_manager)
-        for name in names:
-            # resolve through the dict at call time: tests (and the
-            # durability story) swap provider objects to model restarts
-            self.engine.bind_data(
-                name,
-                lambda pid, data, n=name: self.providers[n].put_page(pid, data),
-                lambda pid, off, sz, n=name: self.providers[n].get_page(
-                    pid, off, sz
-                ),
-            )
+        # tests (and the durability story) swap provider objects into
+        # the dict to model restarts; the engine reads it on every op
+        self.engine.bind_providers(self.providers)
         self.protocol = BlobSeerProtocol(
             self.engine,
             self.config,

@@ -17,21 +17,15 @@ from ..blobseer.client import BlobSeerService
 from ..common.config import BlobSeerConfig
 from ..common.fs import (
     BlockLocation,
-    FileStatus,
     FileSystem,
     InputStream,
     OutputStream,
     normalize_path,
 )
 from ..obs import NULL_OBS, Observability
-from .cache import STREAM_CACHE_BLOCKS, ReadBlockCache
+from .cache import STREAM_CACHE_BLOCKS, ReadBlockCache, ReadStreamCore
 from .namespace import BSFSFile, NamespaceManager
-from .protocol import (
-    AppendStreamCore,
-    BSFSProtocol,
-    ReadStreamCore,
-    clip_block_locations,
-)
+from .protocol import AppendStreamCore, BSFSProtocol, clip_block_locations
 
 
 class BSFS:
@@ -78,6 +72,7 @@ class BSFSFileSystem(FileSystem):
     def __init__(self, deployment: BSFS, client_name: str) -> None:
         self.deployment = deployment
         self.client_name = client_name
+        self.namespace = deployment.namespace
 
     # -- data paths ------------------------------------------------------------
 
@@ -98,18 +93,15 @@ class BSFSFileSystem(FileSystem):
         adds to the Hadoop stack. Multiple concurrent append streams on
         one path are explicitly supported."""
         path = normalize_path(path)
-        record = self.deployment.namespace.get(path)
+        record = self.namespace.get(path)
         return BSFSOutputStream(self, path, record)
 
     def open(self, path: str) -> "BSFSInputStream":
         path = normalize_path(path)
-        record = self.deployment.namespace.get(path)
+        record = self.namespace.get(path)
         return BSFSInputStream(self, path, record)
 
-    # -- namespace ----------------------------------------------------------------
-
-    def mkdirs(self, path: str) -> None:
-        self.deployment.namespace.mkdirs(path)
+    # -- namespace mutations, through the protocol's record cache ------------------
 
     def delete(self, path: str, recursive: bool = False) -> bool:
         dep = self.deployment
@@ -122,22 +114,13 @@ class BSFSFileSystem(FileSystem):
         dep = self.deployment
         dep.engine.run(dep.protocol.rename(self.client_name, src, dst))
 
-    def exists(self, path: str) -> bool:
-        return self.deployment.namespace.exists(path)
-
-    def get_status(self, path: str) -> FileStatus:
-        return self.deployment.namespace.get_status(path)
-
-    def list_dir(self, path: str) -> List[FileStatus]:
-        return self.deployment.namespace.list_dir(path)
-
     def get_block_locations(
         self, path: str, offset: int, length: int
     ) -> List[BlockLocation]:
         """Page-level layout from BlobSeer's new layout primitive, clipped
         to the file's namespace size — the scheduler's locality input."""
-        record = self.deployment.namespace.get(path)
-        size = self.deployment.namespace.get_status(path).size
+        record = self.namespace.get(path)
+        size = self.namespace.get_status(path).size
         layout = self.deployment.service.layout(record.blob_id)
         return clip_block_locations(layout, size, offset, length)
 
@@ -235,14 +218,7 @@ class BSFSInputStream(InputStream):
             if cfg.cache_enabled
             else None
         )
-        self._core = ReadStreamCore(
-            fs.deployment.protocol,
-            fs.client_name,
-            path,
-            record.blob_id,
-            record.page_size,
-            cache=self._cache,
-        )
+        self._core = ReadStreamCore(record.page_size, self._fetch, self._cache)
         self._known_size = record.size
 
     def refresh_size(self) -> int:
@@ -259,6 +235,13 @@ class BSFSInputStream(InputStream):
         """Last known file size (may lag behind concurrent appenders)."""
         return self._known_size
 
+    def _fetch(self, offset: int, nbytes: int, holes):
+        dep = self.fs.deployment
+        _version, data = yield from dep.protocol.blobseer.read(
+            self.fs.client_name, self.record.blob_id, offset, nbytes, holes=holes
+        )
+        return data
+
     def _pread(self, offset: int, n: int, holes=None) -> bytes:
         with self._tracer.span(
             "bsfs.read",
@@ -268,15 +251,8 @@ class BSFSInputStream(InputStream):
             offset=offset,
             nbytes=n,
         ):
-            if n < 0:
-                raise ValueError("negative read size")
-            if n == 0:
-                return b""
             if offset + n > self._known_size:
                 self.refresh_size()
-            if offset >= self._known_size:
-                return b""
-            n = min(n, self._known_size - offset)
             return self.fs.deployment.engine.run(
                 self._core.read_range(offset, n, self._known_size, holes)
             )

@@ -71,8 +71,3 @@ class NamespaceManager(NamespaceService):
             if end_offset > payload.size:
                 payload.size = end_offset
             return payload.size
-
-    def file_count(self) -> int:
-        """Number of files in the namespace (the file-count problem metric)."""
-        _dirs, files = self.tree.count_entries()
-        return files

@@ -2,10 +2,11 @@
 
 The file layer's behaviours — the paper's two-step append (BLOB append,
 then a file-size update at the centralized namespace manager), namespace
-lookups, whole-block prefetching and write-behind batching — live here
-as engine-parameterized generators, shared by the simulated deployment
+lookups and write-behind batching — live here as engine-parameterized
+generators, shared by the simulated deployment
 (:mod:`repro.bsfs.simulated`) and the threaded Hadoop ``FileSystem``
-facade (:mod:`repro.bsfs.client`).
+facade (:mod:`repro.bsfs.client`). Whole-block prefetching is the read
+core both file systems share, in :mod:`repro.bsfs.cache`.
 
 The namespace manager is the ``ns`` control endpoint of the engine: the
 DES runtime charges each call as a serialized RPC at the dedicated
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..blobseer.protocol import BlobSeerProtocol, report_holes
+from ..blobseer.protocol import BlobSeerProtocol
 from ..common.fs import BlockLocation
 from ..engine.base import Payload
 from ..obs import NULL_OBS, Observability
-from .cache import ReadBlockCache, WriteBehindBuffer
+from .cache import WriteBehindBuffer
 
 #: paths the namespace record cache holds at most; the oldest entry
 #: makes room for a new one
@@ -248,83 +249,6 @@ class AppendStreamCore:
         self.appends_issued += 1
         if self.buffer is not None:
             self._c_flushes.inc()
-
-
-class ReadStreamCore:
-    """Whole-block prefetching read-stream logic, engine-agnostic.
-
-    On a cache miss the core fetches the entire block (block size ==
-    BLOB page size) containing the requested range; a 4 KB record read
-    touches the BlobSeer service only once per block. A cached partial
-    tail block that has since grown is invalidated and refetched.
-    """
-
-    def __init__(
-        self,
-        protocol: BSFSProtocol,
-        client: str,
-        path: str,
-        blob_id: int,
-        page_size: int,
-        cache: Optional[ReadBlockCache] = None,
-    ) -> None:
-        self.protocol = protocol
-        self.client = client
-        self.path = path
-        self.blob_id = blob_id
-        self.page_size = page_size
-        self.cache = cache
-        #: lifetime counter of BLOB reads issued (prefetch effectiveness)
-        self.fetches = 0
-
-    def read_range(self, offset: int, nbytes: int, known_size: int, holes=None):
-        """Generator: read ``[offset, offset+nbytes)`` — already clipped
-        to *known_size* by the caller — block by block through the
-        cache. Returns the bytes (None under the DES runtime). With a
-        *holes* list, reports holes into it instead of raising (see
-        :meth:`BlobSeerProtocol.read`); a block with a hole is not
-        cached."""
-        pieces: List[Optional[bytes]] = []
-        pos, remaining = offset, nbytes
-        while remaining > 0:
-            index = pos // self.page_size
-            in_block = pos - index * self.page_size
-            take = min(remaining, self.page_size - in_block)
-            piece = yield from self._read_block(
-                index, in_block, take, known_size, holes
-            )
-            pieces.append(piece)
-            pos += take
-            remaining -= take
-        if any(piece is None for piece in pieces):
-            return None
-        return b"".join(pieces)
-
-    def _read_block(self, index, offset, size, known_size, holes=None):
-        base = index * self.page_size
-        if self.cache is None:
-            self.fetches += 1
-            _version, data = yield from self.protocol.blobseer.read(
-                self.client, self.blob_id, base + offset, size, holes=holes
-            )
-            return data
-        block = self.cache.lookup(index)
-        if block is not None and len(block) < offset + size:
-            # a previously partial tail block has grown since it was cached
-            self.cache.invalidate(index)
-            block = self.cache.lookup(index)  # recounted as the miss it now is
-        if block is None:
-            length = min(self.page_size, known_size - base)
-            self.fetches += 1
-            found = None if holes is None else []
-            _version, block = yield from self.protocol.blobseer.read(
-                self.client, self.blob_id, base, length, holes=found
-            )
-            if not found:
-                self.cache.insert(index, block)
-            if holes is not None:
-                report_holes(found, holes, base + offset, base + offset + size)
-        return block[offset : offset + size] if block is not None else None
 
 
 def clip_block_locations(

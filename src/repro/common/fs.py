@@ -15,9 +15,12 @@ import abc
 import posixpath
 import threading
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import FileClosedError
+
+if TYPE_CHECKING:
+    from .namespace import NamespaceService
 
 
 def normalize_path(path: str) -> str:
@@ -185,12 +188,18 @@ class OutputStream(_Stream):
 
 
 class FileSystem(abc.ABC):
-    """The storage contract the Map/Reduce framework programs against."""
+    """The storage contract the Map/Reduce framework programs against.
+
+    The namespace calls are implemented once, over the
+    :class:`~repro.common.namespace.NamespaceService` a file system
+    names as :attr:`namespace`; the data paths are its own."""
 
     #: human-readable scheme, e.g. ``"hdfs"`` or ``"bsfs"``
     scheme: str = "abstract"
+    #: the centralized namespace service (namenode, namespace manager)
+    namespace: "NamespaceService"
 
-    # -- namespace ---------------------------------------------------------
+    # -- data paths ----------------------------------------------------------
 
     @abc.abstractmethod
     def create(self, path: str, overwrite: bool = False) -> OutputStream:
@@ -208,29 +217,31 @@ class FileSystem(abc.ABC):
         ``AppendNotSupportedError`` exactly as the paper describes.
         """
 
-    @abc.abstractmethod
+    # -- namespace -----------------------------------------------------------
+
     def mkdirs(self, path: str) -> None:
         """Create a directory and any missing ancestors (idempotent)."""
+        self.namespace.mkdirs(path)
 
-    @abc.abstractmethod
     def delete(self, path: str, recursive: bool = False) -> bool:
         """Delete a file or directory; returns False if absent."""
+        return self.namespace.delete(path, recursive=recursive) is not None
 
-    @abc.abstractmethod
     def rename(self, src: str, dst: str) -> None:
         """Atomically move *src* to *dst* (the original Hadoop commit step)."""
+        self.namespace.rename(src, dst)
 
-    @abc.abstractmethod
     def exists(self, path: str) -> bool:
         """True when the path names a file or directory."""
+        return self.namespace.exists(path)
 
-    @abc.abstractmethod
     def get_status(self, path: str) -> FileStatus:
         """Status of one path; raises ``FileNotFoundInNamespaceError``."""
+        return self.namespace.get_status(path)
 
-    @abc.abstractmethod
     def list_dir(self, path: str) -> List[FileStatus]:
         """Statuses of the children of a directory, sorted by path."""
+        return self.namespace.list_dir(path)
 
     @abc.abstractmethod
     def get_block_locations(

@@ -2,9 +2,9 @@
 
 Both centralized metadata services of the paper's storage systems — the
 HDFS *namenode* and the BSFS *namespace manager* — maintain a file-system
-namespace mapping paths to per-file metadata. This module is the shared,
-thread-safe tree they are built on, and :class:`NamespaceService`, the
-status, listing and mutation calls they both serve over it. The payload
+namespace mapping paths to per-file metadata. This module is the shared
+tree they are built on, and :class:`NamespaceService`, the status,
+listing and mutation calls they both serve over it under one lock. The payload
 attached to each file is system-specific (block list for HDFS, BLOB id +
 size for BSFS); it answers whether readers may see the file
 (``visible``) and what its status is (``status(path, mtime)``).
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     DirectoryNotEmptyError,
@@ -54,16 +54,17 @@ class Entry:
 
 
 class NamespaceTree:
-    """Thread-safe path → entry tree with POSIX-ish operations.
+    """Path → entry tree with POSIX-ish operations.
 
-    All mutating operations are atomic with respect to each other; the
-    coarse single lock matches the centralized nature of the services it
-    models (a namenode / namespace manager is one process).
+    The tree takes no lock: its owner, a :class:`NamespaceService`,
+    holds its one lock around every call, which makes each operation
+    atomic — the coarse single lock matches the centralized nature of
+    the services it models (a namenode / namespace manager is one
+    process).
     """
 
     def __init__(self) -> None:
         self._root = Entry.directory("")
-        self._lock = threading.RLock()
 
     # -- traversal helpers ----------------------------------------------------
 
@@ -93,17 +94,15 @@ class NamespaceTree:
     # -- queries ------------------------------------------------------------------
 
     def exists(self, path: str) -> bool:
-        with self._lock:
-            try:
-                self._walk(path)
-                return True
-            except (FileNotFoundInNamespaceError, NotADirectoryError_):
-                return False
+        try:
+            self._walk(path)
+            return True
+        except (FileNotFoundInNamespaceError, NotADirectoryError_):
+            return False
 
     def lookup(self, path: str) -> Entry:
         """Entry at *path* (raises ``FileNotFoundInNamespaceError``)."""
-        with self._lock:
-            return self._walk(path)
+        return self._walk(path)
 
     def lookup_file(self, path: str) -> Entry:
         """Entry at *path*, which must be a file."""
@@ -114,17 +113,16 @@ class NamespaceTree:
 
     def list_dir(self, path: str) -> List[Tuple[str, Entry]]:
         """(child path, entry) pairs of a directory, sorted by name."""
-        with self._lock:
-            entry = self._walk(path)
-            if not entry.is_directory:
-                raise NotADirectoryError_(path)
-            assert entry.children is not None
-            base = normalize_path(path)
-            prefix = base if base.endswith("/") else base + "/"
-            return [
-                (prefix + name, child)
-                for name, child in sorted(entry.children.items())
-            ]
+        entry = self._walk(path)
+        if not entry.is_directory:
+            raise NotADirectoryError_(path)
+        assert entry.children is not None
+        base = normalize_path(path)
+        prefix = base if base.endswith("/") else base + "/"
+        return [
+            (prefix + name, child)
+            for name, child in sorted(entry.children.items())
+        ]
 
     def count_entries(self) -> Tuple[int, int]:
         """(number of directories, number of files) in the whole tree."""
@@ -140,90 +138,85 @@ class NamespaceTree:
                 files += f
             return dirs, files
 
-        with self._lock:
-            dirs, files = rec(self._root)
-            return dirs - 1, files  # don't count the root
+        dirs, files = rec(self._root)
+        return dirs - 1, files  # don't count the root
 
     def iter_files(self, path: str = "/") -> Iterator[Tuple[str, Entry]]:
         """Depth-first (path, file entry) pairs under *path*."""
-        with self._lock:
-            start = self._walk(path)
-            base = normalize_path(path)
+        start = self._walk(path)
+        base = normalize_path(path)
 
-            def rec(prefix: str, entry: Entry) -> Iterator[Tuple[str, Entry]]:
-                if not entry.is_directory:
-                    yield prefix, entry
-                    return
-                assert entry.children is not None
-                for name, child in sorted(entry.children.items()):
-                    child_path = prefix.rstrip("/") + "/" + name
-                    yield from rec(child_path, child)
+        def rec(prefix: str, entry: Entry) -> Iterator[Tuple[str, Entry]]:
+            if not entry.is_directory:
+                yield prefix, entry
+                return
+            assert entry.children is not None
+            for name, child in sorted(entry.children.items()):
+                child_path = prefix.rstrip("/") + "/" + name
+                yield from rec(child_path, child)
 
-            yield from rec(base, start)
+        yield from rec(base, start)
 
     # -- mutations -------------------------------------------------------------------
 
     def mkdirs(self, path: str) -> None:
         """Create a directory and missing ancestors; idempotent."""
-        with self._lock:
-            entry = self._root
-            for comp in path_components(path):
-                assert entry.children is not None
-                child = entry.children.get(comp)
-                if child is None:
-                    child = Entry.directory(comp)
-                    entry.children[comp] = child
-                    entry.modification_time = time.time()
-                elif not child.is_directory:
-                    raise NotADirectoryError_(
-                        f"{path!r}: component {comp!r} is a file"
-                    )
-                entry = child
+        entry = self._root
+        for comp in path_components(path):
+            assert entry.children is not None
+            child = entry.children.get(comp)
+            if child is None:
+                child = Entry.directory(comp)
+                entry.children[comp] = child
+                entry.modification_time = time.time()
+            elif not child.is_directory:
+                raise NotADirectoryError_(
+                    f"{path!r}: component {comp!r} is a file"
+                )
+            entry = child
 
     def create_file(
         self, path: str, payload: Any, overwrite: bool = False
     ) -> Entry:
         """Create a file entry (parents are created as needed)."""
-        with self._lock:
-            self.mkdirs(parent_path(path))
-            parent, name = self._walk_parent(path)
-            assert parent.children is not None
-            existing = parent.children.get(name)
-            if existing is not None:
-                if existing.is_directory:
-                    raise IsADirectoryError_(path)
-                if not overwrite:
-                    raise FileAlreadyExistsError(path)
-            entry = Entry.file(name, payload)
-            parent.children[name] = entry
-            parent.modification_time = time.time()
-            return entry
+        self.mkdirs(parent_path(path))
+        parent, name = self._walk_parent(path)
+        assert parent.children is not None
+        existing = parent.children.get(name)
+        if existing is not None:
+            if existing.is_directory:
+                raise IsADirectoryError_(path)
+            if not overwrite:
+                raise FileAlreadyExistsError(path)
+        entry = Entry.file(name, payload)
+        parent.children[name] = entry
+        parent.modification_time = time.time()
+        return entry
 
     def delete(self, path: str, recursive: bool = False) -> Optional[List[Any]]:
         """Delete a path; returns payloads of every removed file, or
         ``None`` when the path did not exist."""
-        with self._lock:
-            try:
-                parent, name = self._walk_parent(path)
-            except (FileNotFoundInNamespaceError, NotADirectoryError_):
-                # nothing at that path (including "under a file")
-                return None
-            assert parent.children is not None
-            entry = parent.children.get(name)
-            if entry is None:
-                return None
-            if entry.is_directory:
-                assert entry.children is not None
-                if entry.children and not recursive:
-                    raise DirectoryNotEmptyError(path)
-                payloads: List[Any] = [
-                    e.payload for _p, e in self.iter_files(path)
-                ]
-            else:
-                payloads = [entry.payload]
-            del parent.children[name]
-            parent.modification_time = time.time()
-            return payloads
+        try:
+            parent, name = self._walk_parent(path)
+        except (FileNotFoundInNamespaceError, NotADirectoryError_):
+            # nothing at that path (including "under a file")
+            return None
+        assert parent.children is not None
+        entry = parent.children.get(name)
+        if entry is None:
+            return None
+        if entry.is_directory:
+            assert entry.children is not None
+            if entry.children and not recursive:
+                raise DirectoryNotEmptyError(path)
+            payloads: List[Any] = [
+                e.payload for _p, e in self.iter_files(path)
+            ]
+        else:
+            payloads = [entry.payload]
+        del parent.children[name]
+        parent.modification_time = time.time()
+        return payloads
 
     def rename(self, src: str, dst: str) -> None:
         """Atomically move *src* to *dst* (exact destination path).
@@ -232,26 +225,25 @@ class NamespaceTree:
         created as needed — this is the namenode-side primitive behind
         Hadoop's commit-by-rename.
         """
-        with self._lock:
-            src_norm, dst_norm = normalize_path(src), normalize_path(dst)
-            if dst_norm == src_norm or dst_norm.startswith(src_norm + "/"):
-                raise ValueError(f"cannot rename {src!r} into itself")
-            src_parent, src_name = self._walk_parent(src_norm)
-            assert src_parent.children is not None
-            entry = src_parent.children.get(src_name)
-            if entry is None:
-                raise FileNotFoundInNamespaceError(src)
-            self.mkdirs(parent_path(dst_norm))
-            dst_parent, dst_name = self._walk_parent(dst_norm)
-            assert dst_parent.children is not None
-            if dst_name in dst_parent.children:
-                raise FileAlreadyExistsError(dst)
-            del src_parent.children[src_name]
-            entry.name = dst_name
-            entry.modification_time = time.time()
-            dst_parent.children[dst_name] = entry
-            src_parent.modification_time = time.time()
-            dst_parent.modification_time = time.time()
+        src_norm, dst_norm = normalize_path(src), normalize_path(dst)
+        if dst_norm == src_norm or dst_norm.startswith(src_norm + "/"):
+            raise ValueError(f"cannot rename {src!r} into itself")
+        src_parent, src_name = self._walk_parent(src_norm)
+        assert src_parent.children is not None
+        entry = src_parent.children.get(src_name)
+        if entry is None:
+            raise FileNotFoundInNamespaceError(src)
+        self.mkdirs(parent_path(dst_norm))
+        dst_parent, dst_name = self._walk_parent(dst_norm)
+        assert dst_parent.children is not None
+        if dst_name in dst_parent.children:
+            raise FileAlreadyExistsError(dst)
+        del src_parent.children[src_name]
+        entry.name = dst_name
+        entry.modification_time = time.time()
+        dst_parent.children[dst_name] = entry
+        src_parent.modification_time = time.time()
+        dst_parent.modification_time = time.time()
 
 
 class NamespaceService:
@@ -314,3 +306,8 @@ class NamespaceService:
     def exists(self, path: str) -> bool:
         with self._lock:
             return self.tree.exists(path) and self.tree.lookup(path).visible
+
+    def file_count(self) -> int:
+        """Number of files in the namespace (the file-count problem metric)."""
+        with self._lock:
+            return self.tree.count_entries()[1]

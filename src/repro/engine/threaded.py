@@ -25,7 +25,7 @@ endpoints are down: the crashed component refuses service itself.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Mapping, Optional, Sequence
 
 from ..common.errors import ProviderUnavailableError, RpcTimeoutError
 from ..obs import NULL_OBS, NULL_SPAN, Observability
@@ -61,8 +61,8 @@ class ThreadedEngine(Engine):
         self.retry = retry or THREADED_RETRY
         self._seed = seed
         self._control: dict[str, Any] = {}
-        # endpoint -> (store_fn(page_id, data), load_fn(page_id, off, n))
-        self._data: dict[str, tuple] = {}
+        #: data endpoint name -> its Provider (see bind_providers)
+        self._providers: Mapping[str, Any] = {}
         self.use_obs(obs or NULL_OBS)
 
     def use_obs(self, obs: Observability) -> None:
@@ -100,14 +100,12 @@ class ThreadedEngine(Engine):
         """Register a control endpoint (calls run in the caller thread)."""
         self._control[name] = adapter
 
-    def bind_data(
-        self,
-        name: str,
-        store_fn: Callable[[Any, bytes], Any],
-        load_fn: Callable[[Any, int, int], bytes],
-    ) -> None:
-        """Register a data endpoint's store/load entry points."""
-        self._data[name] = (store_fn, load_fn)
+    def bind_providers(self, providers: Mapping[str, Any]) -> None:
+        """Register the data endpoints: *providers* maps each name to a
+        :class:`~repro.blobseer.provider.Provider`. It is read on every
+        store and fetch, so a provider swapped into it (a restart) is
+        the one served."""
+        self._providers = providers
 
     # -- fault view ---------------------------------------------------------
 
@@ -176,11 +174,11 @@ class ThreadedEngine(Engine):
     def store(
         self, parent, client: str, endpoint: str, page_id: Any, payload: Payload
     ) -> _Op:
-        store_fn = self._data[endpoint][0]
+        providers = self._providers
 
         def do() -> None:
             try:
-                store_fn(page_id, payload.data)
+                providers[endpoint].put_page(page_id, payload.data)
             except ProviderUnavailableError as exc:
                 self._c_rpc_timeouts.inc()
                 raise RpcTimeoutError(str(exc)) from exc
@@ -202,11 +200,11 @@ class ThreadedEngine(Engine):
         data_offset: int,
         nbytes: int,
     ) -> _Op:
-        load_fn = self._data[endpoint][1]
+        providers = self._providers
 
         def do() -> bytes:
             try:
-                return load_fn(page_id, data_offset, nbytes)
+                return providers[endpoint].get_page(page_id, data_offset, nbytes)
             except ProviderUnavailableError as exc:
                 self._c_rpc_timeouts.inc()
                 raise RpcTimeoutError(str(exc)) from exc

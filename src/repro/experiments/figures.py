@@ -349,8 +349,7 @@ def filecount_table(
         mr = MapReduceCluster(fs, hosts=list(hd.datanodes), obs=obs)
         res = run_datajoin(mr, "/in/left", "/in/right", "/out", n_reducers=r)
         hdfs_files.append(res.output_file_count)
-        _dirs, files = hd.namenode.tree.count_entries()
-        hdfs_entries.append(files)
+        hdfs_entries.append(hd.namenode.file_count())
 
         dep = BSFS(
             config=BlobSeerConfig(page_size=16 * 1024, metadata_providers=4),

@@ -3,10 +3,12 @@
 A shim over :mod:`repro.hdfs.protocol` on the threaded engine. The
 behaviours the paper calls out — chunk-granularity write buffering,
 whole-chunk readahead, **no append**, single writer — live in the
-protocol's stream cores; the streams here add only what differs from
-the shared stream lifecycle of :mod:`repro.common.fs`. The datanodes are
-BlobSeer :class:`~repro.blobseer.provider.Provider` objects: storage
-without policy, holding immutable chunks by key.
+protocol's chunk stream core and in the whole-block read core both file
+systems share (:class:`~repro.bsfs.cache.ReadStreamCore`, one chunk
+cached); the streams here add only what differs from the shared stream
+lifecycle of :mod:`repro.common.fs`. The datanodes are BlobSeer
+:class:`~repro.blobseer.provider.Provider` objects: storage without
+policy, holding immutable chunks by key.
 """
 
 from __future__ import annotations
@@ -15,20 +17,21 @@ from typing import Dict, List, Optional
 
 from ..blobseer.backends import InMemoryPageStore
 from ..blobseer.provider import Provider
+from ..bsfs.cache import ReadBlockCache, ReadStreamCore
 from ..common.config import HDFSConfig
 from ..common.fs import (
     BlockLocation,
-    FileStatus,
     FileSystem,
     InputStream,
     OutputStream,
     normalize_path,
 )
+from ..engine.replica import ReplicaSelector
 from ..engine.threaded import ThreadedEngine
 from ..obs import NULL_OBS, Observability
 from ..obs.events import fault_crash, fault_recover
 from .namenode import INodeFile, NameNode
-from .protocol import BlockReadCore, ChunkStreamCore, HDFSProtocol
+from .protocol import ChunkStreamCore, HDFSProtocol
 
 
 class HDFSCluster:
@@ -52,16 +55,7 @@ class HDFSCluster:
         self.namenode = NameNode(names, config=self.config, seed=seed)
         self.engine = ThreadedEngine(seed=seed, obs=self.obs)
         self.engine.bind("nn", self.namenode)
-        for name in names:
-            # resolve through the dict at call time so restarted
-            # datanode objects are picked up
-            self.engine.bind_data(
-                name,
-                lambda bid, data, n=name: self.datanodes[n].put_page(bid, data),
-                lambda bid, off, sz, n=name: self.datanodes[n].get_page(
-                    bid, off, sz
-                ),
-            )
+        self.engine.bind_providers(self.datanodes)
         self.protocol = HDFSProtocol(self.engine, self.config)
 
     def file_system(self, client_name: str = "client") -> "HDFSFileSystem":
@@ -88,6 +82,7 @@ class HDFSFileSystem(FileSystem):
     def __init__(self, cluster: HDFSCluster, client_name: str) -> None:
         self.cluster = cluster
         self.client_name = client_name
+        self.namespace = cluster.namenode
 
     # -- data paths ---------------------------------------------------------------
 
@@ -105,26 +100,6 @@ class HDFSFileSystem(FileSystem):
         """Present in the interface, refused by this file system."""
         self.cluster.namenode.append(path)
         raise AssertionError("unreachable")  # pragma: no cover
-
-    # -- namespace ------------------------------------------------------------------
-
-    def mkdirs(self, path: str) -> None:
-        self.cluster.namenode.mkdirs(path)
-
-    def delete(self, path: str, recursive: bool = False) -> bool:
-        return self.cluster.namenode.delete(path, recursive=recursive) is not None
-
-    def rename(self, src: str, dst: str) -> None:
-        self.cluster.namenode.rename(src, dst)
-
-    def exists(self, path: str) -> bool:
-        return self.cluster.namenode.exists(path)
-
-    def get_status(self, path: str) -> FileStatus:
-        return self.cluster.namenode.get_status(path)
-
-    def list_dir(self, path: str) -> List[FileStatus]:
-        return self.cluster.namenode.list_dir(path)
 
     def get_block_locations(
         self, path: str, offset: int, length: int
@@ -174,36 +149,50 @@ class HDFSOutputStream(OutputStream):
 
 
 class HDFSInputStream(InputStream):
-    """Read stream with whole-chunk readahead caching."""
+    """Read stream with whole-chunk readahead: the shared read core over
+    a one-chunk cache, failing reads over across replicas through the
+    stream's :class:`~repro.engine.replica.ReplicaSelector` (seeded
+    rotation + dead-datanode memory, scoped to the stream's lifetime)."""
 
     def __init__(self, fs: HDFSFileSystem, path: str, inode: INodeFile) -> None:
         super().__init__(path)
         self.fs = fs
-        self._core = BlockReadCore(
-            fs.cluster.protocol, fs.client_name, path, inode.blocks
+        self._blocks = inode.blocks
+        #: total file size (a closed HDFS file never grows)
+        self.size = inode.size
+        self._selector = ReplicaSelector(
+            fs.cluster.engine.rng("replica", "hdfs-read", fs.client_name, path)
         )
+        chunk = fs.cluster.config.chunk_size
+        self._core = ReadStreamCore(chunk, self._fetch, ReadBlockCache(chunk, 1))
 
     @property
     def _dead(self):
         """Datanodes this stream has seen failing (sweep-last memory)."""
-        return self._core.selector.dead
-
-    @property
-    def size(self) -> int:
-        """Total file size."""
-        return self._core.size
+        return self._selector.dead
 
     def seek(self, offset: int) -> None:
         """A closed HDFS file never grows: the cursor stays inside it."""
-        if offset > self._core.size:
-            raise ValueError(f"seek to {offset} outside [0, {self._core.size}]")
+        if offset > self.size:
+            raise ValueError(f"seek to {offset} outside [0, {self.size}]")
         super().seek(offset)
 
+    def _fetch(self, offset: int, nbytes: int, holes):
+        # every chunk but the last is chunk_size long (the namenode
+        # refuses any other layout); one writer leaves no holes
+        index, at = divmod(offset, self._core.block_size)
+        return (
+            yield from self.fs.cluster.protocol.read_block_range(
+                self.fs.client_name, self._blocks[index], at, nbytes, self._selector
+            )
+        )
+
     def _pread(self, offset: int, n: int, holes=None) -> bytes:
-        # an HDFS file is written by one writer at a time: it has no holes
-        return self.fs.cluster.engine.run(self._core.pread(offset, n))
+        return self.fs.cluster.engine.run(
+            self._core.read_range(offset, n, self.size, holes)
+        )
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._core.cached = None
+            self._core.cache.invalidate()

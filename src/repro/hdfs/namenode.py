@@ -151,15 +151,27 @@ class NameNode(NamespaceService):
         length: int,
         datanodes: Tuple[str, ...],
     ) -> None:
-        """Record a chunk the client finished writing."""
-        if length <= 0:
-            raise ValueError("cannot commit an empty block")
+        """Record a chunk the client finished writing.
+
+        HDFS's layout rule: every chunk but the last is ``chunk_size``
+        long, so a longer chunk, or any chunk after a short one, is
+        refused, and a reader finds chunk *i* at *i* × ``chunk_size``.
+        """
+        chunk_size = self.config.chunk_size
+        if not 0 < length <= chunk_size:
+            raise ValueError(
+                f"a block holds 1 to {chunk_size} bytes, not {length}"
+            )
         with self._lock:
             inode = self._writable_inode(path, writer)
             if block_id.index != len(inode.blocks):
                 raise ValueError(
                     f"out-of-order block commit: got index {block_id.index}, "
                     f"expected {len(inode.blocks)}"
+                )
+            if inode.blocks and inode.blocks[-1].length < chunk_size:
+                raise ValueError(
+                    f"{path}: block {block_id.index} follows a short block"
                 )
             inode.blocks.append(BlockInfo(block_id, length, datanodes))
 

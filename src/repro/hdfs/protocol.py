@@ -4,7 +4,10 @@ Pipeline writes (chunk allocation → replica fan-out → commit) and
 replica-rotating reads as engine-parameterized generators, shared by the
 simulated deployment (:mod:`repro.hdfs.simulated`) and the threaded
 :class:`~repro.common.fs.FileSystem` implementation
-(:mod:`repro.hdfs.client`).
+(:mod:`repro.hdfs.client`). Whole-chunk readahead is not here: the
+threaded input stream runs the read core both file systems share
+(:class:`~repro.bsfs.cache.ReadStreamCore`) over
+:meth:`HDFSProtocol.read_block_range`.
 
 The namenode is a bound control endpoint (charged, serialized RPCs under
 the DES engine; plain locked calls under the threaded engine); datanodes
@@ -18,7 +21,6 @@ never crashes a datanode, so its range read has no failover.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.errors import ReplicationError, RpcTimeoutError
 from ..engine.base import Engine, Payload
@@ -32,17 +34,6 @@ class HDFSProtocol:
     def __init__(self, engine: Engine, config) -> None:
         self.engine = engine
         self.config = config
-        self._selectors: Dict[str, ReplicaSelector] = {}
-
-    def selector(self, client: str) -> ReplicaSelector:
-        """The client's replica selector (rotation phase + dead memory)."""
-        sel = self._selectors.get(client)
-        if sel is None:
-            sel = self._selectors.setdefault(
-                client,
-                ReplicaSelector(self.engine.rng("replica", "hdfs", client)),
-            )
-        return sel
 
     # -- write path ----------------------------------------------------------
 
@@ -142,14 +133,15 @@ class HDFSProtocol:
         block: BlockInfo,
         offset: int,
         size: int,
-        selector: Optional[ReplicaSelector] = None,
+        selector: ReplicaSelector,
     ):
         """Generator: read a range of one committed chunk, failing over
-        across its replicas. Streams pass their own selector so the
-        dead-replica memory lives as long as the stream."""
+        across its replicas in *selector*'s order. A stream passes its
+        own selector, so the dead-replica memory lives as long as the
+        stream."""
         data = yield from sweep_fetch(
             self.engine,
-            selector if selector is not None else self.selector(client),
+            selector,
             client,
             block.datanodes,
             block.block_id,
@@ -200,85 +192,3 @@ class ChunkStreamCore:
         yield self.protocol.engine.call(
             None, "nn", "complete", self.path, self.client
         )
-
-
-class BlockReadCore:
-    """Readahead walk for the read path.
-
-    "When HDFS receives a read request for a small block, it prefetches
-    the entire chunk that contains the required block" — the core caches
-    the last prefetched chunk and fails reads over across replicas via
-    the stream's :class:`~repro.engine.replica.ReplicaSelector` (seeded
-    rotation + dead-datanode memory, scoped to the stream's lifetime).
-    """
-
-    def __init__(
-        self,
-        protocol: HDFSProtocol,
-        client: str,
-        path: str,
-        blocks: Sequence[BlockInfo],
-    ) -> None:
-        self.protocol = protocol
-        self.client = client
-        self.blocks = list(blocks)
-        self.offsets: List[int] = []
-        pos = 0
-        for b in self.blocks:
-            self.offsets.append(pos)
-            pos += b.length
-        #: total file size
-        self.size = pos
-        self.selector = ReplicaSelector(
-            protocol.engine.rng("replica", "hdfs-read", client, path)
-        )
-        # readahead cache: (block index, chunk bytes)
-        self.cached: Optional[Tuple[int, bytes]] = None
-        #: lifetime counter of datanode fetches (readahead effectiveness)
-        self.fetches = 0
-
-    def pread(self, offset: int, n: int):
-        """Generator: positional read, clipped to the file size."""
-        if n < 0:
-            raise ValueError("negative read size")
-        if offset >= self.size or n == 0:
-            return b""
-        n = min(n, self.size - offset)
-        pieces: List[bytes] = []
-        remaining, pos = n, offset
-        while remaining > 0:
-            index = self._block_index(pos)
-            in_block = pos - self.offsets[index]
-            take = min(remaining, self.blocks[index].length - in_block)
-            piece = yield from self._read_from_block(index, in_block, take)
-            pieces.append(piece)
-            pos += take
-            remaining -= take
-        if any(piece is None for piece in pieces):
-            return None  # simulated reads carry no bytes
-        return b"".join(pieces)
-
-    def _block_index(self, pos: int) -> int:
-        # binary search over block start offsets
-        lo, hi = 0, len(self.blocks) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.offsets[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _read_from_block(self, index: int, offset: int, size: int):
-        block = self.blocks[index]
-        if self.cached is not None and self.cached[0] == index:
-            return self.cached[1][offset : offset + size]
-        # prefetch the entire chunk containing the requested range
-        chunk = yield from self.protocol.read_block_range(
-            self.client, block, 0, block.length, self.selector
-        )
-        self.fetches += 1
-        if chunk is None:
-            return None
-        self.cached = (index, chunk)
-        return chunk[offset : offset + size]

@@ -217,8 +217,10 @@ class ThreadedDriver:
     lazy, so the driver's own calls are what evaluate it."""
 
     exact = False
-    #: seconds per lease period
-    UNIT = 0.1
+    #: seconds per lease period: the steps sit half a period from the
+    #: deadlines they straddle, so 0.15 s of scheduling delay is
+    #: absorbed before a step lands on the wrong side of one
+    UNIT = 0.3
 
     def __init__(self, lease):
         self.vm = ThreadedVersionManager(

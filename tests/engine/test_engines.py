@@ -3,6 +3,9 @@ the shared replica policy, and both engines' fault primitives."""
 
 import pytest
 
+from repro.blobseer.backends import InMemoryPageStore
+from repro.blobseer.pages import PageId
+from repro.blobseer.provider import Provider
 from repro.common.config import ClusterConfig
 from repro.common.errors import ProviderUnavailableError, RpcTimeoutError
 from repro.common.rng import stream
@@ -105,24 +108,21 @@ class TestThreadedFaults:
     def test_unavailable_maps_to_rpc_timeout_and_counts(self):
         obs = Observability.on()
         eng = ThreadedEngine(obs=obs)
-
-        def store_fn(pid, data):
-            raise ProviderUnavailableError("down")
-
-        def load_fn(pid, off, n):
-            raise ProviderUnavailableError("down")
-
-        eng.bind_data("p", store_fn, load_fn)
+        provider = Provider("p", InMemoryPageStore())
+        provider.fail()
+        eng.bind_providers({"p": provider})
+        page = PageId(1, "c", 0)
 
         def gen():
             try:
-                yield eng.store(None, "c", "p", "pid", Payload(b"x"))
+                yield eng.store(None, "c", "p", page, Payload(b"x"))
             except RpcTimeoutError:
                 pass
-            yield eng.fetch(None, "c", "p", "pid", 0, 1)
+            yield eng.fetch(None, "c", "p", page, 0, 1)
 
-        with pytest.raises(RpcTimeoutError):
+        with pytest.raises(RpcTimeoutError) as failed:
             eng.run(gen())
+        assert isinstance(failed.value.__cause__, ProviderUnavailableError)
         assert obs.registry.counters()["net.rpc_timeouts"] == 2.0
 
 

@@ -102,6 +102,21 @@ class TestReadPath:
                 s.pread(off, 64)
             assert s._core.fetches == 1  # one chunk prefetch served them all
 
+    def test_pread_across_a_chunk_boundary(self, fs):
+        data = bytes(range(256)) * 12  # chunks of 1024, 1024 and 1024
+        fs.write_all("/f", data)
+        with fs.open("/f") as s:
+            assert s.pread(1000, 1100) == data[1000:2100]  # spans three chunks
+            assert s._core.fetches == 3
+            assert s.pread(2100, 20) == data[2100:2120]  # the last one is kept
+            assert s._core.fetches == 3
+            assert s.pread(1020, 10) == data[1020:1030]  # two chunks again
+            assert s._core.fetches == 5
+            assert s.pread(1030, 10) == data[1030:1040]
+            assert s._core.fetches == 5
+            assert s.pread(3000, 100) == data[3000:]  # clipped at EOF
+            assert s.pread(3072, 1) == b""
+
     def test_replica_fallback_on_failure(self, cluster, fs):
         fs.write_all("/f", b"precious" * 500)
         locs = fs.get_block_locations("/f", 0, 100)

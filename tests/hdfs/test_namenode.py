@@ -63,6 +63,7 @@ class TestLifecycle:
         nn.create("/f", "w")
         nn.abandon("/f", "w")
         assert not nn.tree.exists("/f")
+        assert nn.file_count() == 0
 
     def test_lease_recovery_salvages_committed_chunks(self, nn):
         """A writer dies mid-file: recover_lease closes the file with the
@@ -98,6 +99,25 @@ class TestBlocks:
         with pytest.raises(ValueError):
             nn.commit_block("/f", "w", wrong, 10, targets)
 
+    def test_block_longer_than_a_chunk_rejected(self, nn):
+        nn.create("/f", "w")
+        bid, targets = nn.allocate_block("/f", "w")
+        with pytest.raises(ValueError, match="1 to 64 bytes, not 65"):
+            nn.commit_block("/f", "w", bid, 65, targets)
+        nn.commit_block("/f", "w", bid, 64, targets)  # a full chunk is fine
+
+    def test_block_after_a_short_block_rejected(self, nn):
+        nn.create("/f", "w")
+        bid, targets = nn.allocate_block("/f", "w")
+        nn.commit_block("/f", "w", bid, 30, targets)
+        bid, targets = nn.allocate_block("/f", "w")
+        with pytest.raises(ValueError, match="follows a short block"):
+            nn.commit_block("/f", "w", bid, 64, targets)
+        # the refused block left the file as it was: one short last chunk
+        nn.complete("/f", "w")
+        assert nn.get_status("/f").size == 30
+        assert [l.length for l in nn.get_block_locations("/f", 0, 30)] == [30]
+
     def test_down_datanodes_excluded(self, nn):
         nn.mark_down("dn0")
         nn.mark_down("dn1")
@@ -122,7 +142,7 @@ class TestBlocks:
         for _ in range(200):
             _bid, targets = nn2.allocate_block("/f", "w")
             counts[targets[0]] += 1
-            nn2.commit_block("/f", "w", _bid, 1, targets)
+            nn2.commit_block("/f", "w", _bid, 64, targets)
         assert min(counts.values()) > 10
 
 

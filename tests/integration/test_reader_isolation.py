@@ -4,7 +4,7 @@ Versions are immutable snapshots and metadata nodes are written once,
 so a reader of published bytes has nothing to wait for. On the threaded
 runtime that means the read path takes no lock an appender takes. The
 check holds every one of those locks on a helper thread — the version
-manager's turn, both namespace locks, and each provider's and page
+manager's turn, the namespace lock, and each provider's and page
 store's writer lock — and requires ``refresh_size`` and ``pread`` of
 published bytes to finish anyway, with the right data, on both page
 stores. A poisoned copy (the store lock put back around the log store's
@@ -58,7 +58,6 @@ def writer_locks(dep: BSFS) -> list:
     locks = [
         dep.service.version_manager._turn,
         dep.namespace._lock,
-        dep.namespace.tree._lock,
     ]
     for provider in dep.service.providers.values():
         locks += [provider._lock, provider.store._lock]

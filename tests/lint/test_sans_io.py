@@ -2,7 +2,8 @@
 
 The whole point of the engine refactor is that
 ``repro/{blobseer,hdfs,bsfs}/protocol.py`` (and the engine-shared policy
-modules) contain no runtime bindings: no clock, no threads, no sockets,
+modules, and the read core both file systems share in
+``repro/bsfs/cache.py``) contain no runtime bindings: no clock, no threads, no sockets,
 and no reach into the simulation kernel. Every effect must flow through
 the :class:`~repro.engine.base.Engine` the core was handed. This test
 fails CI if anyone re-introduces a direct dependency.
@@ -20,6 +21,7 @@ SANS_IO_FILES = [
     SRC / "blobseer" / "protocol.py",
     SRC / "hdfs" / "protocol.py",
     SRC / "bsfs" / "protocol.py",
+    SRC / "bsfs" / "cache.py",
     SRC / "engine" / "base.py",
     SRC / "engine" / "replica.py",
 ]

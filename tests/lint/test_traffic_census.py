@@ -196,10 +196,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "reclaims a dead writer's lease (HDFS write-once semantics under "
         "a writer failure)"
     ),
-    "repro.hdfs.protocol.HDFSProtocol.selector": (
-        "replica failover of HDFS reads: only a read under an active "
-        "fault plan sweeps replicas"
-    ),
     "repro.hdfs.client.HDFSInputStream._dead": (
         "replica failover of HDFS reads under a crashed datanode"
     ),
@@ -228,13 +224,11 @@ NO_TRAFFIC: Dict[str, str] = {
     ),
     # -- the FileSystem interface -------------------------------------------
     "repro.bsfs.client.BSFSFileSystem.delete": _FS_API,
-    "repro.bsfs.client.BSFSFileSystem.list_dir": _FS_API,
     "repro.bsfs.client.BSFSFileSystem.rename": _FS_API,
     "repro.bsfs.client.BSFSInputStream.size": _FS_API,
     "repro.common.fs.InputStream.seek": _FS_API,
     "repro.common.fs.InputStream.tell": _FS_API,
     "repro.hdfs.client.HDFSInputStream.seek": _FS_API,
-    "repro.hdfs.client.HDFSInputStream.size": _FS_API,
     "repro.hdfs.client.HDFSOutputStream.flush": _FS_API,
     "repro.mapreduce.io.committers._BufferedTaskOutput.flush": _FS_API,
     "repro.mapreduce.io.committers._BufferedTaskOutput.tell": _FS_API,

@@ -79,6 +79,27 @@ def test_a_plain_read_still_raises(holed):
         assert stream.pread_holes(13, 4) == (bytes(4), [(13, 17)])
 
 
+@pytest.mark.parametrize(
+    "offset, n, expected",
+    [(0, 11, FIRST), (23, 12, SECOND), (3, 8, FIRST[3:]), (25, 10, SECOND[2:])],
+    ids=["first", "second", "in-first", "in-second"],
+)
+def test_a_plain_read_beside_the_hole_returns_the_bytes(holed, offset, n, expected):
+    """The block holding the hole is cached with its extents: a plain
+    read whose own range misses the hole gets its bytes, however the
+    block was first fetched."""
+    with holed.open(PATH) as stream:
+        assert stream.pread(offset, n) == expected
+        # after the block is cached, by a hole-reporting read
+        assert stream.pread_holes(0, 35)[1] == [(11, 23)]
+        assert stream.pread(offset, n) == expected
+        with pytest.raises(PageNotFoundError, match=r"hole in page 0 at \[11, 23\)"):
+            stream.pread(0, 35)
+        with pytest.raises(PageNotFoundError, match=r"hole in page 0 at \[12, 14\)"):
+            stream.pread(12, 2)
+        assert stream.pread(offset, n) == expected
+
+
 def test_the_feeder_scan_finds_the_last_newline_past_the_hole(holed):
     with holed.open(PATH) as stream:
         assert _last_newline(stream, 0, 35) == 34

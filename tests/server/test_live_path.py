@@ -386,8 +386,7 @@ def test_loop_and_thread_appenders_share_one_blob(live):
     service = live.service
     threaded = ThreadedEngine()
     threaded.bind("vm", service.version_manager)
-    for name, provider in service.providers.items():
-        threaded.bind_data(name, provider.put_page, provider.get_page)
+    threaded.bind_providers(service.providers)
     protocol = BlobSeerProtocol(
         threaded, service.config, service.provider_manager, service.dht
     )
