@@ -12,12 +12,13 @@ here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Six gates are ceilings rather
+throughput) are gated the same way. Seven gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
 leaves on the cyclic collector's lists, the bytes the log page store's
 index holds per record, the bytes an in-flight fig8
-op holds while it waits, the full collections a
+op holds while it waits and those a fig8 append parked behind its
+group-commit leader holds, the full collections a
 fig8 run performs inside the kernel's dispatch loop (none: the kernel
 pauses the collector, DESIGN.md "Memory and the collector"), and the
 rate solves a fig8 run performs (none: no link of its fabric can
@@ -274,6 +275,73 @@ def test_openloop_inflight_bytes_per_op_under_ceiling(baseline, monkeypatch):
         f"({in_flight:,} in flight at the last arrival), ceiling "
         f"{row['max_bytes_per_op']:,} B: per-op state crept back onto the "
         f"simulated RPC path (see the note in benchmarks/perf/baseline.json)"
+    )
+
+
+def test_openloop_queued_bytes_per_op_under_ceiling(baseline, monkeypatch):
+    """What one group-commit append costs while it waits behind its
+    leader: on the reduced fig8 point of the in-flight ceiling, nearly
+    every append hands its change map to the version manager and parks
+    in ``publish_wait`` once the arrivals stop. tracemalloc bytes held
+    at the instant the most appends are parked, minus those held once
+    the backlog has drained (the deployment alive in both), divided by
+    the parked appends. That is each parked append's generator frames,
+    process and wait event, the change map the version manager holds
+    for it, and its payload; a sub-generator frame kept alive across
+    the wait, a payload or a boxed size per op is what the ceiling
+    keeps out."""
+    from repro.blobseer.version_manager import VersionManagerCore
+    from repro.common.config import ExperimentConfig
+    from repro.experiments.openloop import open_loop_sweep
+    from repro.sim.core import Environment
+
+    row = baseline["memory"]["openloop_queued"]
+    peak = {"parked": 0}
+    real_when_published = VersionManagerCore.when_published
+
+    def when_published(self, blob_id, version, callback):
+        real_when_published(self, blob_id, version, callback)
+        parked = len(self._publish_waiters)
+        if parked > peak["parked"]:
+            # dispatch pauses the collector and frees by reference
+            # count alone (DESIGN.md §5d), so no collection is needed
+            # for a reading taken here
+            peak["parked"] = parked
+            peak["held"] = tracemalloc.get_traced_memory()[0]
+
+    runs = []
+    real_run = Environment.run
+
+    def run(self, until=None):
+        value = real_run(self, until)
+        if runs or getattr(until, "name", None) == "openloop-driver":
+            # the arrivals, then the drain of the backlog
+            gc.collect()
+            runs.append(tracemalloc.get_traced_memory()[0])
+        return value
+
+    monkeypatch.setattr(VersionManagerCore, "when_published", when_published)
+    monkeypatch.setattr(Environment, "run", run)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (point,) = open_loop_sweep(
+            (row["offered_ops_s"],),
+            ExperimentConfig(repetitions=1),
+            row["duration_s"],
+            row["clients"],
+        )
+    finally:
+        tracemalloc.stop()
+    assert len(point.latencies_s) == point.ops
+    parked = peak["parked"]
+    assert parked > 0.8 * point.ops, "the appends did not queue behind a leader"
+    per_op = (peak["held"] - runs[1]) / parked
+    assert per_op <= row["max_bytes_per_op"], (
+        f"an append parked in publish_wait holds {per_op:,.0f} B "
+        f"({parked:,} parked at the peak), ceiling "
+        f"{row['max_bytes_per_op']:,} B: per-op state crept back onto the "
+        f"group-commit wait (see the note in benchmarks/perf/baseline.json)"
     )
 
 

@@ -33,7 +33,7 @@ from typing import (
     Union,
 )
 
-from ..pages import PageFragments, overlay
+from ..pages import Fragment, PageFragments, overlay
 
 #: Identity of one tree node: which version of which BLOB created it
 #: and the page range ``[lo, hi)`` it covers, packed into one int by
@@ -271,48 +271,47 @@ def query_pages(
 
 
 def merge_change_maps(
-    maps: Sequence[Mapping[int, PageFragments]],
+    maps: Iterable[Mapping[int, Fragment]],
+    published: Optional[Mapping[int, PageFragments]] = None,
 ) -> Dict[int, PageFragments]:
-    """Fold per-version change maps (in commit order) into one.
+    """Fold per-version raw change maps (in commit order) into one.
 
-    Where two versions touch the same page, the later version's
-    fragments are overlaid on the earlier one's — exactly what a reader
-    of the later version would observe after sequential publication.
-    Each map must be *self-consistent relative to its predecessors in
-    the sequence*: a fragment whose page also carries older bytes (a
-    boundary page) must either follow the fragments providing those
-    bytes in an earlier map, or arrive pre-overlaid onto them (the map's
-    tuple already containing the inherited fragments). Append batches
-    satisfy this by construction — each append only writes bytes at and
-    beyond its predecessor's size.
+    Each map gives every page its version writes the one new fragment
+    the writer shipped. Where two versions touch the same page, the
+    later fragment is overlaid on the earlier ones — exactly what a
+    reader of the later version would observe after sequential
+    publication. *published* seeds the fold with the previously
+    published fragments of boundary pages the first writes overlay; any
+    other page a map touches must carry no older bytes than earlier maps
+    provide. Append batches satisfy this by construction — each append
+    only writes bytes at and beyond its predecessor's size, so only the
+    first member's first page can inherit published bytes.
     """
-    merged: Dict[int, PageFragments] = {}
+    merged: Dict[int, PageFragments] = dict(published) if published else {}
     for changes in maps:
-        for page, frags in changes.items():
+        for page, frag in changes.items():
             base = merged.get(page)
-            if base is None:
-                merged[page] = tuple(frags)
-            else:
-                for frag in frags:
-                    base = overlay(base, frag)
-                merged[page] = base
+            merged[page] = (frag,) if base is None else overlay(base, frag)
     return merged
 
 
 def build_versions_batch(
     store: NodeStore,
     blob_id: int,
-    batch: Sequence[Tuple[int, Mapping[int, PageFragments]]],
+    batch: Sequence[Tuple[int, Mapping[int, Fragment]]],
     prev_root: Optional[NodeKey],
     prev_capacity: int,
     new_capacity: int,
+    published: Optional[Mapping[int, PageFragments]] = None,
 ) -> NodeKey:
     """Publish a run of K queued versions as ONE tree build.
 
-    *batch* is ``[(version, changes), ...]`` in commit order. The change
-    maps are folded with :func:`merge_change_maps` and a single tree —
-    keyed by the *last* version — is built over the union, so every
-    shared inner-path node is written once per batch instead of once per
+    *batch* is ``[(version, changes), ...]`` in commit order, each
+    *changes* a raw map of page to the version's one new fragment. The
+    maps are folded with :func:`merge_change_maps` (over the
+    *published* boundary fragments, if any) and a single tree — keyed by
+    the *last* version — is built over the union, so every shared
+    inner-path node is written once per batch instead of once per
     version: ``O(Σ|changes| + log cap)`` node writes total.
 
     All K versions share the returned root. That is sound for *append*
@@ -329,7 +328,7 @@ def build_versions_batch(
     versions = [v for v, _ in batch]
     if versions != sorted(versions) or len(set(versions)) != len(versions):
         raise ValueError("batch versions must be distinct and ascending")
-    merged = merge_change_maps([changes for _, changes in batch])
+    merged = merge_change_maps((changes for _, changes in batch), published)
     return build_version(
         store,
         blob_id,

@@ -129,7 +129,7 @@ class BlobSeerProtocol:
         else:
             self._node_cache = None
         #: group commit: batch ready consecutive appenders into one
-        #: publish round (see :meth:`_publish_batch`)
+        #: publish round (see :meth:`update`)
         self._group_commit = bool(getattr(config, "group_commit", False))
 
     def _node_store(self):
@@ -174,7 +174,7 @@ class BlobSeerProtocol:
         when another leader published this version (a size report is
         then the leader's job; see the BSFS namespace update).
         """
-        nbytes = len(payload)
+        nbytes = payload.nbytes
         append = offset is None
         if nbytes <= 0:
             raise ValueError(f"cannot {'append' if append else 'write'} zero bytes")
@@ -187,9 +187,12 @@ class BlobSeerProtocol:
             blob=blob_id,
             nbytes=nbytes,
         )
-        # the ticket request names its method and arguments inline: an
-        # overloaded open loop parks tens of thousands of updates on
-        # this yield, and each local held across it is paid per op
+        # an overloaded open loop parks tens of thousands of updates on
+        # this generator's waits — the ticket, the metadata turn, the
+        # publish wait — so each is yielded here, with no sub-generator
+        # frame alive across it, and each local held across one is
+        # paid per op; the ticket request names its method and
+        # arguments inline for the same reason
         if append:
             t0 = engine.now()
             ticket = yield engine.call(sp, "vm", "assign_append", blob_id, nbytes)
@@ -200,12 +203,38 @@ class BlobSeerProtocol:
             )
         try:
             new_frags = yield from self._ship(client, ticket, payload, sp)
+            t0 = engine.now()
             if append and self._group_commit:
-                # under group commit an append hands its change map to
-                # the version manager instead of taking the serialized turn
-                group_end = yield from self._group_publish(ticket, new_frags, sp)
+                # group commit: hand the change map to the version
+                # manager instead of taking the serialized turn (one
+                # charged RPC at the cheap commit-push cost). The reply
+                # makes this client the leader of a batch of consecutive
+                # ready appends, or queues it (uncharged) until a leader
+                # publishes its version — or promotes it to leader when
+                # its predecessor lands first
+                reply = yield engine.call(
+                    sp, "vm", "commit_ready", ticket.blob_id, ticket.version, new_frags
+                )
+                if reply[0] == "queued":
+                    reply = yield engine.wait(
+                        sp, "vm", "publish_wait", ticket.blob_id, ticket.version
+                    )
+                self._h_turn_wait.observe(engine.now() - t0)
+                if reply[0] == "published":
+                    # another leader published this version and owns
+                    # the size report
+                    group_end = None
+                else:
+                    assert reply[0] == "lead", f"unexpected publish reply {reply!r}"
+                    group_end = yield from self._publish_batch(
+                        ticket.blob_id, reply, ticket.page_size, sp
+                    )
             else:
-                group_end = yield from self._publish(ticket, new_frags, sp)
+                prereq = yield engine.wait(
+                    sp, "vm", "metadata_turn", ticket.blob_id, ticket.version
+                )
+                self._h_turn_wait.observe(engine.now() - t0)
+                group_end = yield from self._publish(ticket, new_frags, prereq, sp)
         except Exception as exc:
             # give the ticket back now: the version becomes a hole at
             # once instead of wedging every later update for a lease.
@@ -280,19 +309,16 @@ class BlobSeerProtocol:
         sp_ship.finish()
         return new_frags
 
-    def _publish(self, ticket: Ticket, new_frags: Dict[int, Fragment], parent):
-        """Generator: the classic metadata turn for one update — wait
-        for the predecessor, overlay boundary pages, build and commit
-        the version's tree. Returns the update's end offset."""
-        engine = self.engine
-        ps = ticket.page_size
-        turn_t0 = engine.now()
-        prereq = yield engine.wait(
-            parent, "vm", "metadata_turn", ticket.blob_id, ticket.version
-        )
-        self._h_turn_wait.observe(engine.now() - turn_t0)
+    def _publish(
+        self, ticket: Ticket, new_frags: Dict[int, Fragment], prereq, parent
+    ):
+        """Generator: the classic metadata turn for one update, once it
+        is granted — overlay boundary pages on the predecessor's tree
+        (*prereq* is its ``(root, capacity)``), build and commit the
+        version's tree. Returns the update's end offset."""
         assert prereq is not None, "turn granted before predecessor resolved"
         prev_root, prev_capacity = prereq
+        ps = ticket.page_size
 
         # overlay partially-covered boundary pages on the previous
         # version's fragments (reading those leaves costs metadata RPCs)
@@ -318,98 +344,50 @@ class BlobSeerProtocol:
         )
         yield from self._charge(session.take_log(), parent)
 
-        yield engine.call(parent, "vm", "commit", ticket.blob_id, ticket.version, root)
+        yield self.engine.call(
+            parent, "vm", "commit", ticket.blob_id, ticket.version, root
+        )
         return ticket.offset + ticket.nbytes
 
-    def _group_publish(
-        self, ticket: Ticket, new_frags: Dict[int, Fragment], parent
-    ):
-        """Generator: the group-commit metadata turn for one append.
-
-        Pushes the ready change map to the version manager (one charged
-        RPC at the cheap commit-push cost). The reply either promotes
-        this client to leader of a batch of consecutive ready appends —
-        it then publishes all of them in one metadata round — or queues
-        it behind the current leader, in which case it waits (uncharged)
-        until a leader publishes its version, possibly inheriting the
-        lead when its predecessor lands first.
-
-        Returns the batch's final blob size when this client led, or
-        ``None`` when another leader published its version.
-        """
-        engine = self.engine
-        turn_t0 = engine.now()
-        reply = yield engine.call(
-            parent, "vm", "commit_ready", ticket.blob_id, ticket.version, new_frags
-        )
-        if reply[0] == "queued":
-            reply = yield engine.wait(
-                parent, "vm", "publish_wait", ticket.blob_id, ticket.version
-            )
-        self._h_turn_wait.observe(engine.now() - turn_t0)
-        if reply[0] == "published":
-            return None
-        assert reply[0] == "lead", f"unexpected publish reply {reply!r}"
-        _, prev_root, prev_capacity, batch = reply
-        return (
-            yield from self._publish_batch(
-                ticket.blob_id,
-                prev_root,
-                prev_capacity,
-                batch,
-                ticket.page_size,
-                parent,
-            )
-        )
-
-    def _publish_batch(
-        self,
-        blob_id: int,
-        prev_root,
-        prev_capacity: int,
-        batch,
-        page_size: int,
-        parent,
-    ):
+    def _publish_batch(self, blob_id: int, grant: tuple, page_size: int, parent):
         """Generator: publish a batch of ready appends as the leader.
 
-        *batch* is ``[(version, raw_change_map, new_size), ...]`` in
-        version order. The members' maps are raw single-fragment pages
-        on purpose: a member's partially-covered boundary page may owe
-        its missing bytes to the *previous batch member*, so the merge
-        (:func:`build_versions_batch`) folds them in commit order. Only
-        the very first page of the very first member can inherit bytes
-        from the previously *published* tree, so a group publish does at
-        most one boundary read regardless of batch size.
+        *grant* is the version manager's ``("lead", prev_root,
+        prev_capacity, batch)``, *batch* ``[(version, changes,
+        new_size), ...]`` in version order, each *changes* the member's
+        raw map of page to its one new :class:`Fragment`. A member's
+        partially-covered boundary page may owe its missing bytes to the
+        *previous batch member*, so :func:`build_versions_batch` folds
+        the maps in commit order. Only the very first page of the very
+        first member can inherit bytes from the previously *published*
+        tree, so a group publish does at most one boundary read
+        regardless of batch size; its fragments seed the fold.
 
         Returns the batch's final blob size.
         """
-        engine = self.engine
-        versions = [v for v, _, _ in batch]
-        member_maps: List[Dict[int, tuple]] = [
-            {p: (frag,) for p, frag in frags.items()} for _, frags, _ in batch
-        ]
+        _, prev_root, prev_capacity, batch = grant
         # one publish round: the boundary read and the batch build are
         # charged as one concatenated log, one fan-out wave
         store, session = self._node_store()
-        first_map = member_maps[0]
-        p0 = min(first_map)
-        frag0 = first_map[p0][0]
-        if frag0.start > 0 and prev_root is not None:
-            prev_frags = query_pages(store, prev_root, p0, p0 + 1).get(p0, ())
-            first_map[p0] = overlay(prev_frags, frag0)
+        published = None
+        first = batch[0][1]
+        p0 = min(first)
+        if first[p0].start > 0 and prev_root is not None:
+            published = query_pages(store, prev_root, p0, p0 + 1)
         last_size = batch[-1][2]
+        versions = [v for v, _, _ in batch]
         root = build_versions_batch(
             store,
             blob_id,
-            list(zip(versions, member_maps)),
+            [(v, changes) for v, changes, _ in batch],
             prev_root,
             prev_capacity,
             pages_capacity(last_size, page_size),
+            published,
         )
         yield from self._charge(session.take_log(), parent)
 
-        yield engine.call(
+        yield self.engine.call(
             parent, "vm", "publish_batch", blob_id, versions, root, last_size
         )
         return last_size

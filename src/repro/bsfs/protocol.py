@@ -156,7 +156,7 @@ class BSFSProtocol:
             parent=parent,
             track=client,
             path=path,
-            nbytes=len(payload),
+            nbytes=payload.nbytes,
         )
         if blob_id is None:
             blob_id = (yield from self._lookup(sp, path)).blob_id

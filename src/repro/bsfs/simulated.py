@@ -11,7 +11,7 @@ microbenchmarks exercise exactly the paper's two-step append.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..blobseer.metadata.segment_tree import build_version, capacity_for
 from ..blobseer.pages import Fragment, fresh_page_id
@@ -60,6 +60,7 @@ class SimBSFS:
         self.protocol = BSFSProtocol(
             self.engine, self.blobseer.protocol, obs=self.obs
         )
+        self._payloads: Dict[int, Payload] = {}
 
     # -- file operations -----------------------------------------------------------
 
@@ -76,8 +77,13 @@ class SimBSFS:
     ) -> Generator[Event, None, int]:
         """The paper's two-step append (BLOB append + namespace size
         update): the protocol generator itself, whose value is the BLOB
-        version generated."""
-        return self.protocol.append_file(client, path, Payload(nbytes=nbytes))
+        version generated. Appends of one size share one sized
+        :class:`Payload`: a simulated payload is only its byte count, and
+        an overloaded open loop holds one per queued op otherwise."""
+        payload = self._payloads.get(nbytes)
+        if payload is None:
+            payload = self._payloads[nbytes] = Payload(nbytes=nbytes)
+        return self.protocol.append_file(client, path, payload)
 
     def read_proc(
         self, client: str, path: str, offset: int, nbytes: int

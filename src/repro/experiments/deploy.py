@@ -20,6 +20,7 @@ from ..common.config import ExperimentConfig
 from ..hdfs.simulated import HDFSRoles, SimHDFS
 from ..obs import Observability
 from ..sim.cluster import SimCluster
+from ..sim.resources import TalliedQueue
 
 
 def _collect_previous_deployment() -> None:
@@ -113,40 +114,32 @@ def attach_sim_samplers(
     env = cluster.env
     reg = obs.registry
     net = cluster.network
-    # hoist the spindle waiting deques once: the per-tick max is then
-    # len() over N deques instead of N×2 Python property hops — over a
-    # 270-node cluster this sampler used to dominate fig6's wall time
-    disk_queues = [
-        cluster.node(name).disk._spindle._waiting for name in cluster.names()
-    ]
+    # the spindles of a fresh deployment start with empty queues that
+    # keep one tally of queues per depth, so a tick reads the deepest in
+    # O(1) instead of scanning 270 queues
+    disk_tally = [0]
+    for name in cluster.names():
+        cluster.node(name).disk._spindle._waiting = TalliedQueue(disk_tally)
     ts_rate = reg.timeseries("sim.net.aggregate_rate_bps")
     ts_flows = reg.timeseries("sim.net.active_flows")
     ts_disk = reg.timeseries("sim.disk.queue_max")
     ts_vm = reg.timeseries("vm.commit_queue_len") if vm_core is not None else None
-    # the engine's control-endpoint table: each slot's waiting queue is
-    # that endpoint's in-flight depth
-    control = engine._control if engine is not None else None
-    ts_rpc = (
-        {name: reg.timeseries(f"rpc.inflight.{name}") for name in control}
-        if control is not None
-        else None
-    )
+    # each control endpoint's slot queue is its in-flight RPC depth
+    # (every endpoint is bound before the samplers attach)
+    ts_rpc = [
+        (reg.timeseries(f"rpc.inflight.{name}"), ctl.slot)
+        for name, ctl in (engine._control.items() if engine is not None else ())
+    ]
 
     def sample() -> None:
         now = env.now
         ts_rate.record(now, net.aggregate_rate())
         ts_flows.record(now, net.active_flows)
-        ts_disk.record(now, max(map(len, disk_queues)))
+        ts_disk.record(now, len(disk_tally) - 1)
         if ts_vm is not None:
             ts_vm.record(now, vm_core.commit_queue_length)
-        if control is not None:
-            for name, ctl in control.items():
-                series = ts_rpc.get(name)
-                if series is None:
-                    series = ts_rpc[name] = reg.timeseries(
-                        f"rpc.inflight.{name}"
-                    )
-                series.record(now, len(ctl.slot._waiting))
+        for series, slot in ts_rpc:
+            series.record(now, len(slot._waiting))
 
     env.every(period, sample, double_after=SAMPLE_DOUBLE_AFTER)
 

@@ -130,10 +130,12 @@ def _run_scenario(scenario: str, n_versions: int) -> MdBenchResult:
         wall = time.perf_counter() - t0
         ops = DEFAULT_QUERIES
     elif scenario == "batch":
+        # group-commit members hand over raw maps, page to fragment
+        raw = [(v, {p: f for p, (f,) in ch.items()}) for v, ch in history]
         t0 = time.perf_counter()
         root, cap = None, 0
-        for i in range(0, len(history), BATCH_SIZE):
-            batch = history[i : i + BATCH_SIZE]
+        for i in range(0, len(raw), BATCH_SIZE):
+            batch = raw[i : i + BATCH_SIZE]
             last_v = batch[-1][0]
             new_cap = capacity_for(last_v * PAGES_PER_APPEND)
             root = build_versions_batch(dht, 1, batch, root, cap, new_cap)

@@ -188,6 +188,39 @@ class _RoundTrip:
             res.env._schedule(done, delay=self.latency)
 
 
+class TalliedQueue(deque):
+    """A resource's FIFO of waiters (``Resource._waiting``) that keeps a
+    *tally*, shared with other queues, of how many of them stand at each
+    depth, trailing zeros trimmed: ``len(tally) - 1`` is then the
+    deepest of them, exact and O(1) to read, where a scan is O(queues).
+    It starts empty; a resource only appends and pops from the left."""
+
+    __slots__ = ("tally",)
+
+    def __init__(self, tally: "list[int]") -> None:
+        super().__init__()
+        self.tally = tally
+        tally[0] += 1
+
+    def append(self, item: Any) -> None:
+        deque.append(self, item)
+        tally, depth = self.tally, len(self)
+        tally[depth - 1] -= 1
+        if depth == len(tally):
+            tally.append(1)
+        else:
+            tally[depth] += 1
+
+    def popleft(self) -> Any:
+        item = deque.popleft(self)
+        tally, depth = self.tally, len(self)
+        tally[depth] += 1
+        tally[depth + 1] -= 1
+        if not tally[-1]:
+            tally.pop()
+        return item
+
+
 def batch_round_trips(
     resources: "list[Resource]",
     latency: float,

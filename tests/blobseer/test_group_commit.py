@@ -18,12 +18,14 @@ from repro.blobseer.client import BlobSeerService
 from repro.blobseer.metadata.segment_tree import node_key
 from repro.blobseer.simulated import BlobSeerRoles, SimBlobSeer
 from repro.blobseer.version_manager import VersionManagerCore
+from repro.bsfs.simulated import BSFSRoles, SimBSFS
 from repro.common.config import BlobSeerConfig, ClusterConfig
 from repro.common.errors import AppendAbortedError, VersionNotFoundError
 from repro.common.units import MiB
 from repro.engine.base import Payload
 from repro.obs import Observability
 from repro.sim.cluster import SimCluster
+from repro.sim.core import Process
 
 PAGE = 4096
 
@@ -302,3 +304,72 @@ class TestSimulatedGroupCommit:
         # the whole second walk is served from the client node cache
         assert obs.registry.counter("md.rpcs").value == md_rpcs_after_first
         assert obs.registry.counter("md.cache.hits").value > 0
+
+
+def frames_of(process):
+    """The generator frames a suspended process holds, outermost first:
+    the chain its ``yield from`` delegations keep alive."""
+    names, gen = [], process.generator
+    while gen is not None:
+        names.append(gen.gi_code.co_name)
+        gen = gen.gi_yieldfrom
+    return names
+
+
+@pytest.mark.parametrize("group", [True, False], ids=["group-commit", "classic"])
+def test_parked_append_holds_only_its_own_frames(group, monkeypatch):
+    """An overloaded open loop parks tens of thousands of BSFS appends
+    at the update's waits — the ticket, then the publish wait behind a
+    group-commit leader or the classic metadata turn — so each frame a
+    parked append keeps alive is paid per op at the simulator's peak
+    (DESIGN.md §5d rule 5). At every one of them it holds exactly the
+    ``append_file`` and ``update`` frames: no sub-generator lives across
+    a wait."""
+    cluster = SimCluster(ClusterConfig(nodes=20))
+    names = cluster.names()
+    roles = BSFSRoles(
+        blobseer=BlobSeerRoles(
+            version_manager=names[0],
+            provider_manager=names[1],
+            metadata_providers=tuple(names[3:6]),
+            data_providers=tuple(names[6:]),
+        ),
+        namespace_manager=names[2],
+    )
+    bsfs = SimBSFS(
+        cluster,
+        roles,
+        BlobSeerConfig(page_size=4 * MiB, metadata_providers=3, group_commit=group),
+    )
+    engine = bsfs.engine
+    parked = {}
+
+    def watched(op):
+        def issue(parent, endpoint, method, *args):
+            ev = op(parent, endpoint, method, *args)
+            if method in ("assign_append", "metadata_turn", "publish_wait"):
+                # the parked process queues on this list after the
+                # yield, so this callback runs while it is still parked
+                waiters = ev.callbacks
+
+                def inspect(_ev):
+                    (process,) = [cb for cb in waiters if isinstance(cb, Process)]
+                    parked.setdefault(method, []).append(frames_of(process))
+
+                waiters.append(inspect)
+            return ev
+
+        return issue
+
+    monkeypatch.setattr(engine, "call", watched(engine.call))
+    monkeypatch.setattr(engine, "wait", watched(engine.wait))
+    env = cluster.env
+    env.run(env.process(bsfs.create_proc(names[6], "/shared")))
+    clients = list(roles.blobseer.data_providers)[:12]
+    run(cluster, [env.process(bsfs.append_proc(c, "/shared", MiB)) for c in clients])
+    waits = {"assign_append", "publish_wait" if group else "metadata_turn"}
+    assert set(parked) == waits
+    for method, chains in parked.items():
+        assert chains == [["append_file", "update"]] * len(chains), method
+    if group:
+        assert len(parked["publish_wait"]) > 1, "no append queued behind a leader"

@@ -33,6 +33,12 @@ def frag(tag="w", start=0, length=64):
     )
 
 
+def raw(changes):
+    """A one-fragment change map as a writer ships it to a batch: page
+    to its fragment, not to a fragment tuple."""
+    return {p: f for p, (f,) in changes.items()}
+
+
 def build(store, version, prev_root, prev_cap, indices, cap, tag=None):
     changes = {i: frag(tag or f"v{version}") for i in indices}
     return build_version(store, 1, version, prev_root, prev_cap, changes, cap)
@@ -550,10 +556,10 @@ class TestBatchBuild:
 
     def test_rejects_unordered_versions(self):
         store = MetadataDHT(1)
-        batch = [(2, {0: frag("v2")}), (1, {1: frag("v1")})]
+        batch = [(2, {0: frag("v2")[0]}), (1, {1: frag("v1")[0]})]
         with pytest.raises(ValueError):
             build_versions_batch(store, 1, batch, None, 0, 4)
-        batch = [(1, {0: frag("v1")}), (1, {1: frag("v1b")})]
+        batch = [(1, {0: frag("v1")[0]}), (1, {1: frag("v1b")[0]})]
         with pytest.raises(ValueError):
             build_versions_batch(store, 1, batch, None, 0, 4)
 
@@ -562,11 +568,23 @@ class TestBatchBuild:
         overlaid, so a reader sees both byte ranges."""
         (a,) = frag("m1", start=0, length=32)
         (b,) = frag("m2", start=32, length=32)
-        merged = merge_change_maps([{0: (a,)}, {0: (b,)}])
+        merged = merge_change_maps([{0: a}, {0: b}])
         assert merged == {0: (a, b)}
         # full replacement: the later fragment covers the earlier one
         (c,) = frag("m3", start=0, length=64)
-        assert merge_change_maps([{0: (a,)}, {0: (c,)}]) == {0: (c,)}
+        assert merge_change_maps([{0: a}, {0: c}]) == {0: (c,)}
+
+    def test_merge_overlays_published_boundary_fragments(self):
+        """The published fragments of the first member's boundary page
+        seed the fold: its first fragment is overlaid on them, and the
+        seed map itself is left as it was."""
+        (old,) = frag("v0", start=0, length=40)
+        (a,) = frag("m1", start=32, length=16)
+        (b,) = frag("m2", start=48, length=16)
+        published = {0: (old,)}
+        merged = merge_change_maps([{0: a, 1: a}, {0: b}], published)
+        assert merged == {0: (old.clip(0, 32), a, b), 1: (a,)}
+        assert published == {0: (old,)}
 
     def test_batch_equals_sequential_for_append_run(self):
         """One batched build must read back exactly like K sequential
@@ -588,7 +606,7 @@ class TestBatchBuild:
             cap = new_cap
             seq_roots.append(root)
         # batched: one tree for all three, keyed by the last version
-        batch = [(v, m) for (v, _), m in zip(members, maps)]
+        batch = [(v, raw(m)) for (v, _), m in zip(members, maps)]
         batch_root = build_versions_batch(batch_store, 1, batch, None, 0, 8)
         assert key_fields(batch_root)[1] == 3
         for (v, pages), seq_root in zip(members, seq_roots):
@@ -609,9 +627,8 @@ class TestBatchBuild:
         for (v, _pages), changes in zip(members, maps):
             root = build_version(seq_store, 1, v, root, prev, changes, cap)
             prev = cap
-        build_versions_batch(
-            batch_store, 1, list(zip([v for v, _ in members], maps)), None, 0, cap
-        )
+        batch = [(v, raw(m)) for (v, _), m in zip(members, maps)]
+        build_versions_batch(batch_store, 1, batch, None, 0, cap)
         assert sum(batch_store.puts) < sum(seq_store.puts) / 2
 
 
@@ -667,7 +684,7 @@ def test_batched_publication_matches_sequential_oracle(counts, splits):
         batch_root = build_versions_batch(
             batch_store,
             1,
-            [(v, m) for (v, _), m in zip(batch, maps)],
+            [(v, raw(m)) for (v, _), m in zip(batch, maps)],
             batch_root,
             batch_cap,
             new_cap,
