@@ -12,7 +12,7 @@ here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Seven gates are ceilings rather
+throughput) are gated the same way. Nine gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
 leaves on the cyclic collector's lists, the bytes the log page store's
@@ -22,7 +22,9 @@ group-commit leader holds, the full collections a
 fig8 run performs inside the kernel's dispatch loop (none: the kernel
 pauses the collector, DESIGN.md "Memory and the collector"), and the
 rate solves a fig8 run performs (none: no link of its fabric can
-saturate, DESIGN.md "Only links that can bind").
+saturate, DESIGN.md "Only links that can bind"), the SHA-1 placements
+fig4 computes per metadata key it bills, and the objects the collection
+between deployments examines once the permanent heap is frozen.
 
 Not part of the tier-1 suite (pyproject collects ``tests/`` only); CI
 runs it as a separate perf-smoke job::
@@ -116,8 +118,8 @@ def test_live_append_retained_metadata_under_ceiling(baseline):
     the committed ceiling in bytes and in collector-tracked objects
     (keys and inner nodes are ints, never on the collector's lists, so
     its passes do not grow with history), and the
-    DHT keeps nothing per key but its buckets (placement is computed
-    only where the simulator bills it, never remembered)."""
+    DHT keeps nothing per key but its buckets (placement is computed,
+    and remembered, only where the simulator bills it)."""
     from repro.engine.base import Payload
     from repro.server import BlobServer
 
@@ -419,4 +421,85 @@ def test_coalescing_counters_wired(baseline):
     assert fb.coalesced_changes > fb.flushes, (
         f"coalescing ineffective: {fb.coalesced_changes} flow changes "
         f"over {fb.flushes} flushes"
+    )
+
+
+def test_owner_hashes_per_billed_key_under_ceiling(baseline, monkeypatch):
+    """Quick fig4 bills ~107k metadata keys, and concurrent readers and
+    appenders walk the same tree paths: `DesEngine.charge_md`'s bounded
+    owner memo answers more than half of them without a SHA-1. It read
+    1.0 hashes per billed key when every charge recomputed placement."""
+    from repro.engine import des
+
+    row = baseline["host_work"]["owner_hashes"]
+    hashes, billed = [0], [0]
+    real_hash, real_charge = des.placement_hash, des.DesEngine.charge_md
+
+    def placement_hash(key_bytes, buckets):
+        hashes[0] += 1
+        return real_hash(key_bytes, buckets)
+
+    def charge_md(self, parent, keys):
+        billed[0] += len(keys)
+        return real_charge(self, parent, keys)
+
+    monkeypatch.setattr(des, "placement_hash", placement_hash)
+    monkeypatch.setattr(des.DesEngine, "charge_md", charge_md)
+    bench_figure(row["figure"], scale=baseline["scale"], repeats=1)
+    assert billed[0] > 50_000, f"{row['figure']} billed no metadata"
+    per_key = hashes[0] / billed[0]
+    assert per_key <= row["max_hashes_per_billed_key"], (
+        f"{row['figure']} computed {hashes[0]:,} placements for "
+        f"{billed[0]:,} billed keys ({per_key:.3f} a key), ceiling "
+        f"{row['max_hashes_per_billed_key']}: the owner memo stopped "
+        f"answering repeated keys"
+    )
+
+
+#: a fresh interpreter runs one figure and prints, for each collection
+#: between deployments, the tracked objects it examines
+_COLLECTOR_WALK = """
+import gc, json, sys
+from repro.common.config import ExperimentConfig
+from repro.experiments import deploy
+from repro.experiments.figures import ALL_FIGURES
+
+walked = []
+real = deploy._collect_previous_deployment
+
+def collect():
+    walked.append(len(gc.get_objects()))
+    real()
+
+deploy._collect_previous_deployment = collect
+ALL_FIGURES[sys.argv[1]](scale=sys.argv[2], config=ExperimentConfig(repetitions=1))
+print(json.dumps(walked))
+"""
+
+
+def test_between_deployment_collections_walk_only_the_new_heap(baseline):
+    """After the first deployment of a process, the full collection
+    before each deployment examines only what was made since the heap
+    was frozen — the dropped deployment and the driver's results — not
+    the ~25k objects of the modules, numpy and the harness it walked
+    every time before. Run in a fresh interpreter: the count depends
+    on what the process made before its first deployment."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    row = baseline["host_work"]["collector_walk"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _COLLECTOR_WALK, row["figure"], baseline["scale"]],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    walked = json.loads(out.stdout)
+    assert len(walked) > 2, f"{row['figure']} deployed {len(walked)} times"
+    assert max(walked[1:]) <= row["max_tracked_objects"], (
+        f"the collections between {row['figure']}'s deployments examined "
+        f"{walked} tracked objects, ceiling {row['max_tracked_objects']:,} "
+        f"after the first: the permanent heap is walked again"
     )

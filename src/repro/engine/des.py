@@ -48,6 +48,31 @@ DES_RETRY = RetryPolicy(
     rpc_timeout=0.5, base_delay=0.05, max_delay=2.0, max_attempts=6
 )
 
+#: entries the owner memo holds before it starts over: enough for the
+#: keys a figure's live tree paths share, few enough that a long
+#: history does not keep a slot per key
+_OWNER_MEMO_MAX = 4096
+
+
+class _OwnerMemo(dict):
+    """Node key -> the service slot of the metadata provider that owns
+    it, filled on a miss from :func:`placement_hash` and emptied when
+    it reaches :data:`_OWNER_MEMO_MAX` entries. An owner is a pure
+    function of its key, so a hit bills what hashing would."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: List[Resource]) -> None:
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, key: NodeKey) -> Resource:
+        if len(self) >= _OWNER_MEMO_MAX:
+            self.clear()
+        slots = self.slots
+        slot = self[key] = slots[placement_hash(key_bytes(key), len(slots))]
+        return slot
+
 
 class _Control:
     """One bound control endpoint: adapter + serialized service slot."""
@@ -82,7 +107,7 @@ class DesEngine(Engine):
         self.retry = DES_RETRY
         self._seed = cluster.config.seed
         self._control: dict[str, _Control] = {}
-        self._md_slots: List[Resource] = []
+        self._md_owner = _OwnerMemo([])
         self._down: Set[str] = set()
         self._faults_on = False
         self.use_obs(obs or NULL_OBS)
@@ -137,7 +162,9 @@ class DesEngine(Engine):
 
     def bind_md(self, n_owners: int) -> None:
         """Register the metadata providers (one service slot each)."""
-        self._md_slots = [Resource(self.env) for _ in range(n_owners)]
+        self._md_owner = _OwnerMemo(
+            [Resource(self.env) for _ in range(n_owners)]
+        )
 
     # -- fault state --------------------------------------------------------
 
@@ -268,13 +295,13 @@ class DesEngine(Engine):
 
     def charge_md(self, parent, keys: Sequence[NodeKey]) -> Event:
         # the only placement computation in the system: each node key
-        # bills the slot of the metadata provider that owns it
+        # bills the slot of the metadata provider that owns it, through
+        # a bounded memo — concurrent ops bill the same tree paths, so
+        # about half the keys are hits
         done = Event(self.env)
         cfg = self.cluster.config
-        slots = self._md_slots
-        n = len(slots)
         batch_round_trips(
-            [slots[placement_hash(key_bytes(key), n)] for key in keys],
+            list(map(self._md_owner.__getitem__, keys)),
             cfg.latency,
             cfg.metadata_rpc_time,
             done,

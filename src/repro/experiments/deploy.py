@@ -23,6 +23,10 @@ from ..sim.cluster import SimCluster
 from ..sim.resources import TalliedQueue
 
 
+#: whether the process's permanent heap has been frozen (see below)
+_heap_frozen = False
+
+
 def _collect_previous_deployment() -> None:
     """The one collection between deployments.
 
@@ -35,8 +39,18 @@ def _collect_previous_deployment() -> None:
     A full collection, not a young one: a deployment that lived through
     ten young collections has been promoted out of a young pass's reach
     (DESIGN.md §5d has the measurements).
+
+    After the first collection of the process, what survives — modules,
+    numpy, the caller's own state — is frozen once, so every later
+    collection walks only what was made since: the dropped deployment
+    and the caller's results. No deployment is ever frozen; each is
+    built after the freeze.
     """
+    global _heap_frozen
     gc.collect()
+    if not _heap_frozen:
+        gc.freeze()
+        _heap_frozen = True
 
 
 def deploy_bsfs(

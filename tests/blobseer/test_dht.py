@@ -361,7 +361,7 @@ class TestDesCharge:
         keys = [node_key(1, v, lo, lo + 1) for v in (1, 2) for lo in range(6)]
         keys.append(keys[0])
         engine.charge_md(None, keys)
-        slots = engine._md_slots
+        slots = engine._md_owner.slots
         assert billed == [
             [slots[placement_hash(key_bytes(k), n)] for k in keys]
         ]

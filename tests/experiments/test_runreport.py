@@ -20,7 +20,7 @@ from repro.common.config import (
 from repro.common.units import MiB
 from repro.experiments.chaos import chaos_appends
 from repro.experiments.cli import main as cli_main
-from repro.experiments.microbench import concurrent_appends
+from repro.experiments.microbench import appends_under_reads, concurrent_appends
 from repro.experiments.runreport import (
     build_report,
     fault_timeline,
@@ -44,6 +44,22 @@ def fig3_report():
     obs = Observability.on()
     concurrent_appends([4], _small_config(), obs=obs)
     return build_report(obs, figure="fig3")
+
+
+@pytest.fixture(scope="module")
+def fig5_report():
+    """A fig5-shaped run: 24 readers beside 4 appenders, enough for
+    reads to queue on the spindles (fig3's appends never do)."""
+    obs = Observability.on()
+    appends_under_reads(
+        [24],
+        _small_config(),
+        n_appenders=4,
+        chunks_per_reader=2,
+        chunks_per_appender=2,
+        obs=obs,
+    )
+    return build_report(obs, figure="fig5")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +113,11 @@ class TestReportDocument:
         assert "vm.commit_queue_len" in series
         assert series["sim.net.aggregate_rate_bps"]["count"] > 0
         assert series["sim.net.aggregate_rate_bps"]["max"] > 0.0
+
+    def test_disk_queue_series_sees_spindles_queue(self, fig5_report):
+        queue = fig5_report["timeseries"]["sim.disk.queue_max"]
+        assert queue["count"] > 0
+        assert queue["max"] >= 1
 
     def test_span_accounting(self, fig3_report):
         spans = fig3_report["spans"]

@@ -299,10 +299,12 @@ def test_executor_lint_catches_a_wait_pool():
 
 #: who may talk to the cyclic collector, and how (DESIGN.md §5d): the
 #: kernel's scoped pause, the harness's one collection between
-#: deployments, the metrics callback. Nobody tunes or freezes it.
+#: deployments and its one freeze of the heap the first deployment
+#: finds, the metrics callback. Nobody tunes it, and nothing else
+#: freezes it (or walks the frozen list to count it).
 GC_ALLOWED = {
     "sim/core.py": {"isenabled", "disable", "enable"},
-    "experiments/deploy.py": {"collect"},
+    "experiments/deploy.py": {"collect", "freeze"},
     "obs/runtime.py": {"callbacks"},
 }
 

@@ -1,7 +1,7 @@
 """The simulator and the cyclic garbage collector (DESIGN.md, "Memory
 and the collector").
 
-Two contracts:
+Three contracts:
 
 * :meth:`Environment.run` pauses the collector while it dispatches and
   hands it back exactly as the caller had it — on return, on an
@@ -10,12 +10,23 @@ Two contracts:
   cyclic garbage while their deployment lives, and nothing of a
   deployment outlives the one collection after it is dropped. The
   checker that says so is itself checked against a poisoned tree walk
-  (a self-recursive closure), in the style of the lints' self-tests.
+  (a self-recursive closure), in the style of the lints' self-tests;
+* the process's first deployment freezes the heap it finds, once: no
+  deployment is ever frozen, so each still dies at the collection
+  before the next one.
 """
 
 import gc
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import weakref
 
 import pytest
+
+import repro
 
 from repro.blobseer import protocol
 from repro.blobseer.metadata import segment_tree
@@ -244,7 +255,7 @@ def query_pages(store, root, lo, hi):
 '''
 
 
-def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
+def poison_the_tree_walk(monkeypatch):
     namespace = {
         "__name__": segment_tree.__name__,
         "key_fields": segment_tree.key_fields,
@@ -254,6 +265,10 @@ def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
         compile(POISONED_QUERY_PAGES, segment_tree.__file__, "exec"), namespace
     )
     monkeypatch.setattr(protocol, "query_pages", namespace["query_pages"])
+
+
+def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
+    poison_the_tree_walk(monkeypatch)
     dep = deploy_bsfs(small_config())
     env = dep.cluster.env
     env.run(env.process(dep.create_proc(dep.client_nodes[0], "/f")))
@@ -266,3 +281,91 @@ def test_the_checker_catches_a_self_recursive_closure(monkeypatch):
     leftovers = op_leftovers(many)
     assert list(leftovers) == ["closure query_pages.<locals>.walk"]
     assert leftovers["closure query_pages.<locals>.walk"] >= 32  # one a read
+
+
+# -- the one freeze -----------------------------------------------------------
+
+
+def is_frozen(obj) -> bool:
+    """Whether *obj* sits in the permanent generation: the collector
+    tracks it, but no generation it walks lists it."""
+    return gc.is_tracked(obj) and not any(o is obj for o in gc.get_objects())
+
+
+def env_probe(env):
+    """A weak reference to an object that only *env* holds (a timer it
+    never reaches), so it dies with the environment — which itself
+    takes no weak references."""
+
+    def probe():
+        pass
+
+    env.call_in(1e9, probe)
+    return weakref.ref(probe)
+
+
+def test_deployments_are_never_frozen_and_die_at_the_next_collection():
+    deploy_bsfs(small_config())  # the process's first, if no test deployed yet
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    envs = []
+    for _ in range(3):
+        dep = deploy_bsfs(small_config())
+        assert not is_frozen(dep.env)
+        env = dep.cluster.env
+        env.run(env.process(dep.create_proc(dep.client_nodes[0], "/f")))
+        des_appends_and_reads(dep, 2)
+        envs.append(env_probe(env))
+        del dep, env
+        assert all(ref() is None for ref in envs[:-1])
+        assert envs[-1]() is not None  # nothing has collected it yet
+        assert gc.get_freeze_count() == frozen
+    deploy_bsfs(small_config())
+    assert envs[-1]() is None
+    assert gc.get_freeze_count() == frozen
+
+
+def first_deployment_inside_the_checked_block():
+    """The poisoned-walk self-test with the process's first deployment,
+    and so the freeze, inside the first checked block. Run in a fresh
+    interpreter; returns what the checker saw."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        poison_the_tree_walk(monkeypatch)
+        frozen_before = gc.get_freeze_count()
+        with cyclic_garbage() as few:
+            dep = deploy_bsfs(small_config())
+            env = dep.cluster.env
+            env.run(env.process(dep.create_proc(dep.client_nodes[0], "/f")))
+            des_appends_and_reads(dep, 8)
+        with cyclic_garbage() as many:
+            des_appends_and_reads(dep, 32)
+        return {
+            "frozen": [frozen_before, gc.get_freeze_count()],
+            "env_frozen": is_frozen(dep.env),
+            "few": op_leftovers(few),
+            "many": op_leftovers(many),
+        }
+
+
+def test_the_checker_still_catches_the_closure_across_the_freeze():
+    root = pathlib.Path(__file__).parents[2]
+    src = pathlib.Path(repro.__file__).parents[1]
+    script = (
+        "import json, tests.sim.test_gc_discipline as t; "
+        "print(json.dumps(t.first_deployment_inside_the_checked_block()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": f"{src}:{root}"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seen = json.loads(out.stdout.splitlines()[-1])
+    before, after = seen["frozen"]
+    assert before == 0 < after
+    assert not seen["env_frozen"]
+    walk = "closure query_pages.<locals>.walk"
+    assert list(seen["many"]) == [walk] and seen["many"][walk] >= 32
+    assert seen["few"].get(walk, 0) >= 8
