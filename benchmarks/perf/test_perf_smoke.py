@@ -12,7 +12,7 @@ here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Nine gates are ceilings rather
+throughput) are gated the same way. Ten gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
 leaves on the cyclic collector's lists, the bytes the log page store's
@@ -23,8 +23,9 @@ fig8 run performs inside the kernel's dispatch loop (none: the kernel
 pauses the collector, DESIGN.md "Memory and the collector"), and the
 rate solves a fig8 run performs (none: no link of its fabric can
 saturate, DESIGN.md "Only links that can bind"), the SHA-1 placements
-fig4 computes per metadata key it bills, and the objects the collection
-between deployments examines once the permanent heap is frozen.
+fig4 computes per metadata key it bills, the objects the collection
+between deployments examines once the permanent heap is frozen, and
+the minor page faults `repro-serve` takes per served append.
 
 Not part of the tier-1 suite (pyproject collects ``tests/`` only); CI
 runs it as a separate perf-smoke job::
@@ -502,4 +503,71 @@ def test_between_deployment_collections_walk_only_the_new_heap(baseline):
         f"the collections between {row['figure']}'s deployments examined "
         f"{walked} tracked objects, ceiling {row['max_tracked_objects']:,} "
         f"after the first: the permanent heap is walked again"
+    )
+
+
+def test_served_append_minor_faults_under_ceiling(baseline):
+    """A `repro-serve` process takes ~1.5 minor page faults per served
+    4 KiB append — the page each stored body lands on, and a share of
+    the metadata's — since each connection reads its socket into one
+    reusable buffer. It took ~4.1 while every read was a fresh 256 KiB
+    ``bytes`` object shrunk to the ~4.2 KiB received: with the bodies
+    retained, those transient blocks kept landing on fresh heap pages.
+    Read from ``/proc/PID/stat`` of the server, its own process."""
+    import http.client
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import repro
+
+    stat_path = f"/proc/{os.getpid()}/stat"
+    if not os.path.exists(stat_path):
+        pytest.skip("needs /proc/PID/stat")
+    row = baseline["host_work"]["served_append_faults"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.server.cli", "--port", "0", "--providers", "8"],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+
+    def minor_faults() -> int:
+        with open(f"/proc/{server.pid}/stat") as fp:
+            # minflt, the 10th field; the command name may hold spaces
+            return int(fp.read().rsplit(")", 1)[1].split()[7])
+
+    def post(conn, target, body=None) -> None:
+        conn.request("POST", target, body=body)
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.status in (200, 201), (target, resp.status)
+
+    conns = []
+    try:
+        host, port = server.stdout.readline().rsplit("http://", 1)[1].strip().split(":")
+        conns = [
+            http.client.HTTPConnection(host, int(port))
+            for _ in range(row["connections"])
+        ]
+        post(conns[0], f"/fs/files/faults?page_size={row['page_bytes']}")
+        body = b"f" * row["record_bytes"]
+        for conn in conns:  # open each connection before counting
+            post(conn, "/fs/append/faults", body)
+        before = minor_faults()
+        for _ in range(row["appends_per_connection"]):
+            for conn in conns:
+                post(conn, "/fs/append/faults", body)
+        per_append = (minor_faults() - before) / (
+            row["connections"] * row["appends_per_connection"]
+        )
+    finally:
+        for conn in conns:
+            conn.close()
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=60) == 0, "repro-serve did not stop cleanly"
+    assert per_append <= row["max_minor_faults_per_append"], (
+        f"repro-serve took {per_append:.2f} minor page faults per served "
+        f"append, ceiling {row['max_minor_faults_per_append']}: reads "
+        f"allocate per call again (see the note in benchmarks/perf/baseline.json)"
     )

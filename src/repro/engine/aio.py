@@ -2,8 +2,9 @@
 
 :class:`AsyncioEngine` is :class:`~repro.engine.threaded.ThreadedEngine`
 with a coroutine ``run``: the HTTP front-end (:mod:`repro.server`)
-awaits it from a connection task, and it drives the protocol generator
-to completion through the threaded trampoline without yielding to the
+awaits it from a request's coroutine, which the connection steps from
+its socket's read callback, and it drives the protocol generator to
+completion through the threaded trampoline without yielding to the
 loop. Socket reads and writes stay on asyncio; the operation itself is
 a run of synchronous in-process calls.
 
@@ -28,5 +29,5 @@ class AsyncioEngine(ThreadedEngine):
     """The threaded engine, awaited from the server's event loop."""
 
     async def run(self, gen: Generator) -> Any:
-        """Drive *gen* to completion, inline on the calling task."""
+        """Drive *gen* to completion inline; never suspends the caller."""
         return ThreadedEngine.run(self, gen)

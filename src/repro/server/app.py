@@ -3,13 +3,15 @@
 One :class:`BlobServer` is one network-facing deployment: the threaded
 components (version manager, providers, namespace manager), the
 sans-IO protocol cores on top, and a handwritten HTTP/1.1 loop
-(:mod:`repro.server.http`) in front. Every connection is an asyncio
-task: it reads a request from its socket, runs the operation to
-completion inline through the threaded trampoline
-(:class:`~repro.engine.aio.AsyncioEngine`), and writes the reply. So
-hundreds of clients share one process and one event loop, and concurrent
-appends serialize exactly where BlobSeer says they should (the version
-manager's ticket/commit queue) and nowhere else.
+(:mod:`repro.server.http`) in front. Every connection is one
+:class:`HttpConnection` protocol: the socket is read into one reusable
+buffer, and each request it completes is parsed, run to completion
+inline through the threaded trampoline
+(:class:`~repro.engine.aio.AsyncioEngine`) and answered, all in the
+callback that read its last byte. So hundreds of clients share one
+process and one event loop, and concurrent appends serialize exactly
+where BlobSeer says they should (the version manager's ticket/commit
+queue) and nowhere else.
 
 Endpoints (all bodies are raw bytes; responses are JSON unless the
 route returns data):
@@ -46,10 +48,11 @@ records hangs below it; an unsampled one hands down
 tracer still retains.
 
 Shutdown is graceful by contract: :meth:`BlobServer.stop` stops
-accepting, drains (then cancels) open connections and closes the
-service (the version manager stops expiring leases); neither the
-service nor the engine owns a thread. ``tests/server`` asserts
-``live_lease_timers == 0`` after a stop.
+accepting, closes idle connections and those holding a partial
+request, lets a client that has not read its replies take them (then
+aborts it) and closes the service (the version manager stops expiring
+leases); neither the service nor the engine owns a thread.
+``tests/server`` asserts ``live_lease_timers == 0`` after a stop.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ from ..engine.base import Payload
 from ..obs import NULL_OBS, NULL_SPAN, Observability, chrome_trace
 from .http import (
     DEFAULT_MAX_BODY,
+    MAX_HEADER_BYTES,
     HttpError,
     Request,
     Response,
@@ -151,7 +155,9 @@ class BlobServer:
         self.bsfs = self.deployment.protocol
         self._max_body = max_body
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: set = set()
+        #: open connections; a stop waits on ``_drained`` for them to go
+        self._conns: set = set()
+        self._drained: Optional[asyncio.Future] = None
         self._conn_ids = itertools.count(1)
         self._stopped = False
         registry = self.obs.registry
@@ -168,74 +174,56 @@ class BlobServer:
 
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns ``(host, port)``."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: HttpConnection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.host, self.port
 
     async def stop(self, drain_s: float = 2.0) -> None:
-        """Graceful stop: close the listener, give open connections
-        *drain_s* seconds to finish their in-flight request, cancel the
+        """Graceful stop: close the listener, then every connection that
+        is idle or holds a partial request, give the rest — those whose
+        client has not read its replies — *drain_s* seconds to take
+        them (the next request each serves is its last), abort the
         stragglers, then release the service. Idempotent."""
         if self._stopped:
             return
         self._stopped = True
         if self._server is not None:
             self._server.close()
+        for conn in list(self._conns):
+            # a paused connection has requests waiting behind a full
+            # write buffer: once its client drains it, it answers the
+            # next one with "Connection: close" and closes
+            if not conn._paused:
+                conn._close()
+        if self._conns:
+            self._drained = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(self._drained, drain_s)
+            except asyncio.TimeoutError:
+                for conn in list(self._conns):
+                    conn.transport.abort()
+                # connection_lost runs on the loop's next turn
+                await asyncio.sleep(0)
+        if self._server is not None:
             await self._server.wait_closed()
-        tasks = list(self._conn_tasks)
-        if tasks:
-            done, pending = await asyncio.wait(tasks, timeout=drain_s)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
         self.service.close()
+
+    def _forget(self, conn: "HttpConnection") -> None:
+        """A connection is gone; the last one to go ends a stop's drain."""
+        self._conns.discard(conn)
+        drained = self._drained
+        if not self._conns and drained is not None and not drained.done():
+            drained.set_result(None)
 
     @property
     def live_lease_timers(self) -> int:
         """Running version-manager lease clocks (0 after stop)."""
         return self.service.version_manager.live_lease_timers
 
-    # -- connection loop -----------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._c_conns.inc()
-        client = f"http-{next(self._conn_ids)}"
-        try:
-            while not self._stopped:
-                try:
-                    request = await read_request(reader, self._max_body)
-                except HttpError as err:
-                    writer.write(
-                        Response.error(err.status, err.message).encode(False)
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch(request, client)
-                keep = request.keep_alive and not self._stopped
-                writer.write(response.encode(keep))
-                await writer.drain()
-                if not keep:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # graceful stop cancels straggler connections; swallowing
-            # here keeps asyncio's connection callback from logging it
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    # -- one request ---------------------------------------------------------
 
     async def _dispatch(self, request: Request, client: str) -> Response:
         """Route, run, observe, and map failures to statuses."""
@@ -537,6 +525,214 @@ def _status_doc(status) -> dict:
         "is_directory": status.is_directory,
         "size": status.size,
     }
+
+
+#: base size of a connection's receive buffer; a request that does not
+#: fit its free space grows it to fit exactly that request, and it
+#: shrinks back once the request is consumed
+_RECV_BUFFER = 32 * 1024
+
+
+class _NeedBytes:
+    """What a parked request yields to its connection: resume me after
+    the next read."""
+
+    __slots__ = ()
+
+    def __await__(self):
+        yield self
+
+
+_NEED_BYTES = _NeedBytes()
+
+
+class HttpConnection(asyncio.BufferedProtocol):
+    """One client connection: its receive buffer, its reader and its
+    requests, driven inline from the transport's callbacks.
+
+    The transport ``recv_into``s one reusable buffer, so a read makes no
+    ``bytes`` object of its own, and the connection is the reader
+    :func:`read_request` parses from: :meth:`readuntil` and
+    :meth:`readexactly` keep ``asyncio.StreamReader``'s exception
+    contract. Each request is one :meth:`_serve_one` coroutine, stepped
+    with ``send(None)``: it runs until it has written its reply, or
+    yields :data:`_NEED_BYTES` and resumes at the next
+    :meth:`buffer_updated`. So the requests a read brought in are
+    answered in order, in the callback that read them, with no task,
+    future or loop turn per request. A transport whose write buffer
+    passes its high-water mark pauses reading until it drains, which
+    bounds what a client that does not read its replies can queue.
+    """
+
+    def __init__(self, server: BlobServer) -> None:
+        self._server = server
+        self.transport = None
+        self._client = ""
+        self._buf = bytearray(_RECV_BUFFER)
+        self._view = memoryview(self._buf)
+        #: the unconsumed bytes are ``_buf[_start:_end]``
+        self._start = self._end = 0
+        self._eof = False
+        #: the request being served, parked while it waits for bytes
+        self._request = None
+        #: reading is paused until the transport's write buffer drains
+        self._paused = False
+        self._closing = False
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        server = self._server
+        server._conns.add(self)
+        server._c_conns.inc()
+        self._client = f"http-{next(server._conn_ids)}"
+        if server._stopped:
+            self._close()
+
+    def connection_lost(self, exc) -> None:
+        self._closing = True
+        if self._request is not None:
+            self._request.close()
+            self._request = None
+        self._server._forget(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._end == len(self._buf):
+            self._rebase(_RECV_BUFFER)
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._end += nbytes
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._pump()
+        # keep the transport: the connection closes it once it has answered
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if not self._eof:
+            self.transport.resume_reading()
+        self._pump()
+
+    # -- requests ------------------------------------------------------------
+
+    def _pump(self) -> None:
+        """Serve what the buffer holds, until the next request needs
+        bytes, the write buffer fills or the connection closes."""
+        while not (self._paused or self._closing):
+            request = self._request
+            if request is None:
+                if self._start == self._end and not self._eof:
+                    break  # the next read starts the next request
+                request = self._request = self._serve_one()
+            try:
+                parked = request.send(None)
+            except StopIteration as served:
+                self._request = None
+                if not served.value:
+                    self._close()
+                continue
+            if parked is not _NEED_BYTES:
+                self._close()
+                raise RuntimeError(
+                    f"a request awaited {parked!r}; only the connection's "
+                    f"bytes may suspend it"
+                )
+            break
+        if self._server._stopped and not (self._paused or self._closing):
+            # a stopping server waits for no request's bytes
+            self._close()
+
+    async def _serve_one(self) -> bool:
+        """Read, run and answer one request; False closes the connection."""
+        server = self._server
+        try:
+            # looked up at call time, so a wrapper installed on the
+            # module (the benchmark's traced server) sees every request
+            request = await read_request(self, server._max_body)
+        except HttpError as err:
+            self.transport.write(
+                Response.error(err.status, err.message).encode(False)
+            )
+            return False
+        if request is None:
+            return False
+        response = await server._dispatch(request, self._client)
+        keep = request.keep_alive and not server._stopped
+        self.transport.write(response.encode(keep))
+        return keep
+
+    def _close(self) -> None:
+        self._closing = True
+        self.transport.close()
+
+    # -- the reader read_request parses from ---------------------------------
+
+    async def readuntil(self, separator: bytes) -> bytes:
+        """The bytes up to and including *separator*. Raises
+        ``IncompleteReadError`` carrying what was left at EOF, and
+        ``LimitOverrunError`` once :data:`MAX_HEADER_BYTES` are
+        buffered without it."""
+        seen = 0
+        while True:
+            start = self._start
+            at = self._buf.find(separator, start + seen, self._end)
+            if at >= 0:
+                return self._take(at + len(separator) - start)
+            held = self._end - start
+            if held >= MAX_HEADER_BYTES:
+                raise asyncio.LimitOverrunError(
+                    "no separator within the head limit", held
+                )
+            if self._eof:
+                raise asyncio.IncompleteReadError(self._take(held), None)
+            seen = max(0, held - len(separator) + 1)
+            await _NEED_BYTES
+
+    async def readexactly(self, n: int) -> bytes:
+        """Exactly *n* bytes; ``IncompleteReadError`` carrying what was
+        left at EOF. A request that does not fit the buffer's free
+        space grows it to fit."""
+        if self._start + n > len(self._buf):
+            self._rebase(max(n, _RECV_BUFFER))
+        while self._end - self._start < n:
+            if self._eof:
+                raise asyncio.IncompleteReadError(
+                    self._take(self._end - self._start), n
+                )
+            await _NEED_BYTES
+        return self._take(n)
+
+    def _take(self, n: int) -> bytes:
+        """Consume *n* buffered bytes. An emptied buffer restarts at its
+        front, at its base size."""
+        start = self._start
+        data = bytes(self._view[start:start + n])
+        start += n
+        if start == self._end:
+            self._start = self._end = 0
+            if len(self._buf) > _RECV_BUFFER:
+                self._rebase(_RECV_BUFFER)
+        else:
+            self._start = start
+        return data
+
+    def _rebase(self, size: int) -> None:
+        """Move the unconsumed bytes to the front of a fresh buffer of
+        *size* (the transport may still hold a view of the old one)."""
+        held = self._end - self._start
+        buf = bytearray(size)
+        buf[:held] = self._view[self._start:self._end]
+        self._buf, self._view = buf, memoryview(buf)
+        self._start, self._end = 0, held
 
 
 class ServerThread:

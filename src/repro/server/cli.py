@@ -20,8 +20,9 @@ and its histograms keep a reservoir of :data:`HIST_MAX_SAMPLES` samples
 each (``count``/``mean``/``min``/``max`` stay exact).
 
 Lifecycle contract (tested by ``tests/server/test_cli.py``): SIGINT and
-SIGTERM trigger a *graceful* stop — close the listener, drain open
-connections, release the service — and the process exits 0
+SIGTERM trigger a *graceful* stop — close the listener and the idle
+connections, let a client take the replies it has not read yet, release
+the service — and the process exits 0
 with a one-line notice, never a traceback. Bad arguments exit 2 through
 argparse.
 """

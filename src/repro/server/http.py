@@ -1,12 +1,14 @@
-"""A small handwritten HTTP/1.1 layer over asyncio streams.
+"""A small handwritten HTTP/1.1 layer.
 
 No web framework and no new dependencies: the front-end needs exactly
 request parsing (request line, headers, a ``Content-Length`` body),
 keep-alive, and response writing, in the style of ucondb's handwritten
-``UCon_blob_server`` loop. Everything protocol-shaped lives here so
-:mod:`repro.server.app` is pure routing/handler code, and both are
-testable without sockets (the parser reads from any
-``asyncio.StreamReader``-compatible object).
+``UCon_blob_server`` loop. The messages live here and the connection
+(its buffer, pipelining, backpressure) is
+:class:`~repro.server.app.HttpConnection`, so both are testable without
+sockets: the parser reads from any object with
+``asyncio.StreamReader``'s ``readuntil``/``readexactly`` contract — the
+connection, or a stream reader fed directly.
 
 Limits are deliberate: a request line/header block over
 ``MAX_HEADER_BYTES`` or a body over ``max_body`` is rejected rather
@@ -147,9 +149,14 @@ async def read_request(
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        # a field name is a token: no whitespace before the colon, and
+        # none in front (obsolete line folding) (RFC 9112 §5.1)
+        if not sep or not name or name != name.strip():
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
 
     # the common target is a bare path: no query to parse, nothing to
     # decode (urlsplit caches its answer per target)
@@ -165,15 +172,18 @@ async def read_request(
             ).items()
         }
 
+    # a Transfer-Encoding beside a Content-Length would frame the body
+    # two ways (RFC 9112 §6.1): refuse it either way
+    if headers.get("transfer-encoding"):
+        raise HttpError(400, "chunked requests are not supported")
     body = b""
     length_raw = headers.get("content-length")
     if length_raw is not None:
-        try:
-            length = int(length_raw)
-        except ValueError:
+        # ASCII digits only: int() would also take a sign, underscores
+        # and non-ASCII digits (RFC 9112 §6.3)
+        if not (length_raw.isascii() and length_raw.isdigit()):
             raise HttpError(400, f"bad Content-Length {length_raw!r}")
-        if length < 0:
-            raise HttpError(400, "negative Content-Length")
+        length = int(length_raw)
         if length > max_body:
             raise HttpError(413, f"body of {length} bytes over limit {max_body}")
         if length:
@@ -181,8 +191,6 @@ async def read_request(
                 body = await reader.readexactly(length)
             except Exception as exc:
                 raise HttpError(400, "connection closed mid-body") from exc
-    elif headers.get("transfer-encoding"):
-        raise HttpError(400, "chunked requests are not supported")
 
     connection = headers.get("connection", "").lower()
     keep_alive = (

@@ -100,6 +100,11 @@ _FS_API = (
     "systems implement (repro.common.fs); no root's job calls it"
 )
 _PROBE = "read-only probe the tests use to observe internal state"
+_BACKPRESSURE = (
+    "a full write buffer pauses reading: every root's client reads each "
+    "reply before it sends the next request (tests/server pipeline "
+    "requests without reading)"
+)
 _NULL = (
     "null-object twin of a live instrument: a read of a disabled "
     "registry, which no root makes"
@@ -222,6 +227,18 @@ NO_TRAFFIC: Dict[str, str] = {
         "the error response for a failed request: input validation no "
         "root's well-formed traffic trips (tests/server send them)"
     ),
+    "repro.server.app._NeedBytes.__await__": (
+        "a request split across socket reads: every root's client writes "
+        "each request at once and one read takes it whole "
+        "(tests/server/test_connection.py delivers one byte at a time)"
+    ),
+    "repro.server.app.HttpConnection._rebase": (
+        "a request that does not fit the receive buffer's free space: no "
+        "root sends a body over 32 KiB or pipelines past the buffer's end "
+        "(tests/server/test_connection.py sends 1 MiB)"
+    ),
+    "repro.server.app.HttpConnection.pause_writing": _BACKPRESSURE,
+    "repro.server.app.HttpConnection.resume_writing": _BACKPRESSURE,
     # -- the FileSystem interface -------------------------------------------
     "repro.bsfs.client.BSFSFileSystem.delete": _FS_API,
     "repro.bsfs.client.BSFSFileSystem.rename": _FS_API,

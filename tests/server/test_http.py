@@ -83,10 +83,55 @@ class TestRequestParsing:
                 parse(b"POST /x HTTP/1.1\r\n" + raw + b"\r\n\r\n")
             assert err.value.status == 400
 
+    def test_conflicting_content_lengths_are_400(self):
+        # the last header used to win: 5 bytes were read as the body
+        with pytest.raises(HttpError) as err:
+            parse(
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Content-Length: 5\r\n\r\nhello"
+            )
+        assert err.value.status == 400
+
+    def test_repeated_equal_content_lengths_are_one(self):
+        req = parse(
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n"
+            b"Content-Length: 5\r\n\r\nhello"
+        )
+        assert req.body == b"hello"
+
+    def test_content_length_with_underscore_is_400(self):
+        # int() reads "1_0" as 10
+        with pytest.raises(HttpError) as err:
+            parse(
+                b"POST /x HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+                + b"a" * 10
+            )
+        assert err.value.status == 400
+
+    def test_content_length_with_sign_is_400(self):
+        # int() reads "+4" as 4
+        with pytest.raises(HttpError) as err:
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd")
+        assert err.value.status == 400
+
+    def test_whitespace_before_the_colon_is_400(self):
+        with pytest.raises(HttpError) as err:
+            parse(b"POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello")
+        assert err.value.status == 400
+
     def test_chunked_rejected(self):
         with pytest.raises(HttpError) as err:
             parse(
                 b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            )
+        assert err.value.status == 400
+
+    def test_chunked_beside_a_content_length_is_400(self):
+        # the Content-Length used to win: "abc" was read as the body
+        with pytest.raises(HttpError) as err:
+            parse(
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\nabc"
             )
         assert err.value.status == 400
 
