@@ -488,6 +488,7 @@ def test_between_deployment_collections_walk_only_the_new_heap(baseline):
     import os
     import subprocess
     import sys
+    import threading
 
     import repro
 
@@ -519,6 +520,7 @@ def test_served_append_minor_faults_under_ceiling(baseline):
     import signal
     import subprocess
     import sys
+    import threading
 
     import repro
 
@@ -531,6 +533,20 @@ def test_served_append_minor_faults_under_ceiling(baseline):
         [sys.executable, "-m", "repro.server.cli", "--port", "0", "--providers", "8"],
         env=env, stdout=subprocess.PIPE, text=True,
     )
+    # the address line, under a deadline: a child that dies or hangs
+    # before printing it fails the test instead of blocking it
+    first = []
+    reader = threading.Thread(
+        target=lambda: first.append(server.stdout.readline()), daemon=True
+    )
+    reader.start()
+    reader.join(60)
+    if not first or "http://" not in first[0]:
+        server.kill()
+        pytest.fail(
+            f"repro-serve printed {first[0] if first else 'nothing'!r} "
+            f"instead of its address; exit status {server.wait()}"
+        )
 
     def minor_faults() -> int:
         with open(f"/proc/{server.pid}/stat") as fp:
@@ -545,7 +561,7 @@ def test_served_append_minor_faults_under_ceiling(baseline):
 
     conns = []
     try:
-        host, port = server.stdout.readline().rsplit("http://", 1)[1].strip().split(":")
+        host, port = first[0].rsplit("http://", 1)[1].strip().split(":")
         conns = [
             http.client.HTTPConnection(host, int(port))
             for _ in range(row["connections"])

@@ -527,9 +527,9 @@ def _status_doc(status) -> dict:
     }
 
 
-#: base size of a connection's receive buffer; a request that does not
-#: fit its free space grows it to fit exactly that request, and it
-#: shrinks back once the request is consumed
+#: base size of a connection's receive buffer; a body that does not fit
+#: it grows it as the body arrives, to at most exactly that request, and
+#: it shrinks back once the request is consumed
 _RECV_BUFFER = 32 * 1024
 
 
@@ -562,16 +562,25 @@ class HttpConnection(asyncio.BufferedProtocol):
     future or loop turn per request. A transport whose write buffer
     passes its high-water mark pauses reading until it drains, which
     bounds what a client that does not read its replies can queue.
+
+    Memory follows the bytes a client has sent, not the sizes it
+    declares: the buffer is allocated at the first read, and a body
+    larger than it grows it only when it is full, at most doubling what
+    it holds, so a connection holds at most the base size or twice the
+    bytes received of its request.
     """
 
     def __init__(self, server: BlobServer) -> None:
         self._server = server
         self.transport = None
         self._client = ""
-        self._buf = bytearray(_RECV_BUFFER)
+        #: allocated at the first read
+        self._buf = bytearray()
         self._view = memoryview(self._buf)
         #: the unconsumed bytes are ``_buf[_start:_end]``
         self._start = self._end = 0
+        #: bytes a parked :meth:`readexactly` wants from ``_start``
+        self._owed = 0
         self._eof = False
         #: the request being served, parked while it waits for bytes
         self._request = None
@@ -599,7 +608,10 @@ class HttpConnection(asyncio.BufferedProtocol):
 
     def get_buffer(self, sizehint: int) -> memoryview:
         if self._end == len(self._buf):
-            self._rebase(_RECV_BUFFER)
+            # compact to the base size, or grow with an owed body's
+            # arrival, never past the rest of its request
+            held = self._end - self._start
+            self._rebase(max(_RECV_BUFFER, min(self._owed, 2 * held)))
         return self._view[self._end:]
 
     def buffer_updated(self, nbytes: int) -> None:
@@ -699,16 +711,17 @@ class HttpConnection(asyncio.BufferedProtocol):
 
     async def readexactly(self, n: int) -> bytes:
         """Exactly *n* bytes; ``IncompleteReadError`` carrying what was
-        left at EOF. A request that does not fit the buffer's free
-        space grows it to fit."""
-        if self._start + n > len(self._buf):
-            self._rebase(max(n, _RECV_BUFFER))
+        left at EOF. While it waits, :meth:`get_buffer` grows a full
+        buffer toward *n*."""
         while self._end - self._start < n:
             if self._eof:
+                self._owed = 0
                 raise asyncio.IncompleteReadError(
                     self._take(self._end - self._start), n
                 )
+            self._owed = n
             await _NEED_BYTES
+        self._owed = 0
         return self._take(n)
 
     def _take(self, n: int) -> bytes:

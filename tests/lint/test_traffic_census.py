@@ -232,11 +232,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "each request at once and one read takes it whole "
         "(tests/server/test_connection.py delivers one byte at a time)"
     ),
-    "repro.server.app.HttpConnection._rebase": (
-        "a request that does not fit the receive buffer's free space: no "
-        "root sends a body over 32 KiB or pipelines past the buffer's end "
-        "(tests/server/test_connection.py sends 1 MiB)"
-    ),
     "repro.server.app.HttpConnection.pause_writing": _BACKPRESSURE,
     "repro.server.app.HttpConnection.resume_writing": _BACKPRESSURE,
     # -- the FileSystem interface -------------------------------------------

@@ -215,6 +215,29 @@ class TestFraming:
         assert s2 == 200 and b2 == data
         assert len(conn._buf) == _RECV_BUFFER
 
+    def test_a_declared_body_grows_the_buffer_only_as_it_arrives(self):
+        server = BlobServer(n_providers=2)  # the default 64 MiB max_body
+        try:
+            blob = server.service.create_blob(4096)
+            conn, t = connect(server)
+            assert len(conn._buf) == 0  # nothing read, nothing held
+            declared = 64 << 20
+            t.send(
+                f"POST /blob/{blob}/append HTTP/1.1\r\n"
+                f"Content-Length: {declared}\r\n\r\n".encode()
+            )
+            assert t.drain() == b""  # the request waits for its body
+            assert len(conn._buf) == _RECV_BUFFER
+            received = 100 * 1024
+            t.send(b"q" * received)
+            assert t.drain() == b""
+            assert _RECV_BUFFER < len(conn._buf) <= 2 * received
+            t.send_eof()
+            [(status, _, _)] = split_responses(t.drain())
+            assert status == 400 and t.lost
+        finally:
+            server.service.close()
+
     def test_a_handler_error_mid_pipeline_does_not_stop_the_next(
         self, server, blob
     ):
