@@ -38,10 +38,6 @@ class Observability:
     tracer: Tracer = field(default_factory=Tracer)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled or self.registry.enabled
-
     @classmethod
     def on(cls) -> "Observability":
         """A fully enabled bundle on the wall clock (a deployment may

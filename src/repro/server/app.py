@@ -36,8 +36,8 @@ route returns data):
 
 Observability is threaded through every request: a per-route latency
 histogram (``http.<route>_s``) and ``http.requests``/``http.errors``
-counters — the same :class:`~repro.obs.MetricsRegistry` the load-test
-harness reads its p50/p99 tables from — and, for one request in
+counters in the deployment's :class:`~repro.obs.MetricsRegistry`
+(``GET /metrics`` reads them back) — and, for one request in
 ``trace_sample``, a span tree. The sampling decision is taken once, when
 the request's ``http.request`` span would open (a deterministic
 counter, no RNG): a sampled request hands that span to the protocol
@@ -751,9 +751,11 @@ class HttpConnection(asyncio.BufferedProtocol):
 class ServerThread:
     """Run a :class:`BlobServer` on a dedicated event-loop thread.
 
-    The synchronous harnesses (tests, the load-test's self-serve mode,
-    CI) need a server they can start, hit over real sockets, and stop
-    from ordinary blocking code.
+    The synchronous harnesses (the tests) need a server they can start,
+    hit over real sockets, and stop from ordinary blocking code. A
+    failure of the loop thread surfaces in the call that waits for it:
+    :meth:`start` for a boot that failed, :meth:`stop` for anything
+    after, and :meth:`stop` raises when the thread outlives its timeout.
     """
 
     def __init__(self, server: BlobServer) -> None:
@@ -762,7 +764,8 @@ class ServerThread:
         self._ready = threading.Event()
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
+        #: what the loop thread raised, until a caller has seen it
+        self._error: Optional[BaseException] = None
 
     def start(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Boot the loop thread; returns the bound ``(host, port)``."""
@@ -772,17 +775,26 @@ class ServerThread:
         self._thread.start()
         if not self._ready.wait(timeout):
             raise RuntimeError("server failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") from self._startup_error
+        error, self._error = self._error, None
+        if error is not None:
+            raise RuntimeError("server failed to start") from error
         return self.server.host, self.server.port
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Graceful stop from any thread (idempotent)."""
+        """Graceful stop from any thread (idempotent). Re-raises what
+        the loop thread raised; ``RuntimeError`` if it is still running
+        *timeout* seconds on."""
         loop, event = self._loop, self._stop_event
         if loop is not None and event is not None and loop.is_running():
             loop.call_soon_threadsafe(event.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
+        if self._thread is None:
+            return
+        self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise RuntimeError(f"server did not stop within {timeout:g}s")
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     def __enter__(self) -> "ServerThread":
         self.start()
@@ -794,8 +806,8 @@ class ServerThread:
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = exc
+        except BaseException as exc:  # noqa: BLE001 - surfaced by start/stop
+            self._error = exc
             self._ready.set()
 
     async def _main(self) -> None:

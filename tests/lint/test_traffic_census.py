@@ -5,14 +5,13 @@ A feature stays only if traffic exercises it: :mod:`test_dead_knobs`
 applies that rule to config fields, and this census applies it to
 functions. The census runs the traffic roots (:data:`ROOTS` — every
 figure, the figures' output flags on the DES and threaded runtimes, the
-load test, the examples, the repo benchmark at smoke scale,
-``repro-serve`` as its own process, and one HTTP request per route)
-with a ``sitecustomize`` on ``PYTHONPATH`` that installs a
-``sys.settrace`` hook on every thread of every Python process they
-start and records each ``src/repro`` code object that runs. The
-bench's ``repro-serve`` child resets ``PYTHONPATH`` and escapes the
-hook; the self-served load test, the ``serve`` root and the route smoke
-cover the server instead.
+examples, the repo benchmark at smoke scale, ``repro-serve`` as its own
+process, and one HTTP request per route) with a ``sitecustomize`` on
+``PYTHONPATH`` that installs a ``sys.settrace`` hook on every thread of
+every Python process they start and records each ``src/repro`` code
+object that runs. The bench's ``repro-serve`` child resets
+``PYTHONPATH`` and escapes the hook; the ``serve`` root and the route
+smoke cover the server instead.
 
 A function no root calls fails the census unless it is exempt
 (``__repr__``/``__str__``, or an abstract declaration: a docstring and
@@ -37,9 +36,11 @@ import ast
 import io
 import os
 import signal
+import socket
 import subprocess
 import sys
 import textwrap
+import time
 import tokenize
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
@@ -65,11 +66,6 @@ ROOTS: List[Tuple[str, List[str]]] = [
         "filecount-trace",
         ["-m", "repro.experiments.cli", "filecount", "--trace", "filecount-trace.json",
          "--report", "filecount-report.json"],
-    ),
-    (
-        "loadtest",
-        ["-m", "repro.experiments.loadtest", "--clients", "8", "--duration", "3",
-         "--json", "loadtest.json"],
     ),
     *(
         (f"example-{path.stem}", [str(path)])
@@ -227,11 +223,6 @@ NO_TRAFFIC: Dict[str, str] = {
         "the error response for a failed request: input validation no "
         "root's well-formed traffic trips (tests/server send them)"
     ),
-    "repro.server.app._NeedBytes.__await__": (
-        "a request split across socket reads: every root's client writes "
-        "each request at once and one read takes it whole "
-        "(tests/server/test_connection.py delivers one byte at a time)"
-    ),
     "repro.server.app.HttpConnection.pause_writing": _BACKPRESSURE,
     "repro.server.app.HttpConnection.resume_writing": _BACKPRESSURE,
     # -- the FileSystem interface -------------------------------------------
@@ -262,7 +253,6 @@ NO_TRAFFIC: Dict[str, str] = {
     ),
     "repro.sim.core.Event.value": _PROBE,
     "repro.sim.disk.Disk.rng": "the setter: tests pin a disk's random stream",
-    "repro.obs.Observability.enabled": _PROBE,
     "repro.obs.metrics.MetricsRegistry.value": (
         "one instrument's value by name: the tests and bench_figure "
         "(benchmarks/perf) read it; the run report reads the snapshot"
@@ -438,23 +428,63 @@ def _run(argv: List[str], env: Dict[str, str], cwd: Path, name: str) -> None:
     assert result.returncode == 0, f"root {name} failed:\n{result.stderr[-2000:]}"
 
 
+def _exchange(
+    sock: socket.socket, replies, method: str, target: str,
+    body: bytes = b"", pause: float = 0.0,
+) -> Tuple[int, bytes]:
+    """One request on a kept-alive socket; its response's status and
+    body (the server always sends ``Content-Length``). With a *pause*,
+    the body follows the head that many seconds later."""
+    head = (
+        f"{method} {target} HTTP/1.1\r\nHost: census\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1")
+    if pause:
+        sock.sendall(head)
+        time.sleep(pause)
+        sock.sendall(body)
+    else:
+        sock.sendall(head + body)
+    status = int(replies.readline().split()[1])
+    length = 0
+    while (line := replies.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return status, replies.read(length)
+
+
 def _serve_root(env: Dict[str, str], cwd: Path) -> None:
-    """``repro-serve`` as its own process, driven by ``repro-loadtest
-    --url`` and stopped by SIGINT (its graceful path)."""
-    server = subprocess.Popen(
+    """``repro-serve`` as its own process, driven over one socket and
+    stopped by SIGINT (its graceful path): a create, 4 KiB appends and
+    a read-back checked byte for byte. The first append's body follows
+    its head after a pause, so a request always waits for its bytes."""
+    path = "/census/log"
+    records = [bytes([65 + i]) * 4096 for i in range(4)]
+    with subprocess.Popen(
         [sys.executable, "-m", "repro.server.cli", "--port", "0", "--providers", "4"],
         env=env, cwd=cwd, stdout=subprocess.PIPE, text=True,
-    )
-    try:
-        url = server.stdout.readline().rsplit("http://", 1)[1].strip()
-        _run(
-            ["-m", "repro.experiments.loadtest", "--url", url,
-             "--clients", "2", "--duration", "1"],
-            env, cwd, "serve",
-        )
-    finally:
-        server.send_signal(signal.SIGINT)
-        assert server.wait(timeout=60) == 0, "repro-serve did not stop cleanly"
+    ) as server:
+        try:
+            url = server.stdout.readline().rsplit("http://", 1)[1].strip()
+            host, _, port = url.partition(":")
+            with (
+                socket.create_connection((host, int(port)), timeout=30) as sock,
+                sock.makefile("rb") as replies,
+            ):
+                assert _exchange(sock, replies, "POST", f"/fs/files{path}")[0] == 201
+                for i, record in enumerate(records):
+                    status, _ = _exchange(
+                        sock, replies, "POST", f"/fs/append{path}", record,
+                        pause=0.2 if i == 0 else 0.0,
+                    )
+                    assert status == 200
+                assert _exchange(sock, replies, "GET", f"/fs/files{path}") == (
+                    200, b"".join(records)
+                )
+        finally:
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=60) == 0, "repro-serve did not stop cleanly"
 
 
 # -- the verdict ------------------------------------------------------------------

@@ -209,9 +209,9 @@ def test_disabled_registry_hands_out_null_instruments():
 
 
 class TestThreadSafety:
-    """The HTTP server increments instruments from concurrent handler
-    tasks and wait-pool threads; lost updates here silently corrupt the
-    load-test report."""
+    """Instruments are shared by every thread of a threaded deployment;
+    lost updates here silently corrupt what ``/metrics`` and the run
+    report show."""
 
     def test_counter_concurrent_increments_all_land(self):
         import threading

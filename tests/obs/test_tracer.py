@@ -190,10 +190,10 @@ def test_disabled_tracer_is_a_noop():
 
 
 def test_null_obs_shared_and_disabled():
-    assert not NULL_OBS.enabled
+    assert not NULL_OBS.tracer.enabled and not NULL_OBS.registry.enabled
     assert NULL_OBS.tracer.start("x") is NULL_SPAN
     on = Observability.on()
-    assert on.enabled
+    assert on.tracer.enabled and on.registry.enabled
     assert on.tracer.start("x") is not NULL_SPAN
 
 

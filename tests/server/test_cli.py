@@ -2,9 +2,7 @@
 
 The contracts under test: ``repro-serve`` exits 0 on SIGINT/SIGTERM
 after a graceful drain; ``repro-fig`` exits 2 on a bad figure name and
-130 with a clean one-line notice (no traceback) on Ctrl-C;
-``repro-loadtest`` exits 0 on a clean run and non-zero when it cannot
-reach a server.
+130 with a clean one-line notice (no traceback) on Ctrl-C.
 """
 
 import os
@@ -123,17 +121,3 @@ class TestFigExit:
         assert proc.returncode == 130
         assert "interrupted" in err
         assert "Traceback" not in err
-
-
-class TestLoadtestExit:
-    def test_unreachable_server_exits_nonzero(self):
-        result = run(
-            ["repro.experiments.loadtest", "--url", "127.0.0.1:9",
-             "--clients", "1", "--duration", "0.2"]
-        )
-        assert result.returncode != 0
-        assert "Traceback" not in result.stderr
-
-    def test_bad_url_exits_2(self):
-        result = run(["repro.experiments.loadtest", "--url", "nonsense"])
-        assert result.returncode == 2

@@ -8,8 +8,10 @@ over real sockets through :class:`ServerThread`.
 """
 
 import asyncio
+import collections
 import http.client
 import json
+import struct
 import sys
 import threading
 
@@ -348,15 +350,37 @@ def request(server, method, target, body=None):
         conn.close()
 
 
-def test_appends_start_no_threads(live):
-    request(live, "POST", f"/fs/files{FILE}?page_size=65536")
+RECORD = 4096
+PER_WRITER = 20
+
+
+def record(writer, seq):
+    """A 4 KiB record that is its ``(writer, seq)`` tag over and over,
+    so a damaged byte anywhere in it shows."""
+    return struct.pack(">II", writer, seq) * (RECORD // 8)
+
+
+@pytest.mark.parametrize(
+    "clients, files", [(8, 1), (50, 8)], ids=["8 writers", "50 writers"]
+)
+def test_appends_start_no_threads(live, clients, files):
+    """Keep-alive writers append tagged records to shared files: no
+    request fails, the server starts no thread, and reading every file
+    back finds each ``(writer, seq)`` record exactly once, intact."""
+    paths = [f"{FILE}-{i}" for i in range(files)]
+    for path in paths:
+        request(live, "POST", f"/fs/files{path}?page_size=65536")
     errors = []
 
-    def client():
+    def client(writer):
         conn = http.client.HTTPConnection(live.host, live.port, timeout=30)
         try:
-            for _ in range(63):
-                conn.request("POST", f"/fs/append{FILE}", body=b"k" * 128)
+            for seq in range(PER_WRITER):
+                conn.request(
+                    "POST",
+                    f"/fs/append{paths[writer % files]}",
+                    body=record(writer, seq),
+                )
                 resp = conn.getresponse()
                 resp.read()
                 if resp.status != 200:
@@ -367,14 +391,29 @@ def test_appends_start_no_threads(live):
             conn.close()
 
     before = threading.active_count()
-    clients = [threading.Thread(target=client) for _ in range(8)]
-    for t in clients:
+    writers = [threading.Thread(target=client, args=(w,)) for w in range(clients)]
+    for t in writers:
         t.start()
-    for t in clients:
+    for t in writers:
         t.join(60)
-    assert not any(t.is_alive() for t in clients) and not errors
-    assert request(live, "GET", f"/fs/stat{FILE}")[1]["size"] == 8 * 63 * 128
+    assert not any(t.is_alive() for t in writers) and not errors
     assert threading.active_count() == before
+    found = collections.Counter()
+    conn = http.client.HTTPConnection(live.host, live.port, timeout=30)
+    try:
+        for i, path in enumerate(paths):
+            conn.request("GET", f"/fs/files{path}")
+            resp = conn.getresponse()
+            data = resp.read()
+            assert resp.status == 200 and len(data) % RECORD == 0
+            for at in range(0, len(data), RECORD):
+                writer, seq = struct.unpack_from(">II", data, at)
+                assert writer % files == i
+                assert data[at : at + RECORD] == record(writer, seq)
+                found[writer, seq] += 1
+    finally:
+        conn.close()
+    assert found == {(w, s): 1 for w in range(clients) for s in range(PER_WRITER)}
 
 
 def test_loop_and_thread_appenders_share_one_blob(live):

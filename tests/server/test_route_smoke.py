@@ -1,9 +1,9 @@
 """One request per HTTP route, over a real socket.
 
 This is also a root of the traffic census (``tests/lint/
-test_traffic_census.py``): it is what reaches the routes the load test
-never sends. The last assertion fails when a route's handler was not
-dispatched, so a new route without a request here fails.
+test_traffic_census.py``): it is what reaches the routes the census's
+``serve`` root never sends. The last assertion fails when a route's
+handler was not dispatched, so a new route without a request here fails.
 """
 
 import http.client

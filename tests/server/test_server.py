@@ -6,6 +6,7 @@ dedicated fresh server. Clients are stdlib ``http.client`` — the server
 side is what's under test.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -267,3 +268,38 @@ class TestShutdown:
             assert c.getresponse().status == 200
             c.close()
         assert st.server.live_lease_timers == 0
+
+    def test_stop_reraises_what_the_loop_thread_raised(self):
+        class Boom(Exception):
+            pass
+
+        server = BlobServer(port=0, n_providers=2)
+        graceful = server.stop
+
+        async def failing_stop():
+            await graceful()
+            raise Boom("stop failed")
+
+        server.stop = failing_stop
+        with pytest.raises(Boom):
+            with ServerThread(server):
+                pass
+        assert server.live_lease_timers == 0
+
+    def test_stop_raises_when_the_thread_outlives_its_timeout(self):
+        server = BlobServer(port=0, n_providers=2)
+        graceful = server.stop
+
+        async def slow_stop():
+            await asyncio.sleep(1.0)
+            await graceful()
+
+        server.stop = slow_stop
+        st = ServerThread(server)
+        st.start()
+        with pytest.raises(RuntimeError, match="did not stop"):
+            st.stop(timeout=0.1)
+        assert st._thread.is_alive()
+        st.stop()  # the slow stop finishes; the thread is joined
+        assert not st._thread.is_alive()
+        assert server.live_lease_timers == 0
