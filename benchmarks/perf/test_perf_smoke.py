@@ -12,7 +12,7 @@ here). The kernel microbench scenarios
 (:mod:`repro.experiments.kernelbench` — raw dispatch throughput with no
 workload) and the metadata microbench scenarios
 (:mod:`repro.experiments.mdbench` — in-process segment-tree algebra
-throughput) are gated the same way. Ten gates are ceilings rather
+throughput) are gated the same way. Eleven gates are ceilings rather
 than speed floors: the bytes a live append leaves behind besides its
 payload (tree nodes, their keys, the DHT's buckets), the objects it
 leaves on the cyclic collector's lists, the bytes the log page store's
@@ -24,8 +24,9 @@ pauses the collector, DESIGN.md "Memory and the collector"), and the
 rate solves a fig8 run performs (none: no link of its fabric can
 saturate, DESIGN.md "Only links that can bind"), the SHA-1 placements
 fig4 computes per metadata key it bills, the objects the collection
-between deployments examines once the permanent heap is frozen, and
-the minor page faults `repro-serve` takes per served append.
+between deployments examines once the permanent heap is frozen, the
+minor page faults `repro-serve` takes per served append, and the
+instrument updates and metrics locks a served append costs (one gate).
 
 Not part of the tier-1 suite (pyproject collects ``tests/`` only); CI
 runs it as a separate perf-smoke job::
@@ -586,4 +587,98 @@ def test_served_append_minor_faults_under_ceiling(baseline):
         f"repro-serve took {per_append:.2f} minor page faults per served "
         f"append, ceiling {row['max_minor_faults_per_append']}: reads "
         f"allocate per call again (see the note in benchmarks/perf/baseline.json)"
+    )
+
+
+def test_served_append_instrument_work_under_ceiling(baseline, monkeypatch):
+    """Each fact a served append records is one instrument update, and
+    none takes a lock: counters add into their thread's tally cell and
+    histograms append to a buffer drained every ``_DRAIN_AT`` values.
+    It read ~18 updates per append while the ticket was counted three
+    times, every allocation four, and the queue-depth, imbalance and
+    load gauges were set on every change, and ~15 lock acquisitions
+    while every update locked. Counted in process: every
+    ``inc``/``set``/``observe`` call, and every ``with`` on a lock made
+    by ``repro.obs.metrics``."""
+    import http.client
+    import threading
+
+    from repro.obs import MetricsRegistry, Observability, Tracer, metrics
+    from repro.server import BlobServer, ServerThread
+    from repro.server.cli import HIST_MAX_SAMPLES
+
+    row = baseline["host_work"]["served_append_instruments"]
+    counts = {"updates": 0, "locks": 0}
+
+    class CountingLock:
+        def __init__(self) -> None:
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            counts["locks"] += 1
+            return self._lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self._lock.__exit__(*exc)
+
+    class CountingThreading:
+        Lock = CountingLock
+
+    def counted(method):
+        def update(self, *args):
+            counts["updates"] += 1
+            return method(self, *args)
+
+        return update
+
+    monkeypatch.setattr(metrics, "threading", CountingThreading)
+    for cls, name in ((metrics.Counter, "inc"), (metrics.Gauge, "set"),
+                      (metrics.Histogram, "observe")):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+
+    def post(conn, target, body=None) -> None:
+        conn.request("POST", target, body=body)
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.status in (200, 201), (target, resp.status)
+
+    # repro-serve's registry, built after the counting patches
+    obs = Observability(
+        tracer=Tracer(enabled=False),
+        registry=MetricsRegistry(default_hist_max_samples=HIST_MAX_SAMPLES),
+    )
+    st = ServerThread(BlobServer(port=0, n_providers=8, obs=obs))
+    host, port = st.start()
+    conns = []
+    try:
+        conns = [
+            http.client.HTTPConnection(host, port)
+            for _ in range(row["connections"])
+        ]
+        post(conns[0], f"/fs/files/instruments?page_size={row['page_bytes']}")
+        body = b"i" * row["record_bytes"]
+        for conn in conns:  # open each connection before counting
+            post(conn, "/fs/append/instruments", body)
+        before = dict(counts)
+        for _ in range(row["appends_per_connection"]):
+            for conn in conns:
+                post(conn, "/fs/append/instruments", body)
+        after = dict(counts)
+    finally:
+        for conn in conns:
+            conn.close()
+        st.stop()
+    n = row["connections"] * row["appends_per_connection"]
+    updates = (after["updates"] - before["updates"]) / n
+    locks = (after["locks"] - before["locks"]) / n
+    assert updates <= row["max_updates_per_append"], (
+        f"a served append makes {updates:.2f} instrument updates, ceiling "
+        f"{row['max_updates_per_append']}: a fact is recorded twice or a "
+        f"derived value pushed per operation (see the note in "
+        f"benchmarks/perf/baseline.json)"
+    )
+    assert locks <= row["max_lock_acquisitions_per_append"], (
+        f"a served append takes {locks:.3f} metrics locks, ceiling "
+        f"{row['max_lock_acquisitions_per_append']}: recording a fact "
+        f"takes a lock again"
     )

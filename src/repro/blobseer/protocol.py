@@ -547,7 +547,7 @@ class BlobSeerProtocol:
                     piece.page_id,
                     piece.data_offset,
                     piece.length,
-                    f"page {piece.page_id}",
+                    "page",
                     parent=sp_fetch,
                 )
                 if data is not None:

@@ -42,19 +42,6 @@ class ProviderManager:
             raise ValueError("need at least one provider")
         if len(set(provider_names)) != len(provider_names):
             raise ValueError("duplicate provider names")
-        obs = obs or NULL_OBS
-        self._c_allocations = obs.registry.counter("pm.allocations")
-        self._c_pages = obs.registry.counter("pm.pages_placed")
-        self._c_bytes = obs.registry.counter("pm.bytes_placed")
-        self._g_imbalance = obs.registry.gauge("pm.imbalance")
-        #: the imbalance readout and the per-provider load gauges are
-        #: O(providers) per allocation — worth computing only when
-        #: somebody will read them
-        self._track_imbalance = obs.registry.enabled
-        self._g_load = {
-            name: obs.registry.gauge(f"pm.load.{name}")
-            for name in provider_names
-        }
         self._lock = threading.Lock()
         self._load: Dict[str, int] = {name: 0 for name in provider_names}
         #: sum and max of ``_load``, kept as it changes: loads are ints
@@ -81,6 +68,7 @@ class ProviderManager:
             (0, self._rank[n], n) for n in names
         ]
         heapq.heapify(self._heap)
+        (obs or NULL_OBS).registry.gauge("pm.imbalance", source=self.imbalance)
 
     # -- membership ---------------------------------------------------------------
 
@@ -131,7 +119,6 @@ class ProviderManager:
             )
         load, rank, heap = self._load, self._rank, self._heap
         result: List[Tuple[str, ...]] = []
-        touched: set[str] = set()
         for size in page_sizes:
             if size <= 0:
                 raise ValueError("page size must be positive")
@@ -144,17 +131,13 @@ class ProviderManager:
                 heapq.heappush(heap, (new_load, rank[name], name))
             self._load_total += size * replication
             result.append(tuple(chosen))
-            if self._track_imbalance:
-                touched.update(chosen)
-            self._c_pages.inc()
-            self._c_bytes.inc(float(size) * replication)
-        self._c_allocations.inc()
-        if self._track_imbalance:
-            self._g_imbalance.set(self._imbalance_locked())
-            g_load = self._g_load
-            for name in touched:
-                g_load[name].set(float(load[name]))
         return result
+
+    def imbalance(self) -> float:
+        """Max/mean load over the alive providers: the ``pm.imbalance``
+        gauge, computed when it is read."""
+        with self._lock:
+            return self._imbalance_locked()
 
     def _imbalance_locked(self) -> float:
         """Max/mean load over the alive providers (lock held by caller).

@@ -162,13 +162,17 @@ class VersionManagerCore:
         self._publish_waiters: Dict[tuple[int, int], Callable[[tuple], None]] = {}
         obs = obs or NULL_OBS
         self._tracer = obs.tracer
-        self._c_tickets = obs.registry.counter("vm.tickets_assigned")
-        self._c_append_tickets = obs.registry.counter("vm.append_tickets")
         self._c_commits = obs.registry.counter("vm.commits")
         self._c_aborts = obs.registry.counter("vm.aborts")
         self._c_lease_expiries = obs.registry.counter("vm.lease_expiries")
         self._c_turn_waits = obs.registry.counter("vm.turn_waits")
-        self._g_turn_queue = obs.registry.gauge("vm.turn_queue_depth")
+        # the gauge reads the two waiter tables, not the core: a
+        # registry that outlives a deployment keeps no simulation alive
+        # through the DES's lease callback
+        turn, publish = self._turn_waiters, self._publish_waiters
+        obs.registry.gauge(
+            "vm.turn_queue_depth", source=lambda: len(turn) + len(publish)
+        )
         self._h_ticket_bytes = obs.registry.histogram("vm.append_ticket_bytes")
         self._c_group_commits = obs.registry.counter("vm.group_commits")
         self._h_group_size = obs.registry.histogram("vm.group_commit_size")
@@ -214,8 +218,8 @@ class VersionManagerCore:
     def commit_queue_length(self) -> int:
         """How many versions are currently waiting for their metadata
         turn or publication (one per version) — the serialization depth
-        the ``vm.turn_queue_depth`` gauge and the telemetry samplers
-        record over time."""
+        the ``vm.turn_queue_depth`` gauge reads and the telemetry
+        samplers record over time."""
         return len(self._turn_waiters) + len(self._publish_waiters)
 
     # -- assignment (the critical section) ------------------------------------
@@ -234,7 +238,6 @@ class VersionManagerCore:
             raise ValueError("append of zero bytes")
         state = self.blob(blob_id)
         offset = state.assigned_size
-        self._c_append_tickets.inc()
         self._h_ticket_bytes.observe(float(nbytes))
         return self._assign(state, offset, nbytes, "append", now)
 
@@ -266,7 +269,6 @@ class VersionManagerCore:
         kind: str,
         now: Optional[float],
     ) -> Ticket:
-        self._c_tickets.inc()
         version = state.next_version
         state.next_version += 1
         new_size = max(state.assigned_size, offset + nbytes)
@@ -319,7 +321,6 @@ class VersionManagerCore:
             return
         self._turn_waiters[(blob_id, version)] = callback
         self._c_turn_waits.inc()
-        self._queue_changed()
 
     def commit(
         self,
@@ -498,7 +499,6 @@ class VersionManagerCore:
             callback(("lead", *self._lead_grant(state, version)))
         else:
             self._publish_waiters[key] = callback
-            self._queue_changed()
 
     def _lead_grant(self, state: BlobState, version: int) -> tuple:
         """Drain the maximal run of consecutive ready versions starting
@@ -552,7 +552,6 @@ class VersionManagerCore:
             callback = self._publish_waiters.pop((blob_id, v), None)
             if callback is not None:
                 callback(("published",))
-        self._queue_changed()
 
     def _finish_version(
         self, state: BlobState, version: int, now: Optional[float]
@@ -587,10 +586,6 @@ class VersionManagerCore:
             self._publish_waiters.pop(lead)(
                 ("lead", *self._lead_grant(state, lead[1]))
             )
-        self._queue_changed()
-
-    def _queue_changed(self) -> None:
-        self._g_turn_queue.set(float(self.commit_queue_length))
 
     # -- read side ---------------------------------------------------------------
 

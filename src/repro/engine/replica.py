@@ -62,7 +62,7 @@ def sweep_fetch(
     page_id: Any,
     data_offset: int,
     nbytes: int,
-    describe: str,
+    kind: str,
     parent=None,
 ):
     """Generator: fetch one stored object, failing over across replicas.
@@ -70,7 +70,9 @@ def sweep_fetch(
     Timeouts mark the endpoint dead (sorted last from then on); a
     ``PageNotFoundError`` reply leaves it alive. After each full
     rotation the sweep backs off; when the attempt budget is spent the
-    fetch fails with :class:`~repro.common.errors.ReplicationError`.
+    fetch fails with :class:`~repro.common.errors.ReplicationError`,
+    which names the object as ``f"{kind} {page_id}"`` (formatted only
+    then: a sweep that succeeds builds no description).
 
     When tracing is on the whole sweep is one ``replica.sweep`` span
     (parented under *parent*) whose children are the per-attempt
@@ -115,7 +117,7 @@ def sweep_fetch(
         if traced:
             sp.set(attempts=policy.max_attempts, error="ReplicationError")
         raise ReplicationError(
-            f"no replica of {describe} is readable "
+            f"no replica of {kind} {page_id} is readable "
             f"(endpoints {tuple(endpoints)})"
         ) from last_exc
     finally:

@@ -147,7 +147,7 @@ class HDFSProtocol:
             block.block_id,
             offset,
             size,
-            f"chunk {block.block_id}",
+            "chunk",
         )
         return data
 

@@ -2,10 +2,23 @@
 
 Instruments are created (or fetched) by name from a
 :class:`MetricsRegistry`; components hold the returned handle, so the
-hot-path cost of an increment is one method call on a small object.
-A disabled registry hands out shared null instruments whose methods do
-nothing, which is what lets every component take a registry
-unconditionally.
+hot-path cost of recording a fact is one method call on a small object
+that takes no lock. A disabled registry hands out shared null
+instruments whose methods do nothing, which is what lets every
+component take a registry unconditionally.
+
+Who writes what:
+
+- a :class:`Counter` is a :class:`~repro.common.tally.Tally`: each
+  thread adds into its own cell, and a read sums the cells;
+- a :class:`Gauge` is either set (one attribute store) or backed by a
+  source function that a read calls, so a value derived from a
+  component's own state costs nothing until somebody looks;
+- a :class:`Histogram` appends each observation to one buffer, which
+  every thread shares (a list append is atomic). The buffer is drained
+  into the statistics under the histogram's lock when it reaches
+  :data:`_DRAIN_AT` values or at any readout, in stream order, so
+  every readout equals what observing each value under the lock gave.
 
 Histograms keep their raw samples (experiment runs observe thousands,
 not millions, of values) and report linearly interpolated percentiles,
@@ -22,29 +35,36 @@ import math
 import random
 import threading
 import zlib
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
+from ..common.tally import Tally
 from .timeseries import _NULL_TIMESERIES, TimeSeries
+
+#: observations a histogram buffers before the observing thread drains
+#: them into its statistics
+_DRAIN_AT = 1024
 
 
 class Counter:
     """A monotonically increasing total.
 
-    Thread-safe: the threaded runtime increments shared counters from
-    many caller threads, and ``+=`` on an attribute is a
-    read-modify-write that drops updates under races.
+    Thread-safe without a lock: ``inc`` adds into the calling thread's
+    cell of a :class:`~repro.common.tally.Tally`, which only that thread
+    writes, so no update is lost; ``value`` sums the cells.
     """
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "_tally")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
-        self._lock = threading.Lock()
+        self._tally = Tally()
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
+        self._tally.cell()[0] += amount
+
+    @property
+    def value(self) -> float:
+        return float(sum(self._tally.column(0)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value:g}>"
@@ -53,18 +73,26 @@ class Counter:
 class Gauge:
     """A point-in-time value (queue depth, imbalance ratio, …).
 
-    A set is a single attribute store (atomic under the GIL), so no
-    lock is needed; last-writer-wins is the right semantics anyway.
+    Either set — a single attribute store (atomic under the GIL), so no
+    lock is needed and last-writer-wins — or backed by a *source*
+    function that every read of ``value`` calls, on the reading thread.
+    A gauge with a source ignores ``set``.
     """
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_value", "_source")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
+        self._value = 0.0
+        self._source: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
-        self.value = value
+        self._value = value
+
+    @property
+    def value(self) -> float:
+        source = self._source
+        return self._value if source is None else float(source())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.name}={self.value:g}>"
@@ -75,24 +103,27 @@ class Histogram:
 
     With ``max_samples`` set, at most that many raw samples are kept in
     a uniform reservoir (Algorithm L, deterministically seeded from the
-    histogram name): ``count``/``mean``/``min``/``max`` remain exact
-    over the whole stream, while percentiles are estimated from the
-    reservoir. A full reservoir costs one comparison per observe — the
+    histogram name): ``count``/``mean``/``min``/``max``/``total`` remain
+    exact over the whole stream, while percentiles are estimated from
+    the reservoir. A full reservoir costs one comparison per value — the
     stream index of the next value to keep is drawn ahead, so random
     numbers are spent per *replacement* (``cap·ln(n/cap)`` of them over
     ``n`` values), not per value. Default is unbounded (keep everything).
 
-    Thread-safe: observes and percentile readouts may come from
-    concurrent server threads/tasks, and both the reservoir swap and
-    the lazy re-sort are multi-step mutations that corrupt under races.
-    An *empty* histogram (idle server, zero requests) reads out as
-    all-zero, never NaN and never an error: ``percentile``/``mean``
-    return ``0.0`` and ``summary()`` is all-zero, so run reports on an
-    idle process always render.
+    Thread-safe: any thread may observe, and ``observe`` takes no lock —
+    it appends to ``_buf``, a list that is never replaced. The thread
+    whose observe fills the buffer to :data:`_DRAIN_AT`, and every
+    readout, drains it under ``_lock``: the values present are sliced
+    off the front (appends racing the drain land behind them) and run
+    through the statistics in stream order, so the reservoir and the
+    lazy re-sort never see two writers. An *empty* histogram (idle
+    server, zero requests) reads out as all-zero, never NaN and never
+    an error: ``percentile``/``mean`` return ``0.0`` and ``summary()``
+    is all-zero, so run reports on an idle process always render.
     """
 
     __slots__ = (
-        "name", "_samples", "_sorted", "total",
+        "name", "_buf", "_samples", "_sorted", "_total",
         "_max_samples", "_n", "_min", "_max", "_rng", "_lock",
         "_keep_at", "_w",
     )
@@ -102,11 +133,13 @@ class Histogram:
             raise ValueError("max_samples must be >= 1")
         self.name = name
         self._lock = threading.Lock()
+        #: observed values not yet drained into the statistics below
+        self._buf: List[float] = []
         self._samples: List[float] = []
         self._sorted = True
-        self.total = 0.0
+        self._total = 0.0
         self._max_samples = max_samples
-        self._n = 0  # exact stream length (>= len(_samples) when capped)
+        self._n = 0  # drained stream length (>= len(_samples) when capped)
         self._min = 0.0
         self._max = 0.0
         # seeded per-name so capped percentiles are reproducible
@@ -133,44 +166,82 @@ class Histogram:
         self._keep_at = n + int(gap) + 1
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            n = self._n
-            self._n = n + 1
-            self.total += value
-            if n == 0:
-                self._min = self._max = value
-            else:
-                if value < self._min:
-                    self._min = value
-                if value > self._max:
-                    self._max = value
-            cap = self._max_samples
-            if cap is None or n < cap:
-                self._samples.append(value)
-                self._sorted = False
-                if n + 1 == cap:
-                    self._skip_ahead(n)
-            elif n == self._keep_at:
-                # a uniformly chosen slot, so sorting in between is free
-                self._samples[self._rng.randrange(cap)] = value
-                self._sorted = False
-                self._skip_ahead(n)
+        buf = self._buf
+        buf.append(value)
+        if len(buf) >= _DRAIN_AT:
+            with self._lock:
+                self._drain_locked()
+
+    def _drain_locked(self) -> None:
+        """Fold the buffered values into the statistics, oldest first
+        (lock held by caller)."""
+        buf = self._buf
+        k = len(buf)
+        if not k:
+            return
+        batch = buf[:k]
+        del buf[:k]
+        n = self._n
+        end = self._n = n + k
+        total = self._total
+        lo, hi = (self._min, self._max) if n else (batch[0], batch[0])
+        for value in batch:
+            # in-order additions: sum() compensates from Python 3.12 on
+            total += value
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self._total, self._min, self._max = total, lo, hi
+        cap = self._max_samples
+        samples = self._samples
+        if cap is None:
+            samples.extend(batch)
+            self._sorted = False
+            return
+        if n < cap:
+            samples.extend(batch[: cap - n])
+            self._sorted = False
+            if end < cap:
+                return
+            self._skip_ahead(cap - 1)
+        rng = self._rng
+        while self._keep_at < end:
+            kept = self._keep_at
+            # a uniformly chosen slot, so sorting in between is free
+            samples[rng.randrange(cap)] = batch[kept - n]
+            self._sorted = False
+            self._skip_ahead(kept)
 
     @property
     def count(self) -> int:
-        return self._n
+        with self._lock:
+            self._drain_locked()
+            return self._n
+
+    @property
+    def total(self) -> float:
+        with self._lock:
+            self._drain_locked()
+            return self._total
 
     @property
     def mean(self) -> float:
-        return self.total / self._n if self._n else 0.0
+        with self._lock:
+            self._drain_locked()
+            return self._total / self._n if self._n else 0.0
 
     @property
     def min(self) -> float:
-        return self._min
+        with self._lock:
+            self._drain_locked()
+            return self._min
 
     @property
     def max(self) -> float:
-        return self._max
+        with self._lock:
+            self._drain_locked()
+            return self._max
 
     def percentile(self, p: float) -> float:
         """The *p*-th percentile (0..100), linearly interpolated between
@@ -182,6 +253,7 @@ class Histogram:
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} outside [0, 100]")
         with self._lock:
+            self._drain_locked()
             if not self._samples:
                 return 0.0
             if not self._sorted:
@@ -296,10 +368,18 @@ class MetricsRegistry:
             return _NULL_COUNTER  # type: ignore[return-value]
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
+    def gauge(
+        self, name: str, source: Optional[Callable[[], float]] = None
+    ) -> Gauge:
+        """Get-or-create a gauge; with *source*, every read of it calls
+        *source* instead (the last source registered under a name wins,
+        as the last ``set`` would)."""
         if not self.enabled:
             return _NULL_GAUGE  # type: ignore[return-value]
-        return self._get(name, Gauge)
+        gauge = self._get(name, Gauge)
+        if source is not None:
+            gauge._source = source
+        return gauge
 
     def histogram(self, name: str) -> Histogram:
         if not self.enabled:
@@ -327,41 +407,32 @@ class MetricsRegistry:
 
     # -- readout --------------------------------------------------------------
 
-    def counters(self) -> Dict[str, float]:
-        """Name → value of every counter, sorted by name."""
+    def _of(self, cls) -> Dict[str, Instrument]:
+        """Name → instrument of one kind, sorted by name. Values are read
+        after the registry lock is released: a gauge's source may take
+        its component's lock."""
         with self._lock:
             return {
-                n: i.value
+                n: i
                 for n, i in sorted(self._instruments.items())
-                if isinstance(i, Counter)
+                if isinstance(i, cls)
             }
+
+    def counters(self) -> Dict[str, float]:
+        """Name → value of every counter, sorted by name."""
+        return {n: i.value for n, i in self._of(Counter).items()}
 
     def gauges(self) -> Dict[str, float]:
         """Name → value of every gauge, sorted by name."""
-        with self._lock:
-            return {
-                n: i.value
-                for n, i in sorted(self._instruments.items())
-                if isinstance(i, Gauge)
-            }
+        return {n: i.value for n, i in self._of(Gauge).items()}
 
     def histograms(self) -> Dict[str, Histogram]:
         """Name → histogram, sorted by name."""
-        with self._lock:
-            return {
-                n: i
-                for n, i in sorted(self._instruments.items())
-                if isinstance(i, Histogram)
-            }
+        return self._of(Histogram)  # type: ignore[return-value]
 
     def series(self) -> Dict[str, TimeSeries]:
         """Name → time series, sorted by name."""
-        with self._lock:
-            return {
-                n: i
-                for n, i in sorted(self._instruments.items())
-                if isinstance(i, TimeSeries)
-            }
+        return self._of(TimeSeries)  # type: ignore[return-value]
 
     def value(self, name: str, default: float = 0.0) -> float:
         """A counter/gauge value by name (*default* when absent)."""

@@ -632,7 +632,11 @@ class HttpConnection(asyncio.BufferedProtocol):
         self._paused = False
         if not self._eof:
             self.transport.resume_reading()
-        self._pump()
+        # on the next loop turn: the transport calls this from its write
+        # callback, which reports the connection lost itself once its
+        # buffer is empty, so a request served here that closes the
+        # connection would have it reported lost twice
+        asyncio.get_running_loop().call_soon(self._pump)
 
     # -- requests ------------------------------------------------------------
 

@@ -233,7 +233,7 @@ class TestFaultTolerance:
         append(svc, blob, b"x" * 100)
         holder = svc.layout(blob)[0][2][0]
         svc.fail_provider(holder)
-        with pytest.raises(ReplicationError):
+        with pytest.raises(ReplicationError, match=r"no replica of page PageId"):
             read(svc, blob, 0, 100)
         svc.recover_provider(holder)
         assert read(svc, blob, 0, 100) == b"x" * 100

@@ -126,6 +126,26 @@ class TestCore:
         assert core.resolve(blob, 2)[0].size == 20
         assert core.latest_published(blob).size == 40
 
+    def test_the_queue_gauge_does_not_keep_the_core_alive(self):
+        """The registry outlives a deployment; its read-time gauge must
+        not hold the core, whose DES lease callback holds the whole
+        simulation."""
+        import gc
+        import weakref
+
+        obs = Observability.on()
+        core = VersionManagerCore(obs, on_lease_start=lambda deadline: None)
+        blob = core.create_blob(64)
+        core.assign_append(blob, 10)
+        core.assign_append(blob, 10)
+        core.when_turn(blob, 2, lambda prereq: None)
+        assert obs.registry.gauges()["vm.turn_queue_depth"] == 1.0
+        alive = weakref.ref(core)
+        del core
+        gc.collect()
+        assert alive() is None
+        assert obs.registry.gauges()["vm.turn_queue_depth"] == 1.0
+
 
 class TestThreadedWrapper:
     def test_concurrent_assignments_are_disjoint(self):

@@ -128,7 +128,7 @@ class TestReadPath:
         locs = fs.get_block_locations("/f", 0, 100)
         for host in locs[0].hosts:
             cluster.fail_datanode(host)
-        with pytest.raises(ReplicationError):
+        with pytest.raises(ReplicationError, match=r"no replica of chunk BlockId"):
             fs.read_all("/f")
 
     def test_write_routes_around_down_datanode(self, cluster):

@@ -45,11 +45,9 @@ def test_simulated_append_run_traces_all_layers():
     # every span carries simulated (not wall-clock) timestamps
     assert all(s.end is not None and s.end < 1e4 for s in finished(obs.tracer))
     # the append path's registry trail
-    counters = obs.registry.counters()
-    assert counters["vm.append_tickets"] == 4.0
-    assert counters["vm.commits"] == 4.0
     ticket_bytes = obs.registry.histogram("vm.append_ticket_bytes")
     assert ticket_bytes.count == 4
+    assert obs.registry.counters()["vm.commits"] == 4.0
     assert ticket_bytes.percentile(50) == 64 * MiB
     # one span per engine op, directly under its operation span or
     # under the group span that holds several ops

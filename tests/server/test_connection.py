@@ -306,19 +306,25 @@ class TestBackpressure:
                 server.blobseer.update("c", blob, Payload(b"r" * 4096))
             )
         )
-        conn, t = connect(server, high_water=1000)
-        t.send(req("GET", f"/blob/{blob}") * 5)
-        assert t.reads == 1
-        got = []
-        for _ in range(5):
-            # one reply queued; the rest of the requests wait in the buffer
-            assert not t.reading
-            more = split_responses(t.drain())
-            assert len(more) == 1
-            got += more
-        assert [body for _, _, body in got] == [b"r" * 4096] * 5
-        # the last drain left nothing to answer: reading resumed
-        assert t.reading and t.drain() == b"" and not t.closing
+
+        async def drive():
+            conn, t = connect(server, high_water=1000)
+            t.send(req("GET", f"/blob/{blob}") * 5)
+            assert t.reads == 1
+            got = []
+            for _ in range(5):
+                # one reply queued; the rest of the requests wait in the
+                # buffer until the loop turn after the drain
+                assert not t.reading
+                more = split_responses(t.drain())
+                assert len(more) == 1
+                got += more
+                await asyncio.sleep(0)
+            assert [body for _, _, body in got] == [b"r" * 4096] * 5
+            # the last drain left nothing to answer: reading resumed
+            assert t.reading and t.drain() == b"" and not t.closing
+
+        asyncio.run(drive())
 
     def test_a_request_served_during_shutdown_gets_connection_close(
         self, server, blob
@@ -332,6 +338,7 @@ class TestBackpressure:
             await asyncio.sleep(0)
             assert not t.lost  # requests wait behind the full write buffer
             first = t.drain()
+            await asyncio.sleep(0)  # the drain resumes the connection
             second = t.drain()
             await stopping
             return first, second
@@ -394,6 +401,52 @@ class TestOverSockets:
         finally:
             st.stop()
         assert st.server.live_lease_timers == 0
+
+    def test_a_request_served_on_resume_closes_the_connection_once(
+        self, server, blob
+    ):
+        """The transport resumes its protocol from inside its write
+        callback, once its buffer is empty. The request that waited —
+        here the last one, ``Connection: close`` — is served on the next
+        loop turn, not inside that callback: served there, its close had
+        the transport report the connection lost twice, and the loop
+        logged an ``AttributeError``."""
+        data = bytes(range(256)) * 4096  # 1 MiB: overfills both buffers
+        asyncio.run(server.engine.run(server.blobseer.update("c", blob, Payload(data))))
+        logged = []
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: logged.append(context))
+            ours, theirs = socket.socketpair()
+            ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+            theirs.setblocking(False)
+            transport, conn = await loop.connect_accepted_socket(
+                lambda: HttpConnection(server), ours
+            )
+            # resume only once the write buffer is empty
+            transport.set_write_buffer_limits(high=4096, low=0)
+            theirs.sendall(
+                req("GET", f"/blob/{blob}")
+                + req("GET", "/healthz", headers="Connection: close\r\n")
+            )
+            while not conn._paused:
+                await asyncio.sleep(0)
+            raw = bytearray()
+            while chunk := await loop.sock_recv(theirs, 1 << 20):
+                raw += chunk
+            theirs.close()
+            for _ in range(3):  # whatever the close scheduled runs now
+                await asyncio.sleep(0)
+            return bytes(raw)
+
+        got = split_responses(asyncio.run(drive()))
+        assert [(status, body == data) for status, _, body in got[:1]] == [(200, True)]
+        assert [(status, headers["connection"]) for status, headers, _ in got[1:]] == [
+            (200, "close")
+        ]
+        assert not server._conns
+        assert logged == []
 
     def test_stop_closes_idle_and_half_received_connections(self):
         st = ServerThread(BlobServer(port=0, n_providers=2))
