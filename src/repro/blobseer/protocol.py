@@ -18,14 +18,14 @@ metadata provider and bills the access as an RPC there; the live
 runtimes (whose DHT is genuinely in-process) pay nothing, compute no
 placement and, with tracing off, get no op to yield.
 
-Failure handling is shared, not duplicated per runtime: page stores
-reroute around :class:`~repro.common.errors.RpcTimeoutError` by
-allocating substitute providers, and reads fail over replicas through
-:func:`~repro.engine.replica.sweep_fetch` with per-client rotation and
-dead-node memory. When ``engine.faults_active`` is ``False`` (the DES
-runtime before any injected fault) the ship/fetch stages instead take
-the engine's batched fast paths, preserving the simulator's coalesced
-network accounting.
+Failure handling is shared, not duplicated per runtime, and there is
+one path on every engine: an update makes the store op of every
+``(page, replica)`` first, then awaits them page by page, rerouting a
+:class:`~repro.common.errors.RpcTimeoutError` to a substitute
+provider; a read fetches its pieces in order, each failing over
+replicas through :func:`~repro.engine.replica.sweep_fetch` with
+per-client rotation and dead-node memory. A DES op starts when it is
+made, so the page ship still runs in parallel there.
 """
 
 from __future__ import annotations
@@ -270,42 +270,35 @@ class BlobSeerProtocol:
             track=client,
             pages=len(sizes),
         )
+        # every (page, replica) store is made before any is awaited. A
+        # DES op starts when it is made, so all the transfers start in
+        # this instant and share one reallocation; a threaded op runs
+        # when it is yielded, so the pages are stored in order. Should
+        # an exception other than a timeout end the awaits partway, the
+        # DES still runs the stores already made (their pages land as
+        # orphans, like an aborted update's), the threaded engine none
+        pages = []
+        for p, providers in zip(page_indices, placements):
+            lo, hi = max(offset, p * ps), min(end, (p + 1) * ps)
+            page_id = fresh_page_id(ticket.blob_id, client)
+            piece = payload.slice(lo - offset, hi - offset)
+            ops = [
+                engine.store(sp_ship, client, name, page_id, piece)
+                for name in providers
+            ]
+            pages.append((p, lo, hi, page_id, piece, providers, ops))
         new_frags: Dict[int, Fragment] = {}
-        if engine.faults_active:
-            # store page by page, rerouting around crashed providers
-            for i, p in enumerate(page_indices):
-                lo, hi = max(offset, p * ps), min(end, (p + 1) * ps)
-                page_id = fresh_page_id(ticket.blob_id, client)
-                stored_on = yield from self._store_page(
-                    client,
-                    page_id,
-                    payload.slice(lo - offset, hi - offset),
-                    placements[i],
-                    parent=sp_ship,
-                )
-                new_frags[p] = Fragment(
-                    start=lo - p * ps,
-                    length=hi - lo,
-                    page_id=page_id,
-                    data_offset=0,
-                    providers=stored_on,
-                )
-        else:
-            # fault-free fast path: one batched fan-out for all replicas
-            for i, p in enumerate(page_indices):
-                lo, hi = max(offset, p * ps), min(end, (p + 1) * ps)
-                new_frags[p] = Fragment(
-                    start=lo - p * ps,
-                    length=hi - lo,
-                    page_id=fresh_page_id(ticket.blob_id, client),
-                    data_offset=0,
-                    providers=placements[i],
-                )
-            shippers = engine.ship_many(sp_ship, client, placements, sizes)
-            if len(shippers) == 1:
-                yield shippers[0]
-            else:
-                yield engine.gather(sp_ship, shippers)
+        for p, lo, hi, page_id, piece, providers, ops in pages:
+            stored_on = yield from self._store_page(
+                client, page_id, piece, providers, ops, sp_ship
+            )
+            new_frags[p] = Fragment(
+                start=lo - p * ps,
+                length=hi - lo,
+                page_id=page_id,
+                data_offset=0,
+                providers=stored_on,
+            )
         sp_ship.finish()
         return new_frags
 
@@ -393,11 +386,13 @@ class BlobSeerProtocol:
         return last_size
 
     def _store_page(
-        self, client: str, page_id, payload: Payload, providers, parent=None
+        self, client: str, page_id, payload: Payload, providers, ops, parent
     ):
-        """Generator: store one page on its placement, rerouting around
-        timeouts by allocating substitute providers. Returns the tuple
-        of providers that actually hold the page."""
+        """Generator: await (and consume) one page's list of store
+        *ops*, made on *providers* in order, rerouting each timeout to a
+        substitute provider; a substitute's store is made when its turn
+        comes, behind the page's own replicas. Returns the tuple of
+        providers that actually hold the page."""
         engine = self.engine
         remaining = list(providers)
         stored: List[str] = []
@@ -405,7 +400,11 @@ class BlobSeerProtocol:
         while remaining:
             name = remaining.pop(0)
             try:
-                yield engine.store(parent, client, name, page_id, payload)
+                yield (
+                    ops.pop(0)
+                    if ops
+                    else engine.store(parent, client, name, page_id, payload)
+                )
             except RpcTimeoutError:
                 self.pm.mark_down(name)
                 attempts += 1
@@ -536,38 +535,23 @@ class BlobSeerProtocol:
         )
         # a range that is all hole reads as zeros
         buf = bytearray(nbytes) if holes is not None and not jobs else None
-        if engine.faults_active:
-            sel = self.selector(client)
-            for out_pos, piece in jobs:
-                data = yield from sweep_fetch(
-                    engine,
-                    sel,
-                    client,
-                    piece.providers,
-                    piece.page_id,
-                    piece.data_offset,
-                    piece.length,
-                    "page",
-                    parent=sp_fetch,
-                )
-                if data is not None:
-                    if buf is None:
-                        buf = bytearray(nbytes)
-                    buf[out_pos : out_pos + piece.length] = data
-        else:
-            fetchers = []
-            for _, piece in jobs:
-                fetchers.append(
-                    engine.fetch(
-                        sp_fetch,
-                        client,
-                        piece.providers[0],
-                        piece.page_id,
-                        piece.data_offset,
-                        piece.length,
-                    )
-                )
-            yield engine.gather(sp_fetch, fetchers)
+        sel = self.selector(client)
+        for out_pos, piece in jobs:
+            data = yield from sweep_fetch(
+                engine,
+                sel,
+                client,
+                piece.providers,
+                piece.page_id,
+                piece.data_offset,
+                piece.length,
+                "page",
+                parent=sp_fetch,
+            )
+            if data is not None:
+                if buf is None:
+                    buf = bytearray(nbytes)
+                buf[out_pos : out_pos + piece.length] = data
         sp_fetch.finish(fragments=len(jobs))
         sp.finish(version=rec.version)
         return rec.version, (bytes(buf) if buf is not None else None)

@@ -11,11 +11,15 @@ on the threaded in-process runtime
 The op contract:
 
 * Ops are opaque — a core must only create them via engine methods and
-  ``yield`` them immediately (the DES engine hands back live kernel
+  ``yield`` each one at most once (the DES engine hands back live kernel
   events; the threaded engine hands back lazy thunks resolved by its
   trampoline).
 * ``yield op`` evaluates to the op's result; a failed op raises its
   exception at the ``yield`` site.
+* A fan-out makes every op first, then yields them in order. A DES op
+  starts when it is made, so the fan-out's transfers all start in one
+  instant; a threaded op runs when it is yielded, so they run in
+  order. The cores have this one path on every engine.
 * Op *creation order* is the protocol's RPC trace. The recording
   wrapper (:class:`~repro.engine.recording.RecordingEngine`) captures
   descriptors at creation time, which is why identical scenarios must
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..common.rng import Pcg64, stream
 
@@ -94,11 +98,6 @@ class Engine(abc.ABC):
     * ``retry`` — the :class:`RetryPolicy` active for
       this runtime (timeout charging, backoff magnitudes).
     * ``_seed`` — the run's root seed, which :meth:`rng` derives from.
-    * ``faults_active`` — when ``False`` the core may take batched
-      fast paths that assume no endpoint can fail mid-operation. The
-      threaded engine always reports ``True`` (real components fail
-      organically); the DES engine flips it on first injection so the
-      fault-free hot paths stay branch-cheap.
 
     **Causal tracing.** Both runtimes emit one span per op — named after
     the *control endpoint* (``engine.call:vm.commit``), never the
@@ -213,13 +212,6 @@ class Engine(abc.ABC):
         without one they return ``None`` and the core yields nothing.
         """
 
-    # -- fault view ---------------------------------------------------------
-
-    @property
-    @abc.abstractmethod
-    def faults_active(self) -> bool:
-        """Whether the core must use the failure-tolerant paths."""
-
     def rng(self, *names) -> Pcg64:
         """The named substream of the run's seed (``_seed``).
 
@@ -230,24 +222,3 @@ class Engine(abc.ABC):
         phase, one ``integers`` draw per client.
         """
         return stream(self._seed, *names)
-
-    # -- DES-only batch fast paths ------------------------------------------
-    # The fault-free DES hot paths batch whole page fan-outs into one
-    # network reallocation. Cores only reach these when
-    # ``faults_active`` is False, or from ``HDFSProtocol.read_range``,
-    # which only the simulated HDFS calls; neither happens on the
-    # threaded engine, so it need not implement them.
-
-    def ship_many(
-        self,
-        parent,
-        client: str,
-        placements: Sequence[Sequence[str]],
-        sizes: Sequence[int],
-    ) -> List[Any]:
-        """Ops, one per page: batch-ship every (page, replica) transfer."""
-        raise NotImplementedError("ship_many is a fault-free fast path")
-
-    def gather(self, parent, ops: List[Any]) -> Any:
-        """Op: resume when every op in *ops* has resolved."""
-        raise NotImplementedError("gather is a fault-free fast path")

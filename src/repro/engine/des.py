@@ -23,10 +23,13 @@ Cost model (unchanged from the pre-engine simulated clients):
   The engine keeps the down set itself because on the DES it *is* the
   crashed node's model: there is no provider object to refuse service.
 
-The fault-free fast paths (``ship_many``/``gather``) batch whole page
-fan-outs through ``network.transfer_many`` so same-instant replica churn
-coalesces into one reallocation; ``faults_active`` stays ``False`` (and
-the cores on those fast paths) until the first injected fault.
+An op starts when it is made: ``store`` and ``fetch`` begin their
+transfer at creation, not when the core yields them. A core's fan-out
+makes every op before it awaits any, so the transfers of a page ship
+all start in one instant and the network coalesces them into one
+reallocation at the end-of-instant flush. A store that times out
+before its core gets round to awaiting it keeps its failure for that
+await.
 """
 
 from __future__ import annotations
@@ -109,7 +112,6 @@ class DesEngine(Engine):
         self._control: dict[str, _Control] = {}
         self._md_owner = _OwnerMemo([])
         self._down: Set[str] = set()
-        self._faults_on = False
         self.use_obs(obs or NULL_OBS)
 
     def use_obs(self, obs: Observability) -> None:
@@ -170,14 +172,9 @@ class DesEngine(Engine):
 
     def fail_endpoint(self, name: str) -> None:
         self._down.add(name)
-        self._faults_on = True
 
     def recover_endpoint(self, name: str) -> None:
         self._down.discard(name)
-
-    @property
-    def faults_active(self) -> bool:
-        return self._faults_on
 
     # -- clock / flow -------------------------------------------------------
 
@@ -230,6 +227,10 @@ class DesEngine(Engine):
         """An op that fails with a charged RPC timeout."""
         self._c_rpc_timeouts.inc()
         ev = Event(self.env)
+        # a fan-out awaits its ops in order, so this one may fail before
+        # its waiter yields it: the callback keeps the kernel from
+        # raising it unwaited, and the waiter reads the failure then
+        ev.callbacks.append(lambda ev: None)
         self.env.call_in(
             self.retry.rpc_timeout,
             lambda: ev.fail(RpcTimeoutError(f"{what} timed out")),
@@ -311,66 +312,3 @@ class DesEngine(Engine):
                 done, parent, "engine.charge_md", "engine.md", rpcs=len(keys)
             )
         return done
-
-    # -- batch fast paths ---------------------------------------------------
-
-    def ship_many(
-        self,
-        parent,
-        client: str,
-        placements: Sequence[Sequence[str]],
-        sizes: Sequence[int],
-    ) -> List[Event]:
-        """Batch-ship pages to their replicas (ack on receipt).
-
-        Every ``(page, replica)`` transfer starts through the network's
-        batch API, so the whole fan-out costs one coalesced reallocation
-        instead of one per replica. Each returned event fires when that
-        page's last replica has the bytes; persistence is asynchronous.
-        """
-        flat = self.cluster.network.transfer_many(
-            (client, prov, nbytes)
-            for providers, nbytes in zip(placements, sizes)
-            for prov in providers
-        )
-        out: List[Event] = []
-        pos = 0
-        for providers, nbytes in zip(placements, sizes):
-            transfers = flat[pos : pos + len(providers)]
-            pos += len(providers)
-            # single replica (the default): no fan-in barrier needed
-            done = (
-                transfers[0]
-                if len(transfers) == 1
-                else self.env.all_of(transfers)
-            )
-
-            def persist(
-                ev: Event,
-                providers: Sequence[str] = providers,
-                nbytes: int = nbytes,
-            ) -> None:
-                if ev._ok:
-                    for prov in providers:
-                        self.cluster.node(prov).disk.write(nbytes, notify=False)
-
-            done.callbacks.append(persist)
-            out.append(done)
-        if self._tracer is not None and out:
-            # one span for the whole fan-out, finished when the last
-            # page's last replica has the bytes
-            self._spanned(
-                self.env.all_of(list(out)),
-                parent,
-                "engine.ship_many",
-                "engine.data",
-                pages=len(out),
-                nbytes=sum(sizes),
-            )
-        return out
-
-    def gather(self, parent, ops: List[Event]) -> Event:
-        ev = self.env.all_of(ops)
-        if self._tracer is not None:
-            return self._spanned(ev, parent, "engine.gather", "engine.data", n=len(ops))
-        return ev

@@ -15,10 +15,9 @@ Two deliberate normalizations keep the traces comparable:
 * endpoint names pass through ``endpoint_label`` so callers can map the
   runtimes' different node-naming schemes onto shared labels.
 
-The wrapper also forces :attr:`faults_active` to ``True``, so a recorded
-run always takes the failure-tolerant protocol paths — the only paths
-that exist on both engines. The DES batch fast paths are a production
-optimization, never part of a parity trace.
+The cores have one protocol path on every engine, so the wrapper picks
+none: a recorded DES run takes the path the figures run, and the parity
+suite traces that code.
 """
 
 from __future__ import annotations
@@ -101,11 +100,3 @@ class RecordingEngine(Engine):
     def charge_md(self, parent, keys: Sequence[Any]) -> Any:
         self.trace.append(("md", tuple(keys)))
         return self.inner.charge_md(parent, keys)
-
-    # -- fault view ---------------------------------------------------------
-
-    @property
-    def faults_active(self) -> bool:
-        # always exercise the failure-tolerant paths: they are the only
-        # ones implemented by both engines, hence the only comparable ones
-        return True

@@ -107,14 +107,6 @@ class ThreadedEngine(Engine):
         the one served."""
         self._providers = providers
 
-    # -- fault view ---------------------------------------------------------
-
-    @property
-    def faults_active(self) -> bool:
-        # real components fail organically; the cores must always take
-        # the failure-tolerant paths
-        return True
-
     # -- clock / flow -------------------------------------------------------
 
     def now(self) -> float:

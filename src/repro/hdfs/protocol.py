@@ -17,6 +17,11 @@ chunk no target took is re-allocated with backoff, and block reads fail
 over replicas through
 :func:`~repro.engine.replica.sweep_fetch`. The simulated deployment
 never crashes a datanode, so its range read has no failover.
+
+There is one path on every engine. A fan-out (a chunk's replica
+stores, a range read's chunk fetches) makes every op before it awaits
+any: a DES op starts when it is made, so the fan-out runs in parallel
+there, while a threaded op runs when it is yielded.
 """
 
 from __future__ import annotations
@@ -48,37 +53,37 @@ class HDFSProtocol:
         block_id, targets = yield engine.call(
             None, "nn", "allocate_block", path, client
         )
-        if engine.faults_active:
-            # a target that times out is reported to the namenode, which
-            # excludes it from placement; when no target took the chunk,
-            # back off and allocate again (HDFS's exclude-and-reallocate).
-            # Abandoned allocations are harmless: block ids are derived
-            # from the committed block count, not reserved state.
-            sweep = 0
-            while True:
-                stored = []
-                for name in targets:
-                    try:
-                        yield engine.store(None, client, name, block_id, payload)
-                    except RpcTimeoutError:
-                        yield engine.wait(None, "nn", "mark_down", name)
-                    else:
-                        stored.append(name)
-                if stored:
-                    break
-                if sweep >= engine.retry.max_attempts:
-                    raise ReplicationError(f"chunk {block_id} stored nowhere")
-                yield engine.sleep(None, engine.retry.backoff(sweep))
-                sweep += 1
-                block_id, targets = yield engine.call(
-                    None, "nn", "allocate_block", path, client
-                )
-            stored = tuple(stored)
-        else:
-            # fault-free fast path: one batched fan-out to all replicas
-            (shipped,) = engine.ship_many(None, client, [targets], [size])
-            yield shipped
-            stored = tuple(targets)
+        # a target that times out is reported to the namenode, which
+        # excludes it from placement; when no target took the chunk,
+        # back off and allocate again (HDFS's exclude-and-reallocate).
+        # Abandoned allocations are harmless: block ids are derived
+        # from the committed block count, not reserved state. Each
+        # sweep makes every target's store before awaiting any, so on
+        # the DES the replicas receive the chunk in parallel.
+        sweep = 0
+        while True:
+            ops = [
+                engine.store(None, client, name, block_id, payload)
+                for name in targets
+            ]
+            stored = []
+            for name, op in zip(targets, ops):
+                try:
+                    yield op
+                except RpcTimeoutError:
+                    yield engine.wait(None, "nn", "mark_down", name)
+                else:
+                    stored.append(name)
+            if stored:
+                break
+            if sweep >= engine.retry.max_attempts:
+                raise ReplicationError(f"chunk {block_id} stored nowhere")
+            yield engine.sleep(None, engine.retry.backoff(sweep))
+            sweep += 1
+            block_id, targets = yield engine.call(
+                None, "nn", "allocate_block", path, client
+            )
+        stored = tuple(stored)
         yield engine.call(
             None, "nn", "commit_block", path, client, block_id, size, stored
         )
@@ -104,11 +109,12 @@ class HDFSProtocol:
 
     def read_range(self, client: str, path: str, offset: int, nbytes: int):
         """Generator: read a byte range — one namenode location RPC, then
-        the chunk fetches in parallel, each from its first replica.
+        one fetch per chunk, each from its first replica: every fetch is
+        made before any is awaited, so on the DES they run in parallel.
 
-        The simulated HDFS's fault-free fast path: its only caller
-        (:class:`~repro.hdfs.simulated.SimHDFS`) never crashes a
-        datanode, and it carries sizes, not bytes.
+        Its only caller (:class:`~repro.hdfs.simulated.SimHDFS`) never
+        crashes a datanode, so there is no failover, and it carries
+        sizes, not bytes.
         """
         if nbytes <= 0:
             raise ValueError("read of zero bytes")
@@ -125,7 +131,8 @@ class HDFSProtocol:
                 fetchers.append(
                     engine.fetch(None, client, host, None, at, hi - lo)
                 )
-        yield engine.gather(None, fetchers)
+        for op in fetchers:
+            yield op
 
     def read_block_range(
         self,

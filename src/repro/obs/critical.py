@@ -1,8 +1,8 @@
 """Critical-path analysis: attribute wall-clock to named layers.
 
 The engine emits one span per op (``engine.call``, ``engine.wait``,
-``engine.store``/``fetch``/``ship_many``, ``engine.charge_md``, retry
-sweeps), each directly under the operation span that issued it
+``engine.store``/``fetch``, ``engine.charge_md``, retry sweeps), each
+directly under the operation span that issued it
 (``blobseer.append``, ``bsfs.read``, ...) or under a group span holding
 several ops (``pages.ship``, ``pages.fetch``, ``replica.sweep``). This
 walker turns that span forest into a per-track time breakdown: every

@@ -356,6 +356,54 @@ def scenario_abandon(h):
 scenario_abandon.harness_kw = {"replication": 2}
 
 
+def _append_three_pages(h):
+    """Append three whole pages, read them back; the append's trace."""
+    blob = h.create_blob()
+    start = len(h.trace)
+    h.run(h.proto.update(h.clients[0], blob, Payload(b"m" * (3 * PAGE))))
+    append = h.trace[start:]
+    h.run(h.proto.read(h.clients[1], blob, 0, 3 * PAGE))
+    return append
+
+
+def scenario_parallel_ship(h):
+    """A 3-page append with replication 2 and no fault: the one write
+    path makes all six ``(page, replica)`` stores before it awaits any,
+    on every engine."""
+    append = _append_three_pages(h)
+    assert [rec[0] for rec in append[:8]] == ["call"] + ["store"] * 6 + ["wait"]
+    assert len({rec[1] for rec in append[1:7]}) == 6
+
+
+scenario_parallel_ship.harness_kw = {"replication": 2}
+
+
+def scenario_ship_reroute(h):
+    """The same append, but the provider placed first crashes right
+    after placement: all six stores come first, then the store on the
+    substitute that the crashed replica's timeout allocated."""
+    pm = h.proto.pm
+    placed = []
+
+    def allocate_then_crash(sizes, replication=1):
+        placements = type(pm).allocate(pm, sizes, replication)
+        if not placed:
+            placed.append(placements[0][0])
+            h.fail(placed[0])
+        return placements
+
+    pm.allocate = allocate_then_crash
+    append = _append_three_pages(h)
+    stores = append[1:8]
+    assert [rec[0] for rec in stores] == ["store"] * 7
+    assert stores[0] == ("store", f"p{h.providers.index(placed[0])}", PAGE)
+    assert stores[6][1] not in {rec[1] for rec in stores[:6]}
+    assert append[8][0] == "wait"
+
+
+scenario_ship_reroute.harness_kw = {"replication": 2}
+
+
 SCENARIOS = [
     scenario_append_commit,
     scenario_lease_abort,
@@ -364,6 +412,8 @@ SCENARIOS = [
     scenario_group_commit_append,
     scenario_fast_profile,
     scenario_abandon,
+    scenario_parallel_ship,
+    scenario_ship_reroute,
 ]
 
 

@@ -27,10 +27,10 @@ from repro.experiments.openloop import _rack_config
 #: benchmarks/perf/baseline.json.
 SIM_EVENTS = {
     "fig3": 20_127,
-    "fig4": 215_164,
-    "fig5": 174_165,
-    "fig6": 54_641,
-    "fig7": 16_435,
+    "fig4": 212_164,
+    "fig5": 172_165,
+    "fig6": 54_861,
+    "fig7": 16_191,
     "sup-writes": 10_505,
 }
 

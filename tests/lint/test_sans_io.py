@@ -6,7 +6,8 @@ modules, and the read core both file systems share in
 ``repro/bsfs/cache.py``) contain no runtime bindings: no clock, no threads, no sockets,
 and no reach into the simulation kernel. Every effect must flow through
 the :class:`~repro.engine.base.Engine` the core was handed. This test
-fails CI if anyone re-introduces a direct dependency.
+fails CI if anyone re-introduces a direct dependency, or an engine op
+that only one runtime implements.
 """
 
 import ast
@@ -347,4 +348,103 @@ def test_collector_lint_catches_a_tuned_or_frozen_collector():
     assert _gc_references(poisoned, {"disable"}) == [
         "line 2: gc.set_threshold",
         "line 4: gc.freeze",
+    ]
+
+
+#: every engine the cores run on; each must implement the whole
+#: interface, so no protocol path can reach an op one runtime lacks
+ENGINE_IMPLS = {
+    "DesEngine": SRC / "engine" / "des.py",
+    "ThreadedEngine": SRC / "engine" / "threaded.py",
+}
+
+
+def _class_methods(source: str, name: str):
+    """``{method name: def node}`` of class *name* in *source*."""
+    cls = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    return {
+        node.name: node
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _raises_not_implemented(fn) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+                return True
+    return False
+
+
+def _is_abstract(fn) -> bool:
+    return any(
+        (isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
+        or (isinstance(d, ast.Name) and d.id == "abstractmethod")
+        for d in fn.decorator_list
+    )
+
+
+def _engine_op_gaps(base_source: str, impl_sources):
+    """Public ``Engine`` methods that raise ``NotImplementedError``, and
+    those an implementation (``{class name: source}``) neither defines
+    nor inherits a working body for."""
+    found = []
+    impls = {
+        name: _class_methods(source, name) for name, source in impl_sources.items()
+    }
+    for name, fn in _class_methods(base_source, "Engine").items():
+        if name.startswith("_"):
+            continue
+        stub = _raises_not_implemented(fn)
+        if stub:
+            found.append(f"Engine.{name} raises NotImplementedError")
+        if stub or _is_abstract(fn):
+            found.extend(
+                f"{impl} does not implement Engine.{name}"
+                for impl, methods in impls.items()
+                if name not in methods
+            )
+    return found
+
+
+def test_every_engine_implements_every_engine_op():
+    """No runtime-only op: a core that reaches an op through one path
+    reaches it on every engine."""
+    gaps = _engine_op_gaps(
+        (SRC / "engine" / "base.py").read_text(),
+        {name: path.read_text() for name, path in ENGINE_IMPLS.items()},
+    )
+    assert not gaps, "\n".join(gaps)
+
+
+def test_engine_op_lint_catches_a_runtime_only_op():
+    base = (
+        "class Engine(abc.ABC):\n"
+        "    @abc.abstractmethod\n"
+        "    def store(self, parent): ...\n"
+        "    def rng(self, *names):\n"
+        "        return stream(self._seed, *names)\n"
+        "    def gather(self, parent, ops):\n"
+        "        raise NotImplementedError('gather is DES-only')\n"
+        "    def _spanned(self, op):\n"
+        "        raise NotImplementedError\n"
+    )
+    impls = {
+        "DesEngine": (
+            "class DesEngine(Engine):\n"
+            "    def store(self, parent): ...\n"
+            "    def gather(self, parent, ops): ...\n"
+        ),
+        "ThreadedEngine": "class ThreadedEngine(Engine):\n    pass\n",
+    }
+    assert _engine_op_gaps(base, impls) == [
+        "ThreadedEngine does not implement Engine.store",
+        "Engine.gather raises NotImplementedError",
+        "ThreadedEngine does not implement Engine.gather",
     ]

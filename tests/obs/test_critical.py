@@ -71,7 +71,7 @@ def test_innermost_span_wins_nested_intervals():
 
 
 def test_overlapping_sibling_ops_never_double_count():
-    """Concurrent fetches under one gather overlap in time; attribution
+    """Concurrent ops of one fan-out overlap in time; attribution
     still partitions the interval (never sums to more than busy)."""
     tracer, clock = _tracer()
     clock.t = 0.0
